@@ -6,9 +6,13 @@ certified lower bound on the model dimension and generically attains it.
 
 The tropical path builds the integer matrix (A | A_{C_1} | ... | A_{C_m})
 whose row at visible state v is (1, v) masked by membership in each slicing
-C_i, augments it with the 2^k indicator columns of the input cylinders [x]
-to quotient out functions of x, and computes an exact fraction-free rank
-over the integers; the result minus 2^k lower-bounds the dimension.
+C_i, and augments it with the 2^k indicator columns of the input cylinders
+[x] to quotient out functions of x; its rank minus 2^k lower-bounds the
+dimension.  The rank is computed by int64 Gaussian elimination modulo the
+prime 2^31 - 1.  For an integer matrix the rank over F_p never exceeds the
+rank over Q, so the result is a certified lower bound whatever happens next.
+It is cross-checked against the float rank of the same matrix and, if the
+two disagree, recomputed by exact elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .errors import UnstableRank
 
 #: relative SVD threshold coefficient
 RANK_TOL_COEFF = 2.0 ** -40
+#: prime modulus of the tropical rank; residue products fit in int64
+MOD_PRIME = 2 ** 31 - 1
 
 
 def numeric_rank(matrix: np.ndarray, tol_coeff: float = RANK_TOL_COEFF) -> int:
@@ -51,18 +57,27 @@ def numeric_rank(matrix: np.ndarray, tol_coeff: float = RANK_TOL_COEFF) -> int:
 
 def crbm_dimension_estimate(k: int, n: int, m: int, trials: int = 8,
                             seed: int = 0) -> int:
-    """Max numeric Jacobian rank over random standard-normal parameter draws."""
+    """Max numeric Jacobian rank over random standard-normal parameter draws.
+
+    Stops drawing once a draw reaches full rank min(jacobian shape), which
+    no further draw can exceed.
+    """
     rng = np.random.default_rng(seed)
     best = 0
     for _ in range(trials):
-        params = random_params(k, n, m, rng, scale=1.0)
-        best = max(best, numeric_rank(conditional_jacobian(params)))
+        jac = conditional_jacobian(random_params(k, n, m, rng, scale=1.0))
+        best = max(best, numeric_rank(jac))
+        if best == min(jac.shape):
+            break
     return best
 
 
-def _exact_int_rank(matrix: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination rank over the rationals."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
+def _exact_int_rank(matrix) -> int:
+    """Rank over the rationals by Gaussian elimination on ``Fraction`` rows.
+
+    Exact but slow (seconds at 256 rows); the fallback of ``_int_rank``.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(matrix).tolist()]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     rank = 0
@@ -82,37 +97,72 @@ def _exact_int_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def tropical_matrix(k: int, n: int, slicings: list[HammingBall]) -> list[list[int]]:
-    """(A | A_{C_1} | ... | A_{C_m} | X) with 0/1 integer entries.
+def _rank_mod_p(matrix: np.ndarray) -> int:
+    """Rank over F_p, p = MOD_PRIME, by vectorized int64 Gaussian elimination.
+
+    Residues stay below p < 2^31, so the product of two fits in int64.  For
+    an integer matrix the result never exceeds the rank over Q.
+    """
+    p = MOD_PRIME
+    rows = np.asarray(matrix, dtype=np.int64) % p
+    n_rows, n_cols = rows.shape
+    rank = 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        nonzero = np.flatnonzero(rows[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            rows[[rank, pivot]] = rows[[pivot, rank]]
+        inv = pow(int(rows[rank, col]), p - 2, p)
+        rows[rank, col:] = rows[rank, col:] * inv % p
+        below = rows[rank + 1:, col:]
+        factors = below[:, :1].copy()
+        below -= factors * rows[rank, col:]
+        below %= p
+        rank += 1
+    return rank
+
+
+def _int_rank(matrix: np.ndarray) -> int:
+    """Rank over Q of an integer matrix: the mod-p rank when the float rank
+    agrees with it, the exact ``Fraction`` elimination otherwise."""
+    modular = _rank_mod_p(matrix)
+    if modular == int(np.linalg.matrix_rank(matrix)):
+        return modular
+    return _exact_int_rank(matrix)
+
+
+def tropical_matrix(k: int, n: int, slicings: list[HammingBall]) -> np.ndarray:
+    """(A | A_{C_1} | ... | A_{C_m} | X) as a 0/1 int64 array.
 
     Rows are indexed by visible states v = x + 2^k*y; A's row is (1, bits(v));
     block i is that row masked by membership of v in the i-th ball; X holds
     the indicator columns of the input cylinders [x].
     """
     width = k + n
-    ball_sets = [frozenset(s.index for s in ball_members(b)) for b in slicings]
-    rows = []
-    for v in range(1 << width):
-        base = [1] + [(v >> i) & 1 for i in range(width)]
-        row = list(base)
-        for bs in ball_sets:
-            row.extend(base if v in bs else [0] * (width + 1))
-        x = v & ((1 << k) - 1)
-        row.extend(1 if x == xc else 0 for xc in range(1 << k))
-        rows.append(row)
-    return rows
+    v = np.arange(1 << width, dtype=np.int64)
+    base = np.column_stack([np.ones_like(v), (v[:, None] >> np.arange(width)) & 1])
+    masks = np.zeros((len(slicings), v.size), dtype=np.int64)
+    for i, b in enumerate(slicings):
+        masks[i, [s.index for s in ball_members(b)]] = 1
+    blocks = (masks[:, :, None] * base[None, :, :]).transpose(1, 0, 2)
+    inputs = (v[:, None] & ((1 << k) - 1)) == np.arange(1 << k)
+    return np.hstack([base, blocks.reshape(v.size, -1), inputs])
 
 
 def tropical_rank_mod_inputs(k: int, n: int, m: int,
                              slicings: list[HammingBall]) -> int:
-    """Exact rank of (A_theta | X) minus 2^k: the column span modulo
-    functions of x achievable on the given radius-1 ball slicings."""
+    """Rank of (A_theta | X) minus 2^k: the column span modulo functions of
+    x achievable on the given radius-1 ball slicings."""
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
     for b in slicings:
         if b.width != k + n:
             raise ValueError("slicing width must be k + n")
-    return _exact_int_rank(tropical_matrix(k, n, slicings)) - (1 << k)
+    return _int_rank(tropical_matrix(k, n, slicings)) - (1 << k)
 
 
 def greedy_distance4_balls(k: int, n: int, m: int) -> list[HammingBall]:

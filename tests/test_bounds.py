@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from crbmkit.bounds import (
+    A4_TABLE,
+    K1_TABLE,
     ambient_dim,
     code_A_exact,
     code_A_lower,
@@ -79,6 +81,12 @@ def test_code_caps_and_bounds():
         assert code_K_upper(n) >= code_K_exact(n, 1)
         # covering codes need at least 2^n/(n+1) words
         assert code_K_exact(n, 1) >= math.ceil((1 << n) / (n + 1))
+
+
+def test_code_tables_match_solver():
+    for n in range(1, 7):
+        assert A4_TABLE[n - 1] == code_A_exact(n, 4)
+        assert K1_TABLE[n - 1] == code_K_exact(n, 1)
 
 
 def test_expected_dim_examples():

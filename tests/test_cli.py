@@ -151,3 +151,13 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("r,coef,F,R,K,P")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is only needed by the exact code-size solvers
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, crbmkit.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

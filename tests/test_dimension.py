@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from crbmkit import dimension
 from crbmkit.bitspace import HammingBall, State
 from crbmkit.bounds import ambient_dim, code_A_exact, code_K_exact, param_count
 from crbmkit.dimension import (
+    MOD_PRIME,
+    _exact_int_rank,
+    _int_rank,
+    _rank_mod_p,
     certify_dimension,
     crbm_dimension_estimate,
     greedy_distance4_balls,
     numeric_rank,
+    tropical_matrix,
     tropical_rank_mod_inputs,
 )
 
@@ -37,6 +44,67 @@ def test_dimension_estimate_seed_stable():
                             (1, 2, 2, 6), (1, 1, 1, 2)]:
         assert {crbm_dimension_estimate(k, n, m, seed=s)
                 for s in range(5)} == {want}
+
+
+def test_estimate_stops_at_full_rank(monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return jacobian(params)
+
+    jacobian = dimension.conditional_jacobian
+    monkeypatch.setattr(dimension, "conditional_jacobian", counted)
+    # (2, 2, 1): the first draw reaches rank 7 = min of the 16 x 7 Jacobian
+    assert crbm_dimension_estimate(2, 2, 1) == 7
+    assert len(calls) == 1
+    # (1, 2, 2): rank 6 < min(8, 10), so every draw is made
+    calls.clear()
+    assert crbm_dimension_estimate(1, 2, 2) == 6
+    assert len(calls) == 8
+
+
+small_int_matrices = st.integers(1, 7).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 1, 3]),
+             min_size=cols, max_size=cols),
+    min_size=1, max_size=7))
+
+
+@given(small_int_matrices)
+def test_int_rank_matches_exact_rank(rows):
+    exact = _exact_int_rank(rows)
+    assert _rank_mod_p(np.array(rows)) <= exact
+    assert _int_rank(np.array(rows)) == exact
+
+
+def test_int_rank_falls_back_when_p_divides_a_minor():
+    mat = np.array([[MOD_PRIME, 0], [0, 1]])
+    assert _rank_mod_p(mat) == 1
+    assert _exact_int_rank(mat) == 2
+    assert _int_rank(mat) == 2
+
+
+def test_tropical_matrix_shape():
+    balls = greedy_distance4_balls(2, 3, 3)
+    mat = tropical_matrix(2, 3, balls)
+    assert mat.dtype == np.int64
+    assert mat.shape == (32, (2 + 3 + 1) * (len(balls) + 1) + 4)
+    assert set(np.unique(mat)) <= {0, 1}
+
+
+#: exact Fraction-elimination ranks of the greedy placements (k, n, m) -> value
+TROPICAL_GOLDEN = {
+    (1, 3, 1): 8, (2, 2, 1): 7, (1, 2, 2): 6, (1, 1, 1): 2, (2, 3, 3): 15,
+    (3, 3, 4): 31, (3, 3, 6): 31, (4, 3, 6): 51, (3, 4, 8): 68,
+    (4, 4, 8): 76, (5, 3, 8): 75,
+}
+
+
+@pytest.mark.parametrize("size", sorted(TROPICAL_GOLDEN))
+def test_tropical_rank_golden(size):
+    k, n, m = size
+    balls = greedy_distance4_balls(k, n, m)
+    assert tropical_rank_mod_inputs(k, n, m, balls) == TROPICAL_GOLDEN[size]
 
 
 def test_tropical_rank_m0():
