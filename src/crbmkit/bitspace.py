@@ -160,11 +160,6 @@ def star_members(s: Star) -> list[State]:
     return sorted(members, key=lambda st: st.index)
 
 
-def all_states(width: int) -> list[State]:
-    check_width(width)
-    return [State(i, width) for i in range(1 << width)]
-
-
 def affine_rank(states: list[State]) -> int:
     """Rank of the member matrix with an appended all-ones column."""
     if not states:

@@ -14,6 +14,11 @@ sharpness knob tau doubles from 16 until the final evaluation meets eps
 (or 1024 is hit, which raises BudgetExceeded).  The start distribution uses
 output biases of magnitude tau / (2 * component width) so that the sharp
 steps' off-region dust stays exponentially below the start-state dust.
+
+Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
+scipy.special.logsumexp for real input: results are bit-identical to
+scipy's, without its per-call dispatch cost.  The conditional rows of the
+joint are computed once per accepted step and shared by the step checks.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bitspace import CylinderSet, HammingBall, Star, State, star_members
 from .crbm import CrbmParams, append_hidden_unit, eval_conditional
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .packing import PackingSequence, best_depth, build_packing, s_value, universal_budget
 from .sharing import SharingStep, apply_sharing_log, build_tilted_step, \
-    hidden_unit_from_log, mixture_weight_profile
+    hidden_unit_from_log, logsumexp, make_reset_step, mixture_weight_profile
 
 TAU_START = 16.0
 TAU_MAX = 1024.0
@@ -170,6 +174,8 @@ class _Pipeline:
         # joint index v = x + 2^k*y: build as a (2^n, 2^k) matrix, flatten
         logp = np.tile(logits[:, None], (1, 1 << k)).reshape(-1)
         self.logp = logp - logsumexp(logp)
+        self._rows: np.ndarray | None = None
+        self._inputs = np.arange(1 << k)
         self.ideal = np.tile(self.scheme.dists[0], (1 << k, 1))
         self.start_tv = float(np.abs(self.rows() - self.ideal).sum(axis=1).max())
         self.allowance = self.start_tv
@@ -183,32 +189,46 @@ class _Pipeline:
         return rows / rows.sum(axis=1, keepdims=True)
 
     def rows(self) -> np.ndarray:
-        return self._rows_of(self.logp)
+        """Read-only conditional rows of the current joint, cached until the
+        next accepted step."""
+        if self._rows is None:
+            self._rows = self._rows_of(self.logp)
+            self._rows.setflags(write=False)
+        return self._rows
 
     def _apply(self, step: SharingStep) -> None:
         w, bias = hidden_unit_from_log(self.logp, step)
         self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
         self.logp = apply_sharing_log(self.logp, step)
+        self._rows = None
+
+    def _in_cylinder(self, cyl: CylinderSet) -> np.ndarray:
+        """Boolean mask of the inputs x in ``cyl``."""
+        return (self._inputs & cyl.fixed_mask) == cyl.fixed_values
+
+    def _moved(self, rows: np.ndarray, outside: np.ndarray) -> float:
+        """Largest row TV (x2) between ``rows`` and the current rows over the
+        masked inputs; 0 for an empty mask."""
+        diff = np.abs(rows[outside] - self.rows()[outside]).sum(axis=1)
+        return float(diff.max(initial=0.0))
 
     # -- resets ----------------------------------------------------------
 
     def reset_if_needed(self, cyl: CylinderSet) -> bool:
         """Drive a cylinder of inputs back to the start component iff one of
         its rows has drifted from it by more than the phase tolerance."""
-        xs = [x for x in range(1 << self.k) if cyl.contains_index(x)]
-        rows = self.rows()
+        inside = self._in_cylinder(cyl)
         start = self.scheme.dists[0]
-        drift = max(float(np.abs(rows[x] - start).sum()) for x in xs)
+        drift = float(np.abs(self.rows()[inside] - start).sum(axis=1).max())
         if drift <= self.start_tv + 2.0 * self.tol_step:
             return False
         sharp = self.tau
         for _ in range(STEP_RETRIES):
             step = self._reset_step(cyl, sharp)
             trial = apply_sharing_log(self.logp, step)
-            if self._reset_ok(trial, xs):
+            if self._reset_ok(trial, inside):
                 self._apply(step)
-                for x in xs:
-                    self.ideal[x] = start
+                self.ideal[inside] = start
                 self.resets += 1
                 self.allowance += self.tol_step
                 return True
@@ -216,28 +236,18 @@ class _Pipeline:
         raise BudgetExceeded("reset sharpness schedule exhausted")
 
     def _reset_step(self, cyl: CylinderSet, sharp: float) -> SharingStep:
-        k, n = self.k, self.n
-        lf = np.zeros((k + n, 2))
-        for i in range(k):
-            if (cyl.fixed_mask >> i) & 1:
-                keep = (cyl.fixed_values >> i) & 1
-                lf[i, 1 - keep] = -sharp
         # outputs: concentrate on the start component at start-grade sharpness
-        lf[k:, :] = _sharp_out_factors(
-            n, self.scheme.masks[0], self.scheme.values[0],
+        out_lf = _sharp_out_factors(
+            self.n, self.scheme.masks[0], self.scheme.values[0],
             sharp / (2.0 * max(self.scheme.sharp_width, 1)))
-        lam = float(1.0 / (1.0 + np.exp(min(sharp / 2.0, 700.0))))
-        return SharingStep(k + n, lam, lf)
+        return make_reset_step(cyl, out_lf, sharp)
 
-    def _reset_ok(self, trial_logp: np.ndarray, xs: list[int]) -> bool:
+    def _reset_ok(self, trial_logp: np.ndarray, inside: np.ndarray) -> bool:
         rows = self._rows_of(trial_logp)
         start = self.scheme.dists[0]
-        inside = max(float(np.abs(rows[x] - start).sum()) for x in xs)
-        before = self.rows()
-        outside = set(range(1 << self.k)) - set(xs)
-        moved = max((float(np.abs(rows[x] - before[x]).sum()) for x in outside),
-                    default=0.0)
-        return inside <= self.start_tv + self.tol_step and moved <= self.tol_step
+        drift = float(np.abs(rows[inside] - start).sum(axis=1).max())
+        moved = self._moved(rows, ~inside)
+        return drift <= self.start_tv + self.tol_step and moved <= self.tol_step
 
     # -- fills -----------------------------------------------------------
 
@@ -253,10 +263,8 @@ class _Pipeline:
     def fill_component(self, star: Star, beta_map: dict[int, float],
                        members: list[int], comp_dist: np.ndarray,
                        mask: int, values: int) -> None:
-        target = {
-            x: (1.0 - beta_map[x]) * self.ideal[x] + beta_map[x] * comp_dist
-            for x in members
-        }
+        beta = np.array([beta_map[x] for x in members])[:, None]
+        target = (1.0 - beta) * self.ideal[members] + beta * comp_dist
         sharp = self.tau
         for _ in range(STEP_RETRIES):
             out_lf = _sharp_out_factors(self.n, mask, values, sharp)
@@ -264,10 +272,9 @@ class _Pipeline:
                 self.logp, self.k, self.n, star.cylinder,
                 star.ball.center.index, beta_map, out_lf, sharp)
             trial = apply_sharing_log(self.logp, step)
-            if self._fill_ok(trial, star, target):
+            if self._fill_ok(trial, star, members, target):
                 self._apply(step)
-                for x in members:
-                    self.ideal[x] = target[x]
+                self.ideal[members] = target
                 self.fill_steps += 1
                 self.allowance += self.tol_step
                 return
@@ -275,16 +282,12 @@ class _Pipeline:
         raise BudgetExceeded("fill sharpness schedule exhausted")
 
     def _fill_ok(self, trial_logp: np.ndarray, star: Star,
-                 target: dict[int, np.ndarray]) -> bool:
+                 members: list[int], target: np.ndarray) -> bool:
         rows = self._rows_of(trial_logp)
-        drift = max(float(np.abs(rows[x] - t).sum()) for x, t in target.items())
+        drift = float(np.abs(rows[members] - target).sum(axis=1).max())
         if drift > self.allowance + self.tol_step:
             return False
-        before = self.rows()
-        outside = [x for x in range(1 << self.k)
-                   if not star.cylinder.contains_index(x)]
-        moved = max((float(np.abs(rows[x] - before[x]).sum()) for x in outside),
-                    default=0.0)
+        moved = self._moved(rows, ~self._in_cylinder(star.cylinder))
         return moved <= self.tol_step
 
 

@@ -12,6 +12,12 @@ visible weights w and bias log((1-lam) S0 / (lam N)), N = sum_v p(v) s(v),
 multiplies p entrywise by a positive multiple of lam + (1-lam) s(v)/N, which
 is exactly the step.  step_to_hidden_unit verifies nothing by formula; the
 evaluation contract is tested.
+
+The log-sum-exp used here and by the compiler is the module's own
+``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
+operation for operation, so results are bit-identical, without scipy's
+per-call array-API dispatch, which dominated compile time on the small
+arrays of the step pipeline.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bitspace import CylinderSet, State, Star, star_members
 from .distributions import Dist
@@ -36,6 +41,34 @@ LOG_T_CAP = 5e4
 BIAS_CAP = 1e7
 
 
+def logsumexp(a: np.ndarray, axis: int | None = None):
+    """log(sum(exp(a))) over ``axis`` (all entries for None, giving a scalar).
+
+    The arithmetic of scipy.special.logsumexp for real input: the entries
+    equal to the max are counted and left out of the shifted sum, the result
+    is log1p(s / count) + log(count) + max, and a non-finite result falls
+    back to log(sum(exp(a))), so an all -inf input gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1)
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axes, keepdims=True)
+        at_max = a == a_max
+        count = at_max.sum(axis=axes, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(
+            axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.exp(a).sum(axis=axes, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = out.squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class SharingStep:
     """One sharing step: mixture weight lam and product-tilt log factors."""
@@ -43,6 +76,8 @@ class SharingStep:
     width: int
     lam: float
     log_factors: np.ndarray = field(repr=False)  # (width, 2): log s_i(0), log s_i(1)
+    _log_values: np.ndarray | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         lf = np.asarray(self.log_factors, dtype=float)
@@ -61,14 +96,20 @@ class SharingStep:
         return np.exp(self.log_factors)
 
     def log_values(self) -> np.ndarray:
-        """log s(v) over all 2^width states."""
-        idx = np.arange(1 << self.width)
-        out = np.zeros(idx.size)
-        for i in range(self.width):
-            bit = (idx >> i) & 1
-            out = out + np.where(bit == 1, self.log_factors[i, 1],
-                                 self.log_factors[i, 0])
-        return out
+        """log s(v) over all 2^width states, computed once and read-only.
+
+        Summed from 0 over coordinates 0, 1, ..., width-1 in that order, so
+        each value is the float a per-state loop over the factors gives.
+        """
+        if self._log_values is None:
+            w = self.width
+            bits = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1
+            terms = np.zeros((1 << w, w + 1))
+            terms[:, 1:] = self.log_factors[np.arange(w), bits]
+            out = np.add.accumulate(terms, axis=1)[:, -1].copy()
+            out.setflags(write=False)
+            object.__setattr__(self, "_log_values", out)
+        return self._log_values
 
     def to_json_obj(self) -> dict:
         return {"width": self.width, "lam": self.lam,
@@ -190,7 +231,7 @@ def _clamped_log_t(beta: float) -> float:
         return -LOG_T_CAP
     if beta >= 1.0:
         return LOG_T_CAP
-    return float(np.clip(np.log(beta) - np.log1p(-beta), -LOG_T_CAP, LOG_T_CAP))
+    return float(min(max(np.log(beta) - np.log1p(-beta), -LOG_T_CAP), LOG_T_CAP))
 
 
 def build_tilted_step(
@@ -213,9 +254,10 @@ def build_tilted_step(
     """
     width = k + n
     y_idx = np.arange(1 << n)
-
-    def row_slice(x: int) -> np.ndarray:
-        return logp[x + (y_idx << k)]
+    free = input_cylinder.free_coords()
+    members = [center] + [center ^ (1 << i) for i in free]
+    if set(betas) != set(members):
+        raise ShapeMismatch("betas must cover exactly the star members")
 
     out_log_s = np.zeros(1 << n)
     for j in range(n):
@@ -223,16 +265,14 @@ def build_tilted_step(
         out_log_s = out_log_s + np.where(bit == 1, out_log_factors[j, 1],
                                          out_log_factors[j, 0])
 
-    def excess(x: int) -> float:
-        # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
-        rows = row_slice(x)
-        big_l = logsumexp(rows)
-        big_g = logsumexp(rows + out_log_s)
-        return _clamped_log_t(betas[x]) + big_l - big_g
-
-    base = excess(center)
-    free = input_cylinder.free_coords()
-    odds = {i: excess(center ^ (1 << i)) - base for i in free}
+    # one (members x 2^n) gather, center first: row i holds log p(x_i, .)
+    rows = logp[np.array(members)[:, None] + (y_idx << k)]
+    big_l = logsumexp(rows, axis=1)
+    big_g = logsumexp(rows + out_log_s, axis=1)
+    # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
+    log_t = np.array([_clamped_log_t(betas[x]) for x in members])
+    excess = log_t + big_l - big_g
+    odds = {i: excess[j] - excess[0] for j, i in enumerate(free, start=1)}
 
     spec = SharpStepSpec(
         width=width,
@@ -257,14 +297,15 @@ def build_tilted_step(
     log_s = probe.log_values()
     log_norm = logsumexp(logp + log_s)
     anchor = max(betas, key=lambda x: min(betas[x], 1.0 - betas[x]))
-    rows_a = row_slice(anchor)
+    a = members.index(anchor)
     log_sx_a = log_s[anchor] - out_log_s[0]  # joint state (x=anchor, y=0)
-    log_m = float(log_sx_a + logsumexp(rows_a + out_log_s)
-                  - logsumexp(rows_a) - log_norm)
-    log_t_a = _clamped_log_t(betas[anchor])
-    lam = float(1.0 / (1.0 + np.exp(np.clip(log_t_a - log_m, -700, 700))))
+    log_m = float(log_sx_a + big_g[a] - big_l[a] - log_norm)
+    log_t_a = log_t[a]
+    lam = float(1.0 / (1.0 + np.exp(min(max(log_t_a - log_m, -700.0), 700.0))))
     lam = min(max(lam, 1e-300), 1.0 - 1e-16)
-    return SharingStep(width, lam, lf)
+    step = SharingStep(width, lam, lf)
+    object.__setattr__(step, "_log_values", log_s)  # same factors as the probe
+    return step
 
 
 def make_star_fill_steps(
@@ -311,20 +352,22 @@ def make_star_fill_steps(
     return steps
 
 
-def make_reset_step(c: CylinderSet, y_target: State, tau: float) -> SharingStep:
-    """A step driving all rows with inputs in ``c`` toward delta_{y_target}.
+def make_reset_step(c: CylinderSet, out_log_factors: np.ndarray,
+                    tau: float) -> SharingStep:
+    """A step driving all rows with inputs in ``c`` toward an output component.
 
-    lam is near 0 and s is concentrated with sharpness tau on {y_target} x C;
+    ``out_log_factors`` (shape (n, 2), already sharpened) encodes the
+    component, e.g. -tau on the off value of every bit for a point mass.
+    lam is near 0 and the inputs are concentrated with sharpness tau on C;
     rows outside C move by at most eps(tau).
     """
     k = c.width
-    n = y_target.width
+    n = len(out_log_factors)
     lf = np.zeros((k + n, 2))
     for i in range(k):
         if (c.fixed_mask >> i) & 1:
             keep = (c.fixed_values >> i) & 1
             lf[i, 1 - keep] = -tau
-    for j in range(n):
-        lf[k + j, 1 - y_target.bit(j)] = -tau
+    lf[k:, :] = out_log_factors
     lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
     return SharingStep(k + n, lam, lf)

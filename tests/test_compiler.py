@@ -267,3 +267,65 @@ def test_report_fields_consistent():
     assert rep.tau_final >= 16.0
     obj = rep.to_json_obj()
     assert obj["within_budget"] == rep.within_budget
+
+
+def dirichlet_table(k, n, seed):
+    rng = np.random.default_rng(seed)
+    return ConditionalTable(k, n, rng.dirichlet(np.ones(1 << n), size=1 << k))
+
+
+def sparse_dirichlet_table(k, n, d, seed):
+    """One random output per row plus d extra support points, Dirichlet rows."""
+    rng = np.random.default_rng(seed)
+    support = np.zeros((1 << k, 1 << n), dtype=bool)
+    support[np.arange(1 << k), rng.integers(0, 1 << n, size=1 << k)] = True
+    free = np.flatnonzero(~support)
+    support.flat[rng.choice(free, size=d, replace=False)] = True
+    rows = np.zeros(support.shape)
+    for x in range(1 << k):
+        rows[x, support[x]] = rng.dirichlet(np.ones(support[x].sum()))
+    return ConditionalTable(k, n, rows)
+
+
+# (hidden_units_used, tau_final, achieved_tv) at seed 0, recorded with
+# scipy.special.logsumexp and per-row step checks; the local log-sum-exp and
+# the cached rows must reproduce them
+GOLDEN = {
+    "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
+                      10, 32.0, 0.0007966023069756398),
+    "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
+                      19, 32.0, 0.0007966040887859571),
+    "partition-4-3-l2": (lambda: compile_partition(
+                             block_constant_target(4, 3, 2, seed=0), 2),
+                         19, 32.0, 0.0007966040887854645),
+    "support-4-2-d2": (lambda: compile_support_points(
+                           sparse_dirichlet_table(4, 2, 2, seed=0), 2),
+                       11, 32.0, 0.001341175602538288),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_compile_outputs(name):
+    run, units, tau, tv = GOLDEN[name]
+    _, rep = run()
+    assert rep.hidden_units_used == units
+    assert rep.tau_final == tau
+    assert rep.achieved_tv == pytest.approx(tv, rel=1e-12, abs=0.0)
+
+
+def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
+    applied = []
+    apply_step = _Pipeline._apply
+
+    def apply_and_check(self, step):
+        self.rows()  # the cache holds the rows from before the step
+        apply_step(self, step)
+        rows = self.rows()
+        assert np.array_equal(rows, self._rows_of(self.logp))
+        assert not rows.flags.writeable
+        applied.append(step)
+
+    monkeypatch.setattr(_Pipeline, "_apply", apply_and_check)
+    _, rep = compile_universal(dirichlet_table(4, 1, 0), r=2)
+    assert rep.resets_used > 0 and rep.star_steps_used > 0
+    assert len(applied) >= rep.hidden_units_used

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from crbmkit.bitspace import CylinderSet, HammingBall, Star, State
 from crbmkit.crbm import CrbmParams, append_hidden_unit, eval_joint_rbm
@@ -9,6 +12,8 @@ from crbmkit.sharing import (
     SharingStep,
     SharpStepSpec,
     apply_sharing,
+    build_tilted_step,
+    logsumexp,
     make_reset_step,
     make_star_fill_steps,
     mixture_weight_profile,
@@ -22,6 +27,14 @@ def linear_apply(p: Dist, step: SharingStep) -> np.ndarray:
     tilt = p.probs * s
     tilt /= tilt.sum()
     return step.lam * p.probs + (1 - step.lam) * tilt
+
+
+def point_mass_factors(y: State, tau: float) -> np.ndarray:
+    """(n, 2) output log-factor block concentrated on y with sharpness tau."""
+    lf = np.zeros((y.width, 2))
+    for j in range(y.width):
+        lf[j, 1 - y.bit(j)] = -tau
+    return lf
 
 
 def start_joint(k: int, n: int, tau: float) -> Dist:
@@ -196,12 +209,14 @@ def test_make_reset_step_examples():
     rng = np.random.default_rng(10)
     # full input cube: all rows driven to the target point mass
     p = Dist(3, rng.dirichlet(np.ones(8)))
-    step = make_reset_step(CylinderSet.full(2), State(0, 1), tau=30.0)
+    step = make_reset_step(CylinderSet.full(2),
+                           point_mass_factors(State(0, 1), 30.0), tau=30.0)
     table = conditional_of_joint(apply_sharing(p, step), 2)
     assert np.abs(table.rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
-    tiny = make_reset_step(CylinderSet.full(2), State(0, 1), tau=1e-9)
+    tiny = make_reset_step(CylinderSet.full(2),
+                           point_mass_factors(State(0, 1), 1e-9), tau=1e-9)
     after = apply_sharing(p, tiny)
     assert np.abs(after.probs - p.probs).max() < 1e-6
 
@@ -209,7 +224,7 @@ def test_make_reset_step_examples():
     p = Dist(3, rng.dirichlet(np.ones(8)))
     before = conditional_of_joint(p, 2)
     cyl = CylinderSet.from_fixed(2, {0: 0})
-    step = make_reset_step(cyl, State(0, 1), tau=30.0)
+    step = make_reset_step(cyl, point_mass_factors(State(0, 1), 30.0), tau=30.0)
     after = conditional_of_joint(apply_sharing(p, step), 2)
     for x in range(4):
         if cyl.contains_index(x):
@@ -241,7 +256,60 @@ def test_make_star_fill_rejects_bad_rows():
         make_star_fill_steps(p, {0: Dist.uniform(1)}, star, 16.0)
 
 
+def test_build_tilted_step_rejects_betas_off_the_star():
+    # the star at 0 on the full 2-cube has members {0, 1, 2}
+    logp = np.log(start_joint(2, 1, 8.0).probs)
+    out_lf = np.array([[-16.0, 0.0]])
+    for betas in ({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}):
+        with pytest.raises(ShapeMismatch):
+            build_tilted_step(logp, 2, 1, CylinderSet.full(2), 0, betas,
+                              out_lf, 16.0)
+
+
 def test_mixture_profile_rejects_negative_mass():
     from crbmkit.errors import InfeasibleProfile
     with pytest.raises(InfeasibleProfile):
         mixture_weight_profile(np.array([[-0.1, 1.1]]))
+
+
+#: entries with repeats, so that maxima tie, and -inf entries
+LSE_ENTRIES = st.sampled_from([0.0, 1.5, -2.0, 700.0, -np.inf]) | st.floats(
+    -800.0, 800.0, allow_nan=False, allow_infinity=False)
+
+
+def same_bits(ours, ref) -> bool:
+    return (type(ours) is type(ref) and np.shape(ours) == np.shape(ref)
+            and np.asarray(ours).tobytes() == np.asarray(ref).tobytes())
+
+
+@given(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=24),
+              elements=LSE_ENTRIES))
+def test_logsumexp_matches_scipy_bitwise(a):
+    assert same_bits(logsumexp(a), scipy.special.logsumexp(a))
+    assert np.ndim(logsumexp(a)) == 0
+    if a.ndim == 2:
+        assert same_bits(logsumexp(a, axis=1), scipy.special.logsumexp(a, axis=1))
+
+
+def test_logsumexp_all_neg_inf_is_not_finite():
+    a = np.full((3, 4), -np.inf)
+    a[1] = [0.0, 0.0, -1.0, -np.inf]
+    rows = logsumexp(a, axis=1)
+    assert same_bits(rows, scipy.special.logsumexp(a, axis=1))
+    assert not np.isfinite(rows[0]) and not np.isfinite(rows[2])
+    assert rows[1] == pytest.approx(np.log(2.0 + np.exp(-1.0)))
+    assert not np.isfinite(logsumexp(a[0]))
+    assert same_bits(logsumexp(a[0]), scipy.special.logsumexp(a[0]))
+
+
+def test_log_values_is_the_per_state_sum_and_read_only():
+    rng = np.random.default_rng(15)
+    step = SharingStep(4, 0.3, rng.standard_normal((4, 2)))
+    values = step.log_values()
+    for v in range(1 << 4):
+        want = 0.0
+        for i in range(4):
+            want += step.log_factors[i, (v >> i) & 1]
+        assert values[v] == want
+    assert not values.flags.writeable
+    assert step.log_values() is values
