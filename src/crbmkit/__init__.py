@@ -95,7 +95,6 @@ from .sharing import (
     SharingStep,
     apply_sharing,
     make_reset_step,
-    make_star_fill_steps,
     step_to_hidden_unit,
 )
 from .verify import verify_all

@@ -4,8 +4,9 @@ Subcommands: bounds, table1, pack, compile, dim, divergence, mrf, ltn,
 verify-all.  Randomized subcommands require an explicit --seed.  Output is
 JSON (CSV for table1) to stdout or --out; relative --out paths resolve
 against $CRBMKIT_OUT_DIR when set.  Every JSON payload carries a versioned
-schema tag and is validated before emission.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+schema tag and is validated against SCHEMAS before emission.  Exit codes:
+0 success, 1 domain error, 2 usage error; compile, divergence and mrf check
+their arguments before any work starts, so a malformed one is a usage error.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ def _params_obj(params) -> dict:
     return json.loads(params.to_json())
 
 
+class _UsageError(Exception):
+    """A malformed argument, found before any work starts; exit code 2."""
+
+
 def _cmd_bounds(args) -> int:
     rep = bounds_mod.universal_m_table(args.k, args.n)
     payload = {
@@ -183,7 +188,24 @@ def _random_target(args) -> ConditionalTable:
     return ConditionalTable(k, n, rows)
 
 
+def _check_compile_args(args) -> None:
+    k, n = args.k, args.n
+    min_k = 1 if args.mode == "universal" else 0
+    if k < min_k or n < 1:
+        raise _UsageError(f"--k must be >= {min_k} and --n >= 1 in {args.mode} mode")
+    if (args.r is not None and args.r < 1) or not args.eps > 0:
+        raise _UsageError("--r must be >= 1 and --eps > 0")
+    if args.mode == "partition" and args.l is not None and not 0 <= args.l <= n:
+        raise _UsageError(f"--l must be in [0, n] = [0, {n}]")
+    if args.mode == "support" and args.d is not None \
+            and not 0 <= args.d <= 1 << (k + n):
+        raise _UsageError(f"--d must be in [0, 2^(k+n)] = [0, {1 << (k + n)}]")
+    if args.mode == "common" and not 1 <= args.support_size <= 1 << n:
+        raise _UsageError(f"--support-size must be in [1, 2^n] = [1, {1 << n}]")
+
+
 def _cmd_compile(args) -> int:
+    _check_compile_args(args)
     target = _random_target(args)
     if args.mode == "universal":
         params, report = compile_universal(target, args.r, args.eps)
@@ -215,6 +237,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
+    if args.k < 1 or args.n < 1 or args.m < 0:
+        raise _UsageError("--k and --n must be >= 1 and --m >= 0")
     target = random_conditional(args.k, args.n, args.seed)
     params, div = divergence_witness(target, args.m)
     payload = {
@@ -229,21 +253,52 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
-def _load_json_arg(text: str):
-    if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
-    return json.loads(text)
+def _json_arg(text: str):
+    """A JSON value given inline or as the path of a JSON file."""
+    try:
+        if os.path.exists(text):
+            with open(text) as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"not JSON or a JSON file: {exc}")
+
+
+def _face_mask(face, n: int) -> int:
+    """Bitmask of a face listed by its distinct 1-based indices in 1..n."""
+    if not (isinstance(face, list)
+            and all(isinstance(i, int) and 1 <= i <= n for i in face)
+            and len(set(face)) == len(face)):
+        raise _UsageError(f"face {face!r} must list distinct indices in 1..{n}")
+    return sum(1 << (i - 1) for i in face)
+
+
+def _mrf_inputs(spec, theta_entries) -> tuple[int, list[int], dict[int, float]]:
+    """Ground set size, generator masks and theta by face mask."""
+    try:
+        n = spec["n"]
+        faces = list(spec["faces"])
+        entries = [(face, float(v)) for face, v in theta_entries]
+    except (KeyError, TypeError, ValueError):
+        raise _UsageError('--complex must be {"n": N, "faces": [[i, ...], ...]} '
+                          'and --theta [[[i, ...], value], ...]') from None
+    if not isinstance(n, int):
+        raise _UsageError("the complex's n must be an integer")
+    generators = [_face_mask(face, n) for face in faces]
+    theta = {}
+    for face, v in entries:
+        a = _face_mask(face, n)
+        if a and not any(a & ~g == 0 for g in generators):
+            raise _UsageError(f"theta face {face!r} is not a face of the complex")
+        theta[a] = v
+    return n, generators, theta
 
 
 def _cmd_mrf(args) -> int:
-    spec = _load_json_arg(args.complex)
-    n = spec["n"]
-    generators = [sum(1 << (i - 1) for i in face) for face in spec["faces"]]
+    n, generators, theta = _mrf_inputs(args.complex, args.theta)
+    if not 0 <= args.k < n:
+        raise _UsageError(f"--k must be in [0, n - 1] = [0, {n - 1}]")
     complex_ = SimplicialComplex.from_generators(n, generators)
-    theta_entries = _load_json_arg(args.theta)
-    theta = {sum(1 << (i - 1) for i in face): float(v)
-             for face, v in theta_entries}
     model = MrfModel(complex_, theta)
     if args.k:
         params = compile_conditional_mrf(model, args.k)
@@ -313,25 +368,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constructive CRBM compilation and certification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="closed-form bound report")
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn, parser=p)
+        return p
+
+    p = command("bounds", _cmd_bounds, "closed-form bound report")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("table1", help="counting-sequence table as CSV")
+    p = command("table1", _cmd_table1, "counting-sequence table as CSV")
     p.add_argument("--rmax", type=int, default=5)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_table1)
 
-    p = sub.add_parser("pack", help="build and validate a star packing")
+    p = command("pack", _cmd_pack, "build and validate a star packing")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_pack)
 
-    p = sub.add_parser("compile", help="compile a random target table")
+    p = command("compile", _cmd_compile, "compile a random target table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
@@ -346,35 +403,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None,
                    help="block width (partition mode)")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_compile)
 
-    p = sub.add_parser("dim", help="dimension certification report")
+    p = command("dim", _cmd_dim, "dimension certification report")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_dim)
 
-    p = sub.add_parser("divergence", help="divergence witness for a budget")
+    p = command("divergence", _cmd_divergence, "divergence witness for a budget")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_divergence)
 
-    p = sub.add_parser("mrf", help="compile a random field into (C)RBM weights")
-    p.add_argument("--complex", required=True,
+    p = command("mrf", _cmd_mrf, "compile a random field into (C)RBM weights")
+    p.add_argument("--complex", required=True, type=_json_arg,
                    help='JSON {"n": 3, "faces": [[1,2],[2,3]]} or a file path')
-    p.add_argument("--theta", required=True,
+    p.add_argument("--theta", required=True, type=_json_arg,
                    help='JSON [[[1,2], 0.5], ...] or a file path')
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_mrf)
 
-    p = sub.add_parser("ltn", help="embed a threshold network")
+    p = command("ltn", _cmd_ltn, "embed a threshold network")
     p.add_argument("--mode", choices=["parity", "embed"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
@@ -382,13 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_ltn)
 
-    p = sub.add_parser("verify-all", help="run the acceptance suite")
+    p = command("verify-all", _cmd_verify_all, "run the acceptance suite")
     p.add_argument("--seed", type=int, default=0,
                    help="offset for the randomized criteria's draws")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_verify_all)
 
     return parser
 
@@ -398,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        args.parser.error(str(exc))
     except CrbmKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

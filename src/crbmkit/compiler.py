@@ -7,13 +7,16 @@ one appended hidden unit.  Everything runs on an exact log-domain joint in
 parallel with the parameter build; the final certificate is evaluated from
 the parameters themselves, never from the simulated joint.
 
-Tolerance budgeting: each scheduled step gets an equal share
-eps / (2 * steps) of the target tolerance; a step whose realized effect
-drifts past its allowance is rebuilt with doubled sharpness.  The outer
-sharpness knob tau doubles from 16 until the final evaluation meets eps
-(or 1024 is hit, which raises BudgetExceeded).  The start distribution uses
-output biases of magnitude tau / (2 * component width) so that the sharp
-steps' off-region dust stays exponentially below the start-state dust.
+One loop runs every step, fill or reset (``_Pipeline._step``): build the
+step at sharpness tau, try it on the joint, and accept it when the worst
+row TV on its target rows is within the step's bound and the rows outside
+its region move by at most the step's tolerance share; otherwise double
+the sharpness, up to STEP_RETRIES tries.  Each scheduled step gets an equal
+share eps / (2 * steps) of the target tolerance.  The outer sharpness knob
+tau doubles from 16 until the final evaluation meets eps (or 1024 is hit,
+which raises BudgetExceeded).  The start distribution uses output biases of
+magnitude tau / (2 * component width) so that the sharp steps' off-region
+dust stays exponentially below the start-state dust.
 
 Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
 scipy.special.logsumexp for real input: results are bit-identical to
@@ -24,6 +27,7 @@ joint are computed once per accepted step and shared by the step checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,6 +161,11 @@ class _ComponentScheme:
         return _ComponentScheme(n, [full] * (1 << n), order)
 
 
+def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
+    """Largest row TV (x2) between ``rows`` and ``ref``; 0 for no rows."""
+    return float(np.abs(rows - ref).sum(axis=1).max(initial=0.0))
+
+
 class _Pipeline:
     """Sequential sharing-step executor over an exact log-domain joint."""
 
@@ -177,10 +186,9 @@ class _Pipeline:
         self._rows: np.ndarray | None = None
         self._inputs = np.arange(1 << k)
         self.ideal = np.tile(self.scheme.dists[0], (1 << k, 1))
-        self.start_tv = float(np.abs(self.rows() - self.ideal).sum(axis=1).max())
+        self.start_tv = _worst_row_tv(self.rows(), self.ideal)
         self.allowance = self.start_tv
-        self.fill_steps = 0
-        self.resets = 0
+        self.used = {"fill": 0, "reset": 0}
 
     def _rows_of(self, logp: np.ndarray) -> np.ndarray:
         cond = logp.reshape(1 << self.n, 1 << self.k).T  # (2^k, 2^n)
@@ -206,50 +214,45 @@ class _Pipeline:
         """Boolean mask of the inputs x in ``cyl``."""
         return (self._inputs & cyl.fixed_mask) == cyl.fixed_values
 
-    def _moved(self, rows: np.ndarray, outside: np.ndarray) -> float:
-        """Largest row TV (x2) between ``rows`` and the current rows over the
-        masked inputs; 0 for an empty mask."""
-        diff = np.abs(rows[outside] - self.rows()[outside]).sum(axis=1)
-        return float(diff.max(initial=0.0))
+    def _step(self, kind: str, build: Callable[[float], SharingStep],
+              region: list[int] | np.ndarray, target: np.ndarray, bound: float,
+              outside: np.ndarray) -> None:
+        """Build, try and accept one sharing step.
 
-    # -- resets ----------------------------------------------------------
+        ``build(sharp)`` makes the step at sharpness ``sharp``, starting at
+        tau.  A trial is accepted when its rows at ``region`` are within row
+        TV ``bound`` of ``target`` and its rows at ``outside`` moved by at
+        most tol_step; otherwise the sharpness doubles.
+        """
+        sharp = self.tau
+        for _ in range(STEP_RETRIES):
+            step = build(sharp)
+            rows = self._rows_of(apply_sharing_log(self.logp, step))
+            if (_worst_row_tv(rows[region], target) <= bound
+                    and _worst_row_tv(rows[outside], self.rows()[outside])
+                    <= self.tol_step):
+                self._apply(step)
+                self.ideal[region] = target
+                self.used[kind] += 1
+                self.allowance += self.tol_step
+                return
+            sharp *= 2.0
+        raise BudgetExceeded(f"{kind} sharpness schedule exhausted")
 
-    def reset_if_needed(self, cyl: CylinderSet) -> bool:
+    def reset_if_needed(self, cyl: CylinderSet) -> None:
         """Drive a cylinder of inputs back to the start component iff one of
         its rows has drifted from it by more than the phase tolerance."""
         inside = self._in_cylinder(cyl)
         start = self.scheme.dists[0]
-        drift = float(np.abs(self.rows()[inside] - start).sum(axis=1).max())
-        if drift <= self.start_tv + 2.0 * self.tol_step:
-            return False
-        sharp = self.tau
-        for _ in range(STEP_RETRIES):
-            step = self._reset_step(cyl, sharp)
-            trial = apply_sharing_log(self.logp, step)
-            if self._reset_ok(trial, inside):
-                self._apply(step)
-                self.ideal[inside] = start
-                self.resets += 1
-                self.allowance += self.tol_step
-                return True
-            sharp *= 2.0
-        raise BudgetExceeded("reset sharpness schedule exhausted")
-
-    def _reset_step(self, cyl: CylinderSet, sharp: float) -> SharingStep:
+        if (_worst_row_tv(self.rows()[inside], start)
+                <= self.start_tv + 2.0 * self.tol_step):
+            return
         # outputs: concentrate on the start component at start-grade sharpness
-        out_lf = _sharp_out_factors(
-            self.n, self.scheme.masks[0], self.scheme.values[0],
-            sharp / (2.0 * max(self.scheme.sharp_width, 1)))
-        return make_reset_step(cyl, out_lf, sharp)
-
-    def _reset_ok(self, trial_logp: np.ndarray, inside: np.ndarray) -> bool:
-        rows = self._rows_of(trial_logp)
-        start = self.scheme.dists[0]
-        drift = float(np.abs(rows[inside] - start).sum(axis=1).max())
-        moved = self._moved(rows, ~inside)
-        return drift <= self.start_tv + self.tol_step and moved <= self.tol_step
-
-    # -- fills -----------------------------------------------------------
+        mask, values = self.scheme.masks[0], self.scheme.values[0]
+        grade = 2.0 * max(self.scheme.sharp_width, 1)
+        self._step("reset", lambda sharp: make_reset_step(
+            cyl, _sharp_out_factors(self.n, mask, values, sharp / grade), sharp),
+            inside, start, self.start_tv + self.tol_step, ~inside)
 
     def fill_star(self, star: Star, target_masses: np.ndarray,
                   members: list[int]) -> None:
@@ -257,50 +260,54 @@ class _Pipeline:
         betas = mixture_weight_profile(target_masses)
         for t in range(1, self.scheme.count):
             beta_map = {x: float(betas[i, t - 1]) for i, x in enumerate(members)}
-            self.fill_component(star, beta_map, members, self.scheme.dists[t],
-                                self.scheme.masks[t], self.scheme.values[t])
+            self.fill_component(star, t, beta_map, members)
 
-    def fill_component(self, star: Star, beta_map: dict[int, float],
-                       members: list[int], comp_dist: np.ndarray,
-                       mask: int, values: int) -> None:
+    def fill_component(self, star: Star, t: int, beta_map: dict[int, float],
+                       members: list[int]) -> None:
+        """Mix the member rows toward component t with weights ``beta_map``."""
+        mask, values = self.scheme.masks[t], self.scheme.values[t]
         beta = np.array([beta_map[x] for x in members])[:, None]
-        target = (1.0 - beta) * self.ideal[members] + beta * comp_dist
-        sharp = self.tau
-        for _ in range(STEP_RETRIES):
-            out_lf = _sharp_out_factors(self.n, mask, values, sharp)
-            step = build_tilted_step(
-                self.logp, self.k, self.n, star.cylinder,
-                star.ball.center.index, beta_map, out_lf, sharp)
-            trial = apply_sharing_log(self.logp, step)
-            if self._fill_ok(trial, star, members, target):
-                self._apply(step)
-                self.ideal[members] = target
-                self.fill_steps += 1
-                self.allowance += self.tol_step
-                return
-            sharp *= 2.0
-        raise BudgetExceeded("fill sharpness schedule exhausted")
-
-    def _fill_ok(self, trial_logp: np.ndarray, star: Star,
-                 members: list[int], target: np.ndarray) -> bool:
-        rows = self._rows_of(trial_logp)
-        drift = float(np.abs(rows[members] - target).sum(axis=1).max())
-        if drift > self.allowance + self.tol_step:
-            return False
-        moved = self._moved(rows, ~self._in_cylinder(star.cylinder))
-        return moved <= self.tol_step
+        target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
+        self._step("fill", lambda sharp: build_tilted_step(
+            self.logp, self.k, self.n, star.cylinder, star.ball.center.index,
+            beta_map, _sharp_out_factors(self.n, mask, values, sharp), sharp),
+            members, target, self.allowance + self.tol_step,
+            ~self._in_cylinder(star.cylinder))
 
 
-def _tau_schedule():
+def _compile_over_tau(run: Callable[[float], _Pipeline],
+                      target: ConditionalTable, eps: float, mode: str,
+                      budget: int, r: int | None, clamp_error: float = 0.0
+                      ) -> tuple[CrbmParams, CompileReport]:
+    """The first pipeline ``run(tau)``, tau = TAU_START, 2 TAU_START, ...,
+    TAU_MAX, whose evaluated conditional is within eps of ``target``."""
+    last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
-        yield tau
+        try:
+            pipe = run(tau)
+        except BudgetExceeded as exc:
+            last_error = exc
+        else:
+            params = pipe.params
+            achieved = tv_row_distance(eval_conditional(params), target)
+            if achieved <= eps:
+                return params, CompileReport(
+                    mode=mode, hidden_units_used=params.m,
+                    resets_used=pipe.used["reset"],
+                    star_steps_used=pipe.used["fill"], achieved_tv=achieved,
+                    tau_final=tau, budget_bound=budget,
+                    within_budget=params.m <= budget,
+                    clamp_error=clamp_error, r=r, epsilon=eps)
         tau *= 2.0
+    raise BudgetExceeded(
+        f"tau schedule exhausted without reaching eps = {eps}"
+    ) from last_error
 
 
 def _run_packed(k: int, n: int, scheme: _ComponentScheme,
                 seq: PackingSequence, target: ConditionalTable,
-                eps: float, tau: float) -> tuple[CrbmParams, int, int]:
+                eps: float, tau: float) -> _Pipeline:
     masses = scheme.masses(target.rows)
     total_steps = len(seq.stars) * (scheme.count - 1) + len(seq.resets)
     tol_step = eps / (2.0 * max(total_steps, 1))
@@ -315,7 +322,7 @@ def _run_packed(k: int, n: int, scheme: _ComponentScheme,
             pipe.reset_if_needed(cyl)
         members = [s.index for s in star_members(star)]
         pipe.fill_star(star, masses[members], members)
-    return pipe.params, pipe.fill_steps, pipe.resets
+    return pipe
 
 
 def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
@@ -327,26 +334,9 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
     if s_value(r) > k:
         raise InfeasibleDepth(f"k = {k} < S({r}) = {s_value(r)}")
     seq = build_packing(k, r)
-    budget = universal_budget(k, r, scheme.count)
-    last_error: Exception | None = None
-    for tau in _tau_schedule():
-        try:
-            params, fills, resets = _run_packed(k, target.n, scheme, seq,
-                                                target, eps, tau)
-        except BudgetExceeded as exc:
-            last_error = exc
-            continue
-        achieved = tv_row_distance(eval_conditional(params), target)
-        if achieved <= eps:
-            report = CompileReport(
-                mode=mode, hidden_units_used=params.m, resets_used=resets,
-                star_steps_used=fills, achieved_tv=achieved, tau_final=tau,
-                budget_bound=budget, within_budget=params.m <= budget,
-                clamp_error=clamp_error, r=r, epsilon=eps)
-            return params, report
-    raise BudgetExceeded(
-        f"tau schedule exhausted without reaching eps = {eps}"
-    ) from last_error
+    return _compile_over_tau(
+        lambda tau: _run_packed(k, target.n, scheme, seq, target, eps, tau),
+        target, eps, mode, universal_budget(k, r, scheme.count), r, clamp_error)
 
 
 def compile_universal(target: ConditionalTable, r: int | None = None,
@@ -419,52 +409,31 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
 
     counts = (target.rows > 0).sum(axis=0)
     y0 = int(np.argmax(counts))  # ties resolve to the smallest index
-    row_supports = {x: [int(y) for y in np.flatnonzero(target.rows[x])]
-                    for x in range(1 << k)}
+    extras = {x: [int(y) for y in np.flatnonzero(target.rows[x]) if y != y0]
+              for x in range(1 << k)}
 
-    last_error: Exception | None = None
-    for tau in _tau_schedule():
-        try:
-            params, fills = _run_support(target, y0, row_supports, eps, tau)
-        except BudgetExceeded as exc:
-            last_error = exc
-            continue
-        achieved = tv_row_distance(eval_conditional(params), target)
-        if achieved <= eps:
-            report = CompileReport(
-                mode="support", hidden_units_used=params.m, resets_used=0,
-                star_steps_used=fills, achieved_tv=achieved, tau_final=tau,
-                budget_bound=budget, within_budget=params.m <= budget,
-                clamp_error=0.0, r=None, epsilon=eps)
-            return params, report
-    raise BudgetExceeded(
-        f"tau schedule exhausted without reaching eps = {eps}"
-    ) from last_error
+    return _compile_over_tau(
+        lambda tau: _run_support(target, y0, extras, eps, tau),
+        target, eps, "support", budget, None)
 
 
 def _run_support(target: ConditionalTable, y0: int,
-                 row_supports: dict[int, list[int]], eps: float,
-                 tau: float) -> tuple[CrbmParams, int]:
+                 extras: dict[int, list[int]], eps: float,
+                 tau: float) -> _Pipeline:
+    """One point-mass fill per support point y != y0 of each row x."""
     k, n = target.k, target.n
-    total_steps = sum(len([y for y in ys if y != y0])
-                      for ys in row_supports.values())
+    total_steps = sum(len(ys) for ys in extras.values())
     tol_step = eps / (2.0 * max(total_steps, 1))
     pipe = _Pipeline(k, n, _ComponentScheme.start_at(n, y0), tau, tol_step)
-    full_mask = (1 << n) - 1
-    for x in range(1 << k):
-        enum = [y0] + [y for y in row_supports[x] if y != y0]
-        if len(enum) == 1:
+    for x, ys in extras.items():
+        if not ys:
             continue
-        q = np.array([[target.rows[x, y] for y in enum]])
-        betas = mixture_weight_profile(q)[0]
-        cyl = CylinderSet(k, (1 << k) - 1, x)
-        star = Star(HammingBall(State(x, k)), cyl)
-        for t in range(1, len(enum)):
-            comp = np.zeros(1 << n)
-            comp[enum[t]] = 1.0
-            pipe.fill_component(star, {x: float(betas[t - 1])}, [x], comp,
-                                full_mask, enum[t])
-    return pipe.params, pipe.fill_steps
+        betas = mixture_weight_profile(target.rows[x, [y0] + ys][None, :])[0]
+        star = Star(HammingBall(State(x, k)), CylinderSet(k, (1 << k) - 1, x))
+        for y, beta in zip(ys, betas):
+            pipe.fill_component(star, pipe.scheme.values.index(y),
+                                {x: float(beta)}, [x])
+    return pipe
 
 
 def divergence_witness(target: ConditionalTable, m_budget: int,

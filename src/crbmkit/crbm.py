@@ -146,13 +146,6 @@ def eval_joint_rbm(p: CrbmParams) -> Dist:
     return Dist(p.n, probs / probs.sum())
 
 
-def as_rbm_over_visibles(p: CrbmParams) -> CrbmParams:
-    """Reinterpret the CRBM as an RBM over all k+n visibles (inputs unbiased)."""
-    W = np.concatenate([p.V, p.W], axis=1)
-    b = np.concatenate([np.zeros(p.k), p.b])
-    return CrbmParams(0, p.k + p.n, p.m, W, np.zeros((p.m, 0)), b, p.c)
-
-
 def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
     w_out = np.asarray(w_out, dtype=float)
     w_in = np.asarray(w_in, dtype=float)
@@ -167,12 +160,6 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
         p.b,
         np.append(p.c, float(bias)),
     )
-
-
-def delete_last_unit(p: CrbmParams) -> CrbmParams:
-    if p.m == 0:
-        raise ShapeMismatch("no hidden unit to delete")
-    return CrbmParams(p.k, p.n, p.m - 1, p.W[:-1], p.V[:-1], p.b, p.c[:-1])
 
 
 def inference_map(p: CrbmParams) -> InferenceMap:

@@ -11,8 +11,6 @@ joint index v = x + 2^k * y.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -78,20 +76,6 @@ class Dist:
         obj = json.loads(text)
         return Dist(obj["width"], np.array(obj["probs"], dtype=float))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["state", "prob"])
-        for i, p in enumerate(self.probs):
-            w.writerow([i, format(p, ".17g")])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "Dist":
-        rows = list(csv.reader(io.StringIO(text)))
-        vals = [float(r[1]) for r in rows[1:] if r]
-        return Dist.from_probs(vals)
-
 
 @dataclass(frozen=True)
 class ConditionalTable:
@@ -119,10 +103,6 @@ class ConditionalTable:
         return Dist(self.n, self.rows[x])
 
     @staticmethod
-    def from_rows(k: int, n: int, rows) -> "ConditionalTable":
-        return ConditionalTable(k, n, np.asarray(rows, dtype=float))
-
-    @staticmethod
     def uniform(k: int, n: int) -> "ConditionalTable":
         return ConditionalTable(k, n, np.full((1 << k, 1 << n), 1.0 / (1 << n)))
 
@@ -144,23 +124,6 @@ class ConditionalTable:
     def from_json(text: str) -> "ConditionalTable":
         obj = json.loads(text)
         return ConditionalTable(obj["k"], obj["n"], np.array(obj["rows"], dtype=float))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["x"] + [f"y{y}" for y in range(1 << self.n)])
-        for x in range(1 << self.k):
-            w.writerow([x] + [format(p, ".17g") for p in self.rows[x]])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "ConditionalTable":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = [[float(v) for v in r[1:]] for r in rows[1:] if r]
-        arr = np.array(data)
-        k = (arr.shape[0] - 1).bit_length()
-        n = (arr.shape[1] - 1).bit_length()
-        return ConditionalTable(k, n, arr)
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,6 @@ class ThresholdNet:
             object.__setattr__(self, name, a)
             a.setflags(write=False)
 
-    def is_generic(self) -> bool:
-        try:
-            for x in range(1 << self.k):
-                ltn_eval(self, x)
-        except TieEncountered:
-            return False
-        return True
-
 
 def ltn_eval(net: ThresholdNet, x: int) -> int:
     """y = hs(W^T hs(V x + c) + b) as a state index; ties raise."""

@@ -13,6 +13,12 @@ multiplies p entrywise by a positive multiple of lam + (1-lam) s(v)/N, which
 is exactly the step.  step_to_hidden_unit verifies nothing by formula; the
 evaluation contract is tested.
 
+Two builders make the concentrated steps of the construction, one per step
+kind: build_tilted_step (a star fill, exact mixture weights on the star's
+rows) and make_reset_step (a cylinder reset).  Both concentrate the inputs
+on a cylinder the same way.  Sequencing, sharpening and accepting steps is
+the compiler's job (compiler._Pipeline).
+
 The log-sum-exp used here and by the compiler is the module's own
 ``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
 operation for operation, so results are bit-identical, without scipy's
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitspace import CylinderSet, State, Star, star_members
+from .bitspace import CylinderSet
 from .distributions import Dist
 from .errors import (
     DegenerateStep,
@@ -114,33 +120,6 @@ class SharingStep:
     def to_json_obj(self) -> dict:
         return {"width": self.width, "lam": self.lam,
                 "log_factors": self.log_factors.tolist()}
-
-
-@dataclass(frozen=True)
-class SharpStepSpec:
-    """Recipe for a concentrated step: support region, profile, sharpness.
-
-    ``support`` pins the coordinates of the target region {y}xC; coordinates
-    listed in ``free_log_odds`` carry the solved within-star odds relative to
-    the anchor state; everything else is flat.
-    """
-
-    width: int
-    support: CylinderSet
-    anchor: State
-    free_log_odds: dict[int, float]
-    sharpness: float
-
-    def to_log_factors(self) -> np.ndarray:
-        lf = np.zeros((self.width, 2))
-        for i in range(self.width):
-            if (self.support.fixed_mask >> i) & 1:
-                keep = (self.support.fixed_values >> i) & 1
-                lf[i, 1 - keep] = -self.sharpness
-            elif i in self.free_log_odds:
-                a = self.anchor.bit(i)
-                lf[i, 1 - a] = self.free_log_odds[i]
-        return lf
 
 
 def apply_sharing_log(logp: np.ndarray, step: SharingStep) -> np.ndarray:
@@ -234,6 +213,19 @@ def _clamped_log_t(beta: float) -> float:
     return float(min(max(np.log(beta) - np.log1p(-beta), -LOG_T_CAP), LOG_T_CAP))
 
 
+def _input_cylinder_factors(c: CylinderSet, out_log_factors: np.ndarray,
+                            sharp: float) -> np.ndarray:
+    """(k + n, 2) log factors: -sharp on the off value of each fixed input
+    bit of ``c``, the other input bits flat, then ``out_log_factors``."""
+    k = c.width
+    lf = np.zeros((k + len(out_log_factors), 2))
+    for i in range(k):
+        if (c.fixed_mask >> i) & 1:
+            lf[i, 1 - ((c.fixed_values >> i) & 1)] = -sharp
+    lf[k:, :] = out_log_factors
+    return lf
+
+
 def build_tilted_step(
     logp: np.ndarray,
     k: int,
@@ -272,21 +264,10 @@ def build_tilted_step(
     # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
-    odds = {i: excess[j] - excess[0] for j, i in enumerate(free, start=1)}
 
-    spec = SharpStepSpec(
-        width=width,
-        support=CylinderSet(
-            width,
-            input_cylinder.fixed_mask,
-            input_cylinder.fixed_values,
-        ),
-        anchor=State(center, width),
-        free_log_odds=odds,
-        sharpness=sharpness,
-    )
-    lf = spec.to_log_factors()
-    lf[k:, :] = out_log_factors
+    lf = _input_cylinder_factors(input_cylinder, out_log_factors, sharpness)
+    for j, i in enumerate(free, start=1):
+        lf[i, 1 - ((center >> i) & 1)] = excess[j] - excess[0]
 
     # Solve lambda at an interior anchor row a (its beta farthest from 0/1,
     # where log T is never clamped): the pull of row a is u = (1-lam) M(a)
@@ -308,50 +289,6 @@ def build_tilted_step(
     return step
 
 
-def make_star_fill_steps(
-    p: Dist,
-    q_rows: dict[int, Dist],
-    star: Star,
-    tau: float,
-) -> list[SharingStep]:
-    """The 2^n - 1 steps taking near-delta_0 star rows to the given targets.
-
-    ``p`` is the current joint over k+n bits (inputs on low bits) whose
-    conditionals at the star's inputs are near delta_0; ``q_rows`` maps every
-    star member's input index to its target output law.  Output states are
-    enumerated ascending with state 0 as the start, and the per-row weights
-    follow beta = q(y~|x) / (1 - sum_later q).  The returned steps are exact
-    on the star rows up to the sharpness dust eps(tau).
-    """
-    k = star.width
-    members = [s.index for s in star_members(star)]
-    if set(q_rows) != set(members):
-        raise ShapeMismatch("q_rows must cover exactly the star members")
-    n = next(iter(q_rows.values())).width
-    if p.width != k + n:
-        raise ShapeMismatch("joint width must be k + n")
-    if not p.strictly_positive:
-        raise DegenerateStep("star fill requires a strictly positive joint")
-
-    q = np.array([q_rows[x].probs for x in members])
-    betas = mixture_weight_profile(q)
-
-    center = star.ball.center.index
-    logp = np.log(p.probs)
-    steps: list[SharingStep] = []
-    for t in range(1, 1 << n):
-        y_t = t  # ascending enumeration, sigma(0) = 0
-        out_lf = np.zeros((n, 2))
-        for j in range(n):
-            out_lf[j, 1 - ((y_t >> j) & 1)] = -tau
-        beta_map = {x: float(betas[i, t - 1]) for i, x in enumerate(members)}
-        step = build_tilted_step(logp, k, n, star.cylinder, center,
-                                 beta_map, out_lf, tau)
-        steps.append(step)
-        logp = apply_sharing_log(logp, step)
-    return steps
-
-
 def make_reset_step(c: CylinderSet, out_log_factors: np.ndarray,
                     tau: float) -> SharingStep:
     """A step driving all rows with inputs in ``c`` toward an output component.
@@ -361,13 +298,6 @@ def make_reset_step(c: CylinderSet, out_log_factors: np.ndarray,
     lam is near 0 and the inputs are concentrated with sharpness tau on C;
     rows outside C move by at most eps(tau).
     """
-    k = c.width
-    n = len(out_log_factors)
-    lf = np.zeros((k + n, 2))
-    for i in range(k):
-        if (c.fixed_mask >> i) & 1:
-            keep = (c.fixed_values >> i) & 1
-            lf[i, 1 - keep] = -tau
-    lf[k:, :] = out_log_factors
+    lf = _input_cylinder_factors(c, out_log_factors, tau)
     lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
-    return SharingStep(k + n, lam, lf)
+    return SharingStep(len(lf), lam, lf)

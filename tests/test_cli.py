@@ -120,6 +120,35 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compile", "--k", "2", "--n", "1", "--seed", "0", "--mode", "partition",
+     "--l", "5"],
+    ["compile", "--k", "2", "--n", "1", "--seed", "0", "--mode", "support",
+     "--d", "50"],
+    ["compile", "--k", "2", "--n", "2", "--seed", "0", "--mode", "common",
+     "--support-size", "9"],
+    ["compile", "--k", "0", "--n", "1", "--seed", "0"],
+    ["compile", "--k", "2", "--n", "2", "--seed", "0", "--r", "0"],
+    ["compile", "--k", "2", "--n", "2", "--seed", "0", "--eps", "-1"],
+    ["divergence", "--k", "1", "--n", "0", "--m", "1", "--seed", "0"],
+    ["divergence", "--k", "1", "--n", "1", "--m", "-1", "--seed", "0"],
+    ["mrf", "--complex", '{"n":3,"faces":[[1,2]]}', "--theta", '[]', "--k", "3"],
+    ["mrf", "--complex", '{"n":3,"faces":[[0,2]]}', "--theta", '[[[1,2],0.5]]'],
+    ["mrf", "--complex", '{"n":3,"faces":[[1,4]]}', "--theta", '[[[1,2],0.5]]'],
+    ["mrf", "--complex", '{"n":3,"faces":[[1,2]]}', "--theta", '[[[1,3],0.5]]'],
+    ["mrf", "--complex", '{"n":3,"faces":[[[1]], [2, 2]]}', "--theta", '[]'],
+    ["mrf", "--complex", '{"n":3}', "--theta", '[]'],
+    ["mrf", "--complex", "not json", "--theta", '[]'],
+])
+def test_malformed_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CRBMKIT_OUT_DIR", str(tmp_path))
     code = main(["bounds", "--k", "1", "--n", "1", "--out", "report.json"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crbmkit.bitspace import star_members
+from crbmkit.bitspace import CylinderSet, HammingBall, Star, State, star_members
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
@@ -329,3 +329,21 @@ def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
     _, rep = compile_universal(dirichlet_table(4, 1, 0), r=2)
     assert rep.resets_used > 0 and rep.star_steps_used > 0
     assert len(applied) >= rep.hidden_units_used
+
+
+def test_step_loop_budget_names_the_step_kind(monkeypatch):
+    # fills and resets share one retry loop; with no tries left each path
+    # raises BudgetExceeded naming its own kind and appends no unit
+    import crbmkit.compiler as compiler
+
+    star = Star(HammingBall(State(0, 2)), CylinderSet.full(2))
+    targets = np.array([[0.2, 0.8]] * 3)
+    pipe = _Pipeline(2, 1, _ComponentScheme.universal(1), 32.0, 1e-3)
+    pipe.fill_star(star, targets, [0, 1, 2])  # moves the rows off the start
+    assert pipe.params.m == 1
+    monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
+    with pytest.raises(BudgetExceeded, match="^reset sharpness"):
+        pipe.reset_if_needed(CylinderSet.full(2))
+    with pytest.raises(BudgetExceeded, match="^fill sharpness"):
+        pipe.fill_star(star, targets, [0, 1, 2])
+    assert pipe.params.m == 1

@@ -4,9 +4,7 @@ import pytest
 from crbmkit.crbm import (
     CrbmParams,
     append_hidden_unit,
-    as_rbm_over_visibles,
     conditional_jacobian,
-    delete_last_unit,
     eval_conditional,
     eval_joint_rbm,
     inference_map,
@@ -81,9 +79,10 @@ def test_append_zero_unit_is_invariant():
 def test_append_then_delete_round_trip():
     rng = np.random.default_rng(2)
     p = random_params(1, 2, 2, rng)
-    q = delete_last_unit(append_hidden_unit(p, [1.0, -1.0], [0.5], 0.2))
-    assert np.array_equal(q.W, p.W) and np.array_equal(q.V, p.V)
-    assert np.array_equal(q.c, p.c)
+    q = append_hidden_unit(p, [1.0, -1.0], [0.5], 0.2)
+    # deleting the last unit gives the original parameters back
+    assert np.array_equal(q.W[:-1], p.W) and np.array_equal(q.V[:-1], p.V)
+    assert np.array_equal(q.c[:-1], p.c)
     with pytest.raises(ShapeMismatch):
         append_hidden_unit(p, [1.0], [0.5], 0.0)
 
@@ -93,7 +92,10 @@ def test_two_readings_of_the_model_agree():
     rng = np.random.default_rng(6)
     for k, n, m in [(1, 1, 1), (2, 1, 2), (1, 2, 2)]:
         p = random_params(k, n, m, rng)
-        joint = eval_joint_rbm(as_rbm_over_visibles(p))
+        # the same weights read as an RBM over all k+n visibles, inputs unbiased
+        rbm = CrbmParams(0, k + n, m, np.concatenate([p.V, p.W], axis=1),
+                         np.zeros((m, 0)), np.concatenate([np.zeros(k), p.b]), p.c)
+        joint = eval_joint_rbm(rbm)
         table = conditional_of_joint(joint, k)
         assert tv_row_distance(table, eval_conditional(p)) < 1e-12
 

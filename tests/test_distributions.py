@@ -183,10 +183,8 @@ def test_random_conditional_determinism_and_moments():
 def test_serialization_round_trips():
     p = Dist.from_probs([0.1, 0.2, 0.3, 0.4])
     assert np.abs(Dist.from_json(p.to_json()).probs - p.probs).max() <= 1e-15
-    assert np.abs(Dist.from_csv(p.to_csv()).probs - p.probs).max() <= 1e-15
     t = random_conditional(2, 2, 77)
     assert np.abs(ConditionalTable.from_json(t.to_json()).rows - t.rows).max() <= 1e-15
-    assert np.abs(ConditionalTable.from_csv(t.to_csv()).rows - t.rows).max() <= 1e-15
 
 
 @st.composite

@@ -37,9 +37,9 @@ def test_ltn_eval_examples():
 def test_ltn_eval_rejects_ties():
     net = ThresholdNet(1, 1, 1, np.zeros((1, 1)), np.zeros(1),
                        np.ones((1, 1)), np.zeros(1))
-    with pytest.raises(TieEncountered):
-        ltn_eval(net, 0)
-    assert not net.is_generic()
+    for x in range(1 << net.k):
+        with pytest.raises(TieEncountered):
+            ltn_eval(net, x)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -81,7 +81,8 @@ def test_embedding_random_generic_net():
     net = ThresholdNet(3, 4, 2,
                        rng.standard_normal((4, 3)), rng.standard_normal(4) + 0.1,
                        rng.standard_normal((4, 2)), rng.standard_normal(2) + 0.05)
-    assert net.is_generic()
+    for x in range(1 << net.k):
+        ltn_eval(net, x)  # generic: no pre-activation is zero, so no tie
     params, _ = embed_ltn_in_crbm(net, eps=1e-3)
     assert tv_row_distance(eval_conditional(params), ltn_table(net)) <= 1e-3
 

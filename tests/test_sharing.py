@@ -5,17 +5,16 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from crbmkit.bitspace import CylinderSet, HammingBall, Star, State
+from crbmkit.compiler import _ComponentScheme, _Pipeline
 from crbmkit.crbm import CrbmParams, append_hidden_unit, eval_joint_rbm
 from crbmkit.distributions import Dist, conditional_of_joint, random_dist
 from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
 from crbmkit.sharing import (
     SharingStep,
-    SharpStepSpec,
     apply_sharing,
     build_tilted_step,
     logsumexp,
     make_reset_step,
-    make_star_fill_steps,
     mixture_weight_profile,
     step_to_hidden_unit,
 )
@@ -35,6 +34,13 @@ def point_mass_factors(y: State, tau: float) -> np.ndarray:
     for j in range(y.width):
         lf[j, 1 - y.bit(j)] = -tau
     return lf
+
+
+def fill_pipeline(k: int, n: int, tau: float, tol_step: float = 1e-3
+                  ) -> _Pipeline:
+    """The compiler's step pipeline on point components, every row starting
+    proportional to exp(-tau / (2n) |y|), i.e. near delta_0."""
+    return _Pipeline(k, n, _ComponentScheme.universal(n), tau, tol_step)
 
 
 def start_joint(k: int, n: int, tau: float) -> Dist:
@@ -148,60 +154,46 @@ def test_mixture_weight_profile_formula():
         assert np.abs(dist - masses[row]).max() < 1e-12
 
 
-def test_make_star_fill_steps_reaches_targets():
+def test_star_fill_reaches_targets():
     # full 2-dimensional star on k=2 inputs, n=1 outputs, tau=30
     star = Star(HammingBall(State(0, 2)), CylinderSet.full(2))
-    p = start_joint(2, 1, tau=15.0)
+    pipe = fill_pipeline(2, 1, tau=30.0)
     rng = np.random.default_rng(7)
-    targets = {x: Dist(1, rng.dirichlet(np.ones(2))) for x in (0, 1, 2)}
-    steps = make_star_fill_steps(p, targets, star, tau=30.0)
-    assert len(steps) == 1
-    cur = p
-    for step in steps:
-        cur = apply_sharing(cur, step)
-    table = conditional_of_joint(cur, 2)
-    for x, tgt in targets.items():
-        assert np.abs(table.rows[x] - tgt.probs).sum() <= 1e-3
+    targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
+    pipe.fill_star(star, targets, [0, 1, 2])
+    assert pipe.used["fill"] == 1
+    for x in (0, 1, 2):
+        assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
 
 
-def test_make_star_fill_steps_n2_and_noop_targets():
+def test_star_fill_n2_and_noop_targets():
     star = Star(HammingBall(State(0, 1)), CylinderSet.full(1))
-    p = start_joint(1, 2, tau=8.0)
     # targets equal to the start state: all steps are no-ops
-    deltas = {x: Dist.point_mass(2, 0) for x in (0, 1)}
-    steps = make_star_fill_steps(p, deltas, star, tau=32.0)
-    cur = p
-    for step in steps:
-        cur = apply_sharing(cur, step)
-    table = conditional_of_joint(cur, 1)
+    pipe = fill_pipeline(1, 2, tau=32.0)
+    deltas = np.array([Dist.point_mass(2, 0).probs for _ in (0, 1)])
+    pipe.fill_star(star, deltas, [0, 1])
     for x in (0, 1):
-        assert abs(table.rows[x, 0] - 1.0) < 1e-3
+        assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
     # random strictly positive targets
     rng = np.random.default_rng(8)
-    targets = {x: Dist(2, rng.dirichlet(np.ones(4))) for x in (0, 1)}
-    steps = make_star_fill_steps(start_joint(1, 2, 8.0), targets, star, tau=32.0)
-    assert len(steps) == 3
-    cur = start_joint(1, 2, 8.0)
-    for step in steps:
-        cur = apply_sharing(cur, step)
-    table = conditional_of_joint(cur, 1)
-    for x, tgt in targets.items():
-        assert np.abs(table.rows[x] - tgt.probs).sum() <= 1e-3
+    targets = np.array([rng.dirichlet(np.ones(4)) for _ in (0, 1)])
+    pipe = fill_pipeline(1, 2, tau=32.0)
+    pipe.fill_star(star, targets, [0, 1])
+    assert pipe.used["fill"] == 3
+    for x in (0, 1):
+        assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
 
 
 def test_star_fill_error_shrinks_with_sharpness():
     star = Star(HammingBall(State(0, 2)), CylinderSet.full(2))
     rng = np.random.default_rng(9)
-    targets = {x: Dist(1, rng.dirichlet(np.ones(2))) for x in (0, 1, 2)}
+    targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
     errors = []
     for tau in (10.0, 20.0, 40.0, 80.0):
-        p = start_joint(2, 1, tau / 2.0)
-        cur = p
-        for step in make_star_fill_steps(p, targets, star, tau):
-            cur = apply_sharing(cur, step)
-        table = conditional_of_joint(cur, 2)
-        errors.append(max(np.abs(table.rows[x] - targets[x].probs).sum()
-                          for x in targets))
+        # tol_step 2 (the largest row TV) accepts the first try at sharpness tau
+        pipe = fill_pipeline(2, 1, tau, tol_step=2.0)
+        pipe.fill_star(star, targets, [0, 1, 2])
+        errors.append(np.abs(pipe.rows()[[0, 1, 2]] - targets).sum(axis=1).max())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
@@ -233,27 +225,30 @@ def test_make_reset_step_examples():
             assert np.abs(after.rows[x] - before.rows[x]).sum() <= 1e-3
 
 
-def test_sharp_spec_profile_proportionality():
-    # the product tilt restricted to a star can match any positive profile
+def test_tilt_profile_proportionality():
+    # the product tilt restricted to a star can match any positive profile:
+    # with flat output factors, s(x) on the star is proportional to the
+    # odds beta_x / (1 - beta_x) asked for
     rng = np.random.default_rng(11)
-    star = Star(HammingBall(State(0b0100, 4)), CylinderSet.from_fixed(4, {2: 1}))
     members = [0b0100, 0b0101, 0b0110, 0b1100]
     profile = rng.uniform(0.1, 5.0, size=len(members))
-    odds = {i: float(np.log(profile[j + 1] / profile[0]))
-            for j, i in enumerate([0, 1, 3])}
-    spec = SharpStepSpec(4, CylinderSet.from_fixed(4, {2: 1}),
-                         State(0b0100, 4), odds, sharpness=40.0)
-    log_s = SharingStep(4, 0.5, spec.to_log_factors()).log_values()
+    betas = {x: float(q / (1.0 + q)) for x, q in zip(members, profile)}
+    logp = np.log(random_dist(5, rng).probs)
+    step = build_tilted_step(logp, 4, 1, CylinderSet.from_fixed(4, {2: 1}),
+                             0b0100, betas, np.zeros((1, 2)), 40.0)
+    log_s = step.log_values()
     got = np.exp(log_s[members] - log_s[members[0]])
     want = profile / profile[0]
     assert np.abs(got - want).max() < 1e-9
+    # off the cylinder (bit 2 = 0) the tilt is down by the sharpness
+    assert log_s[0b0000] - log_s[0b0100] == pytest.approx(-40.0)
 
 
-def test_make_star_fill_rejects_bad_rows():
+def test_star_fill_rejects_rows_off_the_star():
     star = Star(HammingBall(State(0, 1)), CylinderSet.full(1))
-    p = start_joint(1, 1, 8.0)
+    pipe = fill_pipeline(1, 1, 16.0)
     with pytest.raises(ShapeMismatch):
-        make_star_fill_steps(p, {0: Dist.uniform(1)}, star, 16.0)
+        pipe.fill_star(star, np.array([Dist.uniform(1).probs]), [0])
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
