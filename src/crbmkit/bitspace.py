@@ -14,15 +14,21 @@ import numpy as np
 
 from .errors import CapExceeded, CenterNotInCylinder, WidthMismatch
 
-#: Hard cap on the width of any enumerated cube (2^26 dense vectors).
-WIDTH_CAP = 26
+#: The one enumeration-size limit: cells (float64 entries) in the largest
+#: array a pipeline builds, 2^25 = 256 MiB.
+MAX_CELLS = 2 ** 25
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse, before any work starts, an enumeration of ``cells`` cells."""
+    if cells > MAX_CELLS:
+        raise CapExceeded(f"{what} needs {cells} cells, above the limit "
+                          f"MAX_CELLS = {MAX_CELLS}")
 
 
 def check_width(width: int) -> None:
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if width > WIDTH_CAP:
-        raise CapExceeded(f"width {width} exceeds enumeration cap {WIDTH_CAP}")
 
 
 @dataclass(frozen=True)
@@ -45,9 +51,6 @@ class State:
 
     def flip(self, i: int) -> "State":
         return State(self.index ^ (1 << i), self.width)
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.bits(), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Subcommands: bounds, table1, pack, compile, dim, divergence, mrf, ltn,
 verify-all.  Randomized subcommands require an explicit --seed.  Output is
 JSON (CSV for table1) to stdout or --out; relative --out paths resolve
 against $CRBMKIT_OUT_DIR when set.  Every JSON payload carries a versioned
-schema tag and is validated against SCHEMAS before emission.  Exit codes:
-0 success, 1 domain error, 2 usage error; compile, divergence and mrf check
-their arguments before any work starts, so a malformed one is a usage error.
+schema tag; the tests, not the CLI, check payloads against
+docs/output-schemas.json.  Exit codes: 0 success, 1 domain error (a table
+above bitspace.MAX_CELLS cells is one, refused before it is built), 2 usage
+error; every subcommand checks its arguments before any work starts.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import os
 import sys
 
 import numpy as np
-import jsonschema
 
 from . import bounds as bounds_mod
 from . import packing as packing_mod
+from .bitspace import check_cells
 from .compiler import (
     compile_common_support,
     compile_partition,
@@ -44,30 +45,6 @@ from .mrf import (
 )
 from .verify import verify_all
 
-_BASE_SCHEMA = {"type": "object",
-                "properties": {"schema": {"type": "string"}},
-                "required": ["schema"]}
-
-SCHEMAS = {
-    "crbmkit-bounds/1": _BASE_SCHEMA | {
-        "required": ["schema", "k", "n", "universal"]},
-    "crbmkit-pack/1": _BASE_SCHEMA | {
-        "required": ["schema", "k", "r", "stars", "resets", "valid"]},
-    "crbmkit-compile/1": _BASE_SCHEMA | {
-        "required": ["schema", "params", "report"]},
-    "crbmkit-dim/1": _BASE_SCHEMA | {
-        "required": ["schema", "k", "n", "m", "expected_value", "numeric"]},
-    "crbmkit-divergence/1": _BASE_SCHEMA | {
-        "required": ["schema", "divergence", "params"]},
-    "crbmkit-mrf/1": _BASE_SCHEMA | {
-        "required": ["schema", "params", "verification_tv"]},
-    "crbmkit-ltn/1": _BASE_SCHEMA | {
-        "required": ["schema", "params", "verification_tv"]},
-    "crbmkit-verify/1": _BASE_SCHEMA | {
-        "required": ["schema", "all_passed", "criteria"]},
-}
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(format(obj, ".17g"))
@@ -79,7 +56,6 @@ def _round_floats(obj):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    jsonschema.validate(payload, SCHEMAS[payload["schema"]])
     text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
     _write(text, out)
 
@@ -103,6 +79,8 @@ class _UsageError(Exception):
 
 
 def _cmd_bounds(args) -> int:
+    if args.k < 0 or args.n < 1 or (args.m is not None and args.m < 0):
+        raise _UsageError("--k must be >= 0, --n >= 1 and --m >= 0")
     rep = bounds_mod.universal_m_table(args.k, args.n)
     payload = {
         "schema": "crbmkit-bounds/1",
@@ -122,6 +100,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    if args.rmax < 1:
+        raise _UsageError("--rmax must be >= 1")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["r", "coef", "F", "R", "K", "P"])
@@ -134,6 +114,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    if args.k < 0 or args.r < 1:
+        raise _UsageError("--k must be >= 0 and --r >= 1")
     seq = packing_mod.build_packing(args.k, args.r)
     report = packing_mod.validate_packing(seq)
     payload = {
@@ -206,6 +188,7 @@ def _check_compile_args(args) -> None:
 
 def _cmd_compile(args) -> int:
     _check_compile_args(args)
+    check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
     target = _random_target(args)
     if args.mode == "universal":
         params, report = compile_universal(target, args.r, args.eps)
@@ -229,6 +212,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    if args.k < 0 or args.n < 1 or args.m < 0 or args.trials < 1:
+        raise _UsageError("--k must be >= 0, --n >= 1, --m >= 0 and --trials >= 1")
     rep = certify_dimension(args.k, args.n, args.m, trials=args.trials,
                             seed=args.seed)
     payload = {"schema": "crbmkit-dim/1"} | rep.to_json_obj()
@@ -239,6 +224,7 @@ def _cmd_dim(args) -> int:
 def _cmd_divergence(args) -> int:
     if args.k < 1 or args.n < 1 or args.m < 0:
         raise _UsageError("--k and --n must be >= 1 and --m >= 0")
+    check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
     target = random_conditional(args.k, args.n, args.seed)
     params, div = divergence_witness(target, args.m)
     payload = {
@@ -298,6 +284,7 @@ def _cmd_mrf(args) -> int:
     n, generators, theta = _mrf_inputs(args.complex, args.theta)
     if not 0 <= args.k < n:
         raise _UsageError(f"--k must be in [0, n - 1] = [0, {n - 1}]")
+    check_cells(1 << n, f"a field over n = {n} units")
     complex_ = SimplicialComplex.from_generators(n, generators)
     model = MrfModel(complex_, theta)
     if args.k:
@@ -323,6 +310,14 @@ def _cmd_mrf(args) -> int:
 
 
 def _cmd_ltn(args) -> int:
+    if args.mode == "parity" and args.k < 1:
+        raise _UsageError("--k must be >= 1 in parity mode")
+    if args.mode == "embed" and (args.k < 0 or args.m < 1 or args.n < 1):
+        raise _UsageError("--k must be >= 0 and --m, --n >= 1 in embed mode")
+    if not args.eps > 0:
+        raise _UsageError("--eps must be > 0")
+    n = 1 if args.mode == "parity" else args.n
+    check_cells(1 << (args.k + n), f"a table at (k, n) = ({args.k}, {n})")
     if args.mode == "parity":
         net = parity_net(args.k)
     else:
@@ -371,22 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, fn, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn, parser=p)
+        p.add_argument("--out", default=None)
         return p
 
     p = command("bounds", _cmd_bounds, "closed-form bound report")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--out", default=None)
 
     p = command("table1", _cmd_table1, "counting-sequence table as CSV")
     p.add_argument("--rmax", type=int, default=5)
-    p.add_argument("--out", default=None)
 
     p = command("pack", _cmd_pack, "build and validate a star packing")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out", default=None)
 
     p = command("compile", _cmd_compile, "compile a random target table")
     p.add_argument("--k", type=int, required=True)
@@ -402,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="|T| for common mode")
     p.add_argument("--l", type=int, default=None,
                    help="block width (partition mode)")
-    p.add_argument("--out", default=None)
 
     p = command("dim", _cmd_dim, "dimension certification report")
     p.add_argument("--k", type=int, required=True)
@@ -410,14 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
     p = command("divergence", _cmd_divergence, "divergence witness for a budget")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
 
     p = command("mrf", _cmd_mrf, "compile a random field into (C)RBM weights")
     p.add_argument("--complex", required=True, type=_json_arg,
@@ -425,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, type=_json_arg,
                    help='JSON [[[1,2], 0.5], ...] or a file path')
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--out", default=None)
 
     p = command("ltn", _cmd_ltn, "embed a threshold network")
     p.add_argument("--mode", choices=["parity", "embed"], required=True)
@@ -434,12 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
     p = command("verify-all", _cmd_verify_all, "run the acceptance suite")
     p.add_argument("--seed", type=int, default=0,
                    help="offset for the randomized criteria's draws")
-    p.add_argument("--out", default=None)
 
     return parser
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitspace import CylinderSet, HammingBall, Star, State, star_members
+from .bitspace import CylinderSet, HammingBall, Star, State, check_cells, star_members
 from .crbm import CrbmParams, append_hidden_unit, eval_conditional
 from .distributions import ConditionalTable, kl_conditional, tv_row_distance
 from .errors import (
@@ -281,6 +281,10 @@ def _compile_over_tau(run: Callable[[float], _Pipeline],
                       ) -> tuple[CrbmParams, CompileReport]:
     """The first pipeline ``run(tau)``, tau = TAU_START, 2 TAU_START, ...,
     TAU_MAX, whose evaluated conditional is within eps of ``target``."""
+    # the final evaluation's (2^k, 2^n, budget) activations, before any level
+    check_cells((1 << (target.k + target.n)) * max(budget, 1),
+                f"{mode} compile at (k, n) = ({target.k}, {target.n}) "
+                f"with {budget} hidden units")
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:

@@ -7,7 +7,9 @@ A CRBM with k inputs, n outputs, m hidden units assigns
 The hidden sum factorizes across units, so every evaluation works in the log
 domain with softplus/log-sum-exp; probabilities are exponentiated only at the
 final row normalization.  Compiled constructions push weights to +-1e3 and
-beyond, which would overflow linear-domain arithmetic.
+beyond, which would overflow linear-domain arithmetic.  Each entry point
+first checks its largest array, e.g. the (2^k, 2^n, m) activations, against
+``bitspace.MAX_CELLS``.
 
 Joint indexing convention: visible state v = x + 2^k * y (inputs on the low
 bits), matching distributions.conditional_of_joint.
@@ -21,11 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .bitspace import check_cells
 from .distributions import ConditionalTable, Dist
-from .errors import CapExceeded, ShapeMismatch
-
-#: cap on k + n + m for enumerated evaluation
-TOTAL_CAP = 26
+from .errors import ShapeMismatch
 
 
 def _bit_matrix(width: int) -> np.ndarray:
@@ -106,14 +106,10 @@ class InferenceMap:
         return bool(self.ties.any())
 
 
-def _check_cap(p: CrbmParams) -> None:
-    if p.k + p.n + p.m > TOTAL_CAP:
-        raise CapExceeded(f"k+n+m = {p.k + p.n + p.m} exceeds cap {TOTAL_CAP}")
-
-
 def conditional_logits(p: CrbmParams) -> np.ndarray:
     """Unnormalized log p(y|x) as a (2^k, 2^n) array."""
-    _check_cap(p)
+    check_cells((1 << (p.k + p.n)) * max(p.m, 1),
+                f"conditional_logits at (k, n, m) = ({p.k}, {p.n}, {p.m})")
     Y = _bit_matrix(p.n)
     X = _bit_matrix(p.k)
     energy = (Y @ p.b)[None, :]                       # (1, 2^n)
@@ -164,7 +160,10 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
 
 def inference_map(p: CrbmParams) -> InferenceMap:
     """argmax_z of z^T (V x + W y + c) per visible state; ties -> smallest z."""
-    _check_cap(p)
+    check_cells((1 << (p.k + p.n)) * max(p.m, 1),
+                f"inference_map at (k, n, m) = ({p.k}, {p.n}, {p.m})")
+    if p.m > 63:
+        raise ShapeMismatch(f"m = {p.m} hidden units do not fit an int64 index")
     X = _bit_matrix(p.k)
     Y = _bit_matrix(p.n)
     size = 1 << (p.k + p.n)
@@ -209,7 +208,8 @@ def conditional_jacobian(p: CrbmParams) -> np.ndarray:
     Rows are grouped by input block (row index x * 2^n + y); columns follow
     W row-major, V row-major, b, c.
     """
-    _check_cap(p)
+    check_cells((1 << (p.k + p.n)) * p.param_count,
+                f"conditional_jacobian at (k, n, m) = ({p.k}, {p.n}, {p.m})")
     table = eval_conditional(p).rows       # (2^k, 2^n)
     grads = _log_grads(p)                  # (2^k, 2^n, P)
     mean = np.einsum("xy,xyp->xp", table, grads)

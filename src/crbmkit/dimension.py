@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitspace import HammingBall, State, ball_members
+from .bitspace import HammingBall, State, ball_members, check_cells
 from .bounds import expected_dim
 from .crbm import conditional_jacobian, random_params
 from .errors import UnstableRank
@@ -170,10 +170,10 @@ def greedy_distance4_balls(k: int, n: int, m: int) -> list[HammingBall]:
     width = k + n
     centers: list[int] = []
     for v in range(1 << width):
+        if len(centers) == m:
+            break
         if all(bin(v ^ c).count("1") >= 4 for c in centers):
             centers.append(v)
-            if len(centers) == m:
-                break
     return [HammingBall(State(c, width)) for c in centers]
 
 
@@ -231,6 +231,9 @@ def certify_dimension(k: int, n: int, m: int, trials: int = 8,
                       seed: int = 0) -> DimensionReport:
     """Combine the expected dimension, the tropical lower bound from a greedy
     distance-4 ball placement, and the numeric rank estimate."""
+    # the tropical matrix, wider than the Jacobian's (k+n+1)m + n columns
+    check_cells((1 << (k + n)) * ((k + n + 1) * (m + 1) + (1 << k)),
+                f"certify_dimension at (k, n, m) = ({k}, {n}, {m})")
     expected_value, regime = expected_dim(k, n, m)
     numeric = crbm_dimension_estimate(k, n, m, trials=trials, seed=seed)
     balls = greedy_distance4_balls(k, n, m)

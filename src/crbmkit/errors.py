@@ -16,7 +16,7 @@ class WidthMismatch(CrbmKitError, ValueError):
 
 
 class CapExceeded(CrbmKitError, ValueError):
-    """An enumeration would exceed the hard desk-scale cap."""
+    """An enumeration would exceed the cell limit ``bitspace.MAX_CELLS``."""
 
 
 class TooLarge(CapExceeded):

@@ -15,12 +15,10 @@ from math import comb
 
 import numpy as np
 
+from .bitspace import check_cells
 from .crbm import CrbmParams
 from .distributions import Dist
-from .errors import BudgetMismatch, CapExceeded, NoBracket
-
-#: enumeration cap for ground sets
-MRF_CAP = 20
+from .errors import BudgetMismatch, NoBracket
 
 #: scale cap for the coefficient solver's bracketing direction
 T_MAX = 1e3
@@ -40,8 +38,8 @@ class SimplicialComplex:
     faces: frozenset[int]
 
     def __post_init__(self):
-        if self.n < 1 or self.n > MRF_CAP:
-            raise CapExceeded(f"ground set size must be in [1, {MRF_CAP}]")
+        if self.n < 1:
+            raise ValueError("ground set size must be >= 1")
         if 0 not in self.faces:
             raise ValueError("a simplicial complex contains the empty face")
         for a in self.faces:
@@ -169,8 +167,6 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, dict[int, float
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MRF_CAP:
-        raise CapExceeded(f"n exceeds cap {MRF_CAP}")
 
     eps_sign = 1 if rho >= 0 else -1
     base_b = -(n - 0.5) if eps_sign == 1 else -(n - 1.5)
@@ -230,6 +226,7 @@ def compile_mrf_to_rbm(model: MrfModel,
     RBM's visible biases.
     """
     n = model.n
+    check_cells(1 << n, f"compile_mrf_to_rbm at n = {n}")
     keep = set(j_keep.faces) if j_keep is not None else {0}
     order = _faces_to_cancel(model.complex, keep)
 
@@ -295,6 +292,7 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     n_total = model.n
     if not 0 <= k < n_total:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
+    check_cells(1 << n_total, f"compile_conditional_mrf at n = {n_total}")
     n = n_total - k
     input_mask = (1 << k) - 1
     j_keep = SimplicialComplex(n_total, frozenset(

@@ -34,6 +34,7 @@ from .bitspace import (
     Star,
     State,
     affine_rank,
+    check_cells,
     cylinder_members,
     star_members,
 )
@@ -164,6 +165,7 @@ def build_packing(k: int, r: int) -> PackingSequence:
     s = s_value(r)
     if k < s:
         raise InfeasibleDepth(f"k = {k} < S({r}) = {s}")
+    check_cells(1 << k, f"build_packing at k = {k}")
 
     # block i (1-indexed) occupies sizes r-i+1 contiguously from bit 0
     starts = []

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from crbmkit.bitspace import (
     CylinderSet,
     HammingBall,
+    MAX_CELLS,
     Star,
     State,
     affine_rank,
     ball_members,
+    check_cells,
     cylinder_members,
     hamming_distance,
     star_members,
@@ -76,8 +78,22 @@ def test_width_errors():
         hamming_distance(State(0, 2), State(0, 3))
     with pytest.raises(CenterNotInCylinder):
         Star(HammingBall(State(0, 2)), CylinderSet.from_fixed(2, {0: 1}))
-    with pytest.raises(CapExceeded):
-        State(0, 30)
+    with pytest.raises(ValueError):
+        State(0, 0)
+
+
+def test_wide_objects_construct():
+    # a state or a cylinder is one int: its width allocates nothing
+    assert State(0, 40).flip(39).index == 1 << 39
+    assert CylinderSet.full(40).dimension == 40
+
+
+def test_check_cells_names_count_subject_and_limit():
+    check_cells(MAX_CELLS, "at the limit")
+    with pytest.raises(CapExceeded) as exc:
+        check_cells(MAX_CELLS + 1, "one past")
+    assert str(exc.value) == (f"one past needs {MAX_CELLS + 1} cells, above the "
+                              f"limit MAX_CELLS = {MAX_CELLS}")
 
 
 @pytest.mark.parametrize("width", [1, 4, 8, 12])

@@ -1,10 +1,15 @@
 import json
+import pathlib
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 from crbmkit.cli import main
+
+SCHEMAS = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                      / "docs" / "output-schemas.json").read_text())
 
 
 def run_cli(argv, capsys):
@@ -139,6 +144,12 @@ def test_usage_error_exit_code():
     ["mrf", "--complex", '{"n":3,"faces":[[[1]], [2, 2]]}', "--theta", '[]'],
     ["mrf", "--complex", '{"n":3}', "--theta", '[]'],
     ["mrf", "--complex", "not json", "--theta", '[]'],
+    ["bounds", "--k", "1", "--n", "0"],
+    ["dim", "--k", "1", "--n", "1", "--m", "-1"],
+    ["ltn", "--mode", "parity", "--k", "0"],
+    ["ltn", "--mode", "embed", "--k", "2", "--m", "0"],
+    ["pack", "--k", "3", "--r", "-1"],
+    ["table1", "--rmax", "-1"],
 ])
 def test_malformed_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -147,6 +158,22 @@ def test_malformed_arguments_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--k", "30", "--n", "1", "--seed", "0"],
+    ["divergence", "--k", "30", "--n", "1", "--m", "1", "--seed", "0"],
+    ["ltn", "--mode", "parity", "--k", "30"],
+    ["mrf", "--complex", json.dumps({"n": 30, "faces": [list(range(1, 31))]}),
+     "--theta", "[]"],
+], ids=lambda argv: argv[0])
+def test_oversized_table_is_refused_before_it_is_drawn(argv, capsys):
+    # 2^30 or more cells: refused before the table or complex is built
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: CapExceeded: ")
 
 
 def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
@@ -163,15 +190,44 @@ def test_verify_all_passes(capsys):
     obj = json.loads(out)
     assert obj["all_passed"] is True
     assert len(obj["criteria"]) == 9
+    jsonschema.validate(obj, SCHEMAS[obj["schema"]])
 
 
-def test_shipped_schemas_match_cli():
-    import pathlib
+JSON_COMMANDS = [
+    ["bounds", "--k", "3", "--n", "2", "--m", "4"],
+    ["pack", "--k", "4", "--r", "2"],
+    ["compile", "--k", "2", "--n", "1", "--seed", "0"],
+    ["dim", "--k", "1", "--n", "2", "--m", "1"],
+    ["divergence", "--k", "1", "--n", "2", "--m", "1", "--seed", "0"],
+    ["mrf", "--complex", '{"n": 3, "faces": [[1,2,3]]}',
+     "--theta", '[[[1,2,3], 0.5]]'],
+    ["ltn", "--mode", "parity", "--k", "2"],
+]
 
-    from crbmkit.cli import SCHEMAS
-    shipped = json.loads((pathlib.Path(__file__).resolve().parent.parent
-                          / "docs" / "output-schemas.json").read_text())
-    assert shipped == SCHEMAS
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: argv[0])
+def test_payload_matches_shipped_schema(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMAS[payload["schema"]])
+
+
+def test_every_shipped_schema_is_exercised():
+    tags = {f"crbmkit-{argv[0]}/1" for argv in JSON_COMMANDS}
+    assert tags | {"crbmkit-verify/1"} == set(SCHEMAS)
+
+
+def test_cli_runs_without_jsonschema():
+    # payloads are checked by the tests only, so the runtime needs no jsonschema
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['jsonschema'] = None; "
+         "from crbmkit.cli import main; "
+         "sys.exit(main(['bounds', '--k', '3', '--n', '2']))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == "crbmkit-bounds/1"
 
 
 def test_console_entry_point():

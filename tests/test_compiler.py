@@ -249,6 +249,14 @@ def test_compile_larger_instances():
     assert rep.within_budget and rep.achieved_tv <= 1e-2
 
 
+@pytest.mark.parametrize("k,n,units", [(6, 1, 25), (8, 1, 97), (6, 2, 73)])
+def test_compile_depth2_beyond_old_width_cap(k, n, units):
+    # k + n + m ran past the old cap of 26; evaluation costs 2^(k+n) m cells
+    _, rep = compile_universal(dirichlet_table(k, n, 0), r=2)
+    assert rep.hidden_units_used == rep.budget_bound == units
+    assert rep.achieved_tv <= 1e-2
+
+
 def test_compile_tighter_tolerance():
     t = random_conditional(2, 2, seed=42)
     params, rep = compile_universal(t, eps=1e-4)

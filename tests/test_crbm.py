@@ -135,6 +135,15 @@ def test_inference_map_examples():
     assert not imap.any_tie  # ties are a probability-zero event
 
 
+def test_inference_map_hidden_state_fits_int64():
+    # a few cells each, so the cell limit admits both; 63 bits is the index
+    p = CrbmParams(1, 1, 63, np.zeros((63, 1)), np.zeros((63, 1)),
+                   np.zeros(1), np.ones(63))
+    assert inference_map(p).hidden_for(1, 1) == (1 << 63) - 1
+    with pytest.raises(ShapeMismatch):
+        inference_map(CrbmParams.zeros(1, 1, 64))
+
+
 def test_jacobian_rows_of_each_block_sum_to_zero():
     rng = np.random.default_rng(11)
     p = random_params(2, 1, 2, rng)

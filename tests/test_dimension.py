@@ -140,6 +140,14 @@ def test_greedy_placement_respects_distance():
             assert bin(a ^ b).count("1") >= 4
 
 
+def test_certify_without_hidden_units():
+    # m = 0 places no ball; the model is the n output biases
+    assert greedy_distance4_balls(2, 3, 0) == []
+    rep = certify_dimension(1, 2, 0)
+    assert rep.expected_value == rep.numeric == rep.tropical == 2
+    assert rep.balls_placed == 0
+
+
 @pytest.mark.parametrize("case", [(1, 3, 1, 8), (2, 2, 1, 7),
                                   (1, 2, 2, 6), (1, 1, 1, 2)])
 def test_certify_dimension_cases(case):
