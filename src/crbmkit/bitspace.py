@@ -4,6 +4,7 @@ States are little-endian bit-indexed integers: unit i of the cube is bit i of
 the index, so enumeration in ascending index order is the canonical order
 everywhere.  Hamming balls here always have radius 1; a star is the
 intersection of a radius-1 ball with a cylinder set containing its center.
+The member enumerations return plain ascending indices.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class State:
 
     def bit(self, i: int) -> int:
         return (self.index >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(self.width))
 
     def flip(self, i: int) -> "State":
         return State(self.index ^ (1 << i), self.width)
@@ -136,36 +134,33 @@ def hamming_distance(a: State, b: State) -> int:
     return bin(a.index ^ b.index).count("1")
 
 
-def ball_members(ball: HammingBall) -> list[State]:
-    """Center plus all states at Hamming distance 1, ascending index order."""
-    c = ball.center
-    members = [c] + [c.flip(i) for i in range(c.width)]
-    return sorted(members, key=lambda s: s.index)
+def ball_members(ball: HammingBall) -> list[int]:
+    """Center plus all states at Hamming distance 1, as ascending indices."""
+    c = ball.center.index
+    return sorted([c] + [c ^ (1 << i) for i in range(ball.width)])
 
 
-def cylinder_members(c: CylinderSet) -> list[State]:
-    """All 2^dimension states matching the fixed coordinates, ascending."""
-    free = c.free_coords()
-    members = []
-    for pattern in range(1 << len(free)):
-        idx = c.fixed_values
-        for j, coord in enumerate(free):
-            if (pattern >> j) & 1:
-                idx |= 1 << coord
-        members.append(State(idx, c.width))
-    return sorted(members, key=lambda s: s.index)
+def cylinder_members(c: CylinderSet) -> list[int]:
+    """All 2^dimension indices matching the fixed coordinates, ascending:
+    each free coordinate, taken in ascending order, doubles the list with a
+    bit above every earlier free bit."""
+    members = [c.fixed_values]
+    for coord in c.free_coords():
+        members += [v | (1 << coord) for v in members]
+    return members
 
 
-def star_members(s: Star) -> list[State]:
-    """Ball-cylinder intersection: center plus one flip per free coordinate."""
-    c = s.ball.center
-    members = [c] + [c.flip(i) for i in s.cylinder.free_coords()]
-    return sorted(members, key=lambda st: st.index)
+def star_members(s: Star) -> list[int]:
+    """Ball-cylinder intersection: center plus one flip per free coordinate,
+    as ascending indices."""
+    c = s.ball.center.index
+    return sorted([c] + [c ^ (1 << i) for i in s.cylinder.free_coords()])
 
 
-def affine_rank(states: list[State]) -> int:
-    """Rank of the member matrix with an appended all-ones column."""
-    if not states:
+def affine_rank(indices: list[int], width: int) -> int:
+    """Rank of the states' bit matrix with an appended all-ones column."""
+    if not indices:
         return 0
-    m = np.array([list(s.bits()) + [1] for s in states], dtype=float)
+    m = np.array([[(v >> i) & 1 for i in range(width)] + [1] for v in indices],
+                 dtype=float)
     return int(np.linalg.matrix_rank(m))

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .packing import best_depth, s_value, seq_values, universal_budget
+from .packing import best_depth, feasible_depths, seq_values, universal_budget
 
 #: exact-search cap for code functions
 CODE_CAP = 6
@@ -157,11 +157,7 @@ def universal_m_table(k: int, n: int) -> BoundsReport:
     (1/2) 2^(k+n) - 1, and the parameter-counting necessary bound."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0, n >= 1")
-    table: dict[int, int] = {}
-    r = 1
-    while s_value(r) <= k:
-        table[r] = universal_budget(k, r, 1 << n)
-        r += 1
+    table = {r: universal_budget(k, r, 1 << n) for r in feasible_depths(k)}
     best = min(table, key=table.get) if table else None
     return BoundsReport(
         k=k, n=n,
@@ -194,11 +190,8 @@ def divergence_upper(k: int, n: int, m: int) -> float:
 def feasible_block_width(k: int, n: int, m: int) -> int:
     """Largest l with m >= 2^(k-S(r)) F(r) (2^l - 1) + R(r) for some r."""
     for l in range(n, 0, -1):
-        r = 1
-        while s_value(r) <= k:
-            if m >= universal_budget(k, r, 1 << l):
-                return l
-            r += 1
+        if any(m >= universal_budget(k, r, 1 << l) for r in feasible_depths(k)):
+            return l
     return 0
 
 

@@ -36,12 +36,11 @@ from .crbm import CrbmParams, append_hidden_unit, eval_conditional
 from .distributions import ConditionalTable, kl_conditional, tv_row_distance
 from .errors import (
     BudgetExceeded,
-    InfeasibleDepth,
     NotBlockConstant,
     SupportsDiffer,
     SupportTooLarge,
 )
-from .packing import PackingSequence, best_depth, build_packing, s_value, universal_budget
+from .packing import PackingSequence, best_depth, build_packing, universal_budget
 from .sharing import SharingStep, apply_sharing_log, build_tilted_step, \
     hidden_unit_from_log, logsumexp, make_reset_step, mixture_weight_profile
 
@@ -275,16 +274,21 @@ class _Pipeline:
             ~self._in_cylinder(star.cylinder))
 
 
+def _check_compile_cells(target: ConditionalTable, mode: str,
+                         budget: int) -> None:
+    """Refuse a compile whose final evaluation, (2^k, 2^n, budget)
+    activations, is over the cell limit, before anything is built."""
+    check_cells((1 << (target.k + target.n)) * max(budget, 1),
+                f"{mode} compile at (k, n) = ({target.k}, {target.n}) "
+                f"with {budget} hidden units")
+
+
 def _compile_over_tau(run: Callable[[float], _Pipeline],
                       target: ConditionalTable, eps: float, mode: str,
                       budget: int, r: int | None, clamp_error: float = 0.0
                       ) -> tuple[CrbmParams, CompileReport]:
     """The first pipeline ``run(tau)``, tau = TAU_START, 2 TAU_START, ...,
     TAU_MAX, whose evaluated conditional is within eps of ``target``."""
-    # the final evaluation's (2^k, 2^n, budget) activations, before any level
-    check_cells((1 << (target.k + target.n)) * max(budget, 1),
-                f"{mode} compile at (k, n) = ({target.k}, {target.n}) "
-                f"with {budget} hidden units")
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
@@ -324,7 +328,7 @@ def _run_packed(k: int, n: int, scheme: _ComponentScheme,
     for i, star in enumerate(seq.stars):
         for cyl in resets_at.get(i, ()):
             pipe.reset_if_needed(cyl)
-        members = [s.index for s in star_members(star)]
+        members = star_members(star)
         pipe.fill_star(star, masses[members], members)
     return pipe
 
@@ -335,12 +339,12 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
     k = target.k
     if r is None:
         r = best_depth(k, scheme.count)
-    if s_value(r) > k:
-        raise InfeasibleDepth(f"k = {k} < S({r}) = {s_value(r)}")
+    budget = universal_budget(k, r, scheme.count)
+    _check_compile_cells(target, mode, budget)
     seq = build_packing(k, r)
     return _compile_over_tau(
         lambda tau: _run_packed(k, target.n, scheme, seq, target, eps, tau),
-        target, eps, mode, universal_budget(k, r, scheme.count), r, clamp_error)
+        target, eps, mode, budget, r, clamp_error)
 
 
 def compile_universal(target: ConditionalTable, r: int | None = None,
@@ -410,6 +414,7 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
         raise SupportTooLarge(
             f"support {total_support} exceeds 2^k + d = {(1 << k) + d}")
     budget = (1 << k) + d - 1
+    _check_compile_cells(target, "support", budget)
 
     counts = (target.rows > 0).sum(axis=0)
     y0 = int(np.argmax(counts))  # ties resolve to the smallest index
@@ -464,12 +469,7 @@ def divergence_witness(target: ConditionalTable, m_budget: int,
         for x in range(1 << k)
     ])
     # clamp within blocks (preserves block-constancy), then compile tightly
-    floor = 0.016 / (1 << (n + 2))
-    rows = np.maximum(projected, floor)
-    rows /= rows.sum(axis=1, keepdims=True)
-    table = ConditionalTable(k, n, rows)
-    feasible = [r for r in range(1, k + 1) if s_value(r) <= k
-                and universal_budget(k, r, 1 << l) <= m_budget]
-    best_r = min(feasible, key=lambda r: universal_budget(k, r, 1 << l))
-    params, _ = compile_partition(table, l, best_r, eps_compile)
+    # at the cheapest depth, whose budget is within m_budget by the choice of l
+    table, _ = clamp_table(ConditionalTable(k, n, projected), 0.016)
+    params, _ = compile_partition(table, l, eps=eps_compile)
     return params, kl_conditional(target, eval_conditional(params))

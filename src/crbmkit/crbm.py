@@ -21,11 +21,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .bitspace import check_cells
 from .distributions import ConditionalTable, Dist
 from .errors import ShapeMismatch
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function; exp(-x) overflowing to inf gives exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _bit_matrix(width: int) -> np.ndarray:
@@ -190,7 +195,7 @@ def _log_grads(p: CrbmParams) -> np.ndarray:
     if m:
         ax = X @ p.V.T
         ay = Y @ p.W.T
-        sig = expit(ax[:, None, :] + ay[None, :, :] + p.c)  # (nx, ny, m)
+        sig = sigmoid(ax[:, None, :] + ay[None, :, :] + p.c)  # (nx, ny, m)
         # W (m x n, row-major): d/dW_ji = sigma_j * y_i
         gW = sig[:, :, :, None] * Y[None, :, None, :]
         grads[:, :, : m * p.n] = gW.reshape(nx, ny, m * p.n)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitspace import HammingBall, State, ball_members, check_cells
+from .bitspace import HammingBall, State, affine_rank, ball_members, check_cells
 from .bounds import expected_dim
 from .crbm import conditional_jacobian, random_params
 from .errors import UnstableRank
@@ -147,7 +147,7 @@ def tropical_matrix(k: int, n: int, slicings: list[HammingBall]) -> np.ndarray:
     base = np.column_stack([np.ones_like(v), (v[:, None] >> np.arange(width)) & 1])
     masks = np.zeros((len(slicings), v.size), dtype=np.int64)
     for i, b in enumerate(slicings):
-        masks[i, [s.index for s in ball_members(b)]] = 1
+        masks[i, ball_members(b)] = 1
     blocks = (masks[:, :, None] * base[None, :, :]).transpose(1, 0, 2)
     inputs = (v[:, None] & ((1 << k) - 1)) == np.arange(1 << k)
     return np.hstack([base, blocks.reshape(v.size, -1), inputs])
@@ -177,28 +177,16 @@ def greedy_distance4_balls(k: int, n: int, m: int) -> list[HammingBall]:
     return [HammingBall(State(c, width)) for c in centers]
 
 
-def _cylinder_free(k: int, n: int, balls: list[HammingBall]) -> bool:
-    """True iff the ball union contains no input cylinder [x]."""
-    union = set()
-    for b in balls:
-        union |= {s.index for s in ball_members(b)}
-    for x in range(1 << k):
-        if all(x + (y << k) in union for y in range(1 << n)):
-            return False
-    return True
-
-
-def _complement_full_affine(k: int, n: int, balls: list[HammingBall]) -> bool:
-    union = set()
-    for b in balls:
-        union |= {s.index for s in ball_members(b)}
+def _placement_clean(k: int, n: int, balls: list[HammingBall]) -> bool:
+    """True iff the ball union contains no input cylinder [x] and its
+    complement affinely spans {0,1}^(k+n)."""
+    union = set().union(*map(ball_members, balls))
+    if any(all(x + (y << k) in union for y in range(1 << n))
+           for x in range(1 << k)):
+        return False
     width = k + n
     rest = [v for v in range(1 << width) if v not in union]
-    if not rest:
-        return False
-    mat = np.array([[1] + [(v >> i) & 1 for i in range(width)] for v in rest],
-                   dtype=float)
-    return int(np.linalg.matrix_rank(mat)) == width + 1
+    return affine_rank(rest, width) == width + 1
 
 
 @dataclass(frozen=True)
@@ -238,12 +226,12 @@ def certify_dimension(k: int, n: int, m: int, trials: int = 8,
     numeric = crbm_dimension_estimate(k, n, m, trials=trials, seed=seed)
     balls = greedy_distance4_balls(k, n, m)
     tropical = tropical_rank_mod_inputs(k, n, m, balls)
-    clean = _cylinder_free(k, n, balls) and _complement_full_affine(k, n, balls)
     return DimensionReport(
         k=k, n=n, m=m,
         expected_value=expected_value, regime=regime,
         numeric=numeric, tropical=tropical,
-        balls_placed=len(balls), placement_clean=clean,
+        balls_placed=len(balls),
+        placement_clean=_placement_clean(k, n, balls),
         agree=numeric == expected_value,
         tropical_consistent=tropical <= numeric,
     )

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .crbm import CrbmParams, eval_conditional
+from .crbm import CrbmParams, eval_conditional, sigmoid
 from .distributions import ConditionalTable, tv_row_distance
 from .errors import NotGeneric, ScaleCapExceeded, ShapeMismatch, TieEncountered
 
@@ -134,7 +133,7 @@ def sigmoid_output_table(net: ThresholdNet) -> ConditionalTable:
         if np.any(pre1 == 0):
             raise NotGeneric("zero first-layer pre-activation")
         z = (pre1 > 0).astype(float)
-        probs = expit(net.W.T @ z + net.b)
+        probs = sigmoid(net.W.T @ z + net.b)
         for y in range(1 << net.n):
             yb = _bits(y, net.n)
             rows[x, y] = float(np.prod(np.where(yb == 1, probs, 1.0 - probs)))

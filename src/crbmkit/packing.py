@@ -1,5 +1,10 @@
 """Recursive star packings of the Boolean cube and their counting sequences.
 
+This module is the one owner of the packing's shape: the depths r that fit
+in k inputs (``feasible_depths``, with S(r) <= k), the budget of each depth
+and the cheapest one, the star sequence with its reset schedule, and its
+validation.  Other modules receive plain integer state indices.
+
 The construction splits {0,1}^k into 2^(k-S(r)) cylinder branches over S(r)
 working coordinates, allocated as contiguous blocks of sizes r, r-1, ..., 1
 (step i consumes block i).  At step i every branch is packed by cylinders
@@ -21,6 +26,9 @@ joint resets.  For r >= 3 the branch groups of *every* intermediate level
 need a reset after their parent level's fills, so the emitted schedule has
 sum_{i=2..r} prod_{j<i} sigma_j entries, which exceeds R(r); R remains the
 leaf-level group count.
+
+``build_packing`` is priced before any star is built: its star count times
+STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .bitspace import (
     HammingBall,
     Star,
     State,
-    affine_rank,
     check_cells,
     cylinder_members,
     star_members,
@@ -118,25 +125,31 @@ def k_sandwich(r: int) -> tuple[float, float]:
     return lo, hi
 
 
+def feasible_depths(k: int) -> range:
+    """The recursion depths r with S(r) <= k, ascending; empty for k = 0."""
+    r = 0
+    while s_value(r + 1) <= k:
+        r += 1
+    return range(1, r + 1)
+
+
+def _depth_values(k: int, r: int) -> SeqValues:
+    """seq_values(r), refused when the depth does not fit in k inputs."""
+    if r >= 1 and r not in feasible_depths(k):
+        raise InfeasibleDepth(f"k = {k} < S({r}) = {s_value(r)}")
+    return seq_values(r)
+
+
 def universal_budget(k: int, r: int, components: int) -> int:
     """Hidden-unit budget 2^(k-S(r)) F(r) (M-1) + resets for M components."""
-    s = s_value(r)
-    if k < s:
-        raise InfeasibleDepth(f"k = {k} < S({r}) = {s}")
-    v = seq_values(r)
-    return (1 << (k - s)) * v.F * (components - 1) + v.resets_needed
+    v = _depth_values(k, r)
+    return (1 << (k - v.S)) * v.F * (components - 1) + v.resets_needed
 
 
 def best_depth(k: int, components: int) -> int:
-    """Feasible r minimizing the budget (smallest r on ties)."""
-    best_r, best_m = 1, None
-    r = 1
-    while s_value(r) <= k:
-        m = universal_budget(k, r, components)
-        if best_m is None or m < best_m:
-            best_r, best_m = r, m
-        r += 1
-    return best_r
+    """Feasible r minimizing the budget (smallest r on ties); 1 if none is."""
+    return min(feasible_depths(k), default=1,
+               key=lambda r: universal_budget(k, r, components))
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,13 @@ class PackingSequence:
     resets: tuple[tuple[int, CylinderSet], ...]
 
 
+#: cells (8 bytes each) charged per star by build_packing's size check: a
+#: Star with its ball, center and cylinder peaks at 432-434 bytes of Python
+#: objects (tracemalloc, CPython 3.11, (k, r) = (14, 2), (16, 2), (14, 3),
+#: (16, 4)), rounded up to whole cells
+STAR_CELLS = 55
+
+
 def _bad_patterns(width: int) -> list[int]:
     """Block patterns not covered by the block's star (weight >= 2)."""
     stars = {0} | {1 << t for t in range(width)}
@@ -162,55 +182,36 @@ def _bad_patterns(width: int) -> list[int]:
 
 def build_packing(k: int, r: int) -> PackingSequence:
     """The recursive star packing sequence with 2^(k-S(r)) F(r) stars."""
-    s = s_value(r)
-    if k < s:
-        raise InfeasibleDepth(f"k = {k} < S({r}) = {s}")
-    check_cells(1 << k, f"build_packing at k = {k}")
+    v = _depth_values(k, r)
+    total = (1 << (k - v.S)) * v.F
+    check_cells(total * STAR_CELLS,
+                f"build_packing at (k, r) = ({k}, {r}) with {total} stars")
 
-    # block i (1-indexed) occupies sizes r-i+1 contiguously from bit 0
-    starts = []
-    pos = 0
-    for i in range(1, r + 1):
-        starts.append(pos)
-        pos += r - i + 1
-    outer_coords = list(range(s, k))
-
-    def block_coords(i: int) -> list[int]:
-        return list(range(starts[i - 1], starts[i - 1] + (r - i + 1)))
-
+    full = (1 << k) - 1
     stars: list[Star] = []
     resets: list[tuple[int, CylinderSet]] = []
-
-    # lineage = tuple of bad patterns chosen at blocks 1..i-1
-    lineages: list[tuple[int, ...]] = [()]
+    # a lineage is the values of the bad patterns chosen at blocks
+    # 1..level-1, which fill the coordinates below ``start``
+    lineages = [0]
+    start = 0
     for level in range(1, r + 1):
-        work = block_coords(level)
-        rest_coords = [c for i in range(level + 1, r + 1) for c in block_coords(i)]
+        # block ``level`` is the ``width`` coordinates from ``start``; its
+        # stars' cylinders leave only those free
+        width = r - level + 1
+        work = ((1 << width) - 1) << start
+        rest = start + width
         if level >= 2:
-            position = len(stars)
-            for lineage in lineages:
-                fixed: dict[int, int] = {}
-                for j, pat in enumerate(lineage, start=1):
-                    for t, coord in enumerate(block_coords(j)):
-                        fixed[coord] = (pat >> t) & 1
-                resets.append((position, CylinderSet.from_fixed(k, fixed)))
-        for lineage in lineages:
-            lineage_fixed: dict[int, int] = {}
-            for j, pat in enumerate(lineage, start=1):
-                for t, coord in enumerate(block_coords(j)):
-                    lineage_fixed[coord] = (pat >> t) & 1
-            for outer in range(1 << len(outer_coords)):
-                for u in range(1 << len(rest_coords)):
-                    fixed = dict(lineage_fixed)
-                    for t, coord in enumerate(outer_coords):
-                        fixed[coord] = (outer >> t) & 1
-                    for t, coord in enumerate(rest_coords):
-                        fixed[coord] = (u >> t) & 1
-                    cyl = CylinderSet.from_fixed(k, fixed)
-                    center = State(cyl.fixed_values, k)
-                    stars.append(Star(HammingBall(center), cyl))
-        lineages = [lin + (pat,) for lin in lineages
-                    for pat in _bad_patterns(len(work))]
+            resets += [(len(stars), CylinderSet(k, (1 << start) - 1, lin))
+                       for lin in lineages]
+        # one star per lineage and pattern of the coordinates above the block
+        for lin in lineages:
+            for tail in range(1 << (k - rest)):
+                values = lin | (tail << rest)
+                stars.append(Star(HammingBall(State(values, k)),
+                                  CylinderSet(k, full & ~work, values)))
+        lineages = [lin | (pat << start) for lin in lineages
+                    for pat in _bad_patterns(width)]
+        start = rest
 
     return PackingSequence(k, r, tuple(stars), tuple(resets))
 
@@ -224,51 +225,43 @@ class PackingReport:
 
 
 def validate_packing(seq: PackingSequence) -> PackingReport:
-    """Check cover, disjointness, the no-earlier-intersection property, star
-    affine independence, and soundness of the reset schedule.
+    """Check cover, disjointness, the no-earlier-intersection property and
+    soundness of the reset schedule, in one replay of the fills.
 
-    Schedule soundness replays the fills: a star may only be filled while all
-    its members are still at the start state (clean); filling dirties the
-    rest of its cylinder; a reset may not touch already-filled states and
-    re-cleans its cylinder.
+    A star may only be filled while all its members are still at the start
+    state (clean); filling dirties the rest of its cylinder; a reset may not
+    touch already-filled states and re-cleans its cylinder.  Violations are
+    listed by kind: overlaps, cover, cylinder intersections, then the
+    schedule in replay order.  Affine independence needs no check: a star's
+    members are its center plus one flip per distinct free coordinate.
     """
-    violations: list[str] = []
-    full = set(range(1 << seq.k))
-
-    member_sets = [frozenset(st.index for st in star_members(s)) for s in seq.stars]
-    seen: set[int] = set()
-    for i, mem in enumerate(member_sets):
-        if mem & seen:
-            violations.append(f"star {i} overlaps an earlier star")
-        seen |= mem
-    if seen != full:
-        violations.append("stars do not cover the cube")
-
-    for i, star in enumerate(seq.stars):
-        cyl_states = {st.index for st in cylinder_members(star.cylinder)}
-        earlier = set().union(*member_sets[:i]) if i else set()
-        if cyl_states & earlier:
-            violations.append(f"cylinder of star {i} intersects an earlier star")
-        if affine_rank(star_members(star)) != len(member_sets[i]):
-            violations.append(f"star {i} members are affinely dependent")
-
     resets_at: dict[int, list[CylinderSet]] = {}
     for pos, cyl in seq.resets:
         resets_at.setdefault(pos, []).append(cyl)
+    overlaps: list[str] = []
+    hits: list[str] = []
+    schedule: list[str] = []
+    full = set(range(1 << seq.k))
     clean = set(full)
-    filled: set[int] = set()
+    seen: set[int] = set()  # members of the stars filled so far
     for i, star in enumerate(seq.stars):
         for cyl in resets_at.get(i, ()):
-            cyl_states = {st.index for st in cylinder_members(cyl)}
-            if cyl_states & filled:
-                violations.append(f"reset before star {i} touches filled states")
-            clean |= cyl_states
-        mem = member_sets[i]
-        if not mem <= clean:
-            violations.append(f"star {i} filled from non-clean rows")
-        cyl_states = {st.index for st in cylinder_members(star.cylinder)}
-        clean -= cyl_states
-        filled |= mem
+            states = cylinder_members(cyl)
+            if not seen.isdisjoint(states):
+                schedule.append(f"reset before star {i} touches filled states")
+            clean.update(states)
+        members = star_members(star)
+        cyl_states = cylinder_members(star.cylinder)
+        if not seen.isdisjoint(members):
+            overlaps.append(f"star {i} overlaps an earlier star")
+        if not seen.isdisjoint(cyl_states):
+            hits.append(f"cylinder of star {i} intersects an earlier star")
+        if not clean.issuperset(members):
+            schedule.append(f"star {i} filled from non-clean rows")
+        clean.difference_update(cyl_states)
+        seen.update(members)
+    cover = [] if seen == full else ["stars do not cover the cube"]
+    violations = overlaps + cover + hits + schedule
 
     return PackingReport(
         ok=not violations,

@@ -68,8 +68,7 @@ def _crit_table1(offset: int = 0) -> tuple[bool, str]:
 def _crit_packing(offset: int = 0) -> tuple[bool, str]:
     checked = 0
     for k in range(1, 11):
-        r = 1
-        while packing.s_value(r) <= k:
+        for r in packing.feasible_depths(k):
             seq = packing.build_packing(k, r)
             rep = packing.validate_packing(seq)
             v = packing.seq_values(r)
@@ -79,7 +78,6 @@ def _crit_packing(offset: int = 0) -> tuple[bool, str]:
             if rep.star_count != want:
                 return False, f"(k={k}, r={r}): {rep.star_count} stars != {want}"
             checked += 1
-            r += 1
     return True, f"{checked} (k, r) packings valid with exact star counts"
 
 
@@ -265,7 +263,7 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
         star = Star(HammingBall(State(center, w)),
                     CylinderSet.from_fixed(w, fixed))
         members = star_members(star)
-        if affine_rank(members) != len(members):
+        if affine_rank(members, w) != len(members):
             return False, "star affine independence"
     return True, "500 randomized oracle checks passed"
 

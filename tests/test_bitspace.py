@@ -17,41 +17,37 @@ from crbmkit.bitspace import (
 from crbmkit.errors import CapExceeded, CenterNotInCylinder, WidthMismatch
 
 
-def indices(states):
-    return [s.index for s in states]
-
-
 def test_ball_members_examples():
     # unit strings are little-endian: "01" means unit1=0, unit2=1 -> index 2
-    assert indices(ball_members(HammingBall(State(0, 2)))) == [0, 1, 2]
-    assert indices(ball_members(HammingBall(State(1, 1)))) == [0, 1]
+    assert ball_members(HammingBall(State(0, 2))) == [0, 1, 2]
+    assert ball_members(HammingBall(State(1, 1))) == [0, 1]
     # N=3 center 101 (units 1,3 on) -> index 5; size must be 4
     members = ball_members(HammingBall(State(5, 3)))
     brute = [v for v in range(8) if bin(v ^ 5).count("1") <= 1]
-    assert sorted(indices(members)) == sorted(brute)
+    assert members == brute
     assert len(members) == 4
 
 
 def test_cylinder_members_examples():
     # N=3, unit 3 fixed to 0: lower half of the cube
     c = CylinderSet.from_fixed(3, {2: 0})
-    assert indices(cylinder_members(c)) == [0, 1, 2, 3]
+    assert cylinder_members(c) == [0, 1, 2, 3]
     # N=2 fully fixed to 11
     c = CylinderSet.from_fixed(2, {0: 1, 1: 1})
-    assert indices(cylinder_members(c)) == [3]
+    assert cylinder_members(c) == [3]
     # free cylinder
-    assert indices(cylinder_members(CylinderSet.full(3))) == list(range(8))
+    assert cylinder_members(CylinderSet.full(3)) == list(range(8))
 
 
 def test_star_members_examples():
     full = Star(HammingBall(State(0, 3)), CylinderSet.full(3))
-    assert indices(star_members(full)) == [0, 1, 2, 4]
+    assert star_members(full) == [0, 1, 2, 4]
     # cylinder fixing unit 3 to 0: two free directions remain
     s = Star(HammingBall(State(0, 3)), CylinderSet.from_fixed(3, {2: 0}))
-    assert indices(star_members(s)) == [0, 1, 2]
+    assert star_members(s) == [0, 1, 2]
     # 1-dimensional cylinder: an edge
     s = Star(HammingBall(State(0, 3)), CylinderSet.from_fixed(3, {1: 0, 2: 0}))
-    assert indices(star_members(s)) == [0, 1]
+    assert star_members(s) == [0, 1]
 
 
 def test_star_members_match_intersection():
@@ -60,9 +56,9 @@ def test_star_members_match_intersection():
             values = center & mask
             star = Star(HammingBall(State(center, 3)),
                         CylinderSet(3, mask, values))
-            ball = set(indices(ball_members(star.ball)))
-            cyl = set(indices(cylinder_members(star.cylinder)))
-            got = set(indices(star_members(star)))
+            ball = set(ball_members(star.ball))
+            cyl = set(cylinder_members(star.cylinder))
+            got = set(star_members(star))
             assert got == ball & cyl
             assert got <= ball and got <= cyl
 
@@ -101,11 +97,11 @@ def test_enumerations_match_filters(width):
     center = (0x5A5A5A ^ width) & ((1 << width) - 1)
     ball = ball_members(HammingBall(State(center, width)))
     brute = [v for v in range(1 << width) if bin(v ^ center).count("1") <= 1]
-    assert indices(ball) == brute
+    assert ball == brute
     mask = 0b101 & ((1 << width) - 1)
     cyl = CylinderSet(width, mask, center & mask)
     brute = [v for v in range(1 << width) if (v & mask) == (center & mask)]
-    assert indices(cylinder_members(cyl)) == brute
+    assert cylinder_members(cyl) == brute
 
 
 def test_star_affine_independence():
@@ -115,7 +111,7 @@ def test_star_affine_independence():
             star = Star(HammingBall(State(center, 3)),
                         CylinderSet(3, mask, center & mask))
             members = star_members(star)
-            assert affine_rank(members) == len(members)
+            assert affine_rank(members, 3) == len(members)
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

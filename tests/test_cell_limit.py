@@ -1,8 +1,8 @@
 """Every exported pipeline refuses an oversized enumeration at its entry.
 
 The limit is patched down to 4 cells, so each small call below is over it;
-spies show that no sharing step, Younes solve, inner MRF compile or rank
-draw ran first.
+spies show that no packing, sharing step, Younes solve, inner MRF compile
+or rank draw ran first.
 """
 
 import numpy as np
@@ -59,6 +59,7 @@ def test_pipeline_refuses_at_entry(name, monkeypatch):
         monkeypatch.setattr(module, attr,
                             lambda *a, **kw: calls.append(attr) or fn(*a, **kw))
 
+    spy(compiler, "build_packing")
     spy(compiler, "build_tilted_step")
     spy(mrf, "younes_solve")
     spy(mrf, "compile_mrf_to_rbm")  # the conditional compile's inner call

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -87,6 +88,21 @@ def test_pack_json(capsys):
     assert obj["valid"] and obj["star_count"] == 20
 
 
+#: SHA-256 of the pack payload, as printed before validation became one pass
+PACK_DIGESTS = {
+    (6, 3): "a35aa0552cc2fb3d6b34cb65826495fa8d5891d89ae94557b737575d349d3bbd",
+    (10, 3): "40399addd6515835b9066a9e19e2d9dc027d0a4c5f60182891fea2ec789981bb",
+    (12, 2): "07a4f90ed14d1a0eaad37286f66c853c17b1d0114b374df9a48c037036331a09",
+}
+
+
+@pytest.mark.parametrize("k, r", sorted(PACK_DIGESTS))
+def test_pack_payload_is_golden(k, r, capsys):
+    code, out = run_cli(["pack", "--k", str(k), "--r", str(r)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PACK_DIGESTS[(k, r)]
+
+
 def test_mrf_command(capsys):
     code, out = run_cli([
         "mrf", "--complex", '{"n": 3, "faces": [[1,2,3]]}',
@@ -109,6 +125,15 @@ def test_domain_error_exit_code(capsys):
     # k = 2 cannot host a depth-2 packing: S(2) = 3
     code = main(["pack", "--k", "2", "--r", "2"])
     assert code == 1
+
+
+def test_infeasible_depth_is_one_error_line(capsys):
+    # k = 0 has no feasible depth; the packing's budget refuses it
+    code = main(["compile", "--mode", "common", "--k", "0", "--n", "2",
+                 "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: InfeasibleDepth: k = 0 < S(1) = 1\n"
 
 
 def test_unreachable_eps_reports_budget_exceeded(capsys):
@@ -228,6 +253,23 @@ def test_cli_runs_without_jsonschema():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema"] == "crbmkit-bounds/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--k", "4", "--r", "2"],
+    ["dim", "--k", "2", "--n", "2", "--m", "2"],
+    ["ltn", "--mode", "parity", "--k", "3"],
+    ["ltn", "--mode", "embed", "--k", "2", "--m", "2", "--n", "2"],
+])
+def test_cli_runs_without_scipy(argv):
+    # scipy is needed only by the exact code-size solvers
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; "
+         f"from crbmkit.cli import main; sys.exit(main({argv!r}))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == f"crbmkit-{argv[0]}/1"
 
 
 def test_console_entry_point():

@@ -227,7 +227,7 @@ def test_pipeline_keeps_processed_rows_stable():
     for i, star in enumerate(seq.stars):
         for cyl in resets_at.get(i, ()):
             pipe.reset_if_needed(cyl)
-        members = [s.index for s in star_members(star)]
+        members = star_members(star)
         pipe.fill_star(star, masses[members], members)
         snapshots[i] = (members, pipe.rows()[members].copy())
     final = pipe.rows()

@@ -1,14 +1,18 @@
 import pytest
 
+from crbmkit import bitspace, packing
 from crbmkit.bitspace import CylinderSet, HammingBall, Star, State
-from crbmkit.errors import InfeasibleDepth
+from crbmkit.errors import CapExceeded, InfeasibleDepth
 from crbmkit.packing import (
+    STAR_CELLS,
     PackingSequence,
     build_packing,
+    feasible_depths,
     k_coefficient,
     k_sandwich,
     p_coefficient,
     seq_values,
+    universal_budget,
     validate_packing,
 )
 
@@ -83,6 +87,54 @@ def test_build_packing_infeasible_depth():
         build_packing(2, 2)
 
 
+def test_feasible_depths_and_the_depth_check_agree():
+    assert [list(feasible_depths(k)) for k in (0, 1, 2, 3, 5, 6)] == [
+        [], [1], [1], [1, 2], [1, 2], [1, 2, 3]]
+    for k in range(8):
+        for r in range(1, 5):
+            if r in feasible_depths(k):
+                continue
+            message = f"k = {k} < S({r}) = {seq_values(r).S}"
+            for call in (lambda: universal_budget(k, r, 2),
+                         lambda: build_packing(k, r)):
+                with pytest.raises(InfeasibleDepth) as exc:
+                    call()
+                assert str(exc.value) == message
+
+
+def _first_refused_k(r):
+    v = seq_values(r)
+    k = v.S
+    while (1 << (k - v.S)) * v.F * STAR_CELLS <= bitspace.MAX_CELLS:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_build_packing_is_priced_on_its_stars(r, monkeypatch):
+    # refused from the star count alone, before a single star is built
+    k = _first_refused_k(r)
+    stars = (1 << (k - seq_values(r).S)) * seq_values(r).F
+    built = []
+    monkeypatch.setattr(packing, "Star", lambda *a: built.append(a))
+    with pytest.raises(CapExceeded) as exc:
+        build_packing(k, r)
+    assert str(exc.value).startswith(
+        f"build_packing at (k, r) = ({k}, {r}) with {stars} stars needs "
+        f"{stars * STAR_CELLS} cells")
+    assert built == []
+    if r == 2:
+        assert k == 21  # where 2^k cells alone would still pass
+
+
+def test_build_packing_admits_the_k_below_the_first_refused(monkeypatch):
+    monkeypatch.setattr(bitspace, "MAX_CELLS", 2000)
+    k = _first_refused_k(2)
+    assert len(build_packing(k - 1, 2).stars) * STAR_CELLS <= 2000
+    with pytest.raises(CapExceeded):
+        build_packing(k, 2)
+
+
 def _star(width, center, fixed):
     return Star(HammingBall(State(center, width)),
                 CylinderSet.from_fixed(width, fixed))
@@ -141,6 +193,34 @@ def test_validate_hand_built_sequences_for_k3():
         ),
     )
     assert validate_packing(seq_c).ok
+
+
+def test_validate_names_each_violation_kind():
+    ball = _star(2, 0, {})                 # members 0, 1, 2; cylinder: all
+    point = _star(2, 3, {0: 1, 1: 1})      # member and cylinder: 3
+    reset_point = (1, CylinderSet.from_fixed(2, {0: 1, 1: 1}))
+    assert validate_packing(
+        PackingSequence(2, 0, (ball, point), (reset_point,))).violations == ()
+    # the ball's cylinder holds the point filled before it
+    assert validate_packing(
+        PackingSequence(2, 0, (point, ball), ())).violations == (
+        "cylinder of star 1 intersects an earlier star",)
+    # resetting the whole cube before the point un-fills the ball
+    assert validate_packing(PackingSequence(
+        2, 0, (ball, point), ((1, CylinderSet.full(2)),))).violations == (
+        "reset before star 1 touches filled states",)
+    # every kind at once comes out grouped by kind, each in star order
+    rep = validate_packing(PackingSequence(
+        3, 0, (_star(3, 3, {0: 1, 1: 1, 2: 0}), _star(3, 0, {2: 0}),
+               _star(3, 3, {0: 1, 1: 1, 2: 0})),
+        ((2, CylinderSet.from_fixed(3, {2: 0})),)))
+    assert rep.violations == (
+        "star 2 overlaps an earlier star",
+        "stars do not cover the cube",
+        "cylinder of star 1 intersects an earlier star",
+        "cylinder of star 2 intersects an earlier star",
+        "reset before star 2 touches filled states",
+    )
 
 
 def test_validate_catches_missing_reset():
