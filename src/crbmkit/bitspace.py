@@ -44,12 +44,6 @@ class State:
         if not 0 <= self.index < (1 << self.width):
             raise ValueError(f"index {self.index} out of range for width {self.width}")
 
-    def bit(self, i: int) -> int:
-        return (self.index >> i) & 1
-
-    def flip(self, i: int) -> "State":
-        return State(self.index ^ (1 << i), self.width)
-
 
 @dataclass(frozen=True)
 class CylinderSet:

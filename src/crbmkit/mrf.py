@@ -4,13 +4,17 @@ Faces of the interaction structure are bitmasks over the ground set; the
 energy of a state v is sum_A theta_A * [A subseteq v].  Compilation cancels
 every face of cardinality > 1 outside the kept sub-complex with one hidden
 unit whose softplus log-partition term has the face's coefficient as its
-top Moebius coefficient; the residue polynomial is recomputed exactly over
-the full table after each unit, so no symbolic bookkeeping is needed.
+top Moebius coefficient (Younes 1996).  The unit's scale solves
+top(t) = |rho| on one closed-form curve for both signs of rho, bracketed by
+the sign of top(t) - |rho| because the curve dips below zero for faces of
+4 or more units; the unit's whole polynomial is also closed form, from two
+finite differences, and is subtracted from the residue in one scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -45,9 +49,14 @@ class SimplicialComplex:
         for a in self.faces:
             if a & ~((1 << self.n) - 1):
                 raise ValueError(f"face {a:b} outside the ground set")
-            for i in range(self.n):
-                if (a >> i) & 1 and (a ^ (1 << i)) not in self.faces:
-                    raise ValueError("face family is not downward closed")
+        # one pass per coordinate over the sorted faces, so a sparse complex
+        # on a wide ground set allocates nothing of size 2^n
+        faces = np.array(sorted(self.faces))
+        for i in range(self.n):
+            bit = 1 << i
+            below = faces[(faces & bit) != 0] ^ bit
+            if (faces[np.searchsorted(faces, below)] != below).any():
+                raise ValueError("face family is not downward closed")
 
     @staticmethod
     def full(n: int) -> "SimplicialComplex":
@@ -130,82 +139,120 @@ def _softplus(a: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, a)
 
 
-def _phi_table(n: int, w: float, b: float, eps_sign: int) -> np.ndarray:
-    """log(1 + exp(w S^eps(x) + b)) over {0,1}^n; eps flips the last unit."""
-    v = np.arange(1 << n)
-    s = np.zeros(1 << n)
-    for i in range(n - 1):
-        s += (v >> i) & 1
-    s += eps_sign * ((v >> (n - 1)) & 1)
-    return _softplus(w * s + b)
+@lru_cache(maxsize=None)
+def _alternating_binomials(q: int) -> np.ndarray:
+    """(q+1, q+1) table of (-1)^(j-i) C(j, i), zero above the diagonal;
+    row j applied to (g(0), ..., g(j)) gives the j-th finite difference."""
+    table = np.zeros((q + 1, q + 1))
+    for j in range(q + 1):
+        for i in range(j + 1):
+            table[j, i] = (-1) ** (j - i) * comb(j, i)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """popcount(v) for v in range(2^n)."""
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        pc[1 << i:2 << i] = pc[:1 << i] + 1
+    pc.flags.writeable = False
+    return pc
 
 
 def younes_top_coefficient(n: int, w: float, b: float, eps_sign: int = 1) -> float:
-    """J_[N] = sum_k (-1)^(N-k) C(N,k) log(1+exp(k w + b)) for eps = +1;
-    computed by Moebius inversion of the full table in general."""
-    if eps_sign == 1:
-        ks = np.arange(n + 1)
-        binom = np.array([comb(n, int(k)) for k in ks], dtype=float)
-        signs = (-1.0) ** (n - ks)
-        return float(np.sum(signs * binom * _softplus(w * ks + b)))
-    return float(mobius_coefficients(_phi_table(n, w, b, eps_sign), n)[(1 << n) - 1])
+    """J_[N] of log(1 + exp(w S^eps + b)): for eps = +1 it is
+    sum_k (-1)^(N-k) C(N,k) log(1+exp(k w + b)); x_N -> 1 - x_N turns the
+    eps = -1 unit into the eps = +1 unit with bias b - w and negates J_[N]."""
+    shift = b if eps_sign == 1 else b - w
+    top = float(_alternating_binomials(n)[n] @ _softplus(w * np.arange(n + 1) + shift))
+    return top if eps_sign == 1 else -top
 
 
-def younes_solve(rho: float, n: int) -> tuple[float, float, int, dict[int, float]]:
+def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
     """Weights (w, b) making the top Moebius coefficient of
-    log(1 + exp(w S^eps + b)) equal to rho, plus the lower-order polynomial.
+    log(1 + exp(w S^eps + b)) equal to rho, plus the unit's whole polynomial.
 
     For rho >= 0 the sum S runs over all units (eps = +1) and (w, b) scale
     the direction (1, -(N - 1/2)); for rho < 0 the last unit enters with a
     minus sign and the base bias is -(N - 3/2), the image of the positive
-    base under the substitution x_N -> 1 - x_N.  The scale is found by
-    bracketing and bisection on the top coefficient, which is 0 at scale 0
-    and unbounded in |rho|'s direction.
+    base under x_N -> 1 - x_N.  That substitution maps one unit onto the
+    other and negates the top coefficient, so both signs solve
+    top(t) = |rho| for the eps = +1 curve
+    top(t) = sum_k (-1)^(N-k) C(N,k) log(1 + exp(t (k - N + 1/2))).
 
-    Returns (w, b, eps_sign, Q) where Q maps every non-top face mask to its
-    coefficient.
+    top(0) = 0 and top(t) ~ t/2 for large t, but for N >= 4 top dips below
+    zero first: it is negative on (0, t0) with t0 about 0.99 at N = 4, 1.51
+    at N = 5, 2.42 at N = 8 and 2.82 at N = 10, with a minimum of -0.008 to
+    -0.28, and increasing past t0.  So the bracket is by sign: t_hi doubles
+    until top(t_hi) >= |rho|, keeping top(t_lo) < |rho| <= top(t_hi), and a
+    Newton step that leaves the bracket falls back to bisection.  Each step
+    costs O(N).
+
+    The unit's coefficient J_B depends only on j = |B minus {N}| and on
+    whether N is in B, so the whole polynomial comes from two j-th finite
+    differences of g(k) = log(1 + exp(t (k - N + 1/2))): D_j of g(0..j)
+    and D'_j of g(1..j+1).  For eps = +1, J_B = D_j without N and
+    D'_j - D_j with it; eps = -1 swaps D and D'.
+
+    Returns (w, b, eps_sign, coeffs) where coeffs[mask] is the coefficient
+    of the face mask over the N units; coeffs[-1] is the top coefficient.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
     eps_sign = 1 if rho >= 0 else -1
     base_b = -(n - 0.5) if eps_sign == 1 else -(n - 1.5)
+    slopes = np.arange(n + 1) - n + 0.5
+    row = _alternating_binomials(n)[n]
+    row_slopes = row * slopes
+    target = abs(rho)
 
-    def top(t: float) -> float:
-        return younes_top_coefficient(n, t, t * base_b, eps_sign)
+    def top(t: float) -> tuple[float, float]:
+        """top(t) and its derivative, sum_k row_k a_k sigmoid(t a_k)."""
+        x = t * slopes
+        g = _softplus(x)
+        return float(row @ g), float(row_slopes @ np.exp(x - g))
 
-    if rho == 0.0:
-        t_star = 0.0
-    else:
-        t_hi = 1.0
-        while abs(top(t_hi)) < abs(rho):
-            t_hi *= 2.0
+    t_star = 0.0
+    if rho != 0.0:
+        t_lo, t_hi = 0.0, 1.0
+        val, slope = top(t_hi)
+        while val < target:
+            t_lo, t_hi = t_hi, 2.0 * t_hi
             if t_hi > T_MAX:
-                raise NoBracket(f"|rho| = {abs(rho)} beyond solver scale cap")
-        t_lo = 0.0
+                raise NoBracket(f"|rho| = {target} beyond solver scale cap")
+            val, slope = top(t_hi)
+        t_star = t_hi
         for _ in range(200):
-            mid = 0.5 * (t_lo + t_hi)
-            val = top(mid)
-            if abs(val - rho) <= SOLVE_TOL:
-                t_lo = t_hi = mid
+            if abs(val - target) <= SOLVE_TOL:
                 break
-            if (val - rho) * (1 if rho >= 0 else -1) < 0:
-                t_lo = mid
+            # a Newton step leaving the bracket, or a flat slope, bisects
+            newton = t_star - (val - target) / slope if slope > 0 else t_hi
+            t_star = newton if t_lo < newton < t_hi else 0.5 * (t_lo + t_hi)
+            val, slope = top(t_star)
+            if val < target:
+                t_lo = t_star
             else:
-                t_hi = mid
-        t_star = 0.5 * (t_lo + t_hi)
+                t_hi = t_star
 
-    w, b = t_star, t_star * base_b
-    coeffs = mobius_coefficients(_phi_table(n, w, b, eps_sign), n)
-    full = (1 << n) - 1
-    q = {mask: float(coeffs[mask]) for mask in range(1 << n) if mask != full}
-    return w, b, eps_sign, q
+    g = _softplus(t_star * slopes)
+    diffs = _alternating_binomials(n - 1)
+    d0, d1 = diffs @ g[:-1], diffs @ g[1:]
+    without_last, with_last = (d0, d1 - d0) if eps_sign == 1 else (d1, d0 - d1)
+    pc = _popcounts(n - 1)
+    coeffs = np.concatenate([without_last[pc], with_last[pc]])
+    return t_star, t_star * base_b, eps_sign, coeffs
 
 
-def _faces_to_cancel(complex_: SimplicialComplex, keep: set[int]) -> list[int]:
-    """Faces of cardinality > 1 outside the kept set, largest first."""
-    todo = [a for a in complex_.faces if popcount(a) > 1 and a not in keep]
-    return sorted(todo, key=lambda a: (-popcount(a), _sorted_bits(a)))
+def _faces_to_cancel(complex_: SimplicialComplex, keep: set[int]
+                     ) -> list[tuple[int, tuple[int, ...]]]:
+    """(mask, sorted bits) of the faces of cardinality > 1 outside the kept
+    set, largest first."""
+    todo = [(a, _sorted_bits(a)) for a in complex_.faces
+            if popcount(a) > 1 and a not in keep]
+    return sorted(todo, key=lambda face: (-len(face[1]), face[1]))
 
 
 def _sorted_bits(mask: int) -> tuple[int, ...]:
@@ -219,8 +266,8 @@ def compile_mrf_to_rbm(model: MrfModel,
     p * correction = RBM joint, with one hidden unit per cancelled face.
 
     Faces are processed in decreasing cardinality (ties by ascending index
-    set); each unit cancels the face's current residue coefficient, and the
-    residue polynomial is recomputed exactly after every unit.  Remaining
+    set); each unit cancels the face's current residue coefficient, and its
+    whole polynomial is subtracted from the residue.  Remaining
     cardinality >= 2 coefficients live on kept faces and are returned,
     negated, as the correction distribution; singleton residues become the
     RBM's visible biases.
@@ -236,30 +283,26 @@ def compile_mrf_to_rbm(model: MrfModel,
 
     weights = []
     biases = []
-    for a in order:
-        bits = _sorted_bits(a)
-        q = len(bits)
-        rho = float(residue[a])
-        w, b, eps_sign, _ = younes_solve(rho, q)
+    for a, bits in order:
+        w, b, eps_sign, local = younes_solve(float(residue[a]), len(bits))
         unit = np.zeros(n)
-        for j, coord in enumerate(bits):
-            unit[coord] = w * (eps_sign if j == q - 1 else 1)
+        unit[list(bits)] = w
+        unit[bits[-1]] *= eps_sign
         weights.append(unit)
         biases.append(b)
-        # subtract the unit's full polynomial from the residue
-        local = mobius_coefficients(
-            _phi_table(q, w, b, eps_sign), q)
-        for sub in range(1 << q):
-            mask = 0
-            for j, coord in enumerate(bits):
-                if (sub >> j) & 1:
-                    mask |= 1 << coord
-            residue[mask] -= local[sub]
+        # subtract the unit's full polynomial from the residue; the j-th bit
+        # of a local index is the face's j-th coordinate
+        masks = np.zeros(1 << len(bits), dtype=np.int64)
+        for j, coord in enumerate(bits):
+            masks[1 << j:2 << j] = masks[:1 << j] | (1 << coord)
+        residue[masks] -= local
 
-    leftovers = [v for v in range(1 << n)
-                 if popcount(v) > 1 and abs(residue[v]) > 1e-8 and v not in keep]
-    if leftovers:
-        raise BudgetMismatch(f"uncancelled faces remain: {leftovers}")
+    pc = _popcounts(n)
+    kept = np.zeros(1 << n, dtype=bool)
+    kept[list(keep)] = True
+    leftovers = np.flatnonzero((pc > 1) & (np.abs(residue) > 1e-8) & ~kept)
+    if leftovers.size:
+        raise BudgetMismatch(f"uncancelled faces remain: {leftovers.tolist()}")
 
     m = len(weights)
     params = CrbmParams(
@@ -271,9 +314,10 @@ def compile_mrf_to_rbm(model: MrfModel,
     )
     # non-kept residues are certified tiny above; the correction carries
     # exactly the kept cardinality >= 2 coefficients, negated
-    corr_theta = {v: -float(residue[v]) for v in range(1 << n)
-                  if popcount(v) > 1 and v in keep and residue[v] != 0}
-    corr_complex = j_keep if j_keep is not None else SimplicialComplex.full(n)
+    corr_theta = {int(v): -float(residue[v]) for v in
+                  np.flatnonzero((pc > 1) & kept & (residue != 0))}
+    # without kept faces the correction is uniform: no face beyond singletons
+    corr_complex = j_keep if j_keep is not None else SimplicialComplex.singletons(n)
     correction = mrf_distribution(MrfModel(corr_complex, corr_theta))
     return params, correction
 
@@ -294,9 +338,8 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
     check_cells(1 << n_total, f"compile_conditional_mrf at n = {n_total}")
     n = n_total - k
-    input_mask = (1 << k) - 1
-    j_keep = SimplicialComplex(n_total, frozenset(
-        a for a in range(1 << n_total) if (a & ~input_mask) == 0))
+    # the input-only faces: every subset of the first k units
+    j_keep = SimplicialComplex(n_total, frozenset(range(1 << k)))
     rbm, _ = compile_mrf_to_rbm(model, j_keep)
     w_full = rbm.W  # (m, k+n)
     return CrbmParams(

@@ -134,31 +134,37 @@ def _crit_dimension(offset: int = 0) -> tuple[bool, str]:
 
 
 def _crit_mrf(offset: int = 0) -> tuple[bool, str]:
-    full3 = SimplicialComplex.full(3)
+    from .crbm import eval_joint_rbm
+    from .distributions import conditional_of_joint
+    # 20 random fields on the full 3-complex, then one full field at each
+    # n = 5..8, where the Younes solve has to cross the dip of top(t) < 0
+    draws = [(3, 300 + trial) for trial in range(20)]
+    draws += [(n, 320 + n) for n in range(5, 9)]
     worst_joint = worst_cond = 0.0
-    for trial in range(20):
-        rng = np.random.default_rng(300 + trial + offset)
-        model = MrfModel(full3, {a: float(rng.standard_normal())
-                                 for a in full3.faces if a})
+    for n, seed in draws:
+        full = SimplicialComplex.full(n)
+        rng = np.random.default_rng(seed + offset)
+        model = MrfModel(full, {a: float(rng.standard_normal())
+                                for a in full.faces if a})
+        want_m = (1 << n) - 1 - n
         params, corr = compile_mrf_to_rbm(model)
-        if params.m != 4:
-            return False, f"trial {trial}: {params.m} hidden units != 4"
-        from .crbm import eval_joint_rbm
+        if params.m != want_m:
+            return False, f"n = {n}, seed {seed}: {params.m} hidden units != {want_m}"
         p = mrf_distribution(model)
         tv = float(np.abs(hadamard(p, corr).probs
                           - eval_joint_rbm(params).probs).sum())
         worst_joint = max(worst_joint, tv)
         if tv > 1e-6:
-            return False, f"trial {trial}: joint tv = {tv}"
-        from .distributions import conditional_of_joint
+            return False, f"n = {n}, seed {seed}: joint tv = {tv}"
         cparams = compile_conditional_mrf(model, 1)
         rtv = tv_row_distance(conditional_of_joint(p, 1),
                               eval_conditional(cparams))
         worst_cond = max(worst_cond, rtv)
         if rtv > 1e-6:
-            return False, f"trial {trial}: conditional tv = {rtv}"
-    return True, (f"20 draws: joint tv <= {worst_joint:.1e}, "
-                  f"conditional tv <= {worst_cond:.1e}, m = 4 exactly")
+            return False, f"n = {n}, seed {seed}: conditional tv = {rtv}"
+    return True, (f"20 full fields at n = 3, one at each n = 5..8: "
+                  f"joint tv <= {worst_joint:.1e}, conditional tv <= "
+                  f"{worst_cond:.1e}, m = 2^n - 1 - n exactly")
 
 
 def _crit_ltn(offset: int = 0) -> tuple[bool, str]:

@@ -80,7 +80,7 @@ def test_width_errors():
 
 def test_wide_objects_construct():
     # a state or a cylinder is one int: its width allocates nothing
-    assert State(0, 40).flip(39).index == 1 << 39
+    assert State(1 << 39, 40).index == 1 << 39
     assert CylinderSet.full(40).dimension == 40
 
 

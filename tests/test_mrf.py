@@ -63,7 +63,7 @@ def test_younes_solve_examples():
     w, b, eps, q = younes_solve(0.0, 3)
     assert w == 0.0 and b == 0.0
     assert q[0] == pytest.approx(np.log(2.0))
-    assert all(abs(v) < 1e-15 for mask, v in q.items() if mask)
+    assert np.abs(q[1:]).max() < 1e-15
 
     # N = 1: the two-point inversion solves directly
     w, b, eps, q = younes_solve(0.8, 1)
@@ -76,15 +76,62 @@ def test_younes_solve_examples():
         assert eps == (1 if rho >= 0 else -1)
         got = younes_top_coefficient(3, w, b, eps)
         assert got == pytest.approx(rho, abs=1e-10)
+        assert q[7] == pytest.approx(rho, abs=1e-10)
         # the polynomial identity holds pointwise
-        coeffs = np.zeros(8)
-        coeffs[7] = rho
-        for mask, v in q.items():
-            coeffs[mask] += v
         s = np.array([bin(v & 0b011).count("1") + eps * ((v >> 2) & 1)
                       for v in range(8)])
         table = np.logaddexp(0.0, w * s + b)
-        assert np.abs(mobius_forward(coeffs, 3) - table).max() < 1e-10
+        assert np.abs(mobius_forward(q, 3) - table).max() < 1e-10
+
+
+def phi_table(q: int, w: float, b: float, eps: int) -> np.ndarray:
+    """log(1 + exp(w S^eps(x) + b)) over {0,1}^q; eps flips the last unit."""
+    v = np.arange(1 << q)
+    s = sum((v >> i) & 1 for i in range(q - 1)) + eps * ((v >> (q - 1)) & 1)
+    return np.logaddexp(0.0, w * s + b)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_closed_form_matches_mobius_of_the_softplus_table(q):
+    top = mobius_coefficients(phi_table(q, 1.3, -0.4, 1), q)[-1]
+    assert younes_top_coefficient(q, 1.3, -0.4, 1) == pytest.approx(top, abs=1e-12)
+    top = mobius_coefficients(phi_table(q, 1.3, -0.4, -1), q)[-1]
+    assert younes_top_coefficient(q, 1.3, -0.4, -1) == pytest.approx(top, abs=1e-12)
+    # x_N -> 1 - x_N maps the eps = -1 unit on the eps = +1 unit
+    for t in (0.3, 1.0, 2.5, 7.0):
+        plus = mobius_coefficients(phi_table(q, t, -t * (q - 0.5), 1), q)[-1]
+        minus = mobius_coefficients(phi_table(q, t, -t * (q - 1.5), -1), q)[-1]
+        assert minus == pytest.approx(-plus, abs=1e-12)
+    for rho in (0.7, -0.7, 0.05, -0.05):
+        w, b, eps, coeffs = younes_solve(rho, q)
+        want = mobius_coefficients(phi_table(q, w, b, eps), q)
+        assert np.abs(coeffs - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q", [5, 6, 7, 8])
+@pytest.mark.parametrize("rho", [0.05, -0.05, 1e-6, -1e-6])
+def test_solve_crosses_the_dip_below_zero(q, rho):
+    # top(t) < 0 on (0, 1.5-2.4) at these q: a bracket on |top| stops there
+    w, b, eps, _ = younes_solve(rho, q)
+    assert abs(younes_top_coefficient(q, w, b, eps) - rho) <= 1e-10
+    top = mobius_coefficients(phi_table(q, w, b, eps), q)[-1]
+    assert abs(top - rho) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_compile_full_complexes_n5_to_n8(n):
+    rng = np.random.default_rng(10 + n)
+    full = SimplicialComplex.full(n)
+    theta = {a: float(rng.standard_normal()) for a in full.faces if a}
+    model = MrfModel(full, theta)
+    params, corr = compile_mrf_to_rbm(model)
+    assert params.m == (1 << n) - 1 - n
+    lhs = hadamard(mrf_distribution(model), corr)
+    assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
+    cparams = compile_conditional_mrf(model, 1)
+    assert cparams.m == (1 << n) - 1 - n
+    want = conditional_of_joint(mrf_distribution(model), 1)
+    assert tv_row_distance(want, eval_conditional(cparams)) <= 1e-6
 
 
 def test_younes_no_bracket():

@@ -32,7 +32,7 @@ def point_mass_factors(y: State, tau: float) -> np.ndarray:
     """(n, 2) output log-factor block concentrated on y with sharpness tau."""
     lf = np.zeros((y.width, 2))
     for j in range(y.width):
-        lf[j, 1 - y.bit(j)] = -tau
+        lf[j, 1 - ((y.index >> j) & 1)] = -tau
     return lf
 
 
