@@ -20,8 +20,12 @@ dust stays exponentially below the start-state dust.
 
 Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
 scipy.special.logsumexp for real input: results are bit-identical to
-scipy's, without its per-call dispatch cost.  The conditional rows of the
-joint are computed once per accepted step and shared by the step checks.
+scipy's, without its per-call dispatch cost.  Each trial computes one new
+joint and its conditional rows; an accepted trial's joint and rows become
+the pipeline's as they are, and its tilt normalizer goes into the unit's
+bias.  So a trial reduces the full joint twice (the normalizer and the new
+joint's normalization), an accepted unit once more (the old joint's mass in
+the bias) and a tau level once (the start joint).
 """
 
 from __future__ import annotations
@@ -182,55 +186,61 @@ class _Pipeline:
         # joint index v = x + 2^k*y: build as a (2^n, 2^k) matrix, flatten
         logp = np.tile(logits[:, None], (1, 1 << k)).reshape(-1)
         self.logp = logp - logsumexp(logp)
-        self._rows: np.ndarray | None = None
+        self._rows = self._rows_of(self.logp)
         self._inputs = np.arange(1 << k)
         self.ideal = np.tile(self.scheme.dists[0], (1 << k, 1))
-        self.start_tv = _worst_row_tv(self.rows(), self.ideal)
+        self.start_tv = _worst_row_tv(self._rows, self.ideal)
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
 
     def _rows_of(self, logp: np.ndarray) -> np.ndarray:
+        """Read-only conditional rows p(. | x) of the log joint ``logp``."""
         cond = logp.reshape(1 << self.n, 1 << self.k).T  # (2^k, 2^n)
         cond = cond - cond.max(axis=1, keepdims=True)
         rows = np.exp(cond)
-        return rows / rows.sum(axis=1, keepdims=True)
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows.setflags(write=False)
+        return rows
 
     def rows(self) -> np.ndarray:
-        """Read-only conditional rows of the current joint, cached until the
-        next accepted step."""
-        if self._rows is None:
-            self._rows = self._rows_of(self.logp)
-            self._rows.setflags(write=False)
+        """Read-only conditional rows of the current joint."""
         return self._rows
 
-    def _apply(self, step: SharingStep) -> None:
-        w, bias = hidden_unit_from_log(self.logp, step)
+    def _apply(self, step: SharingStep, logp: np.ndarray, rows: np.ndarray,
+               log_norm: float) -> None:
+        """Adopt an accepted trial: append the step's hidden unit, whose bias
+        takes the trial's tilt normalizer ``log_norm``, and make the trial's
+        joint ``logp`` and its ``rows`` the current ones."""
+        w, bias = hidden_unit_from_log(self.logp, step, log_norm)
         self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
-        self.logp = apply_sharing_log(self.logp, step)
-        self._rows = None
+        self.logp, self._rows = logp, rows
 
     def _in_cylinder(self, cyl: CylinderSet) -> np.ndarray:
         """Boolean mask of the inputs x in ``cyl``."""
         return (self._inputs & cyl.fixed_mask) == cyl.fixed_values
 
-    def _step(self, kind: str, build: Callable[[float], SharingStep],
+    def _step(self, kind: str,
+              build: Callable[[float], tuple[SharingStep, float | None]],
               region: list[int] | np.ndarray, target: np.ndarray, bound: float,
               outside: np.ndarray) -> None:
         """Build, try and accept one sharing step.
 
         ``build(sharp)`` makes the step at sharpness ``sharp``, starting at
-        tau.  A trial is accepted when its rows at ``region`` are within row
-        TV ``bound`` of ``target`` and its rows at ``outside`` moved by at
-        most tol_step; otherwise the sharpness doubles.
+        tau, with its tilt normalizer if it computed one (else None).  A
+        trial is accepted when its rows at ``region`` are within row TV
+        ``bound`` of ``target`` and its rows at ``outside`` moved by at most
+        tol_step; otherwise the sharpness doubles.  An accepted trial's
+        joint becomes the pipeline's joint as it is.
         """
         sharp = self.tau
         for _ in range(STEP_RETRIES):
-            step = build(sharp)
-            rows = self._rows_of(apply_sharing_log(self.logp, step))
+            step, log_norm = build(sharp)
+            logp, log_norm = apply_sharing_log(self.logp, step, log_norm)
+            rows = self._rows_of(logp)
             if (_worst_row_tv(rows[region], target) <= bound
-                    and _worst_row_tv(rows[outside], self.rows()[outside])
+                    and _worst_row_tv(rows[outside], self._rows[outside])
                     <= self.tol_step):
-                self._apply(step)
+                self._apply(step, logp, rows, log_norm)
                 self.ideal[region] = target
                 self.used[kind] += 1
                 self.allowance += self.tol_step
@@ -243,15 +253,15 @@ class _Pipeline:
         its rows has drifted from it by more than the phase tolerance."""
         inside = self._in_cylinder(cyl)
         start = self.scheme.dists[0]
-        if (_worst_row_tv(self.rows()[inside], start)
+        if (_worst_row_tv(self._rows[inside], start)
                 <= self.start_tv + 2.0 * self.tol_step):
             return
         # outputs: concentrate on the start component at start-grade sharpness
         mask, values = self.scheme.masks[0], self.scheme.values[0]
         grade = 2.0 * max(self.scheme.sharp_width, 1)
-        self._step("reset", lambda sharp: make_reset_step(
+        self._step("reset", lambda sharp: (make_reset_step(
             cyl, _sharp_out_factors(self.n, mask, values, sharp / grade), sharp),
-            inside, start, self.start_tv + self.tol_step, ~inside)
+            None), inside, start, self.start_tv + self.tol_step, ~inside)
 
     def fill_star(self, star: Star, target_masses: np.ndarray,
                   members: list[int]) -> None:

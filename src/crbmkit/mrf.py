@@ -161,15 +161,6 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
-def younes_top_coefficient(n: int, w: float, b: float, eps_sign: int = 1) -> float:
-    """J_[N] of log(1 + exp(w S^eps + b)): for eps = +1 it is
-    sum_k (-1)^(N-k) C(N,k) log(1+exp(k w + b)); x_N -> 1 - x_N turns the
-    eps = -1 unit into the eps = +1 unit with bias b - w and negates J_[N]."""
-    shift = b if eps_sign == 1 else b - w
-    top = float(_alternating_binomials(n)[n] @ _softplus(w * np.arange(n + 1) + shift))
-    return top if eps_sign == 1 else -top
-
-
 def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
     """Weights (w, b) making the top Moebius coefficient of
     log(1 + exp(w S^eps + b)) equal to rho, plus the unit's whole polynomial.
@@ -185,10 +176,11 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
     top(0) = 0 and top(t) ~ t/2 for large t, but for N >= 4 top dips below
     zero first: it is negative on (0, t0) with t0 about 0.99 at N = 4, 1.51
     at N = 5, 2.42 at N = 8 and 2.82 at N = 10, with a minimum of -0.008 to
-    -0.28, and increasing past t0.  So the bracket is by sign: t_hi doubles
-    until top(t_hi) >= |rho|, keeping top(t_lo) < |rho| <= top(t_hi), and a
-    Newton step that leaves the bracket falls back to bisection.  Each step
-    costs O(N).
+    -0.28, and increasing past t0.  So the bracket is by sign: t_hi doubles,
+    its last step clamped to T_MAX, until top(t_hi) >= |rho|, keeping
+    top(t_lo) < |rho| <= top(t_hi), and a Newton step that leaves the
+    bracket falls back to bisection; NoBracket means top(T_MAX) < |rho|.
+    Each step costs O(N).
 
     The unit's coefficient J_B depends only on j = |B minus {N}| and on
     whether N is in B, so the whole polynomial comes from two j-th finite
@@ -220,9 +212,9 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
         t_lo, t_hi = 0.0, 1.0
         val, slope = top(t_hi)
         while val < target:
-            t_lo, t_hi = t_hi, 2.0 * t_hi
-            if t_hi > T_MAX:
+            if t_hi >= T_MAX:
                 raise NoBracket(f"|rho| = {target} beyond solver scale cap")
+            t_lo, t_hi = t_hi, min(2.0 * t_hi, T_MAX)
             val, slope = top(t_hi)
         t_star = t_hi
         for _ in range(200):

@@ -19,15 +19,22 @@ rows) and make_reset_step (a cylinder reset).  Both concentrate the inputs
 on a cylinder the same way.  Sequencing, sharpening and accepting steps is
 the compiler's job (compiler._Pipeline).
 
+The tilt normalizer log N = logsumexp(log p + log s) is a reduction over the
+whole joint, and each one is computed once: build_tilted_step needs it for
+lambda and returns it, apply_sharing_log takes it (or computes it, for a
+reset) and returns it, and hidden_unit_from_log takes it for the bias.
+
 The log-sum-exp used here and by the compiler is the module's own
 ``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
 operation for operation, so results are bit-identical, without scipy's
 per-call array-API dispatch, which dominated compile time on the small
-arrays of the step pipeline.
+arrays of the step pipeline.  Full-joint (1-D) reductions with a finite max
+skip the guards only non-finite input needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +61,24 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     equal to the max are counted and left out of the shifted sum, the result
     is log1p(s / count) + log(count) + max, and a non-finite result falls
     back to log(sum(exp(a))), so an all -inf input gives -inf.
+
+    A 1-D input with a finite max, the full-joint reduction of the step
+    pipeline, takes the same operations on scalars: its result is finite,
+    so it needs no kept axes and no fallback.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
-    axes = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if axis is None and a.ndim == 1:
+            a_max = a.max()
+            if math.isfinite(a_max):
+                at_max = a == a_max
+                count = float(np.count_nonzero(at_max))
+                shifted = np.exp(a - a_max)
+                shifted[at_max] = 0.0
+                return np.log1p(shifted.sum() / count) + np.log(count) + a_max
+        axes = tuple(range(a.ndim)) if axis is None else axis
         a_max = a.max(axis=axes, keepdims=True)
         at_max = a == a_max
         count = at_max.sum(axis=axes, keepdims=True, dtype=float)
@@ -73,6 +92,23 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
             out = np.where(finite, out, direct)
     out = out.squeeze(axis=axes)
     return out[()] if out.ndim == 0 else out
+
+
+def _log_values_of(log_factors: np.ndarray) -> np.ndarray:
+    """log s(v) over all 2^width states of (width, 2) log factors, read-only.
+
+    Built by doubling, coordinate 0 first: the states with bit i set extend
+    those below 2^i by log s_i(1), the others by log s_i(0).  So each value
+    is summed from 0 over coordinates 0, 1, ..., width-1 in that order, the
+    float a per-state loop over the factors gives.
+    """
+    out = np.zeros(1 << len(log_factors))
+    for i, (off, on) in enumerate(log_factors):
+        low, high = out[:1 << i], out[1 << i:2 << i]
+        np.add(low, on, out=high)
+        low += off
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,19 +138,9 @@ class SharingStep:
         return np.exp(self.log_factors)
 
     def log_values(self) -> np.ndarray:
-        """log s(v) over all 2^width states, computed once and read-only.
-
-        Summed from 0 over coordinates 0, 1, ..., width-1 in that order, so
-        each value is the float a per-state loop over the factors gives.
-        """
+        """log s(v) over all 2^width states, computed once and read-only."""
         if self._log_values is None:
-            w = self.width
-            bits = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1
-            terms = np.zeros((1 << w, w + 1))
-            terms[:, 1:] = self.log_factors[np.arange(w), bits]
-            out = np.add.accumulate(terms, axis=1)[:, -1].copy()
-            out.setflags(write=False)
-            object.__setattr__(self, "_log_values", out)
+            object.__setattr__(self, "_log_values", _log_values_of(self.log_factors))
         return self._log_values
 
     def to_json_obj(self) -> dict:
@@ -122,10 +148,18 @@ class SharingStep:
                 "log_factors": self.log_factors.tolist()}
 
 
-def apply_sharing_log(logp: np.ndarray, step: SharingStep) -> np.ndarray:
-    """Apply a step to a log joint; returns a normalized log joint."""
+def apply_sharing_log(logp: np.ndarray, step: SharingStep,
+                      log_norm: float | None = None
+                      ) -> tuple[np.ndarray, float]:
+    """Apply a step to a log joint.
+
+    Returns the normalized log joint and the tilt normalizer
+    log N = logsumexp(logp + log s), which is computed here unless the
+    caller passes the one it already has (build_tilted_step returns it).
+    """
     log_s = step.log_values()
-    log_norm = logsumexp(logp + log_s)
+    if log_norm is None:
+        log_norm = logsumexp(logp + log_s)
     if not np.isfinite(log_norm):
         raise DegenerateStep("tilt normalizer vanished")
     if step.lam >= 1.0:
@@ -135,7 +169,7 @@ def apply_sharing_log(logp: np.ndarray, step: SharingStep) -> np.ndarray:
     else:
         out = np.logaddexp(np.log(step.lam) + logp,
                            np.log1p(-step.lam) + logp + log_s - log_norm)
-    return out - logsumexp(out)
+    return out - logsumexp(out), log_norm
 
 
 def apply_sharing(p: Dist, step: SharingStep) -> Dist:
@@ -144,24 +178,31 @@ def apply_sharing(p: Dist, step: SharingStep) -> Dist:
         raise ShapeMismatch("distribution and step widths differ")
     with np.errstate(divide="ignore"):
         logp = np.log(p.probs)
-    out = apply_sharing_log(logp, step)
+    out, _ = apply_sharing_log(logp, step)
     probs = np.exp(out)
     return Dist(p.width, probs / probs.sum())
 
 
-def hidden_unit_from_log(logp: np.ndarray, step: SharingStep
+def hidden_unit_from_log(logp: np.ndarray, step: SharingStep,
+                         log_norm: float | None = None
                          ) -> tuple[np.ndarray, float]:
-    """Log-domain core of step_to_hidden_unit; logp need not be normalized."""
+    """Log-domain core of step_to_hidden_unit; logp need not be normalized.
+
+    ``log_norm`` is the tilt normalizer logsumexp(logp + log s) when the
+    caller already has it (apply_sharing_log returns it); else it is
+    computed here.
+    """
     if step.lam <= 0.0:
         raise LambdaZero("lambda = 0 needs an infinite bias; use lambda in (0, 1]")
     w = step.log_factors[:, 1] - step.log_factors[:, 0]
     log_s0 = float(step.log_factors[:, 0].sum())
-    log_norm = float(logsumexp(logp + step.log_values())
-                     - logsumexp(logp))
-    if not np.isfinite(log_norm):
+    if log_norm is None:
+        log_norm = logsumexp(logp + step.log_values())
+    log_n = float(log_norm - logsumexp(logp))
+    if not np.isfinite(log_n):
         raise DegenerateStep("tilt normalizer vanished")
     with np.errstate(divide="ignore"):
-        bias = float(np.log1p(-step.lam) - np.log(step.lam) + log_s0 - log_norm)
+        bias = float(np.log1p(-step.lam) - np.log(step.lam) + log_s0 - log_n)
     if not np.isfinite(bias) or abs(bias) > BIAS_CAP:
         raise DegenerateStep(f"bias {bias!r} beyond magnitude cap")
     return w, bias
@@ -191,17 +232,13 @@ def mixture_weight_profile(q_masses: np.ndarray) -> np.ndarray:
     q = np.asarray(q_masses, dtype=float)
     if np.any(q < -1e-12):
         raise InfeasibleProfile("negative component mass")
-    t_count = q.shape[1]
-    betas = np.zeros((q.shape[0], t_count - 1))
-    prefix = np.cumsum(q, axis=1)  # prefix[:, t] = sum_{t' <= t} q_{t'}
-    for t in range(1, t_count):
-        denom = prefix[:, t]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.where(denom > 0, q[:, t] / np.where(denom > 0, denom, 1.0), 0.0)
-        if np.any(b > 1 + 1e-9):
-            raise InfeasibleProfile("mixture weight left [0, 1]")
-        betas[:, t - 1] = np.clip(b, 0.0, 1.0)
-    return betas
+    # denom[:, t-1] = sum_{t' <= t} q_{t'}
+    denom = np.cumsum(q, axis=1)[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        betas = np.where(denom > 0, q[:, 1:] / np.where(denom > 0, denom, 1.0), 0.0)
+    if np.any(betas > 1 + 1e-9):
+        raise InfeasibleProfile("mixture weight left [0, 1]")
+    return np.clip(betas, 0.0, 1.0)
 
 
 def _clamped_log_t(beta: float) -> float:
@@ -235,7 +272,7 @@ def build_tilted_step(
     betas: dict[int, float],
     out_log_factors: np.ndarray,
     sharpness: float,
-) -> SharingStep:
+) -> tuple[SharingStep, float]:
     """Concentrated step hitting exact mixture weights on a star's rows.
 
     ``betas`` maps each star member (center plus one flip per free coordinate
@@ -243,6 +280,9 @@ def build_tilted_step(
     encoded by ``out_log_factors`` (shape (n, 2), already sharpened).  The
     within-star odds are solved against the current joint so the realized
     weights are exact; only the component's off-region dust is approximate.
+
+    Returns the step and its tilt normalizer logsumexp(logp + log s), which
+    the step's lambda needs; pass it on to apply_sharing_log.
     """
     width = k + n
     y_idx = np.arange(1 << n)
@@ -251,16 +291,11 @@ def build_tilted_step(
     if set(betas) != set(members):
         raise ShapeMismatch("betas must cover exactly the star members")
 
-    out_log_s = np.zeros(1 << n)
-    for j in range(n):
-        bit = (y_idx >> j) & 1
-        out_log_s = out_log_s + np.where(bit == 1, out_log_factors[j, 1],
-                                         out_log_factors[j, 0])
-
-    # one (members x 2^n) gather, center first: row i holds log p(x_i, .)
+    out_log_s = _log_values_of(out_log_factors)
+    # one (members x 2^n) gather, center first: row i holds log p(x_i, .);
+    # L and G are the log row masses untilted and tilted toward the component
     rows = logp[np.array(members)[:, None] + (y_idx << k)]
-    big_l = logsumexp(rows, axis=1)
-    big_g = logsumexp(rows + out_log_s, axis=1)
+    big_l, big_g = logsumexp(np.stack([rows, rows + out_log_s]), axis=2)
     # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
@@ -274,8 +309,7 @@ def build_tilted_step(
     # with log M(a) = log s_X(a) + log<p(.|a), s_Y> - log N, and
     # beta = u/(lam+u) requires lam T(a) = (1-lam) M(a).  Rows whose log T
     # was clamped err only toward the saturated value they asked for.
-    probe = SharingStep(width, 0.5, lf)
-    log_s = probe.log_values()
+    log_s = _log_values_of(lf)
     log_norm = logsumexp(logp + log_s)
     anchor = max(betas, key=lambda x: min(betas[x], 1.0 - betas[x]))
     a = members.index(anchor)
@@ -285,8 +319,8 @@ def build_tilted_step(
     lam = float(1.0 / (1.0 + np.exp(min(max(log_t_a - log_m, -700.0), 700.0))))
     lam = min(max(lam, 1e-300), 1.0 - 1e-16)
     step = SharingStep(width, lam, lf)
-    object.__setattr__(step, "_log_values", log_s)  # same factors as the probe
-    return step
+    object.__setattr__(step, "_log_values", log_s)  # the values of lf
+    return step, log_norm
 
 
 def make_reset_step(c: CylinderSet, out_log_factors: np.ndarray,

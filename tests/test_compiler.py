@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from crbmkit.errors import (
     SupportTooLarge,
 )
 from crbmkit.packing import build_packing
+from crbmkit.sharing import apply_sharing_log
 
 
 def test_clamp_table():
@@ -295,48 +299,107 @@ def sparse_dirichlet_table(k, n, d, seed):
     return ConditionalTable(k, n, rows)
 
 
-# (hidden_units_used, tau_final, achieved_tv) at seed 0, recorded with
-# scipy.special.logsumexp and per-row step checks; the local log-sum-exp and
-# the cached rows must reproduce them
+# (hidden_units_used, tau_final, achieved_tv, sha256 of the W, V, b, c
+# bytes) at seed 0.  The counts and TVs were recorded with
+# scipy.special.logsumexp and per-row step checks, the digests before the
+# pipeline kept its accepted trials; the local log-sum-exp, the kept trials
+# and the cached rows must reproduce them.  The digests pin every bit, so
+# they hold for one numpy build on one CPU family (x86-64, numpy 2.4): its
+# exp and log kernels are dispatched by SIMD extension.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
-                      10, 32.0, 0.0007966023069756398),
+                      10, 32.0, 0.0007966023069756398,
+                      "c71bc5dff3e1ea791521ba2752b01d0b4602acc9f7dc896ccdfbda5c26c34c1f"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
-                      19, 32.0, 0.0007966040887859571),
+                      19, 32.0, 0.0007966040887859571,
+                      "b46faa13162644ef5f48d0115accf9dab8393b9886303b7e29f133267164ec3c"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
-                         19, 32.0, 0.0007966040887854645),
+                         19, 32.0, 0.0007966040887854645,
+                         "5922f77981157dd12df148c3d1bc8d09caac3487a3713f8222e4d7d008753ecb"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
-                       11, 32.0, 0.001341175602538288),
+                       11, 32.0, 0.001341175602538288,
+                       "65a78468ee2d78583006e1d8133f435d68fb5e5ff184beea95a8fbed3711f92f"),
 }
+
+
+def params_digest(params) -> str:
+    h = hashlib.sha256()
+    for a in (params.W, params.V, params.b, params.c):
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_compile_outputs(name):
-    run, units, tau, tv = GOLDEN[name]
-    _, rep = run()
+    run, units, tau, tv, digest = GOLDEN[name]
+    params, rep = run()
     assert rep.hidden_units_used == units
     assert rep.tau_final == tau
     assert rep.achieved_tv == pytest.approx(tv, rel=1e-12, abs=0.0)
+    assert params_digest(params) == digest
 
 
 def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
+    # an accepted trial's joint and rows are kept: they are the ones a
+    # fresh application of the step to the joint before it gives
     applied = []
     apply_step = _Pipeline._apply
 
-    def apply_and_check(self, step):
+    def apply_and_check(self, step, logp, rows, log_norm):
+        before = self.logp
         self.rows()  # the cache holds the rows from before the step
-        apply_step(self, step)
+        apply_step(self, step, logp, rows, log_norm)
         rows = self.rows()
         assert np.array_equal(rows, self._rows_of(self.logp))
         assert not rows.flags.writeable
+        assert np.array_equal(self.logp, apply_sharing_log(before, step)[0])
         applied.append(step)
 
     monkeypatch.setattr(_Pipeline, "_apply", apply_and_check)
     _, rep = compile_universal(dirichlet_table(4, 1, 0), r=2)
     assert rep.resets_used > 0 and rep.star_steps_used > 0
     assert len(applied) >= rep.hidden_units_used
+
+
+def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
+    # a trial reduces the full joint twice (its tilt normalizer, which a
+    # fill's builder computes and hands on, and the normalization of its
+    # result); an accepted unit once more (the joint's mass in its bias);
+    # a tau level once (the start joint).  An accepted trial is kept, so
+    # there is one application per trial.
+    import crbmkit.compiler as compiler
+    import crbmkit.sharing as sharing
+
+    size = 1 << (4 + 2)
+    calls = Counter()
+
+    def spy(owner, attr, name=None, counts=lambda *a, **kw: True):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            if counts(*args, **kwargs):
+                calls[name or attr] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    def full_joint(a, axis=None):
+        return axis is None and np.shape(a) == (size,)
+
+    spy(sharing, "logsumexp", "full", full_joint)
+    spy(compiler, "logsumexp", "full", full_joint)
+    spy(compiler, "build_tilted_step", "trial")
+    spy(compiler, "make_reset_step", "trial")
+    spy(compiler, "apply_sharing_log")
+    spy(compiler, "append_hidden_unit")
+    spy(_Pipeline, "__init__", "level")
+    _, rep = compile_universal(dirichlet_table(4, 2, 0))
+    trials, accepted = calls["trial"], calls["append_hidden_unit"]
+    assert trials > accepted >= rep.hidden_units_used > 0
+    assert calls["level"] == 2  # tau = 16 fails, 32 passes
+    assert calls["apply_sharing_log"] == trials
+    assert calls["full"] == 2 * trials + accepted + calls["level"]
 
 
 def test_step_loop_budget_names_the_step_kind(monkeypatch):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from crbmkit.mrf import (
     mobius_forward,
     mrf_distribution,
     younes_solve,
-    younes_top_coefficient,
 )
 
 
@@ -56,6 +57,16 @@ def test_mobius_transforms_are_inverse():
         table = rng.standard_normal(1 << n)
         coeffs = mobius_coefficients(table, n)
         assert np.abs(mobius_forward(coeffs, n) - table).max() < 1e-12
+
+
+def younes_top_coefficient(n: int, w: float, b: float, eps_sign: int = 1) -> float:
+    """Oracle: J_[N] of log(1 + exp(w S^eps + b)), term by term.  For eps = +1
+    it is sum_k (-1)^(N-k) C(N,k) log(1 + exp(k w + b)); x_N -> 1 - x_N turns
+    the eps = -1 unit into the eps = +1 unit with bias b - w and negates it."""
+    shift = b if eps_sign == 1 else b - w
+    top = sum((-1) ** (n - k) * comb(n, k) * float(np.logaddexp(0.0, k * w + shift))
+              for k in range(n + 1))
+    return top if eps_sign == 1 else -top
 
 
 def test_younes_solve_examples():
@@ -135,8 +146,15 @@ def test_compile_full_complexes_n5_to_n8(n):
 
 
 def test_younes_no_bracket():
-    with pytest.raises(NoBracket):
-        younes_solve(1e6, 2)
+    # the bracket's last doubling is clamped to T_MAX = 1e3, so every |rho|
+    # up to top(T_MAX) solves; a pair unit's top(t) is about t/2
+    for rho, q in ((300.0, 2), (-300.0, 2), (499.0, 2), (400.0, 3)):
+        w, b, eps, coeffs = younes_solve(rho, q)
+        assert coeffs[-1] == pytest.approx(rho, abs=1e-9)
+        assert younes_top_coefficient(q, w, b, eps) == pytest.approx(rho, abs=1e-9)
+    for rho, q in ((501.0, 2), (1e6, 2)):
+        with pytest.raises(NoBracket):
+            younes_solve(rho, q)
 
 
 def test_compile_singletons_needs_no_hidden_units():

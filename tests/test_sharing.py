@@ -12,6 +12,7 @@ from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
 from crbmkit.sharing import (
     SharingStep,
     apply_sharing,
+    apply_sharing_log,
     build_tilted_step,
     logsumexp,
     make_reset_step,
@@ -234,9 +235,13 @@ def test_tilt_profile_proportionality():
     profile = rng.uniform(0.1, 5.0, size=len(members))
     betas = {x: float(q / (1.0 + q)) for x, q in zip(members, profile)}
     logp = np.log(random_dist(5, rng).probs)
-    step = build_tilted_step(logp, 4, 1, CylinderSet.from_fixed(4, {2: 1}),
-                             0b0100, betas, np.zeros((1, 2)), 40.0)
+    step, log_norm = build_tilted_step(
+        logp, 4, 1, CylinderSet.from_fixed(4, {2: 1}), 0b0100, betas,
+        np.zeros((1, 2)), 40.0)
     log_s = step.log_values()
+    # the returned normalizer is the one the step's application computes
+    assert log_norm == apply_sharing_log(logp, step)[1]
+    assert log_norm == scipy.special.logsumexp(logp + log_s)
     got = np.exp(log_s[members] - log_s[members[0]])
     want = profile / profile[0]
     assert np.abs(got - want).max() < 1e-9
@@ -267,8 +272,10 @@ def test_mixture_profile_rejects_negative_mass():
         mixture_weight_profile(np.array([[-0.1, 1.1]]))
 
 
-#: entries with repeats, so that maxima tie, and -inf entries
-LSE_ENTRIES = st.sampled_from([0.0, 1.5, -2.0, 700.0, -np.inf]) | st.floats(
+#: entries with repeats, so that maxima tie, non-finite entries, and
+#: magnitudes near the float limit
+LSE_ENTRIES = st.sampled_from([0.0, 1.5, -2.0, 700.0, -np.inf, np.inf, np.nan,
+                               1.7e308, -1.7e308]) | st.floats(
     -800.0, 800.0, allow_nan=False, allow_infinity=False)
 
 
@@ -277,13 +284,18 @@ def same_bits(ours, ref) -> bool:
             and np.asarray(ours).tobytes() == np.asarray(ref).tobytes())
 
 
+def scipy_logsumexp(a, axis=None):
+    with np.errstate(all="ignore"):
+        return scipy.special.logsumexp(a, axis=axis)
+
+
 @given(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=24),
               elements=LSE_ENTRIES))
 def test_logsumexp_matches_scipy_bitwise(a):
-    assert same_bits(logsumexp(a), scipy.special.logsumexp(a))
+    assert same_bits(logsumexp(a), scipy_logsumexp(a))
     assert np.ndim(logsumexp(a)) == 0
     if a.ndim == 2:
-        assert same_bits(logsumexp(a, axis=1), scipy.special.logsumexp(a, axis=1))
+        assert same_bits(logsumexp(a, axis=1), scipy_logsumexp(a, axis=1))
 
 
 def test_logsumexp_all_neg_inf_is_not_finite():
