@@ -5,14 +5,17 @@ over random parameter draws; rank is lower-semicontinuous, so this is a
 certified lower bound on the model dimension and generically attains it.
 
 The tropical path builds the integer matrix (A | A_{C_1} | ... | A_{C_m})
-whose row at visible state v is (1, v) masked by membership in each slicing
-C_i, and augments it with the 2^k indicator columns of the input cylinders
-[x] to quotient out functions of x; its rank minus 2^k lower-bounds the
-dimension.  The rank is computed by int64 Gaussian elimination modulo the
-prime 2^31 - 1.  For an integer matrix the rank over F_p never exceeds the
-rank over Q, so the result is a certified lower bound whatever happens next.
-It is cross-checked against the float rank of the same matrix and, if the
-two disagree, recomputed by exact elimination over the rationals.
+whose row at visible state v = (x, y) is (1, v) masked by membership in each
+slicing C_i.  Its column span modulo functions of x lower-bounds the
+dimension.  The input cylinders [x] are quotiented out by within-block row
+differences: row (x, 0) is subtracted from every row (x, y != 0), and the
+rank of these differences is the bound.  It is computed by int64 Gaussian
+elimination modulo the prime 2^31 - 1, in which each pivot updates only the
+rows it touches, those with a nonzero entry in its column.  For an integer
+matrix the rank over F_p never exceeds the rank over Q, so the result is a
+certified lower bound whatever happens next.  It is cross-checked against
+the float rank of the same differences and, if the two disagree, recomputed
+by exact elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -98,10 +101,12 @@ def _exact_int_rank(matrix) -> int:
 
 
 def _rank_mod_p(matrix: np.ndarray) -> int:
-    """Rank over F_p, p = MOD_PRIME, by vectorized int64 Gaussian elimination.
+    """Rank over F_p, p = MOD_PRIME, by int64 Gaussian elimination.
 
-    Residues stay below p < 2^31, so the product of two fits in int64.  For
-    an integer matrix the result never exceeds the rank over Q.
+    Each pivot updates only the rows below it with a nonzero entry in its
+    column; on a sparse matrix most rows are skipped.  Residues stay below
+    p < 2^31, so the product of two fits in int64.  For an integer matrix the
+    result never exceeds the rank over Q.
     """
     p = MOD_PRIME
     rows = np.asarray(matrix, dtype=np.int64) % p
@@ -110,18 +115,21 @@ def _rank_mod_p(matrix: np.ndarray) -> int:
     for col in range(n_cols):
         if rank == n_rows:
             break
-        nonzero = np.flatnonzero(rows[rank:, col])
+        nonzero = rank + np.flatnonzero(rows[rank:, col])
         if nonzero.size == 0:
             continue
-        pivot = rank + int(nonzero[0])
+        pivot = int(nonzero[0])
         if pivot != rank:
+            # the old row `rank` lands at `pivot`, with a zero in this column
             rows[[rank, pivot]] = rows[[pivot, rank]]
-        inv = pow(int(rows[rank, col]), p - 2, p)
+        inv = pow(int(rows[rank, col]), -1, p)
         rows[rank, col:] = rows[rank, col:] * inv % p
-        below = rows[rank + 1:, col:]
-        factors = below[:, :1].copy()
-        below -= factors * rows[rank, col:]
-        below %= p
+        touched = nonzero[1:]
+        if touched.size:
+            below = rows[touched, col:]
+            below -= below[:, :1] * rows[rank, col:]
+            below %= p
+            rows[touched, col:] = below
         rank += 1
     return rank
 
@@ -155,14 +163,25 @@ def tropical_matrix(k: int, n: int, slicings: list[HammingBall]) -> np.ndarray:
 
 def tropical_rank_mod_inputs(k: int, n: int, m: int,
                              slicings: list[HammingBall]) -> int:
-    """Rank of (A_theta | X) minus 2^k: the column span modulo functions of
-    x achievable on the given radius-1 ball slicings."""
+    """Rank of the column span modulo functions of x achievable on the given
+    radius-1 ball slicings: rank(A_theta | X) - 2^k.
+
+    The input cylinders are quotiented out by within-block row differences.
+    Subtracting row (x, 0) from the rows (x, y != 0) of each input block
+    clears their X columns, and X's identity on the rows (x, 0) then clears
+    the rest of those rows, so rank(A_theta | X) = 2^k + rank(D), where D
+    holds the differences without the X columns.  Only D is eliminated.
+    """
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
     for b in slicings:
         if b.width != k + n:
             raise ValueError("slicing width must be k + n")
-    return _int_rank(tropical_matrix(k, n, slicings)) - (1 << k)
+    blocks = tropical_matrix(k, n, slicings).reshape(1 << n, 1 << k, -1)
+    blocks = blocks[:, :, :-(1 << k)]       # [y, x, column] without X
+    diffs = (blocks[1:] - blocks[:1]).reshape(-1, blocks.shape[2])
+    del blocks                              # free the full matrix first
+    return _int_rank(diffs)
 
 
 def greedy_distance4_balls(k: int, n: int, m: int) -> list[HammingBall]:

@@ -64,10 +64,11 @@ def test_estimate_stops_at_full_rank(monkeypatch):
     assert len(calls) == 8
 
 
-small_int_matrices = st.integers(1, 7).flatmap(lambda cols: st.lists(
-    st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 1, 3]),
+# tall and mostly zero, so that pivots skip untouched rows and swap rows
+small_int_matrices = st.integers(1, 10).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from([-2, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 3]),
              min_size=cols, max_size=cols),
-    min_size=1, max_size=7))
+    min_size=1, max_size=12))
 
 
 @given(small_int_matrices)
@@ -96,7 +97,7 @@ def test_tropical_matrix_shape():
 TROPICAL_GOLDEN = {
     (1, 3, 1): 8, (2, 2, 1): 7, (1, 2, 2): 6, (1, 1, 1): 2, (2, 3, 3): 15,
     (3, 3, 4): 31, (3, 3, 6): 31, (4, 3, 6): 51, (3, 4, 8): 68,
-    (4, 4, 8): 76, (5, 3, 8): 75,
+    (4, 4, 8): 76, (5, 3, 8): 75, (5, 5, 10): 115, (6, 6, 12): 162,
 }
 
 
@@ -105,6 +106,38 @@ def test_tropical_rank_golden(size):
     k, n, m = size
     balls = greedy_distance4_balls(k, n, m)
     assert tropical_rank_mod_inputs(k, n, m, balls) == TROPICAL_GOLDEN[size]
+
+
+def _random_balls(k, n, m, seed):
+    rng = np.random.default_rng(seed)
+    return [HammingBall(State(int(c), k + n))
+            for c in rng.integers(0, 1 << (k + n), size=m)]
+
+
+#: (k, n, m, slicings): slicings no greedy placement makes, then the golden ones
+QUOTIENT_CASES = [
+    (1, 2, 0, []),
+    (2, 3, 0, []),
+    (2, 3, 3, [HammingBall(State(c, 5)) for c in (0, 1, 3)]),     # overlapping
+    (3, 3, 4, [HammingBall(State(c, 6)) for c in (5, 5, 7, 40)]),  # repeated
+    (2, 3, 4, [HammingBall(State(0, 5))]),                         # m > balls
+    (2, 3, 3, _random_balls(2, 3, 3, seed=0)),
+    (3, 3, 6, _random_balls(3, 3, 6, seed=1)),
+    (4, 3, 6, _random_balls(4, 3, 6, seed=2)),
+    (3, 4, 8, _random_balls(3, 4, 8, seed=3)),
+] + [(k, n, m, greedy_distance4_balls(k, n, m))
+     for (k, n, m) in sorted(TROPICAL_GOLDEN)]
+
+
+@pytest.mark.parametrize("case", QUOTIENT_CASES,
+                         ids=lambda c: "-".join(map(str, c[:3])) + ":"
+                         + ",".join(str(b.center.index) for b in c[3]))
+def test_quotient_matches_full_matrix(case):
+    # rank(A_theta | X) - 2^k on the full matrix equals the rank of the
+    # within-block row differences that tropical_rank_mod_inputs eliminates
+    k, n, m, balls = case
+    want = _int_rank(tropical_matrix(k, n, balls)) - 2 ** k
+    assert tropical_rank_mod_inputs(k, n, m, balls) == want
 
 
 def test_tropical_rank_m0():
