@@ -8,16 +8,7 @@ threshold networks into (C)RBM parameters, with every construction checked
 against brute-force oracles at desk scale.
 """
 
-from .bitspace import (
-    CylinderSet,
-    HammingBall,
-    Star,
-    State,
-    ball_members,
-    cylinder_members,
-    hamming_distance,
-    star_members,
-)
+from .bitspace import ball_members, cylinder_members, star_members
 from .bounds import (
     BoundsReport,
     code_A_exact,
@@ -58,11 +49,8 @@ from .distributions import (
     ConditionalTable,
     Dist,
     PartitionModel,
-    SupportClass,
     conditional_of_joint,
     hadamard,
-    in_support_class,
-    joint_from,
     kl_conditional,
     kl_dist,
     partition_project,

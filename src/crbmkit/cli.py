@@ -118,17 +118,20 @@ def _cmd_pack(args) -> int:
         raise _UsageError("--k must be >= 0 and --r >= 1")
     seq = packing_mod.build_packing(args.k, args.r)
     report = packing_mod.validate_packing(seq)
+    cube = (1 << args.k) - 1
     payload = {
         "schema": "crbmkit-pack/1",
         "k": args.k, "r": args.r,
         "stars": [{
-            "center": star.ball.center.index,
-            "fixed_mask": star.cylinder.fixed_mask,
-            "fixed_values": star.cylinder.fixed_values,
-        } for star in seq.stars],
-        "resets": [{"position": pos, "fixed_mask": cyl.fixed_mask,
-                    "fixed_values": cyl.fixed_values}
-                   for pos, cyl in seq.resets],
+            "center": center,
+            "fixed_mask": cube & ~free,
+            "fixed_values": center & ~free,
+        } for center, free in zip(seq.centers.tolist(),
+                                  seq.free_masks.tolist())],
+        "resets": [{"position": pos, "fixed_mask": mask, "fixed_values": values}
+                   for pos, mask, values in zip(seq.reset_positions.tolist(),
+                                                seq.reset_masks.tolist(),
+                                                seq.reset_values.tolist())],
         "star_count": report.star_count,
         "reset_count": report.reset_count,
         "valid": report.ok,

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitspace import CylinderSet, HammingBall, Star, State, check_cells, star_members
+from .bitspace import check_cells, star_members
 from .crbm import CrbmParams, append_hidden_unit, eval_conditional
 from .distributions import ConditionalTable, kl_conditional, tv_row_distance
 from .errors import (
@@ -215,9 +215,10 @@ class _Pipeline:
         self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
         self.logp, self._rows = logp, rows
 
-    def _in_cylinder(self, cyl: CylinderSet) -> np.ndarray:
-        """Boolean mask of the inputs x in ``cyl``."""
-        return (self._inputs & cyl.fixed_mask) == cyl.fixed_values
+    def _in_cylinder(self, fixed_mask: int, fixed_values: int) -> np.ndarray:
+        """Boolean mask of the inputs x in the cylinder
+        ``(fixed_mask, fixed_values)``."""
+        return (self._inputs & fixed_mask) == fixed_values
 
     def _step(self, kind: str,
               build: Callable[[float], tuple[SharingStep, float | None]],
@@ -248,10 +249,11 @@ class _Pipeline:
             sharp *= 2.0
         raise BudgetExceeded(f"{kind} sharpness schedule exhausted")
 
-    def reset_if_needed(self, cyl: CylinderSet) -> None:
-        """Drive a cylinder of inputs back to the start component iff one of
-        its rows has drifted from it by more than the phase tolerance."""
-        inside = self._in_cylinder(cyl)
+    def reset_if_needed(self, fixed_mask: int, fixed_values: int) -> None:
+        """Drive the cylinder ``(fixed_mask, fixed_values)`` of inputs back to
+        the start component iff one of its rows has drifted from it by more
+        than the phase tolerance."""
+        inside = self._in_cylinder(fixed_mask, fixed_values)
         start = self.scheme.dists[0]
         if (_worst_row_tv(self._rows[inside], start)
                 <= self.start_tv + 2.0 * self.tol_step):
@@ -260,28 +262,32 @@ class _Pipeline:
         mask, values = self.scheme.masks[0], self.scheme.values[0]
         grade = 2.0 * max(self.scheme.sharp_width, 1)
         self._step("reset", lambda sharp: (make_reset_step(
-            cyl, _sharp_out_factors(self.n, mask, values, sharp / grade), sharp),
+            self.k, fixed_mask, fixed_values,
+            _sharp_out_factors(self.n, mask, values, sharp / grade), sharp),
             None), inside, start, self.start_tv + self.tol_step, ~inside)
 
-    def fill_star(self, star: Star, target_masses: np.ndarray,
-                  members: list[int]) -> None:
-        """Mix the star's rows through components 1..M-1 toward the targets."""
+    def fill_star(self, center: int, free_mask: int,
+                  target_masses: np.ndarray, members: list[int]) -> None:
+        """Mix the rows of the star ``(center, free_mask)`` through
+        components 1..M-1 toward the targets."""
         betas = mixture_weight_profile(target_masses)
         for t in range(1, self.scheme.count):
             beta_map = {x: float(betas[i, t - 1]) for i, x in enumerate(members)}
-            self.fill_component(star, t, beta_map, members)
+            self.fill_component(center, free_mask, t, beta_map, members)
 
-    def fill_component(self, star: Star, t: int, beta_map: dict[int, float],
-                       members: list[int]) -> None:
-        """Mix the member rows toward component t with weights ``beta_map``."""
+    def fill_component(self, center: int, free_mask: int, t: int,
+                       beta_map: dict[int, float], members: list[int]) -> None:
+        """Mix the member rows of the star ``(center, free_mask)`` toward
+        component t with weights ``beta_map``."""
         mask, values = self.scheme.masks[t], self.scheme.values[t]
         beta = np.array([beta_map[x] for x in members])[:, None]
         target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
+        fixed_mask = ((1 << self.k) - 1) & ~free_mask
         self._step("fill", lambda sharp: build_tilted_step(
-            self.logp, self.k, self.n, star.cylinder, star.ball.center.index,
-            beta_map, _sharp_out_factors(self.n, mask, values, sharp), sharp),
+            self.logp, self.k, self.n, free_mask, center, beta_map,
+            _sharp_out_factors(self.n, mask, values, sharp), sharp),
             members, target, self.allowance + self.tol_step,
-            ~self._in_cylinder(star.cylinder))
+            ~self._in_cylinder(fixed_mask, center & fixed_mask))
 
 
 def _check_compile_cells(target: ConditionalTable, mode: str,
@@ -327,19 +333,15 @@ def _run_packed(k: int, n: int, scheme: _ComponentScheme,
                 seq: PackingSequence, target: ConditionalTable,
                 eps: float, tau: float) -> _Pipeline:
     masses = scheme.masses(target.rows)
-    total_steps = len(seq.stars) * (scheme.count - 1) + len(seq.resets)
+    total_steps = (len(seq.centers) * (scheme.count - 1)
+                   + len(seq.reset_positions))
     tol_step = eps / (2.0 * max(total_steps, 1))
     pipe = _Pipeline(k, n, scheme, tau, tol_step)
-
-    resets_at: dict[int, list[CylinderSet]] = {}
-    for pos, cyl in seq.resets:
-        resets_at.setdefault(pos, []).append(cyl)
-
-    for i, star in enumerate(seq.stars):
-        for cyl in resets_at.get(i, ()):
-            pipe.reset_if_needed(cyl)
-        members = star_members(star)
-        pipe.fill_star(star, masses[members], members)
+    for center, free_mask, resets in seq.replay():
+        for fixed_mask, fixed_values in resets:
+            pipe.reset_if_needed(fixed_mask, fixed_values)
+        members = star_members(center, free_mask)
+        pipe.fill_star(center, free_mask, masses[members], members)
     return pipe
 
 
@@ -448,9 +450,9 @@ def _run_support(target: ConditionalTable, y0: int,
         if not ys:
             continue
         betas = mixture_weight_profile(target.rows[x, [y0] + ys][None, :])[0]
-        star = Star(HammingBall(State(x, k)), CylinderSet(k, (1 << k) - 1, x))
         for y, beta in zip(ys, betas):
-            pipe.fill_component(star, pipe.scheme.values.index(y),
+            # the support point is the star (x, free_mask=0): x alone
+            pipe.fill_component(x, 0, pipe.scheme.values.index(y),
                                 {x: float(beta)}, [x])
     return pipe
 

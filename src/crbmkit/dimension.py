@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitspace import HammingBall, State, affine_rank, ball_members, check_cells
+from .bitspace import affine_rank, ball_members, check_cells
 from .bounds import expected_dim
 from .crbm import conditional_jacobian, random_params
 from .errors import UnstableRank
@@ -143,28 +143,35 @@ def _int_rank(matrix: np.ndarray) -> int:
     return _exact_int_rank(matrix)
 
 
-def tropical_matrix(k: int, n: int, slicings: list[HammingBall]) -> np.ndarray:
+def tropical_matrix(k: int, n: int, slicings: list[int]) -> np.ndarray:
     """(A | A_{C_1} | ... | A_{C_m} | X) as a 0/1 int64 array.
 
     Rows are indexed by visible states v = x + 2^k*y; A's row is (1, bits(v));
-    block i is that row masked by membership of v in the i-th ball; X holds
-    the indicator columns of the input cylinders [x].
+    block i is that row masked by membership of v in the radius-1 ball
+    centered at ``slicings[i]``; X holds the indicator columns of the input
+    cylinders [x].  A center that is not a state of {0,1}^(k+n) raises
+    ValueError.
     """
     width = k + n
+    for center in slicings:
+        if (not isinstance(center, (int, np.integer))
+                or not 0 <= center < 1 << width):
+            raise ValueError(f"slicing center {center!r} is not a state of "
+                             f"{{0,1}}^{width}")
     v = np.arange(1 << width, dtype=np.int64)
     base = np.column_stack([np.ones_like(v), (v[:, None] >> np.arange(width)) & 1])
     masks = np.zeros((len(slicings), v.size), dtype=np.int64)
-    for i, b in enumerate(slicings):
-        masks[i, ball_members(b)] = 1
+    for i, center in enumerate(slicings):
+        masks[i, ball_members(center, width)] = 1
     blocks = (masks[:, :, None] * base[None, :, :]).transpose(1, 0, 2)
     inputs = (v[:, None] & ((1 << k) - 1)) == np.arange(1 << k)
     return np.hstack([base, blocks.reshape(v.size, -1), inputs])
 
 
 def tropical_rank_mod_inputs(k: int, n: int, m: int,
-                             slicings: list[HammingBall]) -> int:
-    """Rank of the column span modulo functions of x achievable on the given
-    radius-1 ball slicings: rank(A_theta | X) - 2^k.
+                             slicings: list[int]) -> int:
+    """Rank of the column span modulo functions of x achievable on the
+    radius-1 ball slicings centered at ``slicings``: rank(A_theta | X) - 2^k.
 
     The input cylinders are quotiented out by within-block row differences.
     Subtracting row (x, 0) from the rows (x, y != 0) of each input block
@@ -174,9 +181,6 @@ def tropical_rank_mod_inputs(k: int, n: int, m: int,
     """
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
-    for b in slicings:
-        if b.width != k + n:
-            raise ValueError("slicing width must be k + n")
     blocks = tropical_matrix(k, n, slicings).reshape(1 << n, 1 << k, -1)
     blocks = blocks[:, :, :-(1 << k)]       # [y, x, column] without X
     diffs = (blocks[1:] - blocks[:1]).reshape(-1, blocks.shape[2])
@@ -184,8 +188,9 @@ def tropical_rank_mod_inputs(k: int, n: int, m: int,
     return _int_rank(diffs)
 
 
-def greedy_distance4_balls(k: int, n: int, m: int) -> list[HammingBall]:
-    """Lexicographic first-fit centers pairwise at Hamming distance >= 4."""
+def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:
+    """Lexicographic first-fit ball centers pairwise at Hamming distance
+    >= 4."""
     width = k + n
     centers: list[int] = []
     for v in range(1 << width):
@@ -193,17 +198,17 @@ def greedy_distance4_balls(k: int, n: int, m: int) -> list[HammingBall]:
             break
         if all(bin(v ^ c).count("1") >= 4 for c in centers):
             centers.append(v)
-    return [HammingBall(State(c, width)) for c in centers]
+    return centers
 
 
-def _placement_clean(k: int, n: int, balls: list[HammingBall]) -> bool:
-    """True iff the ball union contains no input cylinder [x] and its
-    complement affinely spans {0,1}^(k+n)."""
-    union = set().union(*map(ball_members, balls))
+def _placement_clean(k: int, n: int, centers: list[int]) -> bool:
+    """True iff the union of the balls centered at ``centers`` contains no
+    input cylinder [x] and its complement affinely spans {0,1}^(k+n)."""
+    width = k + n
+    union = set().union(*(ball_members(c, width) for c in centers))
     if any(all(x + (y << k) in union for y in range(1 << n))
            for x in range(1 << k)):
         return False
-    width = k + n
     rest = [v for v in range(1 << width) if v not in union]
     return affine_rank(rest, width) == width + 1
 

@@ -155,24 +155,6 @@ class PartitionModel:
         return PartitionModel(n, tuple(frozenset(groups[z]) for z in sorted(groups)))
 
 
-@dataclass(frozen=True)
-class SupportClass:
-    """Conditionals with at most 2^k + d nonzero entries in total."""
-
-    k: int
-    n: int
-    d: int
-
-    def __post_init__(self):
-        dmax = (1 << self.k) * ((1 << self.n) - 1)
-        if not 0 <= self.d <= dmax:
-            raise ValueError(f"d must be in [0, {dmax}]")
-
-    @property
-    def max_support(self) -> int:
-        return (1 << self.k) + self.d
-
-
 def hadamard(p: Dist, q: Dist) -> Dist:
     """Renormalized entry-wise product (p * q)(x) = p(x)q(x) / sum p q."""
     if p.width != q.width:
@@ -220,20 +202,6 @@ def conditional_of_joint(p: Dist, k: int) -> ConditionalTable:
         if masses[x] <= 0:
             raise ZeroInputMass(x)
     return ConditionalTable(k, n, (blocks / masses).T)
-
-
-def joint_from(marginal: Dist, table: ConditionalTable) -> Dist:
-    """Joint q(x) p(y|x) over x + 2^k*y indexing."""
-    if marginal.width != table.k:
-        raise WidthMismatch("marginal width != table input width")
-    joint = (table.rows * marginal.probs[:, None]).T.reshape(-1)
-    return Dist(table.k + table.n, joint)
-
-
-def in_support_class(p: ConditionalTable, c: SupportClass) -> bool:
-    if (p.k, p.n) != (c.k, c.n):
-        raise ShapeMismatch("table does not match support class shape")
-    return p.support_size() <= c.max_support
 
 
 def partition_project(p: Dist, m: PartitionModel) -> tuple[Dist, float]:

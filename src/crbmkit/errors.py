@@ -23,10 +23,6 @@ class TooLarge(CapExceeded):
     """Exact combinatorial search requested beyond its length cap."""
 
 
-class CenterNotInCylinder(CrbmKitError, ValueError):
-    """A star's cylinder does not contain the ball center."""
-
-
 class ShapeMismatch(CrbmKitError, ValueError):
     """Array shapes are inconsistent with the declared widths."""
 

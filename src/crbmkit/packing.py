@@ -3,7 +3,10 @@
 This module is the one owner of the packing's shape: the depths r that fit
 in k inputs (``feasible_depths``, with S(r) <= k), the budget of each depth
 and the cheapest one, the star sequence with its reset schedule, and its
-validation.  Other modules receive plain integer state indices.
+validation.  The sequence is int64 arrays: a star is its center and the
+mask of its free coordinates, a reset its cylinder's fixed mask and values
+(the integer encoding of ``bitspace``).  Each level's stars are filled by
+one broadcast over its lineages and tails.
 
 The construction splits {0,1}^k into 2^(k-S(r)) cylinder branches over S(r)
 working coordinates, allocated as contiguous blocks of sizes r, r-1, ..., 1
@@ -33,18 +36,13 @@ STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitspace import (
-    CylinderSet,
-    HammingBall,
-    Star,
-    State,
-    check_cells,
-    cylinder_members,
-    star_members,
-)
+import numpy as np
+
+from .bitspace import check_cells, cylinder_members, star_members
 from .errors import InfeasibleDepth
 
 
@@ -152,32 +150,52 @@ def best_depth(k: int, components: int) -> int:
                key=lambda r: universal_budget(k, r, components))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackingSequence:
-    """Ordered stars covering {0,1}^k plus the joint-reset schedule.
+    """Ordered stars covering {0,1}^k plus the joint-reset schedule, as
+    int64 arrays.
 
-    ``resets`` holds (position, cylinder) pairs: the cylinder's rows are
-    driven back to the start state just before the star at index ``position``
-    is filled.
+    The i-th star is ``(centers[i], free_masks[i])``: its center and one
+    flip per free bit, in the cylinder that fixes every other bit to the
+    center's.  Reset j drives the cylinder
+    ``(reset_masks[j], reset_values[j])`` back to the start state just
+    before the star at ``reset_positions[j]`` is filled.
     """
 
     k: int
     r: int
-    stars: tuple[Star, ...]
-    resets: tuple[tuple[int, CylinderSet], ...]
+    centers: np.ndarray
+    free_masks: np.ndarray
+    reset_positions: np.ndarray
+    reset_masks: np.ndarray
+    reset_values: np.ndarray
+
+    def replay(self) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+        """``(center, free_mask, resets)`` per star in fill order, where
+        ``resets`` lists the ``(fixed_mask, fixed_values)`` cylinders reset
+        just before the star is filled."""
+        resets_at: dict[int, list[tuple[int, int]]] = {}
+        for pos, mask, values in zip(self.reset_positions.tolist(),
+                                     self.reset_masks.tolist(),
+                                     self.reset_values.tolist()):
+            resets_at.setdefault(pos, []).append((mask, values))
+        for i, (center, free) in enumerate(zip(self.centers.tolist(),
+                                               self.free_masks.tolist())):
+            yield center, free, resets_at.get(i, [])
 
 
-#: cells (8 bytes each) charged per star by build_packing's size check: a
-#: Star with its ball, center and cylinder peaks at 432-434 bytes of Python
-#: objects (tracemalloc, CPython 3.11, (k, r) = (14, 2), (16, 2), (14, 3),
-#: (16, 4)), rounded up to whole cells
-STAR_CELLS = 55
+#: cells (8 bytes each) charged per star by build_packing's size check: the
+#: star's center and free mask, one int64 each, plus the row of tails a
+#: level's centers are broadcast from; tracemalloc peaks at 21.4-24.3 bytes
+#: per star (CPython 3.11, (k, r) = (14, 2), (16, 2), (14, 3), (16, 4),
+#: (18, 1), (20, 1)), rounded up to whole cells
+STAR_CELLS = 4
 
 
-def _bad_patterns(width: int) -> list[int]:
+def _bad_patterns(width: int) -> np.ndarray:
     """Block patterns not covered by the block's star (weight >= 2)."""
-    stars = {0} | {1 << t for t in range(width)}
-    return [p for p in range(1 << width) if p not in stars]
+    return np.array([p for p in range(1 << width) if p & (p - 1)],
+                    dtype=np.int64)
 
 
 def build_packing(k: int, r: int) -> PackingSequence:
@@ -187,33 +205,36 @@ def build_packing(k: int, r: int) -> PackingSequence:
     check_cells(total * STAR_CELLS,
                 f"build_packing at (k, r) = ({k}, {r}) with {total} stars")
 
-    full = (1 << k) - 1
-    stars: list[Star] = []
-    resets: list[tuple[int, CylinderSet]] = []
+    centers = np.empty(total, dtype=np.int64)
+    free_masks = np.empty(total, dtype=np.int64)
+    resets = [np.zeros((3, 0), dtype=np.int64)]  # position, mask, values
     # a lineage is the values of the bad patterns chosen at blocks
     # 1..level-1, which fill the coordinates below ``start``
-    lineages = [0]
-    start = 0
+    lineages = np.zeros(1, dtype=np.int64)
+    start = filled = 0
     for level in range(1, r + 1):
         # block ``level`` is the ``width`` coordinates from ``start``; its
         # stars' cylinders leave only those free
         width = r - level + 1
-        work = ((1 << width) - 1) << start
         rest = start + width
         if level >= 2:
-            resets += [(len(stars), CylinderSet(k, (1 << start) - 1, lin))
-                       for lin in lineages]
-        # one star per lineage and pattern of the coordinates above the block
-        for lin in lineages:
-            for tail in range(1 << (k - rest)):
-                values = lin | (tail << rest)
-                stars.append(Star(HammingBall(State(values, k)),
-                                  CylinderSet(k, full & ~work, values)))
-        lineages = [lin | (pat << start) for lin in lineages
-                    for pat in _bad_patterns(width)]
+            resets.append(np.stack(np.broadcast_arrays(
+                filled, (1 << start) - 1, lineages)))
+        # one star per lineage and pattern of the coordinates above the
+        # block, lineage-major
+        tails = np.arange(1 << (k - rest), dtype=np.int64)
+        tails <<= rest
+        count = lineages.size * tails.size
+        np.bitwise_or(lineages[:, None], tails[None, :],
+                      out=centers[filled:filled + count].reshape(-1, tails.size))
+        free_masks[filled:filled + count] = ((1 << width) - 1) << start
+        filled += count
+        lineages = (lineages[:, None]
+                    | (_bad_patterns(width) << start)[None, :]).ravel()
         start = rest
 
-    return PackingSequence(k, r, tuple(stars), tuple(resets))
+    positions, masks, values = np.concatenate(resets, axis=1)
+    return PackingSequence(k, r, centers, free_masks, positions, masks, values)
 
 
 @dataclass(frozen=True)
@@ -235,23 +256,21 @@ def validate_packing(seq: PackingSequence) -> PackingReport:
     schedule in replay order.  Affine independence needs no check: a star's
     members are its center plus one flip per distinct free coordinate.
     """
-    resets_at: dict[int, list[CylinderSet]] = {}
-    for pos, cyl in seq.resets:
-        resets_at.setdefault(pos, []).append(cyl)
     overlaps: list[str] = []
     hits: list[str] = []
     schedule: list[str] = []
-    full = set(range(1 << seq.k))
+    cube = (1 << seq.k) - 1
+    full = set(range(cube + 1))
     clean = set(full)
     seen: set[int] = set()  # members of the stars filled so far
-    for i, star in enumerate(seq.stars):
-        for cyl in resets_at.get(i, ()):
-            states = cylinder_members(cyl)
+    for i, (center, free, resets) in enumerate(seq.replay()):
+        for mask, values in resets:
+            states = cylinder_members(mask, values, seq.k)
             if not seen.isdisjoint(states):
                 schedule.append(f"reset before star {i} touches filled states")
             clean.update(states)
-        members = star_members(star)
-        cyl_states = cylinder_members(star.cylinder)
+        members = star_members(center, free)
+        cyl_states = cylinder_members(cube & ~free, center & ~free, seq.k)
         if not seen.isdisjoint(members):
             overlaps.append(f"star {i} overlaps an earlier star")
         if not seen.isdisjoint(cyl_states):
@@ -266,6 +285,6 @@ def validate_packing(seq: PackingSequence) -> PackingReport:
     return PackingReport(
         ok=not violations,
         violations=tuple(violations),
-        star_count=len(seq.stars),
-        reset_count=len(seq.resets),
+        star_count=len(seq.centers),
+        reset_count=len(seq.reset_positions),
     )

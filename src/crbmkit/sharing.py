@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitspace import CylinderSet
+from .bitspace import set_bits
 from .distributions import Dist
 from .errors import (
     DegenerateStep,
@@ -250,15 +250,15 @@ def _clamped_log_t(beta: float) -> float:
     return float(min(max(np.log(beta) - np.log1p(-beta), -LOG_T_CAP), LOG_T_CAP))
 
 
-def _input_cylinder_factors(c: CylinderSet, out_log_factors: np.ndarray,
+def _input_cylinder_factors(k: int, fixed_mask: int, fixed_values: int,
+                            out_log_factors: np.ndarray,
                             sharp: float) -> np.ndarray:
-    """(k + n, 2) log factors: -sharp on the off value of each fixed input
-    bit of ``c``, the other input bits flat, then ``out_log_factors``."""
-    k = c.width
+    """(k + n, 2) log factors: -sharp on the off value of each input bit in
+    ``fixed_mask`` (its value in ``fixed_values``), the other input bits
+    flat, then ``out_log_factors``."""
     lf = np.zeros((k + len(out_log_factors), 2))
-    for i in range(k):
-        if (c.fixed_mask >> i) & 1:
-            lf[i, 1 - ((c.fixed_values >> i) & 1)] = -sharp
+    for i in set_bits(fixed_mask):
+        lf[i, 1 - ((fixed_values >> i) & 1)] = -sharp
     lf[k:, :] = out_log_factors
     return lf
 
@@ -267,7 +267,7 @@ def build_tilted_step(
     logp: np.ndarray,
     k: int,
     n: int,
-    input_cylinder: CylinderSet,
+    free_mask: int,
     center: int,
     betas: dict[int, float],
     out_log_factors: np.ndarray,
@@ -275,9 +275,11 @@ def build_tilted_step(
 ) -> tuple[SharingStep, float]:
     """Concentrated step hitting exact mixture weights on a star's rows.
 
-    ``betas`` maps each star member (center plus one flip per free coordinate
-    of ``input_cylinder``) to its required weight toward the output component
-    encoded by ``out_log_factors`` (shape (n, 2), already sharpened).  The
+    The star is ``(center, free_mask)`` on the k inputs: its input cylinder
+    fixes the bits outside ``free_mask`` to the center's.  ``betas`` maps
+    each star member (center plus one flip per free bit) to its required
+    weight toward the output component encoded by ``out_log_factors``
+    (shape (n, 2), already sharpened).  The
     within-star odds are solved against the current joint so the realized
     weights are exact; only the component's off-region dust is approximate.
 
@@ -286,7 +288,7 @@ def build_tilted_step(
     """
     width = k + n
     y_idx = np.arange(1 << n)
-    free = input_cylinder.free_coords()
+    free = set_bits(free_mask)
     members = [center] + [center ^ (1 << i) for i in free]
     if set(betas) != set(members):
         raise ShapeMismatch("betas must cover exactly the star members")
@@ -300,7 +302,9 @@ def build_tilted_step(
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
 
-    lf = _input_cylinder_factors(input_cylinder, out_log_factors, sharpness)
+    fixed_mask = ((1 << k) - 1) & ~free_mask
+    lf = _input_cylinder_factors(k, fixed_mask, center & fixed_mask,
+                                 out_log_factors, sharpness)
     for j, i in enumerate(free, start=1):
         lf[i, 1 - ((center >> i) & 1)] = excess[j] - excess[0]
 
@@ -323,15 +327,17 @@ def build_tilted_step(
     return step, log_norm
 
 
-def make_reset_step(c: CylinderSet, out_log_factors: np.ndarray,
-                    tau: float) -> SharingStep:
-    """A step driving all rows with inputs in ``c`` toward an output component.
+def make_reset_step(k: int, fixed_mask: int, fixed_values: int,
+                    out_log_factors: np.ndarray, tau: float) -> SharingStep:
+    """A step driving all rows whose k inputs lie in the cylinder
+    ``(fixed_mask, fixed_values)`` toward an output component.
 
     ``out_log_factors`` (shape (n, 2), already sharpened) encodes the
     component, e.g. -tau on the off value of every bit for a point mass.
-    lam is near 0 and the inputs are concentrated with sharpness tau on C;
-    rows outside C move by at most eps(tau).
+    lam is near 0 and the inputs are concentrated with sharpness tau on the
+    cylinder; rows outside it move by at most eps(tau).
     """
-    lf = _input_cylinder_factors(c, out_log_factors, tau)
+    lf = _input_cylinder_factors(k, fixed_mask, fixed_values,
+                                 out_log_factors, tau)
     lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
     return SharingStep(len(lf), lam, lf)

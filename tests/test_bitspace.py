@@ -1,28 +1,24 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from crbmkit.bitspace import (
-    CylinderSet,
-    HammingBall,
     MAX_CELLS,
-    Star,
-    State,
     affine_rank,
     ball_members,
     check_cells,
+    check_width,
     cylinder_members,
-    hamming_distance,
+    set_bits,
     star_members,
 )
-from crbmkit.errors import CapExceeded, CenterNotInCylinder, WidthMismatch
+from crbmkit.errors import CapExceeded
 
 
 def test_ball_members_examples():
     # unit strings are little-endian: "01" means unit1=0, unit2=1 -> index 2
-    assert ball_members(HammingBall(State(0, 2))) == [0, 1, 2]
-    assert ball_members(HammingBall(State(1, 1))) == [0, 1]
+    assert ball_members(0, 2) == [0, 1, 2]
+    assert ball_members(1, 1) == [0, 1]
     # N=3 center 101 (units 1,3 on) -> index 5; size must be 4
-    members = ball_members(HammingBall(State(5, 3)))
+    members = ball_members(5, 3)
     brute = [v for v in range(8) if bin(v ^ 5).count("1") <= 1]
     assert members == brute
     assert len(members) == 4
@@ -30,58 +26,47 @@ def test_ball_members_examples():
 
 def test_cylinder_members_examples():
     # N=3, unit 3 fixed to 0: lower half of the cube
-    c = CylinderSet.from_fixed(3, {2: 0})
-    assert cylinder_members(c) == [0, 1, 2, 3]
+    assert cylinder_members(0b100, 0, 3) == [0, 1, 2, 3]
     # N=2 fully fixed to 11
-    c = CylinderSet.from_fixed(2, {0: 1, 1: 1})
-    assert cylinder_members(c) == [3]
+    assert cylinder_members(0b11, 0b11, 2) == [3]
     # free cylinder
-    assert cylinder_members(CylinderSet.full(3)) == list(range(8))
+    assert cylinder_members(0, 0, 3) == list(range(8))
 
 
 def test_star_members_examples():
-    full = Star(HammingBall(State(0, 3)), CylinderSet.full(3))
-    assert star_members(full) == [0, 1, 2, 4]
+    assert star_members(0, 0b111) == [0, 1, 2, 4]
     # cylinder fixing unit 3 to 0: two free directions remain
-    s = Star(HammingBall(State(0, 3)), CylinderSet.from_fixed(3, {2: 0}))
-    assert star_members(s) == [0, 1, 2]
+    assert star_members(0, 0b011) == [0, 1, 2]
     # 1-dimensional cylinder: an edge
-    s = Star(HammingBall(State(0, 3)), CylinderSet.from_fixed(3, {1: 0, 2: 0}))
-    assert star_members(s) == [0, 1]
+    assert star_members(0, 0b001) == [0, 1]
+    # no free direction: the center alone
+    assert star_members(6, 0) == [6]
 
 
 def test_star_members_match_intersection():
     for center in range(8):
-        for mask in range(8):
-            values = center & mask
-            star = Star(HammingBall(State(center, 3)),
-                        CylinderSet(3, mask, values))
-            ball = set(ball_members(star.ball))
-            cyl = set(cylinder_members(star.cylinder))
-            got = set(star_members(star))
+        for free in range(8):
+            ball = set(ball_members(center, 3))
+            cyl = set(cylinder_members(7 & ~free, center & ~free, 3))
+            got = set(star_members(center, free))
             assert got == ball & cyl
             assert got <= ball and got <= cyl
 
 
-def test_hamming_distance_examples():
-    assert hamming_distance(State(0, 3), State(0, 3)) == 0
-    assert hamming_distance(State(5, 3), State(2, 3)) == 3
-    assert hamming_distance(State(0b0011, 4), State(0b0101, 4)) == 2
-
-
 def test_width_errors():
-    with pytest.raises(WidthMismatch):
-        hamming_distance(State(0, 2), State(0, 3))
-    with pytest.raises(CenterNotInCylinder):
-        Star(HammingBall(State(0, 2)), CylinderSet.from_fixed(2, {0: 1}))
     with pytest.raises(ValueError):
-        State(0, 0)
+        check_width(0)
+    check_width(1)
 
 
-def test_wide_objects_construct():
-    # a state or a cylinder is one int: its width allocates nothing
-    assert State(1 << 39, 40).index == 1 << 39
-    assert CylinderSet.full(40).dimension == 40
+def test_wide_cubes_enumerate_only_members():
+    # a state, a cylinder or a star is ints: its width allocates nothing
+    top = 1 << 39
+    assert star_members(top, 1) == [top, top | 1]
+    assert ball_members(top, 40)[:3] == [0, top, top | 1]
+    assert cylinder_members(((1 << 40) - 1) & ~0b110, top, 40) == [
+        top, top | 2, top | 4, top | 6]
+    assert set_bits(top | 5) == [0, 2, 39]
 
 
 def test_check_cells_names_count_subject_and_limit():
@@ -95,29 +80,17 @@ def test_check_cells_names_count_subject_and_limit():
 @pytest.mark.parametrize("width", [1, 4, 8, 12])
 def test_enumerations_match_filters(width):
     center = (0x5A5A5A ^ width) & ((1 << width) - 1)
-    ball = ball_members(HammingBall(State(center, width)))
+    ball = ball_members(center, width)
     brute = [v for v in range(1 << width) if bin(v ^ center).count("1") <= 1]
     assert ball == brute
     mask = 0b101 & ((1 << width) - 1)
-    cyl = CylinderSet(width, mask, center & mask)
     brute = [v for v in range(1 << width) if (v & mask) == (center & mask)]
-    assert cylinder_members(cyl) == brute
+    assert cylinder_members(mask, center & mask, width) == brute
 
 
 def test_star_affine_independence():
     # member matrix with appended ones column has full rank for every star
     for center in range(8):
-        for mask in range(8):
-            star = Star(HammingBall(State(center, 3)),
-                        CylinderSet(3, mask, center & mask))
-            members = star_members(star)
+        for free in range(8):
+            members = star_members(center, free)
             assert affine_rank(members, 3) == len(members)
-
-
-@given(st.integers(min_value=1, max_value=10), st.data())
-def test_hamming_is_xor_popcount(width, data):
-    a = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
-    b = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
-    d = hamming_distance(State(a, width), State(b, width))
-    assert d == bin(a ^ b).count("1")
-    assert d == hamming_distance(State(b, width), State(a, width))

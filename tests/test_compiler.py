@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crbmkit.bitspace import CylinderSet, HammingBall, Star, State, star_members
+from crbmkit.bitspace import star_members
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
@@ -222,17 +222,14 @@ def test_pipeline_keeps_processed_rows_stable():
     seq = build_packing(k, 2)
     scheme = _ComponentScheme.universal(n)
     masses = scheme.masses(target.rows)
-    total = len(seq.stars) * (scheme.count - 1) + len(seq.resets)
+    total = len(seq.centers) * (scheme.count - 1) + len(seq.reset_positions)
     pipe = _Pipeline(k, n, scheme, tau=32.0, tol_step=eps / (2 * total))
-    resets_at = {}
-    for pos, cyl in seq.resets:
-        resets_at.setdefault(pos, []).append(cyl)
     snapshots = {}
-    for i, star in enumerate(seq.stars):
-        for cyl in resets_at.get(i, ()):
-            pipe.reset_if_needed(cyl)
-        members = star_members(star)
-        pipe.fill_star(star, masses[members], members)
+    for i, (center, free_mask, resets) in enumerate(seq.replay()):
+        for fixed_mask, fixed_values in resets:
+            pipe.reset_if_needed(fixed_mask, fixed_values)
+        members = star_members(center, free_mask)
+        pipe.fill_star(center, free_mask, masses[members], members)
         snapshots[i] = (members, pipe.rows()[members].copy())
     final = pipe.rows()
     for i, (members, snap) in snapshots.items():
@@ -417,14 +414,14 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     # raises BudgetExceeded naming its own kind and appends no unit
     import crbmkit.compiler as compiler
 
-    star = Star(HammingBall(State(0, 2)), CylinderSet.full(2))
+    # the star at 0 with both inputs free, on the full 2-cube
     targets = np.array([[0.2, 0.8]] * 3)
     pipe = _Pipeline(2, 1, _ComponentScheme.universal(1), 32.0, 1e-3)
-    pipe.fill_star(star, targets, [0, 1, 2])  # moves the rows off the start
+    pipe.fill_star(0, 0b11, targets, [0, 1, 2])  # moves the rows off the start
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
-        pipe.reset_if_needed(CylinderSet.full(2))
+        pipe.reset_if_needed(0, 0)
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
-        pipe.fill_star(star, targets, [0, 1, 2])
+        pipe.fill_star(0, 0b11, targets, [0, 1, 2])
     assert pipe.params.m == 1

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crbmkit import dimension
-from crbmkit.bitspace import HammingBall, State
 from crbmkit.bounds import ambient_dim, code_A_exact, code_K_exact, param_count
 from crbmkit.dimension import (
     MOD_PRIME,
@@ -110,17 +109,16 @@ def test_tropical_rank_golden(size):
 
 def _random_balls(k, n, m, seed):
     rng = np.random.default_rng(seed)
-    return [HammingBall(State(int(c), k + n))
-            for c in rng.integers(0, 1 << (k + n), size=m)]
+    return [int(c) for c in rng.integers(0, 1 << (k + n), size=m)]
 
 
 #: (k, n, m, slicings): slicings no greedy placement makes, then the golden ones
 QUOTIENT_CASES = [
     (1, 2, 0, []),
     (2, 3, 0, []),
-    (2, 3, 3, [HammingBall(State(c, 5)) for c in (0, 1, 3)]),     # overlapping
-    (3, 3, 4, [HammingBall(State(c, 6)) for c in (5, 5, 7, 40)]),  # repeated
-    (2, 3, 4, [HammingBall(State(0, 5))]),                         # m > balls
+    (2, 3, 3, [0, 1, 3]),                                          # overlapping
+    (3, 3, 4, [5, 5, 7, 40]),                                      # repeated
+    (2, 3, 4, [0]),                                                # m > balls
     (2, 3, 3, _random_balls(2, 3, 3, seed=0)),
     (3, 3, 6, _random_balls(3, 3, 6, seed=1)),
     (4, 3, 6, _random_balls(4, 3, 6, seed=2)),
@@ -131,7 +129,7 @@ QUOTIENT_CASES = [
 
 @pytest.mark.parametrize("case", QUOTIENT_CASES,
                          ids=lambda c: "-".join(map(str, c[:3])) + ":"
-                         + ",".join(str(b.center.index) for b in c[3]))
+                         + ",".join(map(str, c[3])))
 def test_quotient_matches_full_matrix(case):
     # rank(A_theta | X) - 2^k on the full matrix equals the rank of the
     # within-block row differences that tropical_rank_mod_inputs eliminates
@@ -149,8 +147,17 @@ def test_tropical_rank_m0():
 
 def test_tropical_rank_single_ball():
     # (k, n) = (1, 3), ball at 0000: one full block plus the y-columns
-    got = tropical_rank_mod_inputs(1, 3, 1, [HammingBall(State(0, 4))])
+    got = tropical_rank_mod_inputs(1, 3, 1, [0])
     assert got == (1 + 3 + 1) * 1 + 3
+
+
+@pytest.mark.parametrize("center", [-1, 1 << 4, 1.0, "0"])
+def test_tropical_rank_refuses_centers_off_the_cube(center):
+    # (k, n) = (1, 3): centers are the states 0 .. 15 of {0,1}^4
+    with pytest.raises(ValueError, match="is not a state of"):
+        tropical_rank_mod_inputs(1, 3, 2, [0, center])
+    with pytest.raises(ValueError, match="is not a state of"):
+        tropical_matrix(1, 3, [center])
 
 
 def test_tropical_rank_distance4_packing():
@@ -166,8 +173,7 @@ def test_tropical_rank_distance4_packing():
 
 
 def test_greedy_placement_respects_distance():
-    balls = greedy_distance4_balls(2, 3, 3)
-    centers = [b.center.index for b in balls]
+    centers = greedy_distance4_balls(2, 3, 3)
     for i, a in enumerate(centers):
         for b in centers[i + 1:]:
             assert bin(a ^ b).count("1") >= 4

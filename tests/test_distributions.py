@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,11 +9,8 @@ from crbmkit.distributions import (
     ConditionalTable,
     Dist,
     PartitionModel,
-    SupportClass,
     conditional_of_joint,
     hadamard,
-    in_support_class,
-    joint_from,
     kl_conditional,
     kl_dist,
     partition_project,
@@ -23,6 +21,28 @@ from crbmkit.distributions import (
 from crbmkit.errors import DisjointSupports, ZeroInputMass
 
 HALF_LOG2_3 = 0.5 * math.log2(3.0)  # divergence of (3/4,1/4) from (1/4,3/4)
+
+
+def joint_from(marginal: Dist, table: ConditionalTable) -> Dist:
+    """Oracle joint q(x) p(y|x) over x + 2^k*y indexing."""
+    assert marginal.width == table.k
+    joint = (table.rows * marginal.probs[:, None]).T.reshape(-1)
+    return Dist(table.k + table.n, joint)
+
+
+@dataclass(frozen=True)
+class SupportClass:
+    """Oracle class of the conditionals with at most 2^k + d nonzero
+    entries in total."""
+
+    k: int
+    n: int
+    d: int
+
+
+def in_support_class(p: ConditionalTable, c: SupportClass) -> bool:
+    assert (p.k, p.n) == (c.k, c.n)
+    return p.support_size() <= (1 << c.k) + c.d
 
 
 def test_hadamard_examples():

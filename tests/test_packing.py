@@ -1,7 +1,10 @@
+import dataclasses
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from crbmkit import bitspace, packing
-from crbmkit.bitspace import CylinderSet, HammingBall, Star, State
 from crbmkit.errors import CapExceeded, InfeasibleDepth
 from crbmkit.packing import (
     STAR_CELLS,
@@ -58,12 +61,12 @@ def test_k_sandwich_brackets_k():
 
 def test_build_packing_small_cases():
     seq = build_packing(1, 1)
-    assert len(seq.stars) == 1 and len(seq.resets) == 0
+    assert len(seq.centers) == 1 and len(seq.reset_positions) == 0
     assert validate_packing(seq).ok
 
     seq = build_packing(3, 1)
-    assert len(seq.stars) == 4 and len(seq.resets) == 0
-    assert all(s.cylinder.dimension == 1 for s in seq.stars)
+    assert len(seq.centers) == 4 and len(seq.reset_positions) == 0
+    assert all(bin(f).count("1") == 1 for f in seq.free_masks.tolist())
     assert validate_packing(seq).ok
 
     seq = build_packing(6, 3)
@@ -78,7 +81,7 @@ def test_build_packing_star_counts():
         while r * (r + 1) // 2 <= k:
             v = seq_values(r)
             seq = build_packing(k, r)
-            assert len(seq.stars) == (1 << (k - v.S)) * v.F
+            assert len(seq.centers) == (1 << (k - v.S)) * v.F
             r += 1
 
 
@@ -115,8 +118,8 @@ def test_build_packing_is_priced_on_its_stars(r, monkeypatch):
     # refused from the star count alone, before a single star is built
     k = _first_refused_k(r)
     stars = (1 << (k - seq_values(r).S)) * seq_values(r).F
-    built = []
-    monkeypatch.setattr(packing, "Star", lambda *a: built.append(a))
+    built = []  # _bad_patterns runs once each level's stars are built
+    monkeypatch.setattr(packing, "_bad_patterns", lambda *a: built.append(a))
     with pytest.raises(CapExceeded) as exc:
         build_packing(k, r)
     assert str(exc.value).startswith(
@@ -124,28 +127,75 @@ def test_build_packing_is_priced_on_its_stars(r, monkeypatch):
         f"{stars * STAR_CELLS} cells")
     assert built == []
     if r == 2:
-        assert k == 21  # where 2^k cells alone would still pass
+        assert k == 25  # where 2^k cells alone would still pass
 
 
 def test_build_packing_admits_the_k_below_the_first_refused(monkeypatch):
     monkeypatch.setattr(bitspace, "MAX_CELLS", 2000)
     k = _first_refused_k(2)
-    assert len(build_packing(k - 1, 2).stars) * STAR_CELLS <= 2000
+    assert len(build_packing(k - 1, 2).centers) * STAR_CELLS <= 2000
     with pytest.raises(CapExceeded):
         build_packing(k, 2)
 
 
-def _star(width, center, fixed):
-    return Star(HammingBall(State(center, width)),
-                CylinderSet.from_fixed(width, fixed))
+@pytest.mark.parametrize("k, r", [(16, 2), (16, 4)])
+def test_build_packing_peak_is_within_its_price(k, r):
+    tracemalloc.start()
+    try:
+        seq = build_packing(k, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(seq.centers) * STAR_CELLS * 8
+
+
+def _reference_packing(k, r):
+    """build_packing one star at a time: centers, free masks and resets
+    (position, fixed_mask, fixed_values) as lists of ints."""
+    centers, free_masks, resets = [], [], []
+    lineages = [0]
+    start = 0
+    for level in range(1, r + 1):
+        width = r - level + 1
+        work = ((1 << width) - 1) << start
+        rest = start + width
+        if level >= 2:
+            resets += [(len(centers), (1 << start) - 1, lin) for lin in lineages]
+        for lin in lineages:
+            for tail in range(1 << (k - rest)):
+                centers.append(lin | (tail << rest))
+                free_masks.append(work)
+        star = {0} | {1 << t for t in range(width)}
+        lineages = [lin | (pat << start) for lin in lineages
+                    for pat in range(1 << width) if pat not in star]
+        start = rest
+    return centers, free_masks, resets
+
+
+@pytest.mark.parametrize("k, r", [(k, r) for k in range(1, 13)
+                                  for r in feasible_depths(k)] + [(16, 4)])
+def test_build_packing_matches_the_per_star_loop(k, r):
+    seq = build_packing(k, r)
+    centers, free_masks, resets = _reference_packing(k, r)
+    arrays = (seq.centers, seq.free_masks, seq.reset_positions,
+              seq.reset_masks, seq.reset_values)
+    assert all(a.dtype == np.int64 for a in arrays)
+    assert seq.centers.tolist() == centers
+    assert seq.free_masks.tolist() == free_masks
+    assert list(zip(seq.reset_positions.tolist(), seq.reset_masks.tolist(),
+                    seq.reset_values.tolist())) == resets
+
+
+def _seq(k, r, stars, resets=()):
+    """A hand-built sequence: stars as (center, free_mask), resets as
+    (position, fixed_mask, fixed_values)."""
+    centers, free_masks = np.array(stars, dtype=np.int64).reshape(-1, 2).T
+    positions, masks, values = np.array(resets, dtype=np.int64).reshape(-1, 3).T
+    return PackingSequence(k, r, centers, free_masks, positions, masks, values)
 
 
 def test_validate_rejects_overlapping_stars():
-    bad = PackingSequence(
-        k=2, r=1,
-        stars=(_star(2, 0, {1: 0}), _star(2, 1, {0: 1})),
-        resets=(),
-    )
+    bad = _seq(2, 1, [(0, 0b01), (1, 0b10)])
     rep = validate_packing(bad)
     assert not rep.ok
     assert any("overlaps" in v or "cover" in v for v in rep.violations)
@@ -153,67 +203,36 @@ def test_validate_rejects_overlapping_stars():
 
 def test_validate_hand_built_sequences_for_k3():
     # ball in the full cube, then an edge, then two singletons
-    seq_a = PackingSequence(
-        k=3, r=0,
-        stars=(
-            _star(3, 0, {}),
-            _star(3, 3, {0: 1, 1: 1}),
-            _star(3, 5, {0: 1, 1: 0, 2: 1}),
-            _star(3, 6, {0: 0, 1: 1, 2: 1}),
-        ),
-        resets=(
-            (1, CylinderSet.from_fixed(3, {0: 1, 1: 1})),
-            (1, CylinderSet.from_fixed(3, {0: 1, 1: 0, 2: 1})),
-            (1, CylinderSet.from_fixed(3, {0: 0, 1: 1, 2: 1})),
-        ),
-    )
+    seq_a = _seq(3, 0, [(0, 0b111), (3, 0b100), (5, 0), (6, 0)],
+                 [(1, 0b011, 0b011), (1, 0b111, 0b101), (1, 0b111, 0b110)])
     assert validate_packing(seq_a).ok
 
     # four parallel edges (this is build_packing(3, 1))
-    seq_b = PackingSequence(
-        k=3, r=1,
-        stars=tuple(_star(3, c, {1: (c >> 1) & 1, 2: (c >> 2) & 1})
-                    for c in (0, 2, 4, 6)),
-        resets=(),
-    )
+    seq_b = _seq(3, 1, [(c, 0b001) for c in (0, 2, 4, 6)])
     assert validate_packing(seq_b).ok
 
     # two 2-dimensional stars with singleton leftovers
-    seq_c = PackingSequence(
-        k=3, r=0,
-        stars=(
-            _star(3, 0, {2: 0}),
-            _star(3, 3, {0: 1, 1: 1, 2: 0}),
-            _star(3, 4, {2: 1}),
-            _star(3, 7, {0: 1, 1: 1, 2: 1}),
-        ),
-        resets=(
-            (1, CylinderSet.from_fixed(3, {0: 1, 1: 1, 2: 0})),
-            (3, CylinderSet.from_fixed(3, {0: 1, 1: 1, 2: 1})),
-        ),
-    )
+    seq_c = _seq(3, 0, [(0, 0b011), (3, 0), (4, 0b011), (7, 0)],
+                 [(1, 0b111, 0b011), (3, 0b111, 0b111)])
     assert validate_packing(seq_c).ok
 
 
 def test_validate_names_each_violation_kind():
-    ball = _star(2, 0, {})                 # members 0, 1, 2; cylinder: all
-    point = _star(2, 3, {0: 1, 1: 1})      # member and cylinder: 3
-    reset_point = (1, CylinderSet.from_fixed(2, {0: 1, 1: 1}))
+    ball = (0, 0b11)                       # members 0, 1, 2; cylinder: all
+    point = (3, 0)                         # member and cylinder: 3
+    reset_point = (1, 0b11, 0b11)
     assert validate_packing(
-        PackingSequence(2, 0, (ball, point), (reset_point,))).violations == ()
+        _seq(2, 0, [ball, point], [reset_point])).violations == ()
     # the ball's cylinder holds the point filled before it
-    assert validate_packing(
-        PackingSequence(2, 0, (point, ball), ())).violations == (
+    assert validate_packing(_seq(2, 0, [point, ball])).violations == (
         "cylinder of star 1 intersects an earlier star",)
     # resetting the whole cube before the point un-fills the ball
-    assert validate_packing(PackingSequence(
-        2, 0, (ball, point), ((1, CylinderSet.full(2)),))).violations == (
+    assert validate_packing(
+        _seq(2, 0, [ball, point], [(1, 0, 0)])).violations == (
         "reset before star 1 touches filled states",)
     # every kind at once comes out grouped by kind, each in star order
-    rep = validate_packing(PackingSequence(
-        3, 0, (_star(3, 3, {0: 1, 1: 1, 2: 0}), _star(3, 0, {2: 0}),
-               _star(3, 3, {0: 1, 1: 1, 2: 0})),
-        ((2, CylinderSet.from_fixed(3, {2: 0})),)))
+    rep = validate_packing(
+        _seq(3, 0, [(3, 0), (0, 0b011), (3, 0)], [(2, 0b100, 0)]))
     assert rep.violations == (
         "star 2 overlaps an earlier star",
         "stars do not cover the cube",
@@ -227,7 +246,9 @@ def test_validate_catches_missing_reset():
     # the leaf star of build_packing(3, 2) is filled from dirtied rows if its
     # reset entry is dropped
     seq = build_packing(3, 2)
-    stripped = PackingSequence(seq.k, seq.r, seq.stars, ())
+    none = np.zeros(0, dtype=np.int64)
+    stripped = dataclasses.replace(seq, reset_positions=none,
+                                   reset_masks=none, reset_values=none)
     rep = validate_packing(stripped)
     assert not rep.ok
     assert any("non-clean" in v for v in rep.violations)

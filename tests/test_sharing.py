@@ -4,7 +4,6 @@ import scipy.special
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from crbmkit.bitspace import CylinderSet, HammingBall, Star, State
 from crbmkit.compiler import _ComponentScheme, _Pipeline
 from crbmkit.crbm import CrbmParams, append_hidden_unit, eval_joint_rbm
 from crbmkit.distributions import Dist, conditional_of_joint, random_dist
@@ -29,11 +28,11 @@ def linear_apply(p: Dist, step: SharingStep) -> np.ndarray:
     return step.lam * p.probs + (1 - step.lam) * tilt
 
 
-def point_mass_factors(y: State, tau: float) -> np.ndarray:
+def point_mass_factors(y: int, n: int, tau: float) -> np.ndarray:
     """(n, 2) output log-factor block concentrated on y with sharpness tau."""
-    lf = np.zeros((y.width, 2))
-    for j in range(y.width):
-        lf[j, 1 - ((y.index >> j) & 1)] = -tau
+    lf = np.zeros((n, 2))
+    for j in range(n):
+        lf[j, 1 - ((y >> j) & 1)] = -tau
     return lf
 
 
@@ -157,43 +156,41 @@ def test_mixture_weight_profile_formula():
 
 def test_star_fill_reaches_targets():
     # full 2-dimensional star on k=2 inputs, n=1 outputs, tau=30
-    star = Star(HammingBall(State(0, 2)), CylinderSet.full(2))
     pipe = fill_pipeline(2, 1, tau=30.0)
     rng = np.random.default_rng(7)
     targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
-    pipe.fill_star(star, targets, [0, 1, 2])
+    pipe.fill_star(0, 0b11, targets, [0, 1, 2])
     assert pipe.used["fill"] == 1
     for x in (0, 1, 2):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
 
 
 def test_star_fill_n2_and_noop_targets():
-    star = Star(HammingBall(State(0, 1)), CylinderSet.full(1))
+    # the star at 0 with its one input free
     # targets equal to the start state: all steps are no-ops
     pipe = fill_pipeline(1, 2, tau=32.0)
     deltas = np.array([Dist.point_mass(2, 0).probs for _ in (0, 1)])
-    pipe.fill_star(star, deltas, [0, 1])
+    pipe.fill_star(0, 0b1, deltas, [0, 1])
     for x in (0, 1):
         assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
     # random strictly positive targets
     rng = np.random.default_rng(8)
     targets = np.array([rng.dirichlet(np.ones(4)) for _ in (0, 1)])
     pipe = fill_pipeline(1, 2, tau=32.0)
-    pipe.fill_star(star, targets, [0, 1])
+    pipe.fill_star(0, 0b1, targets, [0, 1])
     assert pipe.used["fill"] == 3
     for x in (0, 1):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
 
 
 def test_star_fill_error_shrinks_with_sharpness():
-    star = Star(HammingBall(State(0, 2)), CylinderSet.full(2))
     rng = np.random.default_rng(9)
     targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
     errors = []
     for tau in (10.0, 20.0, 40.0, 80.0):
         # tol_step 2 (the largest row TV) accepts the first try at sharpness tau
         pipe = fill_pipeline(2, 1, tau, tol_step=2.0)
-        pipe.fill_star(star, targets, [0, 1, 2])
+        pipe.fill_star(0, 0b11, targets, [0, 1, 2])
         errors.append(np.abs(pipe.rows()[[0, 1, 2]] - targets).sum(axis=1).max())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -202,25 +199,23 @@ def test_make_reset_step_examples():
     rng = np.random.default_rng(10)
     # full input cube: all rows driven to the target point mass
     p = Dist(3, rng.dirichlet(np.ones(8)))
-    step = make_reset_step(CylinderSet.full(2),
-                           point_mass_factors(State(0, 1), 30.0), tau=30.0)
+    step = make_reset_step(2, 0, 0, point_mass_factors(0, 1, 30.0), tau=30.0)
     table = conditional_of_joint(apply_sharing(p, step), 2)
     assert np.abs(table.rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
-    tiny = make_reset_step(CylinderSet.full(2),
-                           point_mass_factors(State(0, 1), 1e-9), tau=1e-9)
+    tiny = make_reset_step(2, 0, 0, point_mass_factors(0, 1, 1e-9), tau=1e-9)
     after = apply_sharing(p, tiny)
     assert np.abs(after.probs - p.probs).max() < 1e-6
 
     # half-cube reset moves only the constrained rows
     p = Dist(3, rng.dirichlet(np.ones(8)))
     before = conditional_of_joint(p, 2)
-    cyl = CylinderSet.from_fixed(2, {0: 0})
-    step = make_reset_step(cyl, point_mass_factors(State(0, 1), 30.0), tau=30.0)
+    # the cylinder fixing input bit 0 to 0
+    step = make_reset_step(2, 0b01, 0, point_mass_factors(0, 1, 30.0), tau=30.0)
     after = conditional_of_joint(apply_sharing(p, step), 2)
     for x in range(4):
-        if cyl.contains_index(x):
+        if x & 0b01 == 0:
             assert np.abs(after.rows[x] - [1.0, 0.0]).sum() <= 1e-3
         else:
             assert np.abs(after.rows[x] - before.rows[x]).sum() <= 1e-3
@@ -236,7 +231,7 @@ def test_tilt_profile_proportionality():
     betas = {x: float(q / (1.0 + q)) for x, q in zip(members, profile)}
     logp = np.log(random_dist(5, rng).probs)
     step, log_norm = build_tilted_step(
-        logp, 4, 1, CylinderSet.from_fixed(4, {2: 1}), 0b0100, betas,
+        logp, 4, 1, 0b1011, 0b0100, betas,
         np.zeros((1, 2)), 40.0)
     log_s = step.log_values()
     # the returned normalizer is the one the step's application computes
@@ -250,10 +245,9 @@ def test_tilt_profile_proportionality():
 
 
 def test_star_fill_rejects_rows_off_the_star():
-    star = Star(HammingBall(State(0, 1)), CylinderSet.full(1))
     pipe = fill_pipeline(1, 1, 16.0)
     with pytest.raises(ShapeMismatch):
-        pipe.fill_star(star, np.array([Dist.uniform(1).probs]), [0])
+        pipe.fill_star(0, 0b1, np.array([Dist.uniform(1).probs]), [0])
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
@@ -262,7 +256,7 @@ def test_build_tilted_step_rejects_betas_off_the_star():
     out_lf = np.array([[-16.0, 0.0]])
     for betas in ({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}):
         with pytest.raises(ShapeMismatch):
-            build_tilted_step(logp, 2, 1, CylinderSet.full(2), 0, betas,
+            build_tilted_step(logp, 2, 1, 0b11, 0, betas,
                               out_lf, 16.0)
 
 
