@@ -53,6 +53,14 @@ def cylinder_members(fixed_mask: int, fixed_values: int, width: int) -> list[int
     return members
 
 
+def star_cylinder(center: int, free_mask: int, width: int) -> tuple[int, int]:
+    """The cylinder ``(fixed_mask, fixed_values)`` of the star
+    ``(center, free_mask)`` in {0,1}^width: every bit outside ``free_mask``
+    fixed to the center's."""
+    fixed_mask = ((1 << width) - 1) & ~free_mask
+    return fixed_mask, center & fixed_mask
+
+
 def star_members(center: int, free_mask: int) -> list[int]:
     """Ball-cylinder intersection: center plus one flip per free coordinate,
     as ascending indices."""

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitspace import check_cells, star_members
+from .bitspace import check_cells, star_cylinder, star_members
 from .crbm import CrbmParams, append_hidden_unit, eval_conditional
 from .distributions import ConditionalTable, kl_conditional, tv_row_distance
 from .errors import (
@@ -282,12 +282,11 @@ class _Pipeline:
         mask, values = self.scheme.masks[t], self.scheme.values[t]
         beta = np.array([beta_map[x] for x in members])[:, None]
         target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
-        fixed_mask = ((1 << self.k) - 1) & ~free_mask
         self._step("fill", lambda sharp: build_tilted_step(
             self.logp, self.k, self.n, free_mask, center, beta_map,
             _sharp_out_factors(self.n, mask, values, sharp), sharp),
             members, target, self.allowance + self.tol_step,
-            ~self._in_cylinder(fixed_mask, center & fixed_mask))
+            ~self._in_cylinder(*star_cylinder(center, free_mask, self.k)))
 
 
 def _check_compile_cells(target: ConditionalTable, mode: str,

@@ -31,7 +31,8 @@ sum_{i=2..r} prod_{j<i} sigma_j entries, which exceeds R(r); R remains the
 leaf-level group count.
 
 ``build_packing`` is priced before any star is built: its star count times
-STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``.
+STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``;
+``validate_packing`` is priced on its 2^k cube states at STATE_CELLS each.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitspace import check_cells, cylinder_members, star_members
+from .bitspace import (
+    check_cells,
+    cylinder_members,
+    star_cylinder,
+    star_members,
+)
 from .errors import InfeasibleDepth
 
 
@@ -138,10 +144,16 @@ def _depth_values(k: int, r: int) -> SeqValues:
     return seq_values(r)
 
 
+def star_count(k: int, r: int) -> int:
+    """The 2^(k-S(r)) F(r) stars of the depth-r packing of {0,1}^k."""
+    v = _depth_values(k, r)
+    return (1 << (k - v.S)) * v.F
+
+
 def universal_budget(k: int, r: int, components: int) -> int:
     """Hidden-unit budget 2^(k-S(r)) F(r) (M-1) + resets for M components."""
-    v = _depth_values(k, r)
-    return (1 << (k - v.S)) * v.F * (components - 1) + v.resets_needed
+    return (star_count(k, r) * (components - 1)
+            + _depth_values(k, r).resets_needed)
 
 
 def best_depth(k: int, components: int) -> int:
@@ -191,6 +203,12 @@ class PackingSequence:
 #: (18, 1), (20, 1)), rounded up to whole cells
 STAR_CELLS = 4
 
+#: cells charged per state of {0,1}^k by validate_packing's size check: it
+#: replays the fills on Python sets of the whole cube; tracemalloc peaks at
+#: 18.4-36.4 cells per state (CPython 3.11, every feasible (k, r) with
+#: 4 <= k <= 18, r = 1 only from k = 17), rounded up
+STATE_CELLS = 40
+
 
 def _bad_patterns(width: int) -> np.ndarray:
     """Block patterns not covered by the block's star (weight >= 2)."""
@@ -200,8 +218,7 @@ def _bad_patterns(width: int) -> np.ndarray:
 
 def build_packing(k: int, r: int) -> PackingSequence:
     """The recursive star packing sequence with 2^(k-S(r)) F(r) stars."""
-    v = _depth_values(k, r)
-    total = (1 << (k - v.S)) * v.F
+    total = star_count(k, r)
     check_cells(total * STAR_CELLS,
                 f"build_packing at (k, r) = ({k}, {r}) with {total} stars")
 
@@ -256,11 +273,12 @@ def validate_packing(seq: PackingSequence) -> PackingReport:
     schedule in replay order.  Affine independence needs no check: a star's
     members are its center plus one flip per distinct free coordinate.
     """
+    check_cells((1 << seq.k) * STATE_CELLS,
+                f"validate_packing at k = {seq.k}")
     overlaps: list[str] = []
     hits: list[str] = []
     schedule: list[str] = []
-    cube = (1 << seq.k) - 1
-    full = set(range(cube + 1))
+    full = set(range(1 << seq.k))
     clean = set(full)
     seen: set[int] = set()  # members of the stars filled so far
     for i, (center, free, resets) in enumerate(seq.replay()):
@@ -270,7 +288,8 @@ def validate_packing(seq: PackingSequence) -> PackingReport:
                 schedule.append(f"reset before star {i} touches filled states")
             clean.update(states)
         members = star_members(center, free)
-        cyl_states = cylinder_members(cube & ~free, center & ~free, seq.k)
+        cyl_states = cylinder_members(*star_cylinder(center, free, seq.k),
+                                      seq.k)
         if not seen.isdisjoint(members):
             overlaps.append(f"star {i} overlaps an earlier star")
         if not seen.isdisjoint(cyl_states):

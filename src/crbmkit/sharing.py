@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitspace import set_bits
+from .bitspace import set_bits, star_cylinder
 from .distributions import Dist
 from .errors import (
     DegenerateStep,
@@ -302,8 +302,7 @@ def build_tilted_step(
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
 
-    fixed_mask = ((1 << k) - 1) & ~free_mask
-    lf = _input_cylinder_factors(k, fixed_mask, center & fixed_mask,
+    lf = _input_cylinder_factors(k, *star_cylinder(center, free_mask, k),
                                  out_log_factors, sharpness)
     for j, i in enumerate(free, start=1):
         lf[i, 1 - ((center >> i) & 1)] = excess[j] - excess[0]

@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from crbmkit.cli import main
+from crbmkit import bitspace, packing
+from crbmkit.cli import PACK_STAR_CELLS, main
 
 SCHEMAS = json.loads((pathlib.Path(__file__).resolve().parent.parent
                       / "docs" / "output-schemas.json").read_text())
@@ -101,6 +105,53 @@ def test_pack_payload_is_golden(k, r, capsys):
     code, out = run_cli(["pack", "--k", str(k), "--r", str(r)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PACK_DIGESTS[(k, r)]
+
+
+def _first_refused_pack_k(r):
+    k = packing.seq_values(r).S
+    while packing.star_count(k, r) * PACK_STAR_CELLS <= bitspace.MAX_CELLS:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("k, r", [(24, 1), (19, 1), (20, 2)])
+def test_oversized_pack_is_refused_before_it_is_built(k, r, monkeypatch,
+                                                      capsys):
+    # (19, 1) and (20, 2) are the first k refused at r = 1 and r = 2;
+    # (24, 1) is the largest k that build_packing alone admits at r = 1
+    assert k == _first_refused_pack_k(r) or k == 24
+    built = []
+    monkeypatch.setattr(packing, "build_packing", lambda *a: built.append(a))
+    code = main(["pack", "--k", str(k), "--r", str(r)])
+    err = capsys.readouterr().err
+    assert code == 1 and built == []
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    stars = packing.star_count(k, r)
+    assert errors == [
+        f"error: CapExceeded: pack at (k, r) = ({k}, {r}) with {stars} stars "
+        f"needs {stars * PACK_STAR_CELLS} cells, above the limit "
+        f"MAX_CELLS = {bitspace.MAX_CELLS}"]
+
+
+def test_pack_admits_the_k_below_the_first_refused(monkeypatch, capsys):
+    monkeypatch.setattr(bitspace, "MAX_CELLS", 5000)
+    k = _first_refused_pack_k(2)
+    code, out = run_cli(["pack", "--k", str(k - 1), "--r", "2"], capsys)
+    assert code == 0 and json.loads(out)["valid"]
+    assert main(["pack", "--k", str(k), "--r", "2"]) == 1
+
+
+@pytest.mark.parametrize("k, r", [(14, 2), (14, 3)])
+def test_pack_peak_is_within_its_price(k, r):
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["pack", "--k", str(k), "--r", str(r)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= packing.star_count(k, r) * PACK_STAR_CELLS * 8
 
 
 def test_mrf_command(capsys):

@@ -8,6 +8,7 @@ from crbmkit import bitspace, packing
 from crbmkit.errors import CapExceeded, InfeasibleDepth
 from crbmkit.packing import (
     STAR_CELLS,
+    STATE_CELLS,
     PackingSequence,
     build_packing,
     feasible_depths,
@@ -252,3 +253,27 @@ def test_validate_catches_missing_reset():
     rep = validate_packing(stripped)
     assert not rep.ok
     assert any("non-clean" in v for v in rep.violations)
+
+
+def test_validate_packing_is_priced_on_the_cube(monkeypatch):
+    seq = build_packing(7, 1)
+    cells = (1 << 7) * STATE_CELLS
+    monkeypatch.setattr(bitspace, "MAX_CELLS", cells - 1)
+    with pytest.raises(CapExceeded) as exc:
+        validate_packing(seq)
+    assert str(exc.value).startswith(
+        f"validate_packing at k = 7 needs {cells} cells")
+    monkeypatch.setattr(bitspace, "MAX_CELLS", cells)
+    assert validate_packing(seq).ok
+
+
+@pytest.mark.parametrize("k, r", [(13, 4), (15, 5)])
+def test_validate_packing_peak_is_within_its_price(k, r):
+    seq = build_packing(k, r)
+    tracemalloc.start()
+    try:
+        assert validate_packing(seq).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << k) * STATE_CELLS * 8
