@@ -188,7 +188,7 @@ def divergence_upper(k: int, n: int, m: int) -> float:
 
 
 def feasible_block_width(k: int, n: int, m: int) -> int:
-    """Largest l with m >= 2^(k-S(r)) F(r) (2^l - 1) + R(r) for some r."""
+    """Largest l with m >= 2^(k-S(r)) F(r) (2^l - 1) + E(r) for some r."""
     for l in range(n, 0, -1):
         if any(m >= universal_budget(k, r, 1 << l) for r in feasible_depths(k)):
             return l

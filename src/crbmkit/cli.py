@@ -107,7 +107,7 @@ def _cmd_table1(args) -> int:
     writer.writerow(["r", "coef", "F", "R", "K", "P"])
     for r in range(1, args.rmax + 1):
         v = packing_mod.seq_values(r)
-        writer.writerow([r, format(2.0 ** -v.S, ".17g"), v.F, v.resets_needed,
+        writer.writerow([r, format(2.0 ** -v.S, ".17g"), v.F, v.paper_resets,
                          format(v.K, ".17g"), format(v.P, ".17g")])
     _write(buf.getvalue(), args.out)
     return 0

@@ -3,9 +3,21 @@
 The pipeline follows the constructive route: start from a bias-only model
 whose rows sit near the scheme's start component, then walk a star packing
 sequence, realizing every sharing step (star fills and cylinder resets) as
-one appended hidden unit.  Everything runs on an exact log-domain joint in
-parallel with the parameter build; the final certificate is evaluated from
-the parameters themselves, never from the simulated joint.
+one appended hidden unit.  A packing of depth r spends E(r) resets, what
+``packing.build_packing`` emits and ``packing.universal_budget`` prices;
+from r = 3 on that is more than the paper's R(r), because each fill moves
+its star's whole input cylinder (see ``packing``).  Everything runs on an
+exact log-domain state in parallel with the parameter build; the final
+certificate is evaluated from the parameters themselves, never from the
+simulated state.
+
+The state is the conditional: log p(y | x) - k log 2, the joint with the
+model's conditional and a uniform input marginal.  A CRBM's conditional
+does not depend on an input marginal, and neither does a unit's effect on
+it, so after every trial the stepped joint is conditioned on its inputs
+again.  Without that, a reset (lambda near e^(-tau/2)) would drain its
+cylinder's input mass, and a later fill there would start from rows whose
+tilt normalizer is all dust from outside its cylinder.
 
 One loop runs every step, fill or reset (``_Pipeline._step``): build the
 step at sharpness tau, try it on the joint, and accept it when the worst
@@ -21,15 +33,16 @@ dust stays exponentially below the start-state dust.
 Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
 scipy.special.logsumexp for real input: results are bit-identical to
 scipy's, without its per-call dispatch cost.  Each trial computes one new
-joint and its conditional rows; an accepted trial's joint and rows become
-the pipeline's as they are, and its tilt normalizer goes into the unit's
-bias.  So a trial reduces the full joint twice (the normalizer and the new
-joint's normalization), an accepted unit once more (the old joint's mass in
-the bias) and a tau level once (the start joint).
+joint, and from the max, exp and sum of each of its input rows both the
+conditional rows and the new state; an accepted trial's state and rows
+become the pipeline's as they are, and its tilt normalizer goes into the
+unit's bias.  The state has mass 1, so a trial reduces the full joint once
+(the normalizer), and neither an accepted unit nor a tau level reduces it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,8 +59,9 @@ from .errors import (
 )
 from .packing import PackingSequence, best_depth, build_packing, universal_budget
 from .sharing import SharingStep, apply_sharing_log, build_tilted_step, \
-    hidden_unit_from_log, logsumexp, make_reset_step, mixture_weight_profile
+    hidden_unit_from_log, make_reset_step, mixture_weight_profile
 
+LOG2 = math.log(2.0)
 TAU_START = 16.0
 TAU_MAX = 1024.0
 STEP_RETRIES = 12
@@ -170,7 +184,8 @@ def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
 
 
 class _Pipeline:
-    """Sequential sharing-step executor over an exact log-domain joint."""
+    """Sequential sharing-step executor over an exact log-domain
+    conditional, held as a joint with uniform inputs."""
 
     def __init__(self, k: int, n: int, scheme: _ComponentScheme, tau: float,
                  tol_step: float):
@@ -183,34 +198,42 @@ class _Pipeline:
         self.params = CrbmParams.bias_only(k, n, b0)
         y_bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
         logits = (y_bits * b0[None, :]).sum(axis=1)
-        # joint index v = x + 2^k*y: build as a (2^n, 2^k) matrix, flatten
-        logp = np.tile(logits[:, None], (1, 1 << k)).reshape(-1)
-        self.logp = logp - logsumexp(logp)
-        self._rows = self._rows_of(self.logp)
+        # joint index v = x + 2^k*y: each y repeats over the 2^k inputs
+        self.logp, self._rows = self._conditioned(np.repeat(logits, 1 << k))
         self._inputs = np.arange(1 << k)
         self.ideal = np.tile(self.scheme.dists[0], (1 << k, 1))
         self.start_tv = _worst_row_tv(self._rows, self.ideal)
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
 
-    def _rows_of(self, logp: np.ndarray) -> np.ndarray:
-        """Read-only conditional rows p(. | x) of the log joint ``logp``."""
-        cond = logp.reshape(1 << self.n, 1 << self.k).T  # (2^k, 2^n)
-        cond = cond - cond.max(axis=1, keepdims=True)
-        rows = np.exp(cond)
-        rows /= rows.sum(axis=1, keepdims=True)
+    def _conditioned(self, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pipeline state of the log joint ``logp`` and its rows.
+
+        The state is log p(y | x) - k log 2: the joint with the conditional
+        of ``logp`` and a uniform input marginal, every input row of mass
+        2^-k.  Each row's log mass is taken from the max, exp and sum that
+        its conditional row p(. | x) needs; the rows are read-only,
+        (2^k, 2^n).
+        """
+        joint = logp.reshape(1 << self.n, 1 << self.k)  # (2^n, 2^k): [y, x]
+        top = joint.max(axis=0)
+        shifted = np.exp(joint - top)
+        mass = shifted.sum(axis=0)
+        rows = (shifted / mass).T
         rows.setflags(write=False)
-        return rows
+        state = joint - (top + np.log(mass) + self.k * LOG2)
+        return state.reshape(-1), rows
 
     def rows(self) -> np.ndarray:
-        """Read-only conditional rows of the current joint."""
+        """Read-only conditional rows of the current state."""
         return self._rows
 
     def _apply(self, step: SharingStep, logp: np.ndarray, rows: np.ndarray,
                log_norm: float) -> None:
         """Adopt an accepted trial: append the step's hidden unit, whose bias
-        takes the trial's tilt normalizer ``log_norm``, and make the trial's
-        joint ``logp`` and its ``rows`` the current ones."""
+        takes the trial's tilt normalizer ``log_norm`` (the state has mass
+        1), and make the trial's state ``logp`` and its ``rows`` the current
+        ones."""
         w, bias = hidden_unit_from_log(self.logp, step, log_norm)
         self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
         self.logp, self._rows = logp, rows
@@ -230,14 +253,15 @@ class _Pipeline:
         tau, with its tilt normalizer if it computed one (else None).  A
         trial is accepted when its rows at ``region`` are within row TV
         ``bound`` of ``target`` and its rows at ``outside`` moved by at most
-        tol_step; otherwise the sharpness doubles.  An accepted trial's
-        joint becomes the pipeline's joint as it is.
+        tol_step; otherwise the sharpness doubles.  The trial's joint is
+        conditioned on its inputs (``_conditioned``), and an accepted trial's
+        state becomes the pipeline's state as it is.
         """
         sharp = self.tau
         for _ in range(STEP_RETRIES):
             step, log_norm = build(sharp)
             logp, log_norm = apply_sharing_log(self.logp, step, log_norm)
-            rows = self._rows_of(logp)
+            logp, rows = self._conditioned(logp)
             if (_worst_row_tv(rows[region], target) <= bound
                     and _worst_row_tv(rows[outside], self._rows[outside])
                     <= self.tol_step):

@@ -19,16 +19,23 @@ Counting sequences (exact integers, arbitrary precision):
     S(r) = 1 + 2 + ... + r
     F(r) = f_r(f_{r-1}(... f_2(f_1))),  f_i(z) = 2^S(i-1) + (2^i - (i+1)) z
     R(r) = prod_{i=2..r} (2^i - (i+1))
+    E(r) = sum_{i=2..r} prod_{j<i} sigma_j,  sigma_j = 2^w - (w+1), w = r-j+1
     K(r) = 2^-S(r) F(r),  P(r) = 2^-S(r) R(r)
 
 K obeys K(r) = 2^-r + K(r-1)(1 - 2^-r (r+1)), which is how it is evaluated
 in floating point for very large r.
 
-The construction needs no resets at r = 1; at r = 2 it needs exactly R(2)
-joint resets.  For r >= 3 the branch groups of *every* intermediate level
-need a reset after their parent level's fills, so the emitted schedule has
-sum_{i=2..r} prod_{j<i} sigma_j entries, which exceeds R(r); R remains the
-leaf-level group count.
+Resets.  sigma_j is the number of bad patterns of block j, so level i has
+prod_{j<i} sigma_j lineages, and the schedule resets each lineage of levels
+2..r before its level's fills: E(r) resets, 0 at r = 1, 1 at r = 2, 8 at
+r = 3 and 99 at r = 4.  The paper's count R(r) (4 and 44 there) is the last
+term, the leaf level's lineages.  This construction needs the others too: a
+fill concentrates its step on the star's input cylinder, not on the star,
+so it moves every row of the cylinder, and the deeper levels' stars of the
+lineage lie in that cylinder; a star may only be filled from rows at the
+start state (``validate_packing`` checks it).  So ``universal_budget`` and
+``best_depth`` price E(r), what ``build_packing`` emits; ``SeqValues``
+carries both counts.
 
 ``build_packing`` is priced before any star is built: its star count times
 STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``;
@@ -70,19 +77,35 @@ def r_value(r: int) -> int:
     return prod
 
 
+def e_value(r: int) -> int:
+    """Resets of the emitted schedule: one per lineage of levels 2..r."""
+    total, groups = 0, 1
+    for j in range(1, r):
+        width = r - j + 1
+        groups *= (1 << width) - (width + 1)
+        total += groups
+    return total
+
+
 @dataclass(frozen=True)
 class SeqValues:
+    """The counting sequences at one depth, with both reset counts:
+    ``paper_resets`` is the paper's R(r) (none at r = 1), the column R of
+    ``cli table1``; ``E`` is what ``build_packing`` emits and
+    ``universal_budget`` prices."""
+
     r: int
     S: int
     F: int
     R: int
-    resets_needed: int
+    paper_resets: int
+    E: int
     K: float
     P: float
 
 
 def seq_values(r: int) -> SeqValues:
-    """Exact S, F, R and float K, P for one recursion depth."""
+    """Exact S, F, R, E and float K, P for one recursion depth."""
     if r < 1:
         raise ValueError("r must be >= 1")
     s = s_value(r)
@@ -93,7 +116,8 @@ def seq_values(r: int) -> SeqValues:
         S=s,
         F=f,
         R=rr,
-        resets_needed=0 if r == 1 else rr,
+        paper_resets=0 if r == 1 else rr,
+        E=e_value(r),
         K=float(Fraction(f, 1 << s)),
         P=float(Fraction(rr, 1 << s)),
     )
@@ -151,9 +175,10 @@ def star_count(k: int, r: int) -> int:
 
 
 def universal_budget(k: int, r: int, components: int) -> int:
-    """Hidden-unit budget 2^(k-S(r)) F(r) (M-1) + resets for M components."""
-    return (star_count(k, r) * (components - 1)
-            + _depth_values(k, r).resets_needed)
+    """Hidden-unit budget 2^(k-S(r)) F(r) (M-1) + E(r) for M components:
+    one unit per star and component past the start, one per emitted
+    reset."""
+    return star_count(k, r) * (components - 1) + _depth_values(k, r).E
 
 
 def best_depth(k: int, components: int) -> int:

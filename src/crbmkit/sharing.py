@@ -22,14 +22,17 @@ the compiler's job (compiler._Pipeline).
 The tilt normalizer log N = logsumexp(log p + log s) is a reduction over the
 whole joint, and each one is computed once: build_tilted_step needs it for
 lambda and returns it, apply_sharing_log takes it (or computes it, for a
-reset) and returns it, and hidden_unit_from_log takes it for the bias.
+reset) and returns it, and hidden_unit_from_log takes it for the bias.  A
+joint of mass 1 stays of mass 1 under a step, so neither the step nor the
+bias reduces the joint again.
 
-The log-sum-exp used here and by the compiler is the module's own
+The log-sum-exp used by the step functions is the module's own
 ``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
 operation for operation, so results are bit-identical, without scipy's
 per-call array-API dispatch, which dominated compile time on the small
-arrays of the step pipeline.  Full-joint (1-D) reductions with a finite max
-skip the guards only non-finite input needs.
+arrays of the step pipeline.  Full-joint (1-D) reductions with a finite max,
+and row (2-D, axis 1) reductions whose row maxima are finite, skip the
+guards only non-finite input needs.
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     back to log(sum(exp(a))), so an all -inf input gives -inf.
 
     A 1-D input with a finite max, the full-joint reduction of the step
-    pipeline, takes the same operations on scalars: its result is finite,
-    so it needs no kept axes and no fallback.
+    pipeline, takes the same operations on scalars, and a 2-D input reduced
+    over its rows (axis 1) whose row maxima are all finite, the row
+    reductions of ``build_tilted_step``, takes them on one max per row: the
+    results are finite, so they need no kept axes and no fallback.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
@@ -78,6 +83,16 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
                 shifted = np.exp(a - a_max)
                 shifted[at_max] = 0.0
                 return np.log1p(shifted.sum() / count) + np.log(count) + a_max
+        if a.ndim == 2 and axis == 1:
+            a_max = a.max(axis=1)
+            if np.isfinite(a_max).all():
+                shift = a_max[:, None]
+                at_max = a == shift
+                count = at_max.sum(axis=1, dtype=float)
+                shifted = np.exp(a - shift)
+                np.putmask(shifted, at_max, 0.0)
+                return (np.log1p(shifted.sum(axis=1) / count) + np.log(count)
+                        + a_max)
         axes = tuple(range(a.ndim)) if axis is None else axis
         a_max = a.max(axis=axes, keepdims=True)
         at_max = a == a_max
@@ -151,9 +166,10 @@ class SharingStep:
 def apply_sharing_log(logp: np.ndarray, step: SharingStep,
                       log_norm: float | None = None
                       ) -> tuple[np.ndarray, float]:
-    """Apply a step to a log joint.
+    """Apply a step to a log joint of mass 1.
 
-    Returns the normalized log joint and the tilt normalizer
+    Returns the stepped log joint, again of mass 1 (up to rounding; it is
+    not renormalized), and the tilt normalizer
     log N = logsumexp(logp + log s), which is computed here unless the
     caller passes the one it already has (build_tilted_step returns it).
     """
@@ -169,7 +185,7 @@ def apply_sharing_log(logp: np.ndarray, step: SharingStep,
     else:
         out = np.logaddexp(np.log(step.lam) + logp,
                            np.log1p(-step.lam) + logp + log_s - log_norm)
-    return out - logsumexp(out), log_norm
+    return out, log_norm
 
 
 def apply_sharing(p: Dist, step: SharingStep) -> Dist:
@@ -188,17 +204,19 @@ def hidden_unit_from_log(logp: np.ndarray, step: SharingStep,
                          ) -> tuple[np.ndarray, float]:
     """Log-domain core of step_to_hidden_unit; logp need not be normalized.
 
-    ``log_norm`` is the tilt normalizer logsumexp(logp + log s) when the
-    caller already has it (apply_sharing_log returns it); else it is
-    computed here.
+    The bias needs the tilt normalizer of logp scaled to mass 1,
+    log N = logsumexp(logp + log s) - logsumexp(logp), which is computed
+    here unless the caller passes it as ``log_norm``: a caller whose joint
+    has mass 1 already has it from build_tilted_step or apply_sharing_log,
+    and logp is then not reduced at all.
     """
     if step.lam <= 0.0:
         raise LambdaZero("lambda = 0 needs an infinite bias; use lambda in (0, 1]")
     w = step.log_factors[:, 1] - step.log_factors[:, 0]
     log_s0 = float(step.log_factors[:, 0].sum())
     if log_norm is None:
-        log_norm = logsumexp(logp + step.log_values())
-    log_n = float(log_norm - logsumexp(logp))
+        log_norm = logsumexp(logp + step.log_values()) - logsumexp(logp)
+    log_n = float(log_norm)
     if not np.isfinite(log_n):
         raise DegenerateStep("tilt normalizer vanished")
     with np.errstate(divide="ignore"):
@@ -297,7 +315,8 @@ def build_tilted_step(
     # one (members x 2^n) gather, center first: row i holds log p(x_i, .);
     # L and G are the log row masses untilted and tilted toward the component
     rows = logp[np.array(members)[:, None] + (y_idx << k)]
-    big_l, big_g = logsumexp(np.stack([rows, rows + out_log_s]), axis=2)
+    big_l, big_g = logsumexp(np.concatenate([rows, rows + out_log_s]),
+                             axis=1).reshape(2, -1)
     # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g

@@ -296,38 +296,41 @@ def sparse_dirichlet_table(k, n, d, seed):
     return ConditionalTable(k, n, rows)
 
 
-@pytest.mark.xfail(strict=True, raises=BudgetExceeded,
-                   reason="ROADMAP item 1: the simulated joint drains the "
-                          "input marginal, so a fill's sharpness schedule "
-                          "is exhausted")
-def test_support_points_compile_sparse_3_2():
-    # raised from "fill sharpness schedule exhausted"; 6 of seeds 0-7 fail
-    # the same way at (3, 2), and 4 of them at (4, 2)
-    compile_support_points(sparse_dirichlet_table(3, 2, 2, seed=0), 2)
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("k,n", [(3, 2), (4, 2)])
+def test_support_points_compile_sparse(k, n, seed):
+    # the pipeline's state keeps a uniform input marginal, so no fill starts
+    # from rows whose input mass a reset has drained
+    target = sparse_dirichlet_table(k, n, 2, seed)
+    _, rep = compile_support_points(target, 2)
+    assert rep.within_budget
+    assert rep.achieved_tv <= 1e-2
 
 
 # (hidden_units_used, tau_final, achieved_tv, sha256 of the W, V, b, c
 # bytes) at seed 0.  The counts and TVs were recorded with
-# scipy.special.logsumexp and per-row step checks, the digests before the
-# pipeline kept its accepted trials; the local log-sum-exp, the kept trials
-# and the cached rows must reproduce them.  The digests pin every bit, so
+# scipy.special.logsumexp and per-row step checks, on a pipeline state that
+# was the joint; the local log-sum-exp, the kept trials and the cached rows
+# must reproduce the counts.  The state is now the conditional with uniform
+# inputs, whose rounding moves the TVs by up to 1.3e-12 relative, hence
+# rel=2e-12; the digests were recorded on it.  The digests pin every bit, so
 # they hold for one numpy build on one CPU family (x86-64, numpy 2.4): its
 # exp and log kernels are dispatched by SIMD extension.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
                       10, 32.0, 0.0007966023069756398,
-                      "c71bc5dff3e1ea791521ba2752b01d0b4602acc9f7dc896ccdfbda5c26c34c1f"),
+                      "a45f7fe6a8f071c1e389dafc113165444cf06f41ec36434b2f445b95a1d2de3a"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
                       19, 32.0, 0.0007966040887859571,
-                      "b46faa13162644ef5f48d0115accf9dab8393b9886303b7e29f133267164ec3c"),
+                      "dcdc79065670a5b74700efb07b0eb3634393eb8e7c7460cd1ba5e3734646fe7c"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
                          19, 32.0, 0.0007966040887854645,
-                         "5922f77981157dd12df148c3d1bc8d09caac3487a3713f8222e4d7d008753ecb"),
+                         "98c59324e90421793ae7cca69575409cc7ac5fa57f12665733253983b7eb401c"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
                        11, 32.0, 0.001341175602538288,
-                       "65a78468ee2d78583006e1d8133f435d68fb5e5ff184beea95a8fbed3711f92f"),
+                       "0a7fa579f58a85450dbc8e54fa901d9a89dcabafd6c73b53cca3e1d1f7cd9cfe"),
 }
 
 
@@ -344,37 +347,41 @@ def test_golden_compile_outputs(name):
     params, rep = run()
     assert rep.hidden_units_used == units
     assert rep.tau_final == tau
-    assert rep.achieved_tv == pytest.approx(tv, rel=1e-12, abs=0.0)
+    assert rep.achieved_tv == pytest.approx(tv, rel=2e-12, abs=0.0)
     assert params_digest(params) == digest
 
 
 def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
-    # an accepted trial's joint and rows are kept: they are the ones a
-    # fresh application of the step to the joint before it gives
+    # the state is log p(y | x) - k log 2: after each accepted step every
+    # input row of it, plus k log 2, log-sums to 0, the cached rows are its
+    # exponent, and it is the conditioned fresh application of the step
+    k, n = 4, 1
     applied = []
     apply_step = _Pipeline._apply
 
     def apply_and_check(self, step, logp, rows, log_norm):
         before = self.logp
-        self.rows()  # the cache holds the rows from before the step
         apply_step(self, step, logp, rows, log_norm)
+        state = self.logp.reshape(1 << n, 1 << k).T + k * np.log(2.0)
+        assert np.abs(np.log(np.exp(state).sum(axis=1))).max() <= 1e-12
         rows = self.rows()
-        assert np.array_equal(rows, self._rows_of(self.logp))
         assert not rows.flags.writeable
-        assert np.array_equal(self.logp, apply_sharing_log(before, step)[0])
+        assert np.allclose(rows, np.exp(state), rtol=1e-12, atol=0.0)
+        fresh, _ = self._conditioned(apply_sharing_log(before, step)[0])
+        assert np.array_equal(self.logp, fresh)
         applied.append(step)
 
     monkeypatch.setattr(_Pipeline, "_apply", apply_and_check)
-    _, rep = compile_universal(dirichlet_table(4, 1, 0), r=2)
+    _, rep = compile_universal(dirichlet_table(k, n, 0), r=2)
     assert rep.resets_used > 0 and rep.star_steps_used > 0
     assert len(applied) >= rep.hidden_units_used
 
 
 def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
-    # a trial reduces the full joint twice (its tilt normalizer, which a
-    # fill's builder computes and hands on, and the normalization of its
-    # result); an accepted unit once more (the joint's mass in its bias);
-    # a tau level once (the start joint).  An accepted trial is kept, so
+    # a trial reduces the full joint once, for its tilt normalizer, which a
+    # fill's builder computes and hands on; the state has mass 1, so
+    # neither the stepped joint nor an accepted unit's bias nor a tau
+    # level's start joint is reduced again.  An accepted trial is kept, so
     # there is one application per trial.
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
@@ -395,7 +402,6 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
         return axis is None and np.shape(a) == (size,)
 
     spy(sharing, "logsumexp", "full", full_joint)
-    spy(compiler, "logsumexp", "full", full_joint)
     spy(compiler, "build_tilted_step", "trial")
     spy(compiler, "make_reset_step", "trial")
     spy(compiler, "apply_sharing_log")
@@ -406,7 +412,7 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert trials > accepted >= rep.hidden_units_used > 0
     assert calls["level"] == 2  # tau = 16 fails, 32 passes
     assert calls["apply_sharing_log"] == trials
-    assert calls["full"] == 2 * trials + accepted + calls["level"]
+    assert calls["full"] == trials
 
 
 def test_step_loop_budget_names_the_step_kind(monkeypatch):

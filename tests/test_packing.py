@@ -10,6 +10,7 @@ from crbmkit.packing import (
     STAR_CELLS,
     STATE_CELLS,
     PackingSequence,
+    best_depth,
     build_packing,
     feasible_depths,
     k_coefficient,
@@ -23,7 +24,7 @@ from crbmkit.packing import (
 
 def test_seq_values_table_rows():
     v1 = seq_values(1)
-    assert (v1.S, v1.F, v1.R, v1.resets_needed) == (1, 1, 1, 0)
+    assert (v1.S, v1.F, v1.R, v1.paper_resets, v1.E) == (1, 1, 1, 0, 0)
     assert v1.K == 0.5 and v1.P == 0.5
     assert seq_values(2).F == 3 and seq_values(2).R == 1
     v3 = seq_values(3)
@@ -83,7 +84,20 @@ def test_build_packing_star_counts():
             v = seq_values(r)
             seq = build_packing(k, r)
             assert len(seq.centers) == (1 << (k - v.S)) * v.F
+            assert len(seq.reset_positions) == v.E
             r += 1
+
+
+def test_emitted_resets_exceed_the_paper_count_from_depth_3():
+    # E(r) sums the lineage groups of levels 2..r; R(r) is the last of them
+    assert [seq_values(r).E for r in range(1, 6)] == [0, 1, 8, 99, 2600]
+    assert [seq_values(r).paper_resets for r in range(1, 6)] == [
+        0, 1, 4, 44, 1144]
+    assert universal_budget(8, 3, 2) == 80 + 8
+    assert universal_budget(10, 4, 2) == 284 + 99
+    # priced on E, the cheapest depth is 2 at (6, 1) and 3 at (6, 2), (8, 1)
+    assert [best_depth(k, 1 << n) for k, n in [(6, 1), (6, 2), (8, 1)]] == [
+        2, 3, 3]
 
 
 def test_build_packing_infeasible_depth():
