@@ -31,12 +31,10 @@ from .compiler import (
 )
 from .crbm import (
     CrbmParams,
-    InferenceMap,
     append_hidden_unit,
     conditional_jacobian,
     eval_conditional,
     eval_joint_rbm,
-    inference_map,
 )
 from .dimension import (
     DimensionReport,
@@ -79,12 +77,7 @@ from .packing import (
     seq_values,
     validate_packing,
 )
-from .sharing import (
-    SharingStep,
-    apply_sharing,
-    make_reset_step,
-    step_to_hidden_unit,
-)
+from .sharing import SharingStep, make_reset_step
 from .verify import verify_all
 
 __version__ = "0.1.0"

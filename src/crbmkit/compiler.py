@@ -11,16 +11,19 @@ exact log-domain state in parallel with the parameter build; the final
 certificate is evaluated from the parameters themselves, never from the
 simulated state.
 
-The state is the conditional: log p(y | x) - k log 2, the joint with the
-model's conditional and a uniform input marginal.  A CRBM's conditional
-does not depend on an input marginal, and neither does a unit's effect on
-it, so after every trial the stepped joint is conditioned on its inputs
-again.  Without that, a reset (lambda near e^(-tau/2)) would drain its
-cylinder's input mass, and a later fill there would start from rows whose
-tilt normalizer is all dust from outside its cylinder.
+The state is the conditional: a (2^k, 2^n) array of log p(y | x) - k log 2
+indexed [x, y], the joint with the model's conditional and a uniform input
+marginal.  A CRBM's conditional does not depend on an input marginal, and
+neither does a unit's effect on it, so after every trial the stepped state
+is conditioned on its inputs again.  Without that, a reset (lambda near
+e^(-tau/2)) would drain its cylinder's input mass, and a later fill there
+would start from rows whose tilt normalizer is all dust from outside its
+cylinder.  Every step's tilt is a factor over the inputs times a factor
+over the outputs (``sharing.SharingStep``), broadcast over the rows, so no
+table over all 2^(k+n) states is built.
 
 One loop runs every step, fill or reset (``_Pipeline._step``): build the
-step at sharpness tau, try it on the joint, and accept it when the worst
+step at sharpness tau, try it on the state, and accept it when the worst
 row TV on its target rows is within the step's bound and the rows outside
 its region move by at most the step's tolerance share; otherwise double
 the sharpness, up to STEP_RETRIES tries.  Each scheduled step gets an equal
@@ -33,11 +36,12 @@ dust stays exponentially below the start-state dust.
 Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
 scipy.special.logsumexp for real input: results are bit-identical to
 scipy's, without its per-call dispatch cost.  Each trial computes one new
-joint, and from the max, exp and sum of each of its input rows both the
-conditional rows and the new state; an accepted trial's state and rows
-become the pipeline's as they are, and its tilt normalizer goes into the
-unit's bias.  The state has mass 1, so a trial reduces the full joint once
-(the normalizer), and neither an accepted unit nor a tau level reduces it.
+(2^k, 2^n) state, and from the max, exp and sum of each of its rows both
+the conditional rows and the conditioned state; an accepted trial's state
+and rows become the pipeline's as they are, and its tilt normalizer goes
+into the unit's bias.  The state has mass 1, so a trial makes one full
+reduction (the normalizer), and neither an accepted unit nor a tau level
+makes another.
 """
 
 from __future__ import annotations
@@ -157,25 +161,16 @@ class _ComponentScheme:
         return b
 
     @staticmethod
-    def universal(n: int) -> "_ComponentScheme":
-        full = (1 << n) - 1
-        return _ComponentScheme(n, [full] * (1 << n), list(range(1 << n)))
-
-    @staticmethod
-    def common_support(n: int, support: list[int]) -> "_ComponentScheme":
-        full = (1 << n) - 1
-        return _ComponentScheme(n, [full] * len(support), list(support))
+    def points(n: int, values) -> "_ComponentScheme":
+        """Point components at the output states ``values``, in that order;
+        the first is the start component."""
+        values = list(values)
+        return _ComponentScheme(n, [(1 << n) - 1] * len(values), values)
 
     @staticmethod
     def partition(n: int, l: int) -> "_ComponentScheme":
         mask = (1 << l) - 1
         return _ComponentScheme(n, [mask] * (1 << l), list(range(1 << l)))
-
-    @staticmethod
-    def start_at(n: int, y0: int) -> "_ComponentScheme":
-        full = (1 << n) - 1
-        order = [y0] + [y for y in range(1 << n) if y != y0]
-        return _ComponentScheme(n, [full] * (1 << n), order)
 
 
 def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
@@ -185,7 +180,7 @@ def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
 
 class _Pipeline:
     """Sequential sharing-step executor over an exact log-domain
-    conditional, held as a joint with uniform inputs."""
+    conditional, held as a (2^k, 2^n) array indexed [x, y]."""
 
     def __init__(self, k: int, n: int, scheme: _ComponentScheme, tau: float,
                  tol_step: float):
@@ -198,8 +193,10 @@ class _Pipeline:
         self.params = CrbmParams.bias_only(k, n, b0)
         y_bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
         logits = (y_bits * b0[None, :]).sum(axis=1)
-        # joint index v = x + 2^k*y: each y repeats over the 2^k inputs
-        self.logp, self._rows = self._conditioned(np.repeat(logits, 1 << k))
+        # column-major, x fastest: each row reduction of the state runs over
+        # contiguous columns, and every step keeps the layout
+        self.logp, self._rows = self._conditioned(
+            np.asfortranarray(np.broadcast_to(logits, (1 << k, 1 << n))))
         self._inputs = np.arange(1 << k)
         self.ideal = np.tile(self.scheme.dists[0], (1 << k, 1))
         self.start_tv = _worst_row_tv(self._rows, self.ideal)
@@ -207,22 +204,20 @@ class _Pipeline:
         self.used = {"fill": 0, "reset": 0}
 
     def _conditioned(self, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pipeline state of the log joint ``logp`` and its rows.
+        """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its
+        rows, both indexed [x, y].
 
         The state is log p(y | x) - k log 2: the joint with the conditional
         of ``logp`` and a uniform input marginal, every input row of mass
         2^-k.  Each row's log mass is taken from the max, exp and sum that
-        its conditional row p(. | x) needs; the rows are read-only,
-        (2^k, 2^n).
+        its conditional row p(. | x) needs; the rows are read-only.
         """
-        joint = logp.reshape(1 << self.n, 1 << self.k)  # (2^n, 2^k): [y, x]
-        top = joint.max(axis=0)
-        shifted = np.exp(joint - top)
-        mass = shifted.sum(axis=0)
-        rows = (shifted / mass).T
+        top = logp.max(axis=1, keepdims=True)
+        shifted = np.exp(logp - top)
+        mass = shifted.sum(axis=1, keepdims=True)
+        rows = shifted / mass
         rows.setflags(write=False)
-        state = joint - (top + np.log(mass) + self.k * LOG2)
-        return state.reshape(-1), rows
+        return logp - (top + np.log(mass) + self.k * LOG2), rows
 
     def rows(self) -> np.ndarray:
         """Read-only conditional rows of the current state."""
@@ -234,7 +229,7 @@ class _Pipeline:
         takes the trial's tilt normalizer ``log_norm`` (the state has mass
         1), and make the trial's state ``logp`` and its ``rows`` the current
         ones."""
-        w, bias = hidden_unit_from_log(self.logp, step, log_norm)
+        w, bias = hidden_unit_from_log(step, log_norm)
         self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
         self.logp, self._rows = logp, rows
 
@@ -307,7 +302,7 @@ class _Pipeline:
         beta = np.array([beta_map[x] for x in members])[:, None]
         target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
         self._step("fill", lambda sharp: build_tilted_step(
-            self.logp, self.k, self.n, free_mask, center, beta_map,
+            self.logp, self.k, free_mask, center, beta_map,
             _sharp_out_factors(self.n, mask, values, sharp), sharp),
             members, target, self.allowance + self.tol_step,
             ~self._in_cylinder(*star_cylinder(center, free_mask, self.k)))
@@ -391,7 +386,7 @@ def compile_universal(target: ConditionalTable, r: int | None = None,
     clamped target and the clamping error reported separately.
     """
     clamped, clamp_err = clamp_table(target, eps)
-    scheme = _ComponentScheme.universal(target.n)
+    scheme = _ComponentScheme.points(target.n, range(1 << target.n))
     return _compile_packed(clamped, scheme, r, eps, "universal", clamp_err)
 
 
@@ -403,7 +398,7 @@ def compile_common_support(target: ConditionalTable, r: int | None = None,
     if len(set(supports)) != 1:
         raise SupportsDiffer("rows do not share a common support")
     support = sorted(supports[0])
-    scheme = _ComponentScheme.common_support(target.n, support)
+    scheme = _ComponentScheme.points(target.n, support)
     return _compile_packed(target, scheme, r, eps, "common")
 
 
@@ -468,7 +463,8 @@ def _run_support(target: ConditionalTable, y0: int,
     k, n = target.k, target.n
     total_steps = sum(len(ys) for ys in extras.values())
     tol_step = eps / (2.0 * max(total_steps, 1))
-    pipe = _Pipeline(k, n, _ComponentScheme.start_at(n, y0), tau, tol_step)
+    order = [y0] + [y for y in range(1 << n) if y != y0]
+    pipe = _Pipeline(k, n, _ComponentScheme.points(n, order), tau, tol_step)
     for x, ys in extras.items():
         if not ys:
             continue

@@ -93,24 +93,6 @@ class CrbmParams:
                           np.array(o["c"], dtype=float))
 
 
-@dataclass(frozen=True)
-class InferenceMap:
-    """Most likely hidden state per visible state (x, y); v = x + 2^k * y."""
-
-    k: int
-    n: int
-    m: int
-    assignments: np.ndarray = field(repr=False)
-    ties: np.ndarray = field(repr=False)
-
-    def hidden_for(self, x: int, y: int) -> int:
-        return int(self.assignments[x + (y << self.k)])
-
-    @property
-    def any_tie(self) -> bool:
-        return bool(self.ties.any())
-
-
 def conditional_logits(p: CrbmParams) -> np.ndarray:
     """Unnormalized log p(y|x) as a (2^k, 2^n) array."""
     check_cells((1 << (p.k + p.n)) * max(p.m, 1),
@@ -161,29 +143,6 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
         p.b,
         np.append(p.c, float(bias)),
     )
-
-
-def inference_map(p: CrbmParams) -> InferenceMap:
-    """argmax_z of z^T (V x + W y + c) per visible state; ties -> smallest z."""
-    check_cells((1 << (p.k + p.n)) * max(p.m, 1),
-                f"inference_map at (k, n, m) = ({p.k}, {p.n}, {p.m})")
-    if p.m > 63:
-        raise ShapeMismatch(f"m = {p.m} hidden units do not fit an int64 index")
-    X = _bit_matrix(p.k)
-    Y = _bit_matrix(p.n)
-    size = 1 << (p.k + p.n)
-    assignments = np.zeros(size, dtype=np.int64)
-    ties = np.zeros(size, dtype=bool)
-    if p.m:
-        ax = X @ p.V.T
-        ay = Y @ p.W.T
-        for y in range(1 << p.n):
-            act = ax + ay[y] + p.c        # (2^k, m)
-            z = (act > 0).astype(np.int64)
-            v = np.arange(1 << p.k) + (y << p.k)
-            assignments[v] = z @ (1 << np.arange(p.m))
-            ties[v] = (act == 0).any(axis=1)
-    return InferenceMap(p.k, p.n, p.m, assignments, ties)
 
 
 def _log_grads(p: CrbmParams) -> np.ndarray:

@@ -1,37 +1,47 @@
-"""Sharing-step algebra: p -> lam*p + (1-lam)*(p * s) for product tilts s.
+"""Sharing-step algebra on the conditional: p -> lam*p + (1-lam)*(p * s).
 
-A step is stored by its per-coordinate *log* factor pairs; concentrated steps
-put -tau on the off-region value of a coordinate, so arbitrary sharpness never
-leaves the log domain.  The factor normalization is irrelevant: it cancels in
-the step's effect and in the hidden-unit realization, so factors are kept
-unnormalized.
+A step acts on the state of the compile pipeline, a (2^k, 2^n) array of
+log p(y | x) - k log 2 indexed [x, y]: the joint with the conditional p(y|x)
+and a uniform input marginal, of mass 1.  Its tilt is a product over the
+coordinates, s(x, y) = s_X(x) s_Y(y), stored by its per-coordinate *log*
+factor pairs; concentrated steps put -tau on the off-region value of a
+coordinate, so arbitrary sharpness never leaves the log domain.  The factor
+normalization is irrelevant: it cancels in the step's effect and in the
+hidden-unit realization, so factors are kept unnormalized.  A step knows its
+k and builds its two tables, log s_X over the 2^k inputs and log s_Y over
+the 2^n outputs, once; the tilt is applied by broadcasting them, so no table
+over all 2^(k+n) states is built.
 
-Every step is realizable as one appended hidden unit.  With odds
-w_i = log s_i(1) - log s_i(0) and S0 = prod_i s_i(0), appending a unit with
-visible weights w and bias log((1-lam) S0 / (lam N)), N = sum_v p(v) s(v),
-multiplies p entrywise by a positive multiple of lam + (1-lam) s(v)/N, which
-is exactly the step.  step_to_hidden_unit verifies nothing by formula; the
-evaluation contract is tested.
+Every step is realizable as one appended hidden unit, as in the paper: one
+unit multiplies every row p(. | x) by a factor over the inputs times a
+factor over the outputs.  With odds w_i = log s_i(1) - log s_i(0) and
+S0 = prod_i s_i(0), appending a unit with weights w (inputs first) and bias
+log((1-lam) S0 / (lam N)), N = sum_{x,y} p(x, y) s(x, y), multiplies p(y|x)
+by a positive multiple of lam + (1-lam) s(x, y)/N, which is exactly the
+step.  hidden_unit_from_log verifies nothing by formula; the evaluation
+contract is tested: ``verify`` steps the conditional of a random CRBM and
+compares it with ``crbm.eval_conditional`` of the grown model.
 
-Two builders make the concentrated steps of the construction, one per step
-kind: build_tilted_step (a star fill, exact mixture weights on the star's
-rows) and make_reset_step (a cylinder reset).  Both concentrate the inputs
-on a cylinder the same way.  Sequencing, sharpening and accepting steps is
-the compiler's job (compiler._Pipeline).
+Each step kind has one builder: build_tilted_step (a star fill, exact
+mixture weights on the star's rows) and make_reset_step (a cylinder reset).
+Both concentrate the inputs on a cylinder the same way.  apply_sharing_log
+is the one way to apply a step and hidden_unit_from_log the one way to
+realize it.  Sequencing, sharpening and accepting steps is the compiler's
+job (compiler._Pipeline).
 
 The tilt normalizer log N = logsumexp(log p + log s) is a reduction over the
-whole joint, and each one is computed once: build_tilted_step needs it for
+whole state, and each one is computed once: build_tilted_step needs it for
 lambda and returns it, apply_sharing_log takes it (or computes it, for a
 reset) and returns it, and hidden_unit_from_log takes it for the bias.  A
-joint of mass 1 stays of mass 1 under a step, so neither the step nor the
-bias reduces the joint again.
+state of mass 1 stays of mass 1 under a step, so neither the step nor the
+bias reduces the state again.
 
 The log-sum-exp used by the step functions is the module's own
 ``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
 operation for operation, so results are bit-identical, without scipy's
 per-call array-API dispatch, which dominated compile time on the small
-arrays of the step pipeline.  Full-joint (1-D) reductions with a finite max,
-and row (2-D, axis 1) reductions whose row maxima are finite, skip the
+arrays of the step pipeline.  Full reductions (axis None) with a finite
+max, and row (2-D, axis 1) reductions whose row maxima are finite, skip the
 guards only non-finite input needs.
 """
 
@@ -43,7 +53,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitspace import set_bits, star_cylinder
-from .distributions import Dist
 from .errors import (
     DegenerateStep,
     InfeasibleProfile,
@@ -65,9 +74,9 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     is log1p(s / count) + log(count) + max, and a non-finite result falls
     back to log(sum(exp(a))), so an all -inf input gives -inf.
 
-    A 1-D input with a finite max, the full-joint reduction of the step
-    pipeline, takes the same operations on scalars, and a 2-D input reduced
-    over its rows (axis 1) whose row maxima are all finite, the row
+    A full reduction (axis None) with a finite max, the tilt normalizer of
+    the step pipeline, takes the same operations on scalars, and a 2-D input
+    reduced over its rows (axis 1) whose row maxima are all finite, the row
     reductions of ``build_tilted_step``, takes them on one max per row: the
     results are finite, so they need no kept axes and no fallback.
     """
@@ -75,7 +84,7 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     if a.ndim == 0:
         a = a.reshape(1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if axis is None and a.ndim == 1:
+        if axis is None:
             a_max = a.max()
             if math.isfinite(a_max):
                 at_max = a == a_max
@@ -117,105 +126,90 @@ def _log_values_of(log_factors: np.ndarray) -> np.ndarray:
     is summed from 0 over coordinates 0, 1, ..., width-1 in that order, the
     float a per-state loop over the factors gives.
     """
-    out = np.zeros(1 << len(log_factors))
-    for i, (off, on) in enumerate(log_factors):
-        low, high = out[:1 << i], out[1 << i:2 << i]
-        np.add(low, on, out=high)
-        low += off
+    out = np.zeros(1)
+    for pair in log_factors:
+        out = np.add.outer(pair, out).ravel()  # [off + low, on + low]
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class SharingStep:
-    """One sharing step: mixture weight lam and product-tilt log factors."""
+    """One sharing step on k inputs: mixture weight lam and product-tilt log
+    factors, the k input coordinates first, then the outputs.
 
-    width: int
+    ``log_sx`` (2^k) and ``log_sy`` (2^n) are the tilt's input and output
+    log tables, built on construction and read-only.
+    """
+
+    k: int
     lam: float
-    log_factors: np.ndarray = field(repr=False)  # (width, 2): log s_i(0), log s_i(1)
-    _log_values: np.ndarray | None = field(default=None, init=False,
-                                           repr=False, compare=False)
+    log_factors: np.ndarray = field(repr=False)  # (k + n, 2): log s_i(0), log s_i(1)
+    log_sx: np.ndarray = field(init=False, repr=False, compare=False)
+    log_sy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lf = np.asarray(self.log_factors, dtype=float)
-        if lf.shape != (self.width, 2):
-            raise ShapeMismatch(f"log_factors must be ({self.width}, 2)")
+        if lf.ndim != 2 or lf.shape[1] != 2 or not 0 <= self.k <= len(lf):
+            raise ShapeMismatch(
+                f"log_factors must be (k + n, 2) with k = {self.k}, "
+                f"got shape {lf.shape}")
         if not np.all(np.isfinite(lf)):
             raise ValueError("non-finite log factors")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        object.__setattr__(self, "log_factors", lf)
         lf.setflags(write=False)
+        object.__setattr__(self, "log_factors", lf)
+        object.__setattr__(self, "log_sx", _log_values_of(lf[:self.k]))
+        object.__setattr__(self, "log_sy", _log_values_of(lf[self.k:]))
 
-    @property
-    def factors(self) -> np.ndarray:
-        """Per-coordinate positive factor pairs (may underflow for display)."""
-        return np.exp(self.log_factors)
 
-    def log_values(self) -> np.ndarray:
-        """log s(v) over all 2^width states, computed once and read-only."""
-        if self._log_values is None:
-            object.__setattr__(self, "_log_values", _log_values_of(self.log_factors))
-        return self._log_values
-
-    def to_json_obj(self) -> dict:
-        return {"width": self.width, "lam": self.lam,
-                "log_factors": self.log_factors.tolist()}
+def _tilted(logp: np.ndarray, log_sx: np.ndarray,
+            log_sy: np.ndarray) -> np.ndarray:
+    """log p + log s on the [x, y] state, the tilt broadcast from its input
+    and output tables."""
+    return logp + log_sx[:, None] + log_sy
 
 
 def apply_sharing_log(logp: np.ndarray, step: SharingStep,
                       log_norm: float | None = None
                       ) -> tuple[np.ndarray, float]:
-    """Apply a step to a log joint of mass 1.
+    """Apply a step to a (2^k, 2^n) log state of mass 1, indexed [x, y].
 
-    Returns the stepped log joint, again of mass 1 (up to rounding; it is
-    not renormalized), and the tilt normalizer
-    log N = logsumexp(logp + log s), which is computed here unless the
-    caller passes the one it already has (build_tilted_step returns it).
+    Returns the stepped state, again of mass 1 (up to rounding; it is not
+    renormalized), and the tilt normalizer log N = logsumexp(logp + log s),
+    which is computed here unless the caller passes the one it already has
+    (build_tilted_step returns it).
     """
-    log_s = step.log_values()
+    tilted = _tilted(logp, step.log_sx, step.log_sy)
     if log_norm is None:
-        log_norm = logsumexp(logp + log_s)
+        log_norm = logsumexp(tilted)
     if not np.isfinite(log_norm):
         raise DegenerateStep("tilt normalizer vanished")
     if step.lam >= 1.0:
         out = logp.copy()
     elif step.lam <= 0.0:
-        out = logp + log_s - log_norm
+        out = tilted - log_norm
     else:
         out = np.logaddexp(np.log(step.lam) + logp,
-                           np.log1p(-step.lam) + logp + log_s - log_norm)
+                           np.log1p(-step.lam) + tilted - log_norm)
     return out, log_norm
 
 
-def apply_sharing(p: Dist, step: SharingStep) -> Dist:
-    """lam*p + (1-lam)*hadamard(p, s), computed in the log domain."""
-    if p.width != step.width:
-        raise ShapeMismatch("distribution and step widths differ")
-    with np.errstate(divide="ignore"):
-        logp = np.log(p.probs)
-    out, _ = apply_sharing_log(logp, step)
-    probs = np.exp(out)
-    return Dist(p.width, probs / probs.sum())
-
-
-def hidden_unit_from_log(logp: np.ndarray, step: SharingStep,
-                         log_norm: float | None = None
+def hidden_unit_from_log(step: SharingStep, log_norm: float
                          ) -> tuple[np.ndarray, float]:
-    """Log-domain core of step_to_hidden_unit; logp need not be normalized.
+    """Weights (k inputs first, then the outputs) and bias of the hidden
+    unit realizing ``step`` on a state of mass 1.
 
-    The bias needs the tilt normalizer of logp scaled to mass 1,
-    log N = logsumexp(logp + log s) - logsumexp(logp), which is computed
-    here unless the caller passes it as ``log_norm``: a caller whose joint
-    has mass 1 already has it from build_tilted_step or apply_sharing_log,
-    and logp is then not reduced at all.
+    The bias takes the step's tilt normalizer on that state, ``log_norm``,
+    as build_tilted_step or apply_sharing_log returned it.  Appending the
+    unit to a CRBM whose conditional is the state's gives the conditional of
+    the stepped state.
     """
     if step.lam <= 0.0:
         raise LambdaZero("lambda = 0 needs an infinite bias; use lambda in (0, 1]")
     w = step.log_factors[:, 1] - step.log_factors[:, 0]
     log_s0 = float(step.log_factors[:, 0].sum())
-    if log_norm is None:
-        log_norm = logsumexp(logp + step.log_values()) - logsumexp(logp)
     log_n = float(log_norm)
     if not np.isfinite(log_n):
         raise DegenerateStep("tilt normalizer vanished")
@@ -224,19 +218,6 @@ def hidden_unit_from_log(logp: np.ndarray, step: SharingStep,
     if not np.isfinite(bias) or abs(bias) > BIAS_CAP:
         raise DegenerateStep(f"bias {bias!r} beyond magnitude cap")
     return w, bias
-
-
-def step_to_hidden_unit(p_current: Dist, step: SharingStep) -> tuple[np.ndarray, float]:
-    """Visible weights and bias of the single hidden unit realizing the step.
-
-    Appending the unit to an RBM currently representing ``p_current`` yields
-    exactly apply_sharing(p_current, step).
-    """
-    if p_current.width != step.width:
-        raise ShapeMismatch("distribution and step widths differ")
-    with np.errstate(divide="ignore"):
-        logp = np.log(p_current.probs)
-    return hidden_unit_from_log(logp, step)
 
 
 def mixture_weight_profile(q_masses: np.ndarray) -> np.ndarray:
@@ -284,7 +265,6 @@ def _input_cylinder_factors(k: int, fixed_mask: int, fixed_values: int,
 def build_tilted_step(
     logp: np.ndarray,
     k: int,
-    n: int,
     free_mask: int,
     center: int,
     betas: dict[int, float],
@@ -297,25 +277,24 @@ def build_tilted_step(
     fixes the bits outside ``free_mask`` to the center's.  ``betas`` maps
     each star member (center plus one flip per free bit) to its required
     weight toward the output component encoded by ``out_log_factors``
-    (shape (n, 2), already sharpened).  The
-    within-star odds are solved against the current joint so the realized
-    weights are exact; only the component's off-region dust is approximate.
+    (shape (n, 2), already sharpened).  The within-star odds are solved
+    against the current state ``logp`` ((2^k, 2^n), indexed [x, y]) so the
+    realized weights are exact; only the component's off-region dust is
+    approximate.
 
     Returns the step and its tilt normalizer logsumexp(logp + log s), which
     the step's lambda needs; pass it on to apply_sharing_log.
     """
-    width = k + n
-    y_idx = np.arange(1 << n)
     free = set_bits(free_mask)
     members = [center] + [center ^ (1 << i) for i in free]
     if set(betas) != set(members):
         raise ShapeMismatch("betas must cover exactly the star members")
 
-    out_log_s = _log_values_of(out_log_factors)
-    # one (members x 2^n) gather, center first: row i holds log p(x_i, .);
-    # L and G are the log row masses untilted and tilted toward the component
-    rows = logp[np.array(members)[:, None] + (y_idx << k)]
-    big_l, big_g = logsumexp(np.concatenate([rows, rows + out_log_s]),
+    log_sy = _log_values_of(out_log_factors)
+    # the member rows, center first; L and G are their log masses untilted
+    # and tilted toward the component
+    rows = logp[members]
+    big_l, big_g = logsumexp(np.concatenate([rows, rows + log_sy]),
                              axis=1).reshape(2, -1)
     # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
@@ -331,18 +310,15 @@ def build_tilted_step(
     # with log M(a) = log s_X(a) + log<p(.|a), s_Y> - log N, and
     # beta = u/(lam+u) requires lam T(a) = (1-lam) M(a).  Rows whose log T
     # was clamped err only toward the saturated value they asked for.
-    log_s = _log_values_of(lf)
-    log_norm = logsumexp(logp + log_s)
+    log_sx = _log_values_of(lf[:k])
+    log_norm = logsumexp(_tilted(logp, log_sx, log_sy))
     anchor = max(betas, key=lambda x: min(betas[x], 1.0 - betas[x]))
     a = members.index(anchor)
-    log_sx_a = log_s[anchor] - out_log_s[0]  # joint state (x=anchor, y=0)
-    log_m = float(log_sx_a + big_g[a] - big_l[a] - log_norm)
+    log_m = float(log_sx[anchor] + big_g[a] - big_l[a] - log_norm)
     log_t_a = log_t[a]
     lam = float(1.0 / (1.0 + np.exp(min(max(log_t_a - log_m, -700.0), 700.0))))
     lam = min(max(lam, 1e-300), 1.0 - 1e-16)
-    step = SharingStep(width, lam, lf)
-    object.__setattr__(step, "_log_values", log_s)  # the values of lf
-    return step, log_norm
+    return SharingStep(k, lam, lf), log_norm
 
 
 def make_reset_step(k: int, fixed_mask: int, fixed_values: int,
@@ -358,4 +334,4 @@ def make_reset_step(k: int, fixed_mask: int, fixed_values: int,
     lf = _input_cylinder_factors(k, fixed_mask, fixed_values,
                                  out_log_factors, tau)
     lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
-    return SharingStep(len(lf), lam, lf)
+    return SharingStep(k, lam, lf)

@@ -16,7 +16,13 @@ import numpy as np
 from . import bounds, packing
 from .bitspace import affine_rank, star_members
 from .compiler import compile_universal, divergence_witness
-from .crbm import CrbmParams, eval_conditional, conditional_jacobian, random_params
+from .crbm import (
+    CrbmParams,
+    append_hidden_unit,
+    conditional_jacobian,
+    eval_conditional,
+    random_params,
+)
 from .dimension import certify_dimension, crbm_dimension_estimate
 from .distributions import (
     Dist,
@@ -25,7 +31,15 @@ from .distributions import (
     tv_row_distance,
 )
 from .errors import CrbmKitError
-from .ltn import check_deter_fixed_point, embed_ltn_in_crbm, ltn_table, parity_net
+from .ltn import (
+    ThresholdNet,
+    check_deter_fixed_point,
+    embed_ltn_in_crbm,
+    embed_sigmoid_output,
+    ltn_table,
+    parity_net,
+    sigmoid_output_table,
+)
 from .mrf import (
     MrfModel,
     SimplicialComplex,
@@ -35,7 +49,7 @@ from .mrf import (
     mobius_forward,
     mrf_distribution,
 )
-from .sharing import SharingStep, apply_sharing, step_to_hidden_unit
+from .sharing import SharingStep, apply_sharing_log, hidden_unit_from_log
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,16 @@ def _crit_ltn(offset: int = 0) -> tuple[bool, str]:
         if not check_deter_fixed_point(params, outputs):
             return False, f"k={k}: fixed-point condition fails"
         details.append(f"k={k}: t={t:g}, tv={tv:.1e}")
+    # a generic net with a sigmoid output layer: its feedforward law
+    rng = np.random.default_rng(7 + offset)
+    net = ThresholdNet(2, 2, 2, rng.standard_normal((2, 2)),
+                       rng.standard_normal(2) + 0.3,
+                       rng.standard_normal((2, 2)), rng.standard_normal(2))
+    tv = tv_row_distance(eval_conditional(embed_sigmoid_output(net, eps=1e-3)),
+                         sigmoid_output_table(net))
+    if tv > 1e-3:
+        return False, f"sigmoid output: tv={tv}"
+    details.append(f"sigmoid output: tv={tv:.1e}")
     return True, "; ".join(details)
 
 
@@ -226,20 +250,21 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
         rhs = hadamard(p, hadamard(q, s)).probs
         if np.abs(lhs - rhs).max() > 1e-12:
             return False, "Hadamard associativity"
-    # sharing step round trip
+    # sharing step round trip on the conditional: the stepped state's rows
+    # are the conditional of the model grown by the step's hidden unit
     for _ in range(100):
-        w = int(rng.integers(1, 4))
-        p = Dist(w, rng.dirichlet(np.ones(1 << w)))
+        k = int(rng.integers(0, 3))
+        n = int(rng.integers(1, 3))
+        params = random_params(k, n, int(rng.integers(0, 3)), rng)
+        state = np.log(eval_conditional(params).rows) - k * np.log(2.0)
         lam = float(rng.uniform(0.05, 1.0 - 1e-9))
-        step = SharingStep(w, lam, rng.standard_normal((w, 2)))
-        wv, bias = step_to_hidden_unit(p, step)
-        direct = apply_sharing(p, step).probs
-        tilt = np.array([
-            p.probs[v] * (1.0 + np.exp(sum(wv[i] * ((v >> i) & 1)
-                                           for i in range(w)) + bias))
-            for v in range(1 << w)])
-        tilt /= tilt.sum()
-        if np.abs(direct - tilt).sum() > 1e-10:
+        step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
+        stepped, log_norm = apply_sharing_log(state, step)
+        w, bias = hidden_unit_from_log(step, log_norm)
+        grown = eval_conditional(append_hidden_unit(params, w[k:], w[:k], bias))
+        rows = np.exp(stepped)
+        rows /= rows.sum(axis=1, keepdims=True)
+        if np.abs(rows - grown.rows).sum(axis=1).max() > 1e-10:
             return False, "sharing round trip"
     # jacobian vs finite differences
     for _ in range(100):
@@ -294,7 +319,8 @@ CRITERIA: list[tuple[str, str, Callable[..., tuple[bool, str]]]] = [
     ("dimension", "expected dimension certified numerically and tropically",
      _crit_dimension),
     ("mrf", "random-field compilation exact to 1e-6", _crit_mrf),
-    ("ltn", "parity nets embed with m = k hidden units", _crit_ltn),
+    ("ltn", "parity nets embed with m = k hidden units; sigmoid outputs embed",
+     _crit_ltn),
     ("bounds", "bound-table consistency properties", _crit_bounds),
     ("oracles", "randomized oracle invariant suite", _crit_oracles),
 ]

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from crbmkit import bitspace, compiler, dimension, mrf
-from crbmkit.crbm import CrbmParams, conditional_jacobian, conditional_logits, \
-    inference_map
+from crbmkit.crbm import CrbmParams, conditional_jacobian, conditional_logits
 from crbmkit.distributions import ConditionalTable
 from crbmkit.errors import CapExceeded
 from crbmkit.mrf import compile_mrf_to_rbm
@@ -34,7 +33,6 @@ def field():
 
 PIPELINES = {
     "conditional_logits": lambda: conditional_logits(CrbmParams.zeros(2, 1, 1)),
-    "inference_map": lambda: inference_map(CrbmParams.zeros(2, 1, 1)),
     "conditional_jacobian": lambda: conditional_jacobian(CrbmParams.zeros(1, 1, 1)),
     "compile_universal": lambda: compiler.compile_universal(table(2, 1)),
     "compile_common_support": lambda: compiler.compile_common_support(

@@ -220,7 +220,7 @@ def test_pipeline_keeps_processed_rows_stable():
     k, n, eps = 3, 1, 1e-2
     target, _ = clamp_table(random_conditional(k, n, seed=21), eps)
     seq = build_packing(k, 2)
-    scheme = _ComponentScheme.universal(n)
+    scheme = _ComponentScheme.points(n, range(1 << n))
     masses = scheme.masses(target.rows)
     total = len(seq.centers) * (scheme.count - 1) + len(seq.reset_positions)
     pipe = _Pipeline(k, n, scheme, tau=32.0, tol_step=eps / (2 * total))
@@ -313,20 +313,23 @@ def test_support_points_compile_sparse(k, n, seed):
 # was the joint; the local log-sum-exp, the kept trials and the cached rows
 # must reproduce the counts.  The state is now the conditional with uniform
 # inputs, whose rounding moves the TVs by up to 1.3e-12 relative, hence
-# rel=2e-12; the digests were recorded on it.  The digests pin every bit, so
-# they hold for one numpy build on one CPU family (x86-64, numpy 2.4): its
-# exp and log kernels are dispatched by SIMD extension.
+# rel=2e-12.  The digests were recorded on that state held as (2^k, 2^n)
+# rows indexed [x, y], each tilt broadcast from its input and output
+# tables; the support compile's bits did not move with that change.  The
+# digests pin every bit, so they hold for one numpy build on one CPU family
+# (x86-64, numpy 2.4): its exp and log kernels are dispatched by SIMD
+# extension.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
                       10, 32.0, 0.0007966023069756398,
-                      "a45f7fe6a8f071c1e389dafc113165444cf06f41ec36434b2f445b95a1d2de3a"),
+                      "ff0a7ebf896c16fc7d22ac252e0b9c9e72cd9c2f086b7580510eaed70bed562c"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
                       19, 32.0, 0.0007966040887859571,
-                      "dcdc79065670a5b74700efb07b0eb3634393eb8e7c7460cd1ba5e3734646fe7c"),
+                      "9b826d94b69e74b2ec60500e6fc7fd7685bdcf038727d903d5de0955cac32ec9"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
                          19, 32.0, 0.0007966040887854645,
-                         "98c59324e90421793ae7cca69575409cc7ac5fa57f12665733253983b7eb401c"),
+                         "0d51762d20e1689cb64c6af9ae64a3523f09c296b93ceff24733774fb96439d9"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
                        11, 32.0, 0.001341175602538288,
@@ -352,9 +355,10 @@ def test_golden_compile_outputs(name):
 
 
 def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
-    # the state is log p(y | x) - k log 2: after each accepted step every
-    # input row of it, plus k log 2, log-sums to 0, the cached rows are its
-    # exponent, and it is the conditioned fresh application of the step
+    # the state is log p(y | x) - k log 2 as (2^k, 2^n) rows [x, y]: after
+    # each accepted step every row of it, plus k log 2, log-sums to 0, the
+    # cached rows are its exponent, and it is the conditioned fresh
+    # application of the step
     k, n = 4, 1
     applied = []
     apply_step = _Pipeline._apply
@@ -362,7 +366,9 @@ def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
     def apply_and_check(self, step, logp, rows, log_norm):
         before = self.logp
         apply_step(self, step, logp, rows, log_norm)
-        state = self.logp.reshape(1 << n, 1 << k).T + k * np.log(2.0)
+        assert self.logp.shape == (1 << k, 1 << n)
+        assert self.logp.flags.f_contiguous
+        state = self.logp + k * np.log(2.0)
         assert np.abs(np.log(np.exp(state).sum(axis=1))).max() <= 1e-12
         rows = self.rows()
         assert not rows.flags.writeable
@@ -386,7 +392,7 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
-    size = 1 << (4 + 2)
+    shape = (1 << 4, 1 << 2)
     calls = Counter()
 
     def spy(owner, attr, name=None, counts=lambda *a, **kw: True):
@@ -399,7 +405,7 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
         monkeypatch.setattr(owner, attr, counted)
 
     def full_joint(a, axis=None):
-        return axis is None and np.shape(a) == (size,)
+        return axis is None and np.shape(a) == shape
 
     spy(sharing, "logsumexp", "full", full_joint)
     spy(compiler, "build_tilted_step", "trial")
@@ -415,6 +421,26 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert calls["full"] == trials
 
 
+def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
+    # every tilt is a factor over the k inputs times one over the n
+    # outputs: no log table over the 2^(k+n) joint states is built
+    import crbmkit.sharing as sharing
+
+    k, n = 4, 2
+    widths = Counter()
+    build = sharing._log_values_of
+
+    def counted(log_factors):
+        widths[len(log_factors)] += 1
+        return build(log_factors)
+
+    monkeypatch.setattr(sharing, "_log_values_of", counted)
+    _, rep = compile_universal(dirichlet_table(k, n, 0))
+    assert rep.hidden_units_used == 19
+    assert widths[k] > 0 and widths[n] > 0
+    assert max(widths) == max(k, n)
+
+
 def test_step_loop_budget_names_the_step_kind(monkeypatch):
     # fills and resets share one retry loop; with no tries left each path
     # raises BudgetExceeded naming its own kind and appends no unit
@@ -422,7 +448,7 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
 
     # the star at 0 with both inputs free, on the full 2-cube
     targets = np.array([[0.2, 0.8]] * 3)
-    pipe = _Pipeline(2, 1, _ComponentScheme.universal(1), 32.0, 1e-3)
+    pipe = _Pipeline(2, 1, _ComponentScheme.points(1, [0, 1]), 32.0, 1e-3)
     pipe.fill_star(0, 0b11, targets, [0, 1, 2])  # moves the rows off the start
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)

@@ -7,7 +7,6 @@ from crbmkit.crbm import (
     conditional_jacobian,
     eval_conditional,
     eval_joint_rbm,
-    inference_map,
     random_params,
 )
 from crbmkit.distributions import conditional_of_joint, tv_row_distance
@@ -117,31 +116,6 @@ def test_hidden_bias_shift_unobservable_for_zero_weight_unit():
     p = append_hidden_unit(CrbmParams.zeros(1, 1, 0), [0.0], [0.0], 0.0)
     q = append_hidden_unit(CrbmParams.zeros(1, 1, 0), [0.0], [0.0], 5.0)
     assert np.abs(eval_conditional(p).rows - eval_conditional(q).rows).max() < 1e-12
-
-
-def test_inference_map_examples():
-    imap = inference_map(CrbmParams.zeros(1, 1, 2))
-    assert imap.any_tie
-    assert all(imap.hidden_for(x, y) == 0 for x in range(2) for y in range(2))
-
-    p = CrbmParams(1, 1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
-                   np.zeros(1), np.array([10.0]))
-    imap = inference_map(p)
-    assert not imap.any_tie
-    assert all(imap.hidden_for(x, y) == 1 for x in range(2) for y in range(2))
-
-    rng = np.random.default_rng(10)
-    imap = inference_map(random_params(2, 2, 2, rng))
-    assert not imap.any_tie  # ties are a probability-zero event
-
-
-def test_inference_map_hidden_state_fits_int64():
-    # a few cells each, so the cell limit admits both; 63 bits is the index
-    p = CrbmParams(1, 1, 63, np.zeros((63, 1)), np.zeros((63, 1)),
-                   np.zeros(1), np.ones(63))
-    assert inference_map(p).hidden_for(1, 1) == (1 << 63) - 1
-    with pytest.raises(ShapeMismatch):
-        inference_map(CrbmParams.zeros(1, 1, 64))
 
 
 def test_jacobian_rows_of_each_block_sum_to_zero():

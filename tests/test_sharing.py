@@ -5,27 +5,51 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from crbmkit.compiler import _ComponentScheme, _Pipeline
-from crbmkit.crbm import CrbmParams, append_hidden_unit, eval_joint_rbm
-from crbmkit.distributions import Dist, conditional_of_joint, random_dist
+from crbmkit.crbm import append_hidden_unit, eval_conditional, random_params
+from crbmkit.distributions import Dist
 from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
 from crbmkit.sharing import (
     SharingStep,
-    apply_sharing,
     apply_sharing_log,
     build_tilted_step,
+    hidden_unit_from_log,
     logsumexp,
     make_reset_step,
     mixture_weight_profile,
-    step_to_hidden_unit,
 )
 
 
-def linear_apply(p: Dist, step: SharingStep) -> np.ndarray:
-    """Independent oracle: the defining formula in plain linear arithmetic."""
-    s = np.exp(step.log_values())
-    tilt = p.probs * s
+def tilt_values(step: SharingStep, n: int) -> np.ndarray:
+    """Independent oracle: s(x, y) as (2^k, 2^n), each value the product of
+    the per-coordinate factors of the state (x, y), inputs first."""
+    k = step.k
+    s = np.empty((1 << k, 1 << n))
+    for x in range(1 << k):
+        for y in range(1 << n):
+            v = x | (y << k)
+            s[x, y] = np.prod([np.exp(step.log_factors[i, (v >> i) & 1])
+                               for i in range(k + n)])
+    return s
+
+
+def linear_apply(p: np.ndarray, step: SharingStep) -> np.ndarray:
+    """Independent oracle: the defining formula in plain linear arithmetic
+    on a (2^k, 2^n) state ``p`` of mass 1."""
+    tilt = p * tilt_values(step, p.shape[1].bit_length() - 1)
     tilt /= tilt.sum()
-    return step.lam * p.probs + (1 - step.lam) * tilt
+    return step.lam * p + (1 - step.lam) * tilt
+
+
+def random_state(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """log p(y | x) - k log 2 for random rows: a (2^k, 2^n) state of mass 1."""
+    rows = rng.dirichlet(np.ones(1 << n), size=1 << k)
+    return np.log(rows) - k * np.log(2.0)
+
+
+def conditional_rows(logp: np.ndarray) -> np.ndarray:
+    """The conditional rows p(. | x) of a (2^k, 2^n) log state."""
+    rows = np.exp(logp)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def point_mass_factors(y: int, n: int, tau: float) -> np.ndarray:
@@ -40,99 +64,93 @@ def fill_pipeline(k: int, n: int, tau: float, tol_step: float = 1e-3
                   ) -> _Pipeline:
     """The compiler's step pipeline on point components, every row starting
     proportional to exp(-tau / (2n) |y|), i.e. near delta_0."""
-    return _Pipeline(k, n, _ComponentScheme.universal(n), tau, tol_step)
+    return _Pipeline(k, n, _ComponentScheme.points(n, range(1 << n)), tau,
+                     tol_step)
 
 
-def start_joint(k: int, n: int, tau: float) -> Dist:
-    """Joint with uniform inputs and rows proportional to exp(-tau |y|)."""
-    logp = np.array([-tau * bin(v >> k).count("1") for v in range(1 << (k + n))],
-                    dtype=float)
-    p = np.exp(logp)
-    return Dist(k + n, p / p.sum())
+def start_state(k: int, n: int, tau: float) -> np.ndarray:
+    """State with uniform inputs and rows proportional to exp(-tau |y|)."""
+    logits = np.array([-tau * bin(y).count("1") for y in range(1 << n)])
+    rows = np.tile(logits - scipy.special.logsumexp(logits), (1 << k, 1))
+    return rows - k * np.log(2.0)
 
 
 def test_apply_sharing_identity_cases():
     rng = np.random.default_rng(0)
-    p = random_dist(2, rng)
-    lam1 = SharingStep(2, 1.0, rng.standard_normal((2, 2)))
-    assert np.abs(apply_sharing(p, lam1).probs - p.probs).max() < 1e-15
-    uniform_tilt = SharingStep(2, 0.0, np.zeros((2, 2)))
-    assert np.abs(apply_sharing(p, uniform_tilt).probs - p.probs).max() < 1e-12
+    logp = random_state(1, 1, rng)
+    lam1 = SharingStep(1, 1.0, rng.standard_normal((2, 2)))
+    assert np.abs(apply_sharing_log(logp, lam1)[0] - logp).max() < 1e-15
+    uniform_tilt = SharingStep(1, 0.0, np.zeros((2, 2)))
+    assert np.abs(apply_sharing_log(logp, uniform_tilt)[0] - logp).max() < 1e-12
 
 
 def test_apply_sharing_matches_linear_oracle():
-    # uniform start on 2 bits, lambda 1/2, odds (1, 3) per coordinate
-    p = Dist.uniform(2)
+    # uniform start on 1 input and 1 output, lambda 1/2, odds (1, 3) per
+    # coordinate
+    p = np.full((2, 2), 0.25)
     lf = np.zeros((2, 2))
     lf[:, 1] = np.log(3.0)
-    step = SharingStep(2, 0.5, lf)
-    assert np.abs(apply_sharing(p, step).probs - linear_apply(p, step)).max() < 1e-14
+    step = SharingStep(1, 0.5, lf)
+    got = np.exp(apply_sharing_log(np.log(p), step)[0])
+    assert np.abs(got - linear_apply(p, step)).max() < 1e-14
     rng = np.random.default_rng(1)
     for _ in range(50):
-        q = random_dist(3, rng)
-        st = SharingStep(3, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
-        assert np.abs(apply_sharing(q, st).probs - linear_apply(q, st)).max() < 1e-12
+        k = int(rng.integers(0, 3))
+        logq = random_state(k, 3 - k, rng)
+        st = SharingStep(k, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
+        got = np.exp(apply_sharing_log(logq, st)[0])
+        assert np.abs(got - linear_apply(np.exp(logq), st)).max() < 1e-12
 
 
 def test_apply_sharing_preserves_positivity_and_normalization():
     rng = np.random.default_rng(5)
-    p = random_dist(3, rng)
+    logp = random_state(1, 2, rng)
     for _ in range(20):
-        st = SharingStep(3, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
-        p = apply_sharing(p, st)
-        assert p.strictly_positive
-        assert abs(p.probs.sum() - 1.0) < 1e-12
+        st = SharingStep(1, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
+        logp = apply_sharing_log(logp, st)[0]
+        assert logp.shape == (2, 4)
+        assert np.all(np.isfinite(logp))
+        assert abs(np.exp(logp).sum() - 1.0) < 1e-12
 
 
 def test_step_to_hidden_unit_round_trip():
+    # the stepped state's rows are the conditional of the CRBM grown by the
+    # step's hidden unit, starting from the state of a random CRBM
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        w = int(rng.integers(1, 4))
-        p = random_dist(w, rng)
-        lam = float(rng.uniform(0.05, 1.0 - 1e-12))
-        step = SharingStep(w, lam, rng.standard_normal((w, 2)))
-        weights, bias = step_to_hidden_unit(p, step)
-        direct = apply_sharing(p, step)
-        # realize on an RBM currently representing p via energies log p
-        tilt = np.array([
-            p.probs[v] * (1 + np.exp(sum(weights[i] * ((v >> i) & 1)
-                                         for i in range(w)) + bias))
-            for v in range(1 << w)])
-        tilt /= tilt.sum()
-        assert np.abs(direct.probs - tilt).sum() <= 1e-10
-
-
-def test_step_to_hidden_unit_on_actual_rbm():
-    # appending the realized unit to a bias-only RBM reproduces apply_sharing
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(3)
-    params = CrbmParams.bias_only(0, 3, b)
-    p = eval_joint_rbm(params)
-    step = SharingStep(3, 0.4, rng.standard_normal((3, 2)))
-    weights, bias = step_to_hidden_unit(p, step)
-    grown = append_hidden_unit(params, weights, np.zeros(0), bias)
-    assert np.abs(eval_joint_rbm(grown).probs - apply_sharing(p, step).probs).sum() < 1e-12
+    for k in (0, 1, 2):
+        for _ in range(30):
+            n = int(rng.integers(1, 3))
+            params = random_params(k, n, int(rng.integers(0, 3)), rng)
+            state = np.log(eval_conditional(params).rows) - k * np.log(2.0)
+            lam = float(rng.uniform(0.05, 1.0 - 1e-12))
+            step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
+            stepped, log_norm = apply_sharing_log(state, step)
+            w, bias = hidden_unit_from_log(step, log_norm)
+            grown = append_hidden_unit(params, w[k:], w[:k], bias)
+            diff = conditional_rows(stepped) - eval_conditional(grown).rows
+            assert np.abs(diff).sum(axis=1).max() <= 1e-12
 
 
 def test_step_to_hidden_unit_uniform_tilt_is_zero_unit():
     # a flat tilt at lambda 1/2 multiplies by the constant 2: w = 0, bias = 0
     rng = np.random.default_rng(14)
-    p = random_dist(3, rng)
-    step = SharingStep(3, 0.5, np.zeros((3, 2)))
-    weights, bias = step_to_hidden_unit(p, step)
+    logp = random_state(1, 2, rng)
+    step = SharingStep(1, 0.5, np.zeros((3, 2)))
+    weights, bias = hidden_unit_from_log(step, apply_sharing_log(logp, step)[1])
     assert np.abs(weights).max() == 0.0
     assert bias == pytest.approx(0.0, abs=1e-12)
 
 
 def test_step_to_hidden_unit_degenerate_lambdas():
     rng = np.random.default_rng(4)
-    p = random_dist(2, rng)
-    step = SharingStep(2, 0.0, rng.standard_normal((2, 2)))
+    step = SharingStep(1, 0.0, rng.standard_normal((2, 2)))
     with pytest.raises(LambdaZero):
-        step_to_hidden_unit(p, step)
-    step = SharingStep(2, 1.0, rng.standard_normal((2, 2)))
+        hidden_unit_from_log(step, 0.0)
+    step = SharingStep(1, 1.0, rng.standard_normal((2, 2)))
     with pytest.raises(DegenerateStep):
-        step_to_hidden_unit(p, step)
+        hidden_unit_from_log(step, 0.0)
+    with pytest.raises(DegenerateStep):
+        hidden_unit_from_log(SharingStep(1, 0.5, np.zeros((2, 2))), -np.inf)
 
 
 def test_mixture_weight_profile_formula():
@@ -198,50 +216,51 @@ def test_star_fill_error_shrinks_with_sharpness():
 def test_make_reset_step_examples():
     rng = np.random.default_rng(10)
     # full input cube: all rows driven to the target point mass
-    p = Dist(3, rng.dirichlet(np.ones(8)))
+    logp = random_state(2, 1, rng)
     step = make_reset_step(2, 0, 0, point_mass_factors(0, 1, 30.0), tau=30.0)
-    table = conditional_of_joint(apply_sharing(p, step), 2)
-    assert np.abs(table.rows[:, 0] - 1.0).max() <= 1e-3
+    rows = conditional_rows(apply_sharing_log(logp, step)[0])
+    assert np.abs(rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
     tiny = make_reset_step(2, 0, 0, point_mass_factors(0, 1, 1e-9), tau=1e-9)
-    after = apply_sharing(p, tiny)
-    assert np.abs(after.probs - p.probs).max() < 1e-6
+    after = apply_sharing_log(logp, tiny)[0]
+    assert np.abs(np.exp(after) - np.exp(logp)).max() < 1e-6
 
     # half-cube reset moves only the constrained rows
-    p = Dist(3, rng.dirichlet(np.ones(8)))
-    before = conditional_of_joint(p, 2)
+    logp = random_state(2, 1, rng)
+    before = conditional_rows(logp)
     # the cylinder fixing input bit 0 to 0
     step = make_reset_step(2, 0b01, 0, point_mass_factors(0, 1, 30.0), tau=30.0)
-    after = conditional_of_joint(apply_sharing(p, step), 2)
+    after = conditional_rows(apply_sharing_log(logp, step)[0])
     for x in range(4):
         if x & 0b01 == 0:
-            assert np.abs(after.rows[x] - [1.0, 0.0]).sum() <= 1e-3
+            assert np.abs(after[x] - [1.0, 0.0]).sum() <= 1e-3
         else:
-            assert np.abs(after.rows[x] - before.rows[x]).sum() <= 1e-3
+            assert np.abs(after[x] - before[x]).sum() <= 1e-3
 
 
 def test_tilt_profile_proportionality():
     # the product tilt restricted to a star can match any positive profile:
-    # with flat output factors, s(x) on the star is proportional to the
+    # with flat output factors, s_X(x) on the star is proportional to the
     # odds beta_x / (1 - beta_x) asked for
     rng = np.random.default_rng(11)
     members = [0b0100, 0b0101, 0b0110, 0b1100]
     profile = rng.uniform(0.1, 5.0, size=len(members))
     betas = {x: float(q / (1.0 + q)) for x, q in zip(members, profile)}
-    logp = np.log(random_dist(5, rng).probs)
+    logp = random_state(4, 1, rng)
     step, log_norm = build_tilted_step(
-        logp, 4, 1, 0b1011, 0b0100, betas,
-        np.zeros((1, 2)), 40.0)
-    log_s = step.log_values()
+        logp, 4, 0b1011, 0b0100, betas, np.zeros((1, 2)), 40.0)
+    assert step.log_sx.shape == (16,) and step.log_sy.shape == (2,)
+    assert not step.log_sy.any()
     # the returned normalizer is the one the step's application computes
     assert log_norm == apply_sharing_log(logp, step)[1]
-    assert log_norm == scipy.special.logsumexp(logp + log_s)
-    got = np.exp(log_s[members] - log_s[members[0]])
+    assert log_norm == scipy.special.logsumexp(
+        logp + step.log_sx[:, None] + step.log_sy)
+    got = np.exp(step.log_sx[members] - step.log_sx[members[0]])
     want = profile / profile[0]
     assert np.abs(got - want).max() < 1e-9
     # off the cylinder (bit 2 = 0) the tilt is down by the sharpness
-    assert log_s[0b0000] - log_s[0b0100] == pytest.approx(-40.0)
+    assert step.log_sx[0b0000] - step.log_sx[0b0100] == pytest.approx(-40.0)
 
 
 def test_star_fill_rejects_rows_off_the_star():
@@ -252,12 +271,11 @@ def test_star_fill_rejects_rows_off_the_star():
 
 def test_build_tilted_step_rejects_betas_off_the_star():
     # the star at 0 on the full 2-cube has members {0, 1, 2}
-    logp = np.log(start_joint(2, 1, 8.0).probs)
+    logp = start_state(2, 1, 8.0)
     out_lf = np.array([[-16.0, 0.0]])
     for betas in ({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}):
         with pytest.raises(ShapeMismatch):
-            build_tilted_step(logp, 2, 1, 0b11, 0, betas,
-                              out_lf, 16.0)
+            build_tilted_step(logp, 2, 0b11, 0, betas, out_lf, 16.0)
 
 
 def test_mixture_profile_rejects_negative_mass():
@@ -304,13 +322,18 @@ def test_logsumexp_all_neg_inf_is_not_finite():
 
 
 def test_log_values_is_the_per_state_sum_and_read_only():
+    # a step on k = 2 inputs and 2 outputs holds log s_X over the 4 inputs
+    # and log s_Y over the 4 outputs, each value summed over its
+    # coordinates in order
     rng = np.random.default_rng(15)
-    step = SharingStep(4, 0.3, rng.standard_normal((4, 2)))
-    values = step.log_values()
-    for v in range(1 << 4):
-        want = 0.0
-        for i in range(4):
-            want += step.log_factors[i, (v >> i) & 1]
-        assert values[v] == want
-    assert not values.flags.writeable
-    assert step.log_values() is values
+    step = SharingStep(2, 0.3, rng.standard_normal((4, 2)))
+    for table, coords in ((step.log_sx, (0, 1)), (step.log_sy, (2, 3))):
+        assert table.shape == (4,)
+        assert not table.flags.writeable
+        for v in range(4):
+            want = 0.0
+            for j, i in enumerate(coords):
+                want += step.log_factors[i, (v >> j) & 1]
+            assert table[v] == want
+    with pytest.raises(ShapeMismatch):
+        SharingStep(3, 0.3, np.zeros((2, 2)))
