@@ -5,7 +5,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from crbmkit.compiler import _ComponentScheme, _Pipeline
-from crbmkit.crbm import append_hidden_unit, eval_conditional, random_params
+from crbmkit.crbm import (
+    CrbmParams,
+    append_hidden_unit,
+    eval_conditional,
+    eval_joint_rbm,
+    random_params,
+)
 from crbmkit.distributions import Dist
 from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
 from crbmkit.sharing import (
@@ -129,6 +135,19 @@ def test_step_to_hidden_unit_round_trip():
             grown = append_hidden_unit(params, w[k:], w[:k], bias)
             diff = conditional_rows(stepped) - eval_conditional(grown).rows
             assert np.abs(diff).sum(axis=1).max() <= 1e-12
+
+
+def test_step_to_hidden_unit_on_actual_rbm():
+    # appending the realized unit to a bias-only RBM (k = 0) reproduces the
+    # stepped joint distribution
+    rng = np.random.default_rng(3)
+    params = CrbmParams.bias_only(0, 3, rng.standard_normal(3))
+    state = np.log(eval_joint_rbm(params).probs)[None, :]
+    step = SharingStep(0, 0.4, rng.standard_normal((3, 2)))
+    stepped, log_norm = apply_sharing_log(state, step)
+    w, bias = hidden_unit_from_log(step, log_norm)
+    grown = append_hidden_unit(params, w, np.zeros(0), bias)
+    assert np.abs(eval_joint_rbm(grown).probs - np.exp(stepped[0])).sum() < 1e-12
 
 
 def test_step_to_hidden_unit_uniform_tilt_is_zero_unit():
