@@ -33,6 +33,15 @@ def check_width(width: int) -> None:
         raise ValueError(f"width must be >= 1, got {width}")
 
 
+def state_bits(width: int, states=None) -> np.ndarray:
+    """Bit i of each state in column i, as 0.0/1.0: the (2^width, width)
+    table of every state, ascending, or the bits of ``states`` (an index or
+    an array of indices) along a new last axis."""
+    if states is None:
+        states = np.arange(1 << width)
+    return ((np.asarray(states)[..., None] >> np.arange(width)) & 1).astype(float)
+
+
 def set_bits(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending."""
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
@@ -71,6 +80,5 @@ def affine_rank(indices: list[int], width: int) -> int:
     """Rank of the states' bit matrix with an appended all-ones column."""
     if not indices:
         return 0
-    m = np.array([[(v >> i) & 1 for i in range(width)] + [1] for v in indices],
-                 dtype=float)
+    m = np.column_stack([state_bits(width, indices), np.ones(len(indices))])
     return int(np.linalg.matrix_rank(m))

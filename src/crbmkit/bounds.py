@@ -143,14 +143,6 @@ class BoundsReport:
     rbm_route: int | None = None
     necessary: int | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k, "n": self.n,
-            "m_by_depth": {str(r): m for r, m in self.m_by_depth.items()},
-            "m_min": self.m_min, "best_r": self.best_r,
-            "rbm_route": self.rbm_route, "necessary": self.necessary,
-        }
-
 
 def universal_m_table(k: int, n: int) -> BoundsReport:
     """All depth-r universal budgets, their minimum, the RBM-route bound

@@ -3,19 +3,23 @@
 Subcommands: bounds, table1, pack, compile, dim, divergence, mrf, ltn,
 verify-all.  Randomized subcommands require an explicit --seed.  Output is
 JSON (CSV for table1) to stdout or --out; relative --out paths resolve
-against $CRBMKIT_OUT_DIR when set.  Every JSON payload carries a versioned
-schema tag; the tests, not the CLI, check payloads against
-docs/output-schemas.json.  Exit codes: 0 success, 1 domain error (a table
-above bitspace.MAX_CELLS cells is one, refused before it is built), 2 usage
-error; every subcommand checks its arguments before any work starts.
+against $CRBMKIT_OUT_DIR when set.  This module is the package's one JSON
+writer: it encodes arrays by tolist() and reports, parameters and tables by
+their dataclass fields.  Every JSON payload carries a versioned schema tag;
+the tests, not the CLI, check payloads against docs/output-schemas.json.
+Exit codes: 0 success, 1 domain error (a table above bitspace.MAX_CELLS
+cells is one, refused before it is built), 2 usage error; every subcommand
+checks its arguments before any work starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -45,19 +49,27 @@ from .mrf import (
 )
 from .verify import verify_all
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+
+def _json_value(obj):
+    """What ``json.dumps`` cannot encode itself: an array as nested lists,
+    a dataclass (a report, parameters or a table) as its fields by name.  A
+    dict field's keys become strings first, so they sort as strings."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _string_keys(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _string_keys(value):
+    return {str(k): v for k, v in value.items()} if isinstance(value, dict) \
+        else value
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
-    _write(text, out)
+    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_value)
+           + "\n", out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -68,10 +80,6 @@ def _write(text: str, out: str | None) -> None:
     path = out if os.path.isabs(out) or not base else os.path.join(base, out)
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _params_obj(params) -> dict:
-    return json.loads(params.to_json())
 
 
 class _UsageError(Exception):
@@ -85,7 +93,7 @@ def _cmd_bounds(args) -> int:
     payload = {
         "schema": "crbmkit-bounds/1",
         "k": args.k, "n": args.n,
-        "universal": rep.to_json_obj(),
+        "universal": rep,
         "deterministic": dict(zip(("sufficient", "necessary"),
                                   bounds_mod.deterministic_m_bounds(
                                       max(args.k, 1), args.n))),
@@ -115,10 +123,11 @@ def _cmd_table1(args) -> int:
 
 #: cells (8 bytes each) charged per star by pack's size check, before the
 #: packing is built: its JSON payload, one object per star, outweighs the
-#: build and the validation; tracemalloc peaks at 153.8-165.8 cells per star
+#: build and the validation; tracemalloc peaks at 129.7-141.8 cells per star
 #: over the whole command (CPython 3.11, (k, r) = (12, 1), (14, 1), (16, 1),
-#: (17, 1), (14, 2), (16, 2), (14, 3), (16, 4)), rounded up
-PACK_STAR_CELLS = 168
+#: (17, 1), (14, 2), (16, 2), (14, 3), (16, 4); the top of the range is
+#: (12, 1), where the fixed cost weighs most), rounded up
+PACK_STAR_CELLS = 144
 
 
 def _cmd_pack(args) -> int:
@@ -187,8 +196,9 @@ def _check_compile_args(args) -> None:
     min_k = 1 if args.mode == "universal" else 0
     if k < min_k or n < 1:
         raise _UsageError(f"--k must be >= {min_k} and --n >= 1 in {args.mode} mode")
-    if (args.r is not None and args.r < 1) or not args.eps > 0:
-        raise _UsageError("--r must be >= 1 and --eps > 0")
+    if (args.r is not None and args.r < 1) \
+            or not (args.eps > 0 and math.isfinite(args.eps)):
+        raise _UsageError("--r must be >= 1 and --eps finite and > 0")
     if args.mode == "partition" and args.l is not None and not 0 <= args.l <= n:
         raise _UsageError(f"--l must be in [0, n] = [0, {n}]")
     if args.mode == "support" and args.d is not None \
@@ -215,9 +225,9 @@ def _cmd_compile(args) -> int:
         "schema": "crbmkit-compile/1",
         "seed": args.seed,
         "mode": args.mode,
-        "target": json.loads(target.to_json()),
-        "params": _params_obj(params),
-        "report": report.to_json_obj(),
+        "target": target,
+        "params": params,
+        "report": report,
     }
     _emit(payload, args.out)
     return 0
@@ -228,7 +238,7 @@ def _cmd_dim(args) -> int:
         raise _UsageError("--k must be >= 0, --n >= 1, --m >= 0 and --trials >= 1")
     rep = certify_dimension(args.k, args.n, args.m, trials=args.trials,
                             seed=args.seed)
-    payload = {"schema": "crbmkit-dim/1"} | rep.to_json_obj()
+    payload = {"schema": "crbmkit-dim/1"} | _json_value(rep)
     _emit(payload, args.out)
     return 0
 
@@ -245,7 +255,7 @@ def _cmd_divergence(args) -> int:
         "k": args.k, "n": args.n, "m_budget": args.m,
         "divergence": div,
         "divergence_upper": bounds_mod.divergence_upper(args.k, args.n, args.m),
-        "params": _params_obj(params),
+        "params": params,
     }
     _emit(payload, args.out)
     return 0
@@ -262,10 +272,15 @@ def _json_arg(text: str):
         raise argparse.ArgumentTypeError(f"not JSON or a JSON file: {exc}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` parse to bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _face_mask(face, n: int) -> int:
     """Bitmask of a face listed by its distinct 1-based indices in 1..n."""
     if not (isinstance(face, list)
-            and all(isinstance(i, int) and 1 <= i <= n for i in face)
+            and all(_is_int(i) and 1 <= i <= n for i in face)
             and len(set(face)) == len(face)):
         raise _UsageError(f"face {face!r} must list distinct indices in 1..{n}")
     return sum(1 << (i - 1) for i in face)
@@ -276,19 +291,24 @@ def _mrf_inputs(spec, theta_entries) -> tuple[int, list[int], dict[int, float]]:
     try:
         n = spec["n"]
         faces = list(spec["faces"])
-        entries = [(face, float(v)) for face, v in theta_entries]
+        entries = [(face, v) for face, v in theta_entries]
     except (KeyError, TypeError, ValueError):
         raise _UsageError('--complex must be {"n": N, "faces": [[i, ...], ...]} '
                           'and --theta [[[i, ...], value], ...]') from None
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise _UsageError("the complex's n must be an integer")
     generators = [_face_mask(face, n) for face in faces]
     theta = {}
     for face, v in entries:
+        # json parses NaN, Infinity and 1e999 to floats; the comparison also
+        # refuses an int too large for a double
+        if not ((_is_int(v) or isinstance(v, float))
+                and abs(v) <= sys.float_info.max):
+            raise _UsageError(f"theta value {v!r} must be a finite number")
         a = _face_mask(face, n)
         if a and not any(a & ~g == 0 for g in generators):
             raise _UsageError(f"theta face {face!r} is not a face of the complex")
-        theta[a] = v
+        theta[a] = float(v)
     return n, generators, theta
 
 
@@ -314,7 +334,7 @@ def _cmd_mrf(args) -> int:
         "schema": "crbmkit-mrf/1",
         "n": n, "k": args.k,
         "hidden_units": params.m,
-        "params": _params_obj(params),
+        "params": params,
         "verification_tv": tv,
     }
     _emit(payload, args.out)
@@ -326,8 +346,8 @@ def _cmd_ltn(args) -> int:
         raise _UsageError("--k must be >= 1 in parity mode")
     if args.mode == "embed" and (args.k < 0 or args.m < 1 or args.n < 1):
         raise _UsageError("--k must be >= 0 and --m, --n >= 1 in embed mode")
-    if not args.eps > 0:
-        raise _UsageError("--eps must be > 0")
+    if not (args.eps > 0 and math.isfinite(args.eps)):
+        raise _UsageError("--eps must be finite and > 0")
     n = 1 if args.mode == "parity" else args.n
     check_cells(1 << (args.k + n), f"a table at (k, n) = ({args.k}, {n})")
     if args.mode == "parity":
@@ -346,7 +366,7 @@ def _cmd_ltn(args) -> int:
         "mode": args.mode,
         "k": net.k, "m": net.m, "n": net.n,
         "scale": t_used,
-        "params": _params_obj(params),
+        "params": params,
         "verification_tv": tv,
     }
     _emit(payload, args.out)

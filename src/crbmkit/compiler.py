@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitspace import check_cells, star_cylinder, star_members
+from .bitspace import check_cells, star_cylinder, star_members, state_bits
 from .crbm import CrbmParams, append_hidden_unit, eval_conditional
 from .distributions import ConditionalTable, kl_conditional, tv_row_distance
 from .errors import (
@@ -84,21 +84,6 @@ class CompileReport:
     clamp_error: float
     r: int | None
     epsilon: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "hidden_units_used": self.hidden_units_used,
-            "resets_used": self.resets_used,
-            "star_steps_used": self.star_steps_used,
-            "achieved_tv": self.achieved_tv,
-            "tau_final": self.tau_final,
-            "budget_bound": self.budget_bound,
-            "within_budget": self.within_budget,
-            "clamp_error": self.clamp_error,
-            "r": self.r,
-            "epsilon": self.epsilon,
-        }
 
 
 def clamp_table(table: ConditionalTable, eps: float) -> tuple[ConditionalTable, float]:
@@ -191,8 +176,7 @@ class _Pipeline:
         tau_b = tau / (2.0 * max(scheme.sharp_width, 1))
         b0 = scheme.start_bias(tau_b)
         self.params = CrbmParams.bias_only(k, n, b0)
-        y_bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
-        logits = (y_bits * b0[None, :]).sum(axis=1)
+        logits = (state_bits(n) * b0[None, :]).sum(axis=1)
         # column-major, x fastest: each row reduction of the state runs over
         # contiguous columns, and every step keeps the layout
         self.logp, self._rows = self._conditioned(

@@ -17,12 +17,11 @@ bits), matching distributions.conditional_of_joint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitspace import check_cells
+from .bitspace import check_cells, state_bits
 from .distributions import ConditionalTable, Dist
 from .errors import ShapeMismatch
 
@@ -31,12 +30,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function; exp(-x) overflowing to inf gives exactly 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def _bit_matrix(width: int) -> np.ndarray:
-    """(2^width, width) matrix whose row i holds the bits of index i."""
-    idx = np.arange(1 << width)
-    return ((idx[:, None] >> np.arange(width)[None, :]) & 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -76,29 +69,13 @@ class CrbmParams:
     def param_count(self) -> int:
         return (self.k + self.n + 1) * self.m + self.n
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k, "n": self.n, "m": self.m,
-            "W": self.W.tolist(), "V": self.V.tolist(),
-            "b": self.b.tolist(), "c": self.c.tolist(),
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "CrbmParams":
-        o = json.loads(text)
-        return CrbmParams(o["k"], o["n"], o["m"],
-                          np.array(o["W"], dtype=float).reshape(o["m"], o["n"]),
-                          np.array(o["V"], dtype=float).reshape(o["m"], o["k"]),
-                          np.array(o["b"], dtype=float),
-                          np.array(o["c"], dtype=float))
-
 
 def conditional_logits(p: CrbmParams) -> np.ndarray:
     """Unnormalized log p(y|x) as a (2^k, 2^n) array."""
     check_cells((1 << (p.k + p.n)) * max(p.m, 1),
                 f"conditional_logits at (k, n, m) = ({p.k}, {p.n}, {p.m})")
-    Y = _bit_matrix(p.n)
-    X = _bit_matrix(p.k)
+    Y = state_bits(p.n)
+    X = state_bits(p.k)
     energy = (Y @ p.b)[None, :]                       # (1, 2^n)
     if p.m:
         ax = X @ p.V.T                                # (2^k, m)
@@ -147,8 +124,8 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
 
 def _log_grads(p: CrbmParams) -> np.ndarray:
     """d log G(x,y) / d theta for all (x, y); theta = (W, V, b, c) row-major."""
-    X = _bit_matrix(p.k)
-    Y = _bit_matrix(p.n)
+    X = state_bits(p.k)
+    Y = state_bits(p.n)
     nx, ny, m = 1 << p.k, 1 << p.n, p.m
     grads = np.zeros((nx, ny, p.param_count))
     if m:

@@ -1,8 +1,11 @@
 """Dimension certification: numeric Jacobian rank and the tropical bound.
 
 The numeric path takes the max rank of the conditional-probability Jacobian
-over random parameter draws; rank is lower-semicontinuous, so this is a
-certified lower bound on the model dimension and generically attains it.
+over random parameter draws, each rank read off a singular-value threshold.
+It is an estimate, not a certificate: rounding can lift or sink a singular
+value across the threshold, and a count that moves when the threshold is
+halved or doubled raises UnstableRank instead.  At generic parameters the
+exact rank equals the model dimension.
 
 The tropical path builds the integer matrix (A | A_{C_1} | ... | A_{C_m})
 whose row at visible state v = (x, y) is (1, v) masked by membership in each
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitspace import affine_rank, ball_members, check_cells
+from .bitspace import affine_rank, ball_members, check_cells, state_bits
 from .bounds import expected_dim
 from .crbm import conditional_jacobian, random_params
 from .errors import UnstableRank
@@ -158,14 +161,14 @@ def tropical_matrix(k: int, n: int, slicings: list[int]) -> np.ndarray:
                 or not 0 <= center < 1 << width):
             raise ValueError(f"slicing center {center!r} is not a state of "
                              f"{{0,1}}^{width}")
-    v = np.arange(1 << width, dtype=np.int64)
-    base = np.column_stack([np.ones_like(v), (v[:, None] >> np.arange(width)) & 1])
-    masks = np.zeros((len(slicings), v.size), dtype=np.int64)
+    bits = state_bits(width).astype(np.int64)
+    base = np.column_stack([np.ones(1 << width, dtype=np.int64), bits])
+    masks = np.zeros((len(slicings), 1 << width), dtype=np.int64)
     for i, center in enumerate(slicings):
         masks[i, ball_members(center, width)] = 1
     blocks = (masks[:, :, None] * base[None, :, :]).transpose(1, 0, 2)
-    inputs = (v[:, None] & ((1 << k) - 1)) == np.arange(1 << k)
-    return np.hstack([base, blocks.reshape(v.size, -1), inputs])
+    inputs = np.tile(np.eye(1 << k, dtype=np.int64), (1 << n, 1))
+    return np.hstack([base, blocks.reshape(1 << width, -1), inputs])
 
 
 def tropical_rank_mod_inputs(k: int, n: int, m: int,
@@ -226,17 +229,6 @@ class DimensionReport:
     placement_clean: bool
     agree: bool
     tropical_consistent: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k, "n": self.n, "m": self.m,
-            "expected_value": self.expected_value, "regime": self.regime,
-            "numeric": self.numeric, "tropical": self.tropical,
-            "balls_placed": self.balls_placed,
-            "placement_clean": self.placement_clean,
-            "agree": self.agree,
-            "tropical_consistent": self.tropical_consistent,
-        }
 
 
 def certify_dimension(k: int, n: int, m: int, trials: int = 8,

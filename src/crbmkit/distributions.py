@@ -11,7 +11,6 @@ joint index v = x + 2^k * y.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,14 +67,6 @@ class Dist:
         p[index] = 1.0
         return Dist(width, p)
 
-    def to_json(self) -> str:
-        return json.dumps({"width": self.width, "probs": self.probs.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "Dist":
-        obj = json.loads(text)
-        return Dist(obj["width"], np.array(obj["probs"], dtype=float))
-
 
 @dataclass(frozen=True)
 class ConditionalTable:
@@ -116,14 +107,6 @@ class ConditionalTable:
 
     def support_size(self) -> int:
         return int(np.count_nonzero(self.rows))
-
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "n": self.n, "rows": self.rows.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "ConditionalTable":
-        obj = json.loads(text)
-        return ConditionalTable(obj["k"], obj["n"], np.array(obj["rows"], dtype=float))
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bitspace import state_bits
 from .crbm import CrbmParams, eval_conditional, sigmoid
 from .distributions import ConditionalTable, tv_row_distance
 from .errors import NotGeneric, ScaleCapExceeded, ShapeMismatch, TieEncountered
 
 SCALE_CAP = 2.0 ** 40
-
-
-def _bits(value: int, width: int) -> np.ndarray:
-    return ((value >> np.arange(width)) & 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class ThresholdNet:
 
 def ltn_eval(net: ThresholdNet, x: int) -> int:
     """y = hs(W^T hs(V x + c) + b) as a state index; ties raise."""
-    xv = _bits(x, net.k)
+    xv = state_bits(net.k, x)
     pre1 = net.V @ xv + net.c
     if np.any(pre1 == 0):
         raise TieEncountered(1, int(np.flatnonzero(pre1 == 0)[0]))
@@ -93,8 +90,8 @@ def _alpha_for(net: ThresholdNet) -> float:
     """Scale making the hidden argmax ignore the output contribution:
     alpha * |pre1| must dominate the largest |W| row sum."""
     gaps = []
-    for x in range(1 << net.k):
-        pre1 = net.V @ _bits(x, net.k) + net.c
+    for xv in state_bits(net.k):
+        pre1 = net.V @ xv + net.c
         if np.any(pre1 == 0):
             raise NotGeneric("zero first-layer pre-activation")
         gaps.append(np.abs(pre1).min())
@@ -128,14 +125,14 @@ def sigmoid_output_table(net: ThresholdNet) -> ConditionalTable:
     """Feedforward law with a sigmoid output layer: given z* = hs(Vx + c),
     outputs are independent Bernoullis with success sigma((W^T z* + b)_j)."""
     rows = np.empty((1 << net.k, 1 << net.n))
-    for x in range(1 << net.k):
-        pre1 = net.V @ _bits(x, net.k) + net.c
+    Y = state_bits(net.n)
+    for x, xv in enumerate(state_bits(net.k)):
+        pre1 = net.V @ xv + net.c
         if np.any(pre1 == 0):
             raise NotGeneric("zero first-layer pre-activation")
         z = (pre1 > 0).astype(float)
         probs = sigmoid(net.W.T @ z + net.b)
-        for y in range(1 << net.n):
-            yb = _bits(y, net.n)
+        for y, yb in enumerate(Y):
             rows[x, y] = float(np.prod(np.where(yb == 1, probs, 1.0 - probs)))
     return ConditionalTable(net.k, net.n, rows)
 
@@ -166,9 +163,9 @@ def check_deter_fixed_point(params: CrbmParams, outputs: list[int]) -> bool:
     the condition fail."""
     if len(outputs) != 1 << params.k:
         raise ShapeMismatch("need one output state per input state")
-    for x in range(1 << params.k):
-        fx = _bits(outputs[x], params.n)
-        pre1 = params.W @ fx + params.V @ _bits(x, params.k) + params.c
+    for x, xv in enumerate(state_bits(params.k)):
+        fx = state_bits(params.n, outputs[x])
+        pre1 = params.W @ fx + params.V @ xv + params.c
         if np.any(pre1 == 0):
             return False
         z = (pre1 > 0).astype(float)

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .bitspace import check_cells
+from .bitspace import check_cells, set_bits
 from .crbm import CrbmParams
 from .distributions import Dist
 from .errors import BudgetMismatch, NoBracket
@@ -28,10 +28,6 @@ from .errors import BudgetMismatch, NoBracket
 T_MAX = 1e3
 
 SOLVE_TOL = 1e-11
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 @dataclass(frozen=True)
@@ -239,16 +235,12 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
 
 
 def _faces_to_cancel(complex_: SimplicialComplex, keep: set[int]
-                     ) -> list[tuple[int, tuple[int, ...]]]:
+                     ) -> list[tuple[int, list[int]]]:
     """(mask, sorted bits) of the faces of cardinality > 1 outside the kept
     set, largest first."""
-    todo = [(a, _sorted_bits(a)) for a in complex_.faces
-            if popcount(a) > 1 and a not in keep]
+    todo = [(a, set_bits(a)) for a in complex_.faces
+            if a.bit_count() > 1 and a not in keep]
     return sorted(todo, key=lambda face: (-len(face[1]), face[1]))
-
-
-def _sorted_bits(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def compile_mrf_to_rbm(model: MrfModel,
@@ -278,7 +270,7 @@ def compile_mrf_to_rbm(model: MrfModel,
     for a, bits in order:
         w, b, eps_sign, local = younes_solve(float(residue[a]), len(bits))
         unit = np.zeros(n)
-        unit[list(bits)] = w
+        unit[bits] = w
         unit[bits[-1]] *= eps_sign
         weights.append(unit)
         biases.append(b)
@@ -318,7 +310,7 @@ def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
     """|{A in I : A not subseteq [k], |A| > 1}|, the hidden-unit count."""
     input_mask = (1 << k) - 1
     return sum(1 for a in complex_.faces
-               if popcount(a) > 1 and a & ~input_mask)
+               if a.bit_count() > 1 and a & ~input_mask)
 
 
 def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:

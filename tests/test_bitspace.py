@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from crbmkit.bitspace import (
@@ -9,6 +10,7 @@ from crbmkit.bitspace import (
     cylinder_members,
     set_bits,
     star_members,
+    state_bits,
 )
 from crbmkit.errors import CapExceeded
 
@@ -94,3 +96,14 @@ def test_star_affine_independence():
         for free in range(8):
             members = star_members(center, free)
             assert affine_rank(members, 3) == len(members)
+
+
+@pytest.mark.parametrize("width", [1, 3, 6])
+def test_state_bits_table_and_single_states(width):
+    table = state_bits(width)
+    assert table.shape == (1 << width, width) and table.dtype == float
+    for v in range(1 << width):
+        assert table[v].tolist() == [(v >> i) & 1 for i in range(width)]
+        assert np.array_equal(state_bits(width, v), table[v])
+    picked = [5 % (1 << width), 0, (1 << width) - 1]
+    assert np.array_equal(state_bits(width, picked), table[picked])

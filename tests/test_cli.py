@@ -107,6 +107,27 @@ def test_pack_payload_is_golden(k, r, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PACK_DIGESTS[(k, r)]
 
 
+#: SHA-256 of payloads holding only integers, booleans, strings and
+#: closed-form floats, as printed before the CLI became the one JSON writer;
+#: at k = 60 the ten depths' keys sort as strings ("1", "10", "2", ...)
+INTEGER_DIGESTS = {
+    ("bounds", "--k", "3", "--n", "2", "--m", "4"):
+        "0ab82e95edf6c67d14496884a9888f3dcc0b55d187b2217457506fd8936088e1",
+    ("bounds", "--k", "60", "--n", "2"):
+        "db5a98f37c392324123263394dfac757af02be49e0d88a1bff99b913d0706fb4",
+    ("dim", "--k", "3", "--n", "3", "--m", "4", "--seed", "0"):
+        "73f86ad44927f86f05aca21cd4d13ec7f295113aeb375d9dc3830364e390c1b2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(INTEGER_DIGESTS),
+                         ids=lambda argv: "-".join(argv))
+def test_integer_payload_is_golden(argv, capsys):
+    code, out = run_cli(list(argv), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INTEGER_DIGESTS[argv]
+
+
 def _first_refused_pack_k(r):
     k = packing.seq_values(r).S
     while packing.star_count(k, r) * PACK_STAR_CELLS <= bitspace.MAX_CELLS:
@@ -211,6 +232,7 @@ def test_usage_error_exit_code():
     ["compile", "--k", "0", "--n", "1", "--seed", "0"],
     ["compile", "--k", "2", "--n", "2", "--seed", "0", "--r", "0"],
     ["compile", "--k", "2", "--n", "2", "--seed", "0", "--eps", "-1"],
+    ["compile", "--k", "2", "--n", "2", "--seed", "0", "--eps", "inf"],
     ["divergence", "--k", "1", "--n", "0", "--m", "1", "--seed", "0"],
     ["divergence", "--k", "1", "--n", "1", "--m", "-1", "--seed", "0"],
     ["mrf", "--complex", '{"n":3,"faces":[[1,2]]}', "--theta", '[]', "--k", "3"],
@@ -219,11 +241,16 @@ def test_usage_error_exit_code():
     ["mrf", "--complex", '{"n":3,"faces":[[1,2]]}', "--theta", '[[[1,3],0.5]]'],
     ["mrf", "--complex", '{"n":3,"faces":[[[1]], [2, 2]]}', "--theta", '[]'],
     ["mrf", "--complex", '{"n":3}', "--theta", '[]'],
+    ["mrf", "--complex", '{"n": 2, "faces": [[1,2]]}', "--theta", '[[[1,2], NaN]]'],
+    ["mrf", "--complex", '{"n": 2, "faces": [[1,2]]}',
+     "--theta", '[[[1,2], Infinity]]'],
+    ["mrf", "--complex", '{"n": true, "faces": [[true]]}', "--theta", '[]'],
     ["mrf", "--complex", "not json", "--theta", '[]'],
     ["bounds", "--k", "1", "--n", "0"],
     ["dim", "--k", "1", "--n", "1", "--m", "-1"],
     ["ltn", "--mode", "parity", "--k", "0"],
     ["ltn", "--mode", "embed", "--k", "2", "--m", "0"],
+    ["ltn", "--mode", "parity", "--k", "2", "--eps", "inf"],
     ["pack", "--k", "3", "--r", "-1"],
     ["table1", "--rmax", "-1"],
 ])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -274,8 +275,11 @@ def test_report_fields_consistent():
     assert rep.epsilon == 1e-2
     assert rep.hidden_units_used == params.m
     assert rep.tau_final >= 16.0
-    obj = rep.to_json_obj()
-    assert obj["within_budget"] == rep.within_budget
+    # the CLI writes the report by its fields: they are the payload's keys
+    assert {f.name for f in dataclasses.fields(rep)} == {
+        "mode", "hidden_units_used", "resets_used", "star_steps_used",
+        "achieved_tv", "tau_final", "budget_bound", "within_budget",
+        "clamp_error", "r", "epsilon"}
 
 
 def dirichlet_table(k, n, seed):

@@ -168,11 +168,3 @@ def test_jacobian_matches_finite_differences(shape):
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         eval_conditional(CrbmParams.zeros(13, 13, 13))
-
-
-def test_params_json_round_trip():
-    rng = np.random.default_rng(12)
-    p = random_params(2, 1, 3, rng)
-    q = CrbmParams.from_json(p.to_json())
-    assert np.array_equal(p.W, q.W) and np.array_equal(p.V, q.V)
-    assert np.array_equal(p.b, q.b) and np.array_equal(p.c, q.c)

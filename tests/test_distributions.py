@@ -200,13 +200,6 @@ def test_random_conditional_determinism_and_moments():
     assert np.abs(rows.mean(axis=0) - 0.25).max() <= 3 * sigma
 
 
-def test_serialization_round_trips():
-    p = Dist.from_probs([0.1, 0.2, 0.3, 0.4])
-    assert np.abs(Dist.from_json(p.to_json()).probs - p.probs).max() <= 1e-15
-    t = random_conditional(2, 2, 77)
-    assert np.abs(ConditionalTable.from_json(t.to_json()).rows - t.rows).max() <= 1e-15
-
-
 @st.composite
 def dists(draw, width=2):
     raw = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
