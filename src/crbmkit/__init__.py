@@ -18,7 +18,6 @@ from .bounds import (
     deterministic_m_bounds,
     divergence_upper,
     expected_dim,
-    ltf_count_bound,
     universal_m_table,
 )
 from .compiler import (
@@ -60,7 +59,6 @@ from .ltn import (
     check_deter_fixed_point,
     embed_ltn_in_crbm,
     embed_sigmoid_output,
-    ltn_eval,
     parity_net,
 )
 from .mrf import (

@@ -12,6 +12,8 @@ return plain ascending indices.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import CapExceeded
@@ -40,6 +42,17 @@ def state_bits(width: int, states=None) -> np.ndarray:
     if states is None:
         states = np.arange(1 << width)
     return ((np.asarray(states)[..., None] >> np.arange(width)) & 1).astype(float)
+
+
+@lru_cache(maxsize=None)
+def popcounts(width: int) -> np.ndarray:
+    """The number of set bits of every state of {0,1}^width, ascending, as a
+    read-only uint8 array: each bit doubles the table with one more count."""
+    pc = np.zeros(1 << width, dtype=np.uint8)
+    for i in range(width):
+        pc[1 << i:2 << i] = pc[:1 << i] + 1
+    pc.flags.writeable = False
+    return pc
 
 
 def set_bits(mask: int) -> list[int]:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bitspace import popcounts
 from .errors import TooLarge
 from .packing import best_depth, feasible_depths, seq_values, universal_budget
 
@@ -27,9 +28,10 @@ A4_TABLE = (1, 1, 1, 2, 2, 4)
 K1_TABLE = (1, 2, 2, 4, 7, 12)
 
 
-def _popcount_matrix(n: int) -> np.ndarray:
+def _distances(n: int) -> np.ndarray:
+    """(2^n, 2^n) Hamming distances between the states of {0,1}^n."""
     idx = np.arange(1 << n)
-    return np.array([[bin(u ^ v).count("1") for v in idx] for u in idx])
+    return popcounts(n)[np.bitwise_xor.outer(idx, idx)]
 
 
 @lru_cache(maxsize=None)
@@ -43,16 +45,12 @@ def code_A_exact(n: int, d: int) -> int:
         return 1 << n
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    dist = _popcount_matrix(n)
     size = 1 << n
-    rows = []
-    for u in range(size):
-        for v in range(u + 1, size):
-            if dist[u, v] < d:
-                row = np.zeros(size)
-                row[u] = row[v] = 1.0
-                rows.append(row)
-    constraints = [LinearConstraint(np.array(rows), -np.inf, 1.0)] if rows else []
+    # one row per close pair u < v, in row-major order: x_u + x_v <= 1
+    us, vs = np.nonzero(np.triu(_distances(n) < d, 1))
+    rows = np.zeros((us.size, size))
+    rows[np.arange(us.size), us] = rows[np.arange(us.size), vs] = 1.0
+    constraints = [LinearConstraint(rows, -np.inf, 1.0)] if us.size else []
     res = milp(c=-np.ones(size), constraints=constraints,
                integrality=np.ones(size), bounds=Bounds(0, 1))
     if not res.success:
@@ -69,8 +67,7 @@ def code_K_exact(n: int, d: int) -> int:
         raise TooLarge(f"exact K(n,d) capped at n <= {CODE_CAP}")
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    dist = _popcount_matrix(n)
-    cover = (dist <= d).astype(float)
+    cover = (_distances(n) <= d).astype(float)
     size = 1 << n
     res = milp(c=np.ones(size),
                constraints=[LinearConstraint(cover, 1.0, np.inf)],
@@ -126,11 +123,6 @@ def expected_dim(k: int, n: int, m: int) -> tuple[int, str]:
     if m >= k1:
         return ambient_dim(k, n), "full"
     return min(param_count(k, n, m), ambient_dim(k, n)), "unresolved"
-
-
-def naive_dim_lower(k: int, n: int, m: int) -> int:
-    """(n+k)m + n + m + k - (2^k - 1), valid when m + 1 <= A(k+n, 3)."""
-    return (n + k) * m + n + m + k - ((1 << k) - 1)
 
 
 @dataclass(frozen=True)
@@ -198,13 +190,6 @@ def deterministic_m_bounds(k: int, n: int) -> tuple[int, int]:
     return sufficient, necessary
 
 
-def ltf_count_bound(n_in: int, m_out: int) -> int:
-    """2^(N^2 M): upper bound on the number of N-input M-output threshold maps."""
-    if n_in < 1 or m_out < 1:
-        raise ValueError("need N, M >= 1")
-    return 1 << (n_in * n_in * m_out)
-
-
 def deterministic_necessity_check(k: int, n: int) -> bool:
     """Verify the counting inequality behind the necessary bound.
 
@@ -241,8 +226,6 @@ __all__ = [
     "divergence_upper",
     "expected_dim",
     "feasible_block_width",
-    "ltf_count_bound",
-    "naive_dim_lower",
     "param_count",
     "seq_values",
     "universal_budget",

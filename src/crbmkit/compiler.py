@@ -62,8 +62,9 @@ from .errors import (
     SupportTooLarge,
 )
 from .packing import PackingSequence, best_depth, build_packing, universal_budget
-from .sharing import SharingStep, apply_sharing_log, build_tilted_step, \
-    hidden_unit_from_log, make_reset_step, mixture_weight_profile
+from .sharing import SharingStep, _sharp_cylinder_factors, apply_sharing_log, \
+    build_tilted_step, hidden_unit_from_log, make_reset_step, \
+    mixture_weight_profile
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -98,14 +99,6 @@ def clamp_table(table: ConditionalTable, eps: float) -> tuple[ConditionalTable, 
     return clamped, tv_row_distance(table, clamped)
 
 
-def _sharp_out_factors(n: int, mask: int, values: int, sharp: float) -> np.ndarray:
-    lf = np.zeros((n, 2))
-    for j in range(n):
-        if (mask >> j) & 1:
-            lf[j, 1 - ((values >> j) & 1)] = -sharp
-    return lf
-
-
 class _ComponentScheme:
     """Output components mixed by the fill steps.
 
@@ -131,19 +124,17 @@ class _ComponentScheme:
 
     @property
     def sharp_width(self) -> int:
-        return max(bin(m).count("1") for m in self.masks)
+        return max(m.bit_count() for m in self.masks)
 
     def masses(self, rows: np.ndarray) -> np.ndarray:
         return np.stack([rows[:, mem].sum(axis=1) for mem in self.membership],
                         axis=1)
 
     def start_bias(self, tau_b: float) -> np.ndarray:
-        b = np.zeros(self.n)
-        mask, vals = self.masks[0], self.values[0]
-        for j in range(self.n):
-            if (mask >> j) & 1:
-                b[j] = tau_b if (vals >> j) & 1 else -tau_b
-        return b
+        """Output biases +-tau_b toward the start component's fixed bits:
+        the odds of its sharp cylinder factors at sharpness tau_b."""
+        lf = _sharp_cylinder_factors(self.n, self.masks[0], self.values[0], tau_b)
+        return lf[:, 1] - lf[:, 0]
 
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
@@ -266,7 +257,7 @@ class _Pipeline:
         grade = 2.0 * max(self.scheme.sharp_width, 1)
         self._step("reset", lambda sharp: (make_reset_step(
             self.k, fixed_mask, fixed_values,
-            _sharp_out_factors(self.n, mask, values, sharp / grade), sharp),
+            _sharp_cylinder_factors(self.n, mask, values, sharp / grade), sharp),
             None), inside, start, self.start_tv + self.tol_step, ~inside)
 
     def fill_star(self, center: int, free_mask: int,
@@ -287,7 +278,7 @@ class _Pipeline:
         target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
         self._step("fill", lambda sharp: build_tilted_step(
             self.logp, self.k, free_mask, center, beta_map,
-            _sharp_out_factors(self.n, mask, values, sharp), sharp),
+            _sharp_cylinder_factors(self.n, mask, values, sharp), sharp),
             members, target, self.allowance + self.tol_step,
             ~self._in_cylinder(*star_cylinder(center, free_mask, self.k)))
 

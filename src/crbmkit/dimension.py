@@ -199,7 +199,7 @@ def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:
     for v in range(1 << width):
         if len(centers) == m:
             break
-        if all(bin(v ^ c).count("1") >= 4 for c in centers):
+        if all((v ^ c).bit_count() >= 4 for c in centers):
             centers.append(v)
     return centers
 
@@ -208,12 +208,13 @@ def _placement_clean(k: int, n: int, centers: list[int]) -> bool:
     """True iff the union of the balls centered at ``centers`` contains no
     input cylinder [x] and its complement affinely spans {0,1}^(k+n)."""
     width = k + n
-    union = set().union(*(ball_members(c, width) for c in centers))
-    if any(all(x + (y << k) in union for y in range(1 << n))
-           for x in range(1 << k)):
+    flips = np.concatenate([[0], 1 << np.arange(width)])
+    inside = np.zeros(1 << width, dtype=bool)
+    inside[(np.asarray(centers, dtype=np.int64)[:, None] ^ flips).ravel()] = True
+    # state x + 2^k y sits at [y, x]: a column is the cylinder [x]
+    if inside.reshape(1 << n, 1 << k).all(axis=0).any():
         return False
-    rest = [v for v in range(1 << width) if v not in union]
-    return affine_rank(rest, width) == width + 1
+    return affine_rank(np.flatnonzero(~inside).tolist(), width) == width + 1
 
 
 @dataclass(frozen=True)

@@ -42,30 +42,13 @@ class Dist:
         object.__setattr__(self, "probs", p)
         p.setflags(write=False)
 
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(self.probs.min() > 0)
-
     def __getitem__(self, idx: int) -> float:
         return float(self.probs[idx])
-
-    @staticmethod
-    def from_probs(values, width: int | None = None) -> "Dist":
-        v = np.asarray(values, dtype=float)
-        if width is None:
-            width = int(v.size - 1).bit_length()
-        return Dist(width, v)
 
     @staticmethod
     def uniform(width: int) -> "Dist":
         n = 1 << width
         return Dist(width, np.full(n, 1.0 / n))
-
-    @staticmethod
-    def point_mass(width: int, index: int) -> "Dist":
-        p = np.zeros(1 << width)
-        p[index] = 1.0
-        return Dist(width, p)
 
 
 @dataclass(frozen=True)
@@ -101,8 +84,7 @@ class ConditionalTable:
     def deterministic(k: int, n: int, outputs: list[int]) -> "ConditionalTable":
         """Point-mass rows: row x is the delta at outputs[x]."""
         rows = np.zeros((1 << k, 1 << n))
-        for x, y in enumerate(outputs):
-            rows[x, y] = 1.0
+        rows[np.arange(len(outputs)), outputs] = 1.0
         return ConditionalTable(k, n, rows)
 
     def support_size(self) -> int:
@@ -181,9 +163,9 @@ def conditional_of_joint(p: Dist, k: int) -> ConditionalTable:
     # index v = x + 2^k*y, so reshape to (2^n, 2^k) puts x on the fast axis
     blocks = p.probs.reshape(1 << n, 1 << k)
     masses = blocks.sum(axis=0)
-    for x in range(1 << k):
-        if masses[x] <= 0:
-            raise ZeroInputMass(x)
+    empty = np.flatnonzero(masses <= 0)
+    if empty.size:
+        raise ZeroInputMass(int(empty[0]))
     return ConditionalTable(k, n, (blocks / masses).T)
 
 
@@ -202,10 +184,6 @@ def partition_project(p: Dist, m: PartitionModel) -> tuple[Dist, float]:
         q[idx] = p.probs[idx].sum() / len(idx)
     proj = Dist(p.width, q)
     return proj, kl_dist(p, proj)
-
-
-def random_dist(width: int, rng: np.random.Generator) -> Dist:
-    return Dist(width, rng.dirichlet(np.ones(1 << width)))
 
 
 def random_conditional(k: int, n: int, seed: int) -> ConditionalTable:

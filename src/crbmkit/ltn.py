@@ -4,7 +4,9 @@ A network computes f(x) = hs(W^T hs(V x + c) + b) with the Heaviside step
 applied entrywise.  Ties (zero pre-activations) are hard errors rather than
 1/2-outputs: the embedding assumes generic parameters, and rejecting ties
 keeps determinism checkable.  Weight layout matches the CRBM orientation
-(W is m x n, V is m x k).
+(W is m x n, V is m x k).  Every table is built in one pass over all 2^k
+inputs: the first layer is the (2^k, m) product of the input bit table with
+V^T, and the second layer reads its rows.
 
 The embedding scales the first layer by t*alpha and the second by t, with
 alpha large enough that the hidden argmax is input-driven for every output
@@ -50,24 +52,32 @@ class ThresholdNet:
             a.setflags(write=False)
 
 
-def ltn_eval(net: ThresholdNet, x: int) -> int:
-    """y = hs(W^T hs(V x + c) + b) as a state index; ties raise."""
-    xv = state_bits(net.k, x)
-    pre1 = net.V @ xv + net.c
-    if np.any(pre1 == 0):
-        raise TieEncountered(1, int(np.flatnonzero(pre1 == 0)[0]))
-    z = (pre1 > 0).astype(float)
-    pre2 = net.W.T @ z + net.b
-    if np.any(pre2 == 0):
-        raise TieEncountered(2, int(np.flatnonzero(pre2 == 0)[0]))
-    y = (pre2 > 0).astype(int)
-    return int(y @ (1 << np.arange(net.n)))
+def _first_layer(net: ThresholdNet) -> np.ndarray:
+    """Pre-activations V x + c of every input x, ascending: (2^k, m)."""
+    return state_bits(net.k) @ net.V.T + net.c
+
+
+def _outputs(pre2: np.ndarray) -> np.ndarray:
+    """Output state index of each row of second-layer pre-activations."""
+    return (pre2 > 0) @ (1 << np.arange(pre2.shape[1]))
 
 
 def ltn_table(net: ThresholdNet) -> ConditionalTable:
-    """Deterministic conditional computed by the network."""
-    outputs = [ltn_eval(net, x) for x in range(1 << net.k)]
-    return ConditionalTable.deterministic(net.k, net.n, outputs)
+    """Deterministic conditional computed by the network.
+
+    Every input is evaluated in one pass.  A zero pre-activation raises
+    TieEncountered for the smallest input with any tie: its first tied
+    hidden unit if it has one, else its first tied output unit.
+    """
+    pre1 = _first_layer(net)
+    pre2 = (pre1 > 0) @ net.W + net.b
+    ties1, ties2 = pre1 == 0, pre2 == 0
+    tied = np.flatnonzero(ties1.any(axis=1) | ties2.any(axis=1))
+    if tied.size:
+        x = tied[0]
+        layer, ties = (1, ties1[x]) if ties1[x].any() else (2, ties2[x])
+        raise TieEncountered(layer, int(np.flatnonzero(ties)[0]))
+    return ConditionalTable.deterministic(net.k, net.n, _outputs(pre2))
 
 
 def parity_net(k: int) -> ThresholdNet:
@@ -89,13 +99,10 @@ def parity_net(k: int) -> ThresholdNet:
 def _alpha_for(net: ThresholdNet) -> float:
     """Scale making the hidden argmax ignore the output contribution:
     alpha * |pre1| must dominate the largest |W| row sum."""
-    gaps = []
-    for xv in state_bits(net.k):
-        pre1 = net.V @ xv + net.c
-        if np.any(pre1 == 0):
-            raise NotGeneric("zero first-layer pre-activation")
-        gaps.append(np.abs(pre1).min())
-    gap = min(gaps)
+    pre1 = _first_layer(net)
+    if np.any(pre1 == 0):
+        raise NotGeneric("zero first-layer pre-activation")
+    gap = np.abs(pre1).min()
     row_norm = float(np.abs(net.W).sum(axis=1).max()) if net.n else 0.0
     return (1.0 + 2.0 * row_norm) / gap
 
@@ -124,17 +131,13 @@ def embed_ltn_in_crbm(net: ThresholdNet, eps: float = 1e-3
 def sigmoid_output_table(net: ThresholdNet) -> ConditionalTable:
     """Feedforward law with a sigmoid output layer: given z* = hs(Vx + c),
     outputs are independent Bernoullis with success sigma((W^T z* + b)_j)."""
-    rows = np.empty((1 << net.k, 1 << net.n))
-    Y = state_bits(net.n)
-    for x, xv in enumerate(state_bits(net.k)):
-        pre1 = net.V @ xv + net.c
-        if np.any(pre1 == 0):
-            raise NotGeneric("zero first-layer pre-activation")
-        z = (pre1 > 0).astype(float)
-        probs = sigmoid(net.W.T @ z + net.b)
-        for y, yb in enumerate(Y):
-            rows[x, y] = float(np.prod(np.where(yb == 1, probs, 1.0 - probs)))
-    return ConditionalTable(net.k, net.n, rows)
+    pre1 = _first_layer(net)
+    if np.any(pre1 == 0):
+        raise NotGeneric("zero first-layer pre-activation")
+    probs = sigmoid((pre1 > 0) @ net.W + net.b)[:, None, :]   # [x, 1, j]
+    on = state_bits(net.n)[None, :, :] == 1                    # [1, y, j]
+    return ConditionalTable(net.k, net.n,
+                            np.where(on, probs, 1.0 - probs).prod(axis=2))
 
 
 def embed_sigmoid_output(net: ThresholdNet, eps: float = 1e-3) -> CrbmParams:
@@ -163,16 +166,12 @@ def check_deter_fixed_point(params: CrbmParams, outputs: list[int]) -> bool:
     the condition fail."""
     if len(outputs) != 1 << params.k:
         raise ShapeMismatch("need one output state per input state")
-    for x, xv in enumerate(state_bits(params.k)):
-        fx = state_bits(params.n, outputs[x])
-        pre1 = params.W @ fx + params.V @ xv + params.c
-        if np.any(pre1 == 0):
-            return False
-        z = (pre1 > 0).astype(float)
-        pre2 = params.W.T @ z + params.b
-        if np.any(pre2 == 0):
-            return False
-        y = int((pre2 > 0).astype(int) @ (1 << np.arange(params.n)))
-        if y != outputs[x]:
-            return False
-    return True
+    outputs = np.asarray(outputs)
+    pre1 = (state_bits(params.n, outputs) @ params.W.T
+            + state_bits(params.k) @ params.V.T + params.c)
+    if np.any(pre1 == 0):
+        return False
+    pre2 = (pre1 > 0) @ params.W + params.b
+    if np.any(pre2 == 0):
+        return False
+    return bool(np.array_equal(_outputs(pre2), outputs))

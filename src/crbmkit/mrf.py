@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .bitspace import check_cells, set_bits
+from .bitspace import check_cells, popcounts, set_bits
 from .crbm import CrbmParams
 from .distributions import Dist
 from .errors import BudgetMismatch, NoBracket
@@ -111,24 +111,24 @@ def mrf_distribution(model: MrfModel) -> Dist:
     return Dist(model.n, p / p.sum())
 
 
-def mobius_coefficients(table: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients J_B with table[v] = sum_{B subseteq v} J_B (in place DP)."""
-    f = np.asarray(table, dtype=float).copy()
+def _mobius_pass(values: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """One pass per coordinate i over the (2^n,) ``values``: each state with
+    bit i set gains ``sign`` times its value at the state without it."""
+    f = np.asarray(values, dtype=float).copy()
     for i in range(n):
-        bit = 1 << i
-        hi = (np.arange(1 << n) & bit) == bit
-        f[hi] -= f[np.arange(1 << n)[hi] ^ bit]
+        pairs = f.reshape(-1, 2, 1 << i)   # [high bits, bit i, low bits]
+        pairs[:, 1] += sign * pairs[:, 0]
     return f
+
+
+def mobius_coefficients(table: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients J_B with table[v] = sum_{B subseteq v} J_B."""
+    return _mobius_pass(table, n, -1.0)
 
 
 def mobius_forward(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Inverse of mobius_coefficients: evaluate the polynomial pointwise."""
-    f = np.asarray(coeffs, dtype=float).copy()
-    for i in range(n):
-        bit = 1 << i
-        hi = (np.arange(1 << n) & bit) == bit
-        f[hi] += f[np.arange(1 << n)[hi] ^ bit]
-    return f
+    return _mobius_pass(coeffs, n, 1.0)
 
 
 def _softplus(a: np.ndarray) -> np.ndarray:
@@ -145,16 +145,6 @@ def _alternating_binomials(q: int) -> np.ndarray:
             table[j, i] = (-1) ** (j - i) * comb(j, i)
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    """popcount(v) for v in range(2^n)."""
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        pc[1 << i:2 << i] = pc[:1 << i] + 1
-    pc.flags.writeable = False
-    return pc
 
 
 def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
@@ -229,7 +219,7 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
     diffs = _alternating_binomials(n - 1)
     d0, d1 = diffs @ g[:-1], diffs @ g[1:]
     without_last, with_last = (d0, d1 - d0) if eps_sign == 1 else (d1, d0 - d1)
-    pc = _popcounts(n - 1)
+    pc = popcounts(n - 1)
     coeffs = np.concatenate([without_last[pc], with_last[pc]])
     return t_star, t_star * base_b, eps_sign, coeffs
 
@@ -281,7 +271,7 @@ def compile_mrf_to_rbm(model: MrfModel,
             masks[1 << j:2 << j] = masks[:1 << j] | (1 << coord)
         residue[masks] -= local
 
-    pc = _popcounts(n)
+    pc = popcounts(n)
     kept = np.zeros(1 << n, dtype=bool)
     kept[list(keep)] = True
     leftovers = np.flatnonzero((pc > 1) & (np.abs(residue) > 1e-8) & ~kept)
@@ -306,13 +296,6 @@ def compile_mrf_to_rbm(model: MrfModel,
     return params, correction
 
 
-def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
-    """|{A in I : A not subseteq [k], |A| > 1}|, the hidden-unit count."""
-    input_mask = (1 << k) - 1
-    return sum(1 for a in complex_.faces
-               if a.bit_count() > 1 and a & ~input_mask)
-
-
 def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     """CRBM reproducing the conditionals of an MRF on [k+n] given the
     first k units; input-only faces are absorbed by the correction and
@@ -333,32 +316,3 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
         rbm.b[k:],
         rbm.c,
     )
-
-
-def conditional_family_model(k: int, output_complex: SimplicialComplex,
-                             theta_rows: list[dict[int, float]]) -> MrfModel:
-    """Joint MRF on [k+n] whose conditional at input x is the output-field
-    distribution with parameters theta_rows[x].
-
-    The per-face map x -> theta^x_B is extended multilinearly over the input
-    cube, so the joint's faces live in the product complex 2^[k] x J.
-    """
-    n = output_complex.n
-    if len(theta_rows) != (1 << k):
-        raise ValueError("need one theta row per input state")
-    faces = set()
-    theta: dict[int, float] = {}
-    for b_face in output_complex.faces:
-        coeff = mobius_coefficients(
-            np.array([theta_rows[x].get(b_face, 0.0) for x in range(1 << k)]), k)
-        for a_face in range(1 << k):
-            mask = a_face | (b_face << k)
-            faces.add(mask)
-            if coeff[a_face]:
-                theta[mask] = float(coeff[a_face])
-    # close downward over the product complex
-    for a_face in range(1 << k):
-        for b_face in output_complex.faces:
-            faces.add(a_face | (b_face << k))
-    joint_complex = SimplicialComplex(k + n, frozenset(faces))
-    return MrfModel(joint_complex, theta)

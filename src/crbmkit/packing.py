@@ -143,16 +143,6 @@ def p_coefficient(r: int) -> float:
     return p
 
 
-def k_sandwich(r: int) -> tuple[float, float]:
-    """Lower/upper products around K(r) for r >= 6, anchored at K(6)."""
-    k6 = k_coefficient(6)
-    lo = hi = k6
-    for i in range(7, r + 1):
-        lo *= 1.0 - (i - 3) / 2.0 ** i
-        hi *= 1.0 - (i - 4) / 2.0 ** i
-    return lo, hi
-
-
 def feasible_depths(k: int) -> range:
     """The recursion depths r with S(r) <= k, ascending; empty for k = 0."""
     r = 0

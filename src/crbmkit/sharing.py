@@ -249,16 +249,13 @@ def _clamped_log_t(beta: float) -> float:
     return float(min(max(np.log(beta) - np.log1p(-beta), -LOG_T_CAP), LOG_T_CAP))
 
 
-def _input_cylinder_factors(k: int, fixed_mask: int, fixed_values: int,
-                            out_log_factors: np.ndarray,
+def _sharp_cylinder_factors(width: int, fixed_mask: int, fixed_values: int,
                             sharp: float) -> np.ndarray:
-    """(k + n, 2) log factors: -sharp on the off value of each input bit in
-    ``fixed_mask`` (its value in ``fixed_values``), the other input bits
-    flat, then ``out_log_factors``."""
-    lf = np.zeros((k + len(out_log_factors), 2))
+    """(width, 2) log factors of the cylinder ``(fixed_mask, fixed_values)``:
+    -sharp on the off value of each fixed bit, the other bits flat."""
+    lf = np.zeros((width, 2))
     for i in set_bits(fixed_mask):
         lf[i, 1 - ((fixed_values >> i) & 1)] = -sharp
-    lf[k:, :] = out_log_factors
     return lf
 
 
@@ -300,8 +297,8 @@ def build_tilted_step(
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
 
-    lf = _input_cylinder_factors(k, *star_cylinder(center, free_mask, k),
-                                 out_log_factors, sharpness)
+    lf = np.vstack([_sharp_cylinder_factors(
+        k, *star_cylinder(center, free_mask, k), sharpness), out_log_factors])
     for j, i in enumerate(free, start=1):
         lf[i, 1 - ((center >> i) & 1)] = excess[j] - excess[0]
 
@@ -331,7 +328,7 @@ def make_reset_step(k: int, fixed_mask: int, fixed_values: int,
     lam is near 0 and the inputs are concentrated with sharpness tau on the
     cylinder; rows outside it move by at most eps(tau).
     """
-    lf = _input_cylinder_factors(k, fixed_mask, fixed_values,
-                                 out_log_factors, tau)
+    lf = np.vstack([_sharp_cylinder_factors(k, fixed_mask, fixed_values, tau),
+                    out_log_factors])
     lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
     return SharingStep(k, lam, lf)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, packing
-from .bitspace import affine_rank, star_members
+from .bitspace import affine_rank, popcounts, star_members
 from .compiler import compile_universal, divergence_witness
 from .crbm import (
     CrbmParams,
@@ -196,7 +196,7 @@ def _crit_ltn(offset: int = 0) -> tuple[bool, str]:
         tv = tv_row_distance(eval_conditional(params), ltn_table(net))
         if params.m != k or tv > 1e-3:
             return False, f"k={k}: m={params.m}, tv={tv}"
-        outputs = [bin(x).count("1") % 2 for x in range(1 << k)]
+        outputs = popcounts(k) % 2
         if not check_deter_fixed_point(params, outputs):
             return False, f"k={k}: fixed-point condition fails"
         details.append(f"k={k}: t={t:g}, tv={tv:.1e}")

@@ -8,6 +8,7 @@ from crbmkit.bitspace import (
     check_cells,
     check_width,
     cylinder_members,
+    popcounts,
     set_bits,
     star_members,
     state_bits,
@@ -107,3 +108,10 @@ def test_state_bits_table_and_single_states(width):
         assert np.array_equal(state_bits(width, v), table[v])
     picked = [5 % (1 << width), 0, (1 << width) - 1]
     assert np.array_equal(state_bits(width, picked), table[picked])
+
+
+def test_popcounts_is_bit_count():
+    for width in range(13):
+        table = popcounts(width)
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        assert table.tolist() == [v.bit_count() for v in range(1 << width)]

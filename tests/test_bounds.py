@@ -17,13 +17,22 @@ from crbmkit.bounds import (
     divergence_upper,
     expected_dim,
     feasible_block_width,
-    ltf_count_bound,
-    naive_dim_lower,
     param_count,
     universal_m_table,
 )
 from crbmkit.errors import TooLarge
 from crbmkit.packing import k_coefficient
+
+
+def naive_dim_lower(k, n, m):
+    """(n+k)m + n + m + k - (2^k - 1), valid when m + 1 <= A(k+n, 3)."""
+    return (n + k) * m + n + m + k - ((1 << k) - 1)
+
+
+def ltf_count_bound(n_in, m_out):
+    """2^(N^2 M): upper bound on the number of N-input M-output threshold maps."""
+    assert n_in >= 1 and m_out >= 1
+    return 1 << (n_in * n_in * m_out)
 
 
 def brute_A(n, d):

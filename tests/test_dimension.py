@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crbmkit import dimension
+from crbmkit.bitspace import affine_rank, ball_members
 from crbmkit.bounds import ambient_dim, code_A_exact, code_K_exact, param_count
 from crbmkit.dimension import (
     MOD_PRIME,
     _exact_int_rank,
     _int_rank,
+    _placement_clean,
     _rank_mod_p,
     certify_dimension,
     crbm_dimension_estimate,
@@ -177,6 +179,39 @@ def test_greedy_placement_respects_distance():
     for i, a in enumerate(centers):
         for b in centers[i + 1:]:
             assert bin(a ^ b).count("1") >= 4
+
+
+def placement_clean_by_sets(k, n, centers):
+    """Set-based oracle of _placement_clean: the union of the balls misses
+    at least one state of every input cylinder [x], and the states outside
+    it affinely span {0,1}^(k+n)."""
+    width = k + n
+    union = set().union(*(ball_members(c, width) for c in centers))
+    if any(all(x + (y << k) in union for y in range(1 << n))
+           for x in range(1 << k)):
+        return False
+    rest = [v for v in range(1 << width) if v not in union]
+    return affine_rank(rest, width) == width + 1
+
+
+def test_placement_clean_matches_set_oracle():
+    rng = np.random.default_rng(16)
+    seen = set()
+    for width in range(1, 9):
+        for k in range(width):
+            n = width - k
+            full = greedy_distance4_balls(k, n, 1 << width)
+            # every greedy placement is a prefix of the longest one; random
+            # center sets, not distance-4 apart, tell the input cylinders
+            # apart from other blocks of 2^n states
+            placements = [full[:m] for m in range(len(full) + 1)] + [
+                rng.choice(1 << width, size, replace=False).tolist()
+                for size in rng.integers(1, 1 + (1 << width) // 2, 8)]
+            for centers in placements:
+                got = _placement_clean(k, n, centers)
+                assert got == placement_clean_by_sets(k, n, centers)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_certify_without_hidden_units():

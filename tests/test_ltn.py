@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crbmkit.crbm import CrbmParams, eval_conditional
+from crbmkit.bitspace import state_bits
+from crbmkit.crbm import CrbmParams, eval_conditional, random_params
 from crbmkit.distributions import tv_row_distance
 from crbmkit.errors import NotGeneric, TieEncountered
 from crbmkit.ltn import (
@@ -9,12 +10,49 @@ from crbmkit.ltn import (
     check_deter_fixed_point,
     embed_ltn_in_crbm,
     embed_sigmoid_output,
-    ltn_eval,
     ltn_table,
     parity_net,
     sigmoid_output_table,
 )
 from scipy.special import expit
+
+
+def ltn_eval(net, x):
+    """Per-input oracle: y = hs(W^T hs(V x + c) + b) as a state index; ties
+    raise."""
+    xv = state_bits(net.k, x)
+    pre1 = net.V @ xv + net.c
+    if np.any(pre1 == 0):
+        raise TieEncountered(1, int(np.flatnonzero(pre1 == 0)[0]))
+    z = (pre1 > 0).astype(float)
+    pre2 = net.W.T @ z + net.b
+    if np.any(pre2 == 0):
+        raise TieEncountered(2, int(np.flatnonzero(pre2 == 0)[0]))
+    y = (pre2 > 0).astype(int)
+    return int(y @ (1 << np.arange(net.n)))
+
+
+def sigmoid_row(net, x):
+    """Per-input oracle of sigmoid_output_table's row x."""
+    z = (net.V @ state_bits(net.k, x) + net.c > 0).astype(float)
+    probs = expit(net.W.T @ z + net.b)
+    return np.array([np.prod(np.where(state_bits(net.n, y) == 1, probs, 1 - probs))
+                     for y in range(1 << net.n)])
+
+
+def fixed_point_holds(params, outputs):
+    """Per-input oracle of check_deter_fixed_point."""
+    for x in range(1 << params.k):
+        fx = state_bits(params.n, outputs[x])
+        pre1 = params.W @ fx + params.V @ state_bits(params.k, x) + params.c
+        if np.any(pre1 == 0):
+            return False
+        pre2 = params.W.T @ (pre1 > 0).astype(float) + params.b
+        if np.any(pre2 == 0):
+            return False
+        if int((pre2 > 0).astype(int) @ (1 << np.arange(params.n))) != outputs[x]:
+            return False
+    return True
 
 
 def test_ltn_eval_examples():
@@ -40,6 +78,56 @@ def test_ltn_eval_rejects_ties():
     for x in range(1 << net.k):
         with pytest.raises(TieEncountered):
             ltn_eval(net, x)
+
+
+def test_ltn_table_raises_the_first_input_tie():
+    # x = 0: the hidden unit is off (c = -1) and the output tie b = 0 is at
+    # layer 2; x = 1: the hidden pre-activation 1 - 1 ties at layer 1
+    net = ThresholdNet(1, 1, 1, [[1.0]], [-1.0], [[1.0]], [0.0])
+    with pytest.raises(TieEncountered) as exc:
+        ltn_eval(net, 0)
+    assert exc.value.layer == 2
+    with pytest.raises(TieEncountered) as exc:
+        ltn_eval(net, 1)
+    assert exc.value.layer == 1
+    with pytest.raises(TieEncountered) as exc:
+        ltn_table(net)
+    assert (exc.value.layer, exc.value.unit) == (2, 0)
+
+    # a layer-1 tie wins within its input: the second hidden unit ties at
+    # x = 0, where the output also ties
+    net = ThresholdNet(1, 2, 2, [[1.0], [1.0]], [-1.0, 0.0],
+                       [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(TieEncountered) as exc:
+        ltn_table(net)
+    assert (exc.value.layer, exc.value.unit) == (1, 1)
+
+
+def test_batched_tables_match_per_input_oracles():
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        k, m, n = (int(v) for v in rng.integers(1, [9, 6, 4]))
+        net = ThresholdNet(k, m, n, rng.standard_normal((m, k)),
+                           rng.standard_normal(m), rng.standard_normal((m, n)),
+                           rng.standard_normal(n))
+        table = ltn_table(net)
+        outputs = [ltn_eval(net, x) for x in range(1 << k)]
+        assert np.array_equal(table.rows, np.eye(1 << n)[outputs])
+        sig = sigmoid_output_table(net)
+        want = np.array([sigmoid_row(net, x) for x in range(1 << k)])
+        assert np.abs(sig.rows - want).max() <= 1e-15
+        params = random_params(k, n, m, rng, scale=1.0)
+        for outs in (outputs, rng.integers(0, 1 << n, 1 << k).tolist()):
+            assert check_deter_fixed_point(params, outs) == \
+                fixed_point_holds(params, outs)
+        # and on the net's own embedding and outputs
+        embedded, _ = embed_ltn_in_crbm(net, eps=1e-3)
+        assert check_deter_fixed_point(embedded, outputs) == \
+            fixed_point_holds(embedded, outputs)
+    # a tie only at layer 2 (W = 0, b = 0) fails although hs(0) = 0 matches
+    tied = CrbmParams(1, 1, 1, [[0.0]], [[1.0]], [0.0], [0.5])
+    assert not check_deter_fixed_point(tied, [0, 0])
+    assert not fixed_point_holds(tied, [0, 0])
 
 
 @pytest.mark.parametrize("k", range(1, 9))

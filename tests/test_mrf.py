@@ -11,13 +11,40 @@ from crbmkit.mrf import (
     SimplicialComplex,
     compile_conditional_mrf,
     compile_mrf_to_rbm,
-    conditional_budget,
-    conditional_family_model,
     mobius_coefficients,
     mobius_forward,
     mrf_distribution,
     younes_solve,
 )
+
+
+def conditional_budget(complex_, k):
+    """|{A in I : A not subseteq [k], |A| > 1}|, the hidden-unit count."""
+    input_mask = (1 << k) - 1
+    return sum(1 for a in complex_.faces
+               if a.bit_count() > 1 and a & ~input_mask)
+
+
+def conditional_family_model(k, output_complex, theta_rows):
+    """Joint MRF on [k+n] whose conditional at input x is the output-field
+    distribution with parameters theta_rows[x].
+
+    The per-face map x -> theta^x_B is extended multilinearly over the input
+    cube, so the joint's faces live in the product complex 2^[k] x J.
+    """
+    n = output_complex.n
+    assert len(theta_rows) == 1 << k
+    faces = set()
+    theta = {}
+    for b_face in output_complex.faces:
+        coeff = mobius_coefficients(
+            np.array([theta_rows[x].get(b_face, 0.0) for x in range(1 << k)]), k)
+        for a_face in range(1 << k):
+            mask = a_face | (b_face << k)
+            faces.add(mask)
+            if coeff[a_face]:
+                theta[mask] = float(coeff[a_face])
+    return MrfModel(SimplicialComplex(k + n, frozenset(faces)), theta)
 
 
 def test_complex_validation():

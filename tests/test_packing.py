@@ -14,12 +14,21 @@ from crbmkit.packing import (
     build_packing,
     feasible_depths,
     k_coefficient,
-    k_sandwich,
     p_coefficient,
     seq_values,
     universal_budget,
     validate_packing,
 )
+
+
+def k_sandwich(r):
+    """Lower/upper products around K(r) for r >= 6, anchored at K(6)."""
+    k6 = k_coefficient(6)
+    lo = hi = k6
+    for i in range(7, r + 1):
+        lo *= 1.0 - (i - 3) / 2.0 ** i
+        hi *= 1.0 - (i - 4) / 2.0 ** i
+    return lo, hi
 
 
 def test_seq_values_table_rows():

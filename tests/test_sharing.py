@@ -206,7 +206,7 @@ def test_star_fill_n2_and_noop_targets():
     # the star at 0 with its one input free
     # targets equal to the start state: all steps are no-ops
     pipe = fill_pipeline(1, 2, tau=32.0)
-    deltas = np.array([Dist.point_mass(2, 0).probs for _ in (0, 1)])
+    deltas = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)  # the point mass at y = 0
     pipe.fill_star(0, 0b1, deltas, [0, 1])
     for x in (0, 1):
         assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
