@@ -29,7 +29,12 @@ its region move by at most the step's tolerance share; otherwise double
 the sharpness, up to STEP_RETRIES tries.  Each scheduled step gets an equal
 share eps / (2 * steps) of the target tolerance.  The outer sharpness knob
 tau doubles from 16 until the final evaluation meets eps (or 1024 is hit,
-which raises BudgetExceeded).  The start distribution uses output biases of
+which raises BudgetExceeded).  A level is rejected early, at the first
+finished star (or support row) whose rows miss their target by more than
+eps + (steps still to come) * tol_step + REJECT_MARGIN: the packing keeps
+every later step's region off a finished star, so each later step moves
+its rows by at most tol_step, and the certificate can recover no more than
+that.  The start distribution uses output biases of
 magnitude tau / (2 * component width) so that the sharp steps' off-region
 dust stays exponentially below the start-state dust.
 
@@ -70,6 +75,11 @@ LOG2 = math.log(2.0)
 TAU_START = 16.0
 TAU_MAX = 1024.0
 STEP_RETRIES = 12
+#: slack for the one gap the early rejection cannot bound by step checks:
+#: the simulated state against the certificate, which evaluates the
+#: parameters.  The two agree to a worst-row TV of at most 4.2e-13 at (7,2),
+#: (8,1) and (10,3) on every tau level tried; 1e-9 is 2000 times that.
+REJECT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -208,6 +218,24 @@ class _Pipeline:
         self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
         self.logp, self._rows = logp, rows
 
+    def reject_if_doomed(self, rows: list[int] | np.ndarray,
+                         target_rows: np.ndarray, eps: float,
+                         total_steps: int, what: str) -> None:
+        """Raise BudgetExceeded if the finished ``rows`` already miss
+        ``target_rows`` by more than the level's certificate can recover.
+
+        No later step has a finished row in its region, so each of the at
+        most ``total_steps`` - (accepted steps) still to come moves it by at
+        most tol_step, its own check on the rows outside its region.
+        """
+        remaining = total_steps - self.used["fill"] - self.used["reset"]
+        limit = eps + remaining * self.tol_step + REJECT_MARGIN
+        tv = _worst_row_tv(self._rows[rows], target_rows)
+        if tv > limit:
+            raise BudgetExceeded(
+                f"{what}: worst-row TV {tv:.6g} to the target > "
+                f"limit {limit:.6g} (tau = {self.tau:g})")
+
     def _in_cylinder(self, fixed_mask: int, fixed_values: int) -> np.ndarray:
         """Boolean mask of the inputs x in the cylinder
         ``(fixed_mask, fixed_values)``."""
@@ -241,7 +269,8 @@ class _Pipeline:
                 self.allowance += self.tol_step
                 return
             sharp *= 2.0
-        raise BudgetExceeded(f"{kind} sharpness schedule exhausted")
+        raise BudgetExceeded(
+            f"{kind} sharpness schedule exhausted (tau = {self.tau:g})")
 
     def reset_if_needed(self, fixed_mask: int, fixed_values: int) -> None:
         """Drive the cylinder ``(fixed_mask, fixed_values)`` of inputs back to
@@ -297,14 +326,17 @@ def _compile_over_tau(run: Callable[[float], _Pipeline],
                       budget: int, r: int | None, clamp_error: float = 0.0
                       ) -> tuple[CrbmParams, CompileReport]:
     """The first pipeline ``run(tau)``, tau = TAU_START, 2 TAU_START, ...,
-    TAU_MAX, whose evaluated conditional is within eps of ``target``."""
+    TAU_MAX, whose evaluated conditional is within eps of ``target``.
+
+    When none is, the error names why the last level failed: the error it
+    raised, which it chains, or its certificate's TV."""
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         try:
             pipe = run(tau)
         except BudgetExceeded as exc:
-            last_error = exc
+            last_error, reason = exc, str(exc)
         else:
             params = pipe.params
             achieved = tv_row_distance(eval_conditional(params), target)
@@ -316,10 +348,12 @@ def _compile_over_tau(run: Callable[[float], _Pipeline],
                     tau_final=tau, budget_bound=budget,
                     within_budget=params.m <= budget,
                     clamp_error=clamp_error, r=r, epsilon=eps)
+            last_error = None
+            reason = f"certificate row TV {achieved:.6g} (tau = {tau:g})"
         tau *= 2.0
     raise BudgetExceeded(
-        f"tau schedule exhausted without reaching eps = {eps}"
-    ) from last_error
+        f"tau schedule exhausted without reaching eps = {eps}; last level: "
+        f"{reason}") from last_error
 
 
 def _run_packed(k: int, n: int, scheme: _ComponentScheme,
@@ -330,11 +364,13 @@ def _run_packed(k: int, n: int, scheme: _ComponentScheme,
                    + len(seq.reset_positions))
     tol_step = eps / (2.0 * max(total_steps, 1))
     pipe = _Pipeline(k, n, scheme, tau, tol_step)
-    for center, free_mask, resets in seq.replay():
+    for i, (center, free_mask, resets) in enumerate(seq.replay()):
         for fixed_mask, fixed_values in resets:
             pipe.reset_if_needed(fixed_mask, fixed_values)
         members = star_members(center, free_mask)
         pipe.fill_star(center, free_mask, masses[members], members)
+        pipe.reject_if_doomed(members, target.rows[members], eps,
+                              total_steps, f"star {i}")
     return pipe
 
 
@@ -440,6 +476,9 @@ def _run_support(target: ConditionalTable, y0: int,
     tol_step = eps / (2.0 * max(total_steps, 1))
     order = [y0] + [y for y in range(1 << n) if y != y0]
     pipe = _Pipeline(k, n, _ComponentScheme.points(n, order), tau, tol_step)
+    untouched = [x for x, ys in extras.items() if not ys]
+    pipe.reject_if_doomed(untouched, target.rows[untouched], eps, total_steps,
+                          "rows without extra support points")
     for x, ys in extras.items():
         if not ys:
             continue
@@ -448,6 +487,8 @@ def _run_support(target: ConditionalTable, y0: int,
             # the support point is the star (x, free_mask=0): x alone
             pipe.fill_component(x, 0, pipe.scheme.values.index(y),
                                 {x: float(beta)}, [x])
+        pipe.reject_if_doomed([x], target.rows[[x]], eps, total_steps,
+                              f"row {x}")
     return pipe
 
 

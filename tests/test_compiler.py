@@ -10,6 +10,8 @@ from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
     _Pipeline,
+    _run_packed,
+    _worst_row_tv,
     clamp_table,
     compile_common_support,
     compile_partition,
@@ -461,3 +463,130 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
         pipe.fill_star(0, 0b11, targets, [0, 1, 2])
     assert pipe.params.m == 1
+
+
+def common_support_table(k, n, size, seed):
+    """Dirichlet rows on one random support of ``size`` outputs."""
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(1 << n, size=size, replace=False))
+    rows = np.zeros((1 << k, 1 << n))
+    rows[:, support] = rng.dirichlet(np.ones(size), size=1 << k)
+    return ConditionalTable(k, n, rows)
+
+
+EARLY_REJECTION_CASES = {
+    "universal-2-2": lambda s: compile_universal(dirichlet_table(2, 2, s)),
+    "universal-4-2": lambda s: compile_universal(dirichlet_table(4, 2, s)),
+    "universal-3-3": lambda s: compile_universal(dirichlet_table(3, 3, s)),
+    "universal-7-1-r3": lambda s: compile_universal(dirichlet_table(7, 1, s),
+                                                    r=3),
+    "common-4-2": lambda s: compile_common_support(
+        common_support_table(4, 2, 3, s)),
+    "partition-4-3-l2": lambda s: compile_partition(
+        block_constant_target(4, 3, 2, s), 2),
+    "support-4-2-d2": lambda s: compile_support_points(
+        sparse_dirichlet_table(4, 2, 2, s), 2),
+    "witness-3-3-m10": lambda s: divergence_witness(dirichlet_table(3, 3, s),
+                                                    10),
+}
+
+
+def test_early_rejection_keeps_every_output(monkeypatch):
+    # with the rejection a no-op, every tau level runs to its certificate,
+    # as it did before the rejection existed; the checked compiles must
+    # return the same parameters bit for bit and the same report (or
+    # divergence), and stop some doomed level before its end
+    import crbmkit.compiler as compiler
+
+    applied = Counter()
+    apply_step = compiler.apply_sharing_log
+
+    def counted(*args, **kwargs):
+        applied["calls"] += 1
+        return apply_step(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "apply_sharing_log", counted)
+
+    def run_seeds(run, reject):
+        monkeypatch.setattr(_Pipeline, "reject_if_doomed", reject)
+        applied.clear()
+        outputs = [run(seed) for seed in range(5)]
+        return ([(params_digest(params), second) for params, second in outputs],
+                applied["calls"])
+
+    check = _Pipeline.reject_if_doomed
+    fewer = []
+    for name, run in EARLY_REJECTION_CASES.items():
+        checked, checked_calls = run_seeds(run, check)
+        unchecked, unchecked_calls = run_seeds(run, lambda *args: None)
+        assert checked == unchecked, name
+        assert checked_calls <= unchecked_calls, name
+        fewer.append(checked_calls < unchecked_calls)
+    assert any(fewer)
+
+
+def test_finished_rows_move_by_at_most_the_later_steps(monkeypatch):
+    # the premise of the early rejection: once a star (or a support row) is
+    # finished, no later step has its rows in its region, so by the end of
+    # the level they have moved by at most tol_step per later accepted
+    # step.  A reset that touched a filled star would move them back to
+    # the start component.
+    records = []
+    check = _Pipeline.reject_if_doomed
+
+    def accepted(pipe):
+        return pipe.used["fill"] + pipe.used["reset"]
+
+    def assert_premise(pipe):
+        for owner, rows, snap, done in records:
+            if owner is pipe:
+                drift = _worst_row_tv(pipe.rows()[rows], snap)
+                assert drift <= (accepted(pipe) - done) * pipe.tol_step + 1e-12
+
+    def record(self, rows, target_rows, eps, total_steps, what):
+        # checked at each finished star, so a level that fails later on
+        # is checked up to there
+        assert_premise(self)
+        records.append((self, rows, self.rows()[rows].copy(), accepted(self)))
+        check(self, rows, target_rows, eps, total_steps, what)
+
+    monkeypatch.setattr(_Pipeline, "reject_if_doomed", record)
+    _, universal = compile_universal(dirichlet_table(7, 1, 0), r=3)
+    _, support = compile_support_points(sparse_dirichlet_table(4, 2, 2, 0), 2)
+    assert universal.resets_used > 0 and support.star_steps_used > 0
+    # every star of the passing level and every support row was recorded
+    assert len(records) > len(build_packing(7, 3).centers) + 1
+    for pipe in {id(owner): owner for owner, *_ in records}.values():
+        assert_premise(pipe)
+
+
+def test_doomed_level_names_its_star_and_the_schedule_its_last_level(
+        monkeypatch):
+    # tau = 16 misses eps at (4,2) seed 0 from its first star on: the level
+    # stops there and names the star, its TV and the limit; with tau = 16
+    # the last level, the schedule's error chains that one, and without the
+    # rejection it names the level's certificate TV instead
+    import crbmkit.compiler as compiler
+
+    pattern = (r"star 0: worst-row TV [0-9.e-]+ to the target > "
+               r"limit [0-9.e-]+ \(tau = 16\)")
+    k, n, eps = 4, 2, 1e-2
+    target, _ = clamp_table(dirichlet_table(k, n, 0), eps)
+    scheme = _ComponentScheme.points(n, range(1 << n))
+    seq = build_packing(k, 2)
+    with pytest.raises(BudgetExceeded, match=f"^{pattern}$"):
+        _run_packed(k, n, scheme, seq, target, eps, 16.0)
+    assert _run_packed(k, n, scheme, seq, target, eps, 32.0).params.m == 19
+
+    monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
+    exhausted = r"^tau schedule exhausted without reaching eps = 0.01; "
+    with pytest.raises(BudgetExceeded,
+                       match=f"{exhausted}last level: {pattern}$") as exc:
+        compile_universal(dirichlet_table(k, n, 0), eps=eps)
+    assert isinstance(exc.value.__cause__, BudgetExceeded)
+    monkeypatch.setattr(_Pipeline, "reject_if_doomed", lambda *args: None)
+    with pytest.raises(BudgetExceeded, match=(
+            f"{exhausted}last level: certificate row TV [0-9.e-]+ "
+            r"\(tau = 16\)$")) as exc:
+        compile_universal(dirichlet_table(k, n, 0), eps=eps)
+    assert exc.value.__cause__ is None
