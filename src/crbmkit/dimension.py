@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bitspace import affine_rank, ball_members, check_cells, state_bits
-from .bounds import expected_dim
+from .bounds import ambient_dim, expected_dim, param_count
 from .crbm import conditional_jacobian, random_params
 from .errors import UnstableRank
 
@@ -65,15 +65,18 @@ def crbm_dimension_estimate(k: int, n: int, m: int, trials: int = 8,
                             seed: int = 0) -> int:
     """Max numeric Jacobian rank over random standard-normal parameter draws.
 
-    Stops drawing once a draw reaches full rank min(jacobian shape), which
-    no further draw can exceed.
+    Stops drawing once a draw reaches min(param_count, ambient_dim), which
+    bounds the rank: the Jacobian has one column per parameter, and each
+    input block's rows sum to zero, so its columns lie in a space of
+    2^k (2^n - 1) dimensions.
     """
     rng = np.random.default_rng(seed)
+    bound = min(param_count(k, n, m), ambient_dim(k, n))
     best = 0
     for _ in range(trials):
         jac = conditional_jacobian(random_params(k, n, m, rng, scale=1.0))
         best = max(best, numeric_rank(jac))
-        if best == min(jac.shape):
+        if best >= bound:
             break
     return best
 

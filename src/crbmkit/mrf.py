@@ -7,8 +7,11 @@ unit whose softplus log-partition term has the face's coefficient as its
 top Moebius coefficient (Younes 1996).  The unit's scale solves
 top(t) = |rho| on one closed-form curve for both signs of rho, bracketed by
 the sign of top(t) - |rho| because the curve dips below zero for faces of
-4 or more units; the unit's whole polynomial is also closed form, from two
-finite differences, and is subtracted from the residue in one scatter.
+4 or more units, and grown by doubling with no fixed cap; the unit's whole
+polynomial is also closed form, from two finite differences.  A unit
+changes only the residues of subsets of its face, so all faces of one
+cardinality are solved together: one masked solve per cardinality level,
+and one scatter subtracting that level's polynomials from the residue.
 """
 
 from __future__ import annotations
@@ -19,13 +22,10 @@ from math import comb
 
 import numpy as np
 
-from .bitspace import check_cells, popcounts, set_bits
+from .bitspace import check_cells, popcounts, state_bits
 from .crbm import CrbmParams
 from .distributions import Dist
 from .errors import BudgetMismatch, NoBracket
-
-#: scale cap for the coefficient solver's bracketing direction
-T_MAX = 1e3
 
 SOLVE_TOL = 1e-11
 
@@ -147,9 +147,12 @@ def _alternating_binomials(q: int) -> np.ndarray:
     return table
 
 
-def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
+def younes_solve(rho: np.ndarray, n: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights (w, b) making the top Moebius coefficient of
-    log(1 + exp(w S^eps + b)) equal to rho, plus the unit's whole polynomial.
+    log(1 + exp(w S^eps + b)) equal to rho, plus the unit's whole polynomial,
+    for each entry of the 1-D array ``rho`` of residues of faces of one
+    cardinality N = ``n``.
 
     For rho >= 0 the sum S runs over all units (eps = +1) and (w, b) scale
     the direction (1, -(N - 1/2)); for rho < 0 the last unit enters with a
@@ -162,11 +165,14 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
     top(0) = 0 and top(t) ~ t/2 for large t, but for N >= 4 top dips below
     zero first: it is negative on (0, t0) with t0 about 0.99 at N = 4, 1.51
     at N = 5, 2.42 at N = 8 and 2.82 at N = 10, with a minimum of -0.008 to
-    -0.28, and increasing past t0.  So the bracket is by sign: t_hi doubles,
-    its last step clamped to T_MAX, until top(t_hi) >= |rho|, keeping
-    top(t_lo) < |rho| <= top(t_hi), and a Newton step that leaves the
-    bracket falls back to bisection; NoBracket means top(T_MAX) < |rho|.
-    Each step costs O(N).
+    -0.28, and increasing past t0.  So the bracket is by sign: t_hi doubles
+    from 1 until top(t_hi) >= |rho|, O(log |rho|) doublings with no fixed
+    cap, keeping top(t_lo) < |rho| <= top(t_hi); a Newton step that leaves
+    the bracket falls back to bisection.  Every face keeps its own bracket
+    and trajectory in one masked loop, and stops once
+    |top - |rho|| <= SOLVE_TOL; each step costs O(N) per face still
+    running.  NoBracket means float64 cannot hold the solve: t overflows
+    before top(t) reaches |rho|, or a face is still off after 200 steps.
 
     The unit's coefficient J_B depends only on j = |B minus {N}| and on
     whether N is in B, so the whole polynomial comes from two j-th finite
@@ -174,63 +180,96 @@ def younes_solve(rho: float, n: int) -> tuple[float, float, int, np.ndarray]:
     and D'_j of g(1..j+1).  For eps = +1, J_B = D_j without N and
     D'_j - D_j with it; eps = -1 swaps D and D'.
 
-    Returns (w, b, eps_sign, coeffs) where coeffs[mask] is the coefficient
-    of the face mask over the N units; coeffs[-1] is the top coefficient.
+    Returns arrays (w, b, eps_sign, coeffs), one entry (row) per face;
+    coeffs[f, mask] is face f's coefficient of the face mask over its N
+    units, and coeffs[:, -1] are the top coefficients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    eps_sign = 1 if rho >= 0 else -1
-    base_b = -(n - 0.5) if eps_sign == 1 else -(n - 1.5)
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1:
+        raise ValueError("rho must be a 1-D array of residues")
+    target = np.abs(rho)
+    eps_sign = np.where(rho >= 0, 1, -1)
+    base_b = np.where(eps_sign == 1, -(n - 0.5), -(n - 1.5))
     slopes = np.arange(n + 1) - n + 0.5
     row = _alternating_binomials(n)[n]
     row_slopes = row * slopes
-    target = abs(rho)
 
-    def top(t: float) -> tuple[float, float]:
-        """top(t) and its derivative, sum_k row_k a_k sigmoid(t a_k)."""
-        x = t * slopes
+    t_lo = np.zeros(rho.shape)
+    t_hi = np.ones(rho.shape)
+    t_star = np.zeros(rho.shape)
+    val = np.zeros(rho.shape)
+    slope = np.zeros(rho.shape)
+
+    def top(faces: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Store t, top(t) and its derivative, sum_k row_k a_k sigmoid(t a_k),
+        for ``faces``; return whether each is still off by > SOLVE_TOL."""
+        x = t[:, None] * slopes
         g = _softplus(x)
-        return float(row @ g), float(row_slopes @ np.exp(x - g))
+        t_star[faces], val[faces] = t, g @ row
+        slope[faces] = np.exp(x - g) @ row_slopes
+        return np.abs(val[faces] - target[faces]) > SOLVE_TOL
 
-    t_star = 0.0
-    if rho != 0.0:
-        t_lo, t_hi = 0.0, 1.0
-        val, slope = top(t_hi)
-        while val < target:
-            if t_hi >= T_MAX:
-                raise NoBracket(f"|rho| = {target} beyond solver scale cap")
-            t_lo, t_hi = t_hi, min(2.0 * t_hi, T_MAX)
-            val, slope = top(t_hi)
-        t_star = t_hi
-        for _ in range(200):
-            if abs(val - target) <= SOLVE_TOL:
-                break
-            # a Newton step leaving the bracket, or a flat slope, bisects
-            newton = t_star - (val - target) / slope if slope > 0 else t_hi
-            t_star = newton if t_lo < newton < t_hi else 0.5 * (t_lo + t_hi)
-            val, slope = top(t_star)
-            if val < target:
-                t_lo = t_star
-            else:
-                t_hi = t_star
+    live = np.flatnonzero(rho != 0.0)
+    top(live, t_hi[live])
+    grow = live[val[live] < target[live]]
+    while grow.size:
+        t_lo[grow] = t_hi[grow]
+        # top(t) <= t/2, so t leaves float64 first; t * slopes may overflow
+        # to -inf near there, where softplus is 0 as it should be
+        with np.errstate(over="ignore"):
+            t_hi[grow] *= 2.0
+            lost = grow[np.isinf(t_hi[grow])]
+            if lost.size:
+                f = lost[0]
+                raise NoBracket(f"q = {n}, |rho| = {target[f]:.6g}: residual "
+                                f"{target[f] - val[f]:.6g} at the largest finite "
+                                f"t = {t_lo[f]:.6g}")
+            top(grow, t_hi[grow])
+        grow = grow[val[grow] < target[grow]]
+    live = live[np.abs(val[live] - target[live]) > SOLVE_TOL]
+    for _ in range(200):
+        if not live.size:
+            break
+        # a Newton step leaving the bracket bisects; so does a flat slope,
+        # whose zero step stays at t_star, always an end of the bracket
+        lo, hi, s = t_lo[live], t_hi[live], slope[live]
+        newton = t_star[live] - (val[live] - target[live]) / np.where(s > 0, s, np.inf)
+        t = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        off = top(live, t)
+        below = val[live] < target[live]
+        t_lo[live[below]] = t[below]
+        t_hi[live[~below]] = t[~below]
+        live = live[off]
+    if live.size:
+        f = live[0]
+        raise NoBracket(f"q = {n}, |rho| = {target[f]:.6g}: residual "
+                        f"{abs(val[f] - target[f]):.3g} > SOLVE_TOL after 200 steps")
 
-    g = _softplus(t_star * slopes)
-    diffs = _alternating_binomials(n - 1)
-    d0, d1 = diffs @ g[:-1], diffs @ g[1:]
-    without_last, with_last = (d0, d1 - d0) if eps_sign == 1 else (d1, d0 - d1)
+    g = _softplus(t_star[:, None] * slopes)
+    diffs = _alternating_binomials(n - 1).T
+    d0, d1 = g[:, :-1] @ diffs, g[:, 1:] @ diffs
+    plus = (eps_sign == 1)[:, None]
+    without_last = np.where(plus, d0, d1)
+    with_last = np.where(plus, d1 - d0, d0 - d1)
     pc = popcounts(n - 1)
-    coeffs = np.concatenate([without_last[pc], with_last[pc]])
+    coeffs = np.concatenate([without_last[:, pc], with_last[:, pc]], axis=1)
     return t_star, t_star * base_b, eps_sign, coeffs
 
 
 def _faces_to_cancel(complex_: SimplicialComplex, keep: set[int]
-                     ) -> list[tuple[int, list[int]]]:
-    """(mask, sorted bits) of the faces of cardinality > 1 outside the kept
-    set, largest first."""
-    todo = [(a, set_bits(a)) for a in complex_.faces
-            if a.bit_count() > 1 and a not in keep]
-    return sorted(todo, key=lambda face: (-len(face[1]), face[1]))
+                     ) -> list[np.ndarray]:
+    """The faces of cardinality > 1 outside the kept set, one (F, q) array
+    of their sorted bits per cardinality q, largest q first; the rows of a
+    level ascend by index set."""
+    faces = np.fromiter(complex_.faces - keep, dtype=np.int64)
+    # the coordinates of every face's set bits, face by face, ascending
+    rows, cols = np.nonzero(state_bits(complex_.n, faces))
+    card = np.bincount(rows, minlength=faces.size)[rows]
+    levels = [cols[card == q].reshape(-1, q)
+              for q in range(card.max(initial=0), 1, -1)]
+    return [bits[np.lexsort(bits.T[::-1])] for bits in levels if bits.size]
 
 
 def compile_mrf_to_rbm(model: MrfModel,
@@ -241,35 +280,36 @@ def compile_mrf_to_rbm(model: MrfModel,
 
     Faces are processed in decreasing cardinality (ties by ascending index
     set); each unit cancels the face's current residue coefficient, and its
-    whole polynomial is subtracted from the residue.  Remaining
-    cardinality >= 2 coefficients live on kept faces and are returned,
-    negated, as the correction distribution; singleton residues become the
-    RBM's visible biases.
+    whole polynomial is subtracted from the residue.  A unit changes only
+    the residues of subsets of its face, so every face of one cardinality
+    has its residue fixed before any of them is solved: each level is one
+    ``younes_solve`` call, and its polynomials are subtracted in face order
+    by one scatter.  Remaining cardinality >= 2 coefficients live on kept
+    faces and are returned, negated, as the correction distribution;
+    singleton residues become the RBM's visible biases.
     """
     n = model.n
     check_cells(1 << n, f"compile_mrf_to_rbm at n = {n}")
     keep = set(j_keep.faces) if j_keep is not None else {0}
-    order = _faces_to_cancel(model.complex, keep)
 
     residue = np.zeros(1 << n)
     for a, th in model.theta.items():
         residue[a] += th
 
-    weights = []
-    biases = []
-    for a, bits in order:
-        w, b, eps_sign, local = younes_solve(float(residue[a]), len(bits))
-        unit = np.zeros(n)
-        unit[bits] = w
-        unit[bits[-1]] *= eps_sign
-        weights.append(unit)
+    weights = [np.zeros((0, n))]
+    biases = [np.zeros(0)]
+    for bits in _faces_to_cancel(model.complex, keep):
+        f, q = bits.shape
+        # masks[i, l] is the face-i subset whose j-th coordinate is the j-th
+        # bit of the local index l; l = 2^q - 1 is the face itself
+        masks = (1 << bits) @ state_bits(q).T.astype(np.int64)
+        w, b, eps_sign, local = younes_solve(residue[masks[:, -1]], q)
+        units = np.zeros((f, n))
+        units[np.arange(f)[:, None], bits] = w[:, None]
+        units[np.arange(f), bits[:, -1]] *= eps_sign
+        weights.append(units)
         biases.append(b)
-        # subtract the unit's full polynomial from the residue; the j-th bit
-        # of a local index is the face's j-th coordinate
-        masks = np.zeros(1 << len(bits), dtype=np.int64)
-        for j, coord in enumerate(bits):
-            masks[1 << j:2 << j] = masks[:1 << j] | (1 << coord)
-        residue[masks] -= local
+        np.subtract.at(residue, masks, local)
 
     pc = popcounts(n)
     kept = np.zeros(1 << n, dtype=bool)
@@ -278,13 +318,14 @@ def compile_mrf_to_rbm(model: MrfModel,
     if leftovers.size:
         raise BudgetMismatch(f"uncancelled faces remain: {leftovers.tolist()}")
 
+    weights = np.concatenate(weights)
     m = len(weights)
     params = CrbmParams(
         0, n, m,
-        np.array(weights).reshape(m, n),
+        weights,
         np.zeros((m, 0)),
         np.array([residue[1 << s] for s in range(n)]),
-        np.array(biases),
+        np.concatenate(biases),
     )
     # non-kept residues are certified tiny above; the correction carries
     # exactly the kept cardinality >= 2 coefficients, negated

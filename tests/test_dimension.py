@@ -56,13 +56,27 @@ def test_estimate_stops_at_full_rank(monkeypatch):
 
     jacobian = dimension.conditional_jacobian
     monkeypatch.setattr(dimension, "conditional_jacobian", counted)
-    # (2, 2, 1): the first draw reaches rank 7 = min of the 16 x 7 Jacobian
-    assert crbm_dimension_estimate(2, 2, 1) == 7
-    assert len(calls) == 1
-    # (1, 2, 2): rank 6 < min(8, 10), so every draw is made
-    calls.clear()
-    assert crbm_dimension_estimate(1, 2, 2) == 6
-    assert len(calls) == 8
+    # the rank is at most min(param_count, ambient_dim), so a draw reaching
+    # it ends the loop: (2, 2, 1) reaches 7 = param_count, (1, 2, 2) reaches
+    # 6 = ambient_dim < min(8, 10), and (1, 1, 1) reaches 2 = ambient_dim
+    for (k, n, m), want in (((2, 2, 1), 7), ((1, 2, 2), 6), ((1, 1, 1), 2)):
+        calls.clear()
+        assert crbm_dimension_estimate(k, n, m) == want
+        assert want == min(param_count(k, n, m), ambient_dim(k, n))
+        assert len(calls) == 1
+
+
+#: numeric ranks of the benchmark's certify sizes, equal at seeds 0-4; the
+#: same values as when every draw below min(Jacobian shape) was made
+CERTIFY_NUMERIC = {(1, 3, 1): 8, (2, 2, 1): 7, (1, 2, 2): 6, (1, 1, 1): 2,
+                   (2, 3, 3): 21, (3, 3, 4): 31, (3, 3, 6): 45, (4, 3, 6): 51,
+                   (3, 4, 8): 68, (4, 4, 8): 76, (5, 3, 8): 75}
+
+
+@pytest.mark.parametrize("size", sorted(CERTIFY_NUMERIC))
+def test_certify_numeric_unchanged_by_the_rank_bound(size):
+    for seed in range(5):
+        assert certify_dimension(*size, seed=seed).numeric == CERTIFY_NUMERIC[size]
 
 
 # tall and mostly zero, so that pivots skip untouched rows and swap rows

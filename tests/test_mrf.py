@@ -3,10 +3,13 @@ from math import comb
 import numpy as np
 import pytest
 
+from crbmkit import mrf
+from crbmkit.bitspace import popcounts, set_bits
 from crbmkit.crbm import eval_conditional, eval_joint_rbm
 from crbmkit.distributions import conditional_of_joint, hadamard, tv_row_distance
 from crbmkit.errors import NoBracket
 from crbmkit.mrf import (
+    SOLVE_TOL,
     MrfModel,
     SimplicialComplex,
     compile_conditional_mrf,
@@ -96,30 +99,104 @@ def younes_top_coefficient(n: int, w: float, b: float, eps_sign: int = 1) -> flo
     return top if eps_sign == 1 else -top
 
 
+#: the scalar oracle's bracket cap; it refuses |rho| above top(1e3), about 500
+ORACLE_T_MAX = 1e3
+
+
+def scalar_younes_solve(rho: float, q: int) -> tuple[float, float, int, np.ndarray]:
+    """Oracle: one face at a time, with the bracket, Newton/bisection steps
+    and finite differences of the batched solve, in 1-D dot products."""
+    eps_sign = 1 if rho >= 0 else -1
+    base_b = -(q - 0.5) if eps_sign == 1 else -(q - 1.5)
+    slopes = np.arange(q + 1) - q + 0.5
+    binomials = np.array([[(-1) ** (j - i) * comb(j, i) if i <= j else 0
+                           for i in range(q + 1)] for j in range(q + 1)], dtype=float)
+    row = binomials[q]
+    target = abs(rho)
+
+    def top(t):
+        x = t * slopes
+        g = np.logaddexp(0.0, x)
+        return float(row @ g), float((row * slopes) @ np.exp(x - g))
+
+    t_star = 0.0
+    if rho != 0.0:
+        t_lo, t_hi = 0.0, 1.0
+        val, slope = top(t_hi)
+        while val < target:
+            if t_hi >= ORACLE_T_MAX:
+                raise NoBracket(f"|rho| = {target} beyond the oracle's cap")
+            t_lo, t_hi = t_hi, min(2.0 * t_hi, ORACLE_T_MAX)
+            val, slope = top(t_hi)
+        t_star = t_hi
+        for _ in range(200):
+            if abs(val - target) <= SOLVE_TOL:
+                break
+            newton = t_star - (val - target) / slope if slope > 0 else t_hi
+            t_star = newton if t_lo < newton < t_hi else 0.5 * (t_lo + t_hi)
+            val, slope = top(t_star)
+            if val < target:
+                t_lo = t_star
+            else:
+                t_hi = t_star
+
+    g = np.logaddexp(0.0, t_star * slopes)
+    diffs = binomials[:q, :q]
+    d0, d1 = diffs @ g[:-1], diffs @ g[1:]
+    without_last, with_last = (d0, d1 - d0) if eps_sign == 1 else (d1, d0 - d1)
+    pc = popcounts(q - 1)
+    return t_star, t_star * base_b, eps_sign, np.concatenate([without_last[pc],
+                                                             with_last[pc]])
+
+
 def test_younes_solve_examples():
     # rho = 0: scale 0, only the constant survives
-    w, b, eps, q = younes_solve(0.0, 3)
-    assert w == 0.0 and b == 0.0
-    assert q[0] == pytest.approx(np.log(2.0))
-    assert np.abs(q[1:]).max() < 1e-15
+    w, b, eps, q = younes_solve(np.array([0.0]), 3)
+    assert w[0] == 0.0 and b[0] == 0.0
+    assert q[0, 0] == pytest.approx(np.log(2.0))
+    assert np.abs(q[0, 1:]).max() < 1e-15
 
     # N = 1: the two-point inversion solves directly
-    w, b, eps, q = younes_solve(0.8, 1)
-    direct = np.log1p(np.exp(w + b)) - np.log1p(np.exp(b))
+    w, b, eps, q = younes_solve(np.array([0.8]), 1)
+    direct = np.log1p(np.exp(w[0] + b[0])) - np.log1p(np.exp(b[0]))
     assert direct == pytest.approx(0.8, abs=1e-10)
 
-    # N = 3: independent recomputation of the top coefficient
-    for rho in (2.0, 0.3, -1.5, -4.0):
-        w, b, eps, q = younes_solve(rho, 3)
-        assert eps == (1 if rho >= 0 else -1)
-        got = younes_top_coefficient(3, w, b, eps)
+    # N = 3: independent recomputation of the top coefficient, one call
+    rhos = (2.0, 0.3, -1.5, -4.0)
+    w, b, eps, q = younes_solve(np.array(rhos), 3)
+    assert w.shape == b.shape == eps.shape == (4,) and q.shape == (4, 8)
+    for i, rho in enumerate(rhos):
+        assert eps[i] == (1 if rho >= 0 else -1)
+        got = younes_top_coefficient(3, w[i], b[i], eps[i])
         assert got == pytest.approx(rho, abs=1e-10)
-        assert q[7] == pytest.approx(rho, abs=1e-10)
+        assert q[i, 7] == pytest.approx(rho, abs=1e-10)
         # the polynomial identity holds pointwise
-        s = np.array([bin(v & 0b011).count("1") + eps * ((v >> 2) & 1)
+        s = np.array([bin(v & 0b011).count("1") + eps[i] * ((v >> 2) & 1)
                       for v in range(8)])
-        table = np.logaddexp(0.0, w * s + b)
-        assert np.abs(mobius_forward(q, 3) - table).max() < 1e-10
+        table = np.logaddexp(0.0, w[i] * s + b[i])
+        assert np.abs(mobius_forward(q[i], 3) - table).max() < 1e-10
+
+
+def test_younes_solve_takes_one_level():
+    with pytest.raises(ValueError):
+        younes_solve(0.5, 2)
+    w, b, eps, coeffs = younes_solve(np.zeros(0), 4)
+    assert w.shape == b.shape == eps.shape == (0,) and coeffs.shape == (0, 16)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_batched_solve_matches_the_scalar_oracle(q):
+    rng = np.random.default_rng(400 + q)
+    rhos = [0.0, *rng.normal(0.0, 3.0, 12), *rng.uniform(-40.0, 40.0, 4)]
+    if 5 <= q <= 8:
+        rhos += [0.05, -0.05, 1e-6, -1e-6]   # past the dip of top(t) < 0
+    w, b, eps, coeffs = younes_solve(np.array(rhos), q)
+    for i, rho in enumerate(rhos):
+        w1, b1, eps1, coeffs1 = scalar_younes_solve(rho, q)
+        assert eps[i] == eps1
+        assert abs(w[i] - w1) <= 1e-12 and abs(b[i] - b1) <= 1e-12
+        assert np.abs(coeffs[i] - coeffs1).max() <= 1e-12
+        assert abs(coeffs[i, -1] - rho) <= SOLVE_TOL
 
 
 def phi_table(q: int, w: float, b: float, eps: int) -> np.ndarray:
@@ -140,17 +217,18 @@ def test_closed_form_matches_mobius_of_the_softplus_table(q):
         plus = mobius_coefficients(phi_table(q, t, -t * (q - 0.5), 1), q)[-1]
         minus = mobius_coefficients(phi_table(q, t, -t * (q - 1.5), -1), q)[-1]
         assert minus == pytest.approx(-plus, abs=1e-12)
-    for rho in (0.7, -0.7, 0.05, -0.05):
-        w, b, eps, coeffs = younes_solve(rho, q)
-        want = mobius_coefficients(phi_table(q, w, b, eps), q)
-        assert np.abs(coeffs - want).max() <= 1e-12
+    rhos = (0.7, -0.7, 0.05, -0.05)
+    w, b, eps, coeffs = younes_solve(np.array(rhos), q)
+    for i in range(len(rhos)):
+        want = mobius_coefficients(phi_table(q, w[i], b[i], eps[i]), q)
+        assert np.abs(coeffs[i] - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 8])
 @pytest.mark.parametrize("rho", [0.05, -0.05, 1e-6, -1e-6])
 def test_solve_crosses_the_dip_below_zero(q, rho):
     # top(t) < 0 on (0, 1.5-2.4) at these q: a bracket on |top| stops there
-    w, b, eps, _ = younes_solve(rho, q)
+    (w,), (b,), (eps,), _ = younes_solve(np.array([rho]), q)
     assert abs(younes_top_coefficient(q, w, b, eps) - rho) <= 1e-10
     top = mobius_coefficients(phi_table(q, w, b, eps), q)[-1]
     assert abs(top - rho) <= 1e-10
@@ -173,15 +251,99 @@ def test_compile_full_complexes_n5_to_n8(n):
 
 
 def test_younes_no_bracket():
-    # the bracket's last doubling is clamped to T_MAX = 1e3, so every |rho|
-    # up to top(T_MAX) solves; a pair unit's top(t) is about t/2
-    for rho, q in ((300.0, 2), (-300.0, 2), (499.0, 2), (400.0, 3)):
-        w, b, eps, coeffs = younes_solve(rho, q)
-        assert coeffs[-1] == pytest.approx(rho, abs=1e-9)
+    # the bracket doubles until top(t_hi) >= |rho| with no fixed cap, so
+    # every |rho| float64 can hold solves; a pair unit's top(t) is about t/2
+    rhos = ((300.0, 2), (-300.0, 2), (499.0, 2), (400.0, 3), (501.0, 2),
+            (1e6, 2), (-1e6, 2), (2.5e3, 7))
+    for rho, q in rhos:
+        (w,), (b,), (eps,), coeffs = younes_solve(np.array([rho]), q)
+        assert coeffs[0, -1] == pytest.approx(rho, abs=1e-9)
         assert younes_top_coefficient(q, w, b, eps) == pytest.approx(rho, abs=1e-9)
-    for rho, q in ((501.0, 2), (1e6, 2)):
-        with pytest.raises(NoBracket):
-            younes_solve(rho, q)
+    # top(t) ~ t/2 needs t ~ 2e308, which overflows to inf
+    with pytest.raises(NoBracket, match=r"q = 2, \|rho\| = 1e\+308: residual"):
+        younes_solve(np.array([0.5, 1e308]), 2)
+
+
+def test_younes_refuses_a_face_still_off_after_200_steps(monkeypatch):
+    # no face can meet a negative tolerance, so every step is spent
+    monkeypatch.setattr(mrf, "SOLVE_TOL", -1.0)
+    with pytest.raises(NoBracket, match=r"q = 3, \|rho\| = 0.7: residual .* "
+                                        r"> SOLVE_TOL after 200 steps"):
+        younes_solve(np.array([0.0, -0.7, 0.7]), 3)
+
+
+def sequential_compile(model: MrfModel, keep: frozenset[int]):
+    """Oracle: the face-at-a-time compile on the scalar solve.  It asserts
+    the premise of the batched compile: no unit moves the residue of any
+    other face of its cardinality or a larger one."""
+    n = model.n
+    card = popcounts(n)
+    residue = np.zeros(1 << n)
+    for a, th in model.theta.items():
+        residue[a] += th
+    faces = sorted((set_bits(a) for a in model.complex.faces
+                    if a.bit_count() > 1 and a not in keep),
+                   key=lambda bits: (-len(bits), bits))
+    weights, biases = [], []
+    for bits in faces:
+        a, q = sum(1 << i for i in bits), len(bits)
+        w, b, eps, local = scalar_younes_solve(float(residue[a]), q)
+        unit = np.zeros(n)
+        unit[bits] = w
+        unit[bits[-1]] *= eps
+        weights.append(unit)
+        biases.append(b)
+        masks = [sum(1 << bits[j] for j in range(q) if (l >> j) & 1)
+                 for l in range(1 << q)]
+        before = residue.copy()
+        residue[masks] -= local
+        moved = np.flatnonzero(residue != before)
+        assert set(moved[card[moved] >= q].tolist()) <= {a}
+    return np.array(weights).reshape(-1, n), np.array(biases), residue
+
+
+def cyclic(n, q):
+    return [sum(1 << ((i + j) % n) for j in range(q)) for i in range(n)]
+
+
+@pytest.mark.parametrize("label, n, generators", [
+    ("full", 7, [(1 << 7) - 1]),
+    ("pairwise", 9, [(1 << i) | (1 << j) for i in range(9) for j in range(i + 1, 9)]),
+    ("cyclic3", 10, cyclic(10, 3)),
+    ("cyclic4", 10, cyclic(10, 4)),
+])
+@pytest.mark.parametrize("k", [0, 2])
+def test_level_solve_matches_the_sequential_compile(label, n, generators, k):
+    rng = np.random.default_rng([n, k, len(generators)])
+    cx = SimplicialComplex.from_generators(n, generators)
+    model = MrfModel(cx, {a: float(rng.standard_normal())
+                          for a in sorted(cx.faces) if a})
+    j_keep = SimplicialComplex(n, frozenset(range(1 << k))) if k else None
+    keep = j_keep.faces if k else frozenset({0})
+    weights, biases, residue = sequential_compile(model, keep)
+    params, corr = compile_mrf_to_rbm(model, j_keep)
+    assert params.W.shape == weights.shape
+    assert np.abs(params.W - weights).max(initial=0.0) <= 1e-12
+    assert np.abs(params.c - biases).max(initial=0.0) <= 1e-12
+    assert np.abs(params.b - residue[1 << np.arange(n)]).max() <= 1e-12
+    # the kept faces' residues, negated, are the correction's coefficients
+    corr_theta = {a: -residue[a] for a in keep if a.bit_count() > 1}
+    want = mrf_distribution(MrfModel(j_keep or SimplicialComplex.singletons(n),
+                                     corr_theta))
+    assert np.abs(corr.probs - want.probs).max() <= 1e-12
+
+
+def test_compile_full_field_n12():
+    # its largest pair residue, |rho| = 610, is past top(1e3), where a
+    # bracket capped at t = 1e3 stopped
+    rng = np.random.default_rng(12)
+    full = SimplicialComplex.full(12)
+    model = MrfModel(full, {a: float(rng.standard_normal())
+                            for a in sorted(full.faces) if a})
+    params, corr = compile_mrf_to_rbm(model)
+    assert params.m == (1 << 12) - 1 - 12
+    lhs = hadamard(mrf_distribution(model), corr)
+    assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
 
 
 def test_compile_singletons_needs_no_hidden_units():
