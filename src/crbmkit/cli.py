@@ -35,7 +35,7 @@ from .compiler import (
     compile_universal,
     divergence_witness,
 )
-from .crbm import eval_conditional
+from .crbm import eval_cells, eval_conditional
 from .dimension import certify_dimension
 from .distributions import ConditionalTable, random_conditional, tv_row_distance
 from .errors import CrbmKitError
@@ -45,6 +45,7 @@ from .mrf import (
     SimplicialComplex,
     compile_conditional_mrf,
     compile_mrf_to_rbm,
+    conditional_budget,
     mrf_distribution,
 )
 from .verify import verify_all
@@ -318,6 +319,10 @@ def _cmd_mrf(args) -> int:
         raise _UsageError(f"--k must be in [0, n - 1] = [0, {n - 1}]")
     check_cells(1 << n, f"a field over n = {n} units")
     complex_ = SimplicialComplex.from_generators(n, generators)
+    # the verification evaluates the compiled CRBM: price it before compiling
+    m = conditional_budget(complex_, args.k)
+    check_cells(eval_cells(args.k, n - args.k, m),
+                f"verifying a field over n = {n} units with {m} hidden units")
     model = MrfModel(complex_, theta)
     if args.k:
         params = compile_conditional_mrf(model, args.k)

@@ -58,7 +58,8 @@ from typing import Callable
 import numpy as np
 
 from .bitspace import check_cells, star_cylinder, star_members, state_bits
-from .crbm import CrbmParams, append_hidden_unit, eval_conditional
+from .crbm import (CrbmParams, append_hidden_unit, eval_cells,
+                   eval_conditional)
 from .distributions import ConditionalTable, kl_conditional, tv_row_distance
 from .errors import (
     BudgetExceeded,
@@ -312,15 +313,6 @@ class _Pipeline:
             ~self._in_cylinder(*star_cylinder(center, free_mask, self.k)))
 
 
-def _check_compile_cells(target: ConditionalTable, mode: str,
-                         budget: int) -> None:
-    """Refuse a compile whose final evaluation, (2^k, 2^n, budget)
-    activations, is over the cell limit, before anything is built."""
-    check_cells((1 << (target.k + target.n)) * max(budget, 1),
-                f"{mode} compile at (k, n) = ({target.k}, {target.n}) "
-                f"with {budget} hidden units")
-
-
 def _compile_over_tau(run: Callable[[float], _Pipeline],
                       target: ConditionalTable, eps: float, mode: str,
                       budget: int, r: int | None, clamp_error: float = 0.0
@@ -381,7 +373,10 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
     if r is None:
         r = best_depth(k, scheme.count)
     budget = universal_budget(k, r, scheme.count)
-    _check_compile_cells(target, mode, budget)
+    # priced on the final certificate, before the packing is built
+    check_cells(eval_cells(k, target.n, budget),
+                f"{mode} compile at (k, n) = ({k}, {target.n}) "
+                f"with {budget} hidden units")
     seq = build_packing(k, r)
     return _compile_over_tau(
         lambda tau: _run_packed(k, target.n, scheme, seq, target, eps, tau),
@@ -455,7 +450,9 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
         raise SupportTooLarge(
             f"support {total_support} exceeds 2^k + d = {(1 << k) + d}")
     budget = (1 << k) + d - 1
-    _check_compile_cells(target, "support", budget)
+    check_cells(eval_cells(k, target.n, budget),
+                f"support compile at (k, n) = ({k}, {target.n}) "
+                f"with {budget} hidden units")
 
     counts = (target.rows > 0).sum(axis=0)
     y0 = int(np.argmax(counts))  # ties resolve to the smallest index

@@ -8,8 +8,9 @@ The hidden sum factorizes across units, so every evaluation works in the log
 domain with softplus/log-sum-exp; probabilities are exponentiated only at the
 final row normalization.  Compiled constructions push weights to +-1e3 and
 beyond, which would overflow linear-domain arithmetic.  Each entry point
-first checks its largest array, e.g. the (2^k, 2^n, m) activations, against
-``bitspace.MAX_CELLS``.
+first checks its cost against ``bitspace.MAX_CELLS``: an evaluation costs
+``eval_cells(k, n, m)``, its output and its two factor tables, because the
+(2^k, 2^n, m) activations are summed block by block.
 
 Joint indexing convention: visible state v = x + 2^k * y (inputs on the low
 bits), matching distributions.conditional_of_joint.
@@ -70,20 +71,42 @@ class CrbmParams:
         return (self.k + self.n + 1) * self.m + self.n
 
 
+#: activations in one block of conditional_logits; every evaluation the
+#: benchmark mixes make fits in one block
+_BLOCK_CELLS = 1 << 21
+
+
+def eval_cells(k: int, n: int, m: int) -> int:
+    """The price of evaluating a CRBM: its (2^k, 2^n) output plus the factor
+    tables X V^T (2^k x m) and Y W^T (2^n x m).  The activations add one
+    block of about _BLOCK_CELLS cells on top."""
+    return (1 << (k + n)) + ((1 << k) + (1 << n)) * m
+
+
 def conditional_logits(p: CrbmParams) -> np.ndarray:
-    """Unnormalized log p(y|x) as a (2^k, 2^n) array."""
-    check_cells((1 << (p.k + p.n)) * max(p.m, 1),
+    """Unnormalized log p(y|x) as a (2^k, 2^n) array.
+
+    The softplus terms are summed over blocks of input rows, and of output
+    columns when one row alone is over _BLOCK_CELLS (a k = 0 joint); each
+    cell sums its m terms in the same order whatever the block size."""
+    check_cells(eval_cells(p.k, p.n, p.m),
                 f"conditional_logits at (k, n, m) = ({p.k}, {p.n}, {p.m})")
+    nx, ny, m = 1 << p.k, 1 << p.n, p.m
     Y = state_bits(p.n)
-    X = state_bits(p.k)
-    energy = (Y @ p.b)[None, :]                       # (1, 2^n)
-    if p.m:
-        ax = X @ p.V.T                                # (2^k, m)
-        ay = Y @ p.W.T                                # (2^n, m)
-        act = ax[:, None, :] + ay[None, :, :] + p.c   # (2^k, 2^n, m)
-        energy = energy + np.logaddexp(0.0, act).sum(axis=2)
-    else:
-        energy = np.broadcast_to(energy, (1 << p.k, 1 << p.n)).copy()
+    ax = state_bits(p.k) @ p.V.T                      # (2^k, m)
+    ay = Y @ p.W.T                                    # (2^n, m)
+    energy = np.tile(Y @ p.b, (nx, 1))
+    cols = min(max(_BLOCK_CELLS // max(m, 1), 1), ny)
+    rows = min(max(_BLOCK_CELLS // (cols * max(m, 1)), 1), nx)
+    buf = np.empty(rows * cols * m)                   # one block, reused
+    for x0 in range(0, nx, rows):
+        for y0 in range(0, ny, cols):
+            bx, by = ax[x0:x0 + rows], ay[y0:y0 + cols]
+            act = buf[:len(bx) * len(by) * m].reshape(len(bx), len(by), m)
+            np.add(bx[:, None, :], by, out=act)
+            act += p.c
+            energy[x0:x0 + rows, y0:y0 + cols] += np.logaddexp(
+                0.0, act, out=act).sum(axis=2)
     return energy
 
 
@@ -100,10 +123,7 @@ def eval_joint_rbm(p: CrbmParams) -> Dist:
     """Visible distribution of the RBM special case (k = 0)."""
     if p.k != 0:
         raise ShapeMismatch("eval_joint_rbm requires k = 0")
-    energy = conditional_logits(p)[0]
-    energy = energy - energy.max()
-    probs = np.exp(energy)
-    return Dist(p.n, probs / probs.sum())
+    return Dist(p.n, eval_conditional(p).rows[0])
 
 
 def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:

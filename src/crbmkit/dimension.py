@@ -16,15 +16,12 @@ rank of these differences is the bound.  It is computed by int64 Gaussian
 elimination modulo the prime 2^31 - 1, in which each pivot updates only the
 rows it touches, those with a nonzero entry in its column.  For an integer
 matrix the rank over F_p never exceeds the rank over Q, so the result is a
-certified lower bound whatever happens next.  It is cross-checked against
-the float rank of the same differences and, if the two disagree, recomputed
-by exact elimination over the rationals.
+certified lower bound on the rank, and with it on the dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -81,31 +78,6 @@ def crbm_dimension_estimate(k: int, n: int, m: int, trials: int = 8,
     return best
 
 
-def _exact_int_rank(matrix) -> int:
-    """Rank over the rationals by Gaussian elimination on ``Fraction`` rows.
-
-    Exact but slow (seconds at 256 rows); the fallback of ``_int_rank``.
-    """
-    rows = [[Fraction(v) for v in row] for row in np.asarray(matrix).tolist()]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, n_rows):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def _rank_mod_p(matrix: np.ndarray) -> int:
     """Rank over F_p, p = MOD_PRIME, by int64 Gaussian elimination.
 
@@ -138,15 +110,6 @@ def _rank_mod_p(matrix: np.ndarray) -> int:
             rows[touched, col:] = below
         rank += 1
     return rank
-
-
-def _int_rank(matrix: np.ndarray) -> int:
-    """Rank over Q of an integer matrix: the mod-p rank when the float rank
-    agrees with it, the exact ``Fraction`` elimination otherwise."""
-    modular = _rank_mod_p(matrix)
-    if modular == int(np.linalg.matrix_rank(matrix)):
-        return modular
-    return _exact_int_rank(matrix)
 
 
 def tropical_matrix(k: int, n: int, slicings: list[int]) -> np.ndarray:
@@ -183,7 +146,8 @@ def tropical_rank_mod_inputs(k: int, n: int, m: int,
     Subtracting row (x, 0) from the rows (x, y != 0) of each input block
     clears their X columns, and X's identity on the rows (x, 0) then clears
     the rest of those rows, so rank(A_theta | X) = 2^k + rank(D), where D
-    holds the differences without the X columns.  Only D is eliminated.
+    holds the differences without the X columns.  Only D is eliminated, over
+    F_p, so the result is a certified lower bound on that rank.
     """
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
@@ -191,7 +155,7 @@ def tropical_rank_mod_inputs(k: int, n: int, m: int,
     blocks = blocks[:, :, :-(1 << k)]       # [y, x, column] without X
     diffs = (blocks[1:] - blocks[:1]).reshape(-1, blocks.shape[2])
     del blocks                              # free the full matrix first
-    return _int_rank(diffs)
+    return _rank_mod_p(diffs)
 
 
 def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:

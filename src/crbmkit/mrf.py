@@ -337,6 +337,15 @@ def compile_mrf_to_rbm(model: MrfModel,
     return params, correction
 
 
+def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
+    """The hidden units ``compile_conditional_mrf`` spends given the first k
+    units (``compile_mrf_to_rbm``'s at k = 0): one per face of cardinality
+    > 1 that is not a subset of the inputs."""
+    input_mask = (1 << k) - 1
+    return sum(1 for a in complex_.faces
+               if a.bit_count() > 1 and a & ~input_mask)
+
+
 def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     """CRBM reproducing the conditionals of an MRF on [k+n] given the
     first k units; input-only faces are absorbed by the correction and

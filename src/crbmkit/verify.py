@@ -158,9 +158,10 @@ def _crit_mrf(offset: int = 0) -> tuple[bool, str]:
     from .crbm import eval_joint_rbm
     from .distributions import conditional_of_joint
     # 20 random fields on the full 3-complex, then one full field at each
-    # n = 5..8, where the Younes solve has to cross the dip of top(t) < 0
+    # n = 5..8, where the Younes solve has to cross the dip of top(t) < 0,
+    # and one at n = 12, whose 4083 units are evaluated in blocks
     draws = [(3, 300 + trial) for trial in range(20)]
-    draws += [(n, 320 + n) for n in range(5, 9)]
+    draws += [(n, 320 + n) for n in (5, 6, 7, 8, 12)]
     worst_joint = worst_cond = 0.0
     for n, seed in draws:
         full = SimplicialComplex.full(n)
@@ -183,7 +184,7 @@ def _crit_mrf(offset: int = 0) -> tuple[bool, str]:
         worst_cond = max(worst_cond, rtv)
         if rtv > 1e-6:
             return False, f"n = {n}, seed {seed}: conditional tv = {rtv}"
-    return True, (f"20 full fields at n = 3, one at each n = 5..8: "
+    return True, (f"20 full fields at n = 3, one at each n = 5..8 and 12: "
                   f"joint tv <= {worst_joint:.1e}, conditional tv <= "
                   f"{worst_cond:.1e}, m = 2^n - 1 - n exactly")
 

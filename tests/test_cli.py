@@ -185,6 +185,22 @@ def test_mrf_command(capsys):
     assert obj["verification_tv"] <= 1e-6
 
 
+def test_mrf_refuses_its_verification_before_compiling(capsys, monkeypatch):
+    # a full field on 13 units compiles 8178 units, whose verification
+    # evaluates (2^0 + 2^13) * 8178 + 2^13 cells, over the limit
+    from crbmkit import mrf
+    calls = []
+    solve = mrf.younes_solve
+    monkeypatch.setattr(mrf, "younes_solve",
+                        lambda *a: calls.append(a) or solve(*a))
+    code = main(["mrf", "--complex", json.dumps({"n": 13, "faces": [
+        list(range(1, 14))]}), "--theta", "[[[1, 2], 0.5]]"])
+    err = capsys.readouterr().err
+    assert code == 1 and calls == []
+    assert err.startswith("error: CapExceeded: verifying a field over n = 13 "
+                          "units with 8178 hidden units needs 67010546 cells")
+
+
 def test_ltn_command(capsys):
     code, out = run_cli(["ltn", "--mode", "parity", "--k", "3"], capsys)
     assert code == 0

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from crbmkit import crbm
+from crbmkit.bitspace import state_bits
 from crbmkit.crbm import (
     CrbmParams,
     append_hidden_unit,
     conditional_jacobian,
+    conditional_logits,
+    eval_cells,
     eval_conditional,
     eval_joint_rbm,
     random_params,
@@ -168,3 +174,52 @@ def test_jacobian_matches_finite_differences(shape):
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         eval_conditional(CrbmParams.zeros(13, 13, 13))
+
+
+def unblocked_logits(p):
+    """The logits from the whole (2^k, 2^n, m) activation array at once."""
+    X, Y = state_bits(p.k), state_bits(p.n)
+    act = (X @ p.V.T)[:, None, :] + (Y @ p.W.T)[None, :, :] + p.c
+    return (Y @ p.b)[None, :] + np.logaddexp(0.0, act).sum(axis=2)
+
+
+EVAL_SIZES = [(0, 3, 0), (3, 2, 0), (2, 3, 5), (4, 1, 7), (0, 6, 9), (5, 3, 20)]
+
+
+@pytest.mark.parametrize("k,n,m", EVAL_SIZES)
+def test_blocks_sum_like_one_block(k, n, m, monkeypatch):
+    # each cell sums its m softplus terms in the same order whatever the
+    # block size, so the logits equal the unblocked sum bit for bit; 7 and
+    # 50 cells leave partial blocks of rows and of columns
+    p = random_params(k, n, m, np.random.default_rng(100 * k + 10 * n + m),
+                      scale=3.0)
+    unblocked = unblocked_logits(p)
+    assert np.array_equal(conditional_logits(p), unblocked)
+    for cells in (1, 7, 50):
+        monkeypatch.setattr(crbm, "_BLOCK_CELLS", cells)
+        assert np.array_equal(conditional_logits(p), unblocked)
+
+
+def test_eval_cells_is_the_evaluation_price():
+    assert eval_cells(2, 3, 0) == 32
+    assert eval_cells(2, 3, 5) == 32 + (4 + 8) * 5
+    # a compile at (12, 2) with 3507 units, and a full field at n = 13
+    assert eval_cells(12, 2, 3507) == 14395084
+    assert eval_cells(0, 13, 8178) == 67010546
+
+
+@pytest.mark.parametrize("k,n,m", [(10, 3, 1000), (0, 12, 2000)])
+def test_blocked_evaluation_peak_memory(k, n, m):
+    # 8.2M activations, four blocks; at k = 0 the blocks split the one input
+    # row.  The peak is the priced output and factor tables plus one block,
+    # whose softplus is taken in place (the bound allows a temporary too)
+    p = random_params(k, n, m, np.random.default_rng(0))
+    assert (1 << (k + n)) * m > 3 * crbm._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        logits = conditional_logits(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (eval_cells(k, n, m) + 2 * crbm._BLOCK_CELLS)
+    assert np.array_equal(logits, unblocked_logits(p))

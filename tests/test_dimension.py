@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +8,6 @@ from crbmkit import dimension
 from crbmkit.bitspace import affine_rank, ball_members
 from crbmkit.bounds import ambient_dim, code_A_exact, code_K_exact, param_count
 from crbmkit.dimension import (
-    MOD_PRIME,
-    _exact_int_rank,
-    _int_rank,
     _placement_clean,
     _rank_mod_p,
     certify_dimension,
@@ -86,18 +85,33 @@ small_int_matrices = st.integers(1, 10).flatmap(lambda cols: st.lists(
     min_size=1, max_size=12))
 
 
+def _exact_int_rank(matrix) -> int:
+    """Rank over the rationals by Gaussian elimination on ``Fraction`` rows;
+    exact but slow (seconds at 256 rows), the oracle of the F_p rank."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(matrix).tolist()]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        for r in range(rank + 1, n_rows):
+            if rows[r][col] != 0:
+                f = rows[r][col] / pr[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
 @given(small_int_matrices)
 def test_int_rank_matches_exact_rank(rows):
-    exact = _exact_int_rank(rows)
-    assert _rank_mod_p(np.array(rows)) <= exact
-    assert _int_rank(np.array(rows)) == exact
-
-
-def test_int_rank_falls_back_when_p_divides_a_minor():
-    mat = np.array([[MOD_PRIME, 0], [0, 1]])
-    assert _rank_mod_p(mat) == 1
-    assert _exact_int_rank(mat) == 2
-    assert _int_rank(mat) == 2
+    # the F_p rank of an integer matrix never exceeds its rank over Q
+    assert _rank_mod_p(np.array(rows)) <= _exact_int_rank(rows)
 
 
 def test_tropical_matrix_shape():
@@ -150,7 +164,7 @@ def test_quotient_matches_full_matrix(case):
     # rank(A_theta | X) - 2^k on the full matrix equals the rank of the
     # within-block row differences that tropical_rank_mod_inputs eliminates
     k, n, m, balls = case
-    want = _int_rank(tropical_matrix(k, n, balls)) - 2 ** k
+    want = _rank_mod_p(tropical_matrix(k, n, balls)) - 2 ** k
     assert tropical_rank_mod_inputs(k, n, m, balls) == want
 
 

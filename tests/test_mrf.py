@@ -14,18 +14,12 @@ from crbmkit.mrf import (
     SimplicialComplex,
     compile_conditional_mrf,
     compile_mrf_to_rbm,
+    conditional_budget,
     mobius_coefficients,
     mobius_forward,
     mrf_distribution,
     younes_solve,
 )
-
-
-def conditional_budget(complex_, k):
-    """|{A in I : A not subseteq [k], |A| > 1}|, the hidden-unit count."""
-    input_mask = (1 << k) - 1
-    return sum(1 for a in complex_.faces
-               if a.bit_count() > 1 and a & ~input_mask)
 
 
 def conditional_family_model(k, output_complex, theta_rows):
