@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from crbmkit.bitspace import star_members
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
@@ -214,6 +215,29 @@ def test_divergence_witness_uniform_fallback():
     assert div <= 2.0  # at most n bits
     assert div == pytest.approx(
         kl_conditional(t, ConditionalTable.uniform(1, 2)))
+
+
+def test_pipeline_keeps_processed_rows_stable():
+    # the loop invariant: once a star is filled, later phases move its rows
+    # by at most the accumulated tolerance share
+    k, n, eps = 3, 1, 1e-2
+    target, _ = clamp_table(random_conditional(k, n, seed=21), eps)
+    seq = build_packing(k, 2)
+    scheme = _ComponentScheme.points(n, range(1 << n))
+    masses = scheme.masses(target.rows)
+    total = len(seq.centers) * (scheme.count - 1) + len(seq.reset_positions)
+    pipe = _Pipeline(k, n, scheme, tau=32.0, tol_step=eps / (2 * total))
+    snapshots = {}
+    for i, (center, free_mask, resets) in enumerate(seq.replay()):
+        for fixed_mask, fixed_values in resets:
+            pipe.reset_if_needed(fixed_mask, fixed_values)
+        members = star_members(center, free_mask)
+        pipe.fill_star(center, free_mask, masses[members], members)
+        snapshots[i] = (members, pipe.rows()[members].copy())
+    final = pipe.rows()
+    for i, (members, snap) in snapshots.items():
+        drift = np.abs(final[members] - snap).sum(axis=1).max()
+        assert drift <= eps / 2 + 1e-12
 
 
 def test_compile_larger_instances():
