@@ -353,8 +353,10 @@ def _cmd_ltn(args) -> int:
         raise _UsageError("--k must be >= 0 and --m, --n >= 1 in embed mode")
     if not (args.eps > 0 and math.isfinite(args.eps)):
         raise _UsageError("--eps must be finite and > 0")
-    n = 1 if args.mode == "parity" else args.n
-    check_cells(1 << (args.k + n), f"a table at (k, n) = ({args.k}, {n})")
+    n, m = (1, args.k) if args.mode == "parity" else (args.n, args.m)
+    # the embedding evaluates the CRBM of the net's m units: price it first
+    check_cells(eval_cells(args.k, n, m),
+                f"embedding a net at (k, n, m) = ({args.k}, {n}, {m})")
     if args.mode == "parity":
         net = parity_net(args.k)
     else:

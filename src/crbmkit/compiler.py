@@ -40,13 +40,17 @@ dust stays exponentially below the start-state dust.
 
 Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
 scipy.special.logsumexp for real input: results are bit-identical to
-scipy's, without its per-call dispatch cost.  Each trial computes one new
-(2^k, 2^n) state, and from the max, exp and sum of each of its rows both
-the conditional rows and the conditioned state; an accepted trial's state
-and rows become the pipeline's as they are, and its tilt normalizer goes
-into the unit's bias.  The state has mass 1, so a trial makes one full
-reduction (the normalizer), and neither an accepted unit nor a tau level
-makes another.
+scipy's, without its per-call dispatch cost.  Each trial builds one input
+table log s_X (2^k), one tilted state log p + log s, which its builder
+hands on to the step's application, and one new (2^k, 2^n) state, and from
+the max, exp and sum of each of its rows both the conditional rows and the
+conditioned state; an accepted trial's state and rows become the
+pipeline's as they are, and its tilt normalizer goes into the unit's bias.
+The state has mass 1, so a trial makes one full reduction (the
+normalizer), and neither an accepted unit nor a tau level makes another.
+The output half of a tilt depends only on the component and the sharpness,
+so the component scheme builds each one's factors and table log s_Y (2^n)
+on first use and every later star, trial and tau level reuses them.
 """
 
 from __future__ import annotations
@@ -68,9 +72,9 @@ from .errors import (
     SupportTooLarge,
 )
 from .packing import PackingSequence, best_depth, build_packing, universal_budget
-from .sharing import SharingStep, _sharp_cylinder_factors, apply_sharing_log, \
-    build_tilted_step, hidden_unit_from_log, make_reset_step, \
-    mixture_weight_profile
+from .sharing import OutputTilt, SharingStep, _sharp_cylinder_factors, \
+    apply_sharing_log, build_tilted_step, hidden_unit_from_log, \
+    make_reset_step, mixture_weight_profile, output_tilt
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -122,6 +126,7 @@ class _ComponentScheme:
         self.n = n
         self.masks = masks
         self.values = values
+        self._tilts: dict[tuple[int, float], OutputTilt] = {}
         y = np.arange(1 << n)
         self.membership = [(y & masks[t]) == values[t] for t in range(len(masks))]
         self.dists = []
@@ -140,6 +145,17 @@ class _ComponentScheme:
     def masses(self, rows: np.ndarray) -> np.ndarray:
         return np.stack([rows[:, mem].sum(axis=1) for mem in self.membership],
                         axis=1)
+
+    def tilt(self, t: int, sharp: float) -> OutputTilt:
+        """Component t's output tilt at sharpness ``sharp``: -sharp on the
+        off value of each of its fixed bits.  Built on first use and kept,
+        so every star, trial and tau level stepping toward component t at
+        that sharpness shares one."""
+        out = self._tilts.get((t, sharp))
+        if out is None:
+            out = self._tilts[t, sharp] = output_tilt(_sharp_cylinder_factors(
+                self.n, self.masks[t], self.values[t], sharp))
+        return out
 
     def start_bias(self, tau_b: float) -> np.ndarray:
         """Output biases +-tau_b toward the start component's fixed bits:
@@ -243,23 +259,26 @@ class _Pipeline:
         return (self._inputs & fixed_mask) == fixed_values
 
     def _step(self, kind: str,
-              build: Callable[[float], tuple[SharingStep, float | None]],
+              build: Callable[[float], tuple[SharingStep, np.ndarray | None,
+                                             float | None]],
               region: list[int] | np.ndarray, target: np.ndarray, bound: float,
               outside: np.ndarray) -> None:
         """Build, try and accept one sharing step.
 
         ``build(sharp)`` makes the step at sharpness ``sharp``, starting at
-        tau, with its tilt normalizer if it computed one (else None).  A
-        trial is accepted when its rows at ``region`` are within row TV
-        ``bound`` of ``target`` and its rows at ``outside`` moved by at most
-        tol_step; otherwise the sharpness doubles.  The trial's joint is
+        tau, with its tilted state and tilt normalizer if it computed them
+        (else None and None).  A trial is accepted when its rows at
+        ``region`` are within row TV ``bound`` of ``target`` and its rows at
+        ``outside`` moved by at most tol_step; otherwise the sharpness
+        doubles.  The trial's joint is
         conditioned on its inputs (``_conditioned``), and an accepted trial's
         state becomes the pipeline's state as it is.
         """
         sharp = self.tau
         for _ in range(STEP_RETRIES):
-            step, log_norm = build(sharp)
-            logp, log_norm = apply_sharing_log(self.logp, step, log_norm)
+            step, tilted, log_norm = build(sharp)
+            logp, log_norm = apply_sharing_log(self.logp, step, tilted,
+                                               log_norm)
             logp, rows = self._conditioned(logp)
             if (_worst_row_tv(rows[region], target) <= bound
                     and _worst_row_tv(rows[outside], self._rows[outside])
@@ -283,12 +302,11 @@ class _Pipeline:
                 <= self.start_tv + 2.0 * self.tol_step):
             return
         # outputs: concentrate on the start component at start-grade sharpness
-        mask, values = self.scheme.masks[0], self.scheme.values[0]
         grade = 2.0 * max(self.scheme.sharp_width, 1)
         self._step("reset", lambda sharp: (make_reset_step(
-            self.k, fixed_mask, fixed_values,
-            _sharp_cylinder_factors(self.n, mask, values, sharp / grade), sharp),
-            None), inside, start, self.start_tv + self.tol_step, ~inside)
+            self.k, fixed_mask, fixed_values, self.scheme.tilt(0, sharp / grade),
+            sharp), None, None), inside, start, self.start_tv + self.tol_step,
+            ~inside)
 
     def fill_star(self, center: int, free_mask: int,
                   target_masses: np.ndarray, members: list[int]) -> None:
@@ -303,12 +321,11 @@ class _Pipeline:
                        beta_map: dict[int, float], members: list[int]) -> None:
         """Mix the member rows of the star ``(center, free_mask)`` toward
         component t with weights ``beta_map``."""
-        mask, values = self.scheme.masks[t], self.scheme.values[t]
         beta = np.array([beta_map[x] for x in members])[:, None]
         target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
         self._step("fill", lambda sharp: build_tilted_step(
             self.logp, self.k, free_mask, center, beta_map,
-            _sharp_cylinder_factors(self.n, mask, values, sharp), sharp),
+            self.scheme.tilt(t, sharp), sharp),
             members, target, self.allowance + self.tol_step,
             ~self._in_cylinder(*star_cylinder(center, free_mask, self.k)))
 
@@ -458,21 +475,24 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     y0 = int(np.argmax(counts))  # ties resolve to the smallest index
     extras = {x: [int(y) for y in np.flatnonzero(target.rows[x]) if y != y0]
               for x in range(1 << k)}
+    scheme = _ComponentScheme.points(
+        target.n, [y0] + [y for y in range(1 << target.n) if y != y0])
 
     return _compile_over_tau(
-        lambda tau: _run_support(target, y0, extras, eps, tau),
+        lambda tau: _run_support(target, scheme, extras, eps, tau),
         target, eps, "support", budget, None)
 
 
-def _run_support(target: ConditionalTable, y0: int,
+def _run_support(target: ConditionalTable, scheme: _ComponentScheme,
                  extras: dict[int, list[int]], eps: float,
                  tau: float) -> _Pipeline:
-    """One point-mass fill per support point y != y0 of each row x."""
+    """One point-mass fill per support point y != y0 of each row x, on
+    point components at every output, y0 first."""
     k, n = target.k, target.n
+    y0 = scheme.values[0]
     total_steps = sum(len(ys) for ys in extras.values())
     tol_step = eps / (2.0 * max(total_steps, 1))
-    order = [y0] + [y for y in range(1 << n) if y != y0]
-    pipe = _Pipeline(k, n, _ComponentScheme.points(n, order), tau, tol_step)
+    pipe = _Pipeline(k, n, scheme, tau, tol_step)
     untouched = [x for x, ys in extras.items() if not ys]
     pipe.reject_if_doomed(untouched, target.rows[untouched], eps, total_steps,
                           "rows without extra support points")

@@ -18,6 +18,7 @@ bits), matching distributions.conditional_of_joint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,16 @@ class CrbmParams:
                 raise ValueError(f"non-finite entries in {name}")
             object.__setattr__(self, name, a)
             a.setflags(write=False)
+
+    @classmethod
+    def _checked(cls, k: int, n: int, m: int, W: np.ndarray, V: np.ndarray,
+                 b: np.ndarray, c: np.ndarray) -> "CrbmParams":
+        """A model of arrays already of the right shapes, finite and
+        read-only, taken as they are: no copy and no check."""
+        p = object.__new__(cls)
+        for name, value in zip("knmWVbc", (k, n, m, W, V, b, c)):
+            object.__setattr__(p, name, value)
+        return p
 
     @staticmethod
     def zeros(k: int, n: int, m: int) -> "CrbmParams":
@@ -127,19 +138,29 @@ def eval_joint_rbm(p: CrbmParams) -> Dist:
 
 
 def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
+    """``p`` with one more hidden unit: output weights ``w_out`` (n), input
+    weights ``w_in`` (k) and bias ``bias``.
+
+    Only the new unit is checked: ``p``'s arrays were checked when it was
+    made and are read-only, so they are stacked as they are."""
     w_out = np.asarray(w_out, dtype=float)
     w_in = np.asarray(w_in, dtype=float)
+    bias = float(bias)
     if w_out.shape != (p.n,) or w_in.shape != (p.k,):
         raise ShapeMismatch(
             f"hidden unit weights must have shapes ({p.n},) and ({p.k},)"
         )
-    return CrbmParams(
-        p.k, p.n, p.m + 1,
-        np.vstack([p.W, w_out[None, :]]),
-        np.vstack([p.V, w_in[None, :]]),
-        p.b,
-        np.append(p.c, float(bias)),
-    )
+    for name, finite in (("W", np.isfinite(w_out).all()),
+                         ("V", np.isfinite(w_in).all()),
+                         ("c", math.isfinite(bias))):
+        if not finite:
+            raise ValueError(f"non-finite entries in {name}")
+    W = np.concatenate((p.W, w_out[None, :]))
+    V = np.concatenate((p.V, w_in[None, :]))
+    c = np.concatenate((p.c, [bias]))
+    for a in (W, V, c):
+        a.setflags(write=False)
+    return CrbmParams._checked(p.k, p.n, p.m + 1, W, V, p.b, c)
 
 
 def _log_grads(p: CrbmParams) -> np.ndarray:

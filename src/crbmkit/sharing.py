@@ -8,9 +8,13 @@ factor pairs; concentrated steps put -tau on the off-region value of a
 coordinate, so arbitrary sharpness never leaves the log domain.  The factor
 normalization is irrelevant: it cancels in the step's effect and in the
 hidden-unit realization, so factors are kept unnormalized.  A step knows its
-k and builds its two tables, log s_X over the 2^k inputs and log s_Y over
-the 2^n outputs, once; the tilt is applied by broadcasting them, so no table
-over all 2^(k+n) states is built.
+k and holds two tables, log s_X over the 2^k inputs and log s_Y over the 2^n
+outputs; the tilt is applied by broadcasting them, so no table over all
+2^(k+n) states is built.  The output half of a tilt, its factors and log
+s_Y, is an ``OutputTilt``: a caller that steps toward the same output
+component at the same sharpness many times builds it once and passes it to
+every step (the compiler keeps one per component and sharpness).  A builder
+hands the tables it has made to the step, so each is built once per step.
 
 Every step is realizable as one appended hidden unit, as in the paper: one
 unit multiplies every row p(. | x) by a factor over the inputs times a
@@ -29,12 +33,12 @@ is the one way to apply a step and hidden_unit_from_log the one way to
 realize it.  Sequencing, sharpening and accepting steps is the compiler's
 job (compiler._Pipeline).
 
-The tilt normalizer log N = logsumexp(log p + log s) is a reduction over the
-whole state, and each one is computed once: build_tilted_step needs it for
-lambda and returns it, apply_sharing_log takes it (or computes it, for a
-reset) and returns it, and hidden_unit_from_log takes it for the bias.  A
-state of mass 1 stays of mass 1 under a step, so neither the step nor the
-bias reduces the state again.
+The tilted state log p + log s and its normalizer log N = logsumexp(log p
++ log s), a reduction over the whole state, are each computed once per step:
+build_tilted_step needs both for lambda and returns them, apply_sharing_log
+takes them (or computes them, for a reset) and returns the normalizer, and
+hidden_unit_from_log takes it for the bias.  A state of mass 1 stays of mass
+1 under a step, so neither the step nor the bias reduces the state again.
 
 The log-sum-exp used by the step functions is the module's own
 ``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,20 +138,38 @@ def _log_values_of(log_factors: np.ndarray) -> np.ndarray:
     return out
 
 
+class OutputTilt(NamedTuple):
+    """The output half of a tilt: (n, 2) log factors, log s_i(0) and
+    log s_i(1), and their table log s_Y over the 2^n outputs, both
+    read-only.  ``output_tilt`` builds one."""
+
+    log_factors: np.ndarray
+    log_sy: np.ndarray
+
+
+def output_tilt(log_factors: np.ndarray) -> OutputTilt:
+    """The output tilt of the (n, 2) log factors ``log_factors`` (copied)."""
+    lf = np.array(log_factors, dtype=float)
+    lf.setflags(write=False)
+    return OutputTilt(lf, _log_values_of(lf))
+
+
 @dataclass(frozen=True)
 class SharingStep:
     """One sharing step on k inputs: mixture weight lam and product-tilt log
     factors, the k input coordinates first, then the outputs.
 
     ``log_sx`` (2^k) and ``log_sy`` (2^n) are the tilt's input and output
-    log tables, built on construction and read-only.
+    log tables, read-only.  A builder that already holds one passes it in,
+    and it must be the table of the matching factors; a table not passed is
+    built on construction.
     """
 
     k: int
     lam: float
     log_factors: np.ndarray = field(repr=False)  # (k + n, 2): log s_i(0), log s_i(1)
-    log_sx: np.ndarray = field(init=False, repr=False, compare=False)
-    log_sy: np.ndarray = field(init=False, repr=False, compare=False)
+    log_sx: np.ndarray | None = field(default=None, repr=False, compare=False)
+    log_sy: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         lf = np.asarray(self.log_factors, dtype=float)
@@ -154,14 +177,21 @@ class SharingStep:
             raise ShapeMismatch(
                 f"log_factors must be (k + n, 2) with k = {self.k}, "
                 f"got shape {lf.shape}")
-        if not np.all(np.isfinite(lf)):
+        if not np.isfinite(lf).all():
             raise ValueError("non-finite log factors")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         lf.setflags(write=False)
         object.__setattr__(self, "log_factors", lf)
-        object.__setattr__(self, "log_sx", _log_values_of(lf[:self.k]))
-        object.__setattr__(self, "log_sy", _log_values_of(lf[self.k:]))
+        for name, part in (("log_sx", lf[:self.k]), ("log_sy", lf[self.k:])):
+            table = getattr(self, name)
+            if table is None:
+                table = _log_values_of(part)
+            elif table.shape != (1 << len(part),):
+                raise ShapeMismatch(
+                    f"{name} must have {1 << len(part)} entries, "
+                    f"got shape {table.shape}")
+            object.__setattr__(self, name, table)
 
 
 def _tilted(logp: np.ndarray, log_sx: np.ndarray,
@@ -172,16 +202,19 @@ def _tilted(logp: np.ndarray, log_sx: np.ndarray,
 
 
 def apply_sharing_log(logp: np.ndarray, step: SharingStep,
+                      tilted: np.ndarray | None = None,
                       log_norm: float | None = None
                       ) -> tuple[np.ndarray, float]:
     """Apply a step to a (2^k, 2^n) log state of mass 1, indexed [x, y].
 
     Returns the stepped state, again of mass 1 (up to rounding; it is not
-    renormalized), and the tilt normalizer log N = logsumexp(logp + log s),
-    which is computed here unless the caller passes the one it already has
-    (build_tilted_step returns it).
+    renormalized), and the tilt normalizer log N = logsumexp(logp + log s).
+    The tilted state logp + log s and its normalizer are computed here
+    unless the caller passes the ones it already has (build_tilted_step
+    returns both).
     """
-    tilted = _tilted(logp, step.log_sx, step.log_sy)
+    if tilted is None:
+        tilted = _tilted(logp, step.log_sx, step.log_sy)
     if log_norm is None:
         log_norm = logsumexp(tilted)
     if not np.isfinite(log_norm):
@@ -265,29 +298,29 @@ def build_tilted_step(
     free_mask: int,
     center: int,
     betas: dict[int, float],
-    out_log_factors: np.ndarray,
+    out: OutputTilt,
     sharpness: float,
-) -> tuple[SharingStep, float]:
+) -> tuple[SharingStep, np.ndarray, float]:
     """Concentrated step hitting exact mixture weights on a star's rows.
 
     The star is ``(center, free_mask)`` on the k inputs: its input cylinder
     fixes the bits outside ``free_mask`` to the center's.  ``betas`` maps
     each star member (center plus one flip per free bit) to its required
-    weight toward the output component encoded by ``out_log_factors``
-    (shape (n, 2), already sharpened).  The within-star odds are solved
-    against the current state ``logp`` ((2^k, 2^n), indexed [x, y]) so the
-    realized weights are exact; only the component's off-region dust is
-    approximate.
+    weight toward the output component whose tilt, already sharpened, is
+    ``out``.  The within-star odds are solved against the current state
+    ``logp`` ((2^k, 2^n), indexed [x, y]) so the realized weights are exact;
+    only the component's off-region dust is approximate.
 
-    Returns the step and its tilt normalizer logsumexp(logp + log s), which
-    the step's lambda needs; pass it on to apply_sharing_log.
+    Returns the step, its tilted state logp + log s and its tilt
+    normalizer logsumexp(logp + log s), which the step's lambda needs; pass
+    both on to apply_sharing_log.
     """
     free = set_bits(free_mask)
     members = [center] + [center ^ (1 << i) for i in free]
     if set(betas) != set(members):
         raise ShapeMismatch("betas must cover exactly the star members")
 
-    log_sy = _log_values_of(out_log_factors)
+    log_sy = out.log_sy
     # the member rows, center first; L and G are their log masses untilted
     # and tilted toward the component
     rows = logp[members]
@@ -297,8 +330,8 @@ def build_tilted_step(
     log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
 
-    lf = np.vstack([_sharp_cylinder_factors(
-        k, *star_cylinder(center, free_mask, k), sharpness), out_log_factors])
+    lf = np.concatenate((_sharp_cylinder_factors(
+        k, *star_cylinder(center, free_mask, k), sharpness), out.log_factors))
     for j, i in enumerate(free, start=1):
         lf[i, 1 - ((center >> i) & 1)] = excess[j] - excess[0]
 
@@ -308,27 +341,28 @@ def build_tilted_step(
     # beta = u/(lam+u) requires lam T(a) = (1-lam) M(a).  Rows whose log T
     # was clamped err only toward the saturated value they asked for.
     log_sx = _log_values_of(lf[:k])
-    log_norm = logsumexp(_tilted(logp, log_sx, log_sy))
+    tilted = _tilted(logp, log_sx, log_sy)
+    log_norm = logsumexp(tilted)
     anchor = max(betas, key=lambda x: min(betas[x], 1.0 - betas[x]))
     a = members.index(anchor)
     log_m = float(log_sx[anchor] + big_g[a] - big_l[a] - log_norm)
     log_t_a = log_t[a]
     lam = float(1.0 / (1.0 + np.exp(min(max(log_t_a - log_m, -700.0), 700.0))))
     lam = min(max(lam, 1e-300), 1.0 - 1e-16)
-    return SharingStep(k, lam, lf), log_norm
+    return SharingStep(k, lam, lf, log_sx, log_sy), tilted, log_norm
 
 
 def make_reset_step(k: int, fixed_mask: int, fixed_values: int,
-                    out_log_factors: np.ndarray, tau: float) -> SharingStep:
+                    out: OutputTilt, tau: float) -> SharingStep:
     """A step driving all rows whose k inputs lie in the cylinder
     ``(fixed_mask, fixed_values)`` toward an output component.
 
-    ``out_log_factors`` (shape (n, 2), already sharpened) encodes the
-    component, e.g. -tau on the off value of every bit for a point mass.
+    ``out`` (already sharpened) is the component's output tilt, e.g. -tau
+    on the off value of every bit for a point mass.
     lam is near 0 and the inputs are concentrated with sharpness tau on the
     cylinder; rows outside it move by at most eps(tau).
     """
-    lf = np.vstack([_sharp_cylinder_factors(k, fixed_mask, fixed_values, tau),
-                    out_log_factors])
+    lf = np.concatenate((_sharp_cylinder_factors(k, fixed_mask, fixed_values,
+                                                 tau), out.log_factors))
     lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
-    return SharingStep(k, lam, lf)
+    return SharingStep(k, lam, lf, log_sy=out.log_sy)

@@ -285,9 +285,21 @@ def test_malformed_arguments_are_usage_errors(argv, capsys):
     ["ltn", "--mode", "parity", "--k", "30"],
     ["mrf", "--complex", json.dumps({"n": 30, "faces": [list(range(1, 31))]}),
      "--theta", "[]"],
+    # tables of 2^22 and 2^21 cells, but embeddings evaluated at 48.2M and
+    # 44.0M cells, over the limit
+    pytest.param(["ltn", "--mode", "parity", "--k", "21"], id="ltn-parity-21"),
+    pytest.param(["ltn", "--mode", "embed", "--k", "20", "--m", "40",
+                  "--n", "1"], id="ltn-embed-20-40"),
 ], ids=lambda argv: argv[0])
-def test_oversized_table_is_refused_before_it_is_drawn(argv, capsys):
-    # 2^30 or more cells: refused before the table or complex is built
+def test_oversized_table_is_refused_before_it_is_drawn(argv, capsys,
+                                                       monkeypatch):
+    # 2^30 or more cells, or an evaluation over the limit: refused before
+    # the table, complex or embedding is built
+    import crbmkit.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedding built before the cell check")
+    monkeypatch.setattr(cli, "embed_ltn_in_crbm", refuse)
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1

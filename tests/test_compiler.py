@@ -394,12 +394,16 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # fill's builder computes and hands on; the state has mass 1, so
     # neither the stepped joint nor an accepted unit's bias nor a tau
     # level's start joint is reduced again.  An accepted trial is kept, so
-    # there is one application per trial.
+    # there is one application per trial.  A trial builds one tilted state
+    # and one input table; an output table is built on the first use of
+    # its (component, sharpness) only
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
-    shape = (1 << 4, 1 << 2)
+    k, n = 4, 2
+    shape = (1 << k, 1 << n)
     calls = Counter()
+    outputs = set()
 
     def spy(owner, attr, name=None, counts=lambda *a, **kw: True):
         fn = getattr(owner, attr)
@@ -413,18 +417,32 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     def full_joint(a, axis=None):
         return axis is None and np.shape(a) == shape
 
+    def output_of(*args, **kwargs):
+        # the output tilt a trial steps toward, fill or reset
+        outputs.add(args[-2].log_factors.tobytes())
+        return True
+
     spy(sharing, "logsumexp", "full", full_joint)
-    spy(compiler, "build_tilted_step", "trial")
-    spy(compiler, "make_reset_step", "trial")
+    spy(sharing, "_tilted")
+    spy(sharing, "_log_values_of", "inputs",
+        lambda log_factors: len(log_factors) == k)
+    spy(sharing, "_log_values_of", "outputs",
+        lambda log_factors: len(log_factors) == n)
+    spy(compiler, "build_tilted_step", "trial", output_of)
+    spy(compiler, "make_reset_step", "trial", output_of)
     spy(compiler, "apply_sharing_log")
     spy(compiler, "append_hidden_unit")
     spy(_Pipeline, "__init__", "level")
-    _, rep = compile_universal(dirichlet_table(4, 2, 0))
+    _, rep = compile_universal(dirichlet_table(k, n, 0))
     trials, accepted = calls["trial"], calls["append_hidden_unit"]
     assert trials > accepted >= rep.hidden_units_used > 0
+    assert rep.resets_used > 0
     assert calls["level"] == 2  # tau = 16 fails, 32 passes
     assert calls["apply_sharing_log"] == trials
     assert calls["full"] == trials
+    assert calls["_tilted"] == trials
+    assert calls["inputs"] == trials
+    assert 0 < calls["outputs"] == len(outputs) < trials
 
 
 def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):

@@ -88,8 +88,19 @@ def test_append_then_delete_round_trip():
     # deleting the last unit gives the original parameters back
     assert np.array_equal(q.W[:-1], p.W) and np.array_equal(q.V[:-1], p.V)
     assert np.array_equal(q.c[:-1], p.c)
+    # the grown model's arrays are read-only, like every model's
+    assert not (q.W.flags.writeable or q.V.flags.writeable
+                or q.c.flags.writeable or q.b.flags.writeable)
+    # only the new unit is checked, and a bad one is refused
     with pytest.raises(ShapeMismatch):
         append_hidden_unit(p, [1.0], [0.5], 0.0)
+    with pytest.raises(ShapeMismatch):
+        append_hidden_unit(p, [1.0, -1.0], [0.5, 0.5], 0.0)
+    for w_out, w_in, bias, name in (([np.nan, 0.0], [0.5], 0.0, "W"),
+                                    ([1.0, -1.0], [np.inf], 0.0, "V"),
+                                    ([1.0, -1.0], [0.5], -np.inf, "c")):
+        with pytest.raises(ValueError, match=f"non-finite entries in {name}"):
+            append_hidden_unit(p, w_out, w_in, bias)
 
 
 def test_two_readings_of_the_model_agree():

@@ -22,6 +22,7 @@ from crbmkit.sharing import (
     logsumexp,
     make_reset_step,
     mixture_weight_profile,
+    output_tilt,
 )
 
 
@@ -58,12 +59,12 @@ def conditional_rows(logp: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def point_mass_factors(y: int, n: int, tau: float) -> np.ndarray:
-    """(n, 2) output log-factor block concentrated on y with sharpness tau."""
+def point_mass_tilt(y: int, n: int, tau: float):
+    """Output tilt concentrated on y with sharpness tau."""
     lf = np.zeros((n, 2))
     for j in range(n):
         lf[j, 1 - ((y >> j) & 1)] = -tau
-    return lf
+    return output_tilt(lf)
 
 
 def fill_pipeline(k: int, n: int, tau: float, tol_step: float = 1e-3
@@ -236,12 +237,12 @@ def test_make_reset_step_examples():
     rng = np.random.default_rng(10)
     # full input cube: all rows driven to the target point mass
     logp = random_state(2, 1, rng)
-    step = make_reset_step(2, 0, 0, point_mass_factors(0, 1, 30.0), tau=30.0)
+    step = make_reset_step(2, 0, 0, point_mass_tilt(0, 1, 30.0), tau=30.0)
     rows = conditional_rows(apply_sharing_log(logp, step)[0])
     assert np.abs(rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
-    tiny = make_reset_step(2, 0, 0, point_mass_factors(0, 1, 1e-9), tau=1e-9)
+    tiny = make_reset_step(2, 0, 0, point_mass_tilt(0, 1, 1e-9), tau=1e-9)
     after = apply_sharing_log(logp, tiny)[0]
     assert np.abs(np.exp(after) - np.exp(logp)).max() < 1e-6
 
@@ -249,7 +250,7 @@ def test_make_reset_step_examples():
     logp = random_state(2, 1, rng)
     before = conditional_rows(logp)
     # the cylinder fixing input bit 0 to 0
-    step = make_reset_step(2, 0b01, 0, point_mass_factors(0, 1, 30.0), tau=30.0)
+    step = make_reset_step(2, 0b01, 0, point_mass_tilt(0, 1, 30.0), tau=30.0)
     after = conditional_rows(apply_sharing_log(logp, step)[0])
     for x in range(4):
         if x & 0b01 == 0:
@@ -267,14 +268,19 @@ def test_tilt_profile_proportionality():
     profile = rng.uniform(0.1, 5.0, size=len(members))
     betas = {x: float(q / (1.0 + q)) for x, q in zip(members, profile)}
     logp = random_state(4, 1, rng)
-    step, log_norm = build_tilted_step(
-        logp, 4, 0b1011, 0b0100, betas, np.zeros((1, 2)), 40.0)
+    step, tilted, log_norm = build_tilted_step(
+        logp, 4, 0b1011, 0b0100, betas, output_tilt(np.zeros((1, 2))), 40.0)
     assert step.log_sx.shape == (16,) and step.log_sy.shape == (2,)
     assert not step.log_sy.any()
-    # the returned normalizer is the one the step's application computes
+    # the returned tilted state and normalizer are the ones the step's
+    # application computes when none is passed, and passing them changes
+    # nothing
+    assert np.array_equal(tilted, logp + step.log_sx[:, None] + step.log_sy)
     assert log_norm == apply_sharing_log(logp, step)[1]
     assert log_norm == scipy.special.logsumexp(
         logp + step.log_sx[:, None] + step.log_sy)
+    assert np.array_equal(apply_sharing_log(logp, step)[0],
+                          apply_sharing_log(logp, step, tilted, log_norm)[0])
     got = np.exp(step.log_sx[members] - step.log_sx[members[0]])
     want = profile / profile[0]
     assert np.abs(got - want).max() < 1e-9
@@ -291,10 +297,10 @@ def test_star_fill_rejects_rows_off_the_star():
 def test_build_tilted_step_rejects_betas_off_the_star():
     # the star at 0 on the full 2-cube has members {0, 1, 2}
     logp = start_state(2, 1, 8.0)
-    out_lf = np.array([[-16.0, 0.0]])
+    out = output_tilt(np.array([[-16.0, 0.0]]))
     for betas in ({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}):
         with pytest.raises(ShapeMismatch):
-            build_tilted_step(logp, 2, 0b11, 0, betas, out_lf, 16.0)
+            build_tilted_step(logp, 2, 0b11, 0, betas, out, 16.0)
 
 
 def test_mixture_profile_rejects_negative_mass():
