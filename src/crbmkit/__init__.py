@@ -45,12 +45,10 @@ from .dimension import (
 from .distributions import (
     ConditionalTable,
     Dist,
-    PartitionModel,
     conditional_of_joint,
     hadamard,
     kl_conditional,
     kl_dist,
-    partition_project,
     random_conditional,
     tv_row_distance,
 )

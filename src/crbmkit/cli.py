@@ -91,13 +91,15 @@ def _cmd_bounds(args) -> int:
     if args.k < 0 or args.n < 1 or (args.m is not None and args.m < 0):
         raise _UsageError("--k must be >= 0, --n >= 1 and --m >= 0")
     rep = bounds_mod.universal_m_table(args.k, args.n)
+    deterministic = None  # its bounds are stated for k >= 1 only
+    if args.k:
+        deterministic = dict(zip(("sufficient", "necessary"),
+                                 bounds_mod.deterministic_m_bounds(args.k, args.n)))
     payload = {
         "schema": "crbmkit-bounds/1",
         "k": args.k, "n": args.n,
         "universal": rep,
-        "deterministic": dict(zip(("sufficient", "necessary"),
-                                  bounds_mod.deterministic_m_bounds(
-                                      max(args.k, 1), args.n))),
+        "deterministic": deterministic,
     }
     if args.m is not None:
         value, regime = bounds_mod.expected_dim(args.k, args.n, args.m)

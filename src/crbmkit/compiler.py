@@ -1,12 +1,18 @@
 """Compile target conditional tables into explicit CRBM parameters.
 
 The pipeline follows the constructive route: start from a bias-only model
-whose rows sit near the scheme's start component, then walk a star packing
-sequence, realizing every sharing step (star fills and cylinder resets) as
-one appended hidden unit.  A packing of depth r spends E(r) resets, what
-``packing.build_packing`` emits and ``packing.universal_budget`` prices;
-from r = 3 on that is more than the paper's R(r), because each fill moves
-its star's whole input cylinder (see ``packing``).  Everything runs on an
+whose rows sit near the scheme's start component, then walk a sequence of
+stars, realizing every sharing step (star fills and cylinder resets) as
+one appended hidden unit.  Every compile mode is one such walk
+(``_run_stars``), and a star is filled through each component 1..M-1 that
+has target mass on one of its rows (``_Pipeline.fill_star``).  Universal,
+common-support and partition targets walk a star packing.  A packing of
+depth r spends E(r) resets, what ``packing.build_packing`` emits and
+``packing.universal_budget`` prices; from r = 3 on that is more than the
+paper's R(r), because each fill moves its star's whole input cylinder (see
+``packing``).  Sparse targets walk the point stars (x, free_mask=0) on
+point components and reset nothing: each support point of row x outside
+the start component is one fill.  Everything runs on an
 exact log-domain state in parallel with the parameter build; the final
 certificate is evaluated from the parameters themselves, never from the
 simulated state.
@@ -30,7 +36,7 @@ the sharpness, up to STEP_RETRIES tries.  Each scheduled step gets an equal
 share eps / (2 * steps) of the target tolerance.  The outer sharpness knob
 tau doubles from 16 until the final evaluation meets eps (or 1024 is hit,
 which raises BudgetExceeded).  A level is rejected early, at the first
-finished star (or support row) whose rows miss their target by more than
+finished star whose rows miss their target by more than
 eps + (steps still to come) * tol_step + REJECT_MARGIN: the packing keeps
 every later step's region off a finished star, so each later step moves
 its rows by at most tol_step, and the certificate can recover no more than
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -119,7 +125,8 @@ class _ComponentScheme:
 
     A component is a sharp cylinder over the output bits; component 0 is the
     start component.  Universal targets use all 2^n point components, common
-    supports the states of T, partition targets the 2^l blocks.
+    supports the states of T, partition targets the 2^l blocks, sparse
+    targets all 2^n points with the most shared support point y0 first.
     """
 
     def __init__(self, n: int, masks: list[int], values: list[int]):
@@ -145,6 +152,15 @@ class _ComponentScheme:
     def masses(self, rows: np.ndarray) -> np.ndarray:
         return np.stack([rows[:, mem].sum(axis=1) for mem in self.membership],
                         axis=1)
+
+    def project(self, rows: np.ndarray) -> np.ndarray:
+        """The divergence projections of ``rows`` onto the rows constant on
+        each component, for components that partition the outputs: each
+        component's mass spread evenly over it.  On the partition of the
+        first l bits a row's divergence from its projection is at most
+        n - l bits."""
+        masses = self.masses(rows)
+        return sum(masses[:, t, None] * dist for t, dist in enumerate(self.dists))
 
     def tilt(self, t: int, sharp: float) -> OutputTilt:
         """Component t's output tilt at sharpness ``sharp``: -sharp on the
@@ -310,24 +326,22 @@ class _Pipeline:
 
     def fill_star(self, center: int, free_mask: int,
                   target_masses: np.ndarray, members: list[int]) -> None:
-        """Mix the rows of the star ``(center, free_mask)`` through
-        components 1..M-1 toward the targets."""
+        """Mix the rows of the star ``(center, free_mask)`` toward the
+        targets through each component 1..M-1 that has target mass
+        ``target_masses`` on one of them."""
+        active = np.flatnonzero(target_masses[:, 1:].any(axis=0)) + 1
+        if not active.size:
+            return
         betas = mixture_weight_profile(target_masses)
-        for t in range(1, self.scheme.count):
-            beta_map = {x: float(betas[i, t - 1]) for i, x in enumerate(members)}
-            self.fill_component(center, free_mask, t, beta_map, members)
-
-    def fill_component(self, center: int, free_mask: int, t: int,
-                       beta_map: dict[int, float], members: list[int]) -> None:
-        """Mix the member rows of the star ``(center, free_mask)`` toward
-        component t with weights ``beta_map``."""
-        beta = np.array([beta_map[x] for x in members])[:, None]
-        target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
-        self._step("fill", lambda sharp: build_tilted_step(
-            self.logp, self.k, free_mask, center, beta_map,
-            self.scheme.tilt(t, sharp), sharp),
-            members, target, self.allowance + self.tol_step,
-            ~self._in_cylinder(*star_cylinder(center, free_mask, self.k)))
+        outside = ~self._in_cylinder(*star_cylinder(center, free_mask, self.k))
+        for t in active.tolist():
+            beta = betas[:, t - 1, None]
+            beta_map = dict(zip(members, beta[:, 0].tolist()))
+            target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
+            self._step("fill", lambda sharp: build_tilted_step(
+                self.logp, self.k, free_mask, center, beta_map,
+                self.scheme.tilt(t, sharp), sharp),
+                members, target, self.allowance + self.tol_step, outside)
 
 
 def _compile_over_tau(run: Callable[[float], _Pipeline],
@@ -365,22 +379,35 @@ def _compile_over_tau(run: Callable[[float], _Pipeline],
         f"{reason}") from last_error
 
 
-def _run_packed(k: int, n: int, scheme: _ComponentScheme,
-                seq: PackingSequence, target: ConditionalTable,
-                eps: float, tau: float) -> _Pipeline:
+def _run_stars(k: int, n: int, scheme: _ComponentScheme, stars: Iterable,
+               total_steps: int, target: ConditionalTable, eps: float,
+               tau: float) -> _Pipeline:
+    """One tau level over ``stars``, each ``(what, center, free_mask,
+    resets)``: reset the drifted cylinders of ``resets``, fill the star and
+    reject the level if the star, named ``what``, is doomed.  Each of the
+    ``total_steps`` scheduled steps gets tolerance eps / (2 total_steps)."""
     masses = scheme.masses(target.rows)
-    total_steps = (len(seq.centers) * (scheme.count - 1)
-                   + len(seq.reset_positions))
     tol_step = eps / (2.0 * max(total_steps, 1))
     pipe = _Pipeline(k, n, scheme, tau, tol_step)
-    for i, (center, free_mask, resets) in enumerate(seq.replay()):
+    for what, center, free_mask, resets in stars:
         for fixed_mask, fixed_values in resets:
             pipe.reset_if_needed(fixed_mask, fixed_values)
         members = star_members(center, free_mask)
         pipe.fill_star(center, free_mask, masses[members], members)
         pipe.reject_if_doomed(members, target.rows[members], eps,
-                              total_steps, f"star {i}")
+                              total_steps, what)
     return pipe
+
+
+def _run_packed(k: int, n: int, scheme: _ComponentScheme,
+                seq: PackingSequence, target: ConditionalTable,
+                eps: float, tau: float) -> _Pipeline:
+    """One tau level over the packing ``seq``, every star scheduled through
+    every component and every reset it lists."""
+    total_steps = (len(seq.centers) * (scheme.count - 1)
+                   + len(seq.reset_positions))
+    stars = ((f"star {i}", *star) for i, star in enumerate(seq.replay()))
+    return _run_stars(k, n, scheme, stars, total_steps, target, eps, tau)
 
 
 def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
@@ -471,42 +498,22 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
                 f"support compile at (k, n) = ({k}, {target.n}) "
                 f"with {budget} hidden units")
 
-    counts = (target.rows > 0).sum(axis=0)
+    support = target.rows > 0
+    counts = support.sum(axis=0)
     y0 = int(np.argmax(counts))  # ties resolve to the smallest index
-    extras = {x: [int(y) for y in np.flatnonzero(target.rows[x]) if y != y0]
-              for x in range(1 << k)}
     scheme = _ComponentScheme.points(
         target.n, [y0] + [y for y in range(1 << target.n) if y != y0])
-
+    # each support point y != y0 of row x is one fill of the point star
+    # (x, free_mask=0), and no cylinder is reset; rows without such a point
+    # come first, so they are checked before any step
+    total_steps = int(counts.sum() - counts[y0])
+    extra = support.sum(axis=1) > support[:, y0]
+    stars = [(f"row {x}", x, 0, ())
+             for x in np.argsort(extra, kind="stable").tolist()]
     return _compile_over_tau(
-        lambda tau: _run_support(target, scheme, extras, eps, tau),
+        lambda tau: _run_stars(k, target.n, scheme, stars, total_steps,
+                               target, eps, tau),
         target, eps, "support", budget, None)
-
-
-def _run_support(target: ConditionalTable, scheme: _ComponentScheme,
-                 extras: dict[int, list[int]], eps: float,
-                 tau: float) -> _Pipeline:
-    """One point-mass fill per support point y != y0 of each row x, on
-    point components at every output, y0 first."""
-    k, n = target.k, target.n
-    y0 = scheme.values[0]
-    total_steps = sum(len(ys) for ys in extras.values())
-    tol_step = eps / (2.0 * max(total_steps, 1))
-    pipe = _Pipeline(k, n, scheme, tau, tol_step)
-    untouched = [x for x, ys in extras.items() if not ys]
-    pipe.reject_if_doomed(untouched, target.rows[untouched], eps, total_steps,
-                          "rows without extra support points")
-    for x, ys in extras.items():
-        if not ys:
-            continue
-        betas = mixture_weight_profile(target.rows[x, [y0] + ys][None, :])[0]
-        for y, beta in zip(ys, betas):
-            # the support point is the star (x, free_mask=0): x alone
-            pipe.fill_component(x, 0, pipe.scheme.values.index(y),
-                                {x: float(beta)}, [x])
-        pipe.reject_if_doomed([x], target.rows[[x]], eps, total_steps,
-                              f"row {x}")
-    return pipe
 
 
 def divergence_witness(target: ConditionalTable, m_budget: int,
@@ -520,18 +527,13 @@ def divergence_witness(target: ConditionalTable, m_budget: int,
     returned, whose divergence is at most n.
     """
     from .bounds import feasible_block_width
-    from .distributions import PartitionModel, partition_project
 
     k, n = target.k, target.n
     l = feasible_block_width(k, n, m_budget)
     if l == 0:
         params = CrbmParams.bias_only(k, n, np.zeros(n))
         return params, kl_conditional(target, eval_conditional(params))
-    model = PartitionModel.cylinder(n, l)
-    projected = np.stack([
-        partition_project(target.row(x), model)[0].probs
-        for x in range(1 << k)
-    ])
+    projected = _ComponentScheme.partition(n, l).project(target.rows)
     # clamp within blocks (preserves block-constancy), then compile tightly
     # at the cheapest depth, whose budget is within m_budget by the choice of l
     table, _ = clamp_table(ConditionalTable(k, n, projected), 0.016)

@@ -68,11 +68,6 @@ class CrbmParams:
         return p
 
     @staticmethod
-    def zeros(k: int, n: int, m: int) -> "CrbmParams":
-        return CrbmParams(k, n, m, np.zeros((m, n)), np.zeros((m, k)),
-                          np.zeros(n), np.zeros(m))
-
-    @staticmethod
     def bias_only(k: int, n: int, b) -> "CrbmParams":
         return CrbmParams(k, n, 0, np.zeros((0, n)), np.zeros((0, k)),
                           np.asarray(b, dtype=float), np.zeros(0))

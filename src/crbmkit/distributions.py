@@ -91,35 +91,6 @@ class ConditionalTable:
         return int(np.count_nonzero(self.rows))
 
 
-@dataclass(frozen=True)
-class PartitionModel:
-    """A partition of {0,1}^n; the model holds block-constant distributions."""
-
-    n: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty partition block")
-            if seen & b:
-                raise ValueError("overlapping partition blocks")
-            seen |= b
-        if seen != set(range(1 << self.n)):
-            raise ValueError("blocks do not cover {0,1}^n")
-
-    @staticmethod
-    def cylinder(n: int, l: int) -> "PartitionModel":
-        """The partition of {0,1}^n induced by the first l output bits."""
-        if not 0 <= l <= n:
-            raise ValueError(f"l must be in [0, {n}]")
-        groups: dict[int, set[int]] = {}
-        for y in range(1 << n):
-            groups.setdefault(y & ((1 << l) - 1), set()).add(y)
-        return PartitionModel(n, tuple(frozenset(groups[z]) for z in sorted(groups)))
-
-
 def hadamard(p: Dist, q: Dist) -> Dist:
     """Renormalized entry-wise product (p * q)(x) = p(x)q(x) / sum p q."""
     if p.width != q.width:
@@ -167,23 +138,6 @@ def conditional_of_joint(p: Dist, k: int) -> ConditionalTable:
     if empty.size:
         raise ZeroInputMass(int(empty[0]))
     return ConditionalTable(k, n, (blocks / masses).T)
-
-
-def partition_project(p: Dist, m: PartitionModel) -> tuple[Dist, float]:
-    """Divergence minimizer over the partition model and its divergence.
-
-    The minimizer spreads each block's mass uniformly within the block; for
-    the cylinder partition induced by the first l bits the divergence is at
-    most n - l bits.
-    """
-    if p.width != m.n:
-        raise WidthMismatch("distribution width != partition width")
-    q = np.empty_like(p.probs)
-    for block in m.blocks:
-        idx = sorted(block)
-        q[idx] = p.probs[idx].sum() / len(idx)
-    proj = Dist(p.width, q)
-    return proj, kl_dist(p, proj)
 
 
 def random_conditional(k: int, n: int, seed: int) -> ConditionalTable:

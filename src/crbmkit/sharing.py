@@ -219,11 +219,9 @@ def apply_sharing_log(logp: np.ndarray, step: SharingStep,
         log_norm = logsumexp(tilted)
     if not np.isfinite(log_norm):
         raise DegenerateStep("tilt normalizer vanished")
-    if step.lam >= 1.0:
-        out = logp.copy()
-    elif step.lam <= 0.0:
-        out = tilted - log_norm
-    else:
+    # lambda = 1 and lambda = 0 make one term -inf: the state, or the
+    # normalized tilted state, exactly
+    with np.errstate(divide="ignore"):
         out = np.logaddexp(np.log(step.lam) + logp,
                            np.log1p(-step.lam) + tilted - log_norm)
     return out, log_norm

@@ -42,6 +42,19 @@ def test_bounds_json(capsys):
     assert obj["universal"]["necessary"] == 4
 
 
+def test_bounds_has_no_deterministic_bounds_without_inputs(capsys):
+    # the deterministic bounds are stated for k >= 1; k = 0 emits null
+    # rather than the k = 1 figures
+    code, out = run_cli(["bounds", "--k", "0", "--n", "2"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["deterministic"] is None
+    jsonschema.validate(obj, SCHEMAS["crbmkit-bounds/1"])
+    code, out = run_cli(["bounds", "--k", "1", "--n", "2"], capsys)
+    assert json.loads(out)["deterministic"] == {"sufficient": 1,
+                                                "necessary": 0}
+
+
 def test_compile_deterministic_output(capsys):
     argv = ["compile", "--k", "2", "--n", "1", "--r", "1",
             "--eps", "0.01", "--seed", "7"]

@@ -186,6 +186,25 @@ def test_compile_partition_examples():
     assert rep.budget_bound == 3  # 2^(k-1) (2^n - 1)
 
 
+def test_component_without_target_mass_spends_no_unit():
+    # a star is filled only through the components with target mass on one
+    # of its rows: with block 1 empty on every row, (3,2) l = 1 needs no
+    # step at all, and with block 3 empty (4,3) l = 2 fills its 6 stars
+    # through blocks 1 and 2 only (12 fills and its one reset)
+    y = np.arange(4)
+    rows = np.tile(np.where(y & 1, 0.0, 0.5), (8, 1))
+    params, rep = compile_partition(ConditionalTable(3, 2, rows), 1)
+    assert params.m == rep.hidden_units_used == 0
+    assert rep.achieved_tv <= rep.epsilon
+
+    masses = np.random.default_rng(0).dirichlet(np.ones(3), size=16)
+    rows = np.column_stack([masses, np.zeros(16)])[:, np.arange(8) & 3] / 2
+    _, rep = compile_partition(ConditionalTable(4, 3, rows), 2)
+    assert (rep.star_steps_used, rep.resets_used) == (12, 1)
+    assert rep.hidden_units_used == 13 < rep.budget_bound
+    assert rep.achieved_tv <= rep.epsilon
+
+
 def test_compile_partition_rejects_non_block_constant():
     with pytest.raises(NotBlockConstant):
         compile_partition(random_conditional(1, 2, seed=6), l=1)
@@ -611,3 +630,35 @@ def test_doomed_level_names_its_star_and_the_schedule_its_last_level(
             r"\(tau = 16\)$")) as exc:
         compile_universal(dirichlet_table(k, n, 0), eps=eps)
     assert exc.value.__cause__ is None
+
+
+def test_doomed_support_level_names_its_row(monkeypatch):
+    # support points run as point stars (x, free_mask=0); at tau = 16 the
+    # start dust on n = 3 outputs dooms the level at its first finished
+    # row.  Rows whose only support point is y0 come first, so such a row
+    # is rejected before any step; otherwise the first filled row is.
+    import crbmkit.compiler as compiler
+
+    applied = Counter()
+    apply_step = compiler.apply_sharing_log
+
+    def counted(*args, **kwargs):
+        applied["calls"] += 1
+        return apply_step(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "apply_sharing_log", counted)
+    monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
+    last = (r"^tau schedule exhausted without reaching eps = 0.01; last "
+            r"level: row {}: worst-row TV [0-9.e-]+ to the target > limit "
+            r"[0-9.e-]+ \(tau = 16\)$")
+    # y0 = 1, the output shared by the most rows; row 1 has no other point
+    rows = np.zeros((4, 8))
+    rows[0, [1, 6]] = rows[3, [1, 2]] = 0.5
+    rows[1, 1] = rows[2, 4] = 1.0
+    with pytest.raises(BudgetExceeded, match=last.format(1)):
+        compile_support_points(ConditionalTable(2, 3, rows.copy()))
+    assert applied["calls"] == 0
+    rows[1, [1, 5]] = 0.5
+    with pytest.raises(BudgetExceeded, match=last.format(0)):
+        compile_support_points(ConditionalTable(2, 3, rows.copy()))
+    assert applied["calls"] > 0

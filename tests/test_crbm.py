@@ -19,6 +19,12 @@ from crbmkit.distributions import conditional_of_joint, tv_row_distance
 from crbmkit.errors import CapExceeded, ShapeMismatch
 
 
+def zero_params(k, n, m):
+    """The CRBM with every weight and bias 0."""
+    return CrbmParams(k, n, m, np.zeros((m, n)), np.zeros((m, k)),
+                      np.zeros(n), np.zeros(m))
+
+
 def brute_conditional(p: CrbmParams) -> np.ndarray:
     """Independent oracle: direct summation over the hidden space."""
     def weight(x, y):
@@ -46,7 +52,7 @@ def test_eval_conditional_m0_is_x_independent_softmax():
 
 
 def test_eval_conditional_all_zero_params_uniform():
-    table = eval_conditional(CrbmParams.zeros(2, 2, 3))
+    table = eval_conditional(zero_params(2, 2, 3))
     assert np.allclose(table.rows, 0.25)
 
 
@@ -58,7 +64,7 @@ def test_eval_conditional_matches_enumeration_oracle():
 
 
 def test_eval_joint_rbm_examples():
-    assert np.allclose(eval_joint_rbm(CrbmParams.zeros(0, 2, 0)).probs, 0.25)
+    assert np.allclose(eval_joint_rbm(zero_params(0, 2, 0)).probs, 0.25)
     # m=1, W=0: the hidden unit marginalizes away
     p = CrbmParams(0, 2, 1, np.zeros((1, 2)), np.zeros((1, 0)),
                    np.array([0.4, -0.2]), np.array([1.3]))
@@ -71,7 +77,7 @@ def test_eval_joint_rbm_examples():
 
 def test_eval_joint_rbm_requires_k0():
     with pytest.raises(ShapeMismatch):
-        eval_joint_rbm(CrbmParams.zeros(1, 1, 0))
+        eval_joint_rbm(zero_params(1, 1, 0))
 
 
 def test_append_zero_unit_is_invariant():
@@ -130,8 +136,8 @@ def test_bias_shift_tilts_all_rows_equally():
 
 
 def test_hidden_bias_shift_unobservable_for_zero_weight_unit():
-    p = append_hidden_unit(CrbmParams.zeros(1, 1, 0), [0.0], [0.0], 0.0)
-    q = append_hidden_unit(CrbmParams.zeros(1, 1, 0), [0.0], [0.0], 5.0)
+    p = append_hidden_unit(zero_params(1, 1, 0), [0.0], [0.0], 0.0)
+    q = append_hidden_unit(zero_params(1, 1, 0), [0.0], [0.0], 5.0)
     assert np.abs(eval_conditional(p).rows - eval_conditional(q).rows).max() < 1e-12
 
 
@@ -184,7 +190,7 @@ def test_jacobian_matches_finite_differences(shape):
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
-        eval_conditional(CrbmParams.zeros(13, 13, 13))
+        eval_conditional(zero_params(13, 13, 13))
 
 
 def unblocked_logits(p):

@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from crbmkit.distributions import (
     ConditionalTable,
     Dist,
-    PartitionModel,
     conditional_of_joint,
     hadamard,
     kl_conditional,
     kl_dist,
-    partition_project,
     random_conditional,
     tv_row_distance,
 )
+from crbmkit.compiler import _ComponentScheme
 from crbmkit.errors import DisjointSupports, ZeroInputMass
 
 HALF_LOG2_3 = 0.5 * math.log2(3.0)  # divergence of (3/4,1/4) from (1/4,3/4)
@@ -167,38 +166,43 @@ def test_in_support_class():
     assert not in_support_class(full, SupportClass(1, 2, 0))
 
 
+def partition_project(p, l):
+    """The divergence witness's projection of ``p`` onto the distributions
+    constant on the blocks of the first l bits, and its divergence."""
+    scheme = _ComponentScheme.partition(p.width, l)
+    proj = Dist(p.width, scheme.project(p.probs[None, :])[0])
+    return proj, kl_dist(p, proj)
+
+
 def test_partition_project_examples():
-    model = PartitionModel.cylinder(2, 1)
     # block-constant input projects to itself
     p = from_probs([0.3, 0.2, 0.3, 0.2])
-    proj, div = partition_project(p, model)
+    proj, div = partition_project(p, 1)
     assert np.allclose(proj.probs, p.probs)
     assert div == pytest.approx(0.0, abs=1e-12)
 
     # single block: projection is uniform
-    single = PartitionModel(2, (frozenset(range(4)),))
     p = from_probs([0.4, 0.3, 0.2, 0.1])
-    proj, div = partition_project(p, single)
+    proj, div = partition_project(p, 0)
     assert np.allclose(proj.probs, 0.25)
     expect = sum(v * math.log2(4 * v) for v in p.probs)
     assert div == pytest.approx(expect)
 
     # delta at 00 against the l=1 cylinder partition: divergence n - l = 1
-    proj, div = partition_project(point_mass(2, 0), model)
+    proj, div = partition_project(point_mass(2, 0), 1)
     assert div == pytest.approx(1.0)
 
 
 def test_partition_project_is_optimal_among_samples():
     rng = np.random.default_rng(7)
-    model = PartitionModel.cylinder(3, 1)
+    blocks = _ComponentScheme.partition(3, 1).membership
     p = random_dist(3, rng)
-    _, best = partition_project(p, model)
+    _, best = partition_project(p, 1)
     for _ in range(100):
-        masses = rng.dirichlet(np.ones(len(model.blocks)))
+        masses = rng.dirichlet(np.ones(len(blocks)))
         q = np.zeros(8)
-        for mass, block in zip(masses, model.blocks):
-            idx = sorted(block)
-            q[idx] = mass / len(idx)
+        for mass, block in zip(masses, blocks):
+            q[block] = mass / block.sum()
         assert best <= kl_dist(p, Dist(3, q)) + 1e-12
 
 

@@ -17,6 +17,12 @@ from crbmkit.ltn import (
 from scipy.special import expit
 
 
+def zero_params(k, n, m):
+    """The CRBM with every weight and bias 0."""
+    return CrbmParams(k, n, m, np.zeros((m, n)), np.zeros((m, k)),
+                      np.zeros(n), np.zeros(m))
+
+
 def ltn_eval(net, x):
     """Per-input oracle: y = hs(W^T hs(V x + c) + b) as a state index; ties
     raise."""
@@ -225,7 +231,7 @@ def test_sigmoid_output_random_instance():
 
 def test_fixed_point_checks():
     # zero parameters cannot satisfy the condition for XOR (all ties)
-    zero = CrbmParams.zeros(2, 1, 2)
+    zero = zero_params(2, 1, 2)
     assert not check_deter_fixed_point(zero, [0, 1, 1, 0])
 
     # constant-zero policy with strongly negative output bias
