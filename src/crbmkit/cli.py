@@ -184,14 +184,11 @@ def _random_target(args) -> ConditionalTable:
         rows = np.zeros(((1 << k), (1 << n)))
         rows[:, support] = rng.dirichlet(np.ones(size), size=1 << k)
         return ConditionalTable(k, n, rows)
-    # partition
-    l = args.l if args.l is not None else max(n - 1, 0)
+    # partition: each block's mass spread evenly over its 2^(n-l) outputs
+    l = args.l
     masses = rng.dirichlet(np.ones(1 << l), size=1 << k)
-    rows = np.zeros(((1 << k), (1 << n)))
-    for z in range(1 << l):
-        block = [y for y in range(1 << n) if (y & ((1 << l) - 1)) == z]
-        rows[:, block] = (masses[:, z] / len(block))[:, None]
-    return ConditionalTable(k, n, rows)
+    y = np.arange(1 << n)
+    return ConditionalTable(k, n, masses[:, y & ((1 << l) - 1)] / (1 << (n - l)))
 
 
 def _check_compile_args(args) -> None:
@@ -202,7 +199,7 @@ def _check_compile_args(args) -> None:
     if (args.r is not None and args.r < 1) \
             or not (args.eps > 0 and math.isfinite(args.eps)):
         raise _UsageError("--r must be >= 1 and --eps finite and > 0")
-    if args.mode == "partition" and args.l is not None and not 0 <= args.l <= n:
+    if args.mode == "partition" and not 0 <= args.l <= n:
         raise _UsageError(f"--l must be in [0, n] = [0, {n}]")
     if args.mode == "support" and args.d is not None \
             and not 0 <= args.d <= 1 << (k + n):
@@ -212,6 +209,8 @@ def _check_compile_args(args) -> None:
 
 
 def _cmd_compile(args) -> int:
+    if args.mode == "partition" and args.l is None:
+        args.l = max(args.n - 1, 0)
     _check_compile_args(args)
     check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
     target = _random_target(args)
@@ -222,8 +221,7 @@ def _cmd_compile(args) -> int:
     elif args.mode == "common":
         params, report = compile_common_support(target, args.r, args.eps)
     else:
-        l = args.l if args.l is not None else max(args.n - 1, 0)
-        params, report = compile_partition(target, l, args.r, args.eps)
+        params, report = compile_partition(target, args.l, args.r, args.eps)
     payload = {
         "schema": "crbmkit-compile/1",
         "seed": args.seed,

@@ -44,9 +44,10 @@ that.  The start distribution uses output biases of
 magnitude tau / (2 * component width) so that the sharp steps' off-region
 dust stays exponentially below the start-state dust.
 
-Log-sum-exps use ``sharing.logsumexp``, a local copy of the arithmetic of
-scipy.special.logsumexp for real input: results are bit-identical to
-scipy's, without its per-call dispatch cost.  Each trial builds one input
+Every log-sum-exp is one max-shift reduction: the max plus the log of the
+sum of exp(entries - max), per row in ``_Pipeline._conditioned`` and over
+the tilted state in ``sharing.logsumexp``.  It needs a finite max, which
+the finite state and finite tilts give.  Each trial builds one input
 table log s_X (2^k), one tilted state log p + log s, which its builder
 hands on to the step's application, and one new (2^k, 2^n) state, and from
 the max, exp and sum of each of its rows both the conditional rows and the
@@ -91,6 +92,8 @@ STEP_RETRIES = 12
 #: parameters.  The two agree to a worst-row TV of at most 4.2e-13 at (7,2),
 #: (8,1) and (10,3) on every tau level tried; 1e-9 is 2000 times that.
 REJECT_MARGIN = 1e-9
+#: per-row TV tolerance of the divergence witness's partition compile
+WITNESS_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -465,6 +468,8 @@ def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
         if np.abs(block - block.mean(axis=1, keepdims=True)).max() > 1e-9:
             raise NotBlockConstant(f"rows are not constant on block {z}")
     if l == 0:
+        if r is not None:
+            universal_budget(target.k, r, 1)  # refuses a depth k cannot hold
         params = CrbmParams.bias_only(target.k, n, np.zeros(n))
         achieved = tv_row_distance(eval_conditional(params), target)
         report = CompileReport(
@@ -516,8 +521,8 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
         target, eps, "support", budget, None)
 
 
-def divergence_witness(target: ConditionalTable, m_budget: int,
-                       eps_compile: float = 1e-4) -> tuple[CrbmParams, float]:
+def divergence_witness(target: ConditionalTable,
+                       m_budget: int) -> tuple[CrbmParams, float]:
     """Constructive witness for the divergence bound.
 
     Picks the largest block width l whose partition compiles within m_budget
@@ -537,5 +542,5 @@ def divergence_witness(target: ConditionalTable, m_budget: int,
     # clamp within blocks (preserves block-constancy), then compile tightly
     # at the cheapest depth, whose budget is within m_budget by the choice of l
     table, _ = clamp_table(ConditionalTable(k, n, projected), 0.016)
-    params, _ = compile_partition(table, l, eps=eps_compile)
+    params, _ = compile_partition(table, l, eps=WITNESS_EPS)
     return params, kl_conditional(target, eval_conditional(params))

@@ -36,8 +36,9 @@ RANK_TOL_COEFF = 2.0 ** -40
 MOD_PRIME = 2 ** 31 - 1
 
 
-def numeric_rank(matrix: np.ndarray, tol_coeff: float = RANK_TOL_COEFF) -> int:
-    """Rank by singular-value thresholding at sigma_max * max(dim) * coeff.
+def numeric_rank(matrix: np.ndarray) -> int:
+    """Rank by singular-value thresholding at
+    sigma_max * max(dim) * RANK_TOL_COEFF.
 
     The count must agree under halving and doubling the threshold, otherwise
     the rank is numerically unstable and an error is raised.
@@ -50,7 +51,7 @@ def numeric_rank(matrix: np.ndarray, tol_coeff: float = RANK_TOL_COEFF) -> int:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    tol = sv[0] * max(m.shape) * tol_coeff
+    tol = sv[0] * max(m.shape) * RANK_TOL_COEFF
     lo = int((sv > 2.0 * tol).sum())
     hi = int((sv > 0.5 * tol).sum())
     if lo != hi:

@@ -17,6 +17,7 @@ deterministic table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -107,6 +108,21 @@ def _alpha_for(net: ThresholdNet) -> float:
     return (1.0 + 2.0 * row_norm) / gap
 
 
+def _first_scale_within(params_at: Callable[[float], CrbmParams],
+                        target: ConditionalTable, eps: float
+                        ) -> tuple[CrbmParams, float]:
+    """The parameters ``params_at(t)`` at the first scale t = 1, 2, 4, ...,
+    SCALE_CAP whose conditional is within per-row TV eps of ``target``, and
+    that t."""
+    t = 1.0
+    while t <= SCALE_CAP:
+        params = params_at(t)
+        if tv_row_distance(eval_conditional(params), target) <= eps:
+            return params, t
+        t *= 2.0
+    raise ScaleCapExceeded(f"scale cap {SCALE_CAP} reached before eps = {eps}")
+
+
 def embed_ltn_in_crbm(net: ThresholdNet, eps: float = 1e-3
                       ) -> tuple[CrbmParams, float]:
     """CRBM parameters (t W, t alpha V, t b, t alpha c) approximating the
@@ -117,15 +133,9 @@ def embed_ltn_in_crbm(net: ThresholdNet, eps: float = 1e-3
     except TieEncountered as exc:
         raise NotGeneric(f"tie at layer {exc.layer}, unit {exc.unit}") from exc
     alpha = _alpha_for(net)
-    t = 1.0
-    while t <= SCALE_CAP:
-        params = CrbmParams(net.k, net.n, net.m,
-                            t * net.W, t * alpha * net.V,
-                            t * net.b, t * alpha * net.c)
-        if tv_row_distance(eval_conditional(params), target) <= eps:
-            return params, t
-        t *= 2.0
-    raise ScaleCapExceeded(f"scale cap {SCALE_CAP} reached before eps = {eps}")
+    return _first_scale_within(
+        lambda t: CrbmParams(net.k, net.n, net.m, t * net.W, t * alpha * net.V,
+                             t * net.b, t * alpha * net.c), target, eps)
 
 
 def sigmoid_output_table(net: ThresholdNet) -> ConditionalTable:
@@ -149,15 +159,10 @@ def embed_sigmoid_output(net: ThresholdNet, eps: float = 1e-3) -> CrbmParams:
     """
     target = sigmoid_output_table(net)
     alpha = _alpha_for(net)
-    t = 1.0
-    while t <= SCALE_CAP:
-        params = CrbmParams(net.k, net.n, net.m,
-                            net.W, t * alpha * net.V,
-                            net.b, t * alpha * net.c)
-        if tv_row_distance(eval_conditional(params), target) <= eps:
-            return params
-        t *= 2.0
-    raise ScaleCapExceeded(f"scale cap {SCALE_CAP} reached before eps = {eps}")
+    params, _ = _first_scale_within(
+        lambda t: CrbmParams(net.k, net.n, net.m, net.W, t * alpha * net.V,
+                             net.b, t * alpha * net.c), target, eps)
+    return params
 
 
 def check_deter_fixed_point(params: CrbmParams, outputs: list[int]) -> bool:

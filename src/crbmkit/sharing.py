@@ -40,18 +40,15 @@ takes them (or computes them, for a reset) and returns the normalizer, and
 hidden_unit_from_log takes it for the bias.  A state of mass 1 stays of mass
 1 under a step, so neither the step nor the bias reduces the state again.
 
-The log-sum-exp used by the step functions is the module's own
-``logsumexp``: it repeats scipy.special.logsumexp's real-input arithmetic
-operation for operation, so results are bit-identical, without scipy's
-per-call array-API dispatch, which dominated compile time on the small
-arrays of the step pipeline.  Full reductions (axis None) with a finite
-max, and row (2-D, axis 1) reductions whose row maxima are finite, skip the
-guards only non-finite input needs.
+The log-sum-exp of the step functions is the module's ``logsumexp``: the
+max plus the log of the sum of exp(entries - max), the reduction the
+compiler normalizes its rows with.  It needs a finite max, which finite log
+factors on a finite state give; a non-finite normalizer is refused
+(DegenerateStep).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,55 +69,13 @@ BIAS_CAP = 1e7
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):
-    """log(sum(exp(a))) over ``axis`` (all entries for None, giving a scalar).
-
-    The arithmetic of scipy.special.logsumexp for real input: the entries
-    equal to the max are counted and left out of the shifted sum, the result
-    is log1p(s / count) + log(count) + max, and a non-finite result falls
-    back to log(sum(exp(a))), so an all -inf input gives -inf.
-
-    A full reduction (axis None) with a finite max, the tilt normalizer of
-    the step pipeline, takes the same operations on scalars, and a 2-D input
-    reduced over its rows (axis 1) whose row maxima are all finite, the row
-    reductions of ``build_tilted_step``, takes them on one max per row: the
-    results are finite, so they need no kept axes and no fallback.
-    """
+    """log(sum(exp(a))) over ``axis``: all entries for None, giving a float,
+    or each row of a 2-D ``a`` for 1.  The max (per row) plus the log of the
+    sum of exp(a - max), the reduction the pipeline normalizes its rows
+    with; the max must be finite."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if axis is None:
-            a_max = a.max()
-            if math.isfinite(a_max):
-                at_max = a == a_max
-                count = float(np.count_nonzero(at_max))
-                shifted = np.exp(a - a_max)
-                shifted[at_max] = 0.0
-                return np.log1p(shifted.sum() / count) + np.log(count) + a_max
-        if a.ndim == 2 and axis == 1:
-            a_max = a.max(axis=1)
-            if np.isfinite(a_max).all():
-                shift = a_max[:, None]
-                at_max = a == shift
-                count = at_max.sum(axis=1, dtype=float)
-                shifted = np.exp(a - shift)
-                np.putmask(shifted, at_max, 0.0)
-                return (np.log1p(shifted.sum(axis=1) / count) + np.log(count)
-                        + a_max)
-        axes = tuple(range(a.ndim)) if axis is None else axis
-        a_max = a.max(axis=axes, keepdims=True)
-        at_max = a == a_max
-        count = at_max.sum(axis=axes, keepdims=True, dtype=float)
-        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(
-            axis=axes, keepdims=True)
-        s = np.where(s == 0, s, s / count)
-        out = np.log1p(s) + np.log(count) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.exp(a).sum(axis=axes, keepdims=True))
-            out = np.where(finite, out, direct)
-    out = out.squeeze(axis=axes)
-    return out[()] if out.ndim == 0 else out
+    top = a.max(axis=axis, keepdims=True)
+    return top.squeeze(axis=axis) + np.log(np.exp(a - top).sum(axis=axis))
 
 
 def _log_values_of(log_factors: np.ndarray) -> np.ndarray:

@@ -237,6 +237,19 @@ def test_infeasible_depth_is_one_error_line(capsys):
     assert captured.err == "error: InfeasibleDepth: k = 0 < S(1) = 1\n"
 
 
+def test_single_block_partition_refuses_infeasible_depth(capsys):
+    # l = 0 needs no unit, but a given depth is checked as at l >= 1
+    for l in ("0", "1"):
+        code = main(["compile", "--mode", "partition", "--k", "3", "--n", "2",
+                     "--l", l, "--r", "7", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: InfeasibleDepth: k = 3 < S(7) = 28\n"
+    code, out = run_cli(["compile", "--mode", "partition", "--k", "0",
+                         "--n", "2", "--l", "0", "--seed", "0"], capsys)
+    assert code == 0 and json.loads(out)["report"]["hidden_units_used"] == 0
+
+
 def test_unreachable_eps_reports_budget_exceeded(capsys):
     code = main(["compile", "--k", "1", "--n", "1", "--r", "1",
                  "--eps", "1e-15", "--seed", "3"])
@@ -379,9 +392,17 @@ def test_cli_runs_without_jsonschema():
     ["dim", "--k", "2", "--n", "2", "--m", "2"],
     ["ltn", "--mode", "parity", "--k", "3"],
     ["ltn", "--mode", "embed", "--k", "2", "--m", "2", "--n", "2"],
+    ["compile", "--k", "2", "--n", "2", "--seed", "0"],
+    ["compile", "--mode", "support", "--k", "2", "--n", "2", "--seed", "0"],
+    ["compile", "--mode", "common", "--k", "2", "--n", "2", "--seed", "0"],
+    ["compile", "--mode", "partition", "--k", "2", "--n", "2", "--seed", "0"],
+    ["divergence", "--k", "2", "--n", "2", "--m", "2", "--seed", "0"],
+    ["mrf", "--complex", '{"n": 3, "faces": [[1, 2, 3]]}',
+     "--theta", '[[[1, 2], 0.5]]'],
 ])
 def test_cli_runs_without_scipy(argv):
-    # scipy is needed only by the exact code-size solvers
+    # scipy is needed only by the exact code-size solvers; the step
+    # pipeline reduces with its own log-sum-exp
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.modules['scipy'] = None; "

@@ -205,6 +205,19 @@ def test_component_without_target_mass_spends_no_unit():
     assert rep.achieved_tv <= rep.epsilon
 
 
+def test_single_block_partition_refuses_infeasible_depth():
+    # l = 0 builds no packing, but a given depth must still fit in k: the
+    # same refusal as at l >= 1.  Without a depth the zero model is returned
+    u = ConditionalTable.uniform(3, 2)
+    for l in (0, 1):
+        with pytest.raises(InfeasibleDepth, match=r"k = 3 < S\(7\) = 28"):
+            compile_partition(u, l, r=7)
+    _, rep = compile_partition(u, 0, r=1)
+    assert (rep.hidden_units_used, rep.r) == (0, 1)
+    _, rep = compile_partition(ConditionalTable.uniform(0, 2), 0)
+    assert (rep.hidden_units_used, rep.r) == (0, None)
+
+
 def test_compile_partition_rejects_non_block_constant():
     with pytest.raises(NotBlockConstant):
         compile_partition(random_conditional(1, 2, seed=6), l=1)
@@ -335,26 +348,27 @@ def test_support_points_compile_sparse(k, n, seed):
 # (hidden_units_used, tau_final, achieved_tv, sha256 of the W, V, b, c
 # bytes) at seed 0.  The counts and TVs were recorded with
 # scipy.special.logsumexp and per-row step checks, on a pipeline state that
-# was the joint; the local log-sum-exp, the kept trials and the cached rows
-# must reproduce the counts.  The state is now the conditional with uniform
-# inputs, whose rounding moves the TVs by up to 1.3e-12 relative, hence
-# rel=2e-12.  The digests were recorded on that state held as (2^k, 2^n)
-# rows indexed [x, y], each tilt broadcast from its input and output
-# tables; the support compile's bits did not move with that change.  The
-# digests pin every bit, so they hold for one numpy build on one CPU family
-# (x86-64, numpy 2.4): its exp and log kernels are dispatched by SIMD
-# extension.
+# was the joint; the kept trials, the cached rows and the max-shift
+# log-sum-exp must reproduce the counts.  The state is now the conditional
+# with uniform inputs, whose rounding moves the TVs by up to 1.3e-12
+# relative, hence rel=2e-12.  The digests were recorded on that state held
+# as (2^k, 2^n) rows indexed [x, y], each tilt broadcast from its input and
+# output tables, with the tilt normalizer the max plus the log of the sum
+# of exp(entries - max); the support and universal-3-2 bits did not move
+# when that replaced scipy's arithmetic.  The digests pin every bit, so
+# they hold for one numpy build on one CPU family (x86-64, numpy 2.4): its
+# exp and log kernels are dispatched by SIMD extension.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
                       10, 32.0, 0.0007966023069756398,
                       "ff0a7ebf896c16fc7d22ac252e0b9c9e72cd9c2f086b7580510eaed70bed562c"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
                       19, 32.0, 0.0007966040887859571,
-                      "9b826d94b69e74b2ec60500e6fc7fd7685bdcf038727d903d5de0955cac32ec9"),
+                      "370198dd4213599614a83d21d3704a62fbc74962889c1fd6728cd53e5e70437f"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
                          19, 32.0, 0.0007966040887854645,
-                         "0d51762d20e1689cb64c6af9ae64a3523f09c296b93ceff24733774fb96439d9"),
+                         "26a7f5d290f3b786c1e912f218527560d43f04c910cacdb71856999289bd11d4"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
                        11, 32.0, 0.001341175602538288,
