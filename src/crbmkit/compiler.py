@@ -219,8 +219,7 @@ class _Pipeline:
         self.logp, self._rows = self._conditioned(
             np.asfortranarray(np.broadcast_to(logits, (1 << k, 1 << n))))
         self._inputs = np.arange(1 << k)
-        self.ideal = np.tile(self.scheme.dists[0], (1 << k, 1))
-        self.start_tv = _worst_row_tv(self._rows, self.ideal)
+        self.start_tv = _worst_row_tv(self._rows, self.scheme.dists[0])
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
 
@@ -303,7 +302,6 @@ class _Pipeline:
                     and _worst_row_tv(rows[outside], self._rows[outside])
                     <= self.tol_step):
                 self._apply(step, logp, rows, log_norm)
-                self.ideal[region] = target
                 self.used[kind] += 1
                 self.allowance += self.tol_step
                 return
@@ -331,16 +329,22 @@ class _Pipeline:
                   target_masses: np.ndarray, members: list[int]) -> None:
         """Mix the rows of the star ``(center, free_mask)`` toward the
         targets through each component 1..M-1 that has target mass
-        ``target_masses`` on one of them."""
+        ``target_masses`` on one of them.
+
+        The rows sit at the start component when their star is filled:
+        ``validate_packing`` refuses a fill from rows that are not clean, and
+        a support compile fills each row once.  Each step's targets mix the
+        previous step's toward its component."""
         active = np.flatnonzero(target_masses[:, 1:].any(axis=0)) + 1
         if not active.size:
             return
         betas = mixture_weight_profile(target_masses)
         outside = ~self._in_cylinder(*star_cylinder(center, free_mask, self.k))
+        target = self.scheme.dists[0]
         for t in active.tolist():
             beta = betas[:, t - 1, None]
             beta_map = dict(zip(members, beta[:, 0].tolist()))
-            target = (1.0 - beta) * self.ideal[members] + beta * self.scheme.dists[t]
+            target = (1.0 - beta) * target + beta * self.scheme.dists[t]
             self._step("fill", lambda sharp: build_tilted_step(
                 self.logp, self.k, free_mask, center, beta_map,
                 self.scheme.tilt(t, sharp), sharp),
@@ -528,16 +532,13 @@ def divergence_witness(target: ConditionalTable,
     Picks the largest block width l whose partition compiles within m_budget
     (best depth r over the feasible ones), compiles the partition projection
     of the target, and returns the parameters with the achieved divergence in
-    bits.  With no feasible l the uniform fallback (zero parameters) is
-    returned, whose divergence is at most n.
+    bits.  With no feasible l, l = 0: the projection is uniform, and its
+    compile is the zero model, whose divergence is at most n.
     """
     from .bounds import feasible_block_width
 
     k, n = target.k, target.n
     l = feasible_block_width(k, n, m_budget)
-    if l == 0:
-        params = CrbmParams.bias_only(k, n, np.zeros(n))
-        return params, kl_conditional(target, eval_conditional(params))
     projected = _ComponentScheme.partition(n, l).project(target.rows)
     # clamp within blocks (preserves block-constancy), then compile tightly
     # at the cheapest depth, whose budget is within m_budget by the choice of l

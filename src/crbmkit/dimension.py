@@ -12,11 +12,13 @@ whose row at visible state v = (x, y) is (1, v) masked by membership in each
 slicing C_i.  Its column span modulo functions of x lower-bounds the
 dimension.  The input cylinders [x] are quotiented out by within-block row
 differences: row (x, 0) is subtracted from every row (x, y != 0), and the
-rank of these differences is the bound.  It is computed by int64 Gaussian
-elimination modulo the prime 2^31 - 1, in which each pivot updates only the
-rows it touches, those with a nonzero entry in its column.  For an integer
-matrix the rank over F_p never exceeds the rank over Q, so the result is a
-certified lower bound on the rank, and with it on the dimension.
+rank of these differences is the bound.  The indicator columns X of the
+cylinders enter only that argument, never an array.  The rank is computed
+by int64 Gaussian elimination modulo the prime 2^31 - 1, in which each
+pivot updates only the rows it touches, those with a nonzero entry in its
+column.  For an integer matrix the rank over F_p never exceeds the rank
+over Q, so the result is a certified lower bound on the rank, and with it
+on the dimension.
 """
 
 from __future__ import annotations
@@ -114,13 +116,14 @@ def _rank_mod_p(matrix: np.ndarray) -> int:
 
 
 def tropical_matrix(k: int, n: int, slicings: list[int]) -> np.ndarray:
-    """(A | A_{C_1} | ... | A_{C_m} | X) as a 0/1 int64 array.
+    """(A | A_{C_1} | ... | A_{C_m}) as a 0/1 int64 array of shape
+    (2^(k+n), (k+n+1)(m+1)), m = len(slicings).
 
     Rows are indexed by visible states v = x + 2^k*y; A's row is (1, bits(v));
     block i is that row masked by membership of v in the radius-1 ball
-    centered at ``slicings[i]``; X holds the indicator columns of the input
-    cylinders [x].  A center that is not a state of {0,1}^(k+n) raises
-    ValueError.
+    centered at ``slicings[i]``.  The input cylinders [x] are not built:
+    ``tropical_rank_mod_inputs`` quotients them out.  A center that is not a
+    state of {0,1}^(k+n) raises ValueError.
     """
     width = k + n
     for center in slicings:
@@ -128,32 +131,34 @@ def tropical_matrix(k: int, n: int, slicings: list[int]) -> np.ndarray:
                 or not 0 <= center < 1 << width):
             raise ValueError(f"slicing center {center!r} is not a state of "
                              f"{{0,1}}^{width}")
-    bits = state_bits(width).astype(np.int64)
-    base = np.column_stack([np.ones(1 << width, dtype=np.int64), bits])
-    masks = np.zeros((len(slicings), 1 << width), dtype=np.int64)
+    base = np.ones((1 << width, width + 1), dtype=np.int64)
+    base[:, 1:] = state_bits(width)
+    # mask column 0 holds every state, so the first masked block is A
+    masks = np.zeros((1 << width, len(slicings) + 1), dtype=np.int64)
+    masks[:, 0] = 1
     for i, center in enumerate(slicings):
-        masks[i, ball_members(center, width)] = 1
-    blocks = (masks[:, :, None] * base[None, :, :]).transpose(1, 0, 2)
-    inputs = np.tile(np.eye(1 << k, dtype=np.int64), (1 << n, 1))
-    return np.hstack([base, blocks.reshape(1 << width, -1), inputs])
+        masks[ball_members(center, width), i + 1] = 1
+    return (masks[:, :, None] * base[:, None, :]).reshape(1 << width, -1)
 
 
 def tropical_rank_mod_inputs(k: int, n: int, m: int,
                              slicings: list[int]) -> int:
     """Rank of the column span modulo functions of x achievable on the
-    radius-1 ball slicings centered at ``slicings``: rank(A_theta | X) - 2^k.
+    radius-1 ball slicings centered at ``slicings``: rank(A_theta | X) - 2^k,
+    where A_theta = ``tropical_matrix(k, n, slicings)`` and X holds the
+    indicator columns of the input cylinders [x].
 
     The input cylinders are quotiented out by within-block row differences.
     Subtracting row (x, 0) from the rows (x, y != 0) of each input block
     clears their X columns, and X's identity on the rows (x, 0) then clears
     the rest of those rows, so rank(A_theta | X) = 2^k + rank(D), where D
-    holds the differences without the X columns.  Only D is eliminated, over
-    F_p, so the result is a certified lower bound on that rank.
+    holds the differences of the rows of A_theta.  X itself is never built.
+    Only D is eliminated, over F_p, so the result is a certified lower bound
+    on that rank.
     """
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
     blocks = tropical_matrix(k, n, slicings).reshape(1 << n, 1 << k, -1)
-    blocks = blocks[:, :, :-(1 << k)]       # [y, x, column] without X
     diffs = (blocks[1:] - blocks[:1]).reshape(-1, blocks.shape[2])
     del blocks                              # free the full matrix first
     return _rank_mod_p(diffs)
@@ -205,7 +210,7 @@ def certify_dimension(k: int, n: int, m: int, trials: int = 8,
     """Combine the expected dimension, the tropical lower bound from a greedy
     distance-4 ball placement, and the numeric rank estimate."""
     # the tropical matrix, wider than the Jacobian's (k+n+1)m + n columns
-    check_cells((1 << (k + n)) * ((k + n + 1) * (m + 1) + (1 << k)),
+    check_cells((1 << (k + n)) * (k + n + 1) * (m + 1),
                 f"certify_dimension at (k, n, m) = ({k}, {n}, {m})")
     expected_value, regime = expected_dim(k, n, m)
     numeric = crbm_dimension_estimate(k, n, m, trials=trials, seed=seed)

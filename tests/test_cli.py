@@ -90,6 +90,16 @@ def test_dim_json(capsys):
     assert obj["expected_value"] == 8 and obj["numeric"] == 8 and obj["agree"]
 
 
+def test_dim_certifies_a_wide_input_at_one_output(capsys):
+    # (12,1,2): the tropical matrix without input-cylinder columns fits the
+    # cell limit; with the 2^k identity columns it would need 33.9M cells
+    code, out = run_cli(["dim", "--k", "12", "--n", "1", "--m", "2"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["numeric"] == obj["expected_value"] == 29
+    assert obj["tropical"] <= obj["numeric"]
+
+
 def test_divergence_json(capsys):
     code, out = run_cli(["divergence", "--k", "1", "--n", "2", "--m", "1",
                          "--seed", "5"], capsys)

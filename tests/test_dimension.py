@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,10 +116,11 @@ def test_int_rank_matches_exact_rank(rows):
 
 
 def test_tropical_matrix_shape():
+    # (A | A_{C_1} | ... | A_{C_m}): no input-cylinder columns
     balls = greedy_distance4_balls(2, 3, 3)
     mat = tropical_matrix(2, 3, balls)
     assert mat.dtype == np.int64
-    assert mat.shape == (32, (2 + 3 + 1) * (len(balls) + 1) + 4)
+    assert mat.shape == (32, (2 + 3 + 1) * (len(balls) + 1))
     assert set(np.unique(mat)) <= {0, 1}
 
 
@@ -162,9 +164,12 @@ QUOTIENT_CASES = [
                          + ",".join(map(str, c[3])))
 def test_quotient_matches_full_matrix(case):
     # rank(A_theta | X) - 2^k on the full matrix equals the rank of the
-    # within-block row differences that tropical_rank_mod_inputs eliminates
+    # within-block row differences that tropical_rank_mod_inputs eliminates;
+    # X, the indicator columns of the input cylinders [x], is appended here
     k, n, m, balls = case
-    want = _rank_mod_p(tropical_matrix(k, n, balls)) - 2 ** k
+    inputs = np.tile(np.eye(2 ** k, dtype=np.int64), (2 ** n, 1))
+    full = np.hstack([tropical_matrix(k, n, balls), inputs])
+    want = _rank_mod_p(full) - 2 ** k
     assert tropical_rank_mod_inputs(k, n, m, balls) == want
 
 
@@ -260,6 +265,24 @@ def test_certify_dimension_cases(case):
     assert rep.agree
     assert rep.tropical <= rep.numeric
     assert rep.tropical_consistent
+
+
+@pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2)])
+def test_certify_dimension_peak_is_within_its_price(size):
+    # the price is the tropical matrix (A | A_{C_1} | ... | A_{C_m}), int64;
+    # its row differences and their F_p copy are about as large again, and
+    # the 1 MiB covers the fixed allocations of a small certificate
+    k, n, m = size
+    price = (1 << (k + n)) * (k + n + 1) * (m + 1)
+    tracemalloc.start()
+    try:
+        rep = certify_dimension(k, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.numeric == rep.expected_value
+    assert rep.tropical <= rep.numeric
+    assert peak <= 4 * 8 * price + (1 << 20)
 
 
 def test_rank_bounds_sandwich():
