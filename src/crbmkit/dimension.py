@@ -82,15 +82,21 @@ def crbm_dimension_estimate(k: int, n: int, m: int, trials: int = 8,
 
 
 def _rank_mod_p(matrix: np.ndarray) -> int:
-    """Rank over F_p, p = MOD_PRIME, by int64 Gaussian elimination.
+    """Rank over F_p, p = MOD_PRIME, of an integer matrix, which is left
+    as it is.  For an integer matrix the result never exceeds the rank over
+    Q."""
+    return _eliminate_mod_p(np.asarray(matrix, dtype=np.int64) % MOD_PRIME)
+
+
+def _eliminate_mod_p(rows: np.ndarray) -> int:
+    """Rank over F_p of the int64 residues ``rows``, by Gaussian elimination
+    in place.
 
     Each pivot updates only the rows below it with a nonzero entry in its
     column; on a sparse matrix most rows are skipped.  Residues stay below
-    p < 2^31, so the product of two fits in int64.  For an integer matrix the
-    result never exceeds the rank over Q.
+    p < 2^31, so the product of two fits in int64.
     """
     p = MOD_PRIME
-    rows = np.asarray(matrix, dtype=np.int64) % p
     n_rows, n_cols = rows.shape
     rank = 0
     for col in range(n_cols):
@@ -159,9 +165,12 @@ def tropical_rank_mod_inputs(k: int, n: int, m: int,
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
     blocks = tropical_matrix(k, n, slicings).reshape(1 << n, 1 << k, -1)
-    diffs = (blocks[1:] - blocks[:1]).reshape(-1, blocks.shape[2])
-    del blocks                              # free the full matrix first
-    return _rank_mod_p(diffs)
+    # the differences overwrite the rows they are taken of, and are reduced
+    # mod p in place: D is the only copy of the matrix
+    blocks[1:] -= blocks[:1]
+    diffs = blocks[1:].reshape(-1, blocks.shape[2])
+    diffs %= MOD_PRIME
+    return _eliminate_mod_p(diffs)
 
 
 def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:

@@ -7,7 +7,8 @@ unit whose softplus log-partition term has the face's coefficient as its
 top Moebius coefficient (Younes 1996).  The unit's scale solves
 top(t) = |rho| on one closed-form curve for both signs of rho, bracketed by
 the sign of top(t) - |rho| because the curve dips below zero for faces of
-4 or more units, and grown by doubling with no fixed cap; the unit's whole
+4 or more units; the bracket's ends t = 2^j are read off a table of the
+curve cached per cardinality, with no fixed cap.  The unit's whole
 polynomial is also closed form, from two finite differences.  A unit
 changes only the residues of subsets of its face, so all faces of one
 cardinality are solved together: one masked solve per cardinality level,
@@ -156,6 +157,36 @@ def _alternating_binomials(q: int) -> np.ndarray:
     return table
 
 
+def _top_curve(t: np.ndarray, slopes: np.ndarray, row: np.ndarray,
+               row_slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """top(t) = sum_k row_k softplus(t a_k) and its derivative
+    sum_k row_k a_k sigmoid(t a_k) at each entry of the 1-D ``t``, for the
+    slopes a_k = ``slopes`` and ``row_slopes`` = row * slopes."""
+    x = t[:, None] * slopes
+    g = _softplus(x)
+    return g @ row, np.exp(x - g) @ row_slopes
+
+
+#: the bracket ends 0 and t = 2^j, j = 0..1023; 2^1024 overflows float64
+_BRACKET_ENDS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1024))])
+
+
+@lru_cache(maxsize=None)
+def _bracket_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """top(2^j), its slope there and top's running max over j = 0..1023,
+    for faces of cardinality q.  The running max first reaches |rho| at the
+    first j with top(2^j) >= |rho|."""
+    slopes = np.arange(q + 1) - q + 0.5
+    row = _alternating_binomials(q)[q]
+    # t * slopes overflows to -inf near t = 2^1023, where softplus is 0
+    with np.errstate(over="ignore"):
+        tops, rises = _top_curve(_BRACKET_ENDS[1:], slopes, row, row * slopes)
+    reach = np.maximum.accumulate(tops)
+    for a in (tops, rises, reach):
+        a.flags.writeable = False
+    return tops, rises, reach
+
+
 def younes_solve(rho: np.ndarray, n: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights (w, b) making the top Moebius coefficient of
@@ -172,16 +203,25 @@ def younes_solve(rho: np.ndarray, n: int
     top(t) = sum_k (-1)^(N-k) C(N,k) log(1 + exp(t (k - N + 1/2))).
 
     top(0) = 0 and top(t) ~ t/2 for large t, but for N >= 4 top dips below
-    zero first: it is negative on (0, t0) with t0 about 0.99 at N = 4, 1.51
-    at N = 5, 2.42 at N = 8 and 2.82 at N = 10, with a minimum of -0.008 to
-    -0.28, and increasing past t0.  So the bracket is by sign: t_hi doubles
-    from 1 until top(t_hi) >= |rho|, O(log |rho|) doublings with no fixed
-    cap, keeping top(t_lo) < |rho| <= top(t_hi); a Newton step that leaves
-    the bracket falls back to bisection.  Every face keeps its own bracket
-    and trajectory in one masked loop, and stops once
-    |top - |rho|| <= SOLVE_TOL; each step costs O(N) per face still
-    running.  NoBracket means float64 cannot hold the solve: t overflows
-    before top(t) reaches |rho|, or a face is still off after 200 steps.
+    zero first, to a minimum of -0.008 at N = 4, -0.17 at N = 8, -0.28 at
+    N = 10, -0.38 at N = 12 and -0.48 at N = 14, and is positive and
+    increasing past its last sign change t0, about 0.99 at N = 4, 1.51 at
+    N = 5, 2.42 at N = 8, 2.82 at N = 10 and 3.13 at N = 12.  Only for
+    N <= 5 is top negative on all of (0, t0): from N = 6 on it changes sign
+    several times below t0 (at N = 8 near t = 0.18, 0.71 and 2.42), and from
+    N = 11 on top(1) > 0 (+0.0115 at N = 12, +0.023 at N = 14), so for
+    |rho| under that bump the bracket is (0, 1] and the root lies before
+    the dip.  So the bracket is by sign, at the first t_hi = 2^j, j >= 0,
+    with top(t_hi) >= |rho|, and t_lo = t_hi / 2 (0 at j = 0), keeping
+    top(t_lo) < |rho| <= top(t_hi): the bracket a doubling from t = 1
+    stops at, with no fixed cap.  It is read off a table of top(2^j) and
+    its slope for j = 0..1023, built once per N, by a binary search of
+    top's running max over j; a Newton step that leaves the bracket falls
+    back to bisection.  Every face keeps its own bracket and trajectory in
+    one masked loop, and stops once |top - |rho|| <= SOLVE_TOL; each step
+    costs O(N) per face still running.  NoBracket means float64 cannot hold
+    the solve: top(2^1023) is still below |rho| (2^1024 overflows), or a
+    face is still off after 200 steps.
 
     The unit's coefficient J_B depends only on j = |B minus {N}| and on
     whether N is in B, so the whole polynomial comes from two j-th finite
@@ -206,37 +246,29 @@ def younes_solve(rho: np.ndarray, n: int
     row_slopes = row * slopes
 
     t_lo = np.zeros(rho.shape)
-    t_hi = np.ones(rho.shape)
+    t_hi = np.zeros(rho.shape)
     t_star = np.zeros(rho.shape)
     val = np.zeros(rho.shape)
     slope = np.zeros(rho.shape)
 
     def top(faces: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Store t, top(t) and its derivative, sum_k row_k a_k sigmoid(t a_k),
-        for ``faces``; return whether each is still off by > SOLVE_TOL."""
-        x = t[:, None] * slopes
-        g = _softplus(x)
-        t_star[faces], val[faces] = t, g @ row
-        slope[faces] = np.exp(x - g) @ row_slopes
+        """Store t, top(t) and its derivative for ``faces``; return whether
+        each is still off by > SOLVE_TOL."""
+        t_star[faces] = t
+        val[faces], slope[faces] = _top_curve(t, slopes, row, row_slopes)
         return np.abs(val[faces] - target[faces]) > SOLVE_TOL
 
     live = np.flatnonzero(rho != 0.0)
-    top(live, t_hi[live])
-    grow = live[val[live] < target[live]]
-    while grow.size:
-        t_lo[grow] = t_hi[grow]
-        # top(t) <= t/2, so t leaves float64 first; t * slopes may overflow
-        # to -inf near there, where softplus is 0 as it should be
-        with np.errstate(over="ignore"):
-            t_hi[grow] *= 2.0
-            lost = grow[np.isinf(t_hi[grow])]
-            if lost.size:
-                f = lost[0]
-                raise NoBracket(f"q = {n}, |rho| = {target[f]:.6g}: residual "
-                                f"{target[f] - val[f]:.6g} at the largest finite "
-                                f"t = {t_lo[f]:.6g}")
-            top(grow, t_hi[grow])
-        grow = grow[val[grow] < target[grow]]
+    # top(t) <= t/2, so t leaves float64 before top(t) can reach |rho|
+    tops, rises, reach = _bracket_table(n)
+    j = np.searchsorted(reach, target[live])
+    if (j == reach.size).any():
+        f = live[j == reach.size][0]
+        raise NoBracket(f"q = {n}, |rho| = {target[f]:.6g}: residual "
+                        f"{target[f] - tops[-1]:.6g} at the largest finite "
+                        f"t = {_BRACKET_ENDS[-1]:.6g}")
+    t_lo[live], t_hi[live] = _BRACKET_ENDS[j], _BRACKET_ENDS[j + 1]
+    t_star[live], val[live], slope[live] = t_hi[live], tops[j], rises[j]
     live = live[np.abs(val[live] - target[live]) > SOLVE_TOL]
     for _ in range(200):
         if not live.size:
@@ -281,11 +313,12 @@ def _faces_to_cancel(complex_: SimplicialComplex, keep: set[int]
     return [bits[np.lexsort(bits.T[::-1])] for bits in levels if bits.size]
 
 
-def compile_mrf_to_rbm(model: MrfModel,
-                       j_keep: SimplicialComplex | None = None
-                       ) -> tuple[CrbmParams, Dist]:
-    """RBM weights whose joint equals hadamard(p, correction^-1 ... ), i.e.
-    p * correction = RBM joint, with one hidden unit per cancelled face.
+def _cancel_faces(model: MrfModel, keep: frozenset[int]
+                  ) -> tuple[CrbmParams, np.ndarray]:
+    """One hidden unit per face of cardinality > 1 outside ``keep``, on all
+    of the model's units, and the residue it leaves: the visible biases are
+    the singleton residues, the other faces outside ``keep`` are certified
+    below 1e-8, and the faces in ``keep`` hold what is left of theta.
 
     Faces are processed in decreasing cardinality (ties by ascending index
     set); each unit cancels the face's current residue coefficient, and its
@@ -293,14 +326,9 @@ def compile_mrf_to_rbm(model: MrfModel,
     the residues of subsets of its face, so every face of one cardinality
     has its residue fixed before any of them is solved: each level is one
     ``younes_solve`` call, and its polynomials are subtracted in face order
-    by one scatter.  Remaining cardinality >= 2 coefficients live on kept
-    faces and are returned, negated, as the correction distribution;
-    singleton residues become the RBM's visible biases.
+    by one scatter.
     """
     n = model.n
-    check_cells(1 << n, f"compile_mrf_to_rbm at n = {n}")
-    keep = set(j_keep.faces) if j_keep is not None else {0}
-
     residue = np.zeros(1 << n)
     for a, th in model.theta.items():
         residue[a] += th
@@ -320,10 +348,10 @@ def compile_mrf_to_rbm(model: MrfModel,
         biases.append(b)
         np.subtract.at(residue, masks, local)
 
-    pc = popcounts(n)
     kept = np.zeros(1 << n, dtype=bool)
     kept[list(keep)] = True
-    leftovers = np.flatnonzero((pc > 1) & (np.abs(residue) > 1e-8) & ~kept)
+    leftovers = np.flatnonzero((popcounts(n) > 1) & (np.abs(residue) > 1e-8)
+                               & ~kept)
     if leftovers.size:
         raise BudgetMismatch(f"uncancelled faces remain: {leftovers.tolist()}")
 
@@ -336,14 +364,33 @@ def compile_mrf_to_rbm(model: MrfModel,
         np.array([residue[1 << s] for s in range(n)]),
         np.concatenate(biases),
     )
-    # non-kept residues are certified tiny above; the correction carries
-    # exactly the kept cardinality >= 2 coefficients, negated
-    corr_theta = {int(v): -float(residue[v]) for v in
-                  np.flatnonzero((pc > 1) & kept & (residue != 0))}
-    # without kept faces the correction is uniform: no face beyond singletons
-    corr_complex = j_keep if j_keep is not None else SimplicialComplex.singletons(n)
-    correction = mrf_distribution(MrfModel(corr_complex, corr_theta))
-    return params, correction
+    return params, residue
+
+
+def compile_mrf_to_rbm(model: MrfModel,
+                       j_keep: SimplicialComplex | None = None
+                       ) -> tuple[CrbmParams, Dist]:
+    """RBM weights whose joint equals hadamard(p, correction^-1 ... ), i.e.
+    p * correction = RBM joint, with one hidden unit per cancelled face.
+
+    Every face of cardinality > 1 outside ``j_keep`` is cancelled (see
+    ``_cancel_faces``).  The remaining cardinality >= 2 coefficients live
+    on kept faces and are returned, negated, as the correction
+    distribution; without any, it is the uniform distribution.  Singleton
+    residues become the RBM's visible biases.
+    """
+    n = model.n
+    check_cells(1 << n, f"compile_mrf_to_rbm at n = {n}")
+    keep = j_keep.faces if j_keep is not None else frozenset({0})
+    params, residue = _cancel_faces(model, keep)
+    # the correction carries exactly the kept cardinality >= 2 coefficients,
+    # negated
+    faces = np.array(sorted(keep))
+    faces = faces[(popcounts(n)[faces] > 1) & (residue[faces] != 0)]
+    if not faces.size:
+        return params, Dist.uniform(n)
+    corr_theta = dict(zip(faces.tolist(), (-residue[faces]).tolist()))
+    return params, mrf_distribution(MrfModel(j_keep, corr_theta))
 
 
 def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
@@ -357,16 +404,16 @@ def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
 
 def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     """CRBM reproducing the conditionals of an MRF on [k+n] given the
-    first k units; input-only faces are absorbed by the correction and
-    input biases are dropped (they cancel in every conditional)."""
+    first k units.  Input-only faces get no hidden unit and input biases
+    are dropped: both cancel in every conditional, so no correction is
+    built."""
     n_total = model.n
     if not 0 <= k < n_total:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
     check_cells(1 << n_total, f"compile_conditional_mrf at n = {n_total}")
     n = n_total - k
     # the input-only faces: every subset of the first k units
-    j_keep = SimplicialComplex(n_total, frozenset(range(1 << k)))
-    rbm, _ = compile_mrf_to_rbm(model, j_keep)
+    rbm, _ = _cancel_faces(model, frozenset(range(1 << k)))
     w_full = rbm.W  # (m, k+n)
     return CrbmParams(
         k, n, rbm.m,

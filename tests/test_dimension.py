@@ -270,8 +270,8 @@ def test_certify_dimension_cases(case):
 @pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2)])
 def test_certify_dimension_peak_is_within_its_price(size):
     # the price is the tropical matrix (A | A_{C_1} | ... | A_{C_m}), int64;
-    # its row differences and their F_p copy are about as large again, and
-    # the 1 MiB covers the fixed allocations of a small certificate
+    # the elimination's row updates are about as large again, and the
+    # 1 MiB covers the fixed allocations of a small certificate
     k, n, m = size
     price = (1 << (k + n)) * (k + n + 1) * (m + 1)
     tracemalloc.start()
@@ -283,6 +283,30 @@ def test_certify_dimension_peak_is_within_its_price(size):
     assert rep.numeric == rep.expected_value
     assert rep.tropical <= rep.numeric
     assert peak <= 4 * 8 * price + (1 << 20)
+
+
+@pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2), (6, 6, 12)])
+def test_tropical_rank_peak_is_within_its_price(size):
+    # the row differences overwrite the tropical matrix and are reduced mod
+    # p in place, so besides that one matrix only the elimination's row
+    # updates are live; a copy of the differences reads 3.4x at (6,6,12)
+    k, n, m = size
+    price = (1 << (k + n)) * (k + n + 1) * (m + 1)
+    balls = greedy_distance4_balls(k, n, m)
+    tracemalloc.start()
+    try:
+        tropical_rank_mod_inputs(k, n, m, balls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * price + (1 << 20)
+
+
+def test_rank_mod_p_leaves_its_input_as_it_is():
+    rows = np.array([[2, 4, -1], [1, 2, 3], [0, 5, 7]], dtype=np.int64)
+    before = rows.copy()
+    assert _rank_mod_p(rows) == 3
+    assert np.array_equal(rows, before)
 
 
 def test_rank_bounds_sandwich():

@@ -193,6 +193,35 @@ def test_batched_solve_matches_the_scalar_oracle(q):
         assert abs(coeffs[i, -1] - rho) <= SOLVE_TOL
 
 
+def doubling_bracket(rho: float, q: int) -> int:
+    """Oracle: the j at which a bracket doubling t_hi from 1 stops, the
+    first j with top(2^j) >= |rho|, one scalar curve value at a time."""
+    j = 0
+    while younes_top_coefficient(q, 2.0 ** j, -(2.0 ** j) * (q - 0.5)) < abs(rho):
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+def test_table_bracket_matches_the_doubling_loop(q):
+    # top(t) is not monotone below its dip, and from q = 11 on top(1) > 0
+    # (+0.0115 at q = 12, +0.023 at q = 14): |rho| = 1e-3 lies under that
+    # bump, so its bracket is (0, 1] and the root comes before the dip
+    mags = np.logspace(-9, 6, 31)
+    rhos = np.concatenate([mags, -mags])
+    w, b, eps, coeffs = younes_solve(rhos, q)
+    for i, rho in enumerate(rhos):
+        j = doubling_bracket(rho, q)
+        lo = 2.0 ** (j - 1) if j else 0.0
+        assert lo < w[i] <= 2.0 ** j
+        # the oracle rounds its arguments k w + b, of size up to q w, so
+        # past |rho| ~ 1e4 its own error exceeds SOLVE_TOL
+        tol = SOLVE_TOL + 2 * np.finfo(float).eps * q * w[i]
+        assert abs(younes_top_coefficient(q, w[i], b[i], eps[i]) - rho) <= tol
+    if q in (12, 14):
+        assert doubling_bracket(1e-3, q) == 0
+
+
 def phi_table(q: int, w: float, b: float, eps: int) -> np.ndarray:
     """log(1 + exp(w S^eps(x) + b)) over {0,1}^q; eps flips the last unit."""
     v = np.arange(1 << q)
@@ -325,6 +354,38 @@ def test_level_solve_matches_the_sequential_compile(label, n, generators, k):
     want = mrf_distribution(MrfModel(j_keep or SimplicialComplex.singletons(n),
                                      corr_theta))
     assert np.abs(corr.probs - want.probs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, n, generators", [
+    ("full", 5, [(1 << 5) - 1]),
+    ("full", 12, [(1 << 12) - 1]),
+    ("pairwise", 12, [(1 << i) | (1 << j) for i in range(12) for j in range(i + 1, 12)]),
+    ("cyclic3", 10, cyclic(10, 3)),
+    ("cyclic4", 12, cyclic(12, 4)),
+])
+def test_shortcuts_change_no_bit(label, n, generators):
+    # a joint compile without kept faces returns the uniform correction
+    # without building its field, and a conditional compile builds no
+    # correction: both give the bytes of the full construction
+    rng = np.random.default_rng([n, len(generators)])
+    cx = SimplicialComplex.from_generators(n, generators)
+    model = MrfModel(cx, {a: float(rng.standard_normal())
+                          for a in sorted(cx.faces) if a})
+    _, corr = compile_mrf_to_rbm(model)
+    uniform = mrf_distribution(MrfModel(SimplicialComplex.singletons(n), {}))
+    assert corr.probs.tobytes() == uniform.probs.tobytes()
+    for k in (1, 2):
+        j_keep = SimplicialComplex(n, frozenset(range(1 << k)))
+        joint, corr = compile_mrf_to_rbm(model, j_keep)
+        cond = compile_conditional_mrf(model, k)
+        assert (cond.k, cond.n, cond.m) == (k, n - k, joint.m)
+        assert cond.W.tobytes() == joint.W[:, k:].tobytes()
+        assert cond.V.tobytes() == joint.W[:, :k].tobytes()
+        assert cond.b.tobytes() == joint.b[k:].tobytes()
+        assert cond.c.tobytes() == joint.c.tobytes()
+        if k == 1:   # no kept face of cardinality > 1: a uniform correction
+            want = mrf_distribution(MrfModel(j_keep, {}))
+            assert corr.probs.tobytes() == want.probs.tobytes()
 
 
 def test_compile_full_field_n12():
