@@ -251,13 +251,6 @@ def younes_solve(rho: np.ndarray, n: int
     val = np.zeros(rho.shape)
     slope = np.zeros(rho.shape)
 
-    def top(faces: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Store t, top(t) and its derivative for ``faces``; return whether
-        each is still off by > SOLVE_TOL."""
-        t_star[faces] = t
-        val[faces], slope[faces] = _top_curve(t, slopes, row, row_slopes)
-        return np.abs(val[faces] - target[faces]) > SOLVE_TOL
-
     live = np.flatnonzero(rho != 0.0)
     # top(t) <= t/2, so t leaves float64 before top(t) can reach |rho|
     tops, rises, reach = _bracket_table(n)
@@ -278,11 +271,12 @@ def younes_solve(rho: np.ndarray, n: int
         lo, hi, s = t_lo[live], t_hi[live], slope[live]
         newton = t_star[live] - (val[live] - target[live]) / np.where(s > 0, s, np.inf)
         t = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-        off = top(live, t)
+        t_star[live] = t
+        val[live], slope[live] = _top_curve(t, slopes, row, row_slopes)
         below = val[live] < target[live]
         t_lo[live[below]] = t[below]
         t_hi[live[~below]] = t[~below]
-        live = live[off]
+        live = live[np.abs(val[live] - target[live]) > SOLVE_TOL]
     if live.size:
         f = live[0]
         raise NoBracket(f"q = {n}, |rho| = {target[f]:.6g}: residual "
@@ -299,7 +293,7 @@ def younes_solve(rho: np.ndarray, n: int
     return t_star, t_star * base_b, eps_sign, coeffs
 
 
-def _faces_to_cancel(complex_: SimplicialComplex, keep: set[int]
+def _faces_to_cancel(complex_: SimplicialComplex, keep: frozenset[int]
                      ) -> list[np.ndarray]:
     """The faces of cardinality > 1 outside the kept set, one (F, q) array
     of their sorted bits per cardinality q, largest q first; the rows of a
@@ -350,8 +344,8 @@ def _cancel_faces(model: MrfModel, keep: frozenset[int]
 
     kept = np.zeros(1 << n, dtype=bool)
     kept[list(keep)] = True
-    leftovers = np.flatnonzero((popcounts(n) > 1) & (np.abs(residue) > 1e-8)
-                               & ~kept)
+    pc = popcounts(n)
+    leftovers = np.flatnonzero((pc > 1) & (np.abs(residue) > 1e-8) & ~kept)
     if leftovers.size:
         raise BudgetMismatch(f"uncancelled faces remain: {leftovers.tolist()}")
 
