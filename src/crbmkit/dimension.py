@@ -13,12 +13,15 @@ slicing C_i.  Its column span modulo functions of x lower-bounds the
 dimension.  The input cylinders [x] are quotiented out by within-block row
 differences: row (x, 0) is subtracted from every row (x, y != 0), and the
 rank of these differences is the bound.  The indicator columns X of the
-cylinders enter only that argument, never an array.  The rank is computed
-by int64 Gaussian elimination modulo the prime 2^31 - 1, in which each
-pivot updates only the rows it touches, those with a nonzero entry in its
-column.  For an integer matrix the rank over F_p never exceeds the rank
-over Q, so the result is a certified lower bound on the rank, and with it
-on the dimension.
+cylinders enter only that argument, never an array.  The rank is taken
+over F_p, p = 2^31 - 1, in two stages.  A peel reads only the zero pattern:
+a column, failing that a row, with a single nonzero is a pivot, and
+clearing the rest of its row, or column, with it changes no other entry,
+so the peeled pivots add exactly to the rank of what remains.  The
+residual (89 x 35 of the 240 x 81 differences at (4,4,8)) is gathered
+once and ranked by int64 Gaussian elimination.  For an integer matrix the
+rank over F_p never exceeds the rank over Q, so the result is a certified
+lower bound on the rank, and with it on the dimension.
 """
 
 from __future__ import annotations
@@ -85,7 +88,44 @@ def _rank_mod_p(matrix: np.ndarray) -> int:
     """Rank over F_p, p = MOD_PRIME, of an integer matrix, which is left
     as it is.  For an integer matrix the result never exceeds the rank over
     Q."""
-    return _eliminate_mod_p(np.asarray(matrix, dtype=np.int64) % MOD_PRIME)
+    return _peel_and_eliminate(np.asarray(matrix, dtype=np.int64) % MOD_PRIME)
+
+
+def _peel_and_eliminate(rows: np.ndarray) -> int:
+    """Rank over F_p of the int64 matrix ``rows``, whose entries are nonzero
+    mod p exactly where they are nonzero (|entry| < p suffices); ``rows`` is
+    only read.
+
+    The peel reads only the zero pattern.  A column with one nonzero is a
+    pivot on that nonzero's row: column operations with it clear the rest of
+    its row and nothing else, so the rank is one plus the rank with that row
+    and column dropped.  Other such columns on the same row then fall to
+    zero, so a row gives one pivot however many of them it holds.  Failing
+    any such column, a row with one nonzero is a pivot on its column, by the
+    same argument with row operations.  Both rules leave every entry outside
+    the pivot's row and column as it was, so once neither applies the
+    residual is the submatrix on the rows and columns still nonzero, and
+    ``_eliminate_mod_p`` ranks one gathered copy of it.
+    """
+    live = rows != 0
+    rank = 0
+    while True:
+        single = live.sum(axis=0, dtype=np.int32) == 1
+        if single.any():
+            # the rows holding a nonzero of a singleton column
+            taken = live @ single
+            live[taken] = False
+        else:
+            single = live.sum(axis=1, dtype=np.int32) == 1
+            if not single.any():
+                break
+            taken = single @ live
+            live[:, taken] = False
+        rank += int(np.count_nonzero(taken))
+    residual = rows[np.ix_(np.flatnonzero(live.any(axis=1)),
+                           np.flatnonzero(live.any(axis=0)))]
+    residual %= MOD_PRIME
+    return rank + _eliminate_mod_p(residual)
 
 
 def _eliminate_mod_p(rows: np.ndarray) -> int:
@@ -159,18 +199,17 @@ def tropical_rank_mod_inputs(k: int, n: int, m: int,
     clears their X columns, and X's identity on the rows (x, 0) then clears
     the rest of those rows, so rank(A_theta | X) = 2^k + rank(D), where D
     holds the differences of the rows of A_theta.  X itself is never built.
-    Only D is eliminated, over F_p, so the result is a certified lower bound
-    on that rank.
+    D overwrites A_theta, and its rank over F_p, a certified lower bound on
+    its rank over Q, is taken by peeling the pivots its zero pattern decides
+    (a column or row with one nonzero), which is exact over any field, then
+    eliminating the residual submatrix.
     """
     if len(slicings) > m:
         raise ValueError("more slicings than hidden units")
     blocks = tropical_matrix(k, n, slicings).reshape(1 << n, 1 << k, -1)
-    # the differences overwrite the rows they are taken of, and are reduced
-    # mod p in place: D is the only copy of the matrix
+    # the differences, in {-1, 0, 1}, overwrite the rows they are taken of
     blocks[1:] -= blocks[:1]
-    diffs = blocks[1:].reshape(-1, blocks.shape[2])
-    diffs %= MOD_PRIME
-    return _eliminate_mod_p(diffs)
+    return _peel_and_eliminate(blocks[1:].reshape(-1, blocks.shape[2]))
 
 
 def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:

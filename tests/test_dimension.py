@@ -9,6 +9,8 @@ from crbmkit import dimension
 from crbmkit.bitspace import affine_rank, ball_members
 from crbmkit.bounds import ambient_dim, code_A_exact, code_K_exact, param_count
 from crbmkit.dimension import (
+    MOD_PRIME,
+    _eliminate_mod_p,
     _placement_clean,
     _rank_mod_p,
     certify_dimension,
@@ -18,6 +20,7 @@ from crbmkit.dimension import (
     tropical_matrix,
     tropical_rank_mod_inputs,
 )
+from crbmkit.errors import UnstableRank
 
 
 def test_numeric_rank_examples():
@@ -113,6 +116,44 @@ def _exact_int_rank(matrix) -> int:
 def test_int_rank_matches_exact_rank(rows):
     # the F_p rank of an integer matrix never exceeds its rank over Q
     assert _rank_mod_p(np.array(rows)) <= _exact_int_rank(rows)
+
+
+#: nonzero entries of the planted singletons; MOD_PRIME is nonzero over Q
+#: but zero over F_p, so a peel that read the integer pattern would pivot on it
+singleton_values = st.sampled_from([-2, -1, 1, 3, MOD_PRIME])
+
+
+@st.composite
+def peelable_matrices(draw):
+    """A small integer matrix with the patterns the peel decides planted in
+    it: singleton columns sharing one row, singleton rows sharing one
+    column, zero rows and columns, and duplicate rows, in shuffled order."""
+    mat = np.array(draw(small_int_matrices), dtype=np.int64)
+    n_rows = mat.shape[0]
+    cols = np.zeros((n_rows, draw(st.integers(0, 3))), dtype=np.int64)
+    cols[draw(st.integers(0, n_rows - 1))] = draw(st.lists(
+        singleton_values, min_size=cols.shape[1], max_size=cols.shape[1]))
+    zero_cols = np.zeros((n_rows, draw(st.integers(0, 2))), dtype=np.int64)
+    mat = np.hstack([mat, cols, zero_cols])
+    n_cols = mat.shape[1]
+    rows = np.zeros((draw(st.integers(0, 3)), n_cols), dtype=np.int64)
+    rows[:, draw(st.integers(0, n_cols - 1))] = draw(st.lists(
+        singleton_values, min_size=rows.shape[0], max_size=rows.shape[0]))
+    zero_rows = np.zeros((draw(st.integers(0, 2)), n_cols), dtype=np.int64)
+    dups = mat[draw(st.lists(st.integers(0, n_rows - 1), max_size=3))]
+    mat = np.vstack([mat, rows, zero_rows, dups])
+    row_order = draw(st.permutations(range(mat.shape[0])))
+    col_order = draw(st.permutations(range(n_cols)))
+    return mat[np.ix_(row_order, col_order)]
+
+
+@given(peelable_matrices())
+def test_peeled_rank_matches_plain_elimination(mat):
+    # the peel's pivots are exact over F_p: peeling, then eliminating the
+    # residual, gives the rank that eliminating the whole matrix gives
+    want = _eliminate_mod_p(mat % MOD_PRIME)
+    assert _rank_mod_p(mat) == want
+    assert want <= _exact_int_rank(mat)
 
 
 def test_tropical_matrix_shape():
@@ -287,9 +328,10 @@ def test_certify_dimension_peak_is_within_its_price(size):
 
 @pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2), (6, 6, 12)])
 def test_tropical_rank_peak_is_within_its_price(size):
-    # the row differences overwrite the tropical matrix and are reduced mod
-    # p in place, so besides that one matrix only the elimination's row
-    # updates are live; a copy of the differences reads 3.4x at (6,6,12)
+    # the row differences overwrite the tropical matrix, and the peel adds
+    # only their zero pattern, 1/8 of it, and the residual it gathers: the
+    # peak reads 1.45x at (11,2,2) and (12,1,2), set by building the matrix,
+    # and 1.35x at (6,6,12), where eliminating the whole matrix read 2.66x
     k, n, m = size
     price = (1 << (k + n)) * (k + n + 1) * (m + 1)
     balls = greedy_distance4_balls(k, n, m)
@@ -299,7 +341,17 @@ def test_tropical_rank_peak_is_within_its_price(size):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * price + (1 << 20)
+    assert peak <= 2 * 8 * price + (1 << 20)
+
+
+@pytest.mark.xfail(strict=True, raises=UnstableRank,
+                   reason="the SVD threshold of numeric_rank reads 237 vs 240 "
+                          "when halved or doubled; ROADMAP item 6 replaces it "
+                          "by an exact modular rank")
+def test_certify_4_4_30_seed_0():
+    # seed 7 certifies the same size
+    rep = certify_dimension(4, 4, 30, seed=0)
+    assert rep.numeric == rep.expected_value
 
 
 def test_rank_mod_p_leaves_its_input_as_it_is():
