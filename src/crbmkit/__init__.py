@@ -38,7 +38,6 @@ from .crbm import (
 from .dimension import (
     DimensionReport,
     certify_dimension,
-    crbm_dimension_estimate,
     numeric_rank,
     tropical_rank_mod_inputs,
 )

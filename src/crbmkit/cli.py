@@ -235,10 +235,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    if args.k < 0 or args.n < 1 or args.m < 0 or args.trials < 1:
-        raise _UsageError("--k must be >= 0, --n >= 1, --m >= 0 and --trials >= 1")
-    rep = certify_dimension(args.k, args.n, args.m, trials=args.trials,
-                            seed=args.seed)
+    if args.k < 0 or args.n < 1 or args.m < 0:
+        raise _UsageError("--k must be >= 0, --n >= 1 and --m >= 0")
+    rep = certify_dimension(args.k, args.n, args.m, seed=args.seed)
     payload = {"schema": "crbmkit-dim/1"} | _json_value(rep)
     _emit(payload, args.out)
     return 0
@@ -439,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
 
     p = command("divergence", _cmd_divergence, "divergence witness for a budget")

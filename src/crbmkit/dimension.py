@@ -1,11 +1,17 @@
 """Dimension certification: numeric Jacobian rank and the tropical bound.
 
-The numeric path takes the max rank of the conditional-probability Jacobian
-over random parameter draws, each rank read off a singular-value threshold.
-It is an estimate, not a certificate: rounding can lift or sink a singular
-value across the threshold, and a count that moves when the threshold is
-halved or doubled raises UnstableRank instead.  At generic parameters the
-exact rank equals the model dimension.
+The numeric path ranks the within-block differences D = g(x, y) - g(x, 0)
+of g = d log G / d theta, the gradients of the unnormalized log
+probabilities, at one standard-normal parameter draw.  Block x of the
+Jacobian of theta -> p(y|x) is p(y|x) (g(x, y) - gbar(x)), with
+gbar(x) = sum_y p(y|x) g(x, y): scaling a row by p > 0 keeps the row space,
+and gbar(x) is an affine combination of the g(x, y), so the Jacobian has
+D's rank.  Its rows shrink with p(y|x), which crowds its small singular
+values towards the rank threshold; D's entries lie in [-1, 1].  The rank is
+read off a singular-value threshold, and a count that moves when the
+threshold is halved or doubled raises UnstableRank.  At generic parameters
+the rank equals the model dimension, and a standard-normal draw is generic
+with probability one, so one draw is taken.
 
 The tropical path builds the integer matrix (A | A_{C_1} | ... | A_{C_m})
 whose row at visible state v = (x, y) is (1, v) masked by membership in each
@@ -31,8 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import affine_rank, ball_members, check_cells, state_bits
-from .bounds import ambient_dim, expected_dim, param_count
-from .crbm import conditional_jacobian, random_params
+from .bounds import expected_dim
+from .crbm import _log_grads, random_params
+# not called here: perfbench/spans.py patches this binding (ROADMAP item 2)
+from .crbm import conditional_jacobian  # noqa: F401
 from .errors import UnstableRank
 
 #: relative SVD threshold coefficient
@@ -62,26 +70,6 @@ def numeric_rank(matrix: np.ndarray) -> int:
     if lo != hi:
         raise UnstableRank(f"rank {lo} vs {hi} under threshold perturbation")
     return int((sv > tol).sum())
-
-
-def crbm_dimension_estimate(k: int, n: int, m: int, trials: int = 8,
-                            seed: int = 0) -> int:
-    """Max numeric Jacobian rank over random standard-normal parameter draws.
-
-    Stops drawing once a draw reaches min(param_count, ambient_dim), which
-    bounds the rank: the Jacobian has one column per parameter, and each
-    input block's rows sum to zero, so its columns lie in a space of
-    2^k (2^n - 1) dimensions.
-    """
-    rng = np.random.default_rng(seed)
-    bound = min(param_count(k, n, m), ambient_dim(k, n))
-    best = 0
-    for _ in range(trials):
-        jac = conditional_jacobian(random_params(k, n, m, rng, scale=1.0))
-        best = max(best, numeric_rank(jac))
-        if best >= bound:
-            break
-    return best
 
 
 def _rank_mod_p(matrix: np.ndarray) -> int:
@@ -253,15 +241,17 @@ class DimensionReport:
     tropical_consistent: bool
 
 
-def certify_dimension(k: int, n: int, m: int, trials: int = 8,
-                      seed: int = 0) -> DimensionReport:
+def certify_dimension(k: int, n: int, m: int, seed: int = 0) -> DimensionReport:
     """Combine the expected dimension, the tropical lower bound from a greedy
-    distance-4 ball placement, and the numeric rank estimate."""
+    distance-4 ball placement, and the numeric rank of the log-gradient
+    differences at one parameter draw."""
     # the tropical matrix, wider than the Jacobian's (k+n+1)m + n columns
     check_cells((1 << (k + n)) * (k + n + 1) * (m + 1),
                 f"certify_dimension at (k, n, m) = ({k}, {n}, {m})")
     expected_value, regime = expected_dim(k, n, m)
-    numeric = crbm_dimension_estimate(k, n, m, trials=trials, seed=seed)
+    grads = _log_grads(random_params(k, n, m, np.random.default_rng(seed)))
+    numeric = numeric_rank((grads[:, 1:] - grads[:, :1])
+                           .reshape(-1, grads.shape[2]))
     balls = greedy_distance4_balls(k, n, m)
     tropical = tropical_rank_mod_inputs(k, n, m, balls)
     return DimensionReport(
@@ -278,7 +268,6 @@ def certify_dimension(k: int, n: int, m: int, trials: int = 8,
 __all__ = [
     "DimensionReport",
     "certify_dimension",
-    "crbm_dimension_estimate",
     "greedy_distance4_balls",
     "numeric_rank",
     "tropical_matrix",

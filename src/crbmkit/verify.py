@@ -23,7 +23,7 @@ from .crbm import (
     eval_conditional,
     random_params,
 )
-from .dimension import certify_dimension, crbm_dimension_estimate
+from .dimension import certify_dimension
 from .distributions import (
     Dist,
     hadamard,
@@ -137,18 +137,22 @@ def _crit_divergence(offset: int = 0) -> tuple[bool, str]:
     return True, f"worst achieved divergence = {worst:.4f} bits"
 
 
-DIMENSION_CASES = [(1, 3, 1, 8), (2, 2, 1, 7), (1, 2, 2, 6), (1, 1, 1, 2)]
+#: (k, n, m, dimension); (4,4,30) and (0,6,12) crowded the singular values of
+#: the p(y|x)-scaled Jacobian into its rank threshold at seed 0
+DIMENSION_CASES = [(1, 3, 1, 8), (2, 2, 1, 7), (1, 2, 2, 6), (1, 1, 1, 2),
+                   (4, 4, 30, 240), (0, 6, 12, 63)]
 
 
 def _crit_dimension(offset: int = 0) -> tuple[bool, str]:
     for (k, n, m, want) in DIMENSION_CASES:
-        rep = certify_dimension(k, n, m)
+        reps = [certify_dimension(k, n, m, seed=s) for s in range(5)]
+        rep = reps[0]
         if rep.expected_value != want or rep.numeric != want:
             return False, (f"({k},{n},{m}): expected {rep.expected_value}, "
                            f"numeric {rep.numeric}, want {want}")
         if rep.tropical > rep.numeric:
             return False, f"({k},{n},{m}): tropical {rep.tropical} > numeric"
-        ranks = {crbm_dimension_estimate(k, n, m, seed=s) for s in range(5)}
+        ranks = {r.numeric for r in reps}
         if ranks != {want}:
             return False, f"({k},{n},{m}): seed instability {ranks}"
     return True, "expected = numeric (5-seed stable), tropical <= numeric"

@@ -67,7 +67,7 @@ def test_pipeline_refuses_at_entry(name, monkeypatch):
     spy(compiler, "build_tilted_step")
     spy(mrf, "younes_solve")
     spy(mrf, "compile_mrf_to_rbm")  # the conditional compile's inner call
-    spy(dimension, "crbm_dimension_estimate")
+    spy(dimension, "numeric_rank")
     monkeypatch.setattr(bitspace, "MAX_CELLS", LIMIT)
     with pytest.raises(CapExceeded) as exc:
         PIPELINES[name]()

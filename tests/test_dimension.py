@@ -14,13 +14,11 @@ from crbmkit.dimension import (
     _placement_clean,
     _rank_mod_p,
     certify_dimension,
-    crbm_dimension_estimate,
     greedy_distance4_balls,
     numeric_rank,
     tropical_matrix,
     tropical_rank_mod_inputs,
 )
-from crbmkit.errors import UnstableRank
 
 
 def test_numeric_rank_examples():
@@ -36,35 +34,36 @@ def test_numeric_rank_examples():
 
 
 def test_dimension_estimates():
-    assert crbm_dimension_estimate(1, 3, 1) == 8
-    assert crbm_dimension_estimate(1, 2, 2) == 6  # ambient 2^1 (2^2 - 1)
+    assert certify_dimension(1, 3, 1).numeric == 8
+    assert certify_dimension(1, 2, 2).numeric == 6  # ambient 2^1 (2^2 - 1)
     # m = 0: rows are identical across x and only b varies: n parameters
-    assert crbm_dimension_estimate(1, 1, 0) == 1
-    assert crbm_dimension_estimate(2, 2, 0) == 2
+    assert certify_dimension(1, 1, 0).numeric == 1
+    assert certify_dimension(2, 2, 0).numeric == 2
 
 
 def test_dimension_estimate_seed_stable():
     for (k, n, m, want) in [(1, 3, 1, 8), (2, 2, 1, 7),
                             (1, 2, 2, 6), (1, 1, 1, 2)]:
-        assert {crbm_dimension_estimate(k, n, m, seed=s)
+        assert {certify_dimension(k, n, m, seed=s).numeric
                 for s in range(5)} == {want}
 
 
-def test_estimate_stops_at_full_rank(monkeypatch):
+def test_certify_draws_parameters_once(monkeypatch):
     calls = []
 
-    def counted(params):
-        calls.append(params)
-        return jacobian(params)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
 
-    jacobian = dimension.conditional_jacobian
-    monkeypatch.setattr(dimension, "conditional_jacobian", counted)
-    # the rank is at most min(param_count, ambient_dim), so a draw reaching
-    # it ends the loop: (2, 2, 1) reaches 7 = param_count, (1, 2, 2) reaches
-    # 6 = ambient_dim < min(8, 10), and (1, 1, 1) reaches 2 = ambient_dim
-    for (k, n, m), want in (((2, 2, 1), 7), ((1, 2, 2), 6), ((1, 1, 1), 2)):
+    draw = dimension.random_params
+    monkeypatch.setattr(dimension, "random_params", counted)
+    # a generic draw has the generic rank, min(param_count, ambient_dim)
+    # here: 7 = param_count at (2, 2, 1), 6 = ambient_dim at (1, 2, 2), and
+    # 240 = ambient_dim at (4, 4, 30), where the p(y|x)-scaled Jacobian's
+    # threshold refused seed 0
+    for (k, n, m), want in (((2, 2, 1), 7), ((1, 2, 2), 6), ((4, 4, 30), 240)):
         calls.clear()
-        assert crbm_dimension_estimate(k, n, m) == want
+        assert certify_dimension(k, n, m).numeric == want
         assert want == min(param_count(k, n, m), ambient_dim(k, n))
         assert len(calls) == 1
 
@@ -344,14 +343,12 @@ def test_tropical_rank_peak_is_within_its_price(size):
     assert peak <= 2 * 8 * price + (1 << 20)
 
 
-@pytest.mark.xfail(strict=True, raises=UnstableRank,
-                   reason="the SVD threshold of numeric_rank reads 237 vs 240 "
-                          "when halved or doubled; ROADMAP item 6 replaces it "
-                          "by an exact modular rank")
 def test_certify_4_4_30_seed_0():
-    # seed 7 certifies the same size
+    # the p(y|x)-scaled Jacobian read 237 vs 240 here when its threshold was
+    # halved or doubled; the log-gradient differences rank it at 240
     rep = certify_dimension(4, 4, 30, seed=0)
-    assert rep.numeric == rep.expected_value
+    assert rep.numeric == rep.expected_value == 240
+    assert rep.tropical == 148
 
 
 def test_rank_mod_p_leaves_its_input_as_it_is():
@@ -363,7 +360,7 @@ def test_rank_mod_p_leaves_its_input_as_it_is():
 
 def test_rank_bounds_sandwich():
     for (k, n, m) in [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 2, 2)]:
-        numeric = crbm_dimension_estimate(k, n, m)
+        numeric = certify_dimension(k, n, m).numeric
         balls = greedy_distance4_balls(k, n, m)
         tropical = tropical_rank_mod_inputs(k, n, m, balls)
         assert tropical <= numeric
@@ -373,4 +370,20 @@ def test_rank_bounds_sandwich():
 def test_full_regime_reaches_ambient():
     for (k, n) in [(1, 1), (1, 2), (2, 1)]:
         m = code_K_exact(k + n, 1)
-        assert crbm_dimension_estimate(k, n, m) == ambient_dim(k, n)
+        assert certify_dimension(k, n, m).numeric == ambient_dim(k, n)
+
+
+#: m of the regression grid: every m up to 12, then the sizes where the
+#: p(y|x)-scaled Jacobian refused (0,5,20..30), (1,5,24..30) and (0,6,12..30)
+GRID_M = [*range(13), 16, 20, 24, 30]
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_certify_answers_across_the_small_grid(width):
+    # every (k, n, m) with k + n = width at seed 0 certifies the generic rank
+    for k in range(width):
+        n = width - k
+        for m in GRID_M:
+            rep = certify_dimension(k, n, m, seed=0)
+            assert rep.numeric == min(param_count(k, n, m), ambient_dim(k, n)), \
+                (k, n, m)
