@@ -73,3 +73,18 @@ def test_pipeline_refuses_at_entry(name, monkeypatch):
         PIPELINES[name]()
     assert f"above the limit MAX_CELLS = {LIMIT}" in str(exc.value)
     assert calls == []
+
+
+def test_certify_refuses_at_entry_once_its_certificate_is_cached(monkeypatch):
+    # the tropical certificate is kept per (k, n, m); the limit is not
+    dimension.certify_dimension(1, 1, 1)
+    assert dimension._certificate.cache_info().currsize >= 1
+    calls = []
+    rank = dimension.numeric_rank
+    monkeypatch.setattr(dimension, "numeric_rank",
+                        lambda *a: calls.append(a) or rank(*a))
+    monkeypatch.setattr(bitspace, "MAX_CELLS", LIMIT)
+    with pytest.raises(CapExceeded) as exc:
+        dimension.certify_dimension(1, 1, 1)
+    assert f"above the limit MAX_CELLS = {LIMIT}" in str(exc.value)
+    assert calls == []

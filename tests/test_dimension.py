@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -314,6 +315,8 @@ def test_certify_dimension_peak_is_within_its_price(size):
     # 1 MiB covers the fixed allocations of a small certificate
     k, n, m = size
     price = (1 << (k + n)) * (k + n + 1) * (m + 1)
+    # a remembered certificate would skip the tropical matrix measured here
+    dimension._certificate.cache_clear()
     tracemalloc.start()
     try:
         rep = certify_dimension(k, n, m)
@@ -341,6 +344,84 @@ def test_tropical_rank_peak_is_within_its_price(size):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * price + (1 << 20)
+
+
+def test_gradient_table_is_freed_before_the_svd(monkeypatch):
+    # the SVD copies its input outside tracemalloc's view, so during it one
+    # table more is alive than at numeric_rank's entry: with only the
+    # differences alive there, two, where keeping the gradient table made
+    # three.  The first call fills the certificate memo, so the measured
+    # call runs the numeric half alone
+    k, n, m = 6, 6, 12
+    table = (1 << (k + n)) * param_count(k, n, m) * 8
+    live = []
+
+    def spied(matrix):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return rank(matrix)
+
+    rank = dimension.numeric_rank
+    monkeypatch.setattr(dimension, "numeric_rank", spied)
+    certify_dimension(k, n, m)
+    tracemalloc.start()
+    try:
+        rep = certify_dimension(k, n, m, seed=1)
+    finally:
+        tracemalloc.stop()
+    assert rep.numeric == 162
+    assert len(live) == 2
+    assert live[1] <= 1.1 * table
+
+
+@pytest.mark.parametrize("size", [(2, 0, 1), (0, 0, 0), (-1, 2, 1)])
+def test_certify_refuses_outside_the_domain_before_any_draw(size, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dimension, "random_params", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="need k >= 0, n >= 1"):
+        certify_dimension(*size)
+    assert calls == []
+
+
+def test_certificate_is_computed_once_per_triple(monkeypatch):
+    calls = []
+
+    def spied(*args):
+        calls.append(args[:3])
+        return tropical(*args)
+
+    tropical = dimension.tropical_rank_mod_inputs
+    monkeypatch.setattr(dimension, "tropical_rank_mod_inputs", spied)
+    dimension._certificate.cache_clear()
+    first = certify_dimension(3, 3, 4, seed=0)
+    second = certify_dimension(3, 3, 4, seed=7)
+    assert calls == [(3, 3, 4)]
+    assert (first.tropical, second.tropical) == (31, 31)
+    certify_dimension(3, 3, 6, seed=0)
+    assert calls == [(3, 3, 4), (3, 3, 6)]
+
+
+#: the golden sizes (the benchmark's certify mix among them), the benchmark's
+#: certify ladder (w // 2, w - w // 2, w) and a slice of the small grid below
+WARM_SIZES = sorted(set(TROPICAL_GOLDEN)
+                    | {(w // 2, w - w // 2, w) for w in range(2, 13)}
+                    | {(k, 5 - k, m) for k in range(5) for m in range(0, 13, 3)})
+
+
+def test_warm_reports_equal_cold_reports():
+    cold = {}
+    for size in WARM_SIZES:
+        dimension._certificate.cache_clear()
+        cold[size] = asdict(certify_dimension(*size, seed=2))
+    # every triple cached at once, then each read back at the same seed
+    for size in WARM_SIZES:
+        certify_dimension(*size, seed=0)
+    assert dimension._certificate.cache_info().currsize == len(WARM_SIZES)
+    for size in WARM_SIZES:
+        warm = asdict(certify_dimension(*size, seed=2))
+        for field, value in cold[size].items():
+            assert warm[field] == value, (size, field)
+    for size, want in TROPICAL_GOLDEN.items():
+        assert cold[size]["tropical"] == want
 
 
 def test_certify_4_4_30_seed_0():
