@@ -107,8 +107,8 @@ def expected_dim(k: int, n: int, m: int) -> tuple[int, str]:
     (with the min of the two formulas) in the gap between the two
     certified regimes, which is surfaced rather than guessed.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0, n >= 1")
+    if k < 0 or n < 1 or m < 0:
+        raise ValueError("need k >= 0, n >= 1, m >= 0")
     if m == 0:
         return n, "parameter-counting"
     length = k + n

@@ -71,7 +71,8 @@ import numpy as np
 from .bitspace import check_cells, star_cylinder, star_members, state_bits
 from .crbm import (CrbmParams, append_hidden_unit, eval_cells,
                    eval_conditional)
-from .distributions import ConditionalTable, kl_conditional, tv_row_distance
+from .distributions import (ConditionalTable, _check_eps, kl_conditional,
+                            tv_row_distance)
 from .errors import (
     BudgetExceeded,
     NotBlockConstant,
@@ -442,6 +443,7 @@ def compile_universal(target: ConditionalTable, r: int | None = None,
     eps / 2^(n+2), renormalized); achieved_tv is measured against the
     clamped target and the clamping error reported separately.
     """
+    _check_eps(eps)
     clamped, clamp_err = clamp_table(target, eps)
     scheme = _ComponentScheme.points(target.n, range(1 << target.n))
     return _compile_packed(clamped, scheme, r, eps, "universal", clamp_err)
@@ -450,6 +452,7 @@ def compile_universal(target: ConditionalTable, r: int | None = None,
 def compile_common_support(target: ConditionalTable, r: int | None = None,
                            eps: float = 1e-2) -> tuple[CrbmParams, CompileReport]:
     """Targets whose rows all share one support T; |T| - 1 steps per star."""
+    _check_eps(eps)
     supports = [frozenset(np.flatnonzero(target.rows[x]).tolist())
                 for x in range(1 << target.k)]
     if len(set(supports)) != 1:
@@ -462,6 +465,7 @@ def compile_common_support(target: ConditionalTable, r: int | None = None,
 def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
                       eps: float = 1e-2) -> tuple[CrbmParams, CompileReport]:
     """Targets block-constant on the cylinder partition of the first l bits."""
+    _check_eps(eps)
     n = target.n
     if not 0 <= l <= n:
         raise ValueError(f"l must be in [0, {n}]")
@@ -495,6 +499,7 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     support point costs one concentrated step, so at most 2^k + d - 1 hidden
     units.
     """
+    _check_eps(eps)
     k = target.k
     total_support = target.support_size()
     if d is None:
@@ -537,6 +542,8 @@ def divergence_witness(target: ConditionalTable,
     """
     from .bounds import feasible_block_width
 
+    if m_budget < 0:
+        raise ValueError(f"m_budget must be >= 0, got {m_budget}")
     k, n = target.k, target.n
     l = feasible_block_width(k, n, m_budget)
     projected = _ComponentScheme.partition(n, l).project(target.rows)

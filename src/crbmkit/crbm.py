@@ -10,7 +10,8 @@ final row normalization.  Compiled constructions push weights to +-1e3 and
 beyond, which would overflow linear-domain arithmetic.  Each entry point
 first checks its cost against ``bitspace.MAX_CELLS``: an evaluation costs
 ``eval_cells(k, n, m)``, its output and its two factor tables, because the
-(2^k, 2^n, m) activations are summed block by block.
+(2^k, 2^n, m) activations are summed block by block.  The Jacobian and
+``dimension`` read one builder of the log-gradient differences.
 
 Joint indexing convention: visible state v = x + 2^k * y (inputs on the low
 bits), matching distributions.conditional_of_joint.
@@ -158,40 +159,41 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
     return CrbmParams._checked(p.k, p.n, p.m + 1, W, V, p.b, c)
 
 
-def _log_grads(p: CrbmParams) -> np.ndarray:
-    """d log G(x,y) / d theta for all (x, y); theta = (W, V, b, c) row-major."""
-    X = state_bits(p.k)
-    Y = state_bits(p.n)
-    nx, ny, m = 1 << p.k, 1 << p.n, p.m
-    grads = np.zeros((nx, ny, p.param_count))
+def _log_grad_diffs(p: CrbmParams) -> np.ndarray:
+    """D(x, y) = g(x, y) - g(x, 0), y >= 1, of g = d log G / d theta, shape
+    (2^k, 2^n - 1, P): s_j(x,y) y_i, (s_j(x,y) - s_j(x,0)) x_i, y_i and
+    s_j(x,y) - s_j(x,0) for W, V, b, c row-major; s_j is unit j's sigmoid."""
+    nx, ny, m = 1 << p.k, (1 << p.n) - 1, p.m
+    X, Y = state_bits(p.k), state_bits(p.n)
+    w, v, b = m * p.n, m * (p.n + p.k), m * (p.n + p.k) + p.n
+    diffs = np.empty((nx, ny, p.param_count))
+    diffs[:, :, v:b] = Y[1:]
     if m:
-        ax = X @ p.V.T
-        ay = Y @ p.W.T
-        sig = sigmoid(ax[:, None, :] + ay[None, :, :] + p.c)  # (nx, ny, m)
-        # W (m x n, row-major): d/dW_ji = sigma_j * y_i
-        gW = sig[:, :, :, None] * Y[None, :, None, :]
-        grads[:, :, : m * p.n] = gW.reshape(nx, ny, m * p.n)
-        # V (m x k): d/dV_ji = sigma_j * x_i
-        gV = sig[:, :, :, None] * X[:, None, None, :]
-        grads[:, :, m * p.n : m * (p.n + p.k)] = gV.reshape(nx, ny, m * p.k)
-        grads[:, :, m * (p.n + p.k) + p.n :] = sig
-    grads[:, :, m * (p.n + p.k) : m * (p.n + p.k) + p.n] = Y[None, :, :]
-    return grads
+        sig = sigmoid((X @ p.V.T)[:, None, :] + Y @ p.W.T + p.c)  # (nx, 2^n, m)
+        np.multiply(sig[:, 1:, :, None], Y[1:, None, :],
+                    out=diffs[:, :, :w].reshape(nx, ny, m, p.n))
+        rise = sig[:, 1:] - sig[:, :1]
+        diffs[:, :, b:] = rise
+        np.multiply(rise[:, :, :, None], X[:, None, None, :],
+                    out=diffs[:, :, w:v].reshape(nx, ny, m, p.k))
+    return diffs
 
 
 def conditional_jacobian(p: CrbmParams) -> np.ndarray:
     """Jacobian of theta -> {p(y|x)}, shape (2^(k+n), (k+n+1)m + n).
 
     Rows are grouped by input block (row index x * 2^n + y); columns follow
-    W row-major, V row-major, b, c.
+    W row-major, V row-major, b, c.  Block x is p(y|x) (D(x, y) - sum_y'
+    p(y'|x) D(x, y')), D the log-gradient differences with D(x, 0) = 0.
     """
     check_cells((1 << (p.k + p.n)) * p.param_count,
                 f"conditional_jacobian at (k, n, m) = ({p.k}, {p.n}, {p.m})")
     table = eval_conditional(p).rows       # (2^k, 2^n)
-    grads = _log_grads(p)                  # (2^k, 2^n, P)
-    mean = np.einsum("xy,xyp->xp", table, grads)
-    jac = table[:, :, None] * (grads - mean[:, None, :])
-    return jac.reshape(-1, grads.shape[2])
+    jac = np.concatenate((np.zeros((1 << p.k, 1, p.param_count)),
+                          _log_grad_diffs(p)), axis=1)
+    jac -= np.einsum("xy,xyp->xp", table, jac)[:, None, :]
+    jac *= table[:, :, None]
+    return jac.reshape(-1, p.param_count)
 
 
 def random_params(k: int, n: int, m: int, rng: np.random.Generator,

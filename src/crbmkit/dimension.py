@@ -1,11 +1,11 @@
 """Dimension certification: numeric Jacobian rank and the tropical bound.
 
 The numeric path ranks the within-block differences D = g(x, y) - g(x, 0)
-of g = d log G / d theta, the gradients of the unnormalized log
-probabilities, at one standard-normal parameter draw.  Block x of the
-Jacobian of theta -> p(y|x) is p(y|x) (g(x, y) - gbar(x)), with
-gbar(x) = sum_y p(y|x) g(x, y): scaling a row by p > 0 keeps the row space,
-and gbar(x) is an affine combination of the g(x, y), so the Jacobian has
+of g = d log G / d theta at one standard-normal parameter draw; D is built
+directly, with no table of g.  Block x of the Jacobian of
+theta -> p(y|x) is p(y|x) (D(x, y) - Dbar(x)), D(x, 0) = 0 and
+Dbar(x) = sum_y p(y|x) D(x, y): scaling a row by p > 0 keeps the row space,
+and Dbar(x) is an affine combination of the D(x, y), so the Jacobian has
 D's rank.  Its rows shrink with p(y|x), which crowds its small singular
 values towards the rank threshold; D's entries lie in [-1, 1].  The rank is
 read off a singular-value threshold, and a count that moves when the
@@ -46,7 +46,7 @@ import numpy as np
 
 from .bitspace import affine_rank, ball_members, check_cells, state_bits
 from .bounds import expected_dim
-from .crbm import _log_grads, random_params
+from .crbm import _log_grad_diffs, random_params
 # not called here: perfbench/spans.py patches this binding (ROADMAP item 2)
 from .crbm import conditional_jacobian  # noqa: F401
 from .errors import UnstableRank
@@ -261,12 +261,9 @@ def _certificate(k: int, n: int, m: int) -> tuple[int, str, int, int, bool]:
 
 def _numeric_dim(k: int, n: int, m: int, seed: int) -> int:
     """``numeric_rank`` of the log-gradient differences at the draw of
-    ``seed``.  The gradient table is dropped before the rank, so the SVD's
-    copy of the differences is the only other table alive beside them."""
-    grads = _log_grads(random_params(k, n, m, np.random.default_rng(seed)))
-    diffs = (grads[:, 1:] - grads[:, :1]).reshape(-1, grads.shape[2])
-    del grads
-    return numeric_rank(diffs)
+    ``seed``; the SVD's copy of them is the only other table alive."""
+    diffs = _log_grad_diffs(random_params(k, n, m, np.random.default_rng(seed)))
+    return numeric_rank(diffs.reshape(-1, diffs.shape[2]))
 
 
 def certify_dimension(k: int, n: int, m: int, seed: int = 0) -> DimensionReport:
@@ -277,12 +274,12 @@ def certify_dimension(k: int, n: int, m: int, seed: int = 0) -> DimensionReport:
     Only the numeric rank depends on ``seed``.  The rest is computed on the
     first call at (k, n, m) in a process and kept as five scalars; the cell
     limit is checked on every call."""
+    # expected_dim's domain, refused before the price or the numeric rank
+    if k < 0 or n < 1 or m < 0:
+        raise ValueError("need k >= 0, n >= 1, m >= 0")
     # the tropical matrix, wider than the Jacobian's (k+n+1)m + n columns
     check_cells((1 << (k + n)) * (k + n + 1) * (m + 1),
                 f"certify_dimension at (k, n, m) = ({k}, {n}, {m})")
-    # expected_dim's domain, refused before the numeric rank starts
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0, n >= 1")
     # ranked before a first call builds the tropical matrix, whose freed heap
     # would sit under the SVD's peak: 344 against 320 MiB at (8,8,16)
     numeric = _numeric_dim(k, n, m, seed)

@@ -11,6 +11,7 @@ joint index v = x + 2^k * y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,12 @@ from .bitspace import check_width
 from .errors import DisjointSupports, ShapeMismatch, WidthMismatch, ZeroInputMass
 
 SUM_TOL = 1e-12
+
+
+def _check_eps(eps: float) -> None:
+    """Refuse a TV tolerance that is not finite and > 0, before any work."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bitspace import state_bits
 from .crbm import CrbmParams, eval_conditional, sigmoid
-from .distributions import ConditionalTable, tv_row_distance
+from .distributions import ConditionalTable, _check_eps, tv_row_distance
 from .errors import NotGeneric, ScaleCapExceeded, ShapeMismatch, TieEncountered
 
 SCALE_CAP = 2.0 ** 40
@@ -128,6 +128,7 @@ def embed_ltn_in_crbm(net: ThresholdNet, eps: float = 1e-3
     """CRBM parameters (t W, t alpha V, t b, t alpha c) approximating the
     network's deterministic conditional within per-row TV eps; returns the
     accepted scale t."""
+    _check_eps(eps)
     try:
         target = ltn_table(net)
     except TieEncountered as exc:
@@ -157,6 +158,7 @@ def embed_sigmoid_output(net: ThresholdNet, eps: float = 1e-3) -> CrbmParams:
     finite so the conditional given the winning hidden state is the product
     of logistic Bernoullis.
     """
+    _check_eps(eps)
     target = sigmoid_output_table(net)
     alpha = _alpha_for(net)
     params, _ = _first_scale_within(

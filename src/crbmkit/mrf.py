@@ -307,7 +307,7 @@ def _faces_to_cancel(complex_: SimplicialComplex, keep: frozenset[int]
     return [bits[np.lexsort(bits.T[::-1])] for bits in levels if bits.size]
 
 
-def _cancel_faces(model: MrfModel, keep: frozenset[int]
+def _cancel_faces(model: MrfModel, keep: frozenset[int], what: str
                   ) -> tuple[CrbmParams, np.ndarray]:
     """One hidden unit per face of cardinality > 1 outside ``keep``, on all
     of the model's units, and the residue it leaves: the visible biases are
@@ -320,16 +320,21 @@ def _cancel_faces(model: MrfModel, keep: frozenset[int]
     the residues of subsets of its face, so every face of one cardinality
     has its residue fixed before any of them is solved: each level is one
     ``younes_solve`` call, and its polynomials are subtracted in face order
-    by one scatter.
+    by one scatter.  Before the first solve, the (m, n) weights and each
+    level's (f_q, 2^q) subset masks and coefficients are checked against the
+    cell limit under the name ``what``.
     """
     n = model.n
+    levels = _faces_to_cancel(model.complex, keep)
+    check_cells(max([n * sum(map(len, levels))]
+                    + [len(bits) << bits.shape[1] for bits in levels]), what)
     residue = np.zeros(1 << n)
     for a, th in model.theta.items():
         residue[a] += th
 
     weights = [np.zeros((0, n))]
     biases = [np.zeros(0)]
-    for bits in _faces_to_cancel(model.complex, keep):
+    for bits in levels:
         f, q = bits.shape
         # masks[i, l] is the face-i subset whose j-th coordinate is the j-th
         # bit of the local index l; l = 2^q - 1 is the face itself
@@ -374,9 +379,10 @@ def compile_mrf_to_rbm(model: MrfModel,
     residues become the RBM's visible biases.
     """
     n = model.n
-    check_cells(1 << n, f"compile_mrf_to_rbm at n = {n}")
+    what = f"compile_mrf_to_rbm at n = {n}"
+    check_cells(1 << n, what)
     keep = j_keep.faces if j_keep is not None else frozenset({0})
-    params, residue = _cancel_faces(model, keep)
+    params, residue = _cancel_faces(model, keep, what)
     # the correction carries exactly the kept cardinality >= 2 coefficients,
     # negated
     faces = np.array(sorted(keep))
@@ -404,10 +410,11 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     n_total = model.n
     if not 0 <= k < n_total:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
-    check_cells(1 << n_total, f"compile_conditional_mrf at n = {n_total}")
+    what = f"compile_conditional_mrf at n = {n_total}"
+    check_cells(1 << n_total, what)
     n = n_total - k
     # the input-only faces: every subset of the first k units
-    rbm, _ = _cancel_faces(model, frozenset(range(1 << k)))
+    rbm, _ = _cancel_faces(model, frozenset(range(1 << k)), what)
     w_full = rbm.W  # (m, k+n)
     return CrbmParams(
         k, n, rbm.m,

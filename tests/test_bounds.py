@@ -109,6 +109,12 @@ def test_expected_dim_examples():
     assert expected_dim(0, 3, 1)[0] == param_count(0, 3, 1) == 7
 
 
+@pytest.mark.parametrize("size", [(1, 2, -1), (0, 1, -5), (-1, 2, 1), (2, 0, 1)])
+def test_expected_dim_refuses_outside_its_domain(size):
+    with pytest.raises(ValueError, match="need k >= 0, n >= 1, m >= 0"):
+        expected_dim(*size)
+
+
 def test_expected_dim_never_exceeds_param_or_ambient():
     for k in range(0, 4):
         for n in range(1, 4):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from crbmkit import compiler
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
@@ -91,6 +92,28 @@ def test_compile_infeasible_depth():
 def test_compile_unreachable_eps_raises():
     with pytest.raises(BudgetExceeded):
         compile_universal(random_conditional(1, 1, 3), r=1, eps=1e-15)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("mode", ["universal", "common", "partition", "support"])
+def test_compile_refuses_a_bad_eps_at_entry(mode, eps, monkeypatch):
+    # no tau level runs, and no clamp or packing is built first; the
+    # partition compile at l = 0 would return without any level
+    calls = []
+    for name in ("_compile_over_tau", "clamp_table", "build_packing"):
+        fn = getattr(compiler, name)
+        monkeypatch.setattr(compiler, name, lambda *a, fn=fn, name=name, **kw:
+                            calls.append(name) or fn(*a, **kw))
+    t = ConditionalTable.deterministic(2, 1, [0, 1, 1, 0])
+    compile_ = {"universal": lambda: compile_universal(t, eps=eps),
+                "common": lambda: compile_common_support(
+                    ConditionalTable.uniform(2, 1), eps=eps),
+                "partition": lambda: compile_partition(
+                    ConditionalTable.uniform(2, 1), 0, eps=eps),
+                "support": lambda: compile_support_points(t, eps=eps)}[mode]
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        compile_()
+    assert calls == []
 
 
 def test_support_points_deterministic():
@@ -237,6 +260,15 @@ def test_divergence_witness_examples():
     t = block_constant_target(1, 2, 1, seed=12)
     params, div = divergence_witness(t, m_budget=1)
     assert div <= 0.05
+
+
+def test_divergence_witness_refuses_a_negative_budget(monkeypatch):
+    calls = []
+    monkeypatch.setattr(compiler, "compile_partition",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="m_budget must be >= 0"):
+        divergence_witness(random_conditional(1, 2, seed=13), -1)
+    assert calls == []
 
 
 def test_divergence_witness_uniform_fallback():

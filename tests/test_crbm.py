@@ -188,6 +188,26 @@ def test_jacobian_matches_finite_differences(shape):
         assert np.abs(jac - fd).max() <= 1e-6
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 4), (3, 2, 0),
+                                   (0, 1, 0), (1, 1, 1)])
+def test_log_grad_diffs_match_a_per_state_reference(shape):
+    # g(x, y) = d log G / d theta = (s y^T, s x^T, y, s), s = sigmoid(V x +
+    # W y + c), one state at a time; the builder returns g(x, y) - g(x, 0)
+    k, n, m = shape
+    p = random_params(k, n, m, np.random.default_rng(sum(shape)))
+
+    def grad(x, y):
+        s = 1.0 / (1.0 + np.exp(-(p.V @ x + p.W @ y + p.c)))
+        return np.concatenate([np.outer(s, y).ravel(), np.outer(s, x).ravel(),
+                               y, s])
+
+    X, Y = state_bits(k), state_bits(n)
+    want = np.array([[grad(x, y) - grad(x, Y[0]) for y in Y[1:]] for x in X])
+    got = crbm._log_grad_diffs(p)
+    assert got.shape == ((1 << k), (1 << n) - 1, p.param_count)
+    assert np.abs(got - want).max() <= 1e-15
+
+
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         eval_conditional(zero_params(13, 13, 13))

@@ -346,18 +346,19 @@ def test_tropical_rank_peak_is_within_its_price(size):
     assert peak <= 2 * 8 * price + (1 << 20)
 
 
-def test_gradient_table_is_freed_before_the_svd(monkeypatch):
-    # the SVD copies its input outside tracemalloc's view, so during it one
-    # table more is alive than at numeric_rank's entry: with only the
-    # differences alive there, two, where keeping the gradient table made
-    # three.  The first call fills the certificate memo, so the measured
-    # call runs the numeric half alone
+def test_no_gradient_table_is_built_before_the_svd(monkeypatch):
+    # the log-gradient differences D are built without a (2^k, 2^n, P)
+    # gradient table: at numeric_rank's entry D alone is alive, and the
+    # build peaks at 1.23 D-sized tables, against 2.0 for the table plus
+    # its differences.  The SVD copies D outside tracemalloc's view.  The
+    # first call fills the certificate memo, so the measured call runs the
+    # numeric half alone
     k, n, m = 6, 6, 12
-    table = (1 << (k + n)) * param_count(k, n, m) * 8
-    live = []
+    table = (1 << k) * ((1 << n) - 1) * param_count(k, n, m) * 8
+    traced = []
 
     def spied(matrix):
-        live.append(tracemalloc.get_traced_memory()[0])
+        traced.append(tracemalloc.get_traced_memory())
         return rank(matrix)
 
     rank = dimension.numeric_rank
@@ -369,15 +370,18 @@ def test_gradient_table_is_freed_before_the_svd(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.numeric == 162
-    assert len(live) == 2
-    assert live[1] <= 1.1 * table
+    assert len(traced) == 2
+    live, peak = traced[1]
+    assert live <= 1.1 * table
+    assert peak <= 1.8 * table
 
 
-@pytest.mark.parametrize("size", [(2, 0, 1), (0, 0, 0), (-1, 2, 1)])
+@pytest.mark.parametrize("size", [(2, 0, 1), (0, 0, 0), (-1, 2, 1), (1, 2, -1),
+                                  (-5, 1, 1)])
 def test_certify_refuses_outside_the_domain_before_any_draw(size, monkeypatch):
     calls = []
     monkeypatch.setattr(dimension, "random_params", lambda *a: calls.append(a))
-    with pytest.raises(ValueError, match="need k >= 0, n >= 1"):
+    with pytest.raises(ValueError, match="need k >= 0, n >= 1, m >= 0"):
         certify_dimension(*size)
     assert calls == []
 

@@ -5,6 +5,7 @@ from crbmkit.bitspace import state_bits
 from crbmkit.crbm import CrbmParams, eval_conditional, random_params
 from crbmkit.distributions import tv_row_distance
 from crbmkit.errors import NotGeneric, TieEncountered
+from crbmkit import ltn
 from crbmkit.ltn import (
     ThresholdNet,
     check_deter_fixed_point,
@@ -247,3 +248,15 @@ def test_parity_budget_within_deterministic_bound():
         assert parity_net(k).m == k <= max(sufficient, k)
         if k >= 2:
             assert k <= sufficient
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("embed", [embed_ltn_in_crbm, embed_sigmoid_output])
+def test_embedding_refuses_a_bad_eps_at_entry(embed, eps, monkeypatch):
+    # no table of the net is built and no scale is tried
+    calls = []
+    for name in ("ltn_table", "sigmoid_output_table", "eval_conditional"):
+        monkeypatch.setattr(ltn, name, lambda *a, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        embed(parity_net(2), eps)
+    assert calls == []

@@ -3,11 +3,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from crbmkit import mrf
+from crbmkit import bitspace, mrf
 from crbmkit.bitspace import popcounts, set_bits
 from crbmkit.crbm import eval_conditional, eval_joint_rbm
 from crbmkit.distributions import conditional_of_joint, hadamard, tv_row_distance
-from crbmkit.errors import NoBracket
+from crbmkit.errors import CapExceeded, NoBracket
 from crbmkit.mrf import (
     SOLVE_TOL,
     MrfModel,
@@ -487,3 +487,25 @@ def test_conditional_family_cor4_instance():
     for x in range(2):
         px = mrf_distribution(MrfModel(j_out, rows[x]))
         assert np.abs(got.rows[x] - px.probs).sum() <= 1e-6
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_compile_is_priced_on_its_largest_table(k, monkeypatch):
+    # on the full complex at n = 10 the largest table is a level's subset
+    # masks and coefficients, C(10, 7) faces x 2^7 = 15360 cells, above the
+    # residue's 2^10 and the weights' 1013 x 10
+    full = SimplicialComplex.full(10)
+    model = MrfModel(full, {a: 0.1 for a in full.faces if a})
+    compile_ = (compile_mrf_to_rbm if k == 0
+                else lambda mod: compile_conditional_mrf(mod, k))
+    calls = []
+    solve = mrf.younes_solve
+    monkeypatch.setattr(mrf, "younes_solve",
+                        lambda *a: calls.append(a[1]) or solve(*a))
+    monkeypatch.setattr(bitspace, "MAX_CELLS", 15359)
+    with pytest.raises(CapExceeded, match="needs 15360 cells"):
+        compile_(model)
+    assert calls == []
+    monkeypatch.setattr(bitspace, "MAX_CELLS", 15360)
+    compile_(model)
+    assert calls[0] == 10
