@@ -6,73 +6,53 @@ conditional tables into explicit weights, certifying model dimension,
 evaluating divergence bounds, and compiling Markov random fields and
 threshold networks into (C)RBM parameters, with every construction checked
 against brute-force oracles at desk scale.
+
+``import crbmkit`` loads no submodule: each public name below is imported
+from its defining module on first use (PEP 562) and kept here after that.
 """
 
-from .bitspace import ball_members, cylinder_members, star_members
-from .bounds import (
-    BoundsReport,
-    code_A_exact,
-    code_A_lower,
-    code_K_exact,
-    code_K_upper,
-    deterministic_m_bounds,
-    divergence_upper,
-    expected_dim,
-    universal_m_table,
-)
-from .compiler import (
-    CompileReport,
-    compile_common_support,
-    compile_partition,
-    compile_support_points,
-    compile_universal,
-    divergence_witness,
-)
-from .crbm import (
-    CrbmParams,
-    append_hidden_unit,
-    conditional_jacobian,
-    eval_conditional,
-    eval_joint_rbm,
-)
-from .dimension import (
-    DimensionReport,
-    certify_dimension,
-    numeric_rank,
-    tropical_rank_mod_inputs,
-)
-from .distributions import (
-    ConditionalTable,
-    Dist,
-    conditional_of_joint,
-    hadamard,
-    kl_conditional,
-    kl_dist,
-    random_conditional,
-    tv_row_distance,
-)
-from .ltn import (
-    ThresholdNet,
-    check_deter_fixed_point,
-    embed_ltn_in_crbm,
-    embed_sigmoid_output,
-    parity_net,
-)
-from .mrf import (
-    MrfModel,
-    SimplicialComplex,
-    compile_conditional_mrf,
-    compile_mrf_to_rbm,
-    mrf_distribution,
-    younes_solve,
-)
-from .packing import (
-    PackingSequence,
-    build_packing,
-    seq_values,
-    validate_packing,
-)
-from .sharing import SharingStep, make_reset_step
-from .verify import verify_all
+from importlib import import_module
 
+#: the public names by the submodule that defines them
+_EXPORTS = {
+    "bitspace": ("ball_members", "cylinder_members", "star_members"),
+    "bounds": ("BoundsReport", "code_A_exact", "code_A_lower", "code_K_exact",
+               "code_K_upper", "deterministic_m_bounds", "divergence_upper",
+               "expected_dim", "universal_m_table"),
+    "compiler": ("CompileReport", "compile_common_support", "compile_partition",
+                 "compile_support_points", "compile_universal",
+                 "divergence_witness"),
+    "crbm": ("CrbmParams", "append_hidden_unit", "conditional_jacobian",
+             "eval_conditional", "eval_joint_rbm"),
+    "dimension": ("DimensionReport", "certify_dimension", "numeric_rank",
+                  "tropical_rank_mod_inputs"),
+    "distributions": ("ConditionalTable", "Dist", "conditional_of_joint",
+                      "hadamard", "kl_conditional", "kl_dist",
+                      "random_conditional", "tv_row_distance"),
+    "ltn": ("ThresholdNet", "check_deter_fixed_point", "embed_ltn_in_crbm",
+            "embed_sigmoid_output", "parity_net"),
+    "mrf": ("MrfModel", "SimplicialComplex", "compile_conditional_mrf",
+            "compile_mrf_to_rbm", "mrf_distribution", "younes_solve"),
+    "packing": ("PackingSequence", "build_packing", "seq_values",
+                "validate_packing"),
+    "sharing": ("SharingStep", "make_reset_step"),
+    "verify": ("verify_all",),
+}
+
+#: the submodule that defines each public name
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

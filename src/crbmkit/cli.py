@@ -9,7 +9,8 @@ their dataclass fields.  Every JSON payload carries a versioned schema tag;
 the tests, not the CLI, check payloads against docs/output-schemas.json.
 Exit codes: 0 success, 1 domain error (a table above bitspace.MAX_CELLS
 cells is one, refused before it is built), 2 usage error; every subcommand
-checks its arguments before any work starts.
+checks its arguments before any work starts.  A subcommand imports only the
+library modules it runs.
 """
 
 from __future__ import annotations
@@ -22,33 +23,33 @@ import json
 import math
 import os
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import packing as packing_mod
+from . import _HOME
 from .bitspace import check_cells, star_cylinder
-from .compiler import (
-    compile_common_support,
-    compile_partition,
-    compile_support_points,
-    compile_universal,
-    divergence_witness,
-)
-from .crbm import eval_cells, eval_conditional
-from .dimension import certify_dimension
-from .distributions import ConditionalTable, random_conditional, tv_row_distance
 from .errors import CrbmKitError
-from .ltn import ThresholdNet, embed_ltn_in_crbm, ltn_table, parity_net
-from .mrf import (
-    MrfModel,
-    SimplicialComplex,
-    compile_conditional_mrf,
-    compile_mrf_to_rbm,
-    conditional_budget,
-    mrf_distribution,
-)
-from .verify import verify_all
+
+#: the library names the handlers call that the package does not export,
+#: by defining module
+_CLI_HOME = {"eval_cells": "crbm", "ltn_table": "ltn",
+             "conditional_budget": "mrf", "star_count": "packing"}
+
+
+def __getattr__(name: str):
+    """A library name, read off its defining module at every lookup, so a
+    wrapper set on that module's binding sees the call too."""
+    module = _HOME.get(name) or _CLI_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{module}"), name)
+
+
+#: this module: the handlers call every library function through it, so a
+#: subcommand imports only the modules it runs, and a wrapper set on one of
+#: this module's bindings sees the call
+_cli = sys.modules[__name__]
 
 
 def _json_value(obj):
@@ -90,11 +91,11 @@ class _UsageError(Exception):
 def _cmd_bounds(args) -> int:
     if args.k < 0 or args.n < 1 or (args.m is not None and args.m < 0):
         raise _UsageError("--k must be >= 0, --n >= 1 and --m >= 0")
-    rep = bounds_mod.universal_m_table(args.k, args.n)
+    rep = _cli.universal_m_table(args.k, args.n)
     deterministic = None  # its bounds are stated for k >= 1 only
     if args.k:
         deterministic = dict(zip(("sufficient", "necessary"),
-                                 bounds_mod.deterministic_m_bounds(args.k, args.n)))
+                                 _cli.deterministic_m_bounds(args.k, args.n)))
     payload = {
         "schema": "crbmkit-bounds/1",
         "k": args.k, "n": args.n,
@@ -102,9 +103,9 @@ def _cmd_bounds(args) -> int:
         "deterministic": deterministic,
     }
     if args.m is not None:
-        value, regime = bounds_mod.expected_dim(args.k, args.n, args.m)
+        value, regime = _cli.expected_dim(args.k, args.n, args.m)
         payload["expected_dim"] = {"value": value, "regime": regime}
-        payload["divergence_upper"] = bounds_mod.divergence_upper(
+        payload["divergence_upper"] = _cli.divergence_upper(
             args.k, args.n, args.m)
     _emit(payload, args.out)
     return 0
@@ -117,7 +118,7 @@ def _cmd_table1(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["r", "coef", "F", "R", "K", "P"])
     for r in range(1, args.rmax + 1):
-        v = packing_mod.seq_values(r)
+        v = _cli.seq_values(r)
         writer.writerow([r, format(2.0 ** -v.S, ".17g"), v.F, v.paper_resets,
                          format(v.K, ".17g"), format(v.P, ".17g")])
     _write(buf.getvalue(), args.out)
@@ -136,11 +137,11 @@ PACK_STAR_CELLS = 144
 def _cmd_pack(args) -> int:
     if args.k < 0 or args.r < 1:
         raise _UsageError("--k must be >= 0 and --r >= 1")
-    stars = packing_mod.star_count(args.k, args.r)
+    stars = _cli.star_count(args.k, args.r)
     check_cells(stars * PACK_STAR_CELLS,
                 f"pack at (k, r) = ({args.k}, {args.r}) with {stars} stars")
-    seq = packing_mod.build_packing(args.k, args.r)
-    report = packing_mod.validate_packing(seq)
+    seq = _cli.build_packing(args.k, args.r)
+    report = _cli.validate_packing(seq)
     payload = {
         "schema": "crbmkit-pack/1",
         "k": args.k, "r": args.r,
@@ -162,10 +163,11 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _random_target(args) -> ConditionalTable:
+def _random_target(args):
+    """The seeded target ``ConditionalTable`` of a compile."""
     k, n = args.k, args.n
     if args.mode == "universal":
-        return random_conditional(k, n, args.seed)
+        return _cli.random_conditional(k, n, args.seed)
     rng = np.random.default_rng(args.seed)
     if args.mode == "support":
         d = args.d if args.d is not None else min(2, (1 << k) * ((1 << n) - 1))
@@ -177,18 +179,19 @@ def _random_target(args) -> ConditionalTable:
             rows[e // (1 << n), e % (1 << n)] += 1.0
         rows *= rng.uniform(0.5, 1.5, size=rows.shape)
         rows /= rows.sum(axis=1, keepdims=True)
-        return ConditionalTable(k, n, rows)
+        return _cli.ConditionalTable(k, n, rows)
     if args.mode == "common":
         size = args.support_size
         support = sorted(rng.choice(1 << n, size=size, replace=False).tolist())
         rows = np.zeros(((1 << k), (1 << n)))
         rows[:, support] = rng.dirichlet(np.ones(size), size=1 << k)
-        return ConditionalTable(k, n, rows)
+        return _cli.ConditionalTable(k, n, rows)
     # partition: each block's mass spread evenly over its 2^(n-l) outputs
     l = args.l
     masses = rng.dirichlet(np.ones(1 << l), size=1 << k)
     y = np.arange(1 << n)
-    return ConditionalTable(k, n, masses[:, y & ((1 << l) - 1)] / (1 << (n - l)))
+    return _cli.ConditionalTable(k, n,
+                                 masses[:, y & ((1 << l) - 1)] / (1 << (n - l)))
 
 
 def _check_compile_args(args) -> None:
@@ -215,13 +218,13 @@ def _cmd_compile(args) -> int:
     check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
     target = _random_target(args)
     if args.mode == "universal":
-        params, report = compile_universal(target, args.r, args.eps)
+        params, report = _cli.compile_universal(target, args.r, args.eps)
     elif args.mode == "support":
-        params, report = compile_support_points(target, args.d, args.eps)
+        params, report = _cli.compile_support_points(target, args.d, args.eps)
     elif args.mode == "common":
-        params, report = compile_common_support(target, args.r, args.eps)
+        params, report = _cli.compile_common_support(target, args.r, args.eps)
     else:
-        params, report = compile_partition(target, args.l, args.r, args.eps)
+        params, report = _cli.compile_partition(target, args.l, args.r, args.eps)
     payload = {
         "schema": "crbmkit-compile/1",
         "seed": args.seed,
@@ -237,7 +240,7 @@ def _cmd_compile(args) -> int:
 def _cmd_dim(args) -> int:
     if args.k < 0 or args.n < 1 or args.m < 0:
         raise _UsageError("--k must be >= 0, --n >= 1 and --m >= 0")
-    rep = certify_dimension(args.k, args.n, args.m, seed=args.seed)
+    rep = _cli.certify_dimension(args.k, args.n, args.m, seed=args.seed)
     payload = {"schema": "crbmkit-dim/1"} | _json_value(rep)
     _emit(payload, args.out)
     return 0
@@ -247,14 +250,14 @@ def _cmd_divergence(args) -> int:
     if args.k < 1 or args.n < 1 or args.m < 0:
         raise _UsageError("--k and --n must be >= 1 and --m >= 0")
     check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
-    target = random_conditional(args.k, args.n, args.seed)
-    params, div = divergence_witness(target, args.m)
+    target = _cli.random_conditional(args.k, args.n, args.seed)
+    params, div = _cli.divergence_witness(target, args.m)
     payload = {
         "schema": "crbmkit-divergence/1",
         "seed": args.seed,
         "k": args.k, "n": args.n, "m_budget": args.m,
         "divergence": div,
-        "divergence_upper": bounds_mod.divergence_upper(args.k, args.n, args.m),
+        "divergence_upper": _cli.divergence_upper(args.k, args.n, args.m),
         "params": params,
     }
     _emit(payload, args.out)
@@ -317,23 +320,20 @@ def _cmd_mrf(args) -> int:
     if not 0 <= args.k < n:
         raise _UsageError(f"--k must be in [0, n - 1] = [0, {n - 1}]")
     check_cells(1 << n, f"a field over n = {n} units")
-    complex_ = SimplicialComplex.from_generators(n, generators)
+    complex_ = _cli.SimplicialComplex.from_generators(n, generators)
     # the verification evaluates the compiled CRBM: price it before compiling
-    m = conditional_budget(complex_, args.k)
-    check_cells(eval_cells(args.k, n - args.k, m),
+    m = _cli.conditional_budget(complex_, args.k)
+    check_cells(_cli.eval_cells(args.k, n - args.k, m),
                 f"verifying a field over n = {n} units with {m} hidden units")
-    model = MrfModel(complex_, theta)
+    model = _cli.MrfModel(complex_, theta)
     if args.k:
-        params = compile_conditional_mrf(model, args.k)
-        from .distributions import conditional_of_joint
-        want = conditional_of_joint(mrf_distribution(model), args.k)
-        tv = tv_row_distance(want, eval_conditional(params))
+        params = _cli.compile_conditional_mrf(model, args.k)
+        want = _cli.conditional_of_joint(_cli.mrf_distribution(model), args.k)
+        tv = _cli.tv_row_distance(want, _cli.eval_conditional(params))
     else:
-        params, correction = compile_mrf_to_rbm(model)
-        from .crbm import eval_joint_rbm
-        from .distributions import hadamard
-        lhs = hadamard(mrf_distribution(model), correction)
-        tv = float(np.abs(lhs.probs - eval_joint_rbm(params).probs).sum())
+        params, correction = _cli.compile_mrf_to_rbm(model)
+        lhs = _cli.hadamard(_cli.mrf_distribution(model), correction)
+        tv = float(np.abs(lhs.probs - _cli.eval_joint_rbm(params).probs).sum())
     payload = {
         "schema": "crbmkit-mrf/1",
         "n": n, "k": args.k,
@@ -354,19 +354,19 @@ def _cmd_ltn(args) -> int:
         raise _UsageError("--eps must be finite and > 0")
     n, m = (1, args.k) if args.mode == "parity" else (args.n, args.m)
     # the embedding evaluates the CRBM of the net's m units: price it first
-    check_cells(eval_cells(args.k, n, m),
+    check_cells(_cli.eval_cells(args.k, n, m),
                 f"embedding a net at (k, n, m) = ({args.k}, {n}, {m})")
     if args.mode == "parity":
-        net = parity_net(args.k)
+        net = _cli.parity_net(args.k)
     else:
         rng = np.random.default_rng(args.seed)
-        net = ThresholdNet(args.k, args.m, args.n,
-                           rng.standard_normal((args.m, args.k)),
-                           rng.standard_normal(args.m) + 0.1,
-                           rng.standard_normal((args.m, args.n)),
-                           rng.standard_normal(args.n) + 0.05)
-    params, t_used = embed_ltn_in_crbm(net, args.eps)
-    tv = tv_row_distance(eval_conditional(params), ltn_table(net))
+        net = _cli.ThresholdNet(args.k, args.m, args.n,
+                                rng.standard_normal((args.m, args.k)),
+                                rng.standard_normal(args.m) + 0.1,
+                                rng.standard_normal((args.m, args.n)),
+                                rng.standard_normal(args.n) + 0.05)
+    params, t_used = _cli.embed_ltn_in_crbm(net, args.eps)
+    tv = _cli.tv_row_distance(_cli.eval_conditional(params), _cli.ltn_table(net))
     payload = {
         "schema": "crbmkit-ltn/1",
         "mode": args.mode,
@@ -380,7 +380,7 @@ def _cmd_ltn(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = verify_all(seed_offset=args.seed)
+    results = _cli.verify_all(seed_offset=args.seed)
     # no timings in the payload: identical seeds must give identical bytes
     payload = {
         "schema": "crbmkit-verify/1",

@@ -413,8 +413,9 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     what = f"compile_conditional_mrf at n = {n_total}"
     check_cells(1 << n_total, what)
     n = n_total - k
-    # the input-only faces: every subset of the first k units
-    rbm, _ = _cancel_faces(model, frozenset(range(1 << k)), what)
+    # the complex's input-only faces: its faces inside the first k units
+    inputs = frozenset(a for a in model.complex.faces if a >> k == 0)
+    rbm, _ = _cancel_faces(model, inputs, what)
     w_full = rbm.W  # (m, k+n)
     return CrbmParams(
         k, n, rbm.m,

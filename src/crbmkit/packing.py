@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -118,8 +117,9 @@ def seq_values(r: int) -> SeqValues:
         R=rr,
         paper_resets=0 if r == 1 else rr,
         E=e_value(r),
-        K=float(Fraction(f, 1 << s)),
-        P=float(Fraction(rr, 1 << s)),
+        # int true division is correctly rounded, like float(Fraction)
+        K=f / (1 << s),
+        P=rr / (1 << s),
     )
 
 

@@ -430,11 +430,48 @@ def test_console_entry_point():
     assert proc.stdout.startswith("r,coef,F,R,K,P")
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is only needed by the exact code-size solvers
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, crbmkit.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
+def _loaded_by(argv):
+    """The crbmkit modules, fractions and scipy.optimize loaded in a fresh
+    interpreter that imports the CLI and then, given arguments, runs it."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import crbmkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = crbmkit.cli.main({argv!r}) if {argv!r} else 0\n"
+        "print(json.dumps([rc, [m for m in sys.modules if m in "
+        "('fractions', 'scipy.optimize') or m.split('.')[0] == 'crbmkit']]))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    return set(loaded)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is only needed by the exact code-size solvers, and the
+    # import loads no library module a subcommand may not run
+    assert _loaded_by([]) == {"crbmkit", "crbmkit.cli", "crbmkit.bitspace",
+                              "crbmkit.errors"}
+
+
+MRF_ARGS = ["mrf", "--complex", '{"n": 3, "faces": [[1, 2, 3]]}',
+            "--theta", '[[[1, 2], 0.5], [[1, 2, 3], -0.3]]']
+NOT_PACKING_OR_BOUNDS = {"compiler", "sharing", "dimension", "mrf", "ltn",
+                         "verify"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["table1", "--rmax", "5"], NOT_PACKING_OR_BOUNDS),
+    (["bounds", "--k", "3", "--n", "2", "--m", "4"], NOT_PACKING_OR_BOUNDS),
+    (["pack", "--k", "4", "--r", "2"], NOT_PACKING_OR_BOUNDS),
+    (["ltn", "--mode", "parity", "--k", "3"], {"compiler", "dimension"}),
+    (["ltn", "--mode", "embed", "--k", "2", "--m", "2", "--n", "2"],
+     {"compiler", "dimension"}),
+    (MRF_ARGS, {"compiler", "dimension"}),
+    (MRF_ARGS + ["--k", "1"], {"compiler", "dimension"}),
+])
+def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
+    loaded = _loaded_by(argv)
+    assert not loaded & {f"crbmkit.{name}" for name in unloaded}
+    assert "fractions" not in loaded

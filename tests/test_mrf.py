@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -509,3 +510,22 @@ def test_compile_is_priced_on_its_largest_table(k, monkeypatch):
     monkeypatch.setattr(bitspace, "MAX_CELLS", 15360)
     compile_(model)
     assert calls[0] == 10
+
+
+def test_conditional_compile_keeps_only_the_complex_input_faces():
+    # a pairwise chain on 19 units given the first 18: the input-only faces
+    # kept are the chain's own, not all 2^18 subsets of the inputs, so the
+    # peak stays within three 2^19-entry tables (8 bytes each) and 1 MiB
+    n, k = 19, 18
+    cx = SimplicialComplex.from_generators(n, [3 << i for i in range(n - 1)])
+    rng = np.random.default_rng(19)
+    model = MrfModel(cx, {a: float(rng.standard_normal())
+                          for a in sorted(cx.faces) if a})
+    tracemalloc.start()
+    try:
+        params = compile_conditional_mrf(model, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.m == conditional_budget(cx, k) == 1
+    assert peak <= 3 * 8 * (1 << n) + (1 << 20)

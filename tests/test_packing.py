@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def test_seq_values_table_rows():
     v5 = seq_values(5)
     assert (v5.F, v5.R) == (8408, 1144)
 
+
+
+def test_seq_values_ratios_are_correctly_rounded():
+    # K = F / 2^S and P = R / 2^S as the nearest doubles to the exact ratios
+    for r in range(1, 41):
+        v = seq_values(r)
+        assert v.K == float(Fraction(v.F, 2 ** v.S))
+        assert v.P == float(Fraction(v.R, 2 ** v.S))
 
 def test_k_coefficient_limits():
     ks = [k_coefficient(r) for r in range(1, 60)]
