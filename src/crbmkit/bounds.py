@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitspace import popcounts
 from .errors import TooLarge
-from .packing import best_depth, feasible_depths, seq_values, universal_budget
+from .packing import feasible_depths, universal_budget
 
 #: exact-search cap for code functions
 CODE_CAP = 6
@@ -216,7 +216,6 @@ def deterministic_necessity_check(k: int, n: int) -> bool:
 __all__ = [
     "BoundsReport",
     "ambient_dim",
-    "best_depth",
     "code_A_exact",
     "code_A_lower",
     "code_K_exact",
@@ -227,7 +226,5 @@ __all__ = [
     "expected_dim",
     "feasible_block_width",
     "param_count",
-    "seq_values",
-    "universal_budget",
     "universal_m_table",
 ]

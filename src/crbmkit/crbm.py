@@ -11,7 +11,8 @@ beyond, which would overflow linear-domain arithmetic.  Each entry point
 first checks its cost against ``bitspace.MAX_CELLS``: an evaluation costs
 ``eval_cells(k, n, m)``, its output and its two factor tables, because the
 (2^k, 2^n, m) activations are summed block by block.  The Jacobian and
-``dimension`` read one builder of the log-gradient differences.
+both of ``dimension``'s ranks read one builder of the log-gradient
+differences.
 
 Joint indexing convention: visible state v = x + 2^k * y (inputs on the low
 bits), matching distributions.conditional_of_joint.
@@ -67,6 +68,21 @@ class CrbmParams:
         for name, value in zip("knmWVbc", (k, n, m, W, V, b, c)):
             object.__setattr__(p, name, value)
         return p
+
+    @classmethod
+    def from_vector(cls, k: int, n: int, m: int, theta) -> "CrbmParams":
+        """The model of theta = (W, V, b, c), W and V row-major: the order
+        of ``vector`` and of the Jacobian's columns.  theta is copied."""
+        theta = np.array(theta, dtype=float)
+        if theta.shape != ((k + n + 1) * m + n,):
+            raise ShapeMismatch(f"theta of shape {theta.shape} for "
+                                f"(k, n, m) = ({k}, {n}, {m})")
+        w, v, b = m * n, m * (n + k), m * (n + k) + n
+        return cls(k, n, m, theta[:w], theta[w:v], theta[v:b], theta[b:])
+
+    def vector(self) -> np.ndarray:
+        """theta = (W, V, b, c), W and V row-major."""
+        return np.concatenate((self.W.ravel(), self.V.ravel(), self.b, self.c))
 
     @staticmethod
     def bias_only(k: int, n: int, b) -> "CrbmParams":
@@ -159,24 +175,34 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
     return CrbmParams._checked(p.k, p.n, p.m + 1, W, V, p.b, c)
 
 
-def _log_grad_diffs(p: CrbmParams) -> np.ndarray:
-    """D(x, y) = g(x, y) - g(x, 0), y >= 1, of g = d log G / d theta, shape
-    (2^k, 2^n - 1, P): s_j(x,y) y_i, (s_j(x,y) - s_j(x,0)) x_i, y_i and
-    s_j(x,y) - s_j(x,0) for W, V, b, c row-major; s_j is unit j's sigmoid."""
-    nx, ny, m = 1 << p.k, (1 << p.n) - 1, p.m
-    X, Y = state_bits(p.k), state_bits(p.n)
-    w, v, b = m * p.n, m * (p.n + p.k), m * (p.n + p.k) + p.n
-    diffs = np.empty((nx, ny, p.param_count))
+def _log_grad_diffs(X: np.ndarray, Y: np.ndarray,
+                    act: np.ndarray) -> np.ndarray:
+    """D(x, y) = g(x, y) - g(x, 0), y >= 1, of g = d log G / d theta at the
+    unit activations s = ``act`` (2^k, 2^n, m), the sigmoids or 0/1 ball
+    memberships, over the bit tables X and Y; shape (2^k, 2^n - 1, P) in
+    ``act``'s dtype: s_j(x,y) y_i, (s_j(x,y) - s_j(x,0)) x_i, y_i and
+    s_j(x,y) - s_j(x,0) for W, V, b, c row-major."""
+    nx, k = X.shape
+    ny, n = Y.shape[0] - 1, Y.shape[1]
+    m = act.shape[2]
+    w, v, b = m * n, m * (n + k), m * (n + k) + n
+    diffs = np.empty((nx, ny, b + m), dtype=act.dtype)
     diffs[:, :, v:b] = Y[1:]
-    if m:
-        sig = sigmoid((X @ p.V.T)[:, None, :] + Y @ p.W.T + p.c)  # (nx, 2^n, m)
-        np.multiply(sig[:, 1:, :, None], Y[1:, None, :],
-                    out=diffs[:, :, :w].reshape(nx, ny, m, p.n))
-        rise = sig[:, 1:] - sig[:, :1]
-        diffs[:, :, b:] = rise
-        np.multiply(rise[:, :, :, None], X[:, None, None, :],
-                    out=diffs[:, :, w:v].reshape(nx, ny, m, p.k))
+    np.multiply(act[:, 1:, :, None], Y[1:, None, :],
+                out=diffs[:, :, :w].reshape(nx, ny, m, n))
+    rise = act[:, 1:] - act[:, :1]
+    diffs[:, :, b:] = rise
+    np.multiply(rise[:, :, :, None], X[:, None, None, :],
+                out=diffs[:, :, w:v].reshape(nx, ny, m, k))
     return diffs
+
+
+def _sigmoid_diffs(p: CrbmParams) -> np.ndarray:
+    """The log-gradient differences of ``p``: ``_log_grad_diffs`` at the
+    sigmoids s_j(x, y) of its hidden units."""
+    X, Y = state_bits(p.k), state_bits(p.n)
+    return _log_grad_diffs(X, Y, sigmoid((X @ p.V.T)[:, None, :]
+                                         + Y @ p.W.T + p.c))
 
 
 def conditional_jacobian(p: CrbmParams) -> np.ndarray:
@@ -190,7 +216,7 @@ def conditional_jacobian(p: CrbmParams) -> np.ndarray:
                 f"conditional_jacobian at (k, n, m) = ({p.k}, {p.n}, {p.m})")
     table = eval_conditional(p).rows       # (2^k, 2^n)
     jac = np.concatenate((np.zeros((1 << p.k, 1, p.param_count)),
-                          _log_grad_diffs(p)), axis=1)
+                          _sigmoid_diffs(p)), axis=1)
     jac -= np.einsum("xy,xyp->xp", table, jac)[:, None, :]
     jac *= table[:, :, None]
     return jac.reshape(-1, p.param_count)
@@ -198,8 +224,5 @@ def conditional_jacobian(p: CrbmParams) -> np.ndarray:
 
 def random_params(k: int, n: int, m: int, rng: np.random.Generator,
                   scale: float = 1.0) -> CrbmParams:
-    return CrbmParams(k, n, m,
-                      scale * rng.standard_normal((m, n)),
-                      scale * rng.standard_normal((m, k)),
-                      scale * rng.standard_normal(n),
-                      scale * rng.standard_normal(m))
+    return CrbmParams.from_vector(
+        k, n, m, scale * rng.standard_normal((k + n + 1) * m + n))

@@ -13,21 +13,22 @@ threshold is halved or doubled raises UnstableRank.  At generic parameters
 the rank equals the model dimension, and a standard-normal draw is generic
 with probability one, so one draw is taken.
 
-The tropical path builds the integer matrix (A | A_{C_1} | ... | A_{C_m})
-whose row at visible state v = (x, y) is (1, v) masked by membership in each
-slicing C_i.  Its column span modulo functions of x lower-bounds the
-dimension.  The input cylinders [x] are quotiented out by within-block row
-differences: row (x, 0) is subtracted from every row (x, y != 0), and the
-rank of these differences is the bound.  The indicator columns X of the
-cylinders enter only that argument, never an array.  The rank is taken
-over F_p, p = 2^31 - 1, in two stages.  A peel reads only the zero pattern:
-a column, failing that a row, with a single nonzero is a pivot, and
-clearing the rest of its row, or column, with it changes no other entry,
-so the peeled pivots add exactly to the rank of what remains.  The
-residual (89 x 35 of the 240 x 81 differences at (4,4,8)) is gathered
-once and ranked by int64 Gaussian elimination.  For an integer matrix the
-rank over F_p never exceeds the rank over Q, so the result is a certified
-lower bound on the rank, and with it on the dimension.
+The tropical path ranks the same builder's D at 0/1 activations, unit i
+being the indicator of a radius-1 ball C_i.  Up to column order and zero
+columns, that D is the within-block row differences, (x, y) minus (x, 0),
+of the integer matrix (A | A_{C_1} | ... | A_{C_m}) whose row at visible
+state v = (x, y) is (1, v) masked by membership in each C_i.  That
+matrix's column span modulo functions of x lower-bounds the dimension, and
+the differences quotient out the input cylinders [x], so D's rank is the
+bound.  The rank is taken over F_p, p = 2^31 - 1, in two stages.  A peel
+reads only the zero pattern: a column, failing that a row, with a single
+nonzero is a pivot, and clearing the rest of its row, or column, with it
+changes no other entry, so the peeled pivots add exactly to the rank of
+what remains.  The residual (89 x 35 of the 240 x 76 differences at
+(4,4,8)) is gathered once and ranked by int64 Gaussian elimination.  For an
+integer matrix the rank over F_p never exceeds the rank over Q, so the
+result is a certified lower bound on the rank, and with it on the
+dimension.
 
 Only the numeric path depends on the draw.  The expected dimension, the
 ball placement, the tropical rank and whether the placement is clean depend
@@ -45,8 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bitspace import affine_rank, ball_members, check_cells, state_bits
-from .bounds import expected_dim
-from .crbm import _log_grad_diffs, random_params
+from .bounds import expected_dim, param_count
+from .crbm import _log_grad_diffs, _sigmoid_diffs, random_params
 # not called here: perfbench/spans.py patches this binding (ROADMAP item 2)
 from .crbm import conditional_jacobian  # noqa: F401
 from .errors import UnstableRank
@@ -78,13 +79,6 @@ def numeric_rank(matrix: np.ndarray) -> int:
     if lo != hi:
         raise UnstableRank(f"rank {lo} vs {hi} under threshold perturbation")
     return int((sv > tol).sum())
-
-
-def _rank_mod_p(matrix: np.ndarray) -> int:
-    """Rank over F_p, p = MOD_PRIME, of an integer matrix, which is left
-    as it is.  For an integer matrix the result never exceeds the rank over
-    Q."""
-    return _peel_and_eliminate(np.asarray(matrix, dtype=np.int64) % MOD_PRIME)
 
 
 def _peel_and_eliminate(rows: np.ndarray) -> int:
@@ -157,55 +151,39 @@ def _eliminate_mod_p(rows: np.ndarray) -> int:
     return rank
 
 
-def tropical_matrix(k: int, n: int, slicings: list[int]) -> np.ndarray:
-    """(A | A_{C_1} | ... | A_{C_m}) as a 0/1 int64 array of shape
-    (2^(k+n), (k+n+1)(m+1)), m = len(slicings).
+def tropical_rank_mod_inputs(k: int, n: int, m: int,
+                             slicings: list[int]) -> int:
+    """Rank of the column span modulo functions of x achievable on the
+    radius-1 ball slicings centered at ``slicings``: the rank over F_p of
+    the log-gradient differences D at 0/1 activations, unit i being 1
+    exactly on the ball at ``slicings[i]``.
 
-    Rows are indexed by visible states v = x + 2^k*y; A's row is (1, bits(v));
-    block i is that row masked by membership of v in the radius-1 ball
-    centered at ``slicings[i]``.  The input cylinders [x] are not built:
-    ``tropical_rank_mod_inputs`` quotients them out.  A center that is not a
-    state of {0,1}^(k+n) raises ValueError.
+    Up to column order and zero columns, D holds the within-block row
+    differences of A_theta = (A | A_{C_1} | ... | A_{C_m}).  Subtracting
+    row (x, 0) from the rows (x, y != 0) of each input block clears the
+    indicator columns X of the input cylinders, and X's identity on the
+    rows (x, 0) then clears the rest of those rows, so rank(A_theta | X) =
+    2^k + rank(D).  The rank over F_p, a certified lower bound on the rank
+    over Q, is taken by peeling the pivots D's zero pattern decides (a
+    column or row with one nonzero), which is exact over any field, then
+    eliminating the residual submatrix.  A center that is not a state of
+    {0,1}^(k+n) raises ValueError.
     """
+    if len(slicings) > m:
+        raise ValueError("more slicings than hidden units")
     width = k + n
-    for center in slicings:
+    # state x + 2^k y of a ball sits at act[x, y]
+    act = np.zeros((1 << k, 1 << n, len(slicings)), dtype=np.int64)
+    for i, center in enumerate(slicings):
         if (not isinstance(center, (int, np.integer))
                 or not 0 <= center < 1 << width):
             raise ValueError(f"slicing center {center!r} is not a state of "
                              f"{{0,1}}^{width}")
-    base = np.ones((1 << width, width + 1), dtype=np.int64)
-    base[:, 1:] = state_bits(width)
-    # mask column 0 holds every state, so the first masked block is A
-    masks = np.zeros((1 << width, len(slicings) + 1), dtype=np.int64)
-    masks[:, 0] = 1
-    for i, center in enumerate(slicings):
-        masks[ball_members(center, width), i + 1] = 1
-    return (masks[:, :, None] * base[:, None, :]).reshape(1 << width, -1)
-
-
-def tropical_rank_mod_inputs(k: int, n: int, m: int,
-                             slicings: list[int]) -> int:
-    """Rank of the column span modulo functions of x achievable on the
-    radius-1 ball slicings centered at ``slicings``: rank(A_theta | X) - 2^k,
-    where A_theta = ``tropical_matrix(k, n, slicings)`` and X holds the
-    indicator columns of the input cylinders [x].
-
-    The input cylinders are quotiented out by within-block row differences.
-    Subtracting row (x, 0) from the rows (x, y != 0) of each input block
-    clears their X columns, and X's identity on the rows (x, 0) then clears
-    the rest of those rows, so rank(A_theta | X) = 2^k + rank(D), where D
-    holds the differences of the rows of A_theta.  X itself is never built.
-    D overwrites A_theta, and its rank over F_p, a certified lower bound on
-    its rank over Q, is taken by peeling the pivots its zero pattern decides
-    (a column or row with one nonzero), which is exact over any field, then
-    eliminating the residual submatrix.
-    """
-    if len(slicings) > m:
-        raise ValueError("more slicings than hidden units")
-    blocks = tropical_matrix(k, n, slicings).reshape(1 << n, 1 << k, -1)
-    # the differences, in {-1, 0, 1}, overwrite the rows they are taken of
-    blocks[1:] -= blocks[:1]
-    return _peel_and_eliminate(blocks[1:].reshape(-1, blocks.shape[2]))
+        members = np.array(ball_members(center, width))
+        act[members & ((1 << k) - 1), members >> k, i] = 1
+    diffs = _log_grad_diffs(state_bits(k).astype(np.int64),
+                            state_bits(n).astype(np.int64), act)
+    return _peel_and_eliminate(diffs.reshape(-1, diffs.shape[2]))
 
 
 def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:
@@ -262,7 +240,7 @@ def _certificate(k: int, n: int, m: int) -> tuple[int, str, int, int, bool]:
 def _numeric_dim(k: int, n: int, m: int, seed: int) -> int:
     """``numeric_rank`` of the log-gradient differences at the draw of
     ``seed``; the SVD's copy of them is the only other table alive."""
-    diffs = _log_grad_diffs(random_params(k, n, m, np.random.default_rng(seed)))
+    diffs = _sigmoid_diffs(random_params(k, n, m, np.random.default_rng(seed)))
     return numeric_rank(diffs.reshape(-1, diffs.shape[2]))
 
 
@@ -277,11 +255,14 @@ def certify_dimension(k: int, n: int, m: int, seed: int = 0) -> DimensionReport:
     # expected_dim's domain, refused before the price or the numeric rank
     if k < 0 or n < 1 or m < 0:
         raise ValueError("need k >= 0, n >= 1, m >= 0")
-    # the tropical matrix, wider than the Jacobian's (k+n+1)m + n columns
-    check_cells((1 << (k + n)) * (k + n + 1) * (m + 1),
+    # D, the table both ranks build (0/1 for the tropical rank, float for
+    # the numeric one), or the placement check's (2^(k+n), k+n+1) affine
+    # table of the states outside the balls, which is larger when m <= 1
+    check_cells(max((1 << k) * ((1 << n) - 1) * param_count(k, n, m),
+                    (1 << (k + n)) * (k + n + 1)),
                 f"certify_dimension at (k, n, m) = ({k}, {n}, {m})")
-    # ranked before a first call builds the tropical matrix, whose freed heap
-    # would sit under the SVD's peak: 344 against 320 MiB at (8,8,16)
+    # ranked before a first call builds the tropical differences, whose
+    # freed heap would sit under the SVD's peak
     numeric = _numeric_dim(k, n, m, seed)
     expected_value, regime, tropical, balls_placed, placement_clean = \
         _certificate(k, n, m)
@@ -301,6 +282,5 @@ __all__ = [
     "certify_dimension",
     "greedy_distance4_balls",
     "numeric_rank",
-    "tropical_matrix",
     "tropical_rank_mod_inputs",
 ]

@@ -278,8 +278,7 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
         m = int(rng.integers(0, 3))
         params = random_params(k, n, m, rng)
         jac = conditional_jacobian(params)
-        theta = np.concatenate([params.W.ravel(), params.V.ravel(),
-                                params.b, params.c])
+        theta = params.vector()
         h = 1e-5
         cols = rng.choice(theta.size, size=min(3, theta.size), replace=False)
         for j in cols:
@@ -308,11 +307,8 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
 
 
 def _table_of(theta: np.ndarray, k: int, n: int, m: int) -> np.ndarray:
-    W = theta[: m * n].reshape(m, n)
-    V = theta[m * n : m * (n + k)].reshape(m, k)
-    b = theta[m * (n + k) : m * (n + k) + n]
-    c = theta[m * (n + k) + n :]
-    return eval_conditional(CrbmParams(k, n, m, W, V, b, c)).rows.reshape(-1)
+    p = CrbmParams.from_vector(k, n, m, theta)
+    return eval_conditional(p).rows.reshape(-1)
 
 
 CRITERIA: list[tuple[str, str, Callable[..., tuple[bool, str]]]] = [

@@ -91,13 +91,28 @@ def test_dim_json(capsys):
 
 
 def test_dim_certifies_a_wide_input_at_one_output(capsys):
-    # (12,1,2): the tropical matrix without input-cylinder columns fits the
-    # cell limit; with the 2^k identity columns it would need 33.9M cells
+    # (12,1,2): the log-gradient differences both ranks build take 0.12M
+    # cells; the tropical matrix with the 2^k identity columns of the input
+    # cylinders would need 33.9M
     code, out = run_cli(["dim", "--k", "12", "--n", "1", "--m", "2"], capsys)
     assert code == 0
     obj = json.loads(out)
     assert obj["numeric"] == obj["expected_value"] == 29
     assert obj["tropical"] <= obj["numeric"]
+
+
+def test_dim_refuses_the_placement_table_above_the_limit(capsys,
+                                                       monkeypatch):
+    # (24,1,0): D takes 2^24 cells, but the placement check's affine table
+    # of the 2^25 states takes 26 * 2^25, so the call is refused at entry
+    from crbmkit import dimension
+    monkeypatch.setattr(dimension, "_numeric_dim", None)
+    monkeypatch.setattr(dimension, "_certificate", None)
+    code = main(["dim", "--k", "24", "--n", "1", "--m", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: CapExceeded: certify_dimension at "
+                          "(k, n, m) = (24, 1, 0) needs 872415232 cells")
 
 
 def test_divergence_json(capsys):

@@ -170,14 +170,11 @@ def test_jacobian_matches_finite_differences(shape):
     for _ in range(20):
         p = random_params(k, n, m, rng)
         jac = conditional_jacobian(p)
-        theta = np.concatenate([p.W.ravel(), p.V.ravel(), p.b, p.c])
+        theta = p.vector()
 
         def table_at(th):
-            W = th[: m * n].reshape(m, n)
-            V = th[m * n: m * (n + k)].reshape(m, k)
-            b = th[m * (n + k): m * (n + k) + n]
-            c = th[m * (n + k) + n:]
-            return eval_conditional(CrbmParams(k, n, m, W, V, b, c)).rows.reshape(-1)
+            q = CrbmParams.from_vector(k, n, m, th)
+            return eval_conditional(q).rows.reshape(-1)
 
         fd = np.empty_like(jac)
         for j in range(theta.size):
@@ -203,9 +200,39 @@ def test_log_grad_diffs_match_a_per_state_reference(shape):
 
     X, Y = state_bits(k), state_bits(n)
     want = np.array([[grad(x, y) - grad(x, Y[0]) for y in Y[1:]] for x in X])
-    got = crbm._log_grad_diffs(p)
+    got = crbm._sigmoid_diffs(p)
     assert got.shape == ((1 << k), (1 << n) - 1, p.param_count)
     assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 4), (3, 2, 0), (1, 1, 1)])
+def test_theta_vector_round_trips_in_jacobian_column_order(shape):
+    # theta = (W, V, b, c), W and V row-major: the Jacobian's column order
+    k, n, m = shape
+    p = random_params(k, n, m, np.random.default_rng(sum(shape)))
+    theta = p.vector()
+    assert theta.shape == (p.param_count,)
+    assert np.array_equal(theta, np.concatenate([p.W.ravel(), p.V.ravel(),
+                                                 p.b, p.c]))
+    q = CrbmParams.from_vector(k, n, m, theta)
+    for name in "WVbc":
+        assert np.array_equal(getattr(q, name), getattr(p, name))
+    # from_vector copies: the model does not move with its argument
+    theta[:] = 0.0
+    assert np.array_equal(q.vector(), p.vector())
+    with pytest.raises(ShapeMismatch):
+        CrbmParams.from_vector(k, n, m, np.zeros(p.param_count + 1))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (0, 3, 4), (3, 2, 0), (4, 4, 30)])
+def test_random_params_draws_w_v_b_c_in_order(shape):
+    # one draw of P normals is the four draws of W, V, b and c in turn
+    k, n, m = shape
+    p = random_params(k, n, m, np.random.default_rng(7), scale=0.5)
+    rng = np.random.default_rng(7)
+    for name, size in (("W", (m, n)), ("V", (m, k)), ("b", n), ("c", m)):
+        assert np.array_equal(getattr(p, name),
+                              0.5 * rng.standard_normal(size))
 
 
 def test_cap_enforced():

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crbmkit import dimension
-from crbmkit.bitspace import affine_rank, ball_members
+from crbmkit.bitspace import MAX_CELLS, affine_rank, ball_members, state_bits
 from crbmkit.bounds import ambient_dim, code_A_exact, code_K_exact, param_count
 from crbmkit.dimension import (
     MOD_PRIME,
     _eliminate_mod_p,
+    _peel_and_eliminate,
     _placement_clean,
-    _rank_mod_p,
     certify_dimension,
     greedy_distance4_balls,
     numeric_rank,
-    tropical_matrix,
     tropical_rank_mod_inputs,
 )
+from crbmkit.errors import CapExceeded
 
 
 def test_numeric_rank_examples():
@@ -112,10 +112,16 @@ def _exact_int_rank(matrix) -> int:
     return rank
 
 
+def rank_mod_p(matrix) -> int:
+    """Rank over F_p, p = MOD_PRIME, of an integer matrix: the peel and
+    elimination of its residues."""
+    return _peel_and_eliminate(np.asarray(matrix, dtype=np.int64) % MOD_PRIME)
+
+
 @given(small_int_matrices)
 def test_int_rank_matches_exact_rank(rows):
     # the F_p rank of an integer matrix never exceeds its rank over Q
-    assert _rank_mod_p(np.array(rows)) <= _exact_int_rank(rows)
+    assert rank_mod_p(np.array(rows)) <= _exact_int_rank(rows)
 
 
 #: nonzero entries of the planted singletons; MOD_PRIME is nonzero over Q
@@ -152,17 +158,24 @@ def test_peeled_rank_matches_plain_elimination(mat):
     # the peel's pivots are exact over F_p: peeling, then eliminating the
     # residual, gives the rank that eliminating the whole matrix gives
     want = _eliminate_mod_p(mat % MOD_PRIME)
-    assert _rank_mod_p(mat) == want
+    assert rank_mod_p(mat) == want
     assert want <= _exact_int_rank(mat)
 
 
-def test_tropical_matrix_shape():
-    # (A | A_{C_1} | ... | A_{C_m}): no input-cylinder columns
-    balls = greedy_distance4_balls(2, 3, 3)
-    mat = tropical_matrix(2, 3, balls)
-    assert mat.dtype == np.int64
-    assert mat.shape == (32, (2 + 3 + 1) * (len(balls) + 1))
-    assert set(np.unique(mat)) <= {0, 1}
+def tropical_matrix(k, n, slicings):
+    """(A | A_{C_1} | ... | A_{C_m}), the oracle of the tropical rank: a 0/1
+    int64 array of shape (2^(k+n), (k+n+1)(m+1)), m = len(slicings), whose
+    row at v = x + 2^k*y is (1, bits(v)) in A and that row masked by
+    membership of v in the ball centered at ``slicings[i]`` in block i."""
+    width = k + n
+    base = np.ones((1 << width, width + 1), dtype=np.int64)
+    base[:, 1:] = state_bits(width)
+    # mask column 0 holds every state, so the first masked block is A
+    masks = np.zeros((1 << width, len(slicings) + 1), dtype=np.int64)
+    masks[:, 0] = 1
+    for i, center in enumerate(slicings):
+        masks[ball_members(center, width), i + 1] = 1
+    return (masks[:, :, None] * base[:, None, :]).reshape(1 << width, -1)
 
 
 #: exact Fraction-elimination ranks of the greedy placements (k, n, m) -> value
@@ -210,8 +223,47 @@ def test_quotient_matches_full_matrix(case):
     k, n, m, balls = case
     inputs = np.tile(np.eye(2 ** k, dtype=np.int64), (2 ** n, 1))
     full = np.hstack([tropical_matrix(k, n, balls), inputs])
-    want = _rank_mod_p(full) - 2 ** k
+    want = rank_mod_p(full) - 2 ** k
     assert tropical_rank_mod_inputs(k, n, m, balls) == want
+
+
+@pytest.mark.parametrize("case", QUOTIENT_CASES,
+                         ids=lambda c: "-".join(map(str, c[:3])) + ":"
+                         + ",".join(map(str, c[3])))
+def test_tropical_diffs_are_the_full_matrix_differences(case, monkeypatch):
+    # the log-gradient differences D at 0/1 ball activations, as the
+    # tropical rank builds them, are the oracle's within-block differences
+    # after the column map, entry by entry
+    k, n, m, balls = case
+    built = []
+
+    def spied(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    build = dimension._log_grad_diffs
+    monkeypatch.setattr(dimension, "_log_grad_diffs", spied)
+    tropical_rank_mod_inputs(k, n, m, balls)
+    (got,) = built
+    units = len(balls)
+    full = tropical_matrix(k, n, balls).reshape(1 << n, 1 << k, units + 1,
+                                                k + n + 1)
+    # [x, y - 1, block, column]; block 0 is A, column 0 the constant, then
+    # the k x-bits and the n y-bits
+    diffs = (full[1:] - full[:1]).transpose(1, 0, 2, 3)
+    w, v, b = units * n, units * (n + k), units * (n + k) + n
+    assert got.dtype == np.int64
+    assert got.shape == (1 << k, (1 << n) - 1, b + units)
+    rows = got.shape[:2]
+    ball_cols = diffs[:, :, 1:]
+    assert np.array_equal(got[:, :, :w].reshape(*rows, units, n),
+                          ball_cols[:, :, :, k + 1:])           # W
+    assert np.array_equal(got[:, :, w:v].reshape(*rows, units, k),
+                          ball_cols[:, :, :, 1:k + 1])          # V
+    assert np.array_equal(got[:, :, v:b], diffs[:, :, 0, k + 1:])  # b
+    assert np.array_equal(got[:, :, b:], ball_cols[:, :, :, 0])   # c
+    # the columns D leaves out: A's constant and x-bits
+    assert not diffs[:, :, 0, :k + 1].any()
 
 
 def test_tropical_rank_m0():
@@ -232,8 +284,6 @@ def test_tropical_rank_refuses_centers_off_the_cube(center):
     # (k, n) = (1, 3): centers are the states 0 .. 15 of {0,1}^4
     with pytest.raises(ValueError, match="is not a state of"):
         tropical_rank_mod_inputs(1, 3, 2, [0, center])
-    with pytest.raises(ValueError, match="is not a state of"):
-        tropical_matrix(1, 3, [center])
 
 
 def test_tropical_rank_distance4_packing():
@@ -308,14 +358,22 @@ def test_certify_dimension_cases(case):
     assert rep.tropical_consistent
 
 
-@pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2)])
+def _certify_price(k, n, m):
+    # D, the (2^k, 2^n - 1, P) differences both ranks build, or the
+    # placement check's (2^(k+n), k+n+1) affine table, whichever is larger
+    return max((1 << k) * ((1 << n) - 1) * param_count(k, n, m),
+               (1 << (k + n)) * (k + n + 1))
+
+
+@pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2), (12, 1, 0)])
 def test_certify_dimension_peak_is_within_its_price(size):
-    # the price is the tropical matrix (A | A_{C_1} | ... | A_{C_m}), int64;
-    # the elimination's row updates are about as large again, and the
-    # 1 MiB covers the fixed allocations of a small certificate
+    # the elimination's row updates are about as large again as D, and the
+    # 1 MiB covers the fixed allocations of a small certificate; at m = 0
+    # the placement check's table is the price (D is 1/28 of it at
+    # (12,1,0), and the peak reads 3.2x the price there)
     k, n, m = size
-    price = (1 << (k + n)) * (k + n + 1) * (m + 1)
-    # a remembered certificate would skip the tropical matrix measured here
+    price = _certify_price(k, n, m)
+    # a remembered certificate would skip the tropical rank measured here
     dimension._certificate.cache_clear()
     tracemalloc.start()
     try:
@@ -328,14 +386,33 @@ def test_certify_dimension_peak_is_within_its_price(size):
     assert peak <= 4 * 8 * price + (1 << 20)
 
 
+@pytest.mark.parametrize("size", [(24, 1, 0), (22, 2, 0), (20, 1, 1)])
+def test_certify_refuses_the_placement_table_above_the_limit(size, monkeypatch):
+    # D fits the cell limit at these sizes, but the placement check's
+    # affine table does not (about 7 GB of floats at (24,1,0)): the call
+    # is refused at entry, before either rank or the check starts
+    k, n, m = size
+    assert (1 << k) * ((1 << n) - 1) * param_count(k, n, m) <= MAX_CELLS
+    assert _certify_price(k, n, m) > MAX_CELLS
+
+    def no_work(*args):
+        raise AssertionError("certify started work above the cell limit")
+
+    monkeypatch.setattr(dimension, "_numeric_dim", no_work)
+    monkeypatch.setattr(dimension, "_certificate", no_work)
+    with pytest.raises(CapExceeded, match=f"certify_dimension at "
+                       f"\\(k, n, m\\) = \\({k}, {n}, {m}\\)"):
+        certify_dimension(k, n, m)
+
+
 @pytest.mark.parametrize("size", [(11, 2, 2), (12, 1, 2), (6, 6, 12)])
 def test_tropical_rank_peak_is_within_its_price(size):
-    # the row differences overwrite the tropical matrix, and the peel adds
-    # only their zero pattern, 1/8 of it, and the residual it gathers: the
-    # peak reads 1.45x at (11,2,2) and (12,1,2), set by building the matrix,
-    # and 1.35x at (6,6,12), where eliminating the whole matrix read 2.66x
+    # the int64 differences D are the price; the peel adds their zero
+    # pattern, 1/8 of it, and the residual it gathers, and the build adds
+    # the 0/1 activations and the bit tables: the peak reads 1.41x at
+    # (11,2,2), 1.83x at (12,1,2) and 1.43x at (6,6,12)
     k, n, m = size
-    price = (1 << (k + n)) * (k + n + 1) * (m + 1)
+    price = (1 << k) * ((1 << n) - 1) * param_count(k, n, m)
     balls = greedy_distance4_balls(k, n, m)
     tracemalloc.start()
     try:
@@ -438,8 +515,9 @@ def test_certify_4_4_30_seed_0():
 
 def test_rank_mod_p_leaves_its_input_as_it_is():
     rows = np.array([[2, 4, -1], [1, 2, 3], [0, 5, 7]], dtype=np.int64)
+    rows %= MOD_PRIME
     before = rows.copy()
-    assert _rank_mod_p(rows) == 3
+    assert _peel_and_eliminate(rows) == 3
     assert np.array_equal(rows, before)
 
 
