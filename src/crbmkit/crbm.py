@@ -222,7 +222,7 @@ def conditional_jacobian(p: CrbmParams) -> np.ndarray:
     return jac.reshape(-1, p.param_count)
 
 
-def random_params(k: int, n: int, m: int, rng: np.random.Generator,
-                  scale: float = 1.0) -> CrbmParams:
+def random_params(k: int, n: int, m: int, rng: np.random.Generator
+                  ) -> CrbmParams:
     return CrbmParams.from_vector(
-        k, n, m, scale * rng.standard_normal((k + n + 1) * m + n))
+        k, n, m, rng.standard_normal((k + n + 1) * m + n))

@@ -49,9 +49,6 @@ class Dist:
         object.__setattr__(self, "probs", p)
         p.setflags(write=False)
 
-    def __getitem__(self, idx: int) -> float:
-        return float(self.probs[idx])
-
     @staticmethod
     def uniform(width: int) -> "Dist":
         n = 1 << width
@@ -82,10 +79,6 @@ class ConditionalTable:
 
     def row(self, x: int) -> Dist:
         return Dist(self.n, self.rows[x])
-
-    @staticmethod
-    def uniform(k: int, n: int) -> "ConditionalTable":
-        return ConditionalTable(k, n, np.full((1 << k, 1 << n), 1.0 / (1 << n)))
 
     @staticmethod
     def deterministic(k: int, n: int, outputs: list[int]) -> "ConditionalTable":

@@ -13,6 +13,9 @@ polynomial is also closed form, from two finite differences.  A unit
 changes only the residues of subsets of its face, so all faces of one
 cardinality are solved together: one masked solve per cardinality level,
 and one scatter subtracting that level's polynomials from the residue.
+A complex is closed downward, so every subset a unit touches is a face:
+the residue lives per face, one slot of the complex's sorted face array
+each, and nothing of size 2^n is built by the cancellation.
 """
 
 from __future__ import annotations
@@ -27,21 +30,27 @@ import numpy as np
 from .bitspace import check_cells, popcounts, set_bits, state_bits
 from .crbm import CrbmParams
 from .distributions import Dist
-from .errors import BudgetMismatch, NoBracket
+from .errors import BudgetMismatch, NoBracket, TooLarge
 
 SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A downward-closed family of subsets of [N], stored as bitmasks."""
+    """A downward-closed family of subsets of [N], stored as bitmasks; at
+    most 63 units, so that every face is an int64 mask."""
 
     n: int
     faces: frozenset[int]
+    #: the faces, ascending, as a read-only int64 array
+    face_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground set size must be >= 1")
+        if self.n > 63:
+            raise TooLarge(f"a complex on {self.n} units: faces are int64 "
+                           f"masks, capped at the 63-unit limit")
         if 0 not in self.faces:
             raise ValueError("a simplicial complex contains the empty face")
         for a in self.faces:
@@ -49,12 +58,14 @@ class SimplicialComplex:
                 raise ValueError(f"face {a:b} outside the ground set")
         # one pass per coordinate over the sorted faces, so a sparse complex
         # on a wide ground set allocates nothing of size 2^n
-        faces = np.array(sorted(self.faces))
+        faces = np.array(sorted(self.faces), dtype=np.int64)
         for i in range(self.n):
             bit = 1 << i
             below = faces[(faces & bit) != 0] ^ bit
             if (faces[np.searchsorted(faces, below)] != below).any():
                 raise ValueError("face family is not downward closed")
+        faces.flags.writeable = False
+        object.__setattr__(self, "face_array", faces)
 
     @staticmethod
     def full(n: int) -> "SimplicialComplex":
@@ -71,10 +82,6 @@ class SimplicialComplex:
                     break
                 sub = (sub - 1) & g
         return SimplicialComplex(n, frozenset(faces))
-
-    @staticmethod
-    def singletons(n: int) -> "SimplicialComplex":
-        return SimplicialComplex(n, frozenset([0] + [1 << i for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,7 @@ class MrfModel:
         bits, read at each state's used bits: a field on a few units costs
         a few passes over the 2^n states, not n.
         """
+        check_cells(1 << self.n, f"the energy table at n = {self.n}")
         used = set_bits(reduce(or_, self.theta, 0))
         states = np.arange(1 << self.n)
         local = np.zeros_like(states)       # each state's used bits, packed
@@ -293,77 +301,84 @@ def younes_solve(rho: np.ndarray, n: int
     return t_star, t_star * base_b, eps_sign, coeffs
 
 
-def _faces_to_cancel(complex_: SimplicialComplex, keep: frozenset[int]
-                     ) -> list[np.ndarray]:
-    """The faces of cardinality > 1 outside the kept set, one (F, q) array
-    of their sorted bits per cardinality q, largest q first; the rows of a
-    level ascend by index set."""
-    faces = np.fromiter(complex_.faces - keep, dtype=np.int64)
-    # the coordinates of every face's set bits, face by face, ascending
-    rows, cols = np.nonzero(state_bits(complex_.n, faces))
-    card = np.bincount(rows, minlength=faces.size)[rows]
-    levels = [cols[card == q].reshape(-1, q)
-              for q in range(card.max(initial=0), 1, -1)]
-    return [bits[np.lexsort(bits.T[::-1])] for bits in levels if bits.size]
+def _cardinalities(faces: np.ndarray) -> np.ndarray:
+    """|A| for each int64 face mask A, summed over its eight bytes."""
+    return popcounts(8)[faces.view(np.uint8)].reshape(faces.size, 8).sum(
+        axis=1, dtype=np.intp)
 
 
-def _cancel_faces(model: MrfModel, keep: frozenset[int], what: str
-                  ) -> tuple[CrbmParams, np.ndarray]:
-    """One hidden unit per face of cardinality > 1 outside ``keep``, on all
-    of the model's units, and the residue it leaves: the visible biases are
-    the singleton residues, the other faces outside ``keep`` are certified
-    below 1e-8, and the faces in ``keep`` hold what is left of theta.
+def _slots(faces: np.ndarray, n: int, masks: np.ndarray) -> np.ndarray:
+    """The slot of each face mask in the sorted ``faces``; in the full
+    complex on n units a face's slot is its mask."""
+    return masks if faces.size == 1 << n else np.searchsorted(faces, masks)
 
-    Faces are processed in decreasing cardinality (ties by ascending index
-    set); each unit cancels the face's current residue coefficient, and its
-    whole polynomial is subtracted from the residue.  A unit changes only
-    the residues of subsets of its face, so every face of one cardinality
-    has its residue fixed before any of them is solved: each level is one
-    ``younes_solve`` call, and its polynomials are subtracted in face order
-    by one scatter.  Before the first solve, the (m, n) weights and each
-    level's (f_q, 2^q) subset masks and coefficients are checked against the
-    cell limit under the name ``what``.
+
+def _cancel_faces(model: MrfModel, kept: np.ndarray, what: str
+                  ) -> tuple[CrbmParams, dict[int, float]]:
+    """One hidden unit per face of cardinality > 1 not ``kept`` (a mask
+    over the slots of the complex's ``face_array``), on all of the model's
+    units, and the nonzero residues of the kept faces of cardinality > 1,
+    by face: the visible biases are the singleton residues, and the other
+    faces are certified below 1e-8.
+
+    The residue lives per face slot; theta and the subset masks find their
+    slots by binary search.  Faces are processed in decreasing cardinality
+    (ties by ascending index set); each unit cancels the face's current
+    residue coefficient, and its whole polynomial is subtracted from the
+    residue.  A unit changes only the residues of subsets of its face, so
+    every face of one cardinality has its residue fixed before any of them
+    is solved: each level is one ``younes_solve`` call, and its polynomials
+    are subtracted in face order by one scatter.  Before the first solve,
+    the residue, the (m, n) weights and each level's (f_q, 2^q) subset masks
+    and coefficients are checked against the cell limit under ``what``.
     """
-    n = model.n
-    levels = _faces_to_cancel(model.complex, keep)
-    check_cells(max([n * sum(map(len, levels))]
-                    + [len(bits) << bits.shape[1] for bits in levels]), what)
-    residue = np.zeros(1 << n)
-    for a, th in model.theta.items():
-        residue[a] += th
+    n, faces = model.n, model.complex.face_array
+    card = _cardinalities(faces)
+    cancel = ~kept & (card > 1)
+    per_level = np.bincount(card[cancel], minlength=2).tolist()
+    check_cells(max([faces.size, n * sum(per_level)]
+                    + [f << q for q, f in enumerate(per_level)]), what)
+    residue = np.zeros(faces.size)
+    theta = np.fromiter(model.theta, np.int64, len(model.theta))
+    residue[_slots(faces, n, theta)] += np.fromiter(model.theta.values(), float,
+                                                    len(model.theta))
 
+    # the coordinates of every cancelled face's set bits, face by face
+    rows, cols = np.nonzero(state_bits(n, faces[cancel]))
+    card_of = card[cancel][rows]
     weights = [np.zeros((0, n))]
     biases = [np.zeros(0)]
-    for bits in levels:
-        f, q = bits.shape
-        # masks[i, l] is the face-i subset whose j-th coordinate is the j-th
+    for q in range(len(per_level) - 1, 1, -1):
+        if not per_level[q]:
+            continue
+        bits = cols[card_of == q].reshape(-1, q)
+        bits = bits[np.lexsort(bits.T[::-1])]   # rows ascend by index set
+        f = len(bits)
+        # slots[i, l] is the face-i subset whose j-th coordinate is the j-th
         # bit of the local index l; l = 2^q - 1 is the face itself
-        masks = (1 << bits) @ state_bits(q).T.astype(np.int64)
-        w, b, eps_sign, local = younes_solve(residue[masks[:, -1]], q)
+        slots = _slots(faces, n, (1 << bits) @ state_bits(q).T.astype(np.int64))
+        w, b, eps_sign, local = younes_solve(residue[slots[:, -1]], q)
         units = np.zeros((f, n))
         units[np.arange(f)[:, None], bits] = w[:, None]
         units[np.arange(f), bits[:, -1]] *= eps_sign
         weights.append(units)
         biases.append(b)
-        np.subtract.at(residue, masks, local)
+        np.subtract.at(residue, slots, local)
 
-    kept = np.zeros(1 << n, dtype=bool)
-    kept[list(keep)] = True
-    pc = popcounts(n)
-    leftovers = np.flatnonzero((pc > 1) & (np.abs(residue) > 1e-8) & ~kept)
+    leftovers = faces[cancel & (np.abs(residue) > 1e-8)]
     if leftovers.size:
         raise BudgetMismatch(f"uncancelled faces remain: {leftovers.tolist()}")
 
     weights = np.concatenate(weights)
     m = len(weights)
-    params = CrbmParams(
-        0, n, m,
-        weights,
-        np.zeros((m, 0)),
-        np.array([residue[1 << s] for s in range(n)]),
-        np.concatenate(biases),
-    )
-    return params, residue
+    visible = np.zeros(n)
+    singletons = card == 1
+    # the exponent frexp returns for the singleton 2^i is i + 1
+    visible[np.frexp(faces[singletons])[1] - 1] = residue[singletons]
+    params = CrbmParams(0, n, m, weights, np.zeros((m, 0)), visible,
+                        np.concatenate(biases))
+    left = kept & (card > 1) & (residue != 0)
+    return params, dict(zip(faces[left].tolist(), residue[left].tolist()))
 
 
 def compile_mrf_to_rbm(model: MrfModel,
@@ -380,47 +395,38 @@ def compile_mrf_to_rbm(model: MrfModel,
     """
     n = model.n
     what = f"compile_mrf_to_rbm at n = {n}"
-    check_cells(1 << n, what)
-    keep = j_keep.faces if j_keep is not None else frozenset({0})
-    params, residue = _cancel_faces(model, keep, what)
-    # the correction carries exactly the kept cardinality >= 2 coefficients,
-    # negated
-    faces = np.array(sorted(keep))
-    faces = faces[(popcounts(n)[faces] > 1) & (residue[faces] != 0)]
-    if not faces.size:
+    check_cells(1 << n, what)   # the correction is a 2^n distribution
+    faces = model.complex.face_array
+    kept = (faces == 0 if j_keep is None
+            else np.isin(faces, j_keep.face_array, assume_unique=True))
+    params, residues = _cancel_faces(model, kept, what)
+    if not residues:
         return params, Dist.uniform(n)
-    corr_theta = dict(zip(faces.tolist(), (-residue[faces]).tolist()))
-    return params, mrf_distribution(MrfModel(j_keep, corr_theta))
+    return params, mrf_distribution(
+        MrfModel(j_keep, {a: -r for a, r in residues.items()}))
 
 
 def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
     """The hidden units ``compile_conditional_mrf`` spends given the first k
     units (``compile_mrf_to_rbm``'s at k = 0): one per face of cardinality
     > 1 that is not a subset of the inputs."""
-    input_mask = (1 << k) - 1
-    return sum(1 for a in complex_.faces
-               if a.bit_count() > 1 and a & ~input_mask)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    faces = complex_.face_array   # below 2^63, so a shift by 63 clears all
+    return int(np.count_nonzero((_cardinalities(faces) > 1)
+                                & (faces >> min(k, 63) != 0)))
 
 
 def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     """CRBM reproducing the conditionals of an MRF on [k+n] given the
     first k units.  Input-only faces get no hidden unit and input biases
     are dropped: both cancel in every conditional, so no correction is
-    built."""
+    built, and the compile is priced on the faces it cancels."""
     n_total = model.n
     if not 0 <= k < n_total:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
-    what = f"compile_conditional_mrf at n = {n_total}"
-    check_cells(1 << n_total, what)
-    n = n_total - k
-    # the complex's input-only faces: its faces inside the first k units
-    inputs = frozenset(a for a in model.complex.faces if a >> k == 0)
-    rbm, _ = _cancel_faces(model, inputs, what)
-    w_full = rbm.W  # (m, k+n)
-    return CrbmParams(
-        k, n, rbm.m,
-        w_full[:, k:],
-        w_full[:, :k],
-        rbm.b[k:],
-        rbm.c,
-    )
+    inputs = model.complex.face_array >> k == 0   # faces inside the inputs
+    rbm, _ = _cancel_faces(model, inputs,
+                           f"compile_conditional_mrf at n = {n_total}")
+    return CrbmParams(k, n_total - k, rbm.m, rbm.W[:, k:], rbm.W[:, :k],
+                      rbm.b[k:], rbm.c)

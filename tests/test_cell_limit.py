@@ -1,8 +1,8 @@
 """Every exported pipeline refuses an oversized enumeration at its entry.
 
 The limit is patched down to 4 cells, so each small call below is over it;
-spies show that no packing, sharing step, Younes solve, inner MRF compile
-or rank draw ran first.
+spies show that no packing, sharing step, Younes solve, joint MRF compile,
+energy-table transform or rank draw ran first.
 """
 
 import numpy as np
@@ -51,6 +51,7 @@ PIPELINES = {
     "build_packing": lambda: build_packing(3, 1),
     "compile_mrf_to_rbm": lambda: compile_mrf_to_rbm(field()),
     "compile_conditional_mrf": lambda: mrf.compile_conditional_mrf(field(), 1),
+    "mrf_distribution": lambda: mrf.mrf_distribution(field()),
 }
 
 
@@ -66,7 +67,8 @@ def test_pipeline_refuses_at_entry(name, monkeypatch):
     spy(compiler, "build_packing")
     spy(compiler, "build_tilted_step")
     spy(mrf, "younes_solve")
-    spy(mrf, "compile_mrf_to_rbm")  # the conditional compile's inner call
+    spy(mrf, "compile_mrf_to_rbm")  # no pipeline calls it, the conditional neither
+    spy(mrf, "mobius_forward")  # the energy table's, so the joint correction's
     spy(dimension, "numeric_rank")
     monkeypatch.setattr(bitspace, "MAX_CELLS", LIMIT)
     with pytest.raises(CapExceeded) as exc:

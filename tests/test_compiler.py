@@ -45,8 +45,13 @@ def test_clamp_table():
     assert tv_row_distance(t, clamped) == err
 
 
+def uniform_table(k, n):
+    """The table whose every row is uniform on the 2^n outputs."""
+    return ConditionalTable(k, n, np.full((1 << k, 1 << n), 1.0 / (1 << n)))
+
+
 def test_compile_uniform_target():
-    t = ConditionalTable.uniform(2, 1)
+    t = uniform_table(2, 1)
     params, rep = compile_universal(t, r=1, eps=1e-2)
     assert rep.achieved_tv <= 1e-2
     assert rep.within_budget
@@ -107,9 +112,9 @@ def test_compile_refuses_a_bad_eps_at_entry(mode, eps, monkeypatch):
     t = ConditionalTable.deterministic(2, 1, [0, 1, 1, 0])
     compile_ = {"universal": lambda: compile_universal(t, eps=eps),
                 "common": lambda: compile_common_support(
-                    ConditionalTable.uniform(2, 1), eps=eps),
+                    uniform_table(2, 1), eps=eps),
                 "partition": lambda: compile_partition(
-                    ConditionalTable.uniform(2, 1), 0, eps=eps),
+                    uniform_table(2, 1), 0, eps=eps),
                 "support": lambda: compile_support_points(t, eps=eps)}[mode]
     with pytest.raises(ValueError, match="eps must be finite and > 0"):
         compile_()
@@ -196,7 +201,7 @@ def test_compile_partition_examples():
     assert rep.achieved_tv <= 1e-2
 
     # l = 0: single block, uniform output, zero units
-    u = ConditionalTable.uniform(1, 2)
+    u = uniform_table(1, 2)
     params, rep = compile_partition(u, l=0)
     assert rep.hidden_units_used == 0
     assert rep.achieved_tv <= 1e-12
@@ -230,13 +235,13 @@ def test_component_without_target_mass_spends_no_unit():
 def test_single_block_partition_refuses_infeasible_depth():
     # l = 0 builds no packing, but a given depth must still fit in k: the
     # same refusal as at l >= 1.  Without a depth the zero model is returned
-    u = ConditionalTable.uniform(3, 2)
+    u = uniform_table(3, 2)
     for l in (0, 1):
         with pytest.raises(InfeasibleDepth, match=r"k = 3 < S\(7\) = 28"):
             compile_partition(u, l, r=7)
     _, rep = compile_partition(u, 0, r=1)
     assert (rep.hidden_units_used, rep.r) == (0, 1)
-    _, rep = compile_partition(ConditionalTable.uniform(0, 2), 0)
+    _, rep = compile_partition(uniform_table(0, 2), 0)
     assert (rep.hidden_units_used, rep.r) == (0, None)
 
 
@@ -277,7 +282,7 @@ def test_divergence_witness_uniform_fallback():
     assert params.m == 0
     assert div <= 2.0  # at most n bits
     assert div == pytest.approx(
-        kl_conditional(t, ConditionalTable.uniform(1, 2)))
+        kl_conditional(t, uniform_table(1, 2)))
 
 
 def test_compile_larger_instances():

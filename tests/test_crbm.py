@@ -228,11 +228,10 @@ def test_theta_vector_round_trips_in_jacobian_column_order(shape):
 def test_random_params_draws_w_v_b_c_in_order(shape):
     # one draw of P normals is the four draws of W, V, b and c in turn
     k, n, m = shape
-    p = random_params(k, n, m, np.random.default_rng(7), scale=0.5)
+    p = random_params(k, n, m, np.random.default_rng(7))
     rng = np.random.default_rng(7)
     for name, size in (("W", (m, n)), ("V", (m, k)), ("b", n), ("c", m)):
-        assert np.array_equal(getattr(p, name),
-                              0.5 * rng.standard_normal(size))
+        assert np.array_equal(getattr(p, name), rng.standard_normal(size))
 
 
 def test_cap_enforced():
@@ -255,8 +254,9 @@ def test_blocks_sum_like_one_block(k, n, m, monkeypatch):
     # each cell sums its m softplus terms in the same order whatever the
     # block size, so the logits equal the unblocked sum bit for bit; 7 and
     # 50 cells leave partial blocks of rows and of columns
-    p = random_params(k, n, m, np.random.default_rng(100 * k + 10 * n + m),
-                      scale=3.0)
+    theta = 3.0 * np.random.default_rng(100 * k + 10 * n + m).standard_normal(
+        (k + n + 1) * m + n)
+    p = CrbmParams.from_vector(k, n, m, theta)
     unblocked = unblocked_logits(p)
     assert np.array_equal(conditional_logits(p), unblocked)
     for cells in (1, 7, 50):

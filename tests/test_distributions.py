@@ -114,8 +114,7 @@ def test_kl_conditional_matches_row_sum_oracle():
 def test_conditional_of_joint_examples():
     qx = from_probs([0.3, 0.7])
     py = from_probs([0.2, 0.8])
-    joint = Dist(2, np.array([qx[0] * py[0], qx[1] * py[0],
-                              qx[0] * py[1], qx[1] * py[1]]))
+    joint = Dist(2, np.outer(py.probs, qx.probs).ravel())
     table = conditional_of_joint(joint, 1)
     assert np.allclose(table.rows, [py.probs, py.probs])
 

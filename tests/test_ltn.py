@@ -123,7 +123,7 @@ def test_batched_tables_match_per_input_oracles():
         sig = sigmoid_output_table(net)
         want = np.array([sigmoid_row(net, x) for x in range(1 << k)])
         assert np.abs(sig.rows - want).max() <= 1e-15
-        params = random_params(k, n, m, rng, scale=1.0)
+        params = random_params(k, n, m, rng)
         for outs in (outputs, rng.integers(0, 1 << n, 1 << k).tolist()):
             assert check_deter_fixed_point(params, outs) == \
                 fixed_point_holds(params, outs)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -8,7 +9,7 @@ from crbmkit import bitspace, mrf
 from crbmkit.bitspace import popcounts, set_bits
 from crbmkit.crbm import eval_conditional, eval_joint_rbm
 from crbmkit.distributions import conditional_of_joint, hadamard, tv_row_distance
-from crbmkit.errors import CapExceeded, NoBracket
+from crbmkit.errors import CapExceeded, NoBracket, TooLarge
 from crbmkit.mrf import (
     SOLVE_TOL,
     MrfModel,
@@ -21,6 +22,11 @@ from crbmkit.mrf import (
     mrf_distribution,
     younes_solve,
 )
+
+
+def singletons(n):
+    """The complex of the empty face and the n singletons."""
+    return SimplicialComplex(n, frozenset([0] + [1 << i for i in range(n)]))
 
 
 def conditional_family_model(k, output_complex, theta_rows):
@@ -60,7 +66,7 @@ def test_mrf_distribution_examples():
 
     # singleton interactions: a product with the given logits
     theta = {0b001: 0.5, 0b010: -1.0, 0b100: 2.0}
-    p = mrf_distribution(MrfModel(SimplicialComplex.singletons(3), theta))
+    p = mrf_distribution(MrfModel(singletons(3), theta))
     expect = np.ones(8)
     for v in range(8):
         for i, th in enumerate((0.5, -1.0, 2.0)):
@@ -352,7 +358,7 @@ def test_level_solve_matches_the_sequential_compile(label, n, generators, k):
     assert np.abs(params.b - residue[1 << np.arange(n)]).max() <= 1e-12
     # the kept faces' residues, negated, are the correction's coefficients
     corr_theta = {a: -residue[a] for a in keep if a.bit_count() > 1}
-    want = mrf_distribution(MrfModel(j_keep or SimplicialComplex.singletons(n),
+    want = mrf_distribution(MrfModel(j_keep or singletons(n),
                                      corr_theta))
     assert np.abs(corr.probs - want.probs).max() <= 1e-12
 
@@ -373,7 +379,7 @@ def test_shortcuts_change_no_bit(label, n, generators):
     model = MrfModel(cx, {a: float(rng.standard_normal())
                           for a in sorted(cx.faces) if a})
     _, corr = compile_mrf_to_rbm(model)
-    uniform = mrf_distribution(MrfModel(SimplicialComplex.singletons(n), {}))
+    uniform = mrf_distribution(MrfModel(singletons(n), {}))
     assert corr.probs.tobytes() == uniform.probs.tobytes()
     for k in (1, 2):
         j_keep = SimplicialComplex(n, frozenset(range(1 << k)))
@@ -404,7 +410,7 @@ def test_compile_full_field_n12():
 
 def test_compile_singletons_needs_no_hidden_units():
     theta = {0b01: 0.7, 0b10: -0.3}
-    model = MrfModel(SimplicialComplex.singletons(2), theta)
+    model = MrfModel(singletons(2), theta)
     params, corr = compile_mrf_to_rbm(model)
     assert params.m == 0
     assert np.abs(eval_joint_rbm(params).probs
@@ -451,6 +457,9 @@ def test_conditional_budget_counts():
     gen = SimplicialComplex.from_generators(3, [0b011])
     assert conditional_budget(gen, 2) == 0
     assert conditional_budget(gen, 1) == 1
+    assert conditional_budget(gen, 64) == 0
+    with pytest.raises(ValueError):
+        conditional_budget(gen, -1)
 
 
 def test_compile_conditional_examples():
@@ -512,20 +521,93 @@ def test_compile_is_priced_on_its_largest_table(k, monkeypatch):
     assert calls[0] == 10
 
 
+def seeded_model(n, generators):
+    """The complex the generators span on n units, theta drawn per face at
+    seed n."""
+    cx = SimplicialComplex.from_generators(n, generators)
+    rng = np.random.default_rng(n)
+    return MrfModel(cx, {a: float(rng.standard_normal())
+                         for a in sorted(cx.faces) if a})
+
+
+def chain_model(n):
+    """The pairwise chain on n units."""
+    return seeded_model(n, [3 << i for i in range(n - 1)])
+
+
 def test_conditional_compile_keeps_only_the_complex_input_faces():
-    # a pairwise chain on 19 units given the first 18: the input-only faces
-    # kept are the chain's own, not all 2^18 subsets of the inputs, so the
-    # peak stays within three 2^19-entry tables (8 bytes each) and 1 MiB
-    n, k = 19, 18
-    cx = SimplicialComplex.from_generators(n, [3 << i for i in range(n - 1)])
-    rng = np.random.default_rng(19)
-    model = MrfModel(cx, {a: float(rng.standard_normal())
-                          for a in sorted(cx.faces) if a})
-    tracemalloc.start()
-    try:
-        params = compile_conditional_mrf(model, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert params.m == conditional_budget(cx, k) == 1
-    assert peak <= 3 * 8 * (1 << n) + (1 << 20)
+    # the residue lives on the chain's faces, so a compile given all but a
+    # few units builds nothing of size 2^k or 2^n: it peaks within 1 MiB
+    for n, k in ((19, 18), (40, 36)):
+        model = chain_model(n)
+        tracemalloc.start()
+        try:
+            params = compile_conditional_mrf(model, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert params.m == conditional_budget(model.complex, k) == n - k
+        assert peak <= 1 << 20
+
+
+def parameter_hash(params):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                   for a in (params.W, params.V, params.b,
+                                             params.c))).hexdigest()
+
+
+#: SHA-256 of (W, V, b, c), recorded at the commit before the residue moved
+#: from a dense 2^n table onto the complex's faces
+GOLDEN = {
+    "chain 25 given 21": "95c808a5118a123bceeaf0ff2629517f"
+                         "d49e3fa59e056109e91770e58dfe32f6",
+    "3-cyclic 20 given 2": "0b8ed0369ec65b4d1d14c347791f5368"
+                           "6e6818a1f6ef4f9389c3a85ac5e5a8fc",
+    "pairwise 16 joint": "b8afb79cf8e6f98664a7a24f15c62754"
+                         "5d5c173941503b3c54e64ac1597d921c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_compile_matches_its_golden_hash(name):
+    if name == "chain 25 given 21":
+        params = compile_conditional_mrf(chain_model(25), 21)
+    elif name == "3-cyclic 20 given 2":
+        params = compile_conditional_mrf(seeded_model(20, cyclic(20, 3)), 2)
+    else:
+        pairs = [(1 << i) | (1 << j) for i in range(16) for j in range(i + 1, 16)]
+        params, _ = compile_mrf_to_rbm(seeded_model(16, pairs))
+    assert parameter_hash(params) == GOLDEN[name]
+
+
+def test_wide_chain_matches_the_field_on_sampled_rows():
+    # N = 60 given 56: each of 64 seeded input rows enumerates its 16
+    # outputs, the CRBM's conditional against exp of the field's energy
+    n_total, k = 60, 56
+    model = chain_model(n_total)
+    params = compile_conditional_mrf(model, k)
+    assert params.m == conditional_budget(model.complex, k) == 4
+    faces = np.array(list(model.theta), dtype=np.int64)
+    theta = np.array(list(model.theta.values()))
+    ys = np.arange(1 << (n_total - k))
+    y_bits = bitspace.state_bits(n_total - k, ys)
+    worst = 0.0
+    for x in np.random.default_rng(60).integers(0, 1 << k, size=64):
+        states = int(x) | (ys << k)
+        energy = ((states[:, None] & faces) == faces) @ theta
+        want = np.exp(energy - energy.max())
+        x_bits = bitspace.state_bits(k, int(x))
+        act = y_bits @ params.W.T + x_bits @ params.V.T + params.c
+        logits = y_bits @ params.b + np.logaddexp(0.0, act).sum(axis=1)
+        got = np.exp(logits - logits.max())
+        worst = max(worst, np.abs(got / got.sum() - want / want.sum()).sum())
+    assert worst <= 1e-6   # 1.5e-13 when written
+
+
+def test_complex_ground_set_is_capped_at_63_units():
+    # faces are int64 masks: the chain on 63 units compiles, and wider
+    # ground sets are refused by name, not by a numpy dtype error
+    assert compile_conditional_mrf(chain_model(63), 59).m == 4
+    for n in (64, 70):
+        with pytest.raises(TooLarge, match="the 63-unit limit"):
+            SimplicialComplex.from_generators(n, [3 << i for i in range(n - 1)])
