@@ -311,6 +311,8 @@ def _mrf_inputs(spec, theta_entries) -> tuple[int, list[int], dict[int, float]]:
         a = _face_mask(face, n)
         if a and not any(a & ~g == 0 for g in generators):
             raise _UsageError(f"theta face {face!r} is not a face of the complex")
+        if a in theta:
+            raise _UsageError(f"theta face {face!r} is given twice")
         theta[a] = float(v)
     return n, generators, theta
 
@@ -325,15 +327,11 @@ def _cmd_mrf(args) -> int:
     m = _cli.conditional_budget(complex_, args.k)
     check_cells(_cli.eval_cells(args.k, n - args.k, m),
                 f"verifying a field over n = {n} units with {m} hidden units")
+    # at k = 0 this is the joint compile, and its one row the Gibbs law
     model = _cli.MrfModel(complex_, theta)
-    if args.k:
-        params = _cli.compile_conditional_mrf(model, args.k)
-        want = _cli.conditional_of_joint(_cli.mrf_distribution(model), args.k)
-        tv = _cli.tv_row_distance(want, _cli.eval_conditional(params))
-    else:
-        params, correction = _cli.compile_mrf_to_rbm(model)
-        lhs = _cli.hadamard(_cli.mrf_distribution(model), correction)
-        tv = float(np.abs(lhs.probs - _cli.eval_joint_rbm(params).probs).sum())
+    params = _cli.compile_conditional_mrf(model, args.k)
+    want = _cli.conditional_of_joint(_cli.mrf_distribution(model), args.k)
+    tv = _cli.tv_row_distance(want, _cli.eval_conditional(params))
     payload = {
         "schema": "crbmkit-mrf/1",
         "n": n, "k": args.k,

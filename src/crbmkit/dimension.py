@@ -201,7 +201,12 @@ def greedy_distance4_balls(k: int, n: int, m: int) -> list[int]:
 
 def _placement_clean(k: int, n: int, centers: list[int]) -> bool:
     """True iff the union of the balls centered at ``centers`` contains no
-    input cylinder [x] and its complement affinely spans {0,1}^(k+n)."""
+    input cylinder [x] and its complement affinely spans {0,1}^(k+n).
+
+    No affine hyperplane holds more than half of the cube: flipping a bit
+    whose coefficient is nonzero pairs the states, and at most one of each
+    pair lies on it.  So a complement of more than 2^(k+n-1) states spans,
+    and only a smaller one is ranked."""
     width = k + n
     flips = np.concatenate([[0], 1 << np.arange(width)])
     inside = np.zeros(1 << width, dtype=bool)
@@ -209,7 +214,10 @@ def _placement_clean(k: int, n: int, centers: list[int]) -> bool:
     # state x + 2^k y sits at [y, x]: a column is the cylinder [x]
     if inside.reshape(1 << n, 1 << k).all(axis=0).any():
         return False
-    return affine_rank(np.flatnonzero(~inside).tolist(), width) == width + 1
+    outside = np.flatnonzero(~inside)
+    if outside.size > 1 << (width - 1):
+        return True
+    return affine_rank(outside.tolist(), width) == width + 1
 
 
 @dataclass(frozen=True)
@@ -256,8 +264,10 @@ def certify_dimension(k: int, n: int, m: int, seed: int = 0) -> DimensionReport:
     if k < 0 or n < 1 or m < 0:
         raise ValueError("need k >= 0, n >= 1, m >= 0")
     # D, the table both ranks build (0/1 for the tropical rank, float for
-    # the numeric one), or the placement check's (2^(k+n), k+n+1) affine
-    # table of the states outside the balls, which is larger when m <= 1
+    # the numeric one), or 2^(k+n)(k+n+1), which is larger when m <= 1: it
+    # prices the (2^k, k) bit tables both ranks build and the placement
+    # check's fallback affine table of at most 2^(k+n-1) states; at m = 0
+    # the check only counts, and builds no affine table
     check_cells(max((1 << k) * ((1 << n) - 1) * param_count(k, n, m),
                     (1 << (k + n)) * (k + n + 1)),
                 f"certify_dimension at (k, n, m) = ({k}, {n}, {m})")

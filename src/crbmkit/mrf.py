@@ -1,10 +1,11 @@
 """Binary Markov random fields and their compilation into (C)RBM weights.
 
 Faces of the interaction structure are bitmasks over the ground set; the
-energy of a state v is sum_A theta_A * [A subseteq v].  Compilation cancels
-every face of cardinality > 1 outside the kept sub-complex with one hidden
-unit whose softplus log-partition term has the face's coefficient as its
-top Moebius coefficient (Younes 1996).  The unit's scale solves
+energy of a state v is sum_A theta_A * [A subseteq v].  Compilation given
+the first k units cancels every face of cardinality > 1 not inside those
+inputs with one hidden unit whose softplus log-partition term has the
+face's coefficient as its top Moebius coefficient (Younes 1996); the joint
+compile is the one given no inputs.  The unit's scale solves
 top(t) = |rho| on one closed-form curve for both signs of rho, bracketed by
 the sign of top(t) - |rho| because the curve dips below zero for faces of
 4 or more units; the bracket's ends t = 2^j are read off a table of the
@@ -313,13 +314,18 @@ def _slots(faces: np.ndarray, n: int, masks: np.ndarray) -> np.ndarray:
     return masks if faces.size == 1 << n else np.searchsorted(faces, masks)
 
 
-def _cancel_faces(model: MrfModel, kept: np.ndarray, what: str
-                  ) -> tuple[CrbmParams, dict[int, float]]:
-    """One hidden unit per face of cardinality > 1 not ``kept`` (a mask
-    over the slots of the complex's ``face_array``), on all of the model's
-    units, and the nonzero residues of the kept faces of cardinality > 1,
-    by face: the visible biases are the singleton residues, and the other
-    faces are certified below 1e-8.
+def _cancelled(faces: np.ndarray, card: np.ndarray, k: int) -> np.ndarray:
+    """The ``faces`` (of cardinalities ``card``) of cardinality > 1 not
+    inside the first k units; below 2^63, so a shift by 63 clears them."""
+    return (card > 1) & (faces >> min(k, 63) != 0)
+
+
+def _cancel_faces(model: MrfModel, k: int, what: str) -> CrbmParams:
+    """One hidden unit per face of cardinality > 1 not inside the first k
+    units, on all of the model's units: the visible biases are the singleton
+    residues, and the other cancelled faces are certified below 1e-8.  At
+    k = 0 every face of cardinality > 1 is cancelled: that is the joint
+    compile, whose correction is uniform.
 
     The residue lives per face slot; theta and the subset masks find their
     slots by binary search.  Faces are processed in decreasing cardinality
@@ -334,7 +340,7 @@ def _cancel_faces(model: MrfModel, kept: np.ndarray, what: str
     """
     n, faces = model.n, model.complex.face_array
     card = _cardinalities(faces)
-    cancel = ~kept & (card > 1)
+    cancel = _cancelled(faces, card, k)
     per_level = np.bincount(card[cancel], minlength=2).tolist()
     check_cells(max([faces.size, n * sum(per_level)]
                     + [f << q for q, f in enumerate(per_level)]), what)
@@ -375,35 +381,19 @@ def _cancel_faces(model: MrfModel, kept: np.ndarray, what: str
     singletons = card == 1
     # the exponent frexp returns for the singleton 2^i is i + 1
     visible[np.frexp(faces[singletons])[1] - 1] = residue[singletons]
-    params = CrbmParams(0, n, m, weights, np.zeros((m, 0)), visible,
-                        np.concatenate(biases))
-    left = kept & (card > 1) & (residue != 0)
-    return params, dict(zip(faces[left].tolist(), residue[left].tolist()))
+    return CrbmParams(0, n, m, weights, np.zeros((m, 0)), visible,
+                      np.concatenate(biases))
 
 
-def compile_mrf_to_rbm(model: MrfModel,
-                       j_keep: SimplicialComplex | None = None
-                       ) -> tuple[CrbmParams, Dist]:
-    """RBM weights whose joint equals hadamard(p, correction^-1 ... ), i.e.
-    p * correction = RBM joint, with one hidden unit per cancelled face.
-
-    Every face of cardinality > 1 outside ``j_keep`` is cancelled (see
-    ``_cancel_faces``).  The remaining cardinality >= 2 coefficients live
-    on kept faces and are returned, negated, as the correction
-    distribution; without any, it is the uniform distribution.  Singleton
-    residues become the RBM's visible biases.
-    """
+def compile_mrf_to_rbm(model: MrfModel) -> tuple[CrbmParams, Dist]:
+    """RBM weights whose joint is the field's Gibbs law, with one hidden unit
+    per face of cardinality > 1: the compile given no inputs (see
+    ``_cancel_faces``), whose singleton residues become the visible biases.
+    The correction, with p * correction = RBM joint, is uniform."""
     n = model.n
     what = f"compile_mrf_to_rbm at n = {n}"
     check_cells(1 << n, what)   # the correction is a 2^n distribution
-    faces = model.complex.face_array
-    kept = (faces == 0 if j_keep is None
-            else np.isin(faces, j_keep.face_array, assume_unique=True))
-    params, residues = _cancel_faces(model, kept, what)
-    if not residues:
-        return params, Dist.uniform(n)
-    return params, mrf_distribution(
-        MrfModel(j_keep, {a: -r for a, r in residues.items()}))
+    return _cancel_faces(model, 0, what), Dist.uniform(n)
 
 
 def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
@@ -412,9 +402,8 @@ def conditional_budget(complex_: SimplicialComplex, k: int) -> int:
     > 1 that is not a subset of the inputs."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    faces = complex_.face_array   # below 2^63, so a shift by 63 clears all
-    return int(np.count_nonzero((_cardinalities(faces) > 1)
-                                & (faces >> min(k, 63) != 0)))
+    faces = complex_.face_array
+    return int(np.count_nonzero(_cancelled(faces, _cardinalities(faces), k)))
 
 
 def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
@@ -425,8 +414,6 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     n_total = model.n
     if not 0 <= k < n_total:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
-    inputs = model.complex.face_array >> k == 0   # faces inside the inputs
-    rbm, _ = _cancel_faces(model, inputs,
-                           f"compile_conditional_mrf at n = {n_total}")
+    rbm = _cancel_faces(model, k, f"compile_conditional_mrf at n = {n_total}")
     return CrbmParams(k, n_total - k, rbm.m, rbm.W[:, k:], rbm.W[:, :k],
                       rbm.b[k:], rbm.c)

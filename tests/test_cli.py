@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 
 from crbmkit import bitspace, packing
@@ -223,6 +224,37 @@ def test_mrf_command(capsys):
     assert obj["verification_tv"] <= 1e-6
 
 
+def seeded_full_field(n):
+    """--complex and --theta of the full field on n units, theta drawn per
+    face, in ascending mask order, at seed n."""
+    rng = np.random.default_rng(n)
+    faces = [[i + 1 for i in range(n) if a >> i & 1] for a in range(1, 1 << n)]
+    theta = [[face, float(t)] for face, t in
+             zip(faces, rng.standard_normal(len(faces)))]
+    return json.dumps({"n": n, "faces": [list(range(1, n + 1))]}), \
+        json.dumps(theta)
+
+
+#: SHA-256 of mrf's stdout on the seeded full field on 6 units, recorded at
+#: the commit before the joint (k = 0) call ran through the conditional
+#: compile and its verification
+MRF_GOLDEN = {
+    0: "058081b8d27c31b95d161857b0ef6798"
+       "8271ada327e8b771efcfa2beb3a0bc62",
+    2: "21c8d05507a01b9dad7d332bdfd0a7c0"
+       "b9a17b1736e6d82a8e34a4225891adc6",
+}
+
+
+@pytest.mark.parametrize("k", sorted(MRF_GOLDEN))
+def test_mrf_stdout_matches_its_golden_hash(k, capsys):
+    complex_, theta = seeded_full_field(6)
+    code, out = run_cli(["mrf", "--complex", complex_, "--theta", theta,
+                         "--k", str(k)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MRF_GOLDEN[k]
+
+
 def test_mrf_refuses_its_verification_before_compiling(capsys, monkeypatch):
     # a full field on 13 units compiles 8178 units, whose verification
     # evaluates (2^0 + 2^13) * 8178 + 2^13 cells, over the limit
@@ -311,6 +343,10 @@ def test_usage_error_exit_code():
     ["mrf", "--complex", '{"n": 2, "faces": [[1,2]]}', "--theta", '[[[1,2], NaN]]'],
     ["mrf", "--complex", '{"n": 2, "faces": [[1,2]]}',
      "--theta", '[[[1,2], Infinity]]'],
+    # a repeated face, in any order of its indices, is refused, not summed
+    # or overwritten
+    ["mrf", "--complex", '{"n": 2, "faces": [[1,2]]}',
+     "--theta", '[[[1,2], 0.5], [[2,1], 0.3]]'],
     ["mrf", "--complex", '{"n": true, "faces": [[true]]}', "--theta", '[]'],
     ["mrf", "--complex", "not json", "--theta", '[]'],
     ["bounds", "--k", "1", "--n", "0"],

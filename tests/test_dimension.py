@@ -338,6 +338,26 @@ def test_placement_clean_matches_set_oracle():
     assert seen == {True, False}
 
 
+def test_placement_clean_matches_the_complement_rank_on_both_branches():
+    # a complement of more than half the cube spans without a rank; every
+    # greedy placement at k + n <= 8 and m <= 40, (4,4,16) among them, is
+    # checked against the full affine rank, on the count branch and on the
+    # rank branch
+    branches = set()
+    for width in range(1, 9):
+        for k in range(width):
+            n = width - k
+            answers = {}
+            for m in range(41):
+                balls = tuple(greedy_distance4_balls(k, n, m))
+                if balls not in answers:
+                    answers[balls] = placement_clean_by_sets(k, n, balls)
+                    union = set().union(*(ball_members(c, width) for c in balls))
+                    branches.add((1 << width) - len(union) > 1 << (width - 1))
+                assert _placement_clean(k, n, list(balls)) == answers[balls]
+    assert branches == {True, False}
+
+
 def test_certify_without_hidden_units():
     # m = 0 places no ball; the model is the n output biases
     assert greedy_distance4_balls(2, 3, 0) == []
@@ -359,8 +379,9 @@ def test_certify_dimension_cases(case):
 
 
 def _certify_price(k, n, m):
-    # D, the (2^k, 2^n - 1, P) differences both ranks build, or the
-    # placement check's (2^(k+n), k+n+1) affine table, whichever is larger
+    # D, the (2^k, 2^n - 1, P) differences both ranks build, or the term
+    # that prices the bit tables and the placement check's fallback affine
+    # table, whichever is larger
     return max((1 << k) * ((1 << n) - 1) * param_count(k, n, m),
                (1 << (k + n)) * (k + n + 1))
 
@@ -369,8 +390,8 @@ def _certify_price(k, n, m):
 def test_certify_dimension_peak_is_within_its_price(size):
     # the elimination's row updates are about as large again as D, and the
     # 1 MiB covers the fixed allocations of a small certificate; at m = 0
-    # the placement check's table is the price (D is 1/28 of it at
-    # (12,1,0), and the peak reads 3.2x the price there)
+    # the bit tables' term is the price (D is 1/28 of it at (12,1,0), and
+    # the peak reads 0.9x the price there: the placement check only counts)
     k, n, m = size
     price = _certify_price(k, n, m)
     # a remembered certificate would skip the tropical rank measured here
@@ -388,9 +409,11 @@ def test_certify_dimension_peak_is_within_its_price(size):
 
 @pytest.mark.parametrize("size", [(24, 1, 0), (22, 2, 0), (20, 1, 1)])
 def test_certify_refuses_the_placement_table_above_the_limit(size, monkeypatch):
-    # D fits the cell limit at these sizes, but the placement check's
-    # affine table does not (about 7 GB of floats at (24,1,0)): the call
-    # is refused at entry, before either rank or the check starts
+    # D fits the cell limit at these sizes, but the term that prices the
+    # (2^k, k) bit tables both ranks build and the placement check's
+    # fallback affine table does not; the check only counts here, so the
+    # term prices the bit tables.  The call is refused at entry, before
+    # either rank or the check starts
     k, n, m = size
     assert (1 << k) * ((1 << n) - 1) * param_count(k, n, m) <= MAX_CELLS
     assert _certify_price(k, n, m) > MAX_CELLS

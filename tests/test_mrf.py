@@ -348,19 +348,20 @@ def test_level_solve_matches_the_sequential_compile(label, n, generators, k):
     cx = SimplicialComplex.from_generators(n, generators)
     model = MrfModel(cx, {a: float(rng.standard_normal())
                           for a in sorted(cx.faces) if a})
-    j_keep = SimplicialComplex(n, frozenset(range(1 << k))) if k else None
-    keep = j_keep.faces if k else frozenset({0})
-    weights, biases, residue = sequential_compile(model, keep)
-    params, corr = compile_mrf_to_rbm(model, j_keep)
-    assert params.W.shape == weights.shape
-    assert np.abs(params.W - weights).max(initial=0.0) <= 1e-12
+    weights, biases, residue = sequential_compile(model, frozenset(range(1 << k)))
+    if k:
+        params = compile_conditional_mrf(model, k)
+        got_weights = np.hstack([params.V, params.W])
+    else:
+        params, corr = compile_mrf_to_rbm(model)
+        got_weights = params.W
+        # given no inputs, no face of cardinality > 1 is kept
+        assert np.abs(corr.probs - 1 / (1 << n)).max() <= 1e-12
+    assert got_weights.shape == weights.shape
+    assert np.abs(got_weights - weights).max(initial=0.0) <= 1e-12
     assert np.abs(params.c - biases).max(initial=0.0) <= 1e-12
-    assert np.abs(params.b - residue[1 << np.arange(n)]).max() <= 1e-12
-    # the kept faces' residues, negated, are the correction's coefficients
-    corr_theta = {a: -residue[a] for a in keep if a.bit_count() > 1}
-    want = mrf_distribution(MrfModel(j_keep or singletons(n),
-                                     corr_theta))
-    assert np.abs(corr.probs - want.probs).max() <= 1e-12
+    # the input biases cancel in every conditional and are dropped
+    assert np.abs(params.b - residue[1 << np.arange(k, n)]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("label, n, generators", [
@@ -371,28 +372,19 @@ def test_level_solve_matches_the_sequential_compile(label, n, generators, k):
     ("cyclic4", 12, cyclic(12, 4)),
 ])
 def test_shortcuts_change_no_bit(label, n, generators):
-    # a joint compile without kept faces returns the uniform correction
-    # without building its field, and a conditional compile builds no
-    # correction: both give the bytes of the full construction
+    # a joint compile returns the uniform correction without building its
+    # field, and its weights are the conditional compile's given no inputs
     rng = np.random.default_rng([n, len(generators)])
     cx = SimplicialComplex.from_generators(n, generators)
     model = MrfModel(cx, {a: float(rng.standard_normal())
                           for a in sorted(cx.faces) if a})
-    _, corr = compile_mrf_to_rbm(model)
+    joint, corr = compile_mrf_to_rbm(model)
     uniform = mrf_distribution(MrfModel(singletons(n), {}))
     assert corr.probs.tobytes() == uniform.probs.tobytes()
-    for k in (1, 2):
-        j_keep = SimplicialComplex(n, frozenset(range(1 << k)))
-        joint, corr = compile_mrf_to_rbm(model, j_keep)
-        cond = compile_conditional_mrf(model, k)
-        assert (cond.k, cond.n, cond.m) == (k, n - k, joint.m)
-        assert cond.W.tobytes() == joint.W[:, k:].tobytes()
-        assert cond.V.tobytes() == joint.W[:, :k].tobytes()
-        assert cond.b.tobytes() == joint.b[k:].tobytes()
-        assert cond.c.tobytes() == joint.c.tobytes()
-        if k == 1:   # no kept face of cardinality > 1: a uniform correction
-            want = mrf_distribution(MrfModel(j_keep, {}))
-            assert corr.probs.tobytes() == want.probs.tobytes()
+    cond = compile_conditional_mrf(model, 0)
+    assert (cond.k, cond.n, cond.m) == (0, n, joint.m)
+    for name in ("W", "V", "b", "c"):
+        assert getattr(cond, name).tobytes() == getattr(joint, name).tobytes()
 
 
 def test_compile_full_field_n12():
