@@ -27,8 +27,8 @@ _EXPORTS = {
     "dimension": ("DimensionReport", "certify_dimension", "numeric_rank",
                   "tropical_rank_mod_inputs"),
     "distributions": ("ConditionalTable", "Dist", "conditional_of_joint",
-                      "hadamard", "kl_conditional", "kl_dist",
-                      "random_conditional", "tv_row_distance"),
+                      "kl_conditional", "kl_dist", "random_conditional",
+                      "tv_row_distance"),
     "ltn": ("ThresholdNet", "check_deter_fixed_point", "embed_ltn_in_crbm",
             "embed_sigmoid_output", "parity_net"),
     "mrf": ("MrfModel", "SimplicialComplex", "compile_conditional_mrf",

@@ -149,7 +149,7 @@ def universal_m_table(k: int, n: int) -> BoundsReport:
         m_min=table[best] if best is not None else None,
         best_r=best,
         rbm_route=(1 << (k + n - 1)) - 1,
-        necessary=math.ceil((ambient_dim(k, n) - n) / (n + k + 1)),
+        necessary=-(-(ambient_dim(k, n) - n) // (n + k + 1)),
     )
 
 
@@ -179,15 +179,22 @@ def feasible_block_width(k: int, n: int, m: int) -> int:
     return 0
 
 
+def _necessary_ceiling(k: int, n: int) -> int:
+    """The smallest integer m >= 2^(k/2) - (n+k)^2 / 2n, in exact integer
+    arithmetic: for m >= 0 that is 2n m + (n+k)^2 >= sqrt(4 n^2 2^k), whose
+    integer left side meets the ceiling of the root."""
+    root = math.isqrt(4 * n * n * (1 << k) - 1) + 1
+    return -(-(root - (n + k) ** 2) // (2 * n))
+
+
 def deterministic_m_bounds(k: int, n: int) -> tuple[int, int]:
     """(sufficient, necessary) hidden-unit counts for all deterministic
     policies: min{2^k - 1, ceil(3n/(k+2) 2^k)} and
-    max(0, ceil(2^(k/2) - (n+k)^2 / 2n))."""
+    max(0, ceil(2^(k/2) - (n+k)^2 / 2n)), both exact."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1, n >= 1")
-    sufficient = min((1 << k) - 1, math.ceil(3 * n / (k + 2) * (1 << k)))
-    necessary = max(0, math.ceil(2 ** (k / 2) - (n + k) ** 2 / (2 * n)))
-    return sufficient, necessary
+    sufficient = min((1 << k) - 1, -(-3 * n * (1 << k) // (k + 2)))
+    return sufficient, max(0, _necessary_ceiling(k, n))
 
 
 def deterministic_necessity_check(k: int, n: int) -> bool:
@@ -199,14 +206,8 @@ def deterministic_necessity_check(k: int, n: int) -> bool:
     integer solution is >= 2^(k/2) - (n+k)^2/(2n).  Checked in exact integer
     arithmetic: every m below the stated bound violates the count.
     """
-    # largest integer m with 2n*m + (n+k)^2 < 2n * 2^(k/2),
-    # i.e. (2n*m + (n+k)^2)^2 < 4 n^2 2^k
-    target = 4 * n * n * (1 << k)
-    m_hat = -1
-    m = 0
-    while (2 * n * m + (n + k) ** 2) ** 2 < target:
-        m_hat = m
-        m += 1
+    # the largest integer m with 2n*m + (n+k)^2 < 2n * 2^(k/2)
+    m_hat = _necessary_ceiling(k, n) - 1
     if m_hat < 0:
         return True  # bound is vacuous; nothing to check
     lhs = m_hat * (n + k) ** 2 + n * m_hat * m_hat

@@ -34,7 +34,8 @@ from .errors import CrbmKitError
 #: the library names the handlers call that the package does not export,
 #: by defining module
 _CLI_HOME = {"eval_cells": "crbm", "ltn_table": "ltn",
-             "conditional_budget": "mrf", "star_count": "packing"}
+             "conditional_budget": "mrf", "s_value": "packing",
+             "star_count": "packing"}
 
 
 def __getattr__(name: str):
@@ -88,9 +89,21 @@ class _UsageError(Exception):
     """A malformed argument, found before any work starts; exit code 2."""
 
 
+def _check_printable(bits: int, what: str) -> None:
+    """Refuse a payload whose integers, all below 2^bits, may have more
+    decimal digits than Python converts to a string."""
+    limit = sys.get_int_max_str_digits()
+    if limit and bits * math.log10(2.0) >= limit:
+        raise _UsageError(f"{what} prints integers up to 2^{bits}, past "
+                          f"sys.get_int_max_str_digits() = {limit} digits")
+
+
 def _cmd_bounds(args) -> int:
     if args.k < 0 or args.n < 1 or (args.m is not None and args.m < 0):
         raise _UsageError("--k must be >= 0, --n >= 1 and --m >= 0")
+    # the RBM route, 2^(k+n-1) - 1, is the widest count
+    _check_printable(args.k + args.n - 1,
+                     f"bounds at (k, n) = ({args.k}, {args.n})")
     rep = _cli.universal_m_table(args.k, args.n)
     deterministic = None  # its bounds are stated for k >= 1 only
     if args.k:
@@ -114,6 +127,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_table1(args) -> int:
     if args.rmax < 1:
         raise _UsageError("--rmax must be >= 1")
+    # F(r) < 2^S(r) is the widest integer of row r, and grows with r
+    _check_printable(_cli.s_value(args.rmax), f"table1 --rmax {args.rmax}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["r", "coef", "F", "R", "K", "P"])
@@ -393,6 +408,17 @@ def _cmd_verify_all(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crbmkit",
@@ -422,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--mode", choices=["universal", "support", "common",
                                       "partition"], default="universal")
     p.add_argument("--d", type=int, default=None,
@@ -436,13 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = command("divergence", _cmd_divergence, "divergence witness for a budget")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
     p = command("mrf", _cmd_mrf, "compile a random field into (C)RBM weights")
     p.add_argument("--complex", required=True, type=_json_arg,
@@ -457,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = command("verify-all", _cmd_verify_all, "run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="offset for the randomized criteria's draws")
 
     return parser

@@ -3,10 +3,11 @@
 The pipeline follows the constructive route: start from a bias-only model
 whose rows sit near the scheme's start component, then walk a sequence of
 stars, realizing every sharing step (star fills and cylinder resets) as
-one appended hidden unit.  Every compile mode is one such walk
-(``_run_stars``), and a star is filled through each component 1..M-1 that
-has target mass on one of its rows (``_Pipeline.fill_star``).  Universal,
-common-support and partition targets walk a star packing.  A packing of
+one appended hidden unit.  Every compile mode hands one entry,
+``_compile``, a component scheme and a star list, and a star is filled
+through each component 1..M-1 that has target mass on one of its rows
+(``_Pipeline.fill_star``).  Universal, common-support and partition targets
+walk a star packing; the single-block partition walks no star.  A packing of
 depth r spends E(r) resets, what ``packing.build_packing`` emits and
 ``packing.universal_budget`` prices; from r = 3 on that is more than the
 paper's R(r), because each fill moves its star's whole input cylinder (see
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -79,7 +80,7 @@ from .errors import (
     SupportsDiffer,
     SupportTooLarge,
 )
-from .packing import PackingSequence, best_depth, build_packing, universal_budget
+from .packing import best_depth, build_packing, universal_budget
 from .sharing import OutputTilt, SharingStep, _sharp_cylinder_factors, \
     apply_sharing_log, build_tilted_step, hidden_unit_from_log, \
     make_reset_step, mixture_weight_profile, output_tilt
@@ -352,20 +353,34 @@ class _Pipeline:
                 members, target, self.allowance + self.tol_step, outside)
 
 
-def _compile_over_tau(run: Callable[[float], _Pipeline],
-                      target: ConditionalTable, eps: float, mode: str,
-                      budget: int, r: int | None, clamp_error: float = 0.0
-                      ) -> tuple[CrbmParams, CompileReport]:
-    """The first pipeline ``run(tau)``, tau = TAU_START, 2 TAU_START, ...,
-    TAU_MAX, whose evaluated conditional is within eps of ``target``.
+def _compile(target: ConditionalTable, scheme: _ComponentScheme, stars: list,
+             total_steps: int, eps: float, mode: str, budget: int,
+             r: int | None, clamp_error: float = 0.0
+             ) -> tuple[CrbmParams, CompileReport]:
+    """Walk ``stars`` at tau = TAU_START, 2 TAU_START, ..., TAU_MAX and
+    return the first level whose evaluated conditional is within eps of
+    ``target``.
 
-    When none is, the error names why the last level failed: the error it
-    raised, which it chains, or its certificate's TV."""
+    Each star is ``(what, center, free_mask, resets)``: a level resets the
+    drifted cylinders of ``resets``, fills the star and rejects itself if
+    the star, named ``what``, is doomed.  Each of the ``total_steps``
+    scheduled steps gets tolerance eps / (2 total_steps).  When no level
+    meets eps, the error names why the last one failed: the error it raised,
+    which it chains, or its certificate's TV."""
+    masses = scheme.masses(target.rows)
+    tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
+        pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            pipe = run(tau)
+            for what, center, free_mask, resets in stars:
+                for fixed_mask, fixed_values in resets:
+                    pipe.reset_if_needed(fixed_mask, fixed_values)
+                members = star_members(center, free_mask)
+                pipe.fill_star(center, free_mask, masses[members], members)
+                pipe.reject_if_doomed(members, target.rows[members], eps,
+                                      total_steps, what)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
         else:
@@ -387,40 +402,11 @@ def _compile_over_tau(run: Callable[[float], _Pipeline],
         f"{reason}") from last_error
 
 
-def _run_stars(k: int, n: int, scheme: _ComponentScheme, stars: Iterable,
-               total_steps: int, target: ConditionalTable, eps: float,
-               tau: float) -> _Pipeline:
-    """One tau level over ``stars``, each ``(what, center, free_mask,
-    resets)``: reset the drifted cylinders of ``resets``, fill the star and
-    reject the level if the star, named ``what``, is doomed.  Each of the
-    ``total_steps`` scheduled steps gets tolerance eps / (2 total_steps)."""
-    masses = scheme.masses(target.rows)
-    tol_step = eps / (2.0 * max(total_steps, 1))
-    pipe = _Pipeline(k, n, scheme, tau, tol_step)
-    for what, center, free_mask, resets in stars:
-        for fixed_mask, fixed_values in resets:
-            pipe.reset_if_needed(fixed_mask, fixed_values)
-        members = star_members(center, free_mask)
-        pipe.fill_star(center, free_mask, masses[members], members)
-        pipe.reject_if_doomed(members, target.rows[members], eps,
-                              total_steps, what)
-    return pipe
-
-
-def _run_packed(k: int, n: int, scheme: _ComponentScheme,
-                seq: PackingSequence, target: ConditionalTable,
-                eps: float, tau: float) -> _Pipeline:
-    """One tau level over the packing ``seq``, every star scheduled through
-    every component and every reset it lists."""
-    total_steps = (len(seq.centers) * (scheme.count - 1)
-                   + len(seq.reset_positions))
-    stars = ((f"star {i}", *star) for i, star in enumerate(seq.replay()))
-    return _run_stars(k, n, scheme, stars, total_steps, target, eps, tau)
-
-
 def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
                     r: int | None, eps: float, mode: str,
                     clamp_error: float = 0.0) -> tuple[CrbmParams, CompileReport]:
+    """Walk the packing of the best or given depth r, every star scheduled
+    through every component and every reset it lists."""
     k = target.k
     if r is None:
         r = best_depth(k, scheme.count)
@@ -430,9 +416,11 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
                 f"{mode} compile at (k, n) = ({k}, {target.n}) "
                 f"with {budget} hidden units")
     seq = build_packing(k, r)
-    return _compile_over_tau(
-        lambda tau: _run_packed(k, target.n, scheme, seq, target, eps, tau),
-        target, eps, mode, budget, r, clamp_error)
+    total_steps = (len(seq.centers) * (scheme.count - 1)
+                   + len(seq.reset_positions))
+    stars = [(f"star {i}", *star) for i, star in enumerate(seq.replay())]
+    return _compile(target, scheme, stars, total_steps, eps, mode, budget, r,
+                    clamp_error)
 
 
 def compile_universal(target: ConditionalTable, r: int | None = None,
@@ -478,14 +466,9 @@ def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
     if l == 0:
         if r is not None:
             universal_budget(target.k, r, 1)  # refuses a depth k cannot hold
-        params = CrbmParams.bias_only(target.k, n, np.zeros(n))
-        achieved = tv_row_distance(eval_conditional(params), target)
-        report = CompileReport(
-            mode="partition", hidden_units_used=0, resets_used=0,
-            star_steps_used=0, achieved_tv=achieved, tau_final=0.0,
-            budget_bound=0, within_budget=True, clamp_error=0.0,
-            r=r, epsilon=eps)
-        return params, report
+        # one block: the start model, the zero model, is the whole compile
+        return _compile(target, _ComponentScheme.partition(n, 0), [], 0, eps,
+                        "partition", 0, r)
     scheme = _ComponentScheme.partition(n, l)
     return _compile_packed(target, scheme, r, eps, "partition")
 
@@ -524,10 +507,8 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     extra = support.sum(axis=1) > support[:, y0]
     stars = [(f"row {x}", x, 0, ())
              for x in np.argsort(extra, kind="stable").tolist()]
-    return _compile_over_tau(
-        lambda tau: _run_stars(k, target.n, scheme, stars, total_steps,
-                               target, eps, tau),
-        target, eps, "support", budget, None)
+    return _compile(target, scheme, stars, total_steps, eps, "support", budget,
+                    None)
 
 
 def divergence_witness(target: ConditionalTable,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitspace import check_width
-from .errors import DisjointSupports, ShapeMismatch, WidthMismatch, ZeroInputMass
+from .errors import ShapeMismatch, WidthMismatch, ZeroInputMass
 
 SUM_TOL = 1e-12
 
@@ -89,17 +89,6 @@ class ConditionalTable:
 
     def support_size(self) -> int:
         return int(np.count_nonzero(self.rows))
-
-
-def hadamard(p: Dist, q: Dist) -> Dist:
-    """Renormalized entry-wise product (p * q)(x) = p(x)q(x) / sum p q."""
-    if p.width != q.width:
-        raise WidthMismatch(f"widths differ: {p.width} vs {q.width}")
-    prod = p.probs * q.probs
-    z = prod.sum()
-    if z <= 0:
-        raise DisjointSupports("supports are disjoint; normalizer vanishes")
-    return Dist(p.width, prod / z)
 
 
 def kl_dist(p: Dist, q: Dist) -> float:

@@ -27,10 +27,6 @@ class ShapeMismatch(CrbmKitError, ValueError):
     """Array shapes are inconsistent with the declared widths."""
 
 
-class DisjointSupports(CrbmKitError, ValueError):
-    """Hadamard product of distributions with disjoint supports."""
-
-
 class ZeroInputMass(CrbmKitError, ValueError):
     """Conditioning on an input state that carries no probability mass."""
 

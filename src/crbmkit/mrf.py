@@ -34,6 +34,12 @@ from .distributions import Dist
 from .errors import BudgetMismatch, NoBracket, TooLarge
 
 SOLVE_TOL = 1e-11
+#: cells (8 bytes each) charged per enumerated subset by ``full`` and
+#: ``from_generators``, before they enumerate: the face set, its sorted
+#: copy and the face array; tracemalloc peaks at 83.6-85.0 B per face for
+#: ``full`` and 147.4-149.0 B per subset of one generator for
+#: ``from_generators`` (CPython 3.11, n = 12, 14, 16, 18), rounded up
+FACE_CELLS = 19
 
 
 @dataclass(frozen=True)
@@ -70,10 +76,14 @@ class SimplicialComplex:
 
     @staticmethod
     def full(n: int) -> "SimplicialComplex":
+        check_cells((1 << n) * FACE_CELLS, f"the full complex on {n} units")
         return SimplicialComplex(n, frozenset(range(1 << n)))
 
     @staticmethod
     def from_generators(n: int, generators: list[int]) -> "SimplicialComplex":
+        subsets = sum(1 << g.bit_count() for g in generators)
+        check_cells(subsets * FACE_CELLS, f"a complex on {n} units from "
+                    f"generators with {subsets} subsets")
         faces = {0}
         for g in generators:
             sub = g

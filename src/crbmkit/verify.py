@@ -24,12 +24,7 @@ from .crbm import (
     random_params,
 )
 from .dimension import certify_dimension
-from .distributions import (
-    Dist,
-    hadamard,
-    random_conditional,
-    tv_row_distance,
-)
+from .distributions import random_conditional, tv_row_distance
 from .errors import CrbmKitError
 from .ltn import (
     ThresholdNet,
@@ -173,12 +168,11 @@ def _crit_mrf(offset: int = 0) -> tuple[bool, str]:
         model = MrfModel(full, {a: float(rng.standard_normal())
                                 for a in full.faces if a})
         want_m = (1 << n) - 1 - n
-        params, corr = compile_mrf_to_rbm(model)
+        params, _ = compile_mrf_to_rbm(model)
         if params.m != want_m:
             return False, f"n = {n}, seed {seed}: {params.m} hidden units != {want_m}"
         p = mrf_distribution(model)
-        tv = float(np.abs(hadamard(p, corr).probs
-                          - eval_joint_rbm(params).probs).sum())
+        tv = float(np.abs(p.probs - eval_joint_rbm(params).probs).sum())
         worst_joint = max(worst_joint, tv)
         if tv > 1e-6:
             return False, f"n = {n}, seed {seed}: joint tv = {tv}"
@@ -243,18 +237,6 @@ def _crit_bounds(offset: int = 0) -> tuple[bool, str]:
 
 def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(99 + offset)
-    # Hadamard identity and associativity
-    for _ in range(100):
-        w = int(rng.integers(1, 5))
-        p = Dist(w, rng.dirichlet(np.ones(1 << w)))
-        q = Dist(w, rng.dirichlet(np.ones(1 << w)))
-        s = Dist(w, rng.dirichlet(np.ones(1 << w)))
-        if np.abs(hadamard(Dist.uniform(w), p).probs - p.probs).max() > 1e-12:
-            return False, "Hadamard identity"
-        lhs = hadamard(hadamard(p, q), s).probs
-        rhs = hadamard(p, hadamard(q, s)).probs
-        if np.abs(lhs - rhs).max() > 1e-12:
-            return False, "Hadamard associativity"
     # sharing step round trip on the conditional: the stepped state's rows
     # are the conditional of the model grown by the step's hidden unit
     for _ in range(100):
@@ -303,7 +285,7 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
         members = star_members(center, free_mask)
         if affine_rank(members, w) != len(members):
             return False, "star affine independence"
-    return True, "500 randomized oracle checks passed"
+    return True, "400 randomized oracle checks passed"
 
 
 def _table_of(theta: np.ndarray, k: int, n: int, m: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,38 @@ def test_deterministic_m_bounds_examples():
     suff, nec = deterministic_m_bounds(30, 1)
     assert nec >= 2 ** 15 - 481
     assert nec > 0
+
+
+@pytest.mark.parametrize("k, n", [(54, 2), (55, 1), (1024, 1), (1023, 3)])
+def test_counts_are_exact_integer_ceilings(k, n):
+    # float ceilings read one too low from (54,2) and (55,1) on, and 2^1024
+    # overflows a float
+    suff, nec = deterministic_m_bounds(k, n)
+    assert universal_m_table(k, n).necessary == math.ceil(
+        Fraction(ambient_dim(k, n) - n, n + k + 1))
+    assert suff == min((1 << k) - 1, math.ceil(Fraction(3 * n << k, k + 2)))
+    # nec is the least m >= 0 with 2n m + (n+k)^2 >= 2n 2^(k/2)
+    def reach(m):
+        return (2 * n * m + (n + k) ** 2) ** 2 >= 4 * n * n << k
+    assert reach(nec) and (nec == 0 or not reach(nec - 1))
+    assert deterministic_necessity_check(k, n)
+    pinned = {(54, 2): (948126237341158, 1930114126015927),
+              (55, 1): (632084158227439, 1896252474682315)}
+    if (k, n) in pinned:
+        assert (universal_m_table(k, n).necessary, suff) == pinned[k, n]
+
+
+def test_necessity_check_matches_the_counting_loop():
+    # the loop it replaces: the largest m with (2n m + (n+k)^2)^2 < 4n^2 2^k
+    for k in range(1, 25):
+        for n in range(1, 7):
+            m_hat, m = -1, 0
+            while (2 * n * m + (n + k) ** 2) ** 2 < 4 * n * n * (1 << k):
+                m_hat, m = m, m + 1
+            want = m_hat < 0 or (m_hat * (n + k) ** 2 + n * m_hat * m_hat
+                                 < n * (1 << k))
+            assert deterministic_necessity_check(k, n) == want
+            assert deterministic_m_bounds(k, n)[1] == m_hat + 1
 
 
 def enumerate_ltf_1_1():

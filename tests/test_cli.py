@@ -148,12 +148,15 @@ def test_pack_payload_is_golden(k, r, capsys):
 
 #: SHA-256 of payloads holding only integers, booleans, strings and
 #: closed-form floats, as printed before the CLI became the one JSON writer;
-#: at k = 60 the ten depths' keys sort as strings ("1", "10", "2", ...)
+#: at k = 60 the ten depths' keys sort as strings ("1", "10", "2", ...).
+#: The k = 60 digest was re-recorded when the counts became exact integer
+#: ceilings: its float ceilings read the necessary and the deterministic
+#: sufficient count 4 too low (54901024028897476, 111573048832920676)
 INTEGER_DIGESTS = {
     ("bounds", "--k", "3", "--n", "2", "--m", "4"):
         "0ab82e95edf6c67d14496884a9888f3dcc0b55d187b2217457506fd8936088e1",
     ("bounds", "--k", "60", "--n", "2"):
-        "db5a98f37c392324123263394dfac757af02be49e0d88a1bff99b913d0706fb4",
+        "a734891b985e6e6b2968d99057cb3b0a053f58d55cfd0d1c8372750051f024ca",
     ("dim", "--k", "3", "--n", "3", "--m", "4", "--seed", "0"):
         "73f86ad44927f86f05aca21cd4d13ec7f295113aeb375d9dc3830364e390c1b2",
 }
@@ -253,6 +256,32 @@ def test_mrf_stdout_matches_its_golden_hash(k, capsys):
                          "--k", str(k)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MRF_GOLDEN[k]
+
+
+#: SHA-256 of stdout at seed 0, recorded at the commit before every compile
+#: mode ran through one tau-schedule entry; like the compiler's goldens they
+#: pin every float bit, so they hold for one numpy build on one CPU family
+COMPILE_GOLDEN = {
+    ("compile", "--k", "8", "--n", "1", "--r", "3"):
+        "5a3d95734627726705b8bdc8096f01e8140d6a3ca36164f982bf81bfd6b2aeee",
+    ("compile", "--mode", "support", "--k", "8", "--n", "2", "--d", "4"):
+        "8ded0fa07b28a8bc90ec681003d806a8081dd810ceeb7212124452837a2295f2",
+    ("compile", "--mode", "common", "--k", "8", "--n", "2",
+     "--support-size", "3"):
+        "6a0e4dc20efac897f0781c5718c0ef2f13f65e5ff1204b97396eba911620a8a6",
+    ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "2"):
+        "a4a755a6b95f9058aff59151962f06dd13b6c7c5f7a8f144e4cbf0f4a28824ff",
+    ("divergence", "--k", "3", "--n", "3", "--m", "10"):
+        "a00772e918f199533352d9534e618299662907623dee8932e79e389169a8c32f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMPILE_GOLDEN),
+                         ids=lambda argv: "-".join(argv))
+def test_compile_stdout_matches_its_golden_hash(argv, capsys):
+    code, out = run_cli([*argv, "--seed", "0"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPILE_GOLDEN[argv]
 
 
 def test_mrf_refuses_its_verification_before_compiling(capsys, monkeypatch):
@@ -356,6 +385,12 @@ def test_usage_error_exit_code():
     ["ltn", "--mode", "parity", "--k", "2", "--eps", "inf"],
     ["pack", "--k", "3", "--r", "-1"],
     ["table1", "--rmax", "-1"],
+    # numpy's generators refuse a negative seed after the work has started
+    ["compile", "--k", "2", "--n", "1", "--seed", "-1"],
+    ["dim", "--k", "1", "--n", "1", "--m", "1", "--seed", "-1"],
+    ["divergence", "--k", "1", "--n", "1", "--m", "1", "--seed", "-1"],
+    ["ltn", "--mode", "embed", "--k", "2", "--seed", "-1"],
+    ["verify-all", "--seed", "-5000"],
 ])
 def test_malformed_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -392,6 +427,29 @@ def test_oversized_table_is_refused_before_it_is_drawn(argv, capsys,
     assert code == 1
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: CapExceeded: ")
+
+
+def test_integers_past_the_str_digit_limit_are_refused_at_entry(capsys):
+    # at Python's default limit of 4300 digits: 2^14284 has 4300 and
+    # 2^14285 has 4301; table1's row r prints integers below 2^S(r), with
+    # S(168) = 14196 and S(169) = 14365
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["bounds", "--k", "14284", "--n", "1"]) == 0
+        assert main(["table1", "--rmax", "168"]) == 0
+        capsys.readouterr()
+        for argv in (["bounds", "--k", "14285", "--n", "1"],
+                     ["bounds", "--k", "1", "--n", "14285"],
+                     ["table1", "--rmax", "169"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert err.endswith(
+                "past sys.get_int_max_str_digits() = 4300 digits\n")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):

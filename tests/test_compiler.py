@@ -10,7 +10,6 @@ from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
     _Pipeline,
-    _run_packed,
     _worst_row_tv,
     clamp_table,
     compile_common_support,
@@ -102,10 +101,9 @@ def test_compile_unreachable_eps_raises():
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("mode", ["universal", "common", "partition", "support"])
 def test_compile_refuses_a_bad_eps_at_entry(mode, eps, monkeypatch):
-    # no tau level runs, and no clamp or packing is built first; the
-    # partition compile at l = 0 would return without any level
+    # no tau level runs, and no clamp or packing is built first
     calls = []
-    for name in ("_compile_over_tau", "clamp_table", "build_packing"):
+    for name in ("_compile", "clamp_table", "build_packing"):
         fn = getattr(compiler, name)
         monkeypatch.setattr(compiler, name, lambda *a, fn=fn, name=name, **kw:
                             calls.append(name) or fn(*a, **kw))
@@ -243,6 +241,25 @@ def test_single_block_partition_refuses_infeasible_depth():
     assert (rep.hidden_units_used, rep.r) == (0, 1)
     _, rep = compile_partition(uniform_table(0, 2), 0)
     assert (rep.hidden_units_used, rep.r) == (0, None)
+
+
+def test_single_block_partition_runs_the_tau_schedule():
+    # l = 0 walks no star: its first level's start model is the zero model,
+    # reported at tau = 16 with no unit, and a target it misses by more
+    # than eps exhausts the schedule like every other mode
+    rows = np.full((8, 4), 0.25)
+    rows[:, 0] += 4e-10
+    rows[:, 1] -= 4e-10
+    t = ConditionalTable(3, 2, rows)
+    params, rep = compile_partition(t, 0)
+    assert (rep.hidden_units_used, rep.tau_final, rep.budget_bound) == \
+        (0, 16.0, 0)
+    assert not (params.W.any() or params.V.any() or params.b.any()
+                or params.c.any())
+    assert 0 < rep.achieved_tv < 1e-8
+    with pytest.raises(BudgetExceeded, match=(
+            r"last level: certificate row TV [0-9.e-]+ \(tau = 1024\)$")):
+        compile_partition(t, 0, eps=rep.achieved_tv / 2)
 
 
 def test_compile_partition_rejects_non_block_constant():
@@ -638,13 +655,6 @@ def test_doomed_level_names_its_star_and_the_schedule_its_last_level(
     pattern = (r"star 0: worst-row TV [0-9.e-]+ to the target > "
                r"limit [0-9.e-]+ \(tau = 16\)")
     k, n, eps = 4, 2, 1e-2
-    target, _ = clamp_table(dirichlet_table(k, n, 0), eps)
-    scheme = _ComponentScheme.points(n, range(1 << n))
-    seq = build_packing(k, 2)
-    with pytest.raises(BudgetExceeded, match=f"^{pattern}$"):
-        _run_packed(k, n, scheme, seq, target, eps, 16.0)
-    assert _run_packed(k, n, scheme, seq, target, eps, 32.0).params.m == 19
-
     monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
     exhausted = r"^tau schedule exhausted without reaching eps = 0.01; "
     with pytest.raises(BudgetExceeded,

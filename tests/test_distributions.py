@@ -9,14 +9,13 @@ from crbmkit.distributions import (
     ConditionalTable,
     Dist,
     conditional_of_joint,
-    hadamard,
     kl_conditional,
     kl_dist,
     random_conditional,
     tv_row_distance,
 )
 from crbmkit.compiler import _ComponentScheme
-from crbmkit.errors import DisjointSupports, ZeroInputMass
+from crbmkit.errors import ZeroInputMass
 
 HALF_LOG2_3 = 0.5 * math.log2(3.0)  # divergence of (3/4,1/4) from (1/4,3/4)
 
@@ -57,28 +56,6 @@ class SupportClass:
 def in_support_class(p: ConditionalTable, c: SupportClass) -> bool:
     assert (p.k, p.n) == (c.k, c.n)
     return p.support_size() <= (1 << c.k) + c.d
-
-
-def test_hadamard_examples():
-    q = from_probs([0.1, 0.2, 0.3, 0.4])
-    assert np.allclose(hadamard(Dist.uniform(2), q).probs, q.probs)
-    half = from_probs([0.5, 0.5])
-    assert np.allclose(hadamard(half, half).probs, [0.5, 0.5])
-    got = hadamard(from_probs([0.8, 0.2]), half)
-    assert np.allclose(got.probs, [0.8, 0.2])
-
-
-def test_hadamard_disjoint_supports():
-    with pytest.raises(DisjointSupports):
-        hadamard(point_mass(1, 0), point_mass(1, 1))
-
-
-def test_hadamard_uniform_identity_all_widths():
-    rng = np.random.default_rng(2)
-    for width in range(1, 11):
-        q = random_dist(width, rng)
-        got = hadamard(Dist.uniform(width), q)
-        assert np.abs(got.probs - q.probs).max() < 1e-12
 
 
 def test_kl_examples():
@@ -224,13 +201,6 @@ def dists(draw, width=2):
                         min_size=1 << width, max_size=1 << width))
     arr = np.array(raw)
     return Dist(width, arr / arr.sum())
-
-
-@settings(max_examples=50, deadline=None)
-@given(dists(), dists())
-def test_hadamard_commutes_and_uniform_is_identity(p, q):
-    assert np.abs(hadamard(p, q).probs - hadamard(q, p).probs).max() < 1e-12
-    assert np.abs(hadamard(Dist.uniform(2), p).probs - p.probs).max() < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

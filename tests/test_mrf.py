@@ -8,9 +8,10 @@ import pytest
 from crbmkit import bitspace, mrf
 from crbmkit.bitspace import popcounts, set_bits
 from crbmkit.crbm import eval_conditional, eval_joint_rbm
-from crbmkit.distributions import conditional_of_joint, hadamard, tv_row_distance
+from crbmkit.distributions import Dist, conditional_of_joint, tv_row_distance
 from crbmkit.errors import CapExceeded, NoBracket, TooLarge
 from crbmkit.mrf import (
+    FACE_CELLS,
     SOLVE_TOL,
     MrfModel,
     SimplicialComplex,
@@ -27,6 +28,14 @@ from crbmkit.mrf import (
 def singletons(n):
     """The complex of the empty face and the n singletons."""
     return SimplicialComplex(n, frozenset([0] + [1 << i for i in range(n)]))
+
+
+def joint_tv(model, params, corr):
+    """Summed absolute difference between the field's Gibbs law and the
+    compiled RBM's joint; the compile's correction field must be uniform."""
+    assert np.array_equal(corr.probs, Dist.uniform(model.complex.n).probs)
+    return np.abs(mrf_distribution(model).probs
+                  - eval_joint_rbm(params).probs).sum()
 
 
 def conditional_family_model(k, output_complex, theta_rows):
@@ -272,8 +281,7 @@ def test_compile_full_complexes_n5_to_n8(n):
     model = MrfModel(full, theta)
     params, corr = compile_mrf_to_rbm(model)
     assert params.m == (1 << n) - 1 - n
-    lhs = hadamard(mrf_distribution(model), corr)
-    assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
+    assert joint_tv(model, params, corr) <= 1e-6
     cparams = compile_conditional_mrf(model, 1)
     assert cparams.m == (1 << n) - 1 - n
     want = conditional_of_joint(mrf_distribution(model), 1)
@@ -396,8 +404,7 @@ def test_compile_full_field_n12():
                             for a in sorted(full.faces) if a})
     params, corr = compile_mrf_to_rbm(model)
     assert params.m == (1 << 12) - 1 - 12
-    lhs = hadamard(mrf_distribution(model), corr)
-    assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
+    assert joint_tv(model, params, corr) <= 1e-6
 
 
 def test_compile_singletons_needs_no_hidden_units():
@@ -413,8 +420,7 @@ def test_compile_pair_interaction():
     model = MrfModel(SimplicialComplex.full(2), {0b11: 1.5})
     params, corr = compile_mrf_to_rbm(model)
     assert params.m == 1
-    lhs = hadamard(mrf_distribution(model), corr)
-    assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
+    assert joint_tv(model, params, corr) <= 1e-6
 
 
 def test_compile_full_complex_three_units():
@@ -425,8 +431,7 @@ def test_compile_full_complex_three_units():
         model = MrfModel(full, theta)
         params, corr = compile_mrf_to_rbm(model)
         assert params.m == 4  # faces of cardinality > 1
-        lhs = hadamard(mrf_distribution(model), corr)
-        assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
+        assert joint_tv(model, params, corr) <= 1e-6
 
 
 def test_compile_random_draws_up_to_n4():
@@ -438,8 +443,7 @@ def test_compile_random_draws_up_to_n4():
         model = MrfModel(full, theta)
         params, corr = compile_mrf_to_rbm(model)
         assert params.m == (1 << n) - 1 - n
-        lhs = hadamard(mrf_distribution(model), corr)
-        assert np.abs(lhs.probs - eval_joint_rbm(params).probs).sum() <= 1e-6
+        assert joint_tv(model, params, corr) <= 1e-6
 
 
 def test_conditional_budget_counts():
@@ -603,3 +607,19 @@ def test_complex_ground_set_is_capped_at_63_units():
     for n in (64, 70):
         with pytest.raises(TooLarge, match="the 63-unit limit"):
             SimplicialComplex.from_generators(n, [3 << i for i in range(n - 1)])
+
+
+def test_complex_enumeration_is_priced_before_it_runs():
+    # 2^40 faces, or 2^30 subsets of one generator, at FACE_CELLS each: a
+    # refusal that names the count, before any subset is enumerated
+    with pytest.raises(CapExceeded, match=(
+            f"the full complex on 40 units needs {FACE_CELLS << 40} cells")):
+        SimplicialComplex.full(40)
+    with pytest.raises(CapExceeded, match=(
+            f"a complex on 30 units from generators with {1 << 30} subsets "
+            f"needs {FACE_CELLS << 30} cells")):
+        SimplicialComplex.from_generators(30, [(1 << 30) - 1])
+    # the widest that fit: 2^20 faces, and the chain of 63 pairs
+    assert FACE_CELLS << 20 <= bitspace.MAX_CELLS < FACE_CELLS << 21
+    assert len(SimplicialComplex.from_generators(
+        63, [3 << i for i in range(62)]).faces) == 1 + 63 + 62
