@@ -30,18 +30,30 @@ over the outputs (``sharing.SharingStep``), broadcast over the rows, so no
 table over all 2^(k+n) states is built.
 
 One loop runs every step, fill or reset (``_Pipeline._step``): build the
-step at sharpness tau, try it on the state, and accept it when the worst
-row TV on its target rows is within the step's bound and the rows outside
-its region move by at most the step's tolerance share; otherwise double
-the sharpness, up to STEP_RETRIES tries.  Each scheduled step gets an equal
-share eps / (2 * steps) of the target tolerance.  The outer sharpness knob
-tau doubles from 16 until the final evaluation meets eps (or 1024 is hit,
-which raises BudgetExceeded).  A level is rejected early, at the first
-finished star whose rows miss their target by more than
-eps + (steps still to come) * tol_step + REJECT_MARGIN: the packing keeps
-every later step's region off a finished star, so each later step moves
-its rows by at most tol_step, and the certificate can recover no more than
-that.  The start distribution uses output biases of
+step at a sharpness rung tau * 2^i, i < STEP_RETRIES, try it on the state,
+and accept it when the worst row TV on its target rows is within the
+step's bound and the rows outside its region move by at most the step's
+tolerance share; otherwise double the sharpness, up to the top rung.  A
+step's ladder starts at the rung its kind's last accepted step passed in
+this tau level, tau for the first: the tolerance share is fixed within a
+level, and the rows outside a step's region move by about e^(-sharp d) at
+input distance d, so the rung a kind needs hardly varies from step to
+step, and the lower rungs a ratcheted step skips would mostly be rejected.
+Every accepted step still passes the same two checks.  If passing is
+monotone in sharpness, only a step that would have passed below its start
+rung changes: it is taken sharper.  Nothing checks that monotonicity: a
+step that passes only below its start rung now exhausts its ladder and
+rejects the level, so tau doubles.  A sweep of 200 compiles (seeds 0-7;
+universal, support, common and partition modes) met no such step: units
+and tau_final were those of a ladder restarting at tau on every step.
+Each scheduled step gets an equal share eps / (2 * steps) of the target
+tolerance.  The outer sharpness knob tau doubles from 16 until the final
+evaluation meets eps (or 1024 is hit, which raises BudgetExceeded).  A
+level is rejected early, at the first finished star whose rows miss their
+target by more than eps + (steps still to come) * tol_step + REJECT_MARGIN:
+the packing keeps every later step's region off a finished star, so each
+later step moves its rows by at most tol_step, and the certificate can
+recover no more than that.  The start distribution uses output biases of
 magnitude tau / (2 * component width) so that the sharp steps' off-region
 dust stays exponentially below the start-state dust.
 
@@ -224,6 +236,8 @@ class _Pipeline:
         self.start_tv = _worst_row_tv(self._rows, self.scheme.dists[0])
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
+        # kind -> index i of the rung tau * 2^i its last accepted step passed
+        self._rung: dict[str, int] = {}
 
     def _conditioned(self, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its
@@ -285,31 +299,50 @@ class _Pipeline:
               outside: np.ndarray) -> None:
         """Build, try and accept one sharing step.
 
-        ``build(sharp)`` makes the step at sharpness ``sharp``, starting at
-        tau, with its tilted state and tilt normalizer if it computed them
-        (else None and None).  A trial is accepted when its rows at
-        ``region`` are within row TV ``bound`` of ``target`` and its rows at
-        ``outside`` moved by at most tol_step; otherwise the sharpness
-        doubles.  The trial's joint is
-        conditioned on its inputs (``_conditioned``), and an accepted trial's
-        state becomes the pipeline's state as it is.
+        ``build(sharp)`` makes the step at sharpness ``sharp`` with its
+        tilted state and tilt normalizer if it computed them (else None and
+        None).  A trial is accepted when its rows at ``region`` are within
+        row TV ``bound`` of ``target`` and its rows at ``outside`` moved by
+        at most tol_step; otherwise the sharpness doubles.  The rungs are
+        tau * 2^i for i < STEP_RETRIES, and the ladder starts at the rung
+        the last accepted step of the same kind passed in this level (tau
+        for the first): within a level tol_step is fixed and a step's
+        outside drift falls like e^(-sharp d) in the input distance d, so a
+        step seldom passes below the rung its kind last needed, and the
+        ratchet only skips rungs, never adds one.  That a skipped rung would
+        also have failed assumes passing is monotone in sharpness, which
+        the measured sweep in the module docstring supports but nothing
+        checks; a step that passes only below its start rung exhausts its
+        ladder here and rejects the level.  The trial's joint is
+        conditioned on its inputs (``_conditioned``), and an accepted
+        trial's state becomes the pipeline's state as it is.
         """
-        sharp = self.tau
-        for _ in range(STEP_RETRIES):
+        first = self._rung.get(kind, 0)
+        rejected = None
+        for i in range(first, STEP_RETRIES):
+            sharp = self.tau * 2.0 ** i
             step, tilted, log_norm = build(sharp)
             logp, log_norm = apply_sharing_log(self.logp, step, tilted,
                                                log_norm)
             logp, rows = self._conditioned(logp)
-            if (_worst_row_tv(rows[region], target) <= bound
-                    and _worst_row_tv(rows[outside], self._rows[outside])
-                    <= self.tol_step):
-                self._apply(step, logp, rows, log_norm)
-                self.used[kind] += 1
-                self.allowance += self.tol_step
-                return
-            sharp *= 2.0
-        raise BudgetExceeded(
-            f"{kind} sharpness schedule exhausted (tau = {self.tau:g})")
+            tv = _worst_row_tv(rows[region], target)
+            if not tv <= bound:
+                rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
+                continue
+            drift = _worst_row_tv(rows[outside], self._rows[outside])
+            if not drift <= self.tol_step:
+                rejected = (f"outside drift {drift:.3g} > tol_step "
+                            f"{self.tol_step:.3g}")
+                continue
+            self._apply(step, logp, rows, log_norm)
+            self._rung[kind] = i
+            self.used[kind] += 1
+            self.allowance += self.tol_step
+            return
+        tried = (f"rungs {self.tau * 2.0 ** first:g} to {sharp:g}, at "
+                 f"{sharp:g} {rejected}" if rejected else "no rung left")
+        raise BudgetExceeded(f"{kind} sharpness schedule exhausted: {tried} "
+                             f"(tau = {self.tau:g})")
 
     def reset_if_needed(self, fixed_mask: int, fixed_values: int) -> None:
         """Drive the cylinder ``(fixed_mask, fixed_values)`` of inputs back to
@@ -327,20 +360,21 @@ class _Pipeline:
             sharp), None, None), inside, start, self.start_tv + self.tol_step,
             ~inside)
 
-    def fill_star(self, center: int, free_mask: int,
-                  target_masses: np.ndarray, members: list[int]) -> None:
+    def fill_star(self, center: int, free_mask: int, betas: np.ndarray,
+                  members: list[int]) -> None:
         """Mix the rows of the star ``(center, free_mask)`` toward the
-        targets through each component 1..M-1 that has target mass
-        ``target_masses`` on one of them.
+        targets through each component 1..M-1 that has a positive mixture
+        weight on one of them; ``betas`` is the members' rows of
+        ``mixture_weight_profile``, whose weight for a component is positive
+        exactly where that component has target mass.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
         a support compile fills each row once.  Each step's targets mix the
         previous step's toward its component."""
-        active = np.flatnonzero(target_masses[:, 1:].any(axis=0)) + 1
+        active = np.flatnonzero(betas.any(axis=0)) + 1
         if not active.size:
             return
-        betas = mixture_weight_profile(target_masses)
         outside = ~self._in_cylinder(*star_cylinder(center, free_mask, self.k))
         target = self.scheme.dists[0]
         for t in active.tolist():
@@ -367,7 +401,8 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme, stars: list,
     scheduled steps gets tolerance eps / (2 total_steps).  When no level
     meets eps, the error names why the last one failed: the error it raised,
     which it chains, or its certificate's TV."""
-    masses = scheme.masses(target.rows)
+    # row by row, so each star reads its members' rows of one profile
+    betas = mixture_weight_profile(scheme.masses(target.rows))
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
@@ -378,7 +413,7 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme, stars: list,
                 for fixed_mask, fixed_values in resets:
                     pipe.reset_if_needed(fixed_mask, fixed_values)
                 members = star_members(center, free_mask)
-                pipe.fill_star(center, free_mask, masses[members], members)
+                pipe.fill_star(center, free_mask, betas[members], members)
                 pipe.reject_if_doomed(members, target.rows[members], eps,
                                       total_steps, what)
         except BudgetExceeded as exc:

@@ -258,19 +258,23 @@ def test_mrf_stdout_matches_its_golden_hash(k, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MRF_GOLDEN[k]
 
 
-#: SHA-256 of stdout at seed 0, recorded at the commit before every compile
-#: mode ran through one tau-schedule entry; like the compiler's goldens they
-#: pin every float bit, so they hold for one numpy build on one CPU family
+#: SHA-256 of stdout at seed 0; like the compiler's goldens they pin every
+#: float bit, so they hold for one numpy build on one CPU family.  The
+#: divergence hash was recorded at the commit before every compile mode ran
+#: through one tau-schedule entry; the compile hashes were re-recorded when
+#: each step's sharpness ladder began to start at the rung its kind last
+#: passed in the level, which moves the weights of the steps that had passed
+#: below it but no unit count or tau
 COMPILE_GOLDEN = {
     ("compile", "--k", "8", "--n", "1", "--r", "3"):
-        "5a3d95734627726705b8bdc8096f01e8140d6a3ca36164f982bf81bfd6b2aeee",
+        "fe98605961574a9dd146ceb29d0ca902ade8337df4cc984c85e5e81d6c10d737",
     ("compile", "--mode", "support", "--k", "8", "--n", "2", "--d", "4"):
-        "8ded0fa07b28a8bc90ec681003d806a8081dd810ceeb7212124452837a2295f2",
+        "06cee6acb5e1da7bd4e25b0e9bc55c5d355f5a71a9c1a9f7d6b319fa95752c22",
     ("compile", "--mode", "common", "--k", "8", "--n", "2",
      "--support-size", "3"):
-        "6a0e4dc20efac897f0781c5718c0ef2f13f65e5ff1204b97396eba911620a8a6",
+        "306a2dd3d77dc25225bfe6f28e008604763f208751cff45689fe39cc2edff13d",
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "2"):
-        "a4a755a6b95f9058aff59151962f06dd13b6c7c5f7a8f144e4cbf0f4a28824ff",
+        "2ac50e3a0aa10cd99ab51a9a31ab50154b25e08a84a500002240e32f0324260c",
     ("divergence", "--k", "3", "--n", "3", "--m", "10"):
         "a00772e918f199533352d9534e618299662907623dee8932e79e389169a8c32f",
 }

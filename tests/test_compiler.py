@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -33,7 +34,8 @@ from crbmkit.errors import (
     SupportTooLarge,
 )
 from crbmkit.packing import build_packing
-from crbmkit.sharing import apply_sharing_log
+from crbmkit.sharing import (apply_sharing_log, build_tilted_step,
+                             mixture_weight_profile)
 
 
 def test_clamp_table():
@@ -387,22 +389,27 @@ def test_support_points_compile_sparse(k, n, seed):
 # of exp(entries - max); the support and universal-3-2 bits did not move
 # when that replaced scipy's arithmetic.  The digests pin every bit, so
 # they hold for one numpy build on one CPU family (x86-64, numpy 2.4): its
-# exp and log kernels are dispatched by SIMD extension.
+# exp and log kernels are dispatched by SIMD extension.  When each step's
+# sharpness ladder began to start at the rung its kind last passed in the
+# level, the universal-4-2, partition-4-3-l2 and support-4-2-d2 steps that
+# had passed below that rung were taken at it: their digests and TVs were
+# re-recorded then, their units and tau did not move, and no universal-3-2
+# bit did.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
                       10, 32.0, 0.0007966023069756398,
                       "ff0a7ebf896c16fc7d22ac252e0b9c9e72cd9c2f086b7580510eaed70bed562c"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
                       19, 32.0, 0.0007966040887859571,
-                      "370198dd4213599614a83d21d3704a62fbc74962889c1fd6728cd53e5e70437f"),
+                      "f399b56947142d2fa4c777d6e13a92d0bef8b1017afd6a1493b0d73aad6288e0"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
-                         19, 32.0, 0.0007966040887854645,
-                         "26a7f5d290f3b786c1e912f218527560d43f04c910cacdb71856999289bd11d4"),
+                         19, 32.0, 0.0007966040887864637,
+                         "1b9fc277ed37a43bebfed1ecfd7f0426e77795cd55c295bbace96941e6fc3d74"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
-                       11, 32.0, 0.001341175602538288,
-                       "0a7fa579f58a85450dbc8e54fa901d9a89dcabafd6c73b53cca3e1d1f7cd9cfe"),
+                       11, 32.0, 0.0013411756024457075,
+                       "eb1a5752fc29a68a523830b14f2e640cd7abc08a6b32ff6ba3a4efc93e4e6652"),
 }
 
 
@@ -534,16 +541,96 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     import crbmkit.compiler as compiler
 
     # the star at 0 with both inputs free, on the full 2-cube
-    targets = np.array([[0.2, 0.8]] * 3)
+    betas = mixture_weight_profile(np.array([[0.2, 0.8]] * 3))
     pipe = _Pipeline(2, 1, _ComponentScheme.points(1, [0, 1]), 32.0, 1e-3)
-    pipe.fill_star(0, 0b11, targets, [0, 1, 2])  # moves the rows off the start
+    pipe.fill_star(0, 0b11, betas, [0, 1, 2])  # moves the rows off the start
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
         pipe.reset_if_needed(0, 0)
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
-        pipe.fill_star(0, 0b11, targets, [0, 1, 2])
+        pipe.fill_star(0, 0b11, betas, [0, 1, 2])
     assert pipe.params.m == 1
+
+
+def test_step_ladders_ratchet_within_a_level(monkeypatch):
+    # every trial's sharpness is a rung tau * 2^i, i < STEP_RETRIES; a
+    # step's ladder starts at the rung the last accepted step of its kind
+    # passed in this tau level (tau for the first) and doubles from there.
+    # At (8,1), r = 3, seed 0, that is 92 trials for the 88 units at
+    # tau = 16, where a ladder restarting at tau on every step made 214
+    import crbmkit.compiler as compiler
+
+    events = []
+
+    def spy(owner, attr, event):
+        fn = getattr(owner, attr)
+
+        def traced(*args, **kwargs):
+            events.append(event(*args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, traced)
+
+    spy(compiler, "build_tilted_step", lambda *args: ("fill", args[-1]))
+    spy(compiler, "make_reset_step", lambda *args: ("reset", args[-1]))
+    spy(compiler, "append_hidden_unit", lambda *args: ("accept", None))
+    spy(_Pipeline, "__init__", lambda self, k, n, scheme, tau, tol: (
+        "level", tau))
+    _, rep = compile_universal(dirichlet_table(8, 1, 0), r=3)
+    assert (rep.hidden_units_used, rep.tau_final) == (88, 16.0)
+    trials = ratcheted = 0
+    for event, sharp in events:
+        if event == "level":
+            tau, passed, trial = sharp, {}, None
+        elif event == "accept":
+            passed[trial[0]] = trial[1]
+            trial = None
+        else:
+            trials += 1
+            assert sharp in {tau * 2.0 ** i
+                             for i in range(compiler.STEP_RETRIES)}
+            if trial is None:  # a step's first trial
+                assert sharp == passed.get(event, tau)
+                ratcheted += sharp > tau
+            else:
+                assert (event, sharp) == (trial[0], 2.0 * trial[1])
+            trial = (event, sharp)
+    assert trials == 92
+    assert ratcheted > 0
+
+
+def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
+        monkeypatch):
+    # an exhausted ladder names its kind, its first and last rung and the
+    # check that rejected the last one, with the value and the limit.  At
+    # (8,1), r = 3 with one rung per step, a fill at rung 16 moves the rows
+    # outside its star by more than tol_step
+    import crbmkit.compiler as compiler
+
+    monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
+    monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
+    drift = (r"^fill sharpness schedule exhausted: rungs 16 to 16, at 16 "
+             r"outside drift ([0-9.e-]+) > tol_step ([0-9.e-]+) "
+             r"\(tau = 16\)$")
+    with pytest.raises(BudgetExceeded) as exc:
+        compile_universal(dirichlet_table(8, 1, 0), r=3)
+    match = re.match(drift, str(exc.value.__cause__))
+    assert match is not None
+    assert float(match[1]) > float(match[2]) == pytest.approx(5.68e-5)
+    assert str(exc.value).endswith(str(exc.value.__cause__))
+    # a fill that mixes its star to 0.2 / 0.8 misses the point mass at
+    # y = 1 at every rung, so its region's TV rejects the last one
+    pipe = _Pipeline(2, 1, _ComponentScheme.points(1, [0, 1]), 32.0, 1e-3)
+    members = [0, 1, 2]
+    monkeypatch.setattr(compiler, "STEP_RETRIES", 3)
+    with pytest.raises(BudgetExceeded, match=(
+            r"^fill sharpness schedule exhausted: rungs 32 to 128, at 128 "
+            r"region TV [0-9.e-]+ > bound 0 \(tau = 32\)$")):
+        pipe._step("fill", lambda sharp: build_tilted_step(
+            pipe.logp, 2, 0b11, 0, dict.fromkeys(members, 0.8),
+            pipe.scheme.tilt(1, sharp), sharp), members,
+            pipe.scheme.dists[1], 0.0, np.zeros(4, dtype=bool))
+    assert pipe.params.m == 0
 
 
 def common_support_table(k, n, size, seed):
