@@ -13,28 +13,29 @@ from its defining module on first use (PEP 562) and kept here after that.
 
 from importlib import import_module
 
-#: the public names by the submodule that defines them
+#: the public names by the submodule that defines them: the package's one
+#: list of public names.  The CLI calls library code through these names
+#: alone, and every exported function has a caller in another module of the
+#: library, not only in the tests.
 _EXPORTS = {
     "bitspace": ("ball_members", "cylinder_members", "star_members"),
-    "bounds": ("BoundsReport", "code_A_exact", "code_A_lower", "code_K_exact",
-               "code_K_upper", "deterministic_m_bounds", "divergence_upper",
+    "bounds": ("BoundsReport", "deterministic_m_bounds", "divergence_upper",
                "expected_dim", "universal_m_table"),
     "compiler": ("CompileReport", "compile_common_support", "compile_partition",
                  "compile_support_points", "compile_universal",
                  "divergence_witness"),
     "crbm": ("CrbmParams", "append_hidden_unit", "conditional_jacobian",
-             "eval_conditional", "eval_joint_rbm"),
-    "dimension": ("DimensionReport", "certify_dimension", "numeric_rank",
-                  "tropical_rank_mod_inputs"),
+             "eval_cells", "eval_conditional", "eval_joint_rbm"),
+    "dimension": ("DimensionReport", "certify_dimension"),
     "distributions": ("ConditionalTable", "Dist", "conditional_of_joint",
-                      "kl_conditional", "kl_dist", "random_conditional",
+                      "kl_conditional", "random_conditional",
                       "tv_row_distance"),
     "ltn": ("ThresholdNet", "check_deter_fixed_point", "embed_ltn_in_crbm",
-            "embed_sigmoid_output", "parity_net"),
+            "embed_sigmoid_output", "ltn_table", "parity_net"),
     "mrf": ("MrfModel", "SimplicialComplex", "compile_conditional_mrf",
-            "compile_mrf_to_rbm", "mrf_distribution", "younes_solve"),
-    "packing": ("PackingSequence", "build_packing", "seq_values",
-                "validate_packing"),
+            "compile_mrf_to_rbm", "conditional_budget", "mrf_distribution"),
+    "packing": ("PackingSequence", "build_packing", "s_value", "seq_values",
+                "star_count", "validate_packing"),
     "sharing": ("SharingStep", "make_reset_step"),
     "verify": ("verify_all",),
 }

@@ -212,20 +212,3 @@ def deterministic_necessity_check(k: int, n: int) -> bool:
         return True  # bound is vacuous; nothing to check
     lhs = m_hat * (n + k) ** 2 + n * m_hat * m_hat
     return lhs < n * (1 << k)
-
-
-__all__ = [
-    "BoundsReport",
-    "ambient_dim",
-    "code_A_exact",
-    "code_A_lower",
-    "code_K_exact",
-    "code_K_upper",
-    "deterministic_m_bounds",
-    "deterministic_necessity_check",
-    "divergence_upper",
-    "expected_dim",
-    "feasible_block_width",
-    "param_count",
-    "universal_m_table",
-]

@@ -31,20 +31,13 @@ from . import _HOME
 from .bitspace import check_cells, star_cylinder
 from .errors import CrbmKitError
 
-#: the library names the handlers call that the package does not export,
-#: by defining module
-_CLI_HOME = {"eval_cells": "crbm", "ltn_table": "ltn",
-             "conditional_budget": "mrf", "s_value": "packing",
-             "star_count": "packing"}
-
 
 def __getattr__(name: str):
-    """A library name, read off its defining module at every lookup, so a
+    """A public name, read off its defining module at every lookup, so a
     wrapper set on that module's binding sees the call too."""
-    module = _HOME.get(name) or _CLI_HOME.get(name)
-    if module is None:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__package__}.{module}"), name)
+    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
 
 
 #: this module: the handlers call every library function through it, so a

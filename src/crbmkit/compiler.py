@@ -329,7 +329,8 @@ class _Pipeline:
             if not tv <= bound:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
                 continue
-            drift = _worst_row_tv(rows[outside], self._rows[outside])
+            moved = np.abs(rows - self._rows).sum(axis=1)
+            drift = float(moved.max(where=outside, initial=0.0))
             if not drift <= self.tol_step:
                 rejected = (f"outside drift {drift:.3g} > tol_step "
                             f"{self.tol_step:.3g}")
@@ -476,12 +477,10 @@ def compile_common_support(target: ConditionalTable, r: int | None = None,
                            eps: float = 1e-2) -> tuple[CrbmParams, CompileReport]:
     """Targets whose rows all share one support T; |T| - 1 steps per star."""
     _check_eps(eps)
-    supports = [frozenset(np.flatnonzero(target.rows[x]).tolist())
-                for x in range(1 << target.k)]
-    if len(set(supports)) != 1:
+    on = target.rows > 0
+    if not (on == on[0]).all():
         raise SupportsDiffer("rows do not share a common support")
-    support = sorted(supports[0])
-    scheme = _ComponentScheme.points(target.n, support)
+    scheme = _ComponentScheme.points(target.n, np.flatnonzero(on[0]).tolist())
     return _compile_packed(target, scheme, r, eps, "common")
 
 

@@ -285,12 +285,3 @@ def certify_dimension(k: int, n: int, m: int, seed: int = 0) -> DimensionReport:
         agree=numeric == expected_value,
         tropical_consistent=tropical <= numeric,
     )
-
-
-__all__ = [
-    "DimensionReport",
-    "certify_dimension",
-    "greedy_distance4_balls",
-    "numeric_rank",
-    "tropical_rank_mod_inputs",
-]

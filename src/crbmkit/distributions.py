@@ -42,6 +42,8 @@ class Dist:
             raise ShapeMismatch(
                 f"expected {1 << self.width} probabilities, got shape {p.shape}"
             )
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite probability entry")
         if np.any(p < 0):
             raise ValueError("negative probability entry")
         if abs(p.sum() - 1.0) > SUM_TOL * (1 << self.width):
@@ -70,6 +72,8 @@ class ConditionalTable:
         r = np.asarray(self.rows, dtype=float)
         if r.shape != (1 << self.k, 1 << self.n):
             raise ShapeMismatch(f"expected shape {(1 << self.k, 1 << self.n)}, got {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError("non-finite probability entry")
         if np.any(r < 0):
             raise ValueError("negative probability entry")
         if np.any(np.abs(r.sum(axis=1) - 1.0) > SUM_TOL * (1 << self.n)):

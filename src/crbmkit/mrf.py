@@ -331,11 +331,13 @@ def _cancelled(faces: np.ndarray, card: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cancel_faces(model: MrfModel, k: int, what: str) -> CrbmParams:
-    """One hidden unit per face of cardinality > 1 not inside the first k
-    units, on all of the model's units: the visible biases are the singleton
-    residues, and the other cancelled faces are certified below 1e-8.  At
-    k = 0 every face of cardinality > 1 is cancelled: that is the joint
-    compile, whose correction is uniform.
+    """The CRBM given the first k units: one hidden unit per face of
+    cardinality > 1 not inside them, its weights on the first k units the
+    input weights V and on the rest the output weights W.  The output
+    biases are the output units' singleton residues (the inputs' cancel in
+    every conditional and are dropped), and the other cancelled faces are
+    certified below 1e-8.  At k = 0 every face of cardinality > 1 is cancelled: that is the
+    joint compile, whose correction is uniform.
 
     The residue lives per face slot; theta and the subset masks find their
     slots by binary search.  Faces are processed in decreasing cardinality
@@ -386,13 +388,12 @@ def _cancel_faces(model: MrfModel, k: int, what: str) -> CrbmParams:
         raise BudgetMismatch(f"uncancelled faces remain: {leftovers.tolist()}")
 
     weights = np.concatenate(weights)
-    m = len(weights)
     visible = np.zeros(n)
     singletons = card == 1
     # the exponent frexp returns for the singleton 2^i is i + 1
     visible[np.frexp(faces[singletons])[1] - 1] = residue[singletons]
-    return CrbmParams(0, n, m, weights, np.zeros((m, 0)), visible,
-                      np.concatenate(biases))
+    return CrbmParams(k, n - k, len(weights), weights[:, k:], weights[:, :k],
+                      visible[k:], np.concatenate(biases))
 
 
 def compile_mrf_to_rbm(model: MrfModel) -> tuple[CrbmParams, Dist]:
@@ -424,6 +425,4 @@ def compile_conditional_mrf(model: MrfModel, k: int) -> CrbmParams:
     n_total = model.n
     if not 0 <= k < n_total:
         raise ValueError(f"k must be in [0, {n_total - 1}]")
-    rbm = _cancel_faces(model, k, f"compile_conditional_mrf at n = {n_total}")
-    return CrbmParams(k, n_total - k, rbm.m, rbm.W[:, k:], rbm.W[:, :k],
-                      rbm.b[k:], rbm.c)
+    return _cancel_faces(model, k, f"compile_conditional_mrf at n = {n_total}")

@@ -133,16 +133,6 @@ def k_coefficient(r: int) -> float:
     return k
 
 
-def p_coefficient(r: int) -> float:
-    """P(r) = (1/2) prod_{i=2..r} (1 - (i+1)/2^i)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    p = 0.5
-    for i in range(2, r + 1):
-        p *= 1.0 - (i + 1) / 2.0 ** i
-    return p
-
-
 def feasible_depths(k: int) -> range:
     """The recursion depths r with S(r) <= k, ascending; empty for k = 0."""
     r = 0

@@ -68,7 +68,7 @@ def _crit_table1(offset: int = 0) -> tuple[bool, str]:
     k_large = packing.k_coefficient(10 ** 5)
     if abs(k_large - 0.2263) > 5e-4:
         return False, f"K(1e5) = {k_large}"
-    p50 = packing.p_coefficient(50)
+    p50 = packing.seq_values(50).P
     if abs(p50 - 0.0269) > 5e-4:
         return False, f"P(50) = {p50}"
     return True, f"F,R exact for r<=5; K(1e5)={k_large:.6f}; P(50)={p50:.6f}"

@@ -58,6 +58,18 @@ def in_support_class(p: ConditionalTable, c: SupportClass) -> bool:
     return p.support_size() <= (1 << c.k) + c.d
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused(bad):
+    # NaN compares false, so neither the sign check nor the sum check
+    # alone catches it: a NaN table used to reach the compiler
+    rows = np.full((2, 4), 0.25)
+    rows[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite probability entry"):
+        ConditionalTable(1, 2, rows)
+    with pytest.raises(ValueError, match="non-finite probability entry"):
+        Dist(2, rows[1])
+
+
 def test_kl_examples():
     p = from_probs([0.75, 0.25])
     assert kl_dist(p, p) == 0.0

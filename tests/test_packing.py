@@ -15,7 +15,6 @@ from crbmkit.packing import (
     build_packing,
     feasible_depths,
     k_coefficient,
-    p_coefficient,
     seq_values,
     universal_budget,
     validate_packing,
@@ -62,9 +61,13 @@ def test_k_coefficient_limits():
 
 
 def test_p_coefficient_limit():
-    assert abs(p_coefficient(50) - 0.0269) <= 5e-4
+    assert abs(seq_values(50).P - 0.0269) <= 5e-4
+    # P(r) = (1/2) prod_{i=2..r} (1 - (i+1)/2^i)
+    p = 0.5
     for r in range(1, 12):
-        assert abs(p_coefficient(r) - seq_values(r).P) < 1e-13
+        if r > 1:
+            p *= 1.0 - (r + 1) / 2.0 ** r
+        assert abs(p - seq_values(r).P) < 1e-13
 
 
 def test_k_sandwich_brackets_k():
