@@ -14,9 +14,8 @@ from its defining module on first use (PEP 562) and kept here after that.
 from importlib import import_module
 
 #: the public names by the submodule that defines them: the package's one
-#: list of public names.  The CLI calls library code through these names
-#: alone, and every exported function has a caller in another module of the
-#: library, not only in the tests.
+#: list of them.  The CLI resolves the library names it calls by this map,
+#: and every exported function has a caller in another library module.
 _EXPORTS = {
     "bitspace": ("ball_members", "cylinder_members", "star_members"),
     "bounds": ("BoundsReport", "deterministic_m_bounds", "divergence_upper",

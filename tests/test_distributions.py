@@ -61,7 +61,7 @@ def in_support_class(p: ConditionalTable, c: SupportClass) -> bool:
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_are_refused(bad):
     # NaN compares false, so neither the sign check nor the sum check
-    # alone catches it: a NaN table used to reach the compiler
+    # catches it
     rows = np.full((2, 4), 0.25)
     rows[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite probability entry"):

@@ -65,9 +65,8 @@ def test_p_coefficient_limit():
     # P(r) = (1/2) prod_{i=2..r} (1 - (i+1)/2^i)
     p = 0.5
     for r in range(1, 12):
-        if r > 1:
-            p *= 1.0 - (r + 1) / 2.0 ** r
         assert abs(p - seq_values(r).P) < 1e-13
+        p *= 1.0 - (r + 2) / 2.0 ** (r + 1)
 
 
 def test_k_sandwich_brackets_k():
