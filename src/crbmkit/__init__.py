@@ -17,7 +17,8 @@ from importlib import import_module
 #: list of them.  The CLI resolves the library names it calls by this map,
 #: and every exported function has a caller in another library module.
 _EXPORTS = {
-    "bitspace": ("ball_members", "cylinder_members", "star_members"),
+    "bitspace": ("ball_members", "check_cells", "cylinder_members",
+                 "star_cylinder", "star_members"),
     "bounds": ("BoundsReport", "deterministic_m_bounds", "divergence_upper",
                "expected_dim", "universal_m_table"),
     "compiler": ("CompileReport", "compile_common_support", "compile_partition",

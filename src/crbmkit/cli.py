@@ -28,7 +28,6 @@ from importlib import import_module
 import numpy as np
 
 from . import _HOME
-from .bitspace import check_cells, star_cylinder
 from .errors import CrbmKitError
 
 
@@ -146,8 +145,9 @@ def _cmd_pack(args) -> int:
     if args.k < 0 or args.r < 1:
         raise _UsageError("--k must be >= 0 and --r >= 1")
     stars = _cli.star_count(args.k, args.r)
-    check_cells(stars * PACK_STAR_CELLS,
-                f"pack at (k, r) = ({args.k}, {args.r}) with {stars} stars")
+    _cli.check_cells(
+        stars * PACK_STAR_CELLS,
+        f"pack at (k, r) = ({args.k}, {args.r}) with {stars} stars")
     seq = _cli.build_packing(args.k, args.r)
     report = _cli.validate_packing(seq)
     payload = {
@@ -164,7 +164,7 @@ def _cmd_pack(args) -> int:
         "violations": list(report.violations),
     }
     for center, free in zip(seq.centers.tolist(), seq.free_masks.tolist()):
-        fixed_mask, fixed_values = star_cylinder(center, free, args.k)
+        fixed_mask, fixed_values = _cli.star_cylinder(center, free, args.k)
         payload["stars"].append({"center": center, "fixed_mask": fixed_mask,
                                  "fixed_values": fixed_values})
     _emit(payload, args.out)
@@ -223,7 +223,8 @@ def _cmd_compile(args) -> int:
     if args.mode == "partition" and args.l is None:
         args.l = max(args.n - 1, 0)
     _check_compile_args(args)
-    check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
+    _cli.check_cells(1 << (args.k + args.n),
+                     f"a table at (k, n) = ({args.k}, {args.n})")
     target = _random_target(args)
     if args.mode == "universal":
         params, report = _cli.compile_universal(target, args.r, args.eps)
@@ -257,7 +258,8 @@ def _cmd_dim(args) -> int:
 def _cmd_divergence(args) -> int:
     if args.k < 1 or args.n < 1 or args.m < 0:
         raise _UsageError("--k and --n must be >= 1 and --m >= 0")
-    check_cells(1 << (args.k + args.n), f"a table at (k, n) = ({args.k}, {args.n})")
+    _cli.check_cells(1 << (args.k + args.n),
+                     f"a table at (k, n) = ({args.k}, {args.n})")
     target = _cli.random_conditional(args.k, args.n, args.seed)
     params, div = _cli.divergence_witness(target, args.m)
     payload = {
@@ -329,12 +331,13 @@ def _cmd_mrf(args) -> int:
     n, generators, theta = _mrf_inputs(args.complex, args.theta)
     if not 0 <= args.k < n:
         raise _UsageError(f"--k must be in [0, n - 1] = [0, {n - 1}]")
-    check_cells(1 << n, f"a field over n = {n} units")
+    _cli.check_cells(1 << n, f"a field over n = {n} units")
     complex_ = _cli.SimplicialComplex.from_generators(n, generators)
     # the verification evaluates the compiled CRBM: price it before compiling
     m = _cli.conditional_budget(complex_, args.k)
-    check_cells(_cli.eval_cells(args.k, n - args.k, m),
-                f"verifying a field over n = {n} units with {m} hidden units")
+    _cli.check_cells(
+        _cli.eval_cells(args.k, n - args.k, m),
+        f"verifying a field over n = {n} units with {m} hidden units")
     # at k = 0 this is the joint compile, and its one row the Gibbs law
     model = _cli.MrfModel(complex_, theta)
     params = _cli.compile_conditional_mrf(model, args.k)
@@ -360,8 +363,8 @@ def _cmd_ltn(args) -> int:
         raise _UsageError("--eps must be finite and > 0")
     n, m = (1, args.k) if args.mode == "parity" else (args.n, args.m)
     # the embedding evaluates the CRBM of the net's m units: price it first
-    check_cells(_cli.eval_cells(args.k, n, m),
-                f"embedding a net at (k, n, m) = ({args.k}, {n}, {m})")
+    _cli.check_cells(_cli.eval_cells(args.k, n, m),
+                     f"embedding a net at (k, n, m) = ({args.k}, {n}, {m})")
     if args.mode == "parity":
         net = _cli.parity_net(args.k)
     else:

@@ -68,20 +68,45 @@ conditioned state; an accepted trial's state and rows become the
 pipeline's as they are, and its tilt normalizer goes into the unit's bias.
 The state has mass 1, so a trial makes one full reduction (the
 normalizer), and neither an accepted unit nor a tau level makes another.
-The output half of a tilt depends only on the component and the sharpness,
-so the component scheme builds each one's factors and table log s_Y (2^n)
-on first use and every later star, trial and tau level reuses them.
+
+Every compile of a shape walks one plan, built by the first compile of that
+shape in the process and read by every later one and by each of their tau
+levels; nothing in it depends on the target.  The plan has three parts:
+
+- the packing walk for (k, r), each star named and with the cylinders
+  reset before it (``_packing_walk``);
+- each star's ``sharing.StarTilt``: its members ascending, where each flip
+  sits in the input factors, its cylinder and its cylinder factors at
+  unit sharpness (``_star_tilt``, by (k, center, free_mask), the support
+  compiles' point stars too);
+- the component scheme for (n, masks, values) (``_scheme``).  It keeps
+  each component's output tilt (factors and log s_Y, 2^n) per sharpness,
+  and the start state per tau: the output biases, the (2^n,) start row,
+  its conditioned row and its TV to the start component.  Each level
+  broadcasts that row to the (2^k, 2^n) start state.
+
+What depends on the target, the mixture weights and their log-odds, is
+computed once per compile, and each star's rows of them are gathered once.
+The caches are lru caches of fixed size: STAR_CACHE stars, WALK_CACHE walks
+and SCHEME_CACHE schemes.  A scheme wider than SCHEME_CELLS cells is built
+per compile instead, and a scheme's tilts and start rows are bounded by the
+rungs and tau levels of the schedule.  Reuse cannot change an output:
+every plan object is a tuple or a read-only array, and a cached plan is the
+object a fresh build would make, by the same operations in the same order.
+The start row is reduced over a column-major array of min(2^k, 2) rows,
+which numpy reduces in the order of the full state's rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bitspace import check_cells, star_cylinder, star_members, state_bits
+from .bitspace import check_cells, state_bits
 from .crbm import (CrbmParams, append_hidden_unit, eval_cells,
                    eval_conditional)
 from .distributions import (ConditionalTable, _check_eps, kl_conditional,
@@ -93,9 +118,10 @@ from .errors import (
     SupportTooLarge,
 )
 from .packing import best_depth, build_packing, universal_budget
-from .sharing import OutputTilt, SharingStep, _sharp_cylinder_factors, \
-    apply_sharing_log, build_tilted_step, hidden_unit_from_log, \
-    make_reset_step, mixture_weight_profile, output_tilt
+from .sharing import OutputTilt, SharingStep, StarTilt, _read_only, \
+    _sharp_cylinder_factors, apply_sharing_log, build_tilted_step, \
+    hidden_unit_from_log, log_odds, make_reset_step, mixture_weight_profile, \
+    output_tilt, star_tilt
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -108,6 +134,14 @@ STEP_RETRIES = 12
 REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
+#: the shape plan's caches: star geometries (a support compile at k = 12
+#: walks 4096 point stars, a packing at (13, 1) 2272 stars), packing walks
+#: by (k, r), and component schemes by (n, masks, values); a scheme whose
+#: membership table has more than SCHEME_CELLS cells is built per compile
+STAR_CACHE = 1 << 12
+WALK_CACHE = 16
+SCHEME_CACHE = 32
+SCHEME_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -146,17 +180,21 @@ class _ComponentScheme:
     targets all 2^n points with the most shared support point y0 first.
     """
 
-    def __init__(self, n: int, masks: list[int], values: list[int]):
+    def __init__(self, n: int, masks: tuple[int, ...],
+                 values: tuple[int, ...]):
         self.n = n
         self.masks = masks
         self.values = values
         self._tilts: dict[tuple[int, float], OutputTilt] = {}
+        self._starts: dict[tuple[float, int], _Start] = {}
         y = np.arange(1 << n)
-        self.membership = [(y & masks[t]) == values[t] for t in range(len(masks))]
-        self.dists = []
+        self.membership = tuple(_read_only((y & mask) == value)
+                                for mask, value in zip(masks, values))
+        dists = []
         for member in self.membership:
             v = member.astype(float)
-            self.dists.append(v / v.sum())
+            dists.append(_read_only(v / v.sum()))
+        self.dists = tuple(dists)
 
     @property
     def count(self) -> int:
@@ -182,31 +220,109 @@ class _ComponentScheme:
     def tilt(self, t: int, sharp: float) -> OutputTilt:
         """Component t's output tilt at sharpness ``sharp``: -sharp on the
         off value of each of its fixed bits.  Built on first use and kept,
-        so every star, trial and tau level stepping toward component t at
-        that sharpness shares one."""
+        so every compile, tau level, star and trial stepping toward
+        component t at that sharpness shares one."""
         out = self._tilts.get((t, sharp))
         if out is None:
             out = self._tilts[t, sharp] = output_tilt(_sharp_cylinder_factors(
                 self.n, self.masks[t], self.values[t], sharp))
         return out
 
-    def start_bias(self, tau_b: float) -> np.ndarray:
-        """Output biases +-tau_b toward the start component's fixed bits:
-        the odds of its sharp cylinder factors at sharpness tau_b."""
-        lf = _sharp_cylinder_factors(self.n, self.masks[0], self.values[0], tau_b)
-        return lf[:, 1] - lf[:, 0]
+    def start(self, tau: float, k: int) -> "_Start":
+        """The start state at sharpness ``tau`` on k inputs, by its one
+        distinct row: output biases +-tau_b toward the start component's
+        fixed bits, tau_b = tau / (2 * sharp_width), the odds of its sharp
+        cylinder factors at sharpness tau_b.  Built on first use and kept,
+        so every compile through this scheme at that tau shares one.
+
+        Its row statistics are reduced over a column-major array of
+        min(2^k, 2) equal rows: numpy reduces such an array's rows in the
+        order it reduces the full (2^k, 2^n) state's, and a single row in
+        another, so the row is the full state's bit for bit."""
+        key = (tau, min(1 << k, 2))
+        out = self._starts.get(key)
+        if out is None:
+            tau_b = tau / (2.0 * max(self.sharp_width, 1))
+            lf = _sharp_cylinder_factors(self.n, self.masks[0], self.values[0],
+                                         tau_b)
+            bias = _read_only(lf[:, 1] - lf[:, 0])
+            logits = (state_bits(self.n) * bias[None, :]).sum(axis=1)
+            state = np.asfortranarray(np.broadcast_to(logits,
+                                                      (key[1], 1 << self.n)))
+            top = state.max(axis=1, keepdims=True)
+            shifted = np.exp(state - top)
+            mass = shifted.sum(axis=1, keepdims=True)
+            rows = shifted / mass
+            out = self._starts[key] = _Start(
+                bias, _read_only(logits), (top + np.log(mass))[0, 0],
+                _read_only(rows[0]), _worst_row_tv(rows, self.dists[0]))
+        return out
 
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
         """Point components at the output states ``values``, in that order;
         the first is the start component."""
-        values = list(values)
-        return _ComponentScheme(n, [(1 << n) - 1] * len(values), values)
+        values = tuple(values)
+        return _scheme(n, ((1 << n) - 1,) * len(values), values)
 
     @staticmethod
     def partition(n: int, l: int) -> "_ComponentScheme":
         mask = (1 << l) - 1
-        return _ComponentScheme(n, [mask] * (1 << l), list(range(1 << l)))
+        return _scheme(n, (mask,) * (1 << l), tuple(range(1 << l)))
+
+
+class _Start(NamedTuple):
+    """A scheme's start state at one tau, by its row: the output biases,
+    the row's logits, their log-sum-exp (the max plus the log of the
+    shifted sum), the conditional row, and its worst TV to the start
+    component; arrays read-only."""
+
+    bias: np.ndarray
+    logits: np.ndarray
+    log_mass: float
+    rows: np.ndarray
+    tv: float
+
+
+@lru_cache(maxsize=SCHEME_CACHE)
+def _cached_scheme(n: int, masks: tuple[int, ...],
+                   values: tuple[int, ...]) -> _ComponentScheme:
+    return _ComponentScheme(n, masks, values)
+
+
+def _scheme(n: int, masks: tuple[int, ...],
+            values: tuple[int, ...]) -> _ComponentScheme:
+    """The scheme of these components, kept across compiles with its tilts
+    and start rows unless its membership table is wider than
+    SCHEME_CELLS."""
+    if len(masks) << n > SCHEME_CELLS:
+        return _ComponentScheme(n, masks, values)
+    return _cached_scheme(n, masks, values)
+
+
+class _Star(NamedTuple):
+    """One star of a compile's walk: its name in errors, the cylinders
+    ``(fixed_mask, fixed_values)`` reset just before it is filled, and its
+    tilt geometry."""
+
+    what: str
+    resets: tuple[tuple[int, int], ...]
+    tilt: StarTilt
+
+
+@lru_cache(maxsize=STAR_CACHE)
+def _star_tilt(k: int, center: int, free_mask: int) -> StarTilt:
+    return star_tilt(k, center, free_mask)
+
+
+@lru_cache(maxsize=WALK_CACHE)
+def _packing_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
+    """The depth-r packing of k inputs as a walk, and its reset count."""
+    seq = build_packing(k, r)
+    stars = tuple(_Star(f"star {i}", tuple(resets),
+                        _star_tilt(k, center, free))
+                  for i, (center, free, resets) in enumerate(seq.replay()))
+    return stars, len(seq.reset_positions)
 
 
 def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
@@ -224,16 +340,18 @@ class _Pipeline:
         self.scheme = scheme
         self.tau = tau
         self.tol_step = tol_step
-        tau_b = tau / (2.0 * max(scheme.sharp_width, 1))
-        b0 = scheme.start_bias(tau_b)
-        self.params = CrbmParams.bias_only(k, n, b0)
-        logits = (state_bits(n) * b0[None, :]).sum(axis=1)
+        start = scheme.start(tau, k)
+        self.params = CrbmParams.bias_only(k, n, start.bias.copy())
+        # the start state conditioned on its inputs: its row broadcast,
         # column-major, x fastest: each row reduction of the state runs over
         # contiguous columns, and every step keeps the layout
-        self.logp, self._rows = self._conditioned(
-            np.asfortranarray(np.broadcast_to(logits, (1 << k, 1 << n))))
+        shape = (1 << k, 1 << n)
+        self.logp = np.asfortranarray(np.broadcast_to(
+            start.logits - (start.log_mass + k * LOG2), shape))
+        self._rows = _read_only(np.asfortranarray(
+            np.broadcast_to(start.rows, shape)))
         self._inputs = np.arange(1 << k)
-        self.start_tv = _worst_row_tv(self._rows, self.scheme.dists[0])
+        self.start_tv = start.tv
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
         # kind -> index i of the rung tau * 2^i its last accepted step passed
@@ -362,12 +480,16 @@ class _Pipeline:
             ~inside)
 
     def fill_star(self, center: int, free_mask: int, betas: np.ndarray,
-                  members: list[int]) -> None:
-        """Mix the rows of the star ``(center, free_mask)`` toward the
-        targets through each component 1..M-1 that has a positive mixture
-        weight on one of them; ``betas`` is the members' rows of
-        ``mixture_weight_profile``, whose weight for a component is positive
-        exactly where that component has target mass.
+                  members: list[int] | np.ndarray,
+                  log_t: np.ndarray | None = None) -> None:
+        """Mix the rows of the star ``(center, free_mask)``, its ``members``
+        ascending, toward the targets through each component 1..M-1 that
+        has a positive mixture weight on one of them; ``betas`` is the
+        members' rows of ``mixture_weight_profile``, whose weight for a
+        component is positive exactly where that component has target mass,
+        and ``log_t`` their ``log_odds``, computed here unless the caller
+        passes the ones it already has (``_compile`` takes them once per
+        compile).  The star's geometry is read from the plan's cache.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
@@ -376,52 +498,59 @@ class _Pipeline:
         active = np.flatnonzero(betas.any(axis=0)) + 1
         if not active.size:
             return
-        outside = ~self._in_cylinder(*star_cylinder(center, free_mask, self.k))
+        if log_t is None:
+            log_t = log_odds(betas)
+        star = _star_tilt(self.k, center, free_mask)
+        outside = ~self._in_cylinder(*star.cylinder)
         target = self.scheme.dists[0]
         for t in active.tolist():
             beta = betas[:, t - 1, None]
-            beta_map = dict(zip(members, beta[:, 0].tolist()))
             target = (1.0 - beta) * target + beta * self.scheme.dists[t]
             self._step("fill", lambda sharp: build_tilted_step(
-                self.logp, self.k, free_mask, center, beta_map,
+                self.logp, star, beta[:, 0], log_t[:, t - 1],
                 self.scheme.tilt(t, sharp), sharp),
                 members, target, self.allowance + self.tol_step, outside)
 
 
-def _compile(target: ConditionalTable, scheme: _ComponentScheme, stars: list,
-             total_steps: int, eps: float, mode: str, budget: int,
-             r: int | None, clamp_error: float = 0.0
-             ) -> tuple[CrbmParams, CompileReport]:
+def _compile(target: ConditionalTable, scheme: _ComponentScheme,
+             stars: tuple[_Star, ...], total_steps: int, eps: float, mode: str,
+             budget: int, r: int | None, clamp_error: float = 0.0
+             ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
     """Walk ``stars`` at tau = TAU_START, 2 TAU_START, ..., TAU_MAX and
     return the first level whose evaluated conditional is within eps of
-    ``target``.
+    ``target``, with that conditional, the certificate's.
 
-    Each star is ``(what, center, free_mask, resets)``: a level resets the
-    drifted cylinders of ``resets``, fills the star and rejects itself if
-    the star, named ``what``, is doomed.  Each of the ``total_steps``
-    scheduled steps gets tolerance eps / (2 total_steps).  When no level
-    meets eps, the error names why the last one failed: the error it raised,
-    which it chains, or its certificate's TV."""
-    # row by row, so each star reads its members' rows of one profile
+    At each star a level resets the drifted cylinders the star lists, fills
+    the star and rejects itself if the star is doomed.  Each of the
+    ``total_steps`` scheduled steps gets tolerance eps / (2 total_steps).
+    When no level meets eps, the error names why the last one failed: the
+    error it raised, which it chains, or its certificate's TV."""
+    # row by row, so each star reads its members' rows of one profile; the
+    # rows every level reads are gathered once
     betas = mixture_weight_profile(scheme.masses(target.rows))
+    log_t = log_odds(betas)
+    walk = [(star, betas[star.tilt.members], log_t[star.tilt.members],
+             target.rows[star.tilt.members]) for star in stars]
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for what, center, free_mask, resets in stars:
-                for fixed_mask, fixed_values in resets:
+            for star, star_betas, star_log_t, star_target in walk:
+                for fixed_mask, fixed_values in star.resets:
                     pipe.reset_if_needed(fixed_mask, fixed_values)
-                members = star_members(center, free_mask)
-                pipe.fill_star(center, free_mask, betas[members], members)
-                pipe.reject_if_doomed(members, target.rows[members], eps,
-                                      total_steps, what)
+                tilt = star.tilt
+                pipe.fill_star(tilt.center, tilt.free_mask, star_betas,
+                               tilt.members, star_log_t)
+                pipe.reject_if_doomed(tilt.members, star_target, eps,
+                                      total_steps, star.what)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
         else:
             params = pipe.params
-            achieved = tv_row_distance(eval_conditional(params), target)
+            conditional = eval_conditional(params)
+            achieved = tv_row_distance(conditional, target)
             if achieved <= eps:
                 return params, CompileReport(
                     mode=mode, hidden_units_used=params.m,
@@ -429,7 +558,7 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme, stars: list,
                     star_steps_used=pipe.used["fill"], achieved_tv=achieved,
                     tau_final=tau, budget_bound=budget,
                     within_budget=params.m <= budget,
-                    clamp_error=clamp_error, r=r, epsilon=eps)
+                    clamp_error=clamp_error, r=r, epsilon=eps), conditional
             last_error = None
             reason = f"certificate row TV {achieved:.6g} (tau = {tau:g})"
         tau *= 2.0
@@ -440,7 +569,8 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme, stars: list,
 
 def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
                     r: int | None, eps: float, mode: str,
-                    clamp_error: float = 0.0) -> tuple[CrbmParams, CompileReport]:
+                    clamp_error: float = 0.0
+                    ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
     """Walk the packing of the best or given depth r, every star scheduled
     through every component and every reset it lists."""
     k = target.k
@@ -451,10 +581,8 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
     check_cells(eval_cells(k, target.n, budget),
                 f"{mode} compile at (k, n) = ({k}, {target.n}) "
                 f"with {budget} hidden units")
-    seq = build_packing(k, r)
-    total_steps = (len(seq.centers) * (scheme.count - 1)
-                   + len(seq.reset_positions))
-    stars = [(f"star {i}", *star) for i, star in enumerate(seq.replay())]
+    stars, resets = _packing_walk(k, r)
+    total_steps = len(stars) * (scheme.count - 1) + resets
     return _compile(target, scheme, stars, total_steps, eps, mode, budget, r,
                     clamp_error)
 
@@ -470,7 +598,8 @@ def compile_universal(target: ConditionalTable, r: int | None = None,
     _check_eps(eps)
     clamped, clamp_err = clamp_table(target, eps)
     scheme = _ComponentScheme.points(target.n, range(1 << target.n))
-    return _compile_packed(clamped, scheme, r, eps, "universal", clamp_err)
+    return _compile_packed(clamped, scheme, r, eps, "universal",
+                           clamp_err)[:2]
 
 
 def compile_common_support(target: ConditionalTable, r: int | None = None,
@@ -481,12 +610,18 @@ def compile_common_support(target: ConditionalTable, r: int | None = None,
     if not (on == on[0]).all():
         raise SupportsDiffer("rows do not share a common support")
     scheme = _ComponentScheme.points(target.n, np.flatnonzero(on[0]).tolist())
-    return _compile_packed(target, scheme, r, eps, "common")
+    return _compile_packed(target, scheme, r, eps, "common")[:2]
 
 
 def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
                       eps: float = 1e-2) -> tuple[CrbmParams, CompileReport]:
     """Targets block-constant on the cylinder partition of the first l bits."""
+    return _partition(target, l, r, eps)[:2]
+
+
+def _partition(target: ConditionalTable, l: int, r: int | None, eps: float
+               ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
+    """``compile_partition``, with the certificate's conditional."""
     _check_eps(eps)
     n = target.n
     if not 0 <= l <= n:
@@ -501,7 +636,7 @@ def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
         if r is not None:
             universal_budget(target.k, r, 1)  # refuses a depth k cannot hold
         # one block: the start model, the zero model, is the whole compile
-        return _compile(target, _ComponentScheme.partition(n, 0), [], 0, eps,
+        return _compile(target, _ComponentScheme.partition(n, 0), (), 0, eps,
                         "partition", 0, r)
     scheme = _ComponentScheme.partition(n, l)
     return _compile_packed(target, scheme, r, eps, "partition")
@@ -539,10 +674,10 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     # come first, so they are checked before any step
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
-    stars = [(f"row {x}", x, 0, ())
-             for x in np.argsort(extra, kind="stable").tolist()]
+    stars = tuple(_Star(f"row {x}", (), _star_tilt(k, x, 0))
+                  for x in np.argsort(extra, kind="stable").tolist())
     return _compile(target, scheme, stars, total_steps, eps, "support", budget,
-                    None)
+                    None)[:2]
 
 
 def divergence_witness(target: ConditionalTable,
@@ -565,5 +700,5 @@ def divergence_witness(target: ConditionalTable,
     # clamp within blocks (preserves block-constancy), then compile tightly
     # at the cheapest depth, whose budget is within m_budget by the choice of l
     table, _ = clamp_table(ConditionalTable(k, n, projected), 0.016)
-    params, _ = compile_partition(table, l, eps=WITNESS_EPS)
-    return params, kl_conditional(target, eval_conditional(params))
+    params, _, conditional = _partition(table, l, None, WITNESS_EPS)
+    return params, kl_conditional(target, conditional)

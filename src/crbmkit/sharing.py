@@ -28,10 +28,15 @@ compares it with ``crbm.eval_conditional`` of the grown model.
 
 Each step kind has one builder: build_tilted_step (a star fill, exact
 mixture weights on the star's rows) and make_reset_step (a cylinder reset).
-Both concentrate the inputs on a cylinder the same way.  apply_sharing_log
-is the one way to apply a step and hidden_unit_from_log the one way to
-realize it.  Sequencing, sharpening and accepting steps is the compiler's
-job (compiler._Pipeline).
+Both concentrate the inputs on a cylinder the same way.  A fill reads
+everything about its star that the state does not move from a
+``StarTilt``: the members, where each flip sits in the input factors, and
+the cylinder's factors at unit sharpness, which a trial scales to its
+sharpness.  It takes its mixture weights with their clamped log-odds
+(``log_odds``), which a caller that steps one target many times computes
+once.  apply_sharing_log is the one way to apply a step and
+hidden_unit_from_log the one way to realize it.  Sequencing, sharpening
+and accepting steps is the compiler's job (compiler._Pipeline).
 
 The tilted state log p + log s and its normalizer log N = logsumexp(log p
 + log s), a reduction over the whole state, are each computed once per step:
@@ -54,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitspace import set_bits, star_cylinder
+from .bitspace import set_bits, star_cylinder, star_members
 from .errors import (
     DegenerateStep,
     InfeasibleProfile,
@@ -226,13 +231,13 @@ def mixture_weight_profile(q_masses: np.ndarray) -> np.ndarray:
     return np.clip(betas, 0.0, 1.0)
 
 
-def _clamped_log_t(beta: float) -> float:
-    """log(beta / (1 - beta)) clamped so parameters stay finite."""
-    if beta <= 0.0:
-        return -LOG_T_CAP
-    if beta >= 1.0:
-        return LOG_T_CAP
-    return float(min(max(np.log(beta) - np.log1p(-beta), -LOG_T_CAP), LOG_T_CAP))
+def log_odds(betas) -> np.ndarray:
+    """log(beta / (1 - beta)) of each mixture weight, clamped to
+    [-LOG_T_CAP, LOG_T_CAP] so parameters stay finite: -LOG_T_CAP where
+    beta <= 0 and LOG_T_CAP where beta >= 1."""
+    b = np.clip(betas, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.clip(np.log(b) - np.log1p(-b), -LOG_T_CAP, LOG_T_CAP)
 
 
 def _sharp_cylinder_factors(width: int, fixed_mask: int, fixed_values: int,
@@ -245,60 +250,102 @@ def _sharp_cylinder_factors(width: int, fixed_mask: int, fixed_values: int,
     return lf
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class StarTilt(NamedTuple):
+    """What a fill of the star ``(center, free_mask)`` on k inputs reads
+    that does not depend on the state, all arrays read-only.
+
+    ``members`` are the star's members ascending (an index array), the
+    center at ``members[center_at]`` and the others at ``others``; the
+    i-th of those is the center with one free bit flipped, whose off value
+    sits at ``(flips[0][i], flips[1][i])`` of the input log factors.  The
+    star's input cylinder is ``cylinder`` and ``cylinder_factors`` are its
+    (k, 2) log factors at sharpness 1: -1 on the off value of each fixed
+    bit, 0 elsewhere.  ``star_tilt`` builds one.
+    """
+
+    center: int
+    free_mask: int
+    members: np.ndarray
+    center_at: int
+    others: np.ndarray
+    flips: tuple[np.ndarray, np.ndarray]
+    cylinder: tuple[int, int]
+    cylinder_factors: np.ndarray
+
+
+def star_tilt(k: int, center: int, free_mask: int) -> StarTilt:
+    """The ``StarTilt`` of the star ``(center, free_mask)`` on k inputs."""
+    members = star_members(center, free_mask)
+    center_at = members.index(center)
+    others = [j for j in range(len(members)) if j != center_at]
+    bits = [(members[j] ^ center).bit_length() - 1 for j in others]
+    cylinder = star_cylinder(center, free_mask, k)
+    return StarTilt(
+        center, free_mask, _read_only(np.array(members, dtype=np.intp)),
+        center_at, _read_only(np.array(others, dtype=np.intp)),
+        (_read_only(np.array(bits, dtype=np.intp)),
+         _read_only(np.array([1 - ((center >> i) & 1) for i in bits],
+                             dtype=np.intp))),
+        cylinder, _read_only(_sharp_cylinder_factors(k, *cylinder, 1.0)))
+
+
 def build_tilted_step(
     logp: np.ndarray,
-    k: int,
-    free_mask: int,
-    center: int,
-    betas: dict[int, float],
+    star: StarTilt,
+    betas: np.ndarray,
+    log_t: np.ndarray,
     out: OutputTilt,
     sharpness: float,
 ) -> tuple[SharingStep, np.ndarray, float]:
     """Concentrated step hitting exact mixture weights on a star's rows.
 
-    The star is ``(center, free_mask)`` on the k inputs: its input cylinder
-    fixes the bits outside ``free_mask`` to the center's.  ``betas`` maps
-    each star member (center plus one flip per free bit) to its required
-    weight toward the output component whose tilt, already sharpened, is
-    ``out``.  The within-star odds are solved against the current state
-    ``logp`` ((2^k, 2^n), indexed [x, y]) so the realized weights are exact;
-    only the component's off-region dust is approximate.
+    The star is ``star`` on the k inputs: its input cylinder fixes the bits
+    outside its free mask to the center's.  ``betas`` holds each member's
+    required weight toward the output component whose tilt, already
+    sharpened, is ``out``, and ``log_t`` their ``log_odds``, both in the
+    order of ``star.members``.  The within-star odds are solved against the
+    current state ``logp`` ((2^k, 2^n), indexed [x, y]) so the realized
+    weights are exact; only the component's off-region dust is
+    approximate.  The input factors are the star's cylinder factors scaled
+    to ``sharpness``, plus each free bit's solved odds.
 
     Returns the step, its tilted state logp + log s and its tilt
     normalizer logsumexp(logp + log s), which the step's lambda needs; pass
     both on to apply_sharing_log.
     """
-    free = set_bits(free_mask)
-    members = [center] + [center ^ (1 << i) for i in free]
-    if set(betas) != set(members):
+    if np.shape(betas) != star.members.shape \
+            or np.shape(log_t) != star.members.shape:
         raise ShapeMismatch("betas must cover exactly the star members")
+    k = len(star.cylinder_factors)
 
     log_sy = out.log_sy
-    # the member rows, center first; L and G are their log masses untilted
-    # and tilted toward the component
-    rows = logp[members]
+    # the member rows; L and G are their log masses untilted and tilted
+    # toward the component
+    rows = logp[star.members]
     big_l, big_g = logsumexp(np.concatenate([rows, rows + log_sy]),
                              axis=1).reshape(2, -1)
     # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
-    log_t = np.array([_clamped_log_t(betas[x]) for x in members])
     excess = log_t + big_l - big_g
 
-    lf = np.concatenate((_sharp_cylinder_factors(
-        k, *star_cylinder(center, free_mask, k), sharpness), out.log_factors))
-    for j, i in enumerate(free, start=1):
-        lf[i, 1 - ((center >> i) & 1)] = excess[j] - excess[0]
+    lf = np.concatenate((star.cylinder_factors * sharpness, out.log_factors))
+    lf[star.flips] = excess[star.others] - excess[star.center_at]
 
     # Solve lambda at an interior anchor row a (its beta farthest from 0/1,
-    # where log T is never clamped): the pull of row a is u = (1-lam) M(a)
-    # with log M(a) = log s_X(a) + log<p(.|a), s_Y> - log N, and
-    # beta = u/(lam+u) requires lam T(a) = (1-lam) M(a).  Rows whose log T
-    # was clamped err only toward the saturated value they asked for.
+    # the first such member, where log T is never clamped): the pull of row
+    # a is u = (1-lam) M(a) with log M(a) = log s_X(a) + log<p(.|a), s_Y> -
+    # log N, and beta = u/(lam+u) requires lam T(a) = (1-lam) M(a).  Rows
+    # whose log T was clamped err only toward the saturated value they
+    # asked for.
     log_sx = _log_values_of(lf[:k])
     tilted = _tilted(logp, log_sx, log_sy)
     log_norm = logsumexp(tilted)
-    anchor = max(betas, key=lambda x: min(betas[x], 1.0 - betas[x]))
-    a = members.index(anchor)
-    log_m = float(log_sx[anchor] + big_g[a] - big_l[a] - log_norm)
+    a = int(np.minimum(betas, 1.0 - betas).argmax())
+    log_m = float(log_sx[star.members[a]] + big_g[a] - big_l[a] - log_norm)
     log_t_a = log_t[a]
     lam = float(1.0 / (1.0 + np.exp(min(max(log_t_a - log_m, -700.0), 700.0))))
     lam = min(max(lam, 1e-300), 1.0 - 1e-16)

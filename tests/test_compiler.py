@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,8 +36,8 @@ from crbmkit.errors import (
     SupportTooLarge,
 )
 from crbmkit.packing import build_packing
-from crbmkit.sharing import (apply_sharing_log, build_tilted_step,
-                             mixture_weight_profile)
+from crbmkit.sharing import (apply_sharing_log, build_tilted_step, log_odds,
+                             mixture_weight_profile, star_tilt)
 
 
 def test_clamp_table():
@@ -627,8 +629,9 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
             r"^fill sharpness schedule exhausted: rungs 32 to 128, at 128 "
             r"region TV [0-9.e-]+ > bound 0 \(tau = 32\)$")):
         pipe._step("fill", lambda sharp: build_tilted_step(
-            pipe.logp, 2, 0b11, 0, dict.fromkeys(members, 0.8),
-            pipe.scheme.tilt(1, sharp), sharp), members,
+            pipe.logp, star_tilt(2, 0, 0b11), np.full(3, 0.8),
+            log_odds(np.full(3, 0.8)), pipe.scheme.tilt(1, sharp), sharp),
+            members,
             pipe.scheme.dists[1], 0.0, np.zeros(4, dtype=bool))
     assert pipe.params.m == 0
 
@@ -786,3 +789,133 @@ def test_doomed_support_level_names_its_row(monkeypatch):
     with pytest.raises(BudgetExceeded, match=last.format(0)):
         compile_support_points(ConditionalTable(2, 3, rows.copy()))
     assert applied["calls"] > 0
+
+
+# Each compile shape's plan (packing walk, star geometry, component scheme
+# with its output tilts and start rows) is built by its first compile and
+# read by every later one.  A case compiled with fresh caches must give the
+# same bits after the other cases, which share schemes and walks with it,
+# and after a compile of another target of its own shape.
+PLAN_CASES = {
+    "universal-8-1-r3": lambda s: compile_universal(dirichlet_table(8, 1, s),
+                                                    r=3),
+    "universal-6-2": lambda s: compile_universal(dirichlet_table(6, 2, s)),
+    "universal-3-3": lambda s: compile_universal(dirichlet_table(3, 3, s)),
+    "common-4-2": lambda s: compile_common_support(
+        common_support_table(4, 2, 3, s)),
+    "partition-4-3-l2": lambda s: compile_partition(
+        block_constant_target(4, 3, 2, s), 2),
+    "support-4-2-d2": lambda s: compile_support_points(
+        sparse_dirichlet_table(4, 2, 2, s), 2),
+    "witness-3-3-m10": lambda s: divergence_witness(dirichlet_table(3, 3, s),
+                                                    10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_CASES))
+def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name, plan_caches):
+    def output(run, seed):
+        params, second = run(seed)
+        return params_digest(params), repr(second)
+
+    run = PLAN_CASES[name]
+    fresh = output(run, 0)
+    assert sum(cache.cache_info().currsize for cache in plan_caches) > 0
+    for other, other_run in PLAN_CASES.items():
+        if other != name:
+            output(other_run, 0)
+    output(run, 1)
+    assert output(run, 0) == fresh
+
+
+
+def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
+    # a level's start state is broadcast from its scheme's cached row, whose
+    # statistics come from at most two rows; it must be the state the full
+    # (2^k, 2^n) broadcast of the start logits conditions to, layout and
+    # bits, the row's TV included, for one row (k = 0) and for many
+    from crbmkit.bitspace import state_bits
+
+    for n in range(1, 7):
+        for scheme in (_ComponentScheme.points(n, range(1 << n)),
+                       _ComponentScheme.points(n, [(1 << n) - 1, 0]),
+                       _ComponentScheme.partition(n, 1)):
+            for k in (0, 1, 2, 5, 9):
+                for tau in (16.0, 128.0, 1024.0):
+                    pipe = _Pipeline(k, n, scheme, tau, 1e-3)
+                    logits = (state_bits(n) * pipe.params.b).sum(axis=1)
+                    logp, rows = pipe._conditioned(np.asfortranarray(
+                        np.broadcast_to(logits, (1 << k, 1 << n))))
+                    for got, want in ((pipe.logp, logp), (pipe.rows(), rows)):
+                        assert got.flags.f_contiguous
+                        assert got.tobytes("F") == want.tobytes("F")
+                    assert not pipe.rows().flags.writeable
+                    assert pipe.start_tv == _worst_row_tv(rows,
+                                                          scheme.dists[0])
+
+#: CI's compile calls as (mode, k, n, r, l): the packing walks, point stars
+#: and component schemes their compiles keep
+CI_COMPILES = [("universal", 8, 1, 3, None), ("universal", 10, 1, 4, None),
+               ("universal", 10, 3, None, None),
+               ("universal", 13, 1, None, None),
+               ("support", 8, 2, None, None), ("support", 12, 1, None, None),
+               ("common", 8, 2, None, None), ("partition", 8, 3, None, 2),
+               ("partition", 8, 3, None, 0)]
+#: bytes the plan caches hold once every plan of CI_COMPILES is built, each
+#: scheme's output tilts at every rung of every tau level and its start rows
+#: at every tau: tracemalloc read 9.20 MB (CPython 3.11, numpy 2.4, x86-64),
+#: most of it the 4096 point stars of k = 12 (1.25 KB each) and the 2272
+#: stars of the (13, 1) walk (1.5 KB each); the bound leaves a quarter on top
+PLAN_BYTES = 11_500_000
+
+
+def test_plan_caches_are_bounded(plan_caches):
+    from crbmkit.packing import best_depth
+
+    assert plan_caches and all(
+        isinstance(cache.cache_parameters()["maxsize"], int)
+        for cache in plan_caches)
+    rungs = {compiler.TAU_START * 2.0 ** i
+             for i in range(6 + compiler.STEP_RETRIES)}
+    taus = sorted(rung for rung in rungs if rung <= compiler.TAU_MAX)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for mode, k, n, r, l in CI_COMPILES:
+            if mode == "partition":
+                scheme = _ComponentScheme.partition(n, l)
+            elif mode == "common":
+                scheme = _ComponentScheme.points(n, range(3))
+            else:
+                scheme = _ComponentScheme.points(n, range(1 << n))
+            if mode == "support":
+                for x in range(1 << k):
+                    compiler._star_tilt(k, x, 0)
+            elif scheme.count > 1:
+                compiler._packing_walk(k, r or best_depth(k, scheme.count))
+            grade = 2.0 * max(scheme.sharp_width, 1)
+            for tau in taus:
+                scheme.start(tau, k)
+            for t in range(scheme.count):
+                for sharp in rungs:
+                    scheme.tilt(t, sharp)
+                    scheme.tilt(t, sharp / grade)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        for cache in plan_caches:
+            cache.cache_clear()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= PLAN_BYTES
+    # the caches were the only holders
+    assert left <= held / 100
+    # a scheme wider than SCHEME_CELLS is built per compile, not kept
+    wide = 1 << 7
+    assert wide * wide > compiler.SCHEME_CELLS
+    assert (_ComponentScheme.points(7, range(wide))
+            is not _ComponentScheme.points(7, range(wide)))
+    assert (_ComponentScheme.points(3, range(8))
+            is _ComponentScheme.points(3, range(8)))

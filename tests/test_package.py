@@ -70,3 +70,11 @@ def test_cli_calls_only_public_names():
               if isinstance(node, ast.Attribute)
               and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
     assert called and called <= set(crbmkit._HOME)
+    # and it imports no library function past ``_cli``: from the package
+    # only the errors and the registry it resolves names by
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names]
+    assert imported and all(
+        module == "errors" or (module, name) == (None, "_HOME")
+        for module, name in imported), imported

@@ -19,10 +19,12 @@ from crbmkit.sharing import (
     apply_sharing_log,
     build_tilted_step,
     hidden_unit_from_log,
+    log_odds,
     logsumexp,
     make_reset_step,
     mixture_weight_profile,
     output_tilt,
+    star_tilt,
 )
 
 
@@ -266,10 +268,11 @@ def test_tilt_profile_proportionality():
     rng = np.random.default_rng(11)
     members = [0b0100, 0b0101, 0b0110, 0b1100]
     profile = rng.uniform(0.1, 5.0, size=len(members))
-    betas = {x: float(q / (1.0 + q)) for x, q in zip(members, profile)}
+    betas = np.array([q / (1.0 + q) for q in profile])
     logp = random_state(4, 1, rng)
     step, tilted, log_norm = build_tilted_step(
-        logp, 4, 0b1011, 0b0100, betas, output_tilt(np.zeros((1, 2))), 40.0)
+        logp, star_tilt(4, 0b0100, 0b1011), betas, log_odds(betas),
+        output_tilt(np.zeros((1, 2))), 40.0)
     assert step.log_sx.shape == (16,) and step.log_sy.shape == (2,)
     assert not step.log_sy.any()
     # the returned tilted state and normalizer are the ones the step's
@@ -298,9 +301,34 @@ def test_build_tilted_step_rejects_betas_off_the_star():
     # the star at 0 on the full 2-cube has members {0, 1, 2}
     logp = start_state(2, 1, 8.0)
     out = output_tilt(np.array([[-16.0, 0.0]]))
-    for betas in ({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}):
+    for betas in (np.full(2, 0.5), np.full(4, 0.5)):
         with pytest.raises(ShapeMismatch):
-            build_tilted_step(logp, 2, 0b11, 0, betas, out, 16.0)
+            build_tilted_step(logp, star_tilt(2, 0, 0b11), betas,
+                              log_odds(betas), out, 16.0)
+
+
+def test_log_odds_is_the_clamped_log_odds_of_each_weight():
+    # one array call gives each weight's log(beta / (1 - beta)), clamped to
+    # +-LOG_T_CAP, bit for bit as a per-weight float computation does;
+    # weights at or past 0 and 1 saturate
+    from crbmkit.sharing import LOG_T_CAP
+
+    def one(beta):
+        if beta <= 0.0:
+            return -LOG_T_CAP
+        if beta >= 1.0:
+            return LOG_T_CAP
+        return min(max(float(np.log(beta) - np.log1p(-beta)), -LOG_T_CAP),
+                   LOG_T_CAP)
+
+    rng = np.random.default_rng(5)
+    betas = np.concatenate([rng.uniform(size=5000),
+                            rng.uniform(size=500) ** 40,
+                            1.0 - rng.uniform(size=500) ** 30,
+                            [0.0, 1.0, -0.5, 1.5, 5e-324, 1.0 - 2 ** -53]])
+    got = log_odds(betas.reshape(-1, 2))
+    assert got.shape == (len(betas) // 2, 2)
+    assert got.ravel().tolist() == [one(b) for b in betas.tolist()]
 
 
 def test_mixture_profile_rejects_negative_mass():
