@@ -58,7 +58,7 @@ magnitude tau / (2 * component width) so that the sharp steps' off-region
 dust stays exponentially below the start-state dust.
 
 Every log-sum-exp is one max-shift reduction: the max plus the log of the
-sum of exp(entries - max), per row in ``_Pipeline._conditioned`` and over
+sum of exp(entries - max), per row in ``_conditioned`` and over
 the tilted state in ``sharing.logsumexp``.  It needs a finite max, which
 the finite state and finite tilts give.  Each trial builds one input
 table log s_X (2^k), one tilted state log p + log s, which its builder
@@ -73,28 +73,30 @@ Every compile of a shape walks one plan, built by the first compile of that
 shape in the process and read by every later one and by each of their tau
 levels; nothing in it depends on the target.  The plan has three parts:
 
-- the packing walk for (k, r), each star named and with the cylinders
-  reset before it (``_packing_walk``);
+- the packing walk for (k, r): each star's name, center and free mask and
+  the cylinders reset before it (``_packing_walk``);
 - each star's ``sharing.StarTilt``: its members ascending, where each flip
   sits in the input factors, its cylinder and its cylinder factors at
   unit sharpness (``_star_tilt``, by (k, center, free_mask), the support
   compiles' point stars too);
 - the component scheme for (n, masks, values) (``_scheme``).  It keeps
   each component's output tilt (factors and log s_Y, 2^n) per sharpness,
-  and the start state per tau: the output biases, the (2^n,) start row,
-  its conditioned row and its TV to the start component.  Each level
-  broadcasts that row to the (2^k, 2^n) start state.
+  and the start state per (tau, k): the output biases, one row of the
+  conditioned (2^k, 2^n) start state and of its conditional rows, and its
+  TV to the start component.  Each level broadcasts those rows to the
+  (2^k, 2^n) start state.
 
-What depends on the target, the mixture weights and their log-odds, is
-computed once per compile, and each star's rows of them are gathered once.
-The caches are lru caches of fixed size: STAR_CACHE stars, WALK_CACHE walks
-and SCHEME_CACHE schemes.  A scheme wider than SCHEME_CELLS cells is built
-per compile instead, and a scheme's tilts and start rows are bounded by the
-rungs and tau levels of the schedule.  Reuse cannot change an output:
-every plan object is a tuple or a read-only array, and a cached plan is the
-object a fresh build would make, by the same operations in the same order.
-The start row is reduced over a column-major array of min(2^k, 2) rows,
-which numpy reduces in the order of the full state's rows.
+What depends on the target, the mixture weights, is computed once per
+compile, and each star's rows of it are gathered once.  The caches are lru
+caches of fixed size, and an entry whose size grows with the shape is kept
+only up to a cell limit: STAR_CACHE stars; WALK_CACHE walks, of at most
+STAR_CACHE stars each; SCHEME_CACHE schemes, of at most SCHEME_CELLS
+membership cells each, whose tilts are bounded by the rungs of the
+schedule and whose start rows by its tau levels and by START_CELLS.  What
+is not kept is built per compile, or per level for a start state, by the
+same code.  Reuse cannot change an output: every plan object is a tuple or
+a read-only array, and a cached plan is the object a fresh build would
+make, by the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ from .errors import (
     SupportsDiffer,
     SupportTooLarge,
 )
-from .packing import best_depth, build_packing, universal_budget
+from .packing import best_depth, build_packing, star_count, \
+    universal_budget
 from .sharing import OutputTilt, SharingStep, StarTilt, _read_only, \
     _sharp_cylinder_factors, apply_sharing_log, build_tilted_step, \
     hidden_unit_from_log, log_odds, make_reset_step, mixture_weight_profile, \
@@ -134,14 +137,24 @@ STEP_RETRIES = 12
 REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
-#: the shape plan's caches: star geometries (a support compile at k = 12
-#: walks 4096 point stars, a packing at (13, 1) 2272 stars), packing walks
-#: by (k, r), and component schemes by (n, masks, values); a scheme whose
-#: membership table has more than SCHEME_CELLS cells is built per compile
-STAR_CACHE = 1 << 12
+#: the shape plan's caches, by entries and, for an entry that grows with the
+#: shape, by cells: STAR_CACHE star geometries; WALK_CACHE packing walks by
+#: (k, r), each of at most STAR_CACHE stars (a larger walk is built per
+#: compile); SCHEME_CACHE component schemes by (n, masks, values), each of
+#: at most SCHEME_CELLS membership cells (a wider one is built per compile),
+#: keeping start rows for states of at most START_CELLS cells (a larger one
+#: is built per level).  Filled to these limits with their largest entries
+#: the caches hold 5.05 MB under tracemalloc (CPython 3.11, numpy 2.4,
+#: x86-64; tests/test_compiler.py::test_plan_caches_are_bounded): 1.65 MB of
+#: stars at k = 13, 0.97 MB of walks (the 16 largest of at most 1024 stars)
+#: and 2.42 MB of schemes, each of 8 point components at n = 3 with a tilt
+#: at every rung of the schedule and a start row at every tau level for
+#: k <= 11
+STAR_CACHE = 1 << 10
 WALK_CACHE = 16
-SCHEME_CACHE = 32
-SCHEME_CELLS = 1 << 12
+SCHEME_CACHE = 16
+SCHEME_CELLS = 1 << 6
+START_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -229,33 +242,29 @@ class _ComponentScheme:
         return out
 
     def start(self, tau: float, k: int) -> "_Start":
-        """The start state at sharpness ``tau`` on k inputs, by its one
-        distinct row: output biases +-tau_b toward the start component's
-        fixed bits, tau_b = tau / (2 * sharp_width), the odds of its sharp
-        cylinder factors at sharpness tau_b.  Built on first use and kept,
-        so every compile through this scheme at that tau shares one.
-
-        Its row statistics are reduced over a column-major array of
-        min(2^k, 2) equal rows: numpy reduces such an array's rows in the
-        order it reduces the full (2^k, 2^n) state's, and a single row in
-        another, so the row is the full state's bit for bit."""
-        key = (tau, min(1 << k, 2))
-        out = self._starts.get(key)
+        """The start state at sharpness ``tau`` on k inputs: output biases
+        +-tau_b toward the start component's fixed bits, tau_b = tau /
+        (2 * sharp_width), the odds of its sharp cylinder factors at
+        sharpness tau_b, broadcast to every input row, column-major, and
+        conditioned (``_conditioned``).  Every row is reduced from the same
+        values, so one row of the state and one of its conditional rows are
+        kept.  Built on first use and kept when the state has at most
+        START_CELLS cells, so every compile through this scheme at that tau
+        and k shares one."""
+        out = self._starts.get((tau, k))
         if out is None:
             tau_b = tau / (2.0 * max(self.sharp_width, 1))
             lf = _sharp_cylinder_factors(self.n, self.masks[0], self.values[0],
                                          tau_b)
             bias = _read_only(lf[:, 1] - lf[:, 0])
             logits = (state_bits(self.n) * bias[None, :]).sum(axis=1)
-            state = np.asfortranarray(np.broadcast_to(logits,
-                                                      (key[1], 1 << self.n)))
-            top = state.max(axis=1, keepdims=True)
-            shifted = np.exp(state - top)
-            mass = shifted.sum(axis=1, keepdims=True)
-            rows = shifted / mass
-            out = self._starts[key] = _Start(
-                bias, _read_only(logits), (top + np.log(mass))[0, 0],
-                _read_only(rows[0]), _worst_row_tv(rows, self.dists[0]))
+            logp, rows = _conditioned(np.asfortranarray(
+                np.broadcast_to(logits, (1 << k, 1 << self.n))), k)
+            out = _Start(bias, _read_only(logp[0].copy()),
+                         _read_only(rows[0].copy()),
+                         _worst_row_tv(rows, self.dists[0]))
+            if logp.size <= START_CELLS:
+                self._starts[tau, k] = out
         return out
 
     @staticmethod
@@ -272,14 +281,12 @@ class _ComponentScheme:
 
 
 class _Start(NamedTuple):
-    """A scheme's start state at one tau, by its row: the output biases,
-    the row's logits, their log-sum-exp (the max plus the log of the
-    shifted sum), the conditional row, and its worst TV to the start
-    component; arrays read-only."""
+    """A scheme's start state at one (tau, k), by its row: the output
+    biases, the state's row and the conditional row, and the rows' worst
+    TV to the start component; arrays read-only."""
 
     bias: np.ndarray
-    logits: np.ndarray
-    log_mass: float
+    logp: np.ndarray
     rows: np.ndarray
     tv: float
 
@@ -301,13 +308,14 @@ def _scheme(n: int, masks: tuple[int, ...],
 
 
 class _Star(NamedTuple):
-    """One star of a compile's walk: its name in errors, the cylinders
-    ``(fixed_mask, fixed_values)`` reset just before it is filled, and its
-    tilt geometry."""
+    """One star of a compile's walk: its name in errors, its center and
+    free mask, and the cylinders ``(fixed_mask, fixed_values)`` reset just
+    before it is filled."""
 
     what: str
+    center: int
+    free_mask: int
     resets: tuple[tuple[int, int], ...]
-    tilt: StarTilt
 
 
 @lru_cache(maxsize=STAR_CACHE)
@@ -315,19 +323,45 @@ def _star_tilt(k: int, center: int, free_mask: int) -> StarTilt:
     return star_tilt(k, center, free_mask)
 
 
-@lru_cache(maxsize=WALK_CACHE)
-def _packing_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
+def _build_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
     """The depth-r packing of k inputs as a walk, and its reset count."""
     seq = build_packing(k, r)
-    stars = tuple(_Star(f"star {i}", tuple(resets),
-                        _star_tilt(k, center, free))
+    stars = tuple(_Star(f"star {i}", center, free, tuple(resets))
                   for i, (center, free, resets) in enumerate(seq.replay()))
     return stars, len(seq.reset_positions)
+
+
+_cached_walk = lru_cache(maxsize=WALK_CACHE)(_build_walk)
+
+
+def _packing_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
+    """``_build_walk``, kept across compiles unless the walk has more stars
+    than STAR_CACHE holds."""
+    if star_count(k, r) > STAR_CACHE:
+        return _build_walk(k, r)
+    return _cached_walk(k, r)
 
 
 def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
     """Largest row TV (x2) between ``rows`` and ``ref``; 0 for no rows."""
     return float(np.abs(rows - ref).sum(axis=1).max(initial=0.0))
+
+
+def _conditioned(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its rows,
+    both indexed [x, y].
+
+    The state is log p(y | x) - k log 2: the joint with the conditional of
+    ``logp`` and a uniform input marginal, every input row of mass 2^-k.
+    Each row's log mass is taken from the max, exp and sum that its
+    conditional row p(. | x) needs; the rows are read-only.
+    """
+    top = logp.max(axis=1, keepdims=True)
+    shifted = np.exp(logp - top)
+    mass = shifted.sum(axis=1, keepdims=True)
+    rows = shifted / mass
+    rows.setflags(write=False)
+    return logp - (top + np.log(mass) + k * LOG2), rows
 
 
 class _Pipeline:
@@ -342,12 +376,11 @@ class _Pipeline:
         self.tol_step = tol_step
         start = scheme.start(tau, k)
         self.params = CrbmParams.bias_only(k, n, start.bias.copy())
-        # the start state conditioned on its inputs: its row broadcast,
-        # column-major, x fastest: each row reduction of the state runs over
-        # contiguous columns, and every step keeps the layout
+        # the start state conditioned on its inputs, column-major, x
+        # fastest: each row reduction of the state runs over contiguous
+        # columns, and every step keeps the layout
         shape = (1 << k, 1 << n)
-        self.logp = np.asfortranarray(np.broadcast_to(
-            start.logits - (start.log_mass + k * LOG2), shape))
+        self.logp = np.asfortranarray(np.broadcast_to(start.logp, shape))
         self._rows = _read_only(np.asfortranarray(
             np.broadcast_to(start.rows, shape)))
         self._inputs = np.arange(1 << k)
@@ -358,20 +391,7 @@ class _Pipeline:
         self._rung: dict[str, int] = {}
 
     def _conditioned(self, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its
-        rows, both indexed [x, y].
-
-        The state is log p(y | x) - k log 2: the joint with the conditional
-        of ``logp`` and a uniform input marginal, every input row of mass
-        2^-k.  Each row's log mass is taken from the max, exp and sum that
-        its conditional row p(. | x) needs; the rows are read-only.
-        """
-        top = logp.max(axis=1, keepdims=True)
-        shifted = np.exp(logp - top)
-        mass = shifted.sum(axis=1, keepdims=True)
-        rows = shifted / mass
-        rows.setflags(write=False)
-        return logp - (top + np.log(mass) + self.k * LOG2), rows
+        return _conditioned(logp, self.k)
 
     def rows(self) -> np.ndarray:
         """Read-only conditional rows of the current state."""
@@ -480,16 +500,13 @@ class _Pipeline:
             ~inside)
 
     def fill_star(self, center: int, free_mask: int, betas: np.ndarray,
-                  members: list[int] | np.ndarray,
-                  log_t: np.ndarray | None = None) -> None:
+                  members: list[int] | np.ndarray) -> None:
         """Mix the rows of the star ``(center, free_mask)``, its ``members``
         ascending, toward the targets through each component 1..M-1 that
         has a positive mixture weight on one of them; ``betas`` is the
         members' rows of ``mixture_weight_profile``, whose weight for a
-        component is positive exactly where that component has target mass,
-        and ``log_t`` their ``log_odds``, computed here unless the caller
-        passes the ones it already has (``_compile`` takes them once per
-        compile).  The star's geometry is read from the plan's cache.
+        component is positive exactly where that component has target
+        mass.  The star's geometry is read from the plan's cache.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
@@ -498,9 +515,8 @@ class _Pipeline:
         active = np.flatnonzero(betas.any(axis=0)) + 1
         if not active.size:
             return
-        if log_t is None:
-            log_t = log_odds(betas)
         star = _star_tilt(self.k, center, free_mask)
+        log_t = log_odds(betas)
         outside = ~self._in_cylinder(*star.cylinder)
         target = self.scheme.dists[0]
         for t in active.tolist():
@@ -528,22 +544,22 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     # row by row, so each star reads its members' rows of one profile; the
     # rows every level reads are gathered once
     betas = mixture_weight_profile(scheme.masses(target.rows))
-    log_t = log_odds(betas)
-    walk = [(star, betas[star.tilt.members], log_t[star.tilt.members],
-             target.rows[star.tilt.members]) for star in stars]
+    walk = []
+    for star in stars:
+        members = _star_tilt(target.k, star.center, star.free_mask).members
+        walk.append((star, members, betas[members], target.rows[members]))
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for star, star_betas, star_log_t, star_target in walk:
+            for star, members, star_betas, star_target in walk:
                 for fixed_mask, fixed_values in star.resets:
                     pipe.reset_if_needed(fixed_mask, fixed_values)
-                tilt = star.tilt
-                pipe.fill_star(tilt.center, tilt.free_mask, star_betas,
-                               tilt.members, star_log_t)
-                pipe.reject_if_doomed(tilt.members, star_target, eps,
+                pipe.fill_star(star.center, star.free_mask, star_betas,
+                               members)
+                pipe.reject_if_doomed(members, star_target, eps,
                                       total_steps, star.what)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
@@ -674,7 +690,7 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     # come first, so they are checked before any step
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
-    stars = tuple(_Star(f"row {x}", (), _star_tilt(k, x, 0))
+    stars = tuple(_Star(f"row {x}", x, 0, ())
                   for x in np.argsort(extra, kind="stable").tolist())
     return _compile(target, scheme, stars, total_steps, eps, "support", budget,
                     None)[:2]

@@ -830,10 +830,10 @@ def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name, plan_caches):
 
 
 def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
-    # a level's start state is broadcast from its scheme's cached row, whose
-    # statistics come from at most two rows; it must be the state the full
-    # (2^k, 2^n) broadcast of the start logits conditions to, layout and
-    # bits, the row's TV included, for one row (k = 0) and for many
+    # a level's start state is broadcast from one row of its scheme's
+    # conditioned start state; it must be the state the full (2^k, 2^n)
+    # broadcast of the start logits conditions to, layout and bits, the
+    # rows' TV included, for one row (k = 0) and for many
     from crbmkit.bitspace import state_bits
 
     for n in range(1, 7):
@@ -862,60 +862,127 @@ CI_COMPILES = [("universal", 8, 1, 3, None), ("universal", 10, 1, 4, None),
                ("common", 8, 2, None, None), ("partition", 8, 3, None, 2),
                ("partition", 8, 3, None, 0)]
 #: bytes the plan caches hold once every plan of CI_COMPILES is built, each
-#: scheme's output tilts at every rung of every tau level and its start rows
-#: at every tau: tracemalloc read 9.20 MB (CPython 3.11, numpy 2.4, x86-64),
-#: most of it the 4096 point stars of k = 12 (1.25 KB each) and the 2272
-#: stars of the (13, 1) walk (1.5 KB each); the bound leaves a quarter on top
-PLAN_BYTES = 11_500_000
+#: scheme's output tilts at every rung of the schedule and its start rows
+#: at every tau: tracemalloc read 1.69 MB (CPython 3.11, numpy 2.4,
+#: x86-64), most of it the 1024 stars the star cache keeps; the bound
+#: leaves a quarter on top
+PLAN_BYTES = 2_100_000
+#: bytes the plan caches hold filled to their limits with their largest
+#: entries (the sum in compiler's comment on STAR_CACHE): tracemalloc read
+#: 5.05 MB on the platform above; the bound leaves a quarter on top
+WORST_PLAN_BYTES = 6_300_000
+
+
+def _schedule():
+    """The tau levels and the sharpness rungs of the compile schedule."""
+    taus = [compiler.TAU_START * 2.0 ** j
+            for j in range(int(np.log2(compiler.TAU_MAX
+                                       / compiler.TAU_START)) + 1)]
+    rungs = sorted({tau * 2.0 ** i for tau in taus
+                    for i in range(compiler.STEP_RETRIES)})
+    return taus, rungs
+
+
+def _fill_scheme(scheme, ks):
+    """Build every output tilt the schedule can ask ``scheme`` for (fills
+    toward components 1..M-1, resets toward component 0) and its start rows
+    at every tau for each k in ``ks``."""
+    taus, rungs = _schedule()
+    grade = 2.0 * max(scheme.sharp_width, 1)
+    for sharp in rungs:
+        scheme.tilt(0, sharp / grade)
+        for t in range(1, scheme.count):
+            scheme.tilt(t, sharp)
+    for tau in taus:
+        for k in ks:
+            scheme.start(tau, k)
+
+
+def _traced_bytes(build):
+    """Bytes ``build()`` leaves allocated, under tracemalloc."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    build()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before
+
+
+def _build_ci_plans():
+    from crbmkit.packing import best_depth
+
+    for mode, k, n, r, l in CI_COMPILES:
+        if mode == "partition":
+            scheme = _ComponentScheme.partition(n, l)
+        elif mode == "common":
+            scheme = _ComponentScheme.points(n, range(3))
+        else:
+            scheme = _ComponentScheme.points(n, range(1 << n))
+        if mode == "support":
+            for x in range(1 << k):
+                compiler._star_tilt(k, x, 0)
+        elif scheme.count > 1:
+            r = r or best_depth(k, scheme.count)
+            for star in compiler._packing_walk(k, r)[0]:
+                compiler._star_tilt(k, star.center, star.free_mask)
+        _fill_scheme(scheme, [k])
+
+
+def _build_worst_plans():
+    from itertools import permutations
+
+    from crbmkit.packing import feasible_depths, star_count
+
+    # the largest walks kept: every feasible (k, r) of at most STAR_CACHE
+    # stars, the most stars first
+    kept = sorted(((star_count(k, r), k, r) for k in range(1, 14)
+                   for r in feasible_depths(k)
+                   if star_count(k, r) <= compiler.STAR_CACHE), reverse=True)
+    for _, k, r in kept[:compiler.WALK_CACHE]:
+        compiler._packing_walk(k, r)
+    # stars at k = 13, the largest k a compile walks, with every bit free:
+    # wider than any star a compile walks
+    for x in range(compiler.STAR_CACHE):
+        compiler._star_tilt(13, x, (1 << 13) - 1)
+    # the widest schemes kept, 8 point components at n = 3 in distinct
+    # orders, each with every tilt and every start row it can keep
+    n = 3
+    assert (1 << n) << n == compiler.SCHEME_CELLS
+    ks = range(int(np.log2(compiler.START_CELLS)) - n + 1)
+    for order in list(permutations(range(1 << n)))[:compiler.SCHEME_CACHE]:
+        _fill_scheme(_ComponentScheme.points(n, order), ks)
 
 
 def test_plan_caches_are_bounded(plan_caches):
-    from crbmkit.packing import best_depth
-
     assert plan_caches and all(
         isinstance(cache.cache_parameters()["maxsize"], int)
         for cache in plan_caches)
-    rungs = {compiler.TAU_START * 2.0 ** i
-             for i in range(6 + compiler.STEP_RETRIES)}
-    taus = sorted(rung for rung in rungs if rung <= compiler.TAU_MAX)
     tracemalloc.start()
     try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        for mode, k, n, r, l in CI_COMPILES:
-            if mode == "partition":
-                scheme = _ComponentScheme.partition(n, l)
-            elif mode == "common":
-                scheme = _ComponentScheme.points(n, range(3))
-            else:
-                scheme = _ComponentScheme.points(n, range(1 << n))
-            if mode == "support":
-                for x in range(1 << k):
-                    compiler._star_tilt(k, x, 0)
-            elif scheme.count > 1:
-                compiler._packing_walk(k, r or best_depth(k, scheme.count))
-            grade = 2.0 * max(scheme.sharp_width, 1)
-            for tau in taus:
-                scheme.start(tau, k)
-            for t in range(scheme.count):
-                for sharp in rungs:
-                    scheme.tilt(t, sharp)
-                    scheme.tilt(t, sharp / grade)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-        for cache in plan_caches:
-            cache.cache_clear()
-        gc.collect()
-        left = tracemalloc.get_traced_memory()[0] - before
+        held = _traced_bytes(_build_ci_plans)
+        left = _traced_bytes(lambda: [cache.cache_clear()
+                                      for cache in plan_caches]) + held
+        worst = _traced_bytes(_build_worst_plans)
+        # no further entry adds to a full cache
+        more = _traced_bytes(_build_worst_plans)
     finally:
         tracemalloc.stop()
     assert 0 < held <= PLAN_BYTES
     # the caches were the only holders
     assert left <= held / 100
-    # a scheme wider than SCHEME_CELLS is built per compile, not kept
+    assert held < worst <= WORST_PLAN_BYTES
+    assert more <= worst / 100
+    # entries past the cell limits are built per use, not kept: a scheme
+    # wider than SCHEME_CELLS, a walk of more than STAR_CACHE stars, and a
+    # start state of more than START_CELLS cells
     wide = 1 << 7
     assert wide * wide > compiler.SCHEME_CELLS
     assert (_ComponentScheme.points(7, range(wide))
             is not _ComponentScheme.points(7, range(wide)))
     assert (_ComponentScheme.points(3, range(8))
             is _ComponentScheme.points(3, range(8)))
+    assert compiler._packing_walk(11, 1) is compiler._packing_walk(11, 1)
+    assert compiler._packing_walk(12, 1) is not compiler._packing_walk(12, 1)
+    scheme = _ComponentScheme.points(1, [0, 1])
+    big = int(np.log2(compiler.START_CELLS))
+    assert scheme.start(16.0, big - 1) is scheme.start(16.0, big - 1)
+    assert scheme.start(16.0, big) is not scheme.start(16.0, big)
