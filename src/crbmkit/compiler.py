@@ -71,14 +71,14 @@ normalizer), and neither an accepted unit nor a tau level makes another.
 
 Every compile of a shape walks one plan, built by the first compile of that
 shape in the process and read by every later one and by each of their tau
-levels; nothing in it depends on the target.  The plan has three parts:
+levels; nothing in it depends on the target.  The plan has two parts:
 
-- the packing walk for (k, r): each star's name, center and free mask and
-  the cylinders reset before it (``_packing_walk``);
-- each star's ``sharing.StarTilt``: its members ascending, where each flip
-  sits in the input factors, its cylinder and its cylinder factors at
-  unit sharpness (``_star_tilt``, by (k, center, free_mask), the support
-  compiles' point stars too);
+- the walk for (k, r) (``_walk``): each star's name, its
+  ``sharing.StarTilt`` (its members ascending, where each flip sits in the
+  input factors, its cylinder and its cylinder factors at unit sharpness)
+  and the cylinders reset before it.  Depth r >= 1 is the packing; depth 0
+  is the point walk the support compiles take their stars from, the 2^k
+  point stars (x, 0) with no resets;
 - the component scheme for (n, masks, values) (``_scheme``).  It keeps
   each component's output tilt (factors and log s_Y, 2^n) per sharpness,
   and the start state per (tau, k): the output biases, one row of the
@@ -89,14 +89,14 @@ levels; nothing in it depends on the target.  The plan has three parts:
 What depends on the target, the mixture weights, is computed once per
 compile, and each star's rows of it are gathered once.  The caches are lru
 caches of fixed size, and an entry whose size grows with the shape is kept
-only up to a cell limit: STAR_CACHE stars; WALK_CACHE walks, of at most
-STAR_CACHE stars each; SCHEME_CACHE schemes, of at most SCHEME_CELLS
-membership cells each, whose tilts are bounded by the rungs of the
-schedule and whose start rows by its tau levels and by START_CELLS.  What
-is not kept is built per compile, or per level for a start state, by the
-same code.  Reuse cannot change an output: every plan object is a tuple or
-a read-only array, and a cached plan is the object a fresh build would
-make, by the same operations in the same order.
+only up to a limit: WALK_CACHE walks, of at most WALK_STARS stars each;
+SCHEME_CACHE schemes, of at most SCHEME_CELLS membership cells each, whose
+tilts are bounded by the rungs of the schedule and whose start rows by its
+tau levels and by START_CELLS.  What is not kept is built per compile, and
+shared by its tau levels, or per level for a start state, by the same code.
+Reuse cannot change an output: every plan object is a tuple or a read-only
+array, and a cached plan is the object a fresh build would make, by the
+same operations in the same order.
 """
 
 from __future__ import annotations
@@ -138,19 +138,19 @@ REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
 #: the shape plan's caches, by entries and, for an entry that grows with the
-#: shape, by cells: STAR_CACHE star geometries; WALK_CACHE packing walks by
-#: (k, r), each of at most STAR_CACHE stars (a larger walk is built per
+#: shape, by stars or cells: WALK_CACHE walks by (k, r), each of at most
+#: WALK_STARS stars with their geometry (a larger walk is built per
 #: compile); SCHEME_CACHE component schemes by (n, masks, values), each of
 #: at most SCHEME_CELLS membership cells (a wider one is built per compile),
 #: keeping start rows for states of at most START_CELLS cells (a larger one
 #: is built per level).  Filled to these limits with their largest entries
-#: the caches hold 5.05 MB under tracemalloc (CPython 3.11, numpy 2.4,
-#: x86-64; tests/test_compiler.py::test_plan_caches_are_bounded): 1.65 MB of
-#: stars at k = 13, 0.97 MB of walks (the 16 largest of at most 1024 stars)
-#: and 2.42 MB of schemes, each of 8 point components at n = 3 with a tilt
-#: at every rung of the schedule and a start row at every tau level for
+#: the caches hold 4.27 MB under tracemalloc (CPython 3.11, numpy 2.4,
+#: x86-64; tests/test_compiler.py::test_plan_caches_are_bounded): 1.84 MB of
+#: walks (the 16 largest of at most 256 stars, point walks included) and
+#: 2.43 MB of schemes, each of 8 point components at n = 3 with a tilt at
+#: every rung of the schedule and a start row at every tau level for
 #: k <= 11
-STAR_CACHE = 1 << 10
+WALK_STARS = 1 << 8
 WALK_CACHE = 16
 SCHEME_CACHE = 16
 SCHEME_CELLS = 1 << 6
@@ -308,25 +308,25 @@ def _scheme(n: int, masks: tuple[int, ...],
 
 
 class _Star(NamedTuple):
-    """One star of a compile's walk: its name in errors, its center and
-    free mask, and the cylinders ``(fixed_mask, fixed_values)`` reset just
-    before it is filled."""
+    """One star of a compile's walk: its name in errors, its geometry (a
+    ``sharing.StarTilt``) and the cylinders ``(fixed_mask, fixed_values)``
+    reset just before it is filled."""
 
     what: str
-    center: int
-    free_mask: int
+    tilt: StarTilt
     resets: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=STAR_CACHE)
-def _star_tilt(k: int, center: int, free_mask: int) -> StarTilt:
-    return star_tilt(k, center, free_mask)
-
-
 def _build_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
-    """The depth-r packing of k inputs as a walk, and its reset count."""
+    """The depth-r packing of k inputs as a walk, and its reset count.
+    Depth 0 is the point walk: the 2^k point stars (x, 0) in order of x,
+    with no resets."""
+    if r == 0:
+        return tuple(_Star(f"row {x}", star_tilt(k, x, 0), ())
+                     for x in range(1 << k)), 0
     seq = build_packing(k, r)
-    stars = tuple(_Star(f"star {i}", center, free, tuple(resets))
+    stars = tuple(_Star(f"star {i}", star_tilt(k, center, free),
+                        tuple(resets))
                   for i, (center, free, resets) in enumerate(seq.replay()))
     return stars, len(seq.reset_positions)
 
@@ -334,10 +334,10 @@ def _build_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
 _cached_walk = lru_cache(maxsize=WALK_CACHE)(_build_walk)
 
 
-def _packing_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
-    """``_build_walk``, kept across compiles unless the walk has more stars
-    than STAR_CACHE holds."""
-    if star_count(k, r) > STAR_CACHE:
+def _walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
+    """``_build_walk``, kept across compiles unless the walk has more than
+    WALK_STARS stars."""
+    if (1 << k if r == 0 else star_count(k, r)) > WALK_STARS:
         return _build_walk(k, r)
     return _cached_walk(k, r)
 
@@ -389,9 +389,6 @@ class _Pipeline:
         self.used = {"fill": 0, "reset": 0}
         # kind -> index i of the rung tau * 2^i its last accepted step passed
         self._rung: dict[str, int] = {}
-
-    def _conditioned(self, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _conditioned(logp, self.k)
 
     def rows(self) -> np.ndarray:
         """Read-only conditional rows of the current state."""
@@ -462,7 +459,7 @@ class _Pipeline:
             step, tilted, log_norm = build(sharp)
             logp, log_norm = apply_sharing_log(self.logp, step, tilted,
                                                log_norm)
-            logp, rows = self._conditioned(logp)
+            logp, rows = _conditioned(logp, self.k)
             tv = _worst_row_tv(rows[region], target)
             if not tv <= bound:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
@@ -499,14 +496,12 @@ class _Pipeline:
             sharp), None, None), inside, start, self.start_tv + self.tol_step,
             ~inside)
 
-    def fill_star(self, center: int, free_mask: int, betas: np.ndarray,
-                  members: list[int] | np.ndarray) -> None:
-        """Mix the rows of the star ``(center, free_mask)``, its ``members``
-        ascending, toward the targets through each component 1..M-1 that
-        has a positive mixture weight on one of them; ``betas`` is the
-        members' rows of ``mixture_weight_profile``, whose weight for a
-        component is positive exactly where that component has target
-        mass.  The star's geometry is read from the plan's cache.
+    def fill_star(self, star: StarTilt, betas: np.ndarray) -> None:
+        """Mix the rows of ``star``, its members ascending, toward the
+        targets through each component 1..M-1 that has a positive mixture
+        weight on one of them; ``betas`` is the members' rows of
+        ``mixture_weight_profile``, whose weight for a component is
+        positive exactly where that component has target mass.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
@@ -515,7 +510,6 @@ class _Pipeline:
         active = np.flatnonzero(betas.any(axis=0)) + 1
         if not active.size:
             return
-        star = _star_tilt(self.k, center, free_mask)
         log_t = log_odds(betas)
         outside = ~self._in_cylinder(*star.cylinder)
         target = self.scheme.dists[0]
@@ -525,7 +519,8 @@ class _Pipeline:
             self._step("fill", lambda sharp: build_tilted_step(
                 self.logp, star, beta[:, 0], log_t[:, t - 1],
                 self.scheme.tilt(t, sharp), sharp),
-                members, target, self.allowance + self.tol_step, outside)
+                star.members, target, self.allowance + self.tol_step,
+                outside)
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
@@ -544,22 +539,19 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     # row by row, so each star reads its members' rows of one profile; the
     # rows every level reads are gathered once
     betas = mixture_weight_profile(scheme.masses(target.rows))
-    walk = []
-    for star in stars:
-        members = _star_tilt(target.k, star.center, star.free_mask).members
-        walk.append((star, members, betas[members], target.rows[members]))
+    walk = [(star, betas[star.tilt.members], target.rows[star.tilt.members])
+            for star in stars]
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for star, members, star_betas, star_target in walk:
+            for star, star_betas, star_target in walk:
                 for fixed_mask, fixed_values in star.resets:
                     pipe.reset_if_needed(fixed_mask, fixed_values)
-                pipe.fill_star(star.center, star.free_mask, star_betas,
-                               members)
-                pipe.reject_if_doomed(members, star_target, eps,
+                pipe.fill_star(star.tilt, star_betas)
+                pipe.reject_if_doomed(star.tilt.members, star_target, eps,
                                       total_steps, star.what)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
@@ -597,7 +589,8 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
     check_cells(eval_cells(k, target.n, budget),
                 f"{mode} compile at (k, n) = ({k}, {target.n}) "
                 f"with {budget} hidden units")
-    stars, resets = _packing_walk(k, r)
+    # one component leaves nothing to fill, so no star is walked
+    stars, resets = _walk(k, r) if scheme.count > 1 else ((), 0)
     total_steps = len(stars) * (scheme.count - 1) + resets
     return _compile(target, scheme, stars, total_steps, eps, mode, budget, r,
                     clamp_error)
@@ -686,11 +679,12 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     scheme = _ComponentScheme.points(
         target.n, [y0] + [y for y in range(1 << target.n) if y != y0])
     # each support point y != y0 of row x is one fill of the point star
-    # (x, free_mask=0), and no cylinder is reset; rows without such a point
-    # come first, so they are checked before any step
+    # (x, free_mask=0) of the depth-0 walk, and no cylinder is reset; rows
+    # without such a point come first, so they are checked before any step
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
-    stars = tuple(_Star(f"row {x}", x, 0, ())
+    points = _walk(k, 0)[0]
+    stars = tuple(points[x]
                   for x in np.argsort(extra, kind="stable").tolist())
     return _compile(target, scheme, stars, total_steps, eps, "support", budget,
                     None)[:2]

@@ -12,6 +12,7 @@ from crbmkit import compiler
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
+    _conditioned,
     _Pipeline,
     _worst_row_tv,
     clamp_table,
@@ -451,7 +452,7 @@ def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
         rows = self.rows()
         assert not rows.flags.writeable
         assert np.allclose(rows, np.exp(state), rtol=1e-12, atol=0.0)
-        fresh, _ = self._conditioned(apply_sharing_log(before, step)[0])
+        fresh, _ = _conditioned(apply_sharing_log(before, step)[0], k)
         assert np.array_equal(self.logp, fresh)
         applied.append(step)
 
@@ -543,15 +544,16 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     import crbmkit.compiler as compiler
 
     # the star at 0 with both inputs free, on the full 2-cube
+    star = star_tilt(2, 0, 0b11)
     betas = mixture_weight_profile(np.array([[0.2, 0.8]] * 3))
     pipe = _Pipeline(2, 1, _ComponentScheme.points(1, [0, 1]), 32.0, 1e-3)
-    pipe.fill_star(0, 0b11, betas, [0, 1, 2])  # moves the rows off the start
+    pipe.fill_star(star, betas)  # moves the rows off the start
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
         pipe.reset_if_needed(0, 0)
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
-        pipe.fill_star(0, 0b11, betas, [0, 1, 2])
+        pipe.fill_star(star, betas)
     assert pipe.params.m == 1
 
 
@@ -791,11 +793,12 @@ def test_doomed_support_level_names_its_row(monkeypatch):
     assert applied["calls"] > 0
 
 
-# Each compile shape's plan (packing walk, star geometry, component scheme
-# with its output tilts and start rows) is built by its first compile and
-# read by every later one.  A case compiled with fresh caches must give the
-# same bits after the other cases, which share schemes and walks with it,
-# and after a compile of another target of its own shape.
+# Each compile shape's plan (its walk with each star's geometry, and its
+# component scheme with its output tilts and start rows) is built by its
+# first compile and read by every later one.  A case compiled with fresh
+# caches must give the same bits after the other cases, which share schemes
+# and walks with it, and after a compile of another target of its own
+# shape.
 PLAN_CASES = {
     "universal-8-1-r3": lambda s: compile_universal(dirichlet_table(8, 1, s),
                                                     r=3),
@@ -844,8 +847,8 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
                 for tau in (16.0, 128.0, 1024.0):
                     pipe = _Pipeline(k, n, scheme, tau, 1e-3)
                     logits = (state_bits(n) * pipe.params.b).sum(axis=1)
-                    logp, rows = pipe._conditioned(np.asfortranarray(
-                        np.broadcast_to(logits, (1 << k, 1 << n))))
+                    logp, rows = _conditioned(np.asfortranarray(
+                        np.broadcast_to(logits, (1 << k, 1 << n))), k)
                     for got, want in ((pipe.logp, logp), (pipe.rows(), rows)):
                         assert got.flags.f_contiguous
                         assert got.tobytes("F") == want.tobytes("F")
@@ -853,8 +856,8 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
                     assert pipe.start_tv == _worst_row_tv(rows,
                                                           scheme.dists[0])
 
-#: CI's compile calls as (mode, k, n, r, l): the packing walks, point stars
-#: and component schemes their compiles keep
+#: CI's compile calls as (mode, k, n, r, l): the walks and component schemes
+#: their compiles keep
 CI_COMPILES = [("universal", 8, 1, 3, None), ("universal", 10, 1, 4, None),
                ("universal", 10, 3, None, None),
                ("universal", 13, 1, None, None),
@@ -863,14 +866,14 @@ CI_COMPILES = [("universal", 8, 1, 3, None), ("universal", 10, 1, 4, None),
                ("partition", 8, 3, None, 0)]
 #: bytes the plan caches hold once every plan of CI_COMPILES is built, each
 #: scheme's output tilts at every rung of the schedule and its start rows
-#: at every tau: tracemalloc read 1.69 MB (CPython 3.11, numpy 2.4,
-#: x86-64), most of it the 1024 stars the star cache keeps; the bound
-#: leaves a quarter on top
-PLAN_BYTES = 2_100_000
+#: at every tau: tracemalloc read 0.67 MB (CPython 3.11, numpy 2.4,
+#: x86-64), most of it the (8,2) support compile's point walk and the
+#: (8,1) r = 3 packing; the bound leaves a quarter on top
+PLAN_BYTES = 840_000
 #: bytes the plan caches hold filled to their limits with their largest
-#: entries (the sum in compiler's comment on STAR_CACHE): tracemalloc read
-#: 5.05 MB on the platform above; the bound leaves a quarter on top
-WORST_PLAN_BYTES = 6_300_000
+#: entries (the sum in compiler's comment on WALK_STARS): tracemalloc read
+#: 4.27 MB on the platform above; the bound leaves a quarter on top
+WORST_PLAN_BYTES = 5_340_000
 
 
 def _schedule():
@@ -918,12 +921,9 @@ def _build_ci_plans():
         else:
             scheme = _ComponentScheme.points(n, range(1 << n))
         if mode == "support":
-            for x in range(1 << k):
-                compiler._star_tilt(k, x, 0)
+            compiler._walk(k, 0)
         elif scheme.count > 1:
-            r = r or best_depth(k, scheme.count)
-            for star in compiler._packing_walk(k, r)[0]:
-                compiler._star_tilt(k, star.center, star.free_mask)
+            compiler._walk(k, r or best_depth(k, scheme.count))
         _fill_scheme(scheme, [k])
 
 
@@ -932,17 +932,15 @@ def _build_worst_plans():
 
     from crbmkit.packing import feasible_depths, star_count
 
-    # the largest walks kept: every feasible (k, r) of at most STAR_CACHE
-    # stars, the most stars first
-    kept = sorted(((star_count(k, r), k, r) for k in range(1, 14)
-                   for r in feasible_depths(k)
-                   if star_count(k, r) <= compiler.STAR_CACHE), reverse=True)
-    for _, k, r in kept[:compiler.WALK_CACHE]:
-        compiler._packing_walk(k, r)
-    # stars at k = 13, the largest k a compile walks, with every bit free:
-    # wider than any star a compile walks
-    for x in range(compiler.STAR_CACHE):
-        compiler._star_tilt(13, x, (1 << 13) - 1)
+    # the largest walks kept: every point walk and every feasible packing
+    # (k, r) of at most WALK_STARS stars, the most stars first and, among
+    # those, the most inputs
+    kept = sorted([(1 << k, k, 0) for k in range(20)]
+                  + [(star_count(k, r), k, r) for k in range(1, 20)
+                     for r in feasible_depths(k)], reverse=True)
+    kept = [(k, r) for stars, k, r in kept if stars <= compiler.WALK_STARS]
+    for k, r in kept[:compiler.WALK_CACHE]:
+        compiler._walk(k, r)
     # the widest schemes kept, 8 point components at n = 3 in distinct
     # orders, each with every tilt and every start row it can keep
     n = 3
@@ -971,18 +969,82 @@ def test_plan_caches_are_bounded(plan_caches):
     assert left <= held / 100
     assert held < worst <= WORST_PLAN_BYTES
     assert more <= worst / 100
-    # entries past the cell limits are built per use, not kept: a scheme
-    # wider than SCHEME_CELLS, a walk of more than STAR_CACHE stars, and a
-    # start state of more than START_CELLS cells
+    # entries past the limits are built per use, not kept: a scheme wider
+    # than SCHEME_CELLS, a walk of more than WALK_STARS stars, and a start
+    # state of more than START_CELLS cells
     wide = 1 << 7
     assert wide * wide > compiler.SCHEME_CELLS
     assert (_ComponentScheme.points(7, range(wide))
             is not _ComponentScheme.points(7, range(wide)))
     assert (_ComponentScheme.points(3, range(8))
             is _ComponentScheme.points(3, range(8)))
-    assert compiler._packing_walk(11, 1) is compiler._packing_walk(11, 1)
-    assert compiler._packing_walk(12, 1) is not compiler._packing_walk(12, 1)
+    for kept, past in (((9, 1), (10, 1)), ((8, 0), (9, 0))):
+        assert compiler._walk(*kept) is compiler._walk(*kept)
+        assert compiler._walk(*past) is not compiler._walk(*past)
     scheme = _ComponentScheme.points(1, [0, 1])
     big = int(np.log2(compiler.START_CELLS))
     assert scheme.start(16.0, big - 1) is scheme.start(16.0, big - 1)
     assert scheme.start(16.0, big) is not scheme.start(16.0, big)
+
+
+def test_a_walk_past_the_limit_builds_each_star_once_per_compile(
+        monkeypatch):
+    # a walk of more than WALK_STARS stars is not kept, but its compile
+    # builds it once, and every tau level walks that one build: each
+    # star's geometry is made once though the compile tries two levels
+    calls = Counter()
+    build = compiler.star_tilt
+
+    def counted(k, center, free_mask):
+        calls[k, center, free_mask] += 1
+        return build(k, center, free_mask)
+
+    monkeypatch.setattr(compiler, "WALK_STARS", 0)
+    monkeypatch.setattr(compiler, "star_tilt", counted)
+    # the (4,2) r = 2 packing has 6 stars, the k = 4 point walk 16
+    for run, stars in (
+            (lambda: compile_universal(dirichlet_table(4, 2, 0), r=2), 6),
+            (lambda: compile_support_points(
+                sparse_dirichlet_table(4, 3, 2, 0), 2), 1 << 4)):
+        calls.clear()
+        _, rep = run()
+        assert rep.tau_final >= 32.0
+        assert len(calls) == stars and set(calls.values()) == {1}
+
+
+def test_one_component_packed_compile_walks_no_star(monkeypatch):
+    # with |T| = 1 every row already sits at the start component, so
+    # nothing is filled and no packing is built; the report still names the
+    # depth and its budget, E(r) resets
+    built = []
+    monkeypatch.setattr(compiler, "build_packing",
+                        lambda *args: built.append(args))
+    for r, budget in ((None, 0), (3, 8)):
+        params, rep = compile_common_support(
+            common_support_table(8, 2, 1, 0), r=r)
+        assert params.m == 0
+        assert rep == CompileReport(
+            mode="common", hidden_units_used=0, resets_used=0,
+            star_steps_used=0, achieved_tv=0.0013411756024459295,
+            tau_final=32.0, budget_bound=budget, within_budget=True,
+            clamp_error=0.0, r=r or 1, epsilon=0.01)
+    assert built == []
+
+
+def test_depth_zero_is_refused_before_any_walk(monkeypatch):
+    # depth 0 names the point walk inside the compiler; a caller's r = 0
+    # is still refused with ValueError before any walk is read
+    read = []
+    monkeypatch.setattr(compiler, "_walk", lambda *args: read.append(args))
+    monkeypatch.setattr(compiler, "_build_walk",
+                        lambda *args: read.append(args))
+    for run in (lambda: compile_universal(dirichlet_table(3, 1, 0), r=0),
+                lambda: compile_common_support(
+                    common_support_table(3, 2, 3, 0), r=0),
+                lambda: compile_partition(
+                    block_constant_target(3, 2, 0, 0), 0, r=0),
+                lambda: compile_partition(
+                    block_constant_target(3, 2, 1, 0), 1, r=0)):
+        with pytest.raises(ValueError, match="^r must be >= 1$"):
+            run()
+    assert read == []

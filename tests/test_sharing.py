@@ -199,7 +199,7 @@ def test_star_fill_reaches_targets():
     pipe = fill_pipeline(2, 1, tau=30.0)
     rng = np.random.default_rng(7)
     targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
-    pipe.fill_star(0, 0b11, mixture_weight_profile(targets), [0, 1, 2])
+    pipe.fill_star(star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
     assert pipe.used["fill"] == 1
     for x in (0, 1, 2):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -210,14 +210,14 @@ def test_star_fill_n2_and_noop_targets():
     # targets equal to the start state: all steps are no-ops
     pipe = fill_pipeline(1, 2, tau=32.0)
     deltas = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)  # the point mass at y = 0
-    pipe.fill_star(0, 0b1, mixture_weight_profile(deltas), [0, 1])
+    pipe.fill_star(star_tilt(1, 0, 0b1), mixture_weight_profile(deltas))
     for x in (0, 1):
         assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
     # random strictly positive targets
     rng = np.random.default_rng(8)
     targets = np.array([rng.dirichlet(np.ones(4)) for _ in (0, 1)])
     pipe = fill_pipeline(1, 2, tau=32.0)
-    pipe.fill_star(0, 0b1, mixture_weight_profile(targets), [0, 1])
+    pipe.fill_star(star_tilt(1, 0, 0b1), mixture_weight_profile(targets))
     assert pipe.used["fill"] == 3
     for x in (0, 1):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -230,7 +230,7 @@ def test_star_fill_error_shrinks_with_sharpness():
     for tau in (10.0, 20.0, 40.0, 80.0):
         # tol_step 2 (the largest row TV) accepts the first try at sharpness tau
         pipe = fill_pipeline(2, 1, tau, tol_step=2.0)
-        pipe.fill_star(0, 0b11, mixture_weight_profile(targets), [0, 1, 2])
+        pipe.fill_star(star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
         errors.append(np.abs(pipe.rows()[[0, 1, 2]] - targets).sum(axis=1).max())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -293,8 +293,9 @@ def test_tilt_profile_proportionality():
 def test_star_fill_rejects_rows_off_the_star():
     pipe = fill_pipeline(1, 1, 16.0)
     betas = mixture_weight_profile(np.array([Dist.uniform(1).probs]))
+    # one row of weights for the two members of the star (0, 0b1)
     with pytest.raises(ShapeMismatch):
-        pipe.fill_star(0, 0b1, betas, [0])
+        pipe.fill_star(star_tilt(1, 0, 0b1), betas)
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
