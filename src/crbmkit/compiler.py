@@ -7,7 +7,9 @@ one appended hidden unit.  Every compile mode hands one entry,
 ``_compile``, a component scheme and a star list, and a star is filled
 through each component 1..M-1 that has target mass on one of its rows
 (``_Pipeline.fill_star``).  Universal, common-support and partition targets
-walk a star packing; the single-block partition walks no star.  A packing of
+walk a star packing; a one-component target (common support |T| = 1, the
+single-block partition) walks no star, and its start model, priced at no
+hidden unit, is the whole compile.  A packing of
 depth r spends E(r) resets, what ``packing.build_packing`` emits and
 ``packing.universal_budget`` prices; from r = 3 on that is more than the
 paper's R(r), because each fill moves its star's whole input cylinder (see
@@ -79,24 +81,21 @@ levels; nothing in it depends on the target.  The plan has two parts:
   and the cylinders reset before it.  Depth r >= 1 is the packing; depth 0
   is the point walk the support compiles take their stars from, the 2^k
   point stars (x, 0) with no resets;
-- the component scheme for (n, masks, values) (``_scheme``).  It keeps
-  each component's output tilt (factors and log s_Y, 2^n) per sharpness,
-  and the start state per (tau, k): the output biases, one row of the
-  conditioned (2^k, 2^n) start state and of its conditional rows, and its
-  TV to the start component.  Each level broadcasts those rows to the
-  (2^k, 2^n) start state.
+- the component scheme for (n, masks, values) (``_scheme``), which keeps
+  each component's output tilt (factors and log s_Y, 2^n) per sharpness.
 
-What depends on the target, the mixture weights, is computed once per
-compile, and each star's rows of it are gathered once.  The caches are lru
-caches of fixed size, and an entry whose size grows with the shape is kept
-only up to a limit: WALK_CACHE walks, of at most WALK_STARS stars each;
-SCHEME_CACHE schemes, of at most SCHEME_CELLS membership cells each, whose
-tilts are bounded by the rungs of the schedule and whose start rows by its
-tau levels and by START_CELLS.  What is not kept is built per compile, and
-shared by its tau levels, or per level for a start state, by the same code.
-Reuse cannot change an output: every plan object is a tuple or a read-only
-array, and a cached plan is the object a fresh build would make, by the
-same operations in the same order.
+Each tau level builds its own start state, the conditioned broadcast of
+the start logits (``_Pipeline``), in tens of microseconds at the
+benchmark's sizes.  What depends on the target, the mixture weights, is
+computed once per compile, and each star's rows of it are gathered once.
+The caches are lru caches of fixed size, and an entry whose size grows with
+the shape is kept only up to a limit: WALK_CACHE walks, of at most
+WALK_STARS stars each; SCHEME_CACHE schemes, of at most SCHEME_CELLS
+membership cells each, whose tilts are bounded by the rungs of the
+schedule.  What is not kept is built once per compile, by the same code,
+and shared by its tau levels.  Reuse cannot change an output: every plan
+object is a tuple or a read-only array, and a cached plan is the object a
+fresh build would make, by the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -141,20 +140,17 @@ WITNESS_EPS = 1e-4
 #: shape, by stars or cells: WALK_CACHE walks by (k, r), each of at most
 #: WALK_STARS stars with their geometry (a larger walk is built per
 #: compile); SCHEME_CACHE component schemes by (n, masks, values), each of
-#: at most SCHEME_CELLS membership cells (a wider one is built per compile),
-#: keeping start rows for states of at most START_CELLS cells (a larger one
-#: is built per level).  Filled to these limits with their largest entries
-#: the caches hold 4.27 MB under tracemalloc (CPython 3.11, numpy 2.4,
-#: x86-64; tests/test_compiler.py::test_plan_caches_are_bounded): 1.84 MB of
-#: walks (the 16 largest of at most 256 stars, point walks included) and
-#: 2.43 MB of schemes, each of 8 point components at n = 3 with a tilt at
-#: every rung of the schedule and a start row at every tau level for
-#: k <= 11
+#: at most SCHEME_CELLS membership cells (a wider one is built per
+#: compile).  Filled to these limits with their largest entries the caches
+#: hold 3.36 MB under tracemalloc (CPython 3.11, numpy 2.4, x86-64;
+#: tests/test_compiler.py::test_plan_caches_are_bounded): 1.84 MB of walks
+#: (the 16 largest of at most 256 stars, point walks included) and 1.52 MB
+#: of schemes, each of 8 point components at n = 3 with a tilt at every
+#: rung of the schedule
 WALK_STARS = 1 << 8
 WALK_CACHE = 16
 SCHEME_CACHE = 16
 SCHEME_CELLS = 1 << 6
-START_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,6 @@ class _ComponentScheme:
         self.masks = masks
         self.values = values
         self._tilts: dict[tuple[int, float], OutputTilt] = {}
-        self._starts: dict[tuple[float, int], _Start] = {}
         y = np.arange(1 << n)
         self.membership = tuple(_read_only((y & mask) == value)
                                 for mask, value in zip(masks, values))
@@ -241,32 +236,6 @@ class _ComponentScheme:
                 self.n, self.masks[t], self.values[t], sharp))
         return out
 
-    def start(self, tau: float, k: int) -> "_Start":
-        """The start state at sharpness ``tau`` on k inputs: output biases
-        +-tau_b toward the start component's fixed bits, tau_b = tau /
-        (2 * sharp_width), the odds of its sharp cylinder factors at
-        sharpness tau_b, broadcast to every input row, column-major, and
-        conditioned (``_conditioned``).  Every row is reduced from the same
-        values, so one row of the state and one of its conditional rows are
-        kept.  Built on first use and kept when the state has at most
-        START_CELLS cells, so every compile through this scheme at that tau
-        and k shares one."""
-        out = self._starts.get((tau, k))
-        if out is None:
-            tau_b = tau / (2.0 * max(self.sharp_width, 1))
-            lf = _sharp_cylinder_factors(self.n, self.masks[0], self.values[0],
-                                         tau_b)
-            bias = _read_only(lf[:, 1] - lf[:, 0])
-            logits = (state_bits(self.n) * bias[None, :]).sum(axis=1)
-            logp, rows = _conditioned(np.asfortranarray(
-                np.broadcast_to(logits, (1 << k, 1 << self.n))), k)
-            out = _Start(bias, _read_only(logp[0].copy()),
-                         _read_only(rows[0].copy()),
-                         _worst_row_tv(rows, self.dists[0]))
-            if logp.size <= START_CELLS:
-                self._starts[tau, k] = out
-        return out
-
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
         """Point components at the output states ``values``, in that order;
@@ -280,17 +249,6 @@ class _ComponentScheme:
         return _scheme(n, (mask,) * (1 << l), tuple(range(1 << l)))
 
 
-class _Start(NamedTuple):
-    """A scheme's start state at one (tau, k), by its row: the output
-    biases, the state's row and the conditional row, and the rows' worst
-    TV to the start component; arrays read-only."""
-
-    bias: np.ndarray
-    logp: np.ndarray
-    rows: np.ndarray
-    tv: float
-
-
 @lru_cache(maxsize=SCHEME_CACHE)
 def _cached_scheme(n: int, masks: tuple[int, ...],
                    values: tuple[int, ...]) -> _ComponentScheme:
@@ -300,8 +258,7 @@ def _cached_scheme(n: int, masks: tuple[int, ...],
 def _scheme(n: int, masks: tuple[int, ...],
             values: tuple[int, ...]) -> _ComponentScheme:
     """The scheme of these components, kept across compiles with its tilts
-    and start rows unless its membership table is wider than
-    SCHEME_CELLS."""
+    unless its membership table is wider than SCHEME_CELLS."""
     if len(masks) << n > SCHEME_CELLS:
         return _ComponentScheme(n, masks, values)
     return _cached_scheme(n, masks, values)
@@ -374,17 +331,21 @@ class _Pipeline:
         self.scheme = scheme
         self.tau = tau
         self.tol_step = tol_step
-        start = scheme.start(tau, k)
-        self.params = CrbmParams.bias_only(k, n, start.bias.copy())
-        # the start state conditioned on its inputs, column-major, x
-        # fastest: each row reduction of the state runs over contiguous
-        # columns, and every step keeps the layout
-        shape = (1 << k, 1 << n)
-        self.logp = np.asfortranarray(np.broadcast_to(start.logp, shape))
-        self._rows = _read_only(np.asfortranarray(
-            np.broadcast_to(start.rows, shape)))
+        # output biases +-tau_b toward the start component's fixed bits,
+        # tau_b = tau / (2 * sharp_width): the odds of its sharp cylinder
+        # factors at sharpness tau_b
+        lf = _sharp_cylinder_factors(n, scheme.masks[0], scheme.values[0],
+                                     tau / (2.0 * max(scheme.sharp_width, 1)))
+        bias = lf[:, 1] - lf[:, 0]
+        self.params = CrbmParams.bias_only(k, n, bias)
+        # the start logits broadcast to every input row, column-major, x
+        # fastest, and conditioned on the inputs: each row reduction of the
+        # state runs over contiguous columns, and every step keeps the layout
+        logits = (state_bits(n) * bias[None, :]).sum(axis=1)
+        self.logp, self._rows = _conditioned(np.asfortranarray(
+            np.broadcast_to(logits, (1 << k, 1 << n))), k)
         self._inputs = np.arange(1 << k)
-        self.start_tv = start.tv
+        self.start_tv = _worst_row_tv(self._rows, scheme.dists[0])
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
         # kind -> index i of the rung tau * 2^i its last accepted step passed
@@ -580,16 +541,22 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
                     clamp_error: float = 0.0
                     ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
     """Walk the packing of the best or given depth r, every star scheduled
-    through every component and every reset it lists."""
+    through every component and every reset it lists.  One component
+    leaves nothing to fill: the start model is the whole compile, no star
+    is walked, the budget is 0 and r is reported as given."""
     k = target.k
-    if r is None:
-        r = best_depth(k, scheme.count)
-    budget = universal_budget(k, r, scheme.count)
+    if scheme.count == 1:
+        if r is not None:
+            universal_budget(k, r, 1)  # refuses a depth k cannot hold
+        budget = 0
+    else:
+        if r is None:
+            r = best_depth(k, scheme.count)
+        budget = universal_budget(k, r, scheme.count)
     # priced on the final certificate, before the packing is built
     check_cells(eval_cells(k, target.n, budget),
                 f"{mode} compile at (k, n) = ({k}, {target.n}) "
                 f"with {budget} hidden units")
-    # one component leaves nothing to fill, so no star is walked
     stars, resets = _walk(k, r) if scheme.count > 1 else ((), 0)
     total_steps = len(stars) * (scheme.count - 1) + resets
     return _compile(target, scheme, stars, total_steps, eps, mode, budget, r,
@@ -641,14 +608,8 @@ def _partition(target: ConditionalTable, l: int, r: int | None, eps: float
         block = target.rows[:, (y & mask) == z]
         if np.abs(block - block.mean(axis=1, keepdims=True)).max() > 1e-9:
             raise NotBlockConstant(f"rows are not constant on block {z}")
-    if l == 0:
-        if r is not None:
-            universal_budget(target.k, r, 1)  # refuses a depth k cannot hold
-        # one block: the start model, the zero model, is the whole compile
-        return _compile(target, _ComponentScheme.partition(n, 0), (), 0, eps,
-                        "partition", 0, r)
-    scheme = _ComponentScheme.partition(n, l)
-    return _compile_packed(target, scheme, r, eps, "partition")
+    return _compile_packed(target, _ComponentScheme.partition(n, l), r, eps,
+                           "partition")
 
 
 def compile_support_points(target: ConditionalTable, d: int | None = None,

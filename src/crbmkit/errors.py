@@ -11,10 +11,6 @@ class CrbmKitError(Exception):
     """Base class for all domain errors raised by crbmkit."""
 
 
-class WidthMismatch(CrbmKitError, ValueError):
-    """Operands live on binary cubes of different widths."""
-
-
 class CapExceeded(CrbmKitError, ValueError):
     """An enumeration would exceed the cell limit ``bitspace.MAX_CELLS``."""
 

@@ -1,8 +1,8 @@
 """Every exported pipeline refuses an oversized enumeration at its entry.
 
 The limit is patched down to 4 cells, so each small call below is over it;
-spies show that no packing, sharing step, Younes solve, joint MRF compile,
-energy-table transform or rank draw ran first.
+spies show that no packing, tau level, sharing step, Younes solve, joint MRF
+compile, energy-table transform or rank draw ran first.
 """
 
 import numpy as np
@@ -48,9 +48,14 @@ PIPELINES = {
     "compile_common_support": lambda: compiler.compile_common_support(
         table(2, 2, support=[0, 3])),
     "compile_partition": lambda: compiler.compile_partition(table(2, 2), 1),
+    "compile_partition_one_block": lambda: compiler.compile_partition(
+        table(2, 2), 0),
     "compile_support_points": lambda: compiler.compile_support_points(
         table(2, 1, support=[0])),
     "divergence_witness": lambda: compiler.divergence_witness(table(2, 2), 6),
+    # no unit to spend: the single-block partition
+    "divergence_witness_no_units": lambda: compiler.divergence_witness(
+        table(2, 2), 0),
     "certify_dimension": lambda: dimension.certify_dimension(1, 1, 1),
     "build_packing": lambda: build_packing(3, 1),
     "compile_mrf_to_rbm": lambda: compile_mrf_to_rbm(FIELD),
@@ -69,6 +74,7 @@ def test_pipeline_refuses_at_entry(name, monkeypatch):
                             lambda *a, **kw: calls.append(attr) or fn(*a, **kw))
 
     spy(compiler, "build_packing")
+    spy(compiler, "_Pipeline")  # one per tau level
     spy(compiler, "build_tilted_step")
     spy(mrf, "younes_solve")
     spy(mrf, "compile_mrf_to_rbm")  # no pipeline calls it, the conditional neither

@@ -794,11 +794,10 @@ def test_doomed_support_level_names_its_row(monkeypatch):
 
 
 # Each compile shape's plan (its walk with each star's geometry, and its
-# component scheme with its output tilts and start rows) is built by its
-# first compile and read by every later one.  A case compiled with fresh
-# caches must give the same bits after the other cases, which share schemes
-# and walks with it, and after a compile of another target of its own
-# shape.
+# component scheme with its output tilts) is built by its first compile
+# and read by every later one.  A case compiled with fresh caches must give
+# the same bits after the other cases, which share schemes and walks with
+# it, and after a compile of another target of its own shape.
 PLAN_CASES = {
     "universal-8-1-r3": lambda s: compile_universal(dirichlet_table(8, 1, s),
                                                     r=3),
@@ -833,8 +832,7 @@ def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name, plan_caches):
 
 
 def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
-    # a level's start state is broadcast from one row of its scheme's
-    # conditioned start state; it must be the state the full (2^k, 2^n)
+    # a level's start state must be the state the full (2^k, 2^n)
     # broadcast of the start logits conditions to, layout and bits, the
     # rows' TV included, for one row (k = 0) and for many
     from crbmkit.bitspace import state_bits
@@ -856,49 +854,44 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
                     assert pipe.start_tv == _worst_row_tv(rows,
                                                           scheme.dists[0])
 
-#: CI's compile calls as (mode, k, n, r, l): the walks and component schemes
-#: their compiles keep
+#: CI's compile calls as (mode, k, n, r, size), the size |T| for common and
+#: l for partition targets: the walks and component schemes their compiles
+#: keep
 CI_COMPILES = [("universal", 8, 1, 3, None), ("universal", 10, 1, 4, None),
                ("universal", 10, 3, None, None),
                ("universal", 13, 1, None, None),
                ("support", 8, 2, None, None), ("support", 12, 1, None, None),
-               ("common", 8, 2, None, None), ("partition", 8, 3, None, 2),
-               ("partition", 8, 3, None, 0)]
+               ("common", 8, 2, None, 3), ("common", 8, 2, 3, 1),
+               ("partition", 8, 3, None, 2), ("partition", 8, 3, None, 0)]
 #: bytes the plan caches hold once every plan of CI_COMPILES is built, each
-#: scheme's output tilts at every rung of the schedule and its start rows
-#: at every tau: tracemalloc read 0.67 MB (CPython 3.11, numpy 2.4,
-#: x86-64), most of it the (8,2) support compile's point walk and the
-#: (8,1) r = 3 packing; the bound leaves a quarter on top
-PLAN_BYTES = 840_000
+#: scheme's output tilts at every rung of the schedule: tracemalloc read
+#: 0.64 MB (CPython 3.11, numpy 2.4, x86-64), most of it the (8,2) support
+#: compile's point walk and the (8,1) r = 3 packing; the bound leaves a
+#: quarter on top
+PLAN_BYTES = 800_000
 #: bytes the plan caches hold filled to their limits with their largest
 #: entries (the sum in compiler's comment on WALK_STARS): tracemalloc read
-#: 4.27 MB on the platform above; the bound leaves a quarter on top
-WORST_PLAN_BYTES = 5_340_000
+#: 3.36 MB on the platform above; the bound leaves a quarter on top
+WORST_PLAN_BYTES = 4_200_000
 
 
-def _schedule():
-    """The tau levels and the sharpness rungs of the compile schedule."""
+def _rungs():
+    """The sharpness rungs of every tau level of the compile schedule."""
     taus = [compiler.TAU_START * 2.0 ** j
             for j in range(int(np.log2(compiler.TAU_MAX
                                        / compiler.TAU_START)) + 1)]
-    rungs = sorted({tau * 2.0 ** i for tau in taus
-                    for i in range(compiler.STEP_RETRIES)})
-    return taus, rungs
+    return sorted({tau * 2.0 ** i for tau in taus
+                   for i in range(compiler.STEP_RETRIES)})
 
 
-def _fill_scheme(scheme, ks):
-    """Build every output tilt the schedule can ask ``scheme`` for (fills
-    toward components 1..M-1, resets toward component 0) and its start rows
-    at every tau for each k in ``ks``."""
-    taus, rungs = _schedule()
+def _fill_scheme(scheme):
+    """Build every output tilt the schedule can ask ``scheme`` for: fills
+    toward components 1..M-1, resets toward component 0."""
     grade = 2.0 * max(scheme.sharp_width, 1)
-    for sharp in rungs:
+    for sharp in _rungs():
         scheme.tilt(0, sharp / grade)
         for t in range(1, scheme.count):
             scheme.tilt(t, sharp)
-    for tau in taus:
-        for k in ks:
-            scheme.start(tau, k)
 
 
 def _traced_bytes(build):
@@ -913,18 +906,18 @@ def _traced_bytes(build):
 def _build_ci_plans():
     from crbmkit.packing import best_depth
 
-    for mode, k, n, r, l in CI_COMPILES:
+    for mode, k, n, r, size in CI_COMPILES:
         if mode == "partition":
-            scheme = _ComponentScheme.partition(n, l)
+            scheme = _ComponentScheme.partition(n, size)
         elif mode == "common":
-            scheme = _ComponentScheme.points(n, range(3))
+            scheme = _ComponentScheme.points(n, range(size))
         else:
             scheme = _ComponentScheme.points(n, range(1 << n))
         if mode == "support":
             compiler._walk(k, 0)
         elif scheme.count > 1:
             compiler._walk(k, r or best_depth(k, scheme.count))
-        _fill_scheme(scheme, [k])
+        _fill_scheme(scheme)
 
 
 def _build_worst_plans():
@@ -942,12 +935,11 @@ def _build_worst_plans():
     for k, r in kept[:compiler.WALK_CACHE]:
         compiler._walk(k, r)
     # the widest schemes kept, 8 point components at n = 3 in distinct
-    # orders, each with every tilt and every start row it can keep
+    # orders, each with every tilt it can keep
     n = 3
     assert (1 << n) << n == compiler.SCHEME_CELLS
-    ks = range(int(np.log2(compiler.START_CELLS)) - n + 1)
     for order in list(permutations(range(1 << n)))[:compiler.SCHEME_CACHE]:
-        _fill_scheme(_ComponentScheme.points(n, order), ks)
+        _fill_scheme(_ComponentScheme.points(n, order))
 
 
 def test_plan_caches_are_bounded(plan_caches):
@@ -970,8 +962,7 @@ def test_plan_caches_are_bounded(plan_caches):
     assert held < worst <= WORST_PLAN_BYTES
     assert more <= worst / 100
     # entries past the limits are built per use, not kept: a scheme wider
-    # than SCHEME_CELLS, a walk of more than WALK_STARS stars, and a start
-    # state of more than START_CELLS cells
+    # than SCHEME_CELLS and a walk of more than WALK_STARS stars
     wide = 1 << 7
     assert wide * wide > compiler.SCHEME_CELLS
     assert (_ComponentScheme.points(7, range(wide))
@@ -981,10 +972,6 @@ def test_plan_caches_are_bounded(plan_caches):
     for kept, past in (((9, 1), (10, 1)), ((8, 0), (9, 0))):
         assert compiler._walk(*kept) is compiler._walk(*kept)
         assert compiler._walk(*past) is not compiler._walk(*past)
-    scheme = _ComponentScheme.points(1, [0, 1])
-    big = int(np.log2(compiler.START_CELLS))
-    assert scheme.start(16.0, big - 1) is scheme.start(16.0, big - 1)
-    assert scheme.start(16.0, big) is not scheme.start(16.0, big)
 
 
 def test_a_walk_past_the_limit_builds_each_star_once_per_compile(
@@ -1014,21 +1001,41 @@ def test_a_walk_past_the_limit_builds_each_star_once_per_compile(
 
 def test_one_component_packed_compile_walks_no_star(monkeypatch):
     # with |T| = 1 every row already sits at the start component, so
-    # nothing is filled and no packing is built; the report still names the
-    # depth and its budget, E(r) resets
+    # nothing is filled and no packing is built; the start model is the
+    # whole compile, priced at 0 units, and r is reported as given
     built = []
     monkeypatch.setattr(compiler, "build_packing",
                         lambda *args: built.append(args))
-    for r, budget in ((None, 0), (3, 8)):
+    for r in (None, 3):
         params, rep = compile_common_support(
             common_support_table(8, 2, 1, 0), r=r)
         assert params.m == 0
         assert rep == CompileReport(
             mode="common", hidden_units_used=0, resets_used=0,
             star_steps_used=0, achieved_tv=0.0013411756024459295,
-            tau_final=32.0, budget_bound=budget, within_budget=True,
-            clamp_error=0.0, r=r or 1, epsilon=0.01)
+            tau_final=32.0, budget_bound=0, within_budget=True,
+            clamp_error=0.0, r=r, epsilon=0.01)
     assert built == []
+
+
+def test_one_component_targets_report_alike(monkeypatch):
+    # common |T| = 1 and the single-block partition take one path: no walk,
+    # a budget of 0 and the caller's r, for r = None and a given depth
+    read = []
+    monkeypatch.setattr(compiler, "_walk", lambda *args: read.append(args))
+
+    def budget_part(rep):
+        return (rep.hidden_units_used, rep.resets_used, rep.star_steps_used,
+                rep.budget_bound, rep.within_budget, rep.r, rep.epsilon)
+
+    for r in (None, 3):
+        _, common = compile_common_support(
+            common_support_table(8, 2, 1, 0), r=r)
+        _, partition = compile_partition(
+            block_constant_target(8, 2, 0, 0), 0, r=r)
+        assert budget_part(common) == budget_part(partition) == (
+            0, 0, 0, 0, True, r, 0.01)
+    assert read == []
 
 
 def test_depth_zero_is_refused_before_any_walk(monkeypatch):

@@ -10,12 +10,11 @@ from crbmkit.distributions import (
     Dist,
     conditional_of_joint,
     kl_conditional,
-    kl_dist,
     random_conditional,
     tv_row_distance,
 )
 from crbmkit.compiler import _ComponentScheme
-from crbmkit.errors import ZeroInputMass
+from crbmkit.errors import ShapeMismatch, ZeroInputMass
 
 HALF_LOG2_3 = 0.5 * math.log2(3.0)  # divergence of (3/4,1/4) from (1/4,3/4)
 
@@ -30,6 +29,13 @@ def point_mass(width, index):
     p = np.zeros(1 << width)
     p[index] = 1.0
     return Dist(width, p)
+
+
+def kl(p: Dist, q: Dist) -> float:
+    """The divergence of p from q in bits, that of the one-row (k = 0)
+    tables whose row is p and q."""
+    return kl_conditional(ConditionalTable(0, p.width, p.probs[None, :]),
+                          ConditionalTable(0, q.width, q.probs[None, :]))
 
 
 def random_dist(width, rng):
@@ -72,12 +78,14 @@ def test_non_finite_entries_are_refused(bad):
 
 def test_kl_examples():
     p = from_probs([0.75, 0.25])
-    assert kl_dist(p, p) == 0.0
-    assert kl_dist(point_mass(1, 0), Dist.uniform(1)) == pytest.approx(1.0)
+    assert kl(p, p) == 0.0
+    assert kl(point_mass(1, 0), Dist.uniform(1)) == pytest.approx(1.0)
     q = from_probs([0.25, 0.75])
-    assert kl_dist(p, q) == pytest.approx(HALF_LOG2_3, abs=1e-12)
+    assert kl(p, q) == pytest.approx(HALF_LOG2_3, abs=1e-12)
     # support violation returns the +inf marker
-    assert kl_dist(from_probs([0.5, 0.5]), point_mass(1, 0)) == math.inf
+    assert kl(from_probs([0.5, 0.5]), point_mass(1, 0)) == math.inf
+    with pytest.raises(ShapeMismatch):
+        kl(p, Dist.uniform(2))
 
 
 def test_kl_conditional_examples():
@@ -159,7 +167,7 @@ def partition_project(p, l):
     constant on the blocks of the first l bits, and its divergence."""
     scheme = _ComponentScheme.partition(p.width, l)
     proj = Dist(p.width, scheme.project(p.probs[None, :])[0])
-    return proj, kl_dist(p, proj)
+    return proj, kl(p, proj)
 
 
 def test_partition_project_examples():
@@ -191,7 +199,7 @@ def test_partition_project_is_optimal_among_samples():
         q = np.zeros(8)
         for mass, block in zip(masses, blocks):
             q[block] = mass / block.sum()
-        assert best <= kl_dist(p, Dist(3, q)) + 1e-12
+        assert best <= kl(p, Dist(3, q)) + 1e-12
 
 
 def test_random_conditional_determinism_and_moments():
@@ -218,8 +226,8 @@ def dists(draw, width=2):
 @settings(max_examples=50, deadline=None)
 @given(dists(), dists())
 def test_kl_nonnegative_zero_iff_equal(p, q):
-    d = kl_dist(p, q)
+    d = kl(p, q)
     assert d >= -1e-12
     if np.abs(p.probs - q.probs).max() < 1e-15:
         assert d < 1e-12
-    assert kl_dist(p, p) == pytest.approx(0.0, abs=1e-12)
+    assert kl(p, p) == pytest.approx(0.0, abs=1e-12)
