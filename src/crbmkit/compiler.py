@@ -71,31 +71,27 @@ pipeline's as they are, and its tilt normalizer goes into the unit's bias.
 The state has mass 1, so a trial makes one full reduction (the
 normalizer), and neither an accepted unit nor a tau level makes another.
 
-Every compile of a shape walks one plan, built by the first compile of that
-shape in the process and read by every later one and by each of their tau
-levels; nothing in it depends on the target.  The plan has two parts:
+Every compile of a shape walks one walk for (k, r) (``_walk``), built by
+the first compile of that shape in the process and read by every later one
+and by each of their tau levels; nothing in it depends on the target.  It
+holds each star's name, its ``sharing.StarTilt`` (its members ascending,
+where each flip sits in the input factors, its cylinder and its cylinder
+factors at unit sharpness) and the cylinders reset before it.  Depth
+r >= 1 is the packing; depth 0 is the point walk the support compiles take
+their stars from, the 2^k point stars (x, 0) with no resets.  The walks
+are the one plan cache, an lru cache of WALK_CACHE walks of at most
+WALK_STARS stars each; a larger walk is built once per compile, by the
+same code, and shared by its tau levels.  Reuse cannot change an output:
+a walk is a tuple of tuples and read-only arrays, the object a fresh build
+would make, by the same operations in the same order.
 
-- the walk for (k, r) (``_walk``): each star's name, its
-  ``sharing.StarTilt`` (its members ascending, where each flip sits in the
-  input factors, its cylinder and its cylinder factors at unit sharpness)
-  and the cylinders reset before it.  Depth r >= 1 is the packing; depth 0
-  is the point walk the support compiles take their stars from, the 2^k
-  point stars (x, 0) with no resets;
-- the component scheme for (n, masks, values) (``_scheme``), which keeps
-  each component's output tilt (factors and log s_Y, 2^n) per sharpness.
-
-Each tau level builds its own start state, the conditioned broadcast of
-the start logits (``_Pipeline``), in tens of microseconds at the
-benchmark's sizes.  What depends on the target, the mixture weights, is
-computed once per compile, and each star's rows of it are gathered once.
-The caches are lru caches of fixed size, and an entry whose size grows with
-the shape is kept only up to a limit: WALK_CACHE walks, of at most
-WALK_STARS stars each; SCHEME_CACHE schemes, of at most SCHEME_CELLS
-membership cells each, whose tilts are bounded by the rungs of the
-schedule.  What is not kept is built once per compile, by the same code,
-and shared by its tau levels.  Reuse cannot change an output: every plan
-object is a tuple or a read-only array, and a cached plan is the object a
-fresh build would make, by the same operations in the same order.
+Everything else is built per compile and shared by its tau levels: the
+component scheme (``_ComponentScheme``), whose output tilts (factors and
+log s_Y, 2^n) are built for all its components at once, on the first step
+that asks for a sharpness, and the mixture weights of the target, each
+star's rows of which are gathered once.  Each tau level builds its own
+start state, the conditioned broadcast of the start logits
+(``_Pipeline``), in tens of microseconds at the benchmark's sizes.
 """
 
 from __future__ import annotations
@@ -120,10 +116,10 @@ from .errors import (
 )
 from .packing import best_depth, build_packing, star_count, \
     universal_budget
-from .sharing import OutputTilt, SharingStep, StarTilt, _read_only, \
-    _sharp_cylinder_factors, apply_sharing_log, build_tilted_step, \
-    hidden_unit_from_log, log_odds, make_reset_step, mixture_weight_profile, \
-    output_tilt, star_tilt
+from .sharing import OutputTilt, SharingStep, StarTilt, _log_values_of, \
+    _read_only, _sharp_cylinder_factors, apply_sharing_log, \
+    build_tilted_step, hidden_unit_from_log, log_odds, make_reset_step, \
+    mixture_weight_profile, star_tilt
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -136,21 +132,14 @@ STEP_RETRIES = 12
 REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
-#: the shape plan's caches, by entries and, for an entry that grows with the
-#: shape, by stars or cells: WALK_CACHE walks by (k, r), each of at most
-#: WALK_STARS stars with their geometry (a larger walk is built per
-#: compile); SCHEME_CACHE component schemes by (n, masks, values), each of
-#: at most SCHEME_CELLS membership cells (a wider one is built per
-#: compile).  Filled to these limits with their largest entries the caches
-#: hold 3.36 MB under tracemalloc (CPython 3.11, numpy 2.4, x86-64;
-#: tests/test_compiler.py::test_plan_caches_are_bounded): 1.84 MB of walks
-#: (the 16 largest of at most 256 stars, point walks included) and 1.52 MB
-#: of schemes, each of 8 point components at n = 3 with a tilt at every
-#: rung of the schedule
+#: the walk cache: WALK_CACHE walks by (k, r), each of at most WALK_STARS
+#: stars with their geometry (a larger walk is built per compile).  Filled
+#: to these limits with its largest walks (the 16 largest of at most 256
+#: stars, point walks included) it holds 1.84 MB under tracemalloc (CPython
+#: 3.11, numpy 2.4, x86-64;
+#: tests/test_compiler.py::test_plan_caches_are_bounded)
 WALK_STARS = 1 << 8
 WALK_CACHE = 16
-SCHEME_CACHE = 16
-SCHEME_CELLS = 1 << 6
 
 
 @dataclass(frozen=True)
@@ -194,15 +183,20 @@ class _ComponentScheme:
         self.n = n
         self.masks = masks
         self.values = values
-        self._tilts: dict[tuple[int, float], OutputTilt] = {}
+        # one row per component: its member outputs, its uniform
+        # distribution, and its cylinder's (n, 2) output log factors at
+        # sharpness 1 (-1 on the off value of each fixed bit)
         y = np.arange(1 << n)
-        self.membership = tuple(_read_only((y & mask) == value)
-                                for mask, value in zip(masks, values))
-        dists = []
-        for member in self.membership:
-            v = member.astype(float)
-            dists.append(_read_only(v / v.sum()))
-        self.dists = tuple(dists)
+        fixed = np.array(masks)[:, None]
+        on = np.array(values)[:, None]
+        self.membership = _read_only((y & fixed) == on)
+        self.dists = _read_only(
+            self.membership / self.membership.sum(axis=1, keepdims=True))
+        bits = np.arange(n)
+        self._unit = _read_only(np.where(
+            ((fixed >> bits) & 1)[..., None]
+            & (np.arange(2) != ((on >> bits) & 1)[..., None]), -1.0, 0.0))
+        self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
 
     @property
     def count(self) -> int:
@@ -227,41 +221,31 @@ class _ComponentScheme:
 
     def tilt(self, t: int, sharp: float) -> OutputTilt:
         """Component t's output tilt at sharpness ``sharp``: -sharp on the
-        off value of each of its fixed bits.  Built on first use and kept,
-        so every compile, tau level, star and trial stepping toward
-        component t at that sharpness shares one."""
-        out = self._tilts.get((t, sharp))
-        if out is None:
-            out = self._tilts[t, sharp] = output_tilt(_sharp_cylinder_factors(
-                self.n, self.masks[t], self.values[t], sharp))
-        return out
+        off value of each of its fixed bits.  The first use of a sharpness
+        builds every component's tilt at it in one batch, kept for the
+        scheme's life, so the tau levels, stars and trials of its compile
+        share one.  The factors are the unit ones times ``sharp``, exactly
+        ``sharing._sharp_cylinder_factors(n, mask, value, sharp)``, and
+        each table is summed from them: a unit table times ``sharp`` could
+        differ in the last bit."""
+        tilts = self._tilts.get(sharp)
+        if tilts is None:
+            lf = _read_only(self._unit * sharp)
+            tilts = self._tilts[sharp] = tuple(
+                map(OutputTilt, lf, _log_values_of(lf)))
+        return tilts[t]
 
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
         """Point components at the output states ``values``, in that order;
         the first is the start component."""
         values = tuple(values)
-        return _scheme(n, ((1 << n) - 1,) * len(values), values)
+        return _ComponentScheme(n, ((1 << n) - 1,) * len(values), values)
 
     @staticmethod
     def partition(n: int, l: int) -> "_ComponentScheme":
         mask = (1 << l) - 1
-        return _scheme(n, (mask,) * (1 << l), tuple(range(1 << l)))
-
-
-@lru_cache(maxsize=SCHEME_CACHE)
-def _cached_scheme(n: int, masks: tuple[int, ...],
-                   values: tuple[int, ...]) -> _ComponentScheme:
-    return _ComponentScheme(n, masks, values)
-
-
-def _scheme(n: int, masks: tuple[int, ...],
-            values: tuple[int, ...]) -> _ComponentScheme:
-    """The scheme of these components, kept across compiles with its tilts
-    unless its membership table is wider than SCHEME_CELLS."""
-    if len(masks) << n > SCHEME_CELLS:
-        return _ComponentScheme(n, masks, values)
-    return _cached_scheme(n, masks, values)
+        return _ComponentScheme(n, (mask,) * (1 << l), tuple(range(1 << l)))
 
 
 class _Star(NamedTuple):
@@ -592,24 +576,23 @@ def compile_common_support(target: ConditionalTable, r: int | None = None,
 def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
                       eps: float = 1e-2) -> tuple[CrbmParams, CompileReport]:
     """Targets block-constant on the cylinder partition of the first l bits."""
-    return _partition(target, l, r, eps)[:2]
-
-
-def _partition(target: ConditionalTable, l: int, r: int | None, eps: float
-               ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
-    """``compile_partition``, with the certificate's conditional."""
     _check_eps(eps)
-    n = target.n
-    if not 0 <= l <= n:
-        raise ValueError(f"l must be in [0, {n}]")
-    mask = (1 << l) - 1
-    y = np.arange(1 << n)
-    for z in range(1 << l):
-        block = target.rows[:, (y & mask) == z]
+    if not 0 <= l <= target.n:
+        raise ValueError(f"l must be in [0, {target.n}]")
+    return _partition(target, _ComponentScheme.partition(target.n, l), r,
+                      eps)[:2]
+
+
+def _partition(target: ConditionalTable, scheme: _ComponentScheme,
+               r: int | None, eps: float
+               ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
+    """``compile_partition`` on the blocks of the partition ``scheme``, with
+    the certificate's conditional."""
+    for z, member in enumerate(scheme.membership):
+        block = target.rows[:, member]
         if np.abs(block - block.mean(axis=1, keepdims=True)).max() > 1e-9:
             raise NotBlockConstant(f"rows are not constant on block {z}")
-    return _compile_packed(target, _ComponentScheme.partition(n, l), r, eps,
-                           "partition")
+    return _compile_packed(target, scheme, r, eps, "partition")
 
 
 def compile_support_points(target: ConditionalTable, d: int | None = None,
@@ -667,9 +650,10 @@ def divergence_witness(target: ConditionalTable,
         raise ValueError(f"m_budget must be >= 0, got {m_budget}")
     k, n = target.k, target.n
     l = feasible_block_width(k, n, m_budget)
-    projected = _ComponentScheme.partition(n, l).project(target.rows)
+    scheme = _ComponentScheme.partition(n, l)
     # clamp within blocks (preserves block-constancy), then compile tightly
     # at the cheapest depth, whose budget is within m_budget by the choice of l
-    table, _ = clamp_table(ConditionalTable(k, n, projected), 0.016)
-    params, _, conditional = _partition(table, l, None, WITNESS_EPS)
+    table, _ = clamp_table(
+        ConditionalTable(k, n, scheme.project(target.rows)), 0.016)
+    params, _, conditional = _partition(table, scheme, None, WITNESS_EPS)
     return params, kl_conditional(target, conditional)

@@ -86,8 +86,16 @@ class CrbmParams:
 
     @staticmethod
     def bias_only(k: int, n: int, b) -> "CrbmParams":
-        return CrbmParams(k, n, 0, np.zeros((0, n)), np.zeros((0, k)),
-                          np.asarray(b, dtype=float), np.zeros(0))
+        """The model with output biases ``b`` (copied) and no hidden unit."""
+        b = np.array(b, dtype=float)
+        if b.shape != (n,):
+            raise ShapeMismatch(f"b must have shape ({n},), got {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("non-finite entries in b")
+        W, V, c = np.zeros((0, n)), np.zeros((0, k)), np.zeros(0)
+        for a in (W, V, b, c):
+            a.setflags(write=False)
+        return CrbmParams._checked(k, n, 0, W, V, b, c)
 
     @property
     def param_count(self) -> int:

@@ -13,8 +13,9 @@ outputs; the tilt is applied by broadcasting them, so no table over all
 2^(k+n) states is built.  The output half of a tilt, its factors and log
 s_Y, is an ``OutputTilt``: a caller that steps toward the same output
 component at the same sharpness many times builds it once and passes it to
-every step (the compiler keeps one per component and sharpness).  A builder
-hands the tables it has made to the step, so each is built once per step.
+every step (a compile builds its components' tilts at one sharpness in one
+batch, on the first step that asks for that sharpness).  A builder hands
+the tables it has made to the step, so each is built once per step.
 
 Every step is realizable as one appended hidden unit, as in the paper: one
 unit multiplies every row p(. | x) by a factor over the inputs times a
@@ -84,16 +85,21 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
 
 
 def _log_values_of(log_factors: np.ndarray) -> np.ndarray:
-    """log s(v) over all 2^width states of (width, 2) log factors, read-only.
+    """log s(v) over all 2^width states of (..., width, 2) log factors, one
+    table per index of the leading axes, read-only.
 
     Built by doubling, coordinate 0 first: the states with bit i set extend
     those below 2^i by log s_i(1), the others by log s_i(0).  So each value
     is summed from 0 over coordinates 0, 1, ..., width-1 in that order, the
-    float a per-state loop over the factors gives.
+    float a per-state loop over the factors gives, whatever the leading
+    axes.
     """
-    out = np.zeros(1)
-    for pair in log_factors:
-        out = np.add.outer(pair, out).ravel()  # [off + low, on + low]
+    shape = log_factors.shape[:-2] + (1, -1)
+    out = np.zeros(shape[:-1] + (1,))
+    for i in range(log_factors.shape[-2]):
+        # [off + low, on + low]
+        out = (log_factors[..., i, :, None] + out).reshape(shape)
+    out = out.reshape(shape[:-2] + (-1,))
     out.setflags(write=False)
     return out
 
@@ -101,17 +107,10 @@ def _log_values_of(log_factors: np.ndarray) -> np.ndarray:
 class OutputTilt(NamedTuple):
     """The output half of a tilt: (n, 2) log factors, log s_i(0) and
     log s_i(1), and their table log s_Y over the 2^n outputs, both
-    read-only.  ``output_tilt`` builds one."""
+    read-only."""
 
     log_factors: np.ndarray
     log_sy: np.ndarray
-
-
-def output_tilt(log_factors: np.ndarray) -> OutputTilt:
-    """The output tilt of the (n, 2) log factors ``log_factors`` (copied)."""
-    lf = np.array(log_factors, dtype=float)
-    lf.setflags(write=False)
-    return OutputTilt(lf, _log_values_of(lf))
 
 
 @dataclass(frozen=True)

@@ -413,6 +413,12 @@ GOLDEN = {
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
                        11, 32.0, 0.0013411756024457075,
                        "eb1a5752fc29a68a523830b14f2e640cd7abc08a6b32ff6ba3a4efc93e4e6652"),
+    # one reset grade 14 (sharp_width 7): its output tilts at sharp / 14
+    # are not a power-of-two multiple of the unit ones, so a table scaled
+    # from sharpness 1 would move this digest by an ulp
+    "universal-3-7": (lambda: compile_universal(dirichlet_table(3, 7, 0)),
+                      382, 16.0, 0.008117515549566396,
+                      "dbb51d3ec96c252353268d1f10c6b4a0e37029b6aa9371cfc4bb04ebac644ce3"),
 }
 
 
@@ -468,15 +474,17 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # neither the stepped joint nor an accepted unit's bias nor a tau
     # level's start joint is reduced again.  An accepted trial is kept, so
     # there is one application per trial.  A trial builds one tilted state
-    # and one input table; an output table is built on the first use of
-    # its (component, sharpness) only
+    # and one input table; the output tilt it steps toward is one row of a
+    # batch of every component's tilts, built on the first use of its
+    # sharpness only
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
     k, n = 4, 2
     shape = (1 << k, 1 << n)
     calls = Counter()
-    outputs = set()
+    outputs = []
+    batches = []
 
     def spy(owner, attr, name=None, counts=lambda *a, **kw: True):
         fn = getattr(owner, attr)
@@ -492,15 +500,23 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
 
     def output_of(*args, **kwargs):
         # the output tilt a trial steps toward, fill or reset
-        outputs.add(args[-2].log_factors.tobytes())
+        outputs.append(args[-2])
         return True
+
+    build = compiler._log_values_of
+
+    def batch(log_factors):
+        tables = build(log_factors)
+        batches.append(tables)
+        return tables
 
     spy(sharing, "logsumexp", "full", full_joint)
     spy(sharing, "_tilted")
     spy(sharing, "_log_values_of", "inputs",
-        lambda log_factors: len(log_factors) == k)
-    spy(sharing, "_log_values_of", "outputs",
-        lambda log_factors: len(log_factors) == n)
+        lambda log_factors: log_factors.shape == (k, 2))
+    spy(sharing, "_log_values_of", "other tables",
+        lambda log_factors: log_factors.shape != (k, 2))
+    monkeypatch.setattr(compiler, "_log_values_of", batch)
     spy(compiler, "build_tilted_step", "trial", output_of)
     spy(compiler, "make_reset_step", "trial", output_of)
     spy(compiler, "apply_sharing_log")
@@ -515,12 +531,26 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert calls["full"] == trials
     assert calls["_tilted"] == trials
     assert calls["inputs"] == trials
-    assert 0 < calls["outputs"] == len(outputs) < trials
+    assert calls["other tables"] == 0
+    # a batch holds the four point components' tables, and each trial's
+    # output table is a row of exactly one batch
+    assert all(tables.shape == (1 << n, 1 << n) for tables in batches)
+    assert len(outputs) == trials
+    for out in outputs:
+        assert sum(np.shares_memory(out.log_sy, tables)
+                   for tables in batches) == 1
+    # one batch per sharpness the trials' tilts have (-sharp is the least
+    # log factor of a point component's tilt)
+    sharps = {float(-out.log_factors.min()) for out in outputs}
+    assert 0 < len(batches) == len(sharps) < trials
 
 
 def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
     # every tilt is a factor over the k inputs times one over the n
-    # outputs: no log table over the 2^(k+n) joint states is built
+    # outputs: no log table over the 2^(k+n) joint states is built.  A
+    # table's width is its factors' coordinate axis, the one before the
+    # (off, on) pair; the output tables are built in batches
+    import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
     k, n = 4, 2
@@ -528,10 +558,11 @@ def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
     build = sharing._log_values_of
 
     def counted(log_factors):
-        widths[len(log_factors)] += 1
+        widths[log_factors.shape[-2]] += 1
         return build(log_factors)
 
     monkeypatch.setattr(sharing, "_log_values_of", counted)
+    monkeypatch.setattr(compiler, "_log_values_of", counted)
     _, rep = compile_universal(dirichlet_table(k, n, 0))
     assert rep.hidden_units_used == 19
     assert widths[k] > 0 and widths[n] > 0
@@ -793,11 +824,10 @@ def test_doomed_support_level_names_its_row(monkeypatch):
     assert applied["calls"] > 0
 
 
-# Each compile shape's plan (its walk with each star's geometry, and its
-# component scheme with its output tilts) is built by its first compile
-# and read by every later one.  A case compiled with fresh caches must give
-# the same bits after the other cases, which share schemes and walks with
-# it, and after a compile of another target of its own shape.
+# Each compile shape's walk, with each star's geometry, is built by its
+# first compile and read by every later one.  A case compiled with a fresh
+# cache must give the same bits after the other cases, which share walks
+# with it, and after a compile of another target of its own shape.
 PLAN_CASES = {
     "universal-8-1-r3": lambda s: compile_universal(dirichlet_table(8, 1, s),
                                                     r=3),
@@ -854,27 +884,6 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
                     assert pipe.start_tv == _worst_row_tv(rows,
                                                           scheme.dists[0])
 
-#: CI's compile calls as (mode, k, n, r, size), the size |T| for common and
-#: l for partition targets: the walks and component schemes their compiles
-#: keep
-CI_COMPILES = [("universal", 8, 1, 3, None), ("universal", 10, 1, 4, None),
-               ("universal", 10, 3, None, None),
-               ("universal", 13, 1, None, None),
-               ("support", 8, 2, None, None), ("support", 12, 1, None, None),
-               ("common", 8, 2, None, 3), ("common", 8, 2, 3, 1),
-               ("partition", 8, 3, None, 2), ("partition", 8, 3, None, 0)]
-#: bytes the plan caches hold once every plan of CI_COMPILES is built, each
-#: scheme's output tilts at every rung of the schedule: tracemalloc read
-#: 0.64 MB (CPython 3.11, numpy 2.4, x86-64), most of it the (8,2) support
-#: compile's point walk and the (8,1) r = 3 packing; the bound leaves a
-#: quarter on top
-PLAN_BYTES = 800_000
-#: bytes the plan caches hold filled to their limits with their largest
-#: entries (the sum in compiler's comment on WALK_STARS): tracemalloc read
-#: 3.36 MB on the platform above; the bound leaves a quarter on top
-WORST_PLAN_BYTES = 4_200_000
-
-
 def _rungs():
     """The sharpness rungs of every tau level of the compile schedule."""
     taus = [compiler.TAU_START * 2.0 ** j
@@ -884,14 +893,51 @@ def _rungs():
                    for i in range(compiler.STEP_RETRIES)})
 
 
-def _fill_scheme(scheme):
-    """Build every output tilt the schedule can ask ``scheme`` for: fills
-    toward components 1..M-1, resets toward component 0."""
-    grade = 2.0 * max(scheme.sharp_width, 1)
-    for sharp in _rungs():
-        scheme.tilt(0, sharp / grade)
-        for t in range(1, scheme.count):
-            scheme.tilt(t, sharp)
+def test_batched_output_tilts_are_each_components_own_bit_for_bit():
+    # a scheme builds all its components' output tilts at a sharpness in
+    # one batch.  Each must be, factors and table, the tilt of its own
+    # cylinder factors at that sharpness: at every rung a fill asks for,
+    # and at every rung over the scheme's reset grade 2w, which is no
+    # power-of-two multiple of the unit sharpness where w is 3, 5, 6 or 7.
+    # The partitions of l = 1..n bits and the points give every grade
+    # 2, 4, ..., 16
+    from crbmkit.sharing import _log_values_of, _sharp_cylinder_factors
+
+    rungs = _rungs()
+    for n in range(1, 9):
+        for scheme in ([_ComponentScheme.points(n, range(1 << n)),
+                        _ComponentScheme.points(n, [(1 << n) - 1, 0])]
+                       + [_ComponentScheme.partition(n, l)
+                          for l in range(n + 1)]):
+            grade = 2.0 * max(scheme.sharp_width, 1)
+            for sharp in rungs + [sharp / grade for sharp in rungs]:
+                for t in range(scheme.count):
+                    lf = _sharp_cylinder_factors(n, scheme.masks[t],
+                                                 scheme.values[t], sharp)
+                    out = scheme.tilt(t, sharp)
+                    assert out.log_factors.tobytes() == lf.tobytes()
+                    assert (out.log_sy.tobytes()
+                            == _log_values_of(lf).tobytes())
+                    assert not out.log_factors.flags.writeable
+                    assert not out.log_sy.flags.writeable
+
+
+#: CI's compile calls as (mode, k, n, r, components): the walks their
+#: compiles keep
+CI_COMPILES = [("universal", 8, 1, 3, 2), ("universal", 10, 1, 4, 2),
+               ("universal", 10, 3, None, 8), ("universal", 13, 1, None, 2),
+               ("support", 8, 2, None, 4), ("support", 12, 1, None, 2),
+               ("common", 8, 2, None, 3), ("common", 8, 2, 3, 1),
+               ("partition", 8, 3, None, 4), ("partition", 8, 3, None, 1)]
+#: bytes the walk cache holds once every walk of CI_COMPILES is built:
+#: tracemalloc read 0.37 MB (CPython 3.11, numpy 2.4, x86-64), most of it
+#: the (8,2) support compile's point walk and the (8,1) r = 3 packing; the
+#: bound leaves a quarter on top
+PLAN_BYTES = 462_000
+#: bytes the walk cache holds filled to its limits with its largest walks
+#: (the figure in compiler's comment on WALK_STARS): tracemalloc read
+#: 1.84 MB on the platform above; the bound leaves a quarter on top
+WORST_PLAN_BYTES = 2_300_000
 
 
 def _traced_bytes(build):
@@ -906,23 +952,14 @@ def _traced_bytes(build):
 def _build_ci_plans():
     from crbmkit.packing import best_depth
 
-    for mode, k, n, r, size in CI_COMPILES:
-        if mode == "partition":
-            scheme = _ComponentScheme.partition(n, size)
-        elif mode == "common":
-            scheme = _ComponentScheme.points(n, range(size))
-        else:
-            scheme = _ComponentScheme.points(n, range(1 << n))
+    for mode, k, n, r, components in CI_COMPILES:
         if mode == "support":
             compiler._walk(k, 0)
-        elif scheme.count > 1:
-            compiler._walk(k, r or best_depth(k, scheme.count))
-        _fill_scheme(scheme)
+        elif components > 1:
+            compiler._walk(k, r or best_depth(k, components))
 
 
 def _build_worst_plans():
-    from itertools import permutations
-
     from crbmkit.packing import feasible_depths, star_count
 
     # the largest walks kept: every point walk and every feasible packing
@@ -934,18 +971,13 @@ def _build_worst_plans():
     kept = [(k, r) for stars, k, r in kept if stars <= compiler.WALK_STARS]
     for k, r in kept[:compiler.WALK_CACHE]:
         compiler._walk(k, r)
-    # the widest schemes kept, 8 point components at n = 3 in distinct
-    # orders, each with every tilt it can keep
-    n = 3
-    assert (1 << n) << n == compiler.SCHEME_CELLS
-    for order in list(permutations(range(1 << n)))[:compiler.SCHEME_CACHE]:
-        _fill_scheme(_ComponentScheme.points(n, order))
 
 
 def test_plan_caches_are_bounded(plan_caches):
-    assert plan_caches and all(
-        isinstance(cache.cache_parameters()["maxsize"], int)
-        for cache in plan_caches)
+    # the walk lru is the compiler's one plan cache
+    assert plan_caches == [compiler._cached_walk]
+    assert isinstance(
+        compiler._cached_walk.cache_parameters()["maxsize"], int)
     tracemalloc.start()
     try:
         held = _traced_bytes(_build_ci_plans)
@@ -961,14 +993,10 @@ def test_plan_caches_are_bounded(plan_caches):
     assert left <= held / 100
     assert held < worst <= WORST_PLAN_BYTES
     assert more <= worst / 100
-    # entries past the limits are built per use, not kept: a scheme wider
-    # than SCHEME_CELLS and a walk of more than WALK_STARS stars
-    wide = 1 << 7
-    assert wide * wide > compiler.SCHEME_CELLS
-    assert (_ComponentScheme.points(7, range(wide))
-            is not _ComponentScheme.points(7, range(wide)))
+    # a component scheme is built per compile, never kept, and so is a walk
+    # of more than WALK_STARS stars
     assert (_ComponentScheme.points(3, range(8))
-            is _ComponentScheme.points(3, range(8)))
+            is not _ComponentScheme.points(3, range(8)))
     for kept, past in (((9, 1), (10, 1)), ((8, 0), (9, 0))):
         assert compiler._walk(*kept) is compiler._walk(*kept)
         assert compiler._walk(*past) is not compiler._walk(*past)

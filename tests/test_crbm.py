@@ -51,6 +51,28 @@ def test_eval_conditional_m0_is_x_independent_softmax():
         assert np.allclose(table.rows[x], soft)
 
 
+def test_bias_only_checks_b_and_holds_read_only_arrays():
+    b = np.array([0.5, -1.0])
+    p = CrbmParams.bias_only(3, 2, b)
+    assert (p.k, p.n, p.m) == (3, 2, 0)
+    assert [a.shape for a in (p.W, p.V, p.b, p.c)] == [(0, 2), (0, 3), (2,),
+                                                        (0,)]
+    assert not any(a.flags.writeable for a in (p.W, p.V, p.b, p.c))
+    # b is copied: the caller's array stays writable and its later edits
+    # do not reach the model
+    b[0] = 9.0
+    assert b.flags.writeable and p.b.tolist() == [0.5, -1.0]
+    assert np.array_equal(p.vector(), CrbmParams(
+        3, 2, 0, np.zeros((0, 2)), np.zeros((0, 3)), [0.5, -1.0],
+        np.zeros(0)).vector())
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite entries in b"):
+            CrbmParams.bias_only(3, 2, [0.0, bad])
+    for shape in ((3,), (1, 2), ()):
+        with pytest.raises(ShapeMismatch):
+            CrbmParams.bias_only(3, 2, np.zeros(shape))
+
+
 def test_eval_conditional_all_zero_params_uniform():
     table = eval_conditional(zero_params(2, 2, 3))
     assert np.allclose(table.rows, 0.25)

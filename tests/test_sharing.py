@@ -15,7 +15,9 @@ from crbmkit.crbm import (
 from crbmkit.distributions import Dist
 from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
 from crbmkit.sharing import (
+    OutputTilt,
     SharingStep,
+    _log_values_of,
     apply_sharing_log,
     build_tilted_step,
     hidden_unit_from_log,
@@ -23,7 +25,6 @@ from crbmkit.sharing import (
     logsumexp,
     make_reset_step,
     mixture_weight_profile,
-    output_tilt,
     star_tilt,
 )
 
@@ -59,6 +60,14 @@ def conditional_rows(logp: np.ndarray) -> np.ndarray:
     """The conditional rows p(. | x) of a (2^k, 2^n) log state."""
     rows = np.exp(logp)
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def output_tilt(log_factors) -> OutputTilt:
+    """The output tilt of (n, 2) log factors: a read-only copy of them and
+    their table, from the one table builder."""
+    lf = np.array(log_factors, dtype=float)
+    lf.setflags(write=False)
+    return OutputTilt(lf, _log_values_of(lf))
 
 
 def point_mass_tilt(y: int, n: int, tau: float):
