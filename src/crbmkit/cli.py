@@ -5,7 +5,8 @@ verify-all.  Randomized subcommands require an explicit --seed.  Output is
 JSON (CSV for table1) to stdout or --out; relative --out paths resolve
 against $CRBMKIT_OUT_DIR when set.  This module is the package's one JSON
 writer: it encodes arrays by tolist() and reports, parameters and tables by
-their dataclass fields.  Every JSON payload carries a versioned schema tag;
+their dataclass fields, indented as ``json.dumps(..., indent=2)`` indents
+them (``_dumps``).  Every JSON payload carries a versioned schema tag;
 the tests, not the CLI, check payloads against docs/output-schemas.json.
 Exit codes: 0 success, 1 domain error (a table above bitspace.MAX_CELLS
 cells is one, refused before it is built), 2 usage error; every subcommand
@@ -22,6 +23,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from importlib import import_module
 
@@ -63,8 +65,77 @@ def _string_keys(value):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_value)
-           + "\n", out)
+    _write(_dumps(payload) + "\n", out)
+
+
+#: a placeholder string for the i-th array of a payload, as the encoder
+#: writes it; no other string of a payload encodes to it but one holding
+#: the same NUL-led text, which _dumps detects
+_LEAF = re.compile(r'"\\u0000(\d+)"')
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, default=_json_value)``
+    byte for byte.  An indenting ``json.dumps`` runs the pure-Python
+    encoder, about ten times slower than the C one, which matters for a
+    large table's arrays: each non-empty bool, int or float array is
+    written by the C encoder on one line (``_array_text``) and put into the
+    indented skeleton in place of a placeholder string."""
+    arrays: list[tuple[np.ndarray, int]] = []
+    text = json.dumps(_skeleton(payload, 0, arrays), sort_keys=True,
+                      indent=2, default=_json_value)
+    parts = _LEAF.split(text)
+    leaves = [int(i) for i in parts[1::2]]
+    if sorted(leaves) != list(range(len(arrays))):
+        # a payload string collides with a placeholder
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          default=_json_value)
+    for at, i in enumerate(leaves, 1):
+        parts[2 * at - 1] = _array_text(*arrays[i])
+    return "".join(parts)
+
+
+def _skeleton(obj, level: int, arrays: list):
+    """``obj`` as ``json.dumps`` sees it, its dataclasses expanded by
+    ``_json_value``, with each array ``_array_text`` writes replaced by a
+    placeholder; ``arrays`` receives each such array with ``level``, the
+    count of containers around it.  A container with nothing replaced in
+    it is kept, not copied."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind in "biuf":
+            arrays.append((obj, level))
+            return f"\0{len(arrays) - 1}"
+        return obj
+    if isinstance(obj, dict):
+        new = {k: _skeleton(v, level + 1, arrays) for k, v in obj.items()}
+        return obj if all(new[k] is v for k, v in obj.items()) else new
+    if isinstance(obj, (list, tuple)):
+        new = [_skeleton(v, level + 1, arrays) for v in obj]
+        return obj if all(a is b for a, b in zip(new, obj)) else new
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _skeleton(_json_value(obj), level, arrays)
+    return obj
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """The non-empty array ``a`` as the indenting encoder writes it inside
+    ``level`` containers, from the C encoder's one-line text.  In that
+    text the items of a list at depth j (0 for ``a`` itself) are parted by
+    ", " between d - 1 - j closing and as many opening brackets.  Each such
+    separator is replaced by the lines the indenting encoder writes there,
+    the longest first, so no shorter one is found in the lines put in."""
+    d = a.ndim
+    text = json.dumps(a.tolist())
+
+    def line(depth: int) -> str:
+        return "\n" + "  " * (level + depth)
+    for j in range(d):
+        closes = "".join(line(i) + "]" for i in range(d - 1, j, -1))
+        opens = "".join("[" + line(i + 1) for i in range(j + 1, d))
+        text = text.replace("]" * (d - 1 - j) + ", " + "[" * (d - 1 - j),
+                            closes + "," + line(j + 1) + opens)
+    return ("".join("[" + line(i + 1) for i in range(d)) + text[d:-d]
+            + "".join(line(i) + "]" for i in range(d - 1, -1, -1)))
 
 
 def _write(text: str, out: str | None) -> None:

@@ -85,13 +85,19 @@ same code, and shared by its tau levels.  Reuse cannot change an output:
 a walk is a tuple of tuples and read-only arrays, the object a fresh build
 would make, by the same operations in the same order.
 
-Everything else is built per compile and shared by its tau levels: the
-component scheme (``_ComponentScheme``), whose output tilts (factors and
-log s_Y, 2^n) are built for all its components at once, on the first step
-that asks for a sharpness, and the mixture weights of the target, each
-star's rows of which are gathered once.  Each tau level builds its own
-start state, the conditioned broadcast of the start logits
-(``_Pipeline``), in tens of microseconds at the benchmark's sizes.
+Everything else is built per compile and shared by its tau levels.  The
+component scheme (``_ComponentScheme``) builds its output tilts (factors
+and log s_Y, 2^n) for all its components at once, on the first fill that
+asks for a sharpness, and a reset's tilt toward the start component alone,
+on the first reset at its sharpness.  Each star's fill is planned once
+(``_plan_fill``): its members' mixture weights and their log-odds, from
+one ``log_odds`` call over the target's whole profile, the components it
+mixes toward, each step's target rows and the inputs of its cylinder.  So
+a tau level only builds, tries and accepts steps.  Each tau level builds
+its own start state, the conditioned broadcast of the start logits
+(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and its
+accepted units grow the model's W, V and c in place
+(``crbm.append_hidden_unit``).
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bitspace import check_cells, state_bits
+from .bitspace import check_cells, cylinder_members, state_bits
 from .crbm import (CrbmParams, append_hidden_unit, eval_cells,
                    eval_conditional)
 from .distributions import (ConditionalTable, _check_eps, kl_conditional,
@@ -197,6 +203,7 @@ class _ComponentScheme:
             ((fixed >> bits) & 1)[..., None]
             & (np.arange(2) != ((on >> bits) & 1)[..., None]), -1.0, 0.0))
         self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
+        self._start_tilts: dict[float, OutputTilt] = {}
 
     @property
     def count(self) -> int:
@@ -235,6 +242,18 @@ class _ComponentScheme:
                 map(OutputTilt, lf, _log_values_of(lf)))
         return tilts[t]
 
+    def start_tilt(self, sharp: float) -> OutputTilt:
+        """``tilt(0, sharp)`` built alone, the tilt a reset steps toward:
+        resets ask for sharpnesses no fill uses, so no other component's
+        tilt is built at them.  Kept per sharpness for the scheme's life;
+        its factors and table are the floats of the batched one."""
+        tilt = self._start_tilts.get(sharp)
+        if tilt is None:
+            lf = _read_only(self._unit[0] * sharp)
+            tilt = self._start_tilts[sharp] = OutputTilt(lf,
+                                                         _log_values_of(lf))
+        return tilt
+
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
         """Point components at the output states ``values``, in that order;
@@ -256,6 +275,38 @@ class _Star(NamedTuple):
     what: str
     tilt: StarTilt
     resets: tuple[tuple[int, int], ...]
+
+
+class _Fill(NamedTuple):
+    """A star's fill as a compile plans it once for all its tau levels:
+    the star, its steps in order and the inputs of its cylinder
+    (``inside``, ascending), whose rows no drift check reads.  A step is
+    ``(t, betas, log_t, target)``: the component t it mixes toward, the
+    members' mixture weights toward it and their ``log_odds``, and the
+    members' target rows after it, the previous step's mixed toward
+    component t."""
+
+    star: StarTilt
+    steps: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    inside: np.ndarray
+
+
+def _plan_fill(scheme: _ComponentScheme, star: StarTilt, betas: np.ndarray,
+               log_t: np.ndarray) -> _Fill:
+    """The ``_Fill`` of ``star`` toward each component 1..M-1 of ``scheme``
+    that has a positive mixture weight on one of its members.  ``betas``
+    are the members' rows of ``mixture_weight_profile``, whose weight for a
+    component is positive exactly where that component has target mass, and
+    ``log_t`` their ``log_odds``.  The first step's targets mix the start
+    component's distribution."""
+    steps = []
+    target = scheme.dists[0]
+    for t in (np.flatnonzero(betas.any(axis=0)) + 1).tolist():
+        beta = betas[:, t - 1, None]
+        target = (1.0 - beta) * target + beta * scheme.dists[t]
+        steps.append((t, beta[:, 0], log_t[:, t - 1], target))
+    inside = cylinder_members(*star.cylinder, len(star.cylinder_factors))
+    return _Fill(star, tuple(steps), np.array(inside, dtype=np.intp))
 
 
 def _build_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
@@ -376,14 +427,15 @@ class _Pipeline:
               build: Callable[[float], tuple[SharingStep, np.ndarray | None,
                                              float | None]],
               region: list[int] | np.ndarray, target: np.ndarray, bound: float,
-              outside: np.ndarray) -> None:
+              inside: np.ndarray) -> None:
         """Build, try and accept one sharing step.
 
         ``build(sharp)`` makes the step at sharpness ``sharp`` with its
         tilted state and tilt normalizer if it computed them (else None and
         None).  A trial is accepted when its rows at ``region`` are within
-        row TV ``bound`` of ``target`` and its rows at ``outside`` moved by
-        at most tol_step; otherwise the sharpness doubles.  The rungs are
+        row TV ``bound`` of ``target`` and its rows outside ``inside`` (an
+        index or boolean mask of the step's cylinder) moved by at most
+        tol_step; otherwise the sharpness doubles.  The rungs are
         tau * 2^i for i < STEP_RETRIES, and the ladder starts at the rung
         the last accepted step of the same kind passed in this level (tau
         for the first): within a level tol_step is fixed and a step's
@@ -410,7 +462,8 @@ class _Pipeline:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
                 continue
             moved = np.abs(rows - self._rows).sum(axis=1)
-            drift = float(moved.max(where=outside, initial=0.0))
+            moved[inside] = 0.0  # moves are >= 0: the max outside, or 0
+            drift = float(moved.max(initial=0.0))
             if not drift <= self.tol_step:
                 rejected = (f"outside drift {drift:.3g} > tol_step "
                             f"{self.tol_step:.3g}")
@@ -437,35 +490,25 @@ class _Pipeline:
         # outputs: concentrate on the start component at start-grade sharpness
         grade = 2.0 * max(self.scheme.sharp_width, 1)
         self._step("reset", lambda sharp: (make_reset_step(
-            self.k, fixed_mask, fixed_values, self.scheme.tilt(0, sharp / grade),
-            sharp), None, None), inside, start, self.start_tv + self.tol_step,
-            ~inside)
+            self.k, fixed_mask, fixed_values,
+            self.scheme.start_tilt(sharp / grade), sharp), None, None),
+            inside, start, self.start_tv + self.tol_step, inside)
 
-    def fill_star(self, star: StarTilt, betas: np.ndarray) -> None:
-        """Mix the rows of ``star``, its members ascending, toward the
-        targets through each component 1..M-1 that has a positive mixture
-        weight on one of them; ``betas`` is the members' rows of
-        ``mixture_weight_profile``, whose weight for a component is
-        positive exactly where that component has target mass.
+    def fill_star(self, fill: _Fill) -> None:
+        """Run the planned steps of ``fill`` (``_plan_fill``), each through
+        the step loop, on the rows of its star, its members ascending: all
+        that depends on the target alone was planned once for the compile,
+        so a level only builds and tries steps.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
-        a support compile fills each row once.  Each step's targets mix the
-        previous step's toward its component."""
-        active = np.flatnonzero(betas.any(axis=0)) + 1
-        if not active.size:
-            return
-        log_t = log_odds(betas)
-        outside = ~self._in_cylinder(*star.cylinder)
-        target = self.scheme.dists[0]
-        for t in active.tolist():
-            beta = betas[:, t - 1, None]
-            target = (1.0 - beta) * target + beta * self.scheme.dists[t]
+        a support compile fills each row once."""
+        star = fill.star
+        for t, betas, log_t, target in fill.steps:
             self._step("fill", lambda sharp: build_tilted_step(
-                self.logp, star, beta[:, 0], log_t[:, t - 1],
-                self.scheme.tilt(t, sharp), sharp),
-                star.members, target, self.allowance + self.tol_step,
-                outside)
+                self.logp, star, betas, log_t, self.scheme.tilt(t, sharp),
+                sharp), star.members, target, self.allowance + self.tol_step,
+                fill.inside)
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
@@ -481,21 +524,27 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     ``total_steps`` scheduled steps gets tolerance eps / (2 total_steps).
     When no level meets eps, the error names why the last one failed: the
     error it raised, which it chains, or its certificate's TV."""
-    # row by row, so each star reads its members' rows of one profile; the
-    # rows every level reads are gathered once
+    # row by row, so each star reads its members' rows of one profile and
+    # of its log-odds (elementwise, so the floats of each star's own); every
+    # star's fill is planned once, for all levels
     betas = mixture_weight_profile(scheme.masses(target.rows))
-    walk = [(star, betas[star.tilt.members], target.rows[star.tilt.members])
-            for star in stars]
+    log_t = log_odds(betas)
+    walk = []
+    for star in stars:
+        members = star.tilt.members
+        walk.append((star, _plan_fill(scheme, star.tilt, betas[members],
+                                      log_t[members]),
+                     target.rows[members]))
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for star, star_betas, star_target in walk:
+            for star, fill, star_target in walk:
                 for fixed_mask, fixed_values in star.resets:
                     pipe.reset_if_needed(fixed_mask, fixed_values)
-                pipe.fill_star(star.tilt, star_betas)
+                pipe.fill_star(fill)
                 pipe.reject_if_doomed(star.tilt.members, star_target, eps,
                                       total_steps, star.what)
         except BudgetExceeded as exc:

@@ -36,6 +36,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
+class _Units:
+    """Row buffers that the hidden units of a chain of appended models
+    share: W, V and c with spare rows, and ``used``, the rows of the newest
+    model, whose arrays view the first ``used`` rows."""
+
+    __slots__ = ("W", "V", "c", "used")
+
+    def __init__(self, p: "CrbmParams", capacity: int):
+        m = p.m
+        self.W = np.empty((capacity, p.n))
+        self.V = np.empty((capacity, p.k))
+        self.c = np.empty(capacity)
+        self.W[:m], self.V[:m], self.c[:m] = p.W, p.V, p.c
+        self.used = m
+
+
 @dataclass(frozen=True)
 class CrbmParams:
     """Interaction weights and biases (W: m x n, V: m x k, b: n, c: m)."""
@@ -47,6 +63,9 @@ class CrbmParams:
     V: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
+    # the row buffers W, V and c view, for a model made by
+    # append_hidden_unit; not a field, and not pickled
+    _units = None
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float).reshape(self.m, self.n)
@@ -61,13 +80,23 @@ class CrbmParams:
 
     @classmethod
     def _checked(cls, k: int, n: int, m: int, W: np.ndarray, V: np.ndarray,
-                 b: np.ndarray, c: np.ndarray) -> "CrbmParams":
+                 b: np.ndarray, c: np.ndarray,
+                 units: _Units | None = None) -> "CrbmParams":
         """A model of arrays already of the right shapes, finite and
-        read-only, taken as they are: no copy and no check."""
+        read-only, taken as they are: no copy and no check.  ``units`` are
+        the row buffers W, V and c view, if they are views of any."""
         p = object.__new__(cls)
         for name, value in zip("knmWVbc", (k, n, m, W, V, b, c)):
             object.__setattr__(p, name, value)
+        if units is not None:
+            object.__setattr__(p, "_units", units)
         return p
+
+    def __getstate__(self):
+        # a pickled model holds its own m rows, not its chain's buffers
+        state = dict(self.__dict__)
+        state.pop("_units", None)
+        return state
 
     @classmethod
     def from_vector(cls, k: int, n: int, m: int, theta) -> "CrbmParams":
@@ -162,7 +191,15 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
     weights ``w_in`` (k) and bias ``bias``.
 
     Only the new unit is checked: ``p``'s arrays were checked when it was
-    made and are read-only, so they are stacked as they are."""
+    made and are read-only, so its rows are taken as they are.  The new
+    model's W, V and c are read-only views of the first m + 1 rows of row
+    buffers with spare capacity.  When ``p`` is the newest model viewing
+    its buffers and a row is spare, the unit is written into that row and
+    the buffers are shared: an append costs O(n + k), not O(m).  Otherwise
+    (a model not made here, a full buffer, or a model appended to before)
+    the rows are copied into new buffers of twice the rows, so a chain of m
+    appends copies O(m) rows in all.  No append writes a row an existing
+    model views: every model keeps its arrays and their bytes."""
     w_out = np.asarray(w_out, dtype=float)
     w_in = np.asarray(w_in, dtype=float)
     bias = float(bias)
@@ -175,12 +212,16 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
                          ("c", math.isfinite(bias))):
         if not finite:
             raise ValueError(f"non-finite entries in {name}")
-    W = np.concatenate((p.W, w_out[None, :]))
-    V = np.concatenate((p.V, w_in[None, :]))
-    c = np.concatenate((p.c, [bias]))
+    m = p.m
+    units = p._units
+    if units is None or units.used != m or m == len(units.c):
+        units = _Units(p, max(2 * m, 1))
+    units.W[m], units.V[m], units.c[m] = w_out, w_in, bias
+    units.used = m + 1
+    W, V, c = units.W[:m + 1], units.V[:m + 1], units.c[:m + 1]
     for a in (W, V, c):
         a.setflags(write=False)
-    return CrbmParams._checked(p.k, p.n, p.m + 1, W, V, p.b, c)
+    return CrbmParams._checked(p.k, p.n, m + 1, W, V, p.b, c, units)
 
 
 def _log_grad_diffs(X: np.ndarray, Y: np.ndarray,

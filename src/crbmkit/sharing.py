@@ -14,7 +14,8 @@ outputs; the tilt is applied by broadcasting them, so no table over all
 s_Y, is an ``OutputTilt``: a caller that steps toward the same output
 component at the same sharpness many times builds it once and passes it to
 every step (a compile builds its components' tilts at one sharpness in one
-batch, on the first step that asks for that sharpness).  A builder hands
+batch, on the first fill that asks for that sharpness, and a reset's tilt
+toward its start component alone).  A builder hands
 the tables it has made to the step, so each is built once per step.
 
 Every step is realizable as one appended hidden unit, as in the paper: one
@@ -55,6 +56,7 @@ factors on a finite state give; a non-finite normalizer is refused
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -176,14 +178,17 @@ def apply_sharing_log(logp: np.ndarray, step: SharingStep,
         tilted = _tilted(logp, step.log_sx, step.log_sy)
     if log_norm is None:
         log_norm = logsumexp(tilted)
-    if not np.isfinite(log_norm):
+    if not math.isfinite(log_norm):
         raise DegenerateStep("tilt normalizer vanished")
-    # lambda = 1 and lambda = 0 make one term -inf: the state, or the
-    # normalized tilted state, exactly
-    with np.errstate(divide="ignore"):
-        out = np.logaddexp(np.log(step.lam) + logp,
-                           np.log1p(-step.lam) + tilted - log_norm)
-    return out, log_norm
+    lam = step.lam
+    if 0.0 < lam < 1.0:
+        log_lam, log_mix = np.log(lam), np.log1p(-lam)
+    else:
+        # lambda = 1 and lambda = 0 make one term -inf: the state, or the
+        # normalized tilted state, exactly
+        with np.errstate(divide="ignore"):
+            log_lam, log_mix = np.log(lam), np.log1p(-lam)
+    return np.logaddexp(log_lam + logp, log_mix + tilted - log_norm), log_norm
 
 
 def hidden_unit_from_log(step: SharingStep, log_norm: float
@@ -196,16 +201,19 @@ def hidden_unit_from_log(step: SharingStep, log_norm: float
     unit to a CRBM whose conditional is the state's gives the conditional of
     the stepped state.
     """
-    if step.lam <= 0.0:
-        raise LambdaZero("lambda = 0 needs an infinite bias; use lambda in (0, 1]")
+    lam = step.lam
+    if lam <= 0.0:
+        raise LambdaZero("lambda = 0 needs an infinite bias; use lambda in (0, 1)")
     w = step.log_factors[:, 1] - step.log_factors[:, 0]
     log_s0 = float(step.log_factors[:, 0].sum())
     log_n = float(log_norm)
-    if not np.isfinite(log_n):
+    if not math.isfinite(log_n):
         raise DegenerateStep("tilt normalizer vanished")
-    with np.errstate(divide="ignore"):
-        bias = float(np.log1p(-step.lam) - np.log(step.lam) + log_s0 - log_n)
-    if not np.isfinite(bias) or abs(bias) > BIAS_CAP:
+    if lam >= 1.0:
+        # log1p(-1) is -inf
+        raise DegenerateStep("bias -inf beyond magnitude cap")
+    bias = float(np.log1p(-lam) - np.log(lam) + log_s0 - log_n)
+    if not math.isfinite(bias) or abs(bias) > BIAS_CAP:
         raise DegenerateStep(f"bias {bias!r} beyond magnitude cap")
     return w, bias
 
@@ -227,16 +235,17 @@ def mixture_weight_profile(q_masses: np.ndarray) -> np.ndarray:
         betas = np.where(denom > 0, q[:, 1:] / np.where(denom > 0, denom, 1.0), 0.0)
     if np.any(betas > 1 + 1e-9):
         raise InfeasibleProfile("mixture weight left [0, 1]")
-    return np.clip(betas, 0.0, 1.0)
+    return np.minimum(np.maximum(betas, 0.0), 1.0)
 
 
 def log_odds(betas) -> np.ndarray:
     """log(beta / (1 - beta)) of each mixture weight, clamped to
     [-LOG_T_CAP, LOG_T_CAP] so parameters stay finite: -LOG_T_CAP where
     beta <= 0 and LOG_T_CAP where beta >= 1."""
-    b = np.clip(betas, 0.0, 1.0)
+    b = np.minimum(np.maximum(betas, 0.0), 1.0)
     with np.errstate(divide="ignore"):
-        return np.clip(np.log(b) - np.log1p(-b), -LOG_T_CAP, LOG_T_CAP)
+        return np.minimum(np.maximum(np.log(b) - np.log1p(-b), -LOG_T_CAP),
+                          LOG_T_CAP)
 
 
 def _sharp_cylinder_factors(width: int, fixed_mask: int, fixed_values: int,

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from crbmkit import bitspace, packing
+from crbmkit import bitspace, cli, packing
 from crbmkit.cli import PACK_STAR_CELLS, main
 
 SCHEMAS = json.loads((pathlib.Path(__file__).resolve().parent.parent
@@ -277,6 +277,12 @@ COMPILE_GOLDEN = {
         "2ac50e3a0aa10cd99ab51a9a31ab50154b25e08a84a500002240e32f0324260c",
     ("divergence", "--k", "3", "--n", "3", "--m", "10"):
         "a00772e918f199533352d9534e618299662907623dee8932e79e389169a8c32f",
+    # a 2^15-cell target and no unit: the payload is nearly all arrays, so
+    # this pins the writer's bytes where its C-encoded arrays matter.
+    # Recorded with the pure-Python indenting encoder
+    ("compile", "--mode", "common", "--k", "14", "--n", "1",
+     "--support-size", "1"):
+        "67a259fce13fe3151b56ead5d73703eedd538c9afc3c240bdfee2cccdfd34dfe",
 }
 
 
@@ -286,6 +292,97 @@ def test_compile_stdout_matches_its_golden_hash(argv, capsys):
     code, out = run_cli([*argv, "--seed", "0"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMPILE_GOLDEN[argv]
+
+
+#: one call of each subcommand that writes JSON, compile in every mode
+EMITTING = [
+    ["bounds", "--k", "3", "--n", "2", "--m", "4"],
+    ["bounds", "--k", "0", "--n", "2"],
+    ["pack", "--k", "4", "--r", "2"],
+    ["compile", "--k", "3", "--n", "2", "--seed", "0"],
+    ["compile", "--mode", "support", "--k", "3", "--n", "2", "--seed", "0"],
+    ["compile", "--mode", "common", "--k", "3", "--n", "2", "--seed", "0"],
+    ["compile", "--mode", "common", "--k", "3", "--n", "2",
+     "--support-size", "1", "--seed", "0"],
+    ["compile", "--mode", "partition", "--k", "3", "--n", "2", "--seed", "0"],
+    ["dim", "--k", "2", "--n", "2", "--m", "2", "--seed", "0"],
+    ["divergence", "--k", "2", "--n", "3", "--m", "6", "--seed", "0"],
+    ["divergence", "--k", "2", "--n", "3", "--m", "0", "--seed", "0"],
+    ["mrf", "--complex", '{"n": 3, "faces": [[1, 2, 3]]}', "--theta",
+     "[[[1, 2], 0.5], [[1, 2, 3], -0.3]]"],
+    ["mrf", "--complex", '{"n": 3, "faces": [[1, 2, 3]]}', "--theta",
+     "[[[1, 2], 0.5]]", "--k", "1"],
+    ["ltn", "--mode", "parity", "--k", "3"],
+    ["ltn", "--mode", "embed", "--k", "3", "--m", "4", "--n", "2", "--seed",
+     "0"],
+    ["verify-all", "--seed", "0"],
+]
+
+
+def indented_json(payload) -> str:
+    """The payload as the pure-Python indenting encoder writes it."""
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      default=cli._json_value)
+
+
+@pytest.mark.parametrize("argv", EMITTING, ids=lambda argv: "-".join(argv[:3]))
+def test_emit_writes_the_indenting_encoders_bytes(argv, capsys, monkeypatch):
+    # the writer puts C-encoded arrays into the indented skeleton; its text
+    # must be the indenting json.dumps of the payload, byte for byte
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, out: (
+        payloads.append(payload), emit(payload, out)))
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and len(payloads) == 1
+    assert out == indented_json(payloads[0]) + "\n"
+
+
+@pytest.mark.parametrize("array", [
+    np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)), np.zeros((1, 0, 2)),
+    np.array(2.5), np.array([7]), np.arange(5), np.arange(6).reshape(2, 3),
+    np.arange(-12, 12).reshape(2, 3, 4) * 0.5, np.arange(3, dtype=np.uint8),
+    np.array([True, False]), np.array([[True], [False]]),
+    np.array([-0.0, 5e-324, 1.7e308, -1.7e308, 0.1, 1e16, np.nan, np.inf,
+              -np.inf]),
+    np.array([[-0.0, 5e-324], [1.7e308, 2.0]]).T,
+    np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2) / 3,
+], ids=lambda a: f"{a.dtype}-{'x'.join(map(str, a.shape))}")
+def test_dumps_writes_arrays_as_the_indenting_encoder_does(array):
+    # every array at several depths, inside dataclasses, lists and tuples,
+    # next to a string that reads as a placeholder
+    from crbmkit.distributions import Dist
+
+    for payload in ({"a": array},
+                    {"b": [array, {"c": (array, 1)}], "d": "\x000"},
+                    {"e": {"f": [[array]], "g": Dist.uniform(1)}}):
+        assert cli._dumps(payload) == indented_json(payload)
+
+
+def test_compiled_params_pickle_and_round_trip_through_the_json():
+    # a compiled model's W, V and c view its hidden units' row buffers; it
+    # pickles to its own rows, and its JSON reads back to the same bytes
+    import pickle
+
+    from crbmkit import compile_universal, random_conditional
+    from crbmkit.crbm import append_hidden_unit
+
+    params, report = compile_universal(random_conditional(3, 2, 0))
+    names = ("W", "V", "b", "c")
+    again = pickle.loads(pickle.dumps((params, report)))
+    assert repr(again[1]) == repr(report)
+    assert again[0].m == params.m
+    read = json.loads(cli._dumps({"params": params}))["params"]
+    for name in names:
+        a = getattr(params, name)
+        assert getattr(again[0], name).tobytes() == a.tobytes()
+        assert np.array(read[name], dtype=float).tobytes() == a.tobytes()
+    # the unpickled model grows like any other, and leaves the compiled
+    # model as it was
+    grown = append_hidden_unit(again[0], np.ones(2), np.ones(3), 0.5)
+    assert grown.m == params.m + 1
+    assert all(getattr(again[0], name).tobytes()
+               == getattr(params, name).tobytes() for name in names)
 
 
 def test_mrf_refuses_its_verification_before_compiling(capsys, monkeypatch):

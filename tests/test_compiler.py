@@ -14,6 +14,7 @@ from crbmkit.compiler import (
     _ComponentScheme,
     _conditioned,
     _Pipeline,
+    _plan_fill,
     _worst_row_tv,
     clamp_table,
     compile_common_support,
@@ -419,6 +420,16 @@ GOLDEN = {
     "universal-3-7": (lambda: compile_universal(dirichlet_table(3, 7, 0)),
                       382, 16.0, 0.008117515549566396,
                       "dbb51d3ec96c252353268d1f10c6b4a0e37029b6aa9371cfc4bb04ebac644ce3"),
+    # n = 3 at tau 64, where resets are graded 6: a trial's row sums over
+    # the 8 outputs run in another order when their array is not
+    # C-contiguous, which moves this digest
+    "universal-5-3": (lambda: compile_universal(dirichlet_table(5, 3, 0)),
+                      85, 64.0, 6.0512844045768586e-05,
+                      "ba3b9e13f9aed103af57ca9612869c6769ebf50d67e6955c1c75f07413357784"),
+    # the size that sets the benchmark's compile tail: r = 3, with resets
+    "universal-6-2": (lambda: compile_universal(dirichlet_table(6, 2, 0)),
+                      68, 32.0, 0.0007974598323194082,
+                      "0a83b98e62bbd36ec916e33d82546159d2159b061423fff9476f338f20b5490b"),
 }
 
 
@@ -474,9 +485,11 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # neither the stepped joint nor an accepted unit's bias nor a tau
     # level's start joint is reduced again.  An accepted trial is kept, so
     # there is one application per trial.  A trial builds one tilted state
-    # and one input table; the output tilt it steps toward is one row of a
-    # batch of every component's tilts, built on the first use of its
-    # sharpness only
+    # and one input table.  The output tilt a fill steps toward is one row
+    # of a batch of every component's tilts, built on the first use of its
+    # sharpness only; a reset's is the start component's table, built alone
+    # on the first reset at its sharpness.  The mixture weights' log-odds
+    # are taken once per compile, not per tau level or star
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
@@ -498,10 +511,12 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     def full_joint(a, axis=None):
         return axis is None and np.shape(a) == shape
 
-    def output_of(*args, **kwargs):
-        # the output tilt a trial steps toward, fill or reset
-        outputs.append(args[-2])
-        return True
+    def output_of(kind):
+        # the output tilt a trial steps toward
+        def record(*args, **kwargs):
+            outputs.append((kind, args[-2]))
+            return True
+        return record
 
     build = compiler._log_values_of
 
@@ -517,10 +532,11 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     spy(sharing, "_log_values_of", "other tables",
         lambda log_factors: log_factors.shape != (k, 2))
     monkeypatch.setattr(compiler, "_log_values_of", batch)
-    spy(compiler, "build_tilted_step", "trial", output_of)
-    spy(compiler, "make_reset_step", "trial", output_of)
+    spy(compiler, "build_tilted_step", "trial", output_of("fill"))
+    spy(compiler, "make_reset_step", "trial", output_of("reset"))
     spy(compiler, "apply_sharing_log")
     spy(compiler, "append_hidden_unit")
+    spy(compiler, "log_odds")
     spy(_Pipeline, "__init__", "level")
     _, rep = compile_universal(dirichlet_table(k, n, 0))
     trials, accepted = calls["trial"], calls["append_hidden_unit"]
@@ -532,17 +548,33 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert calls["_tilted"] == trials
     assert calls["inputs"] == trials
     assert calls["other tables"] == 0
-    # a batch holds the four point components' tables, and each trial's
-    # output table is a row of exactly one batch
+    assert calls["log_odds"] == 1
+    # a batch holds the four point components' tables, and each fill's
+    # output table is a row of exactly one batch; each reset's is a
+    # start table, the start component's alone
+    starts = [tables for tables in batches if tables.ndim == 1]
+    batches = [tables for tables in batches if tables.ndim == 2]
     assert all(tables.shape == (1 << n, 1 << n) for tables in batches)
+    assert all(tables.shape == (1 << n,) for tables in starts)
     assert len(outputs) == trials
-    for out in outputs:
-        assert sum(np.shares_memory(out.log_sy, tables)
-                   for tables in batches) == 1
-    # one batch per sharpness the trials' tilts have (-sharp is the least
-    # log factor of a point component's tilt)
-    sharps = {float(-out.log_factors.min()) for out in outputs}
-    assert 0 < len(batches) == len(sharps) < trials
+    for kind, out in outputs:
+        fill_rows = sum(np.shares_memory(out.log_sy, tables)
+                        for tables in batches)
+        assert fill_rows == (kind == "fill")
+        assert any(out.log_sy is tables for tables in starts) \
+            == (kind == "reset")
+        if kind == "reset":
+            # the point 0's factors: -sharp on the value 1 of each bit
+            assert not out.log_factors[:, 0].any()
+    # one batch per sharpness the fills' tilts have, fewer than the fills,
+    # and one start table per sharpness the resets' have (-sharp is the
+    # least log factor of a point component's tilt)
+    def sharps(kind):
+        return {float(-out.log_factors.min()) for of, out in outputs
+                if of == kind}
+    fills = sum(kind == "fill" for kind, _ in outputs)
+    assert 0 < len(batches) == len(sharps("fill")) < fills
+    assert 0 < len(starts) == len(sharps("reset"))
 
 
 def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
@@ -575,16 +607,17 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     import crbmkit.compiler as compiler
 
     # the star at 0 with both inputs free, on the full 2-cube
-    star = star_tilt(2, 0, 0b11)
     betas = mixture_weight_profile(np.array([[0.2, 0.8]] * 3))
-    pipe = _Pipeline(2, 1, _ComponentScheme.points(1, [0, 1]), 32.0, 1e-3)
-    pipe.fill_star(star, betas)  # moves the rows off the start
+    scheme = _ComponentScheme.points(1, [0, 1])
+    fill = _plan_fill(scheme, star_tilt(2, 0, 0b11), betas, log_odds(betas))
+    pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
+    pipe.fill_star(fill)  # moves the rows off the start
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
         pipe.reset_if_needed(0, 0)
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
-        pipe.fill_star(star, betas)
+        pipe.fill_star(fill)
     assert pipe.params.m == 1
 
 
@@ -900,7 +933,8 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
     # and at every rung over the scheme's reset grade 2w, which is no
     # power-of-two multiple of the unit sharpness where w is 3, 5, 6 or 7.
     # The partitions of l = 1..n bits and the points give every grade
-    # 2, 4, ..., 16
+    # 2, 4, ..., 16.  The start component's tilt built alone, the one a
+    # reset steps toward, is the same bytes
     from crbmkit.sharing import _log_values_of, _sharp_cylinder_factors
 
     rungs = _rungs()
@@ -920,6 +954,11 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
                             == _log_values_of(lf).tobytes())
                     assert not out.log_factors.flags.writeable
                     assert not out.log_sy.flags.writeable
+                start, out = scheme.start_tilt(sharp), scheme.tilt(0, sharp)
+                assert not np.shares_memory(start.log_sy, out.log_sy)
+                for a, b in zip(start, out):
+                    assert a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable
 
 
 #: CI's compile calls as (mode, k, n, r, components): the walks their

@@ -131,6 +131,84 @@ def test_append_then_delete_round_trip():
             append_hidden_unit(p, w_out, w_in, bias)
 
 
+def test_appends_grow_in_place_and_leave_every_model_as_it_was():
+    # a grown model's W, V and c view row buffers with spare rows: an
+    # append to the newest model of its buffers writes the unit in place,
+    # an append to any other copies, and no append changes an existing
+    # model's bytes or makes its arrays writable
+    rng = np.random.default_rng(3)
+    k, n = 2, 3
+
+    def unit():
+        return rng.standard_normal(n), rng.standard_normal(k), \
+            float(rng.standard_normal())
+
+    def arrays(p):
+        return (p.W, p.V, p.b, p.c)
+
+    models = [random_params(k, n, 2, rng)]
+    for _ in range(40):
+        models.append(append_hidden_unit(models[-1], *unit()))
+    base = models[20]
+    a, b = (append_hidden_unit(base, *unit()) for _ in range(2))
+    models += [a, b]
+    bytes_before = [[x.tobytes() for x in arrays(p)] for p in models]
+    # appending twice to one model gives two independent models, each
+    # with the model's rows and its own unit
+    assert a.m == b.m == base.m + 1
+    for x, y in zip((a.W, a.V, a.c), (b.W, b.V, b.c)):
+        assert not np.shares_memory(x, y)
+    for x, z in zip((a.W, a.V, a.c, b.W, b.V, b.c),
+                    (base.W, base.V, base.c) * 2):
+        assert np.array_equal(x[:-1], z)
+    assert not np.array_equal(a.W[-1], b.W[-1])
+    # the newest model grows in place; once it is appended to, a second
+    # append to it copies
+    c = append_hidden_unit(a, *unit())
+    assert np.shares_memory(c.W, a.W) and np.shares_memory(c.c, a.c)
+    d = append_hidden_unit(a, *unit())
+    assert not np.shares_memory(d.W, c.W)
+    assert np.array_equal(d.W[:-1], a.W) and not np.array_equal(d.W, c.W)
+    for p, before in zip(models, bytes_before):
+        assert [x.tobytes() for x in arrays(p)] == before
+        assert not any(x.flags.writeable for x in arrays(p))
+    # a refused unit leaves the newest model's buffers as they were
+    with pytest.raises(ValueError):
+        append_hidden_unit(c, [np.nan] * n, [0.0] * k, 0.0)
+    e = append_hidden_unit(c, *unit())
+    assert np.shares_memory(e.W, c.W) and np.array_equal(e.W[:-1], c.W)
+
+
+def test_an_append_chain_allocates_linear_bytes():
+    # 4096 appends to one model: the buffers double when full, so the
+    # chain allocates O(m) rows in all, about twice the final ones, where
+    # re-stacking W, V and c allocated O(m^2).  The peak is the last
+    # doubling's two buffers, 1.5 times the final arrays (re-stacking
+    # held two copies of them, 2 times)
+    k, n, m = 3, 2, 4096
+    w_out, w_in = np.ones(n), np.ones(k)
+    p = CrbmParams.bias_only(k, n, np.zeros(n))
+    allocated, buffer = 0, None
+    for _ in range(m):
+        p = append_hidden_unit(p, w_out, w_in, 0.5)
+        owner = p.W if p.W.base is None else p.W.base
+        if owner is not buffer:
+            buffer = owner
+            allocated += len(buffer)
+    assert p.m == m and allocated <= 2 * m
+
+    p = CrbmParams.bias_only(k, n, np.zeros(n))
+    tracemalloc.start()
+    try:
+        for _ in range(m):
+            p = append_hidden_unit(p, w_out, w_in, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = p.W.nbytes + p.V.nbytes + p.c.nbytes
+    assert peak <= 1.6 * final
+
+
 def test_two_readings_of_the_model_agree():
     # conditionals of the k+n visible RBM equal the direct evaluation
     rng = np.random.default_rng(6)

@@ -4,7 +4,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from crbmkit.compiler import _ComponentScheme, _Pipeline
+from crbmkit.compiler import _ComponentScheme, _Pipeline, _plan_fill
 from crbmkit.crbm import (
     CrbmParams,
     append_hidden_unit,
@@ -84,6 +84,12 @@ def fill_pipeline(k: int, n: int, tau: float, tol_step: float = 1e-3
     proportional to exp(-tau / (2n) |y|), i.e. near delta_0."""
     return _Pipeline(k, n, _ComponentScheme.points(n, range(1 << n)), tau,
                      tol_step)
+
+
+def fill_star(pipe: _Pipeline, star, betas: np.ndarray) -> None:
+    """Fill ``star`` with the members' mixture weights ``betas``, planned
+    by the helper a compile plans its fills with."""
+    pipe.fill_star(_plan_fill(pipe.scheme, star, betas, log_odds(betas)))
 
 
 def start_state(k: int, n: int, tau: float) -> np.ndarray:
@@ -208,7 +214,7 @@ def test_star_fill_reaches_targets():
     pipe = fill_pipeline(2, 1, tau=30.0)
     rng = np.random.default_rng(7)
     targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
-    pipe.fill_star(star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
+    fill_star(pipe, star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
     assert pipe.used["fill"] == 1
     for x in (0, 1, 2):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -219,14 +225,14 @@ def test_star_fill_n2_and_noop_targets():
     # targets equal to the start state: all steps are no-ops
     pipe = fill_pipeline(1, 2, tau=32.0)
     deltas = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)  # the point mass at y = 0
-    pipe.fill_star(star_tilt(1, 0, 0b1), mixture_weight_profile(deltas))
+    fill_star(pipe, star_tilt(1, 0, 0b1), mixture_weight_profile(deltas))
     for x in (0, 1):
         assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
     # random strictly positive targets
     rng = np.random.default_rng(8)
     targets = np.array([rng.dirichlet(np.ones(4)) for _ in (0, 1)])
     pipe = fill_pipeline(1, 2, tau=32.0)
-    pipe.fill_star(star_tilt(1, 0, 0b1), mixture_weight_profile(targets))
+    fill_star(pipe, star_tilt(1, 0, 0b1), mixture_weight_profile(targets))
     assert pipe.used["fill"] == 3
     for x in (0, 1):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -239,7 +245,7 @@ def test_star_fill_error_shrinks_with_sharpness():
     for tau in (10.0, 20.0, 40.0, 80.0):
         # tol_step 2 (the largest row TV) accepts the first try at sharpness tau
         pipe = fill_pipeline(2, 1, tau, tol_step=2.0)
-        pipe.fill_star(star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
+        fill_star(pipe, star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
         errors.append(np.abs(pipe.rows()[[0, 1, 2]] - targets).sum(axis=1).max())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -304,7 +310,7 @@ def test_star_fill_rejects_rows_off_the_star():
     betas = mixture_weight_profile(np.array([Dist.uniform(1).probs]))
     # one row of weights for the two members of the star (0, 0b1)
     with pytest.raises(ShapeMismatch):
-        pipe.fill_star(star_tilt(1, 0, 0b1), betas)
+        fill_star(pipe, star_tilt(1, 0, 0b1), betas)
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
