@@ -4,7 +4,7 @@ The pipeline follows the constructive route: start from a bias-only model
 whose rows sit near the scheme's start component, then walk a sequence of
 stars, realizing every sharing step (star fills and cylinder resets) as
 one appended hidden unit.  Every compile mode hands one entry,
-``_compile``, a component scheme and a star list, and a star is filled
+``_compile``, a component scheme and a walk of stars, and a star is filled
 through each component 1..M-1 that has target mass on one of its rows
 (``_Pipeline.fill_star``).  Universal, common-support and partition targets
 walk a star packing; a one-component target (common support |T| = 1, the
@@ -71,41 +71,32 @@ pipeline's as they are, and its tilt normalizer goes into the unit's bias.
 The state has mass 1, so a trial makes one full reduction (the
 normalizer), and neither an accepted unit nor a tau level makes another.
 
-Every compile of a shape walks one walk for (k, r) (``_walk``), built by
-the first compile of that shape in the process and read by every later one
-and by each of their tau levels; nothing in it depends on the target.  It
-holds each star's name, its ``sharing.StarTilt`` (its members ascending,
-where each flip sits in the input factors, its cylinder and its cylinder
-factors at unit sharpness) and the cylinders reset before it.  Depth
-r >= 1 is the packing; depth 0 is the point walk the support compiles take
-their stars from, the 2^k point stars (x, 0) with no resets.  The walks
-are the one plan cache, an lru cache of WALK_CACHE walks of at most
-WALK_STARS stars each; a larger walk is built once per compile, by the
-same code, and shared by its tau levels.  Reuse cannot change an output:
-a walk is a tuple of tuples and read-only arrays, the object a fresh build
-would make, by the same operations in the same order.
-
-Everything else is built per compile and shared by its tau levels.  The
-component scheme (``_ComponentScheme``) builds its output tilts (factors
-and log s_Y, 2^n) for all its components at once, on the first fill that
-asks for a sharpness, and a reset's tilt toward the start component alone,
-on the first reset at its sharpness.  Each star's fill is planned once
-(``_plan_fill``): its members' mixture weights and their log-odds, from
-one ``log_odds`` call over the target's whole profile, the components it
-mixes toward, each step's target rows and the inputs of its cylinder.  So
-a tau level only builds, tries and accepts steps.  Each tau level builds
-its own start state, the conditioned broadcast of the start logits
-(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and its
-accepted units grow the model's W, V and c in place
-(``crbm.append_hidden_unit``).
+Nothing is kept across compiles: each compile plans its walk once, and
+all its tau levels share that plan.  A packed compile's walk is its
+packing (``packing.build_packing``), level by level: every star of a
+level shares one free mask, and its resets are read off the packing's
+arrays.  A support compile's walk is the point stars (x, 0), in one group.
+Each group of stars that share a free mask is planned in one batch
+(``_plan_stars``): its geometry (``sharing.star_tilts``: each star's
+members, center first, its free bits and its cylinder factors at unit
+sharpness), its members' mixture weights and their log-odds, from one
+``log_odds`` call over the target's whole profile, the components each
+star mixes toward, each step's target rows and the inputs of each
+cylinder.  The component scheme (``_ComponentScheme``) builds its output
+tilts (factors and log s_Y, 2^n) for all its components at once, on the
+first fill that asks for a sharpness, and a reset's tilt toward the start
+component alone, on the first reset at its sharpness.  So a tau level only
+builds, tries and accepts steps.  Each tau level builds its own start
+state, the conditioned broadcast of the start logits (``_Pipeline``), in
+tens of microseconds at the benchmark's sizes, and its accepted units grow
+the model's W, V and c in place (``crbm.append_hidden_unit``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,12 +111,11 @@ from .errors import (
     SupportsDiffer,
     SupportTooLarge,
 )
-from .packing import best_depth, build_packing, star_count, \
-    universal_budget
+from .packing import best_depth, build_packing, universal_budget
 from .sharing import OutputTilt, SharingStep, StarTilt, _log_values_of, \
-    _read_only, _sharp_cylinder_factors, apply_sharing_log, \
-    build_tilted_step, hidden_unit_from_log, log_odds, make_reset_step, \
-    mixture_weight_profile, star_tilt
+    _read_only, _sharp_cylinder_factors, _unit_cylinder_factors, \
+    apply_sharing_log, build_tilted_step, hidden_unit_from_log, log_odds, \
+    make_reset_step, mixture_weight_profile, star_tilts
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -138,14 +128,6 @@ STEP_RETRIES = 12
 REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
-#: the walk cache: WALK_CACHE walks by (k, r), each of at most WALK_STARS
-#: stars with their geometry (a larger walk is built per compile).  Filled
-#: to these limits with its largest walks (the 16 largest of at most 256
-#: stars, point walks included) it holds 1.84 MB under tracemalloc (CPython
-#: 3.11, numpy 2.4, x86-64;
-#: tests/test_compiler.py::test_plan_caches_are_bounded)
-WALK_STARS = 1 << 8
-WALK_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -192,16 +174,12 @@ class _ComponentScheme:
         # one row per component: its member outputs, its uniform
         # distribution, and its cylinder's (n, 2) output log factors at
         # sharpness 1 (-1 on the off value of each fixed bit)
-        y = np.arange(1 << n)
-        fixed = np.array(masks)[:, None]
-        on = np.array(values)[:, None]
-        self.membership = _read_only((y & fixed) == on)
+        fixed, on = np.array(masks), np.array(values)
+        self.membership = _read_only(
+            (np.arange(1 << n) & fixed[:, None]) == on[:, None])
         self.dists = _read_only(
             self.membership / self.membership.sum(axis=1, keepdims=True))
-        bits = np.arange(n)
-        self._unit = _read_only(np.where(
-            ((fixed >> bits) & 1)[..., None]
-            & (np.arange(2) != ((on >> bits) & 1)[..., None]), -1.0, 0.0))
+        self._unit = _unit_cylinder_factors(n, fixed, on)
         self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
         self._start_tilts: dict[float, OutputTilt] = {}
 
@@ -267,71 +245,84 @@ class _ComponentScheme:
         return _ComponentScheme(n, (mask,) * (1 << l), tuple(range(1 << l)))
 
 
-class _Star(NamedTuple):
-    """One star of a compile's walk: its name in errors, its geometry (a
-    ``sharing.StarTilt``) and the cylinders ``(fixed_mask, fixed_values)``
-    reset just before it is filled."""
+class _StarFill(NamedTuple):
+    """One star of a compile's walk as the compile plans it once for all
+    its tau levels: its name in errors, ``(label, index)``, formatted only
+    when the star dooms a level; the cylinders ``(fixed_mask,
+    fixed_values)`` reset just before it is filled; its
+    ``sharing.StarTilt``; its steps in order; the inputs of its cylinder
+    (``inside``, ascending), whose rows no drift check reads; and its
+    members' target rows.  A step is ``(t, betas, log_t, target)``: the
+    component t it mixes toward, the members' mixture weights toward it and
+    their ``log_odds``, and the members' target rows after it, the previous
+    step's mixed toward component t."""
 
-    what: str
+    name: tuple[str, int]
+    resets: Sequence[tuple[int, int]]
     tilt: StarTilt
-    resets: tuple[tuple[int, int], ...]
-
-
-class _Fill(NamedTuple):
-    """A star's fill as a compile plans it once for all its tau levels:
-    the star, its steps in order and the inputs of its cylinder
-    (``inside``, ascending), whose rows no drift check reads.  A step is
-    ``(t, betas, log_t, target)``: the component t it mixes toward, the
-    members' mixture weights toward it and their ``log_odds``, and the
-    members' target rows after it, the previous step's mixed toward
-    component t."""
-
-    star: StarTilt
-    steps: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     inside: np.ndarray
+    target: np.ndarray
 
 
-def _plan_fill(scheme: _ComponentScheme, star: StarTilt, betas: np.ndarray,
-               log_t: np.ndarray) -> _Fill:
-    """The ``_Fill`` of ``star`` toward each component 1..M-1 of ``scheme``
-    that has a positive mixture weight on one of its members.  ``betas``
-    are the members' rows of ``mixture_weight_profile``, whose weight for a
-    component is positive exactly where that component has target mass, and
-    ``log_t`` their ``log_odds``.  The first step's targets mix the start
-    component's distribution."""
-    steps = []
-    target = scheme.dists[0]
-    for t in (np.flatnonzero(betas.any(axis=0)) + 1).tolist():
-        beta = betas[:, t - 1, None]
-        target = (1.0 - beta) * target + beta * scheme.dists[t]
-        steps.append((t, beta[:, 0], log_t[:, t - 1], target))
-    inside = cylinder_members(*star.cylinder, len(star.cylinder_factors))
-    return _Fill(star, tuple(steps), np.array(inside, dtype=np.intp))
+def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
+                betas: np.ndarray, log_t: np.ndarray, centers: np.ndarray,
+                free_mask: int, names: Sequence[tuple[str, int]],
+                resets: Sequence[Sequence[tuple[int, int]]]
+                ) -> list[_StarFill]:
+    """The ``_StarFill`` of each star ``(c, free_mask)`` on k inputs, c in
+    ``centers``, in that order, named by ``names`` and reset before by
+    ``resets``: every star of one free mask in one plan.
+
+    ``rows`` is the target table, ``betas`` its ``mixture_weight_profile``,
+    whose weight for a component is positive exactly where that component
+    has target mass, and ``log_t`` their ``log_odds``, all indexed by input.
+    A star mixes toward each component 1..M-1 with a positive weight on one
+    of its members, in order, and its first step's targets mix the start
+    component's distribution.  Each component's targets are mixed at once
+    for all the stars it is a step of, by the float operations of a
+    star-by-star plan."""
+    tilts = star_tilts(k, centers, free_mask)
+    members = tilts.members
+    # component-major: [t - 1] holds every member's weight (log-odds)
+    # toward component t
+    betas = betas[members].transpose(2, 0, 1)
+    log_t = log_t[members].transpose(2, 0, 1)
+    active = betas.any(axis=2)
+    steps = [[] for _ in range(len(members))]
+    mixed = np.empty(members.shape + scheme.dists.shape[1:])
+    mixed[...] = scheme.dists[0]
+    for t in (active.any(axis=1).nonzero()[0] + 1).tolist():
+        on = active[t - 1].nonzero()[0]
+        beta = betas[t - 1][on]
+        mixed[on] = target = ((1.0 - beta)[..., None] * mixed[on]
+                              + beta[..., None] * scheme.dists[t])
+        for s, b, lt, row in zip(on.tolist(), beta, log_t[t - 1][on],
+                                 target):
+            steps[s].append((t, b, lt, row))
+    inside = members[:, :1] + np.array(
+        cylinder_members(((1 << k) - 1) & ~free_mask, 0, k), dtype=np.intp)
+    return [_StarFill(name, reset, StarTilt(m, tilts.free_bits, factors),
+                      star_steps, star_inside, star_rows)
+            for name, reset, m, factors, star_steps, star_inside, star_rows
+            in zip(names, resets, members, tilts.cylinder_factors, steps,
+                   inside, rows[members])]
 
 
-def _build_walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
-    """The depth-r packing of k inputs as a walk, and its reset count.
-    Depth 0 is the point walk: the 2^k point stars (x, 0) in order of x,
-    with no resets."""
-    if r == 0:
-        return tuple(_Star(f"row {x}", star_tilt(k, x, 0), ())
-                     for x in range(1 << k)), 0
+def _packing_walk(k: int, r: int) -> list[tuple]:
+    """The depth-r packing of k inputs as ``_plan_stars`` groups
+    ``(centers, free_mask, names, resets)``, one per run of stars that share
+    a free mask (each level of the packing is one), in fill order.  A star
+    is named ``("star", i)`` by its place in the packing, and its resets
+    are read off the packing's arrays."""
     seq = build_packing(k, r)
-    stars = tuple(_Star(f"star {i}", star_tilt(k, center, free),
-                        tuple(resets))
-                  for i, (center, free, resets) in enumerate(seq.replay()))
-    return stars, len(seq.reset_positions)
-
-
-_cached_walk = lru_cache(maxsize=WALK_CACHE)(_build_walk)
-
-
-def _walk(k: int, r: int) -> tuple[tuple[_Star, ...], int]:
-    """``_build_walk``, kept across compiles unless the walk has more than
-    WALK_STARS stars."""
-    if (1 << k if r == 0 else star_count(k, r)) > WALK_STARS:
-        return _build_walk(k, r)
-    return _cached_walk(k, r)
+    resets = seq.resets_at()
+    edges = [0, *(np.flatnonzero(np.diff(seq.free_masks)) + 1).tolist(),
+             len(seq.centers)]
+    return [(seq.centers[lo:hi], int(seq.free_masks[lo]),
+             [("star", i) for i in range(lo, hi)],
+             [resets.get(i, ()) for i in range(lo, hi)])
+            for lo, hi in zip(edges, edges[1:])]
 
 
 def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
@@ -402,9 +393,10 @@ class _Pipeline:
 
     def reject_if_doomed(self, rows: list[int] | np.ndarray,
                          target_rows: np.ndarray, eps: float,
-                         total_steps: int, what: str) -> None:
-        """Raise BudgetExceeded if the finished ``rows`` already miss
-        ``target_rows`` by more than the level's certificate can recover.
+                         total_steps: int, what: tuple[str, int]) -> None:
+        """Raise BudgetExceeded, naming the star ``what`` (``(label,
+        index)``), if the finished ``rows`` already miss ``target_rows`` by
+        more than the level's certificate can recover.
 
         No later step has a finished row in its region, so each of the at
         most ``total_steps`` - (accepted steps) still to come moves it by at
@@ -415,7 +407,7 @@ class _Pipeline:
         tv = _worst_row_tv(self._rows[rows], target_rows)
         if tv > limit:
             raise BudgetExceeded(
-                f"{what}: worst-row TV {tv:.6g} to the target > "
+                f"{what[0]} {what[1]}: worst-row TV {tv:.6g} to the target > "
                 f"limit {limit:.6g} (tau = {self.tau:g})")
 
     def _in_cylinder(self, fixed_mask: int, fixed_values: int) -> np.ndarray:
@@ -494,8 +486,8 @@ class _Pipeline:
             self.scheme.start_tilt(sharp / grade), sharp), None, None),
             inside, start, self.start_tv + self.tol_step, inside)
 
-    def fill_star(self, fill: _Fill) -> None:
-        """Run the planned steps of ``fill`` (``_plan_fill``), each through
+    def fill_star(self, fill: _StarFill) -> None:
+        """Run the planned steps of ``fill`` (``_plan_stars``), each through
         the step loop, on the rows of its star, its members ascending: all
         that depends on the target alone was planned once for the compile,
         so a level only builds and tries steps.
@@ -503,7 +495,7 @@ class _Pipeline:
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
         a support compile fills each row once."""
-        star = fill.star
+        star = fill.tilt
         for t, betas, log_t, target in fill.steps:
             self._step("fill", lambda sharp: build_tilted_step(
                 self.logp, star, betas, log_t, self.scheme.tilt(t, sharp),
@@ -512,12 +504,13 @@ class _Pipeline:
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
-             stars: tuple[_Star, ...], total_steps: int, eps: float, mode: str,
+             walk: list[tuple], total_steps: int, eps: float, mode: str,
              budget: int, r: int | None, clamp_error: float = 0.0
              ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
-    """Walk ``stars`` at tau = TAU_START, 2 TAU_START, ..., TAU_MAX and
-    return the first level whose evaluated conditional is within eps of
-    ``target``, with that conditional, the certificate's.
+    """Walk the stars of ``walk``, its ``_plan_stars`` groups in order, at
+    tau = TAU_START, 2 TAU_START, ..., TAU_MAX and return the first level
+    whose evaluated conditional is within eps of ``target``, with that
+    conditional, the certificate's.
 
     At each star a level resets the drifted cylinders the star lists, fills
     the star and rejects itself if the star is doomed.  Each of the
@@ -529,24 +522,21 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     # star's fill is planned once, for all levels
     betas = mixture_weight_profile(scheme.masses(target.rows))
     log_t = log_odds(betas)
-    walk = []
-    for star in stars:
-        members = star.tilt.members
-        walk.append((star, _plan_fill(scheme, star.tilt, betas[members],
-                                      log_t[members]),
-                     target.rows[members]))
+    stars = [star for group in walk
+             for star in _plan_stars(target.k, scheme, target.rows, betas,
+                                     log_t, *group)]
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for star, fill, star_target in walk:
+            for star in stars:
                 for fixed_mask, fixed_values in star.resets:
                     pipe.reset_if_needed(fixed_mask, fixed_values)
-                pipe.fill_star(fill)
-                pipe.reject_if_doomed(star.tilt.members, star_target, eps,
-                                      total_steps, star.what)
+                pipe.fill_star(star)
+                pipe.reject_if_doomed(star.tilt.members, star.target, eps,
+                                      total_steps, star.name)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
         else:
@@ -590,9 +580,10 @@ def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
     check_cells(eval_cells(k, target.n, budget),
                 f"{mode} compile at (k, n) = ({k}, {target.n}) "
                 f"with {budget} hidden units")
-    stars, resets = _walk(k, r) if scheme.count > 1 else ((), 0)
-    total_steps = len(stars) * (scheme.count - 1) + resets
-    return _compile(target, scheme, stars, total_steps, eps, mode, budget, r,
+    # the budget counts every scheduled step: one per star and component
+    # past the start, one per reset
+    walk = _packing_walk(k, r) if scheme.count > 1 else []
+    return _compile(target, scheme, walk, budget, eps, mode, budget, r,
                     clamp_error)
 
 
@@ -672,14 +663,13 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     scheme = _ComponentScheme.points(
         target.n, [y0] + [y for y in range(1 << target.n) if y != y0])
     # each support point y != y0 of row x is one fill of the point star
-    # (x, free_mask=0) of the depth-0 walk, and no cylinder is reset; rows
+    # (x, free_mask=0), named ("row", x), and no cylinder is reset; rows
     # without such a point come first, so they are checked before any step
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
-    points = _walk(k, 0)[0]
-    stars = tuple(points[x]
-                  for x in np.argsort(extra, kind="stable").tolist())
-    return _compile(target, scheme, stars, total_steps, eps, "support", budget,
+    rows = np.argsort(extra, kind="stable")
+    walk = [(rows, 0, [("row", x) for x in rows.tolist()], [()] * (1 << k))]
+    return _compile(target, scheme, walk, total_steps, eps, "support", budget,
                     None)[:2]
 
 

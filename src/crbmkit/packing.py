@@ -44,7 +44,6 @@ STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``;
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,18 +186,15 @@ class PackingSequence:
     reset_masks: np.ndarray
     reset_values: np.ndarray
 
-    def replay(self) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-        """``(center, free_mask, resets)`` per star in fill order, where
-        ``resets`` lists the ``(fixed_mask, fixed_values)`` cylinders reset
-        just before the star is filled."""
-        resets_at: dict[int, list[tuple[int, int]]] = {}
+    def resets_at(self) -> dict[int, list[tuple[int, int]]]:
+        """The ``(fixed_mask, fixed_values)`` cylinders reset just before
+        the star at each position that has any, in order."""
+        at: dict[int, list[tuple[int, int]]] = {}
         for pos, mask, values in zip(self.reset_positions.tolist(),
                                      self.reset_masks.tolist(),
                                      self.reset_values.tolist()):
-            resets_at.setdefault(pos, []).append((mask, values))
-        for i, (center, free) in enumerate(zip(self.centers.tolist(),
-                                               self.free_masks.tolist())):
-            yield center, free, resets_at.get(i, [])
+            at.setdefault(pos, []).append((mask, values))
+        return at
 
 
 #: cells (8 bytes each) charged per star by build_packing's size check: the
@@ -240,8 +236,9 @@ def build_packing(k: int, r: int) -> PackingSequence:
         width = r - level + 1
         rest = start + width
         if level >= 2:
-            resets.append(np.stack(np.broadcast_arrays(
-                filled, (1 << start) - 1, lineages)))
+            reset = np.empty((3, lineages.size), dtype=np.int64)
+            reset[0], reset[1], reset[2] = filled, (1 << start) - 1, lineages
+            resets.append(reset)
         # one star per lineage and pattern of the coordinates above the
         # block, lineage-major
         tails = np.arange(1 << (k - rest), dtype=np.int64)
@@ -286,8 +283,10 @@ def validate_packing(seq: PackingSequence) -> PackingReport:
     full = set(range(1 << seq.k))
     clean = set(full)
     seen: set[int] = set()  # members of the stars filled so far
-    for i, (center, free, resets) in enumerate(seq.replay()):
-        for mask, values in resets:
+    resets_at = seq.resets_at()
+    for i, (center, free) in enumerate(zip(seq.centers.tolist(),
+                                           seq.free_masks.tolist())):
+        for mask, values in resets_at.get(i, ()):
             states = cylinder_members(mask, values, seq.k)
             if not seen.isdisjoint(states):
                 schedule.append(f"reset before star {i} touches filled states")

@@ -32,11 +32,13 @@ Each step kind has one builder: build_tilted_step (a star fill, exact
 mixture weights on the star's rows) and make_reset_step (a cylinder reset).
 Both concentrate the inputs on a cylinder the same way.  A fill reads
 everything about its star that the state does not move from a
-``StarTilt``: the members, where each flip sits in the input factors, and
-the cylinder's factors at unit sharpness, which a trial scales to its
-sharpness.  It takes its mixture weights with their clamped log-odds
-(``log_odds``), which a caller that steps one target many times computes
-once.  apply_sharing_log is the one way to apply a step and
+``StarTilt``: the members, center first, the free bits their flips set,
+and the cylinder's factors at unit sharpness, which a trial scales to its
+sharpness.  ``star_tilts`` builds the geometry of every star of one free
+mask in one broadcast, from centers that are 0 on their free bits, so no
+flip needs locating.  A fill takes its mixture weights with their
+clamped log-odds (``log_odds``), which a caller that steps one target many
+times computes once.  apply_sharing_log is the one way to apply a step and
 hidden_unit_from_log the one way to realize it.  Sequencing, sharpening
 and accepting steps is the compiler's job (compiler._Pipeline).
 
@@ -62,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitspace import set_bits, star_cylinder, star_members
+from .bitspace import set_bits
 from .errors import (
     DegenerateStep,
     InfeasibleProfile,
@@ -263,43 +265,49 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unit_cylinder_factors(width: int, fixed_masks, fixed_values
+                           ) -> np.ndarray:
+    """``_sharp_cylinder_factors`` at sharpness 1 of the cylinders
+    ``(fixed_masks, fixed_values)``, integers or arrays broadcast against
+    each other, stacked: (..., width, 2), read-only."""
+    bits = np.arange(width)
+    fixed = (np.asarray(fixed_masks)[..., None] >> bits) & 1
+    on = (np.asarray(fixed_values)[..., None] >> bits) & 1
+    return _read_only(np.where(
+        (fixed[..., None] == 1) & (np.arange(2) != on[..., None]), -1.0, 0.0))
+
+
 class StarTilt(NamedTuple):
-    """What a fill of the star ``(center, free_mask)`` on k inputs reads
-    that does not depend on the state, all arrays read-only.
+    """What a fill of one star on k inputs reads that does not depend on
+    the state, all arrays read-only: its ``members``, the center and then
+    the center plus 2^b for each of its ``free_bits`` b (ascending), on
+    which the center is 0; and ``cylinder_factors``, the (k, 2) log factors
+    at sharpness 1 of its input cylinder, which fixes every other bit to
+    the center's.  ``star_tilts`` builds them, one free mask at a time."""
 
-    ``members`` are the star's members ascending (an index array), the
-    center at ``members[center_at]`` and the others at ``others``; the
-    i-th of those is the center with one free bit flipped, whose off value
-    sits at ``(flips[0][i], flips[1][i])`` of the input log factors.  The
-    star's input cylinder is ``cylinder`` and ``cylinder_factors`` are its
-    (k, 2) log factors at sharpness 1: -1 on the off value of each fixed
-    bit, 0 elsewhere.  ``star_tilt`` builds one.
-    """
-
-    center: int
-    free_mask: int
     members: np.ndarray
-    center_at: int
-    others: np.ndarray
-    flips: tuple[np.ndarray, np.ndarray]
-    cylinder: tuple[int, int]
+    free_bits: np.ndarray
     cylinder_factors: np.ndarray
 
 
-def star_tilt(k: int, center: int, free_mask: int) -> StarTilt:
-    """The ``StarTilt`` of the star ``(center, free_mask)`` on k inputs."""
-    members = star_members(center, free_mask)
-    center_at = members.index(center)
-    others = [j for j in range(len(members)) if j != center_at]
-    bits = [(members[j] ^ center).bit_length() - 1 for j in others]
-    cylinder = star_cylinder(center, free_mask, k)
-    return StarTilt(
-        center, free_mask, _read_only(np.array(members, dtype=np.intp)),
-        center_at, _read_only(np.array(others, dtype=np.intp)),
-        (_read_only(np.array(bits, dtype=np.intp)),
-         _read_only(np.array([1 - ((center >> i) & 1) for i in bits],
-                             dtype=np.intp))),
-        cylinder, _read_only(_sharp_cylinder_factors(k, *cylinder, 1.0)))
+def star_tilts(k: int, centers, free_mask: int) -> StarTilt:
+    """The ``StarTilt`` of every star ``(c, free_mask)`` on k inputs, c in
+    ``centers``, in one broadcast, stacked along a leading star axis (one
+    ``free_bits`` for all).  Every star a compile walks has its center 0 on
+    its free bits: a packing's centers are a lineage and a tail with the
+    free block clear, and a point star has no free bit.  A center with a
+    free bit set is refused (ValueError)."""
+    centers = np.asarray(centers, dtype=np.intp)
+    if (centers & free_mask).any():
+        raise ValueError(f"a center has a bit of the free mask "
+                         f"{free_mask:#b} set")
+    bits = set_bits(free_mask)
+    members = centers[:, None] + np.array([0] + [1 << b for b in bits],
+                                          dtype=np.intp)
+    return StarTilt(_read_only(members),
+                    _read_only(np.array(bits, dtype=np.intp)),
+                    _unit_cylinder_factors(k, ((1 << k) - 1) & ~free_mask,
+                                           centers))
 
 
 def build_tilted_step(
@@ -320,7 +328,8 @@ def build_tilted_step(
     current state ``logp`` ((2^k, 2^n), indexed [x, y]) so the realized
     weights are exact; only the component's off-region dust is
     approximate.  The input factors are the star's cylinder factors scaled
-    to ``sharpness``, plus each free bit's solved odds.
+    to ``sharpness``, with each free bit's on value set to the solved odds
+    of the member that flips it against the center's.
 
     Returns the step, its tilted state logp + log s and its tilt
     normalizer logsumexp(logp + log s), which the step's lambda needs; pass
@@ -341,7 +350,7 @@ def build_tilted_step(
     excess = log_t + big_l - big_g
 
     lf = np.concatenate((star.cylinder_factors * sharpness, out.log_factors))
-    lf[star.flips] = excess[star.others] - excess[star.center_at]
+    lf[star.free_bits, 1] = excess[1:] - excess[0]
 
     # Solve lambda at an interior anchor row a (its beta farthest from 0/1,
     # the first such member, where log T is never clamped): the pull of row

@@ -1,8 +1,6 @@
 import dataclasses
-import gc
 import hashlib
 import re
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +12,8 @@ from crbmkit.compiler import (
     _ComponentScheme,
     _conditioned,
     _Pipeline,
-    _plan_fill,
+    _packing_walk,
+    _plan_stars,
     _worst_row_tv,
     clamp_table,
     compile_common_support,
@@ -38,8 +37,24 @@ from crbmkit.errors import (
     SupportTooLarge,
 )
 from crbmkit.packing import build_packing
-from crbmkit.sharing import (apply_sharing_log, build_tilted_step, log_odds,
-                             mixture_weight_profile, star_tilt)
+from crbmkit.sharing import (StarTilt, apply_sharing_log, build_tilted_step,
+                             log_odds, mixture_weight_profile, star_tilts)
+
+
+def one_star(k, center, free_mask):
+    """The ``StarTilt`` of the one star ``(center, free_mask)`` on k
+    inputs."""
+    tilts = star_tilts(k, [center], free_mask)
+    return StarTilt(tilts.members[0], tilts.free_bits,
+                    tilts.cylinder_factors[0])
+
+
+def plan_one(k, scheme, rows, center, free_mask):
+    """The compile's plan of the one star ``(center, free_mask)`` toward the
+    target ``rows`` (2^k of them), named ("star", 0), with no reset."""
+    betas = mixture_weight_profile(scheme.masses(rows))
+    return _plan_stars(k, scheme, rows, betas, log_odds(betas), [center],
+                       free_mask, [("star", 0)], [()])[0]
 
 
 def test_clamp_table():
@@ -607,9 +622,8 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     import crbmkit.compiler as compiler
 
     # the star at 0 with both inputs free, on the full 2-cube
-    betas = mixture_weight_profile(np.array([[0.2, 0.8]] * 3))
     scheme = _ComponentScheme.points(1, [0, 1])
-    fill = _plan_fill(scheme, star_tilt(2, 0, 0b11), betas, log_odds(betas))
+    fill = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0, 0b11)
     pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
     pipe.fill_star(fill)  # moves the rows off the start
     assert pipe.params.m == 1
@@ -695,7 +709,7 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
             r"^fill sharpness schedule exhausted: rungs 32 to 128, at 128 "
             r"region TV [0-9.e-]+ > bound 0 \(tau = 32\)$")):
         pipe._step("fill", lambda sharp: build_tilted_step(
-            pipe.logp, star_tilt(2, 0, 0b11), np.full(3, 0.8),
+            pipe.logp, one_star(2, 0, 0b11), np.full(3, 0.8),
             log_odds(np.full(3, 0.8)), pipe.scheme.tilt(1, sharp), sharp),
             members,
             pipe.scheme.dists[1], 0.0, np.zeros(4, dtype=bool))
@@ -857,10 +871,10 @@ def test_doomed_support_level_names_its_row(monkeypatch):
     assert applied["calls"] > 0
 
 
-# Each compile shape's walk, with each star's geometry, is built by its
-# first compile and read by every later one.  A case compiled with a fresh
-# cache must give the same bits after the other cases, which share walks
-# with it, and after a compile of another target of its own shape.
+# Each compile plans its own walk, and nothing is kept across compiles.  A
+# case compiled first in a sequence must give the same bits after the other
+# cases, which walk the same shapes, and after a compile of another target
+# of its own shape.
 PLAN_CASES = {
     "universal-8-1-r3": lambda s: compile_universal(dirichlet_table(8, 1, s),
                                                     r=3),
@@ -878,14 +892,13 @@ PLAN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_CASES))
-def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name, plan_caches):
+def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name):
     def output(run, seed):
         params, second = run(seed)
         return params_digest(params), repr(second)
 
     run = PLAN_CASES[name]
     fresh = output(run, 0)
-    assert sum(cache.cache_info().currsize for cache in plan_caches) > 0
     for other, other_run in PLAN_CASES.items():
         if other != name:
             output(other_run, 0)
@@ -961,100 +974,22 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
                     assert not a.flags.writeable
 
 
-#: CI's compile calls as (mode, k, n, r, components): the walks their
-#: compiles keep
-CI_COMPILES = [("universal", 8, 1, 3, 2), ("universal", 10, 1, 4, 2),
-               ("universal", 10, 3, None, 8), ("universal", 13, 1, None, 2),
-               ("support", 8, 2, None, 4), ("support", 12, 1, None, 2),
-               ("common", 8, 2, None, 3), ("common", 8, 2, 3, 1),
-               ("partition", 8, 3, None, 4), ("partition", 8, 3, None, 1)]
-#: bytes the walk cache holds once every walk of CI_COMPILES is built:
-#: tracemalloc read 0.37 MB (CPython 3.11, numpy 2.4, x86-64), most of it
-#: the (8,2) support compile's point walk and the (8,1) r = 3 packing; the
-#: bound leaves a quarter on top
-PLAN_BYTES = 462_000
-#: bytes the walk cache holds filled to its limits with its largest walks
-#: (the figure in compiler's comment on WALK_STARS): tracemalloc read
-#: 1.84 MB on the platform above; the bound leaves a quarter on top
-WORST_PLAN_BYTES = 2_300_000
+def test_compiler_keeps_no_plan_cache():
+    assert not [fn for fn in vars(compiler).values()
+                if callable(getattr(fn, "cache_clear", None))]
 
 
-def _traced_bytes(build):
-    """Bytes ``build()`` leaves allocated, under tracemalloc."""
-    gc.collect()
-    before = tracemalloc.get_traced_memory()[0]
-    build()
-    gc.collect()
-    return tracemalloc.get_traced_memory()[0] - before
-
-
-def _build_ci_plans():
-    from crbmkit.packing import best_depth
-
-    for mode, k, n, r, components in CI_COMPILES:
-        if mode == "support":
-            compiler._walk(k, 0)
-        elif components > 1:
-            compiler._walk(k, r or best_depth(k, components))
-
-
-def _build_worst_plans():
-    from crbmkit.packing import feasible_depths, star_count
-
-    # the largest walks kept: every point walk and every feasible packing
-    # (k, r) of at most WALK_STARS stars, the most stars first and, among
-    # those, the most inputs
-    kept = sorted([(1 << k, k, 0) for k in range(20)]
-                  + [(star_count(k, r), k, r) for k in range(1, 20)
-                     for r in feasible_depths(k)], reverse=True)
-    kept = [(k, r) for stars, k, r in kept if stars <= compiler.WALK_STARS]
-    for k, r in kept[:compiler.WALK_CACHE]:
-        compiler._walk(k, r)
-
-
-def test_plan_caches_are_bounded(plan_caches):
-    # the walk lru is the compiler's one plan cache
-    assert plan_caches == [compiler._cached_walk]
-    assert isinstance(
-        compiler._cached_walk.cache_parameters()["maxsize"], int)
-    tracemalloc.start()
-    try:
-        held = _traced_bytes(_build_ci_plans)
-        left = _traced_bytes(lambda: [cache.cache_clear()
-                                      for cache in plan_caches]) + held
-        worst = _traced_bytes(_build_worst_plans)
-        # no further entry adds to a full cache
-        more = _traced_bytes(_build_worst_plans)
-    finally:
-        tracemalloc.stop()
-    assert 0 < held <= PLAN_BYTES
-    # the caches were the only holders
-    assert left <= held / 100
-    assert held < worst <= WORST_PLAN_BYTES
-    assert more <= worst / 100
-    # a component scheme is built per compile, never kept, and so is a walk
-    # of more than WALK_STARS stars
-    assert (_ComponentScheme.points(3, range(8))
-            is not _ComponentScheme.points(3, range(8)))
-    for kept, past in (((9, 1), (10, 1)), ((8, 0), (9, 0))):
-        assert compiler._walk(*kept) is compiler._walk(*kept)
-        assert compiler._walk(*past) is not compiler._walk(*past)
-
-
-def test_a_walk_past_the_limit_builds_each_star_once_per_compile(
-        monkeypatch):
-    # a walk of more than WALK_STARS stars is not kept, but its compile
-    # builds it once, and every tau level walks that one build: each
-    # star's geometry is made once though the compile tries two levels
+def test_each_star_is_planned_once_per_compile(monkeypatch):
+    # every tau level walks the plan its compile made once: each star's
+    # geometry is built once though the compile tries two levels or more
     calls = Counter()
-    build = compiler.star_tilt
+    build = compiler.star_tilts
 
-    def counted(k, center, free_mask):
-        calls[k, center, free_mask] += 1
-        return build(k, center, free_mask)
+    def counted(k, centers, free_mask):
+        calls.update((k, c, free_mask) for c in np.asarray(centers).tolist())
+        return build(k, centers, free_mask)
 
-    monkeypatch.setattr(compiler, "WALK_STARS", 0)
-    monkeypatch.setattr(compiler, "star_tilt", counted)
+    monkeypatch.setattr(compiler, "star_tilts", counted)
     # the (4,2) r = 2 packing has 6 stars, the k = 4 point walk 16
     for run, stars in (
             (lambda: compile_universal(dirichlet_table(4, 2, 0), r=2), 6),
@@ -1064,6 +999,91 @@ def test_a_walk_past_the_limit_builds_each_star_once_per_compile(
         _, rep = run()
         assert rep.tau_final >= 32.0
         assert len(calls) == stars and set(calls.values()) == {1}
+
+
+def _reference_plan(k, scheme, rows, betas, log_t, center, free_mask):
+    """One star's geometry and fill plan, star by star from the bit
+    enumerations: (members, free bits, cylinder factors, cylinder inputs,
+    steps, target rows), the steps as ``_plan_stars`` records them."""
+    from crbmkit.bitspace import (cylinder_members, set_bits, star_cylinder,
+                                  star_members)
+    from crbmkit.sharing import _sharp_cylinder_factors
+
+    members = star_members(center, free_mask)
+    cylinder = star_cylinder(center, free_mask, k)
+    steps, target = [], scheme.dists[0]
+    for t in range(1, scheme.count):
+        beta = betas[members, t - 1, None]
+        if beta.any():
+            target = (1.0 - beta) * target + beta * scheme.dists[t]
+            steps.append((t, beta[:, 0], log_t[members, t - 1], target))
+    return (members, set_bits(free_mask),
+            _sharp_cylinder_factors(k, *cylinder, 1.0),
+            cylinder_members(*cylinder, k), steps, rows[members])
+
+
+def _beta_profiles(k, components, rng):
+    """Mixed (about a third of the weights 0, some 1), sparse (at most one
+    weight per row) and all-zero weight profiles of 2^k rows."""
+    shape = (1 << k, components - 1)
+    mixed = np.where(rng.random(shape) < 0.35, 0.0, rng.random(shape))
+    mixed[rng.random(shape) < 0.05] = 1.0
+    sparse = np.zeros(shape)
+    if components > 1:
+        hit = rng.random(1 << k) < 0.5
+        sparse[hit, rng.integers(0, components - 1, hit.sum())] = (
+            rng.random(hit.sum()))
+    return mixed, sparse, np.zeros(shape)
+
+
+def test_batched_plans_are_each_stars_own():
+    # every group of stars sharing a free mask is planned in one batch; each
+    # star's name, resets, geometry, cylinder inputs, steps and target rows
+    # must be the ones a star-by-star plan gives, bit for bit: on every
+    # packing with k <= 10 and every point walk with k <= 8, toward mixed,
+    # sparse and all-zero weight profiles
+    from crbmkit.packing import feasible_depths, star_count
+
+    rng = np.random.default_rng(0)
+    walks = [(k, star_count(k, r), _packing_walk(k, r))
+             for k in range(1, 11) for r in feasible_depths(k)]
+    for k in range(9):
+        rows = rng.permutation(1 << k)
+        walks.append((k, 1 << k, [(rows, 0, [("row", x) for x in rows],
+                                   [()] * (1 << k))]))
+    for k, stars, walk in walks:
+        assert sum(len(group[0]) for group in walk) == stars
+        n = int(rng.integers(1, 4))
+        scheme = _ComponentScheme.points(n, rng.permutation(1 << n)[
+            :int(rng.integers(2, (1 << n) + 1))])
+        rows = rng.dirichlet(np.ones(1 << n), size=1 << k)
+        for betas in _beta_profiles(k, scheme.count, rng):
+            log_t = log_odds(betas)
+            for centers, free_mask, names, resets in walk:
+                plans = _plan_stars(k, scheme, rows, betas, log_t, centers,
+                                    free_mask, names, resets)
+                assert len(plans) == len(centers)
+                for plan, center, name, reset in zip(plans, centers.tolist(),
+                                                     names, resets):
+                    members, free_bits, factors, inside, steps, target = (
+                        _reference_plan(k, scheme, rows, betas, log_t,
+                                        center, free_mask))
+                    assert (plan.name, plan.resets) == (name, reset)
+                    assert plan.tilt.members.tolist() == members
+                    assert plan.tilt.members[0] == center
+                    assert plan.tilt.free_bits.tolist() == free_bits
+                    assert (plan.tilt.cylinder_factors.tobytes()
+                            == factors.tobytes())
+                    assert plan.inside.tolist() == inside
+                    assert plan.target.tobytes() == target.tobytes()
+                    assert [step[0] for step in plan.steps] == [
+                        step[0] for step in steps]
+                    for got, want in zip(plan.steps, steps):
+                        for a, b in zip(got[1:], want[1:]):
+                            assert a.shape == b.shape
+                            assert a.tobytes() == b.tobytes()
+                    for a in plan.tilt:
+                        assert not a.flags.writeable
 
 
 def test_one_component_packed_compile_walks_no_star(monkeypatch):
@@ -1089,7 +1109,9 @@ def test_one_component_targets_report_alike(monkeypatch):
     # common |T| = 1 and the single-block partition take one path: no walk,
     # a budget of 0 and the caller's r, for r = None and a given depth
     read = []
-    monkeypatch.setattr(compiler, "_walk", lambda *args: read.append(args))
+    for name in ("build_packing", "_plan_stars"):
+        monkeypatch.setattr(compiler, name,
+                            lambda *args, name=name: read.append(name))
 
     def budget_part(rep):
         return (rep.hidden_units_used, rep.resets_used, rep.star_steps_used,
@@ -1106,12 +1128,12 @@ def test_one_component_targets_report_alike(monkeypatch):
 
 
 def test_depth_zero_is_refused_before_any_walk(monkeypatch):
-    # depth 0 names the point walk inside the compiler; a caller's r = 0
-    # is still refused with ValueError before any walk is read
+    # a caller's r = 0 is refused with ValueError before any packing is
+    # built or any star planned
     read = []
-    monkeypatch.setattr(compiler, "_walk", lambda *args: read.append(args))
-    monkeypatch.setattr(compiler, "_build_walk",
-                        lambda *args: read.append(args))
+    for name in ("build_packing", "_plan_stars"):
+        monkeypatch.setattr(compiler, name,
+                            lambda *args, name=name: read.append(name))
     for run in (lambda: compile_universal(dirichlet_table(3, 1, 0), r=0),
                 lambda: compile_common_support(
                     common_support_table(3, 2, 3, 0), r=0),

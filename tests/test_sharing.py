@@ -4,7 +4,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from crbmkit.compiler import _ComponentScheme, _Pipeline, _plan_fill
+from crbmkit.compiler import _ComponentScheme, _Pipeline, _plan_stars
 from crbmkit.crbm import (
     CrbmParams,
     append_hidden_unit,
@@ -17,6 +17,7 @@ from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
 from crbmkit.sharing import (
     OutputTilt,
     SharingStep,
+    StarTilt,
     _log_values_of,
     apply_sharing_log,
     build_tilted_step,
@@ -25,7 +26,7 @@ from crbmkit.sharing import (
     logsumexp,
     make_reset_step,
     mixture_weight_profile,
-    star_tilt,
+    star_tilts,
 )
 
 
@@ -86,10 +87,32 @@ def fill_pipeline(k: int, n: int, tau: float, tol_step: float = 1e-3
                      tol_step)
 
 
-def fill_star(pipe: _Pipeline, star, betas: np.ndarray) -> None:
-    """Fill ``star`` with the members' mixture weights ``betas``, planned
-    by the helper a compile plans its fills with."""
-    pipe.fill_star(_plan_fill(pipe.scheme, star, betas, log_odds(betas)))
+def one_star(k: int, center: int, free_mask: int) -> StarTilt:
+    """The ``StarTilt`` of the one star ``(center, free_mask)`` on k
+    inputs."""
+    tilts = star_tilts(k, [center], free_mask)
+    return StarTilt(tilts.members[0], tilts.free_bits,
+                    tilts.cylinder_factors[0])
+
+
+def plan_star(pipe: _Pipeline, center: int, free_mask: int,
+              betas: np.ndarray):
+    """The star ``(center, free_mask)``'s fill with its members' mixture
+    weights ``betas`` (one row per member, in order), planned by the
+    planner a compile plans its fills with."""
+    k = pipe.k
+    profile = np.zeros((1 << k, betas.shape[1]))
+    profile[one_star(k, center, free_mask).members] = betas
+    return _plan_stars(k, pipe.scheme, np.zeros((1 << k, 1 << pipe.n)),
+                       profile, log_odds(profile), [center], free_mask,
+                       [("star", 0)], [()])[0]
+
+
+def fill_star(pipe: _Pipeline, center: int, free_mask: int,
+              betas: np.ndarray) -> None:
+    """Fill the star ``(center, free_mask)`` with its members' mixture
+    weights ``betas``."""
+    pipe.fill_star(plan_star(pipe, center, free_mask, betas))
 
 
 def start_state(k: int, n: int, tau: float) -> np.ndarray:
@@ -214,7 +237,7 @@ def test_star_fill_reaches_targets():
     pipe = fill_pipeline(2, 1, tau=30.0)
     rng = np.random.default_rng(7)
     targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
-    fill_star(pipe, star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
+    fill_star(pipe, 0, 0b11, mixture_weight_profile(targets))
     assert pipe.used["fill"] == 1
     for x in (0, 1, 2):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -225,14 +248,14 @@ def test_star_fill_n2_and_noop_targets():
     # targets equal to the start state: all steps are no-ops
     pipe = fill_pipeline(1, 2, tau=32.0)
     deltas = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)  # the point mass at y = 0
-    fill_star(pipe, star_tilt(1, 0, 0b1), mixture_weight_profile(deltas))
+    fill_star(pipe, 0, 0b1, mixture_weight_profile(deltas))
     for x in (0, 1):
         assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
     # random strictly positive targets
     rng = np.random.default_rng(8)
     targets = np.array([rng.dirichlet(np.ones(4)) for _ in (0, 1)])
     pipe = fill_pipeline(1, 2, tau=32.0)
-    fill_star(pipe, star_tilt(1, 0, 0b1), mixture_weight_profile(targets))
+    fill_star(pipe, 0, 0b1, mixture_weight_profile(targets))
     assert pipe.used["fill"] == 3
     for x in (0, 1):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -245,7 +268,7 @@ def test_star_fill_error_shrinks_with_sharpness():
     for tau in (10.0, 20.0, 40.0, 80.0):
         # tol_step 2 (the largest row TV) accepts the first try at sharpness tau
         pipe = fill_pipeline(2, 1, tau, tol_step=2.0)
-        fill_star(pipe, star_tilt(2, 0, 0b11), mixture_weight_profile(targets))
+        fill_star(pipe, 0, 0b11, mixture_weight_profile(targets))
         errors.append(np.abs(pipe.rows()[[0, 1, 2]] - targets).sum(axis=1).max())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -286,7 +309,7 @@ def test_tilt_profile_proportionality():
     betas = np.array([q / (1.0 + q) for q in profile])
     logp = random_state(4, 1, rng)
     step, tilted, log_norm = build_tilted_step(
-        logp, star_tilt(4, 0b0100, 0b1011), betas, log_odds(betas),
+        logp, one_star(4, 0b0100, 0b1011), betas, log_odds(betas),
         output_tilt(np.zeros((1, 2))), 40.0)
     assert step.log_sx.shape == (16,) and step.log_sy.shape == (2,)
     assert not step.log_sy.any()
@@ -307,10 +330,13 @@ def test_tilt_profile_proportionality():
 
 def test_star_fill_rejects_rows_off_the_star():
     pipe = fill_pipeline(1, 1, 16.0)
-    betas = mixture_weight_profile(np.array([Dist.uniform(1).probs]))
+    betas = mixture_weight_profile(np.array([Dist.uniform(1).probs] * 2))
+    fill = plan_star(pipe, 0, 0b1, betas)
     # one row of weights for the two members of the star (0, 0b1)
+    t, betas, log_t, target = fill.steps[0]
     with pytest.raises(ShapeMismatch):
-        fill_star(pipe, star_tilt(1, 0, 0b1), betas)
+        pipe.fill_star(fill._replace(
+            steps=[(t, betas[:1], log_t[:1], target[:1])]))
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
@@ -319,8 +345,17 @@ def test_build_tilted_step_rejects_betas_off_the_star():
     out = output_tilt(np.array([[-16.0, 0.0]]))
     for betas in (np.full(2, 0.5), np.full(4, 0.5)):
         with pytest.raises(ShapeMismatch):
-            build_tilted_step(logp, star_tilt(2, 0, 0b11), betas,
+            build_tilted_step(logp, one_star(2, 0, 0b11), betas,
                               log_odds(betas), out, 16.0)
+
+
+def test_star_tilts_refuse_a_center_with_a_free_bit_set():
+    # a star's members are its center plus 2^b per free bit b, center
+    # first, only when the center is 0 on its free bits
+    with pytest.raises(ValueError, match="free mask 0b11 set"):
+        star_tilts(3, [0b100, 0b001], 0b11)
+    assert star_tilts(3, [0b100, 0b000], 0b11).members.tolist() == [
+        [4, 5, 6], [0, 1, 2]]
 
 
 def test_log_odds_is_the_clamped_log_odds_of_each_weight():
