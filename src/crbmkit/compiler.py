@@ -75,21 +75,23 @@ Nothing is kept across compiles: each compile plans its walk once, and
 all its tau levels share that plan.  A packed compile's walk is its
 packing (``packing.build_packing``), level by level: every star of a
 level shares one free mask, and its resets are read off the packing's
-arrays.  A support compile's walk is the point stars (x, 0), in one group.
-Each group of stars that share a free mask is planned in one batch
-(``_plan_stars``): its geometry (``sharing.star_tilts``: each star's
-members, center first, its free bits and its cylinder factors at unit
-sharpness), its members' mixture weights and their log-odds, from one
-``log_odds`` call over the target's whole profile, the components each
-star mixes toward, each step's target rows and the inputs of each
-cylinder.  The component scheme (``_ComponentScheme``) builds its output
-tilts (factors and log s_Y, 2^n) for all its components at once, on the
-first fill that asks for a sharpness, and a reset's tilt toward the start
-component alone, on the first reset at its sharpness.  So a tau level only
-builds, tries and accepts steps.  Each tau level builds its own start
-state, the conditioned broadcast of the start logits (``_Pipeline``), in
-tens of microseconds at the benchmark's sizes, and its accepted units grow
-the model's W, V and c in place (``crbm.append_hidden_unit``).
+arrays, each cylinder with its inputs (``_packing_walk``).  A support
+compile's walk is the point stars (x, 0), in one group.  Each group of
+stars that share a free mask is planned in one batch (``_plan_stars``):
+its geometry (``sharing.star_tilts``: each star's members, center first,
+its free bits and its cylinder factors at unit sharpness), its members'
+mixture weights and their log-odds, from one ``log_odds`` call over the
+target's whole profile, the components each star mixes toward, each
+step's target rows and the inputs of each cylinder.  The component scheme
+(``_ComponentScheme``) builds its output tilts (factors and log s_Y, 2^n)
+for all its components at once, on the first step, fill or reset, that
+asks for a sharpness.  So a tau level only builds, tries and accepts
+steps, fills and resets alike: unit input factors scaled to the trial's
+sharpness and a tilt from the scheme make the step, handed over with its
+tilted state and normalizer.  Each tau level builds its own start state,
+the conditioned broadcast of the start logits (``_Pipeline``), in tens of
+microseconds at the benchmark's sizes, and its accepted units grow the
+model's W, V and c in place (``crbm.append_hidden_unit``).
 """
 
 from __future__ import annotations
@@ -113,9 +115,9 @@ from .errors import (
 )
 from .packing import best_depth, build_packing, universal_budget
 from .sharing import OutputTilt, SharingStep, StarTilt, _log_values_of, \
-    _read_only, _sharp_cylinder_factors, _unit_cylinder_factors, \
-    apply_sharing_log, build_tilted_step, hidden_unit_from_log, log_odds, \
-    make_reset_step, mixture_weight_profile, star_tilts
+    _read_only, _unit_cylinder_factors, apply_sharing_log, \
+    build_tilted_step, hidden_unit_from_log, log_odds, make_reset_step, \
+    mixture_weight_profile, star_tilts
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -179,9 +181,8 @@ class _ComponentScheme:
             (np.arange(1 << n) & fixed[:, None]) == on[:, None])
         self.dists = _read_only(
             self.membership / self.membership.sum(axis=1, keepdims=True))
-        self._unit = _unit_cylinder_factors(n, fixed, on)
+        self.unit = _unit_cylinder_factors(n, fixed, on)
         self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
-        self._start_tilts: dict[float, OutputTilt] = {}
 
     @property
     def count(self) -> int:
@@ -206,31 +207,18 @@ class _ComponentScheme:
 
     def tilt(self, t: int, sharp: float) -> OutputTilt:
         """Component t's output tilt at sharpness ``sharp``: -sharp on the
-        off value of each of its fixed bits.  The first use of a sharpness
-        builds every component's tilt at it in one batch, kept for the
-        scheme's life, so the tau levels, stars and trials of its compile
-        share one.  The factors are the unit ones times ``sharp``, exactly
-        ``sharing._sharp_cylinder_factors(n, mask, value, sharp)``, and
-        each table is summed from them: a unit table times ``sharp`` could
-        differ in the last bit."""
+        off value of each of its fixed bits.  The first use of a sharpness,
+        by a fill or a reset, builds every component's tilt at it in one
+        batch, kept for the scheme's life, so the tau levels, stars and
+        trials of its compile share one.  The factors are the unit ones
+        times ``sharp``, -sharp and 0 exactly, and each table is summed from
+        them: a unit table times ``sharp`` could differ in the last bit."""
         tilts = self._tilts.get(sharp)
         if tilts is None:
-            lf = _read_only(self._unit * sharp)
+            lf = _read_only(self.unit * sharp)
             tilts = self._tilts[sharp] = tuple(
                 map(OutputTilt, lf, _log_values_of(lf)))
         return tilts[t]
-
-    def start_tilt(self, sharp: float) -> OutputTilt:
-        """``tilt(0, sharp)`` built alone, the tilt a reset steps toward:
-        resets ask for sharpnesses no fill uses, so no other component's
-        tilt is built at them.  Kept per sharpness for the scheme's life;
-        its factors and table are the floats of the batched one."""
-        tilt = self._start_tilts.get(sharp)
-        if tilt is None:
-            lf = _read_only(self._unit[0] * sharp)
-            tilt = self._start_tilts[sharp] = OutputTilt(lf,
-                                                         _log_values_of(lf))
-        return tilt
 
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
@@ -248,17 +236,17 @@ class _ComponentScheme:
 class _StarFill(NamedTuple):
     """One star of a compile's walk as the compile plans it once for all
     its tau levels: its name in errors, ``(label, index)``, formatted only
-    when the star dooms a level; the cylinders ``(fixed_mask,
-    fixed_values)`` reset just before it is filled; its
-    ``sharing.StarTilt``; its steps in order; the inputs of its cylinder
-    (``inside``, ascending), whose rows no drift check reads; and its
-    members' target rows.  A step is ``(t, betas, log_t, target)``: the
-    component t it mixes toward, the members' mixture weights toward it and
-    their ``log_odds``, and the members' target rows after it, the previous
-    step's mixed toward component t."""
+    when the star dooms a level; the resets ``(fixed_mask, fixed_values,
+    inside)`` tried just before it is filled, each a cylinder and its
+    inputs, ascending; its ``sharing.StarTilt``; its steps in order; the
+    inputs of its cylinder (``inside``, ascending), whose rows no drift
+    check reads; and its members' target rows.  A step is ``(t, betas,
+    log_t, target)``: the component t it mixes toward, the members' mixture
+    weights toward it and their ``log_odds``, and the members' target rows
+    after it, the previous step's mixed toward component t."""
 
     name: tuple[str, int]
-    resets: Sequence[tuple[int, int]]
+    resets: Sequence[tuple[int, int, np.ndarray]]
     tilt: StarTilt
     steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     inside: np.ndarray
@@ -268,7 +256,7 @@ class _StarFill(NamedTuple):
 def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
                 betas: np.ndarray, log_t: np.ndarray, centers: np.ndarray,
                 free_mask: int, names: Sequence[tuple[str, int]],
-                resets: Sequence[Sequence[tuple[int, int]]]
+                resets: Sequence[Sequence[tuple[int, int, np.ndarray]]]
                 ) -> list[_StarFill]:
     """The ``_StarFill`` of each star ``(c, free_mask)`` on k inputs, c in
     ``centers``, in that order, named by ``names`` and reset before by
@@ -314,9 +302,11 @@ def _packing_walk(k: int, r: int) -> list[tuple]:
     ``(centers, free_mask, names, resets)``, one per run of stars that share
     a free mask (each level of the packing is one), in fill order.  A star
     is named ``("star", i)`` by its place in the packing, and its resets
-    are read off the packing's arrays."""
+    are read off the packing's arrays, each cylinder with its inputs."""
     seq = build_packing(k, r)
-    resets = seq.resets_at()
+    resets = {pos: [(mask, values, np.array(
+        cylinder_members(mask, values, k), dtype=np.intp))
+        for mask, values in at] for pos, at in seq.resets_at().items()}
     edges = [0, *(np.flatnonzero(np.diff(seq.free_masks)) + 1).tolist(),
              len(seq.centers)]
     return [(seq.centers[lo:hi], int(seq.free_masks[lo]),
@@ -358,10 +348,9 @@ class _Pipeline:
         self.tau = tau
         self.tol_step = tol_step
         # output biases +-tau_b toward the start component's fixed bits,
-        # tau_b = tau / (2 * sharp_width): the odds of its sharp cylinder
-        # factors at sharpness tau_b
-        lf = _sharp_cylinder_factors(n, scheme.masks[0], scheme.values[0],
-                                     tau / (2.0 * max(scheme.sharp_width, 1)))
+        # tau_b = tau / (2 * sharp_width): the odds of its cylinder factors
+        # at sharpness tau_b
+        lf = scheme.unit[0] * (tau / (2.0 * max(scheme.sharp_width, 1)))
         bias = lf[:, 1] - lf[:, 0]
         self.params = CrbmParams.bias_only(k, n, bias)
         # the start logits broadcast to every input row, column-major, x
@@ -370,7 +359,6 @@ class _Pipeline:
         logits = (state_bits(n) * bias[None, :]).sum(axis=1)
         self.logp, self._rows = _conditioned(np.asfortranarray(
             np.broadcast_to(logits, (1 << k, 1 << n))), k)
-        self._inputs = np.arange(1 << k)
         self.start_tv = _worst_row_tv(self._rows, scheme.dists[0])
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
@@ -410,23 +398,17 @@ class _Pipeline:
                 f"{what[0]} {what[1]}: worst-row TV {tv:.6g} to the target > "
                 f"limit {limit:.6g} (tau = {self.tau:g})")
 
-    def _in_cylinder(self, fixed_mask: int, fixed_values: int) -> np.ndarray:
-        """Boolean mask of the inputs x in the cylinder
-        ``(fixed_mask, fixed_values)``."""
-        return (self._inputs & fixed_mask) == fixed_values
-
     def _step(self, kind: str,
-              build: Callable[[float], tuple[SharingStep, np.ndarray | None,
-                                             float | None]],
-              region: list[int] | np.ndarray, target: np.ndarray, bound: float,
+              build: Callable[[float], tuple[SharingStep, np.ndarray, float]],
+              region: np.ndarray, target: np.ndarray, bound: float,
               inside: np.ndarray) -> None:
         """Build, try and accept one sharing step.
 
         ``build(sharp)`` makes the step at sharpness ``sharp`` with its
-        tilted state and tilt normalizer if it computed them (else None and
-        None).  A trial is accepted when its rows at ``region`` are within
-        row TV ``bound`` of ``target`` and its rows outside ``inside`` (an
-        index or boolean mask of the step's cylinder) moved by at most
+        tilted state and tilt normalizer, as both step builders return
+        them.  A trial is accepted when its rows at ``region`` are within
+        row TV ``bound`` of ``target`` and its rows outside ``inside`` (the
+        inputs of the step's cylinder, an index array) moved by at most
         tol_step; otherwise the sharpness doubles.  The rungs are
         tau * 2^i for i < STEP_RETRIES, and the ladder starts at the rung
         the last accepted step of the same kind passed in this level (tau
@@ -470,20 +452,21 @@ class _Pipeline:
         raise BudgetExceeded(f"{kind} sharpness schedule exhausted: {tried} "
                              f"(tau = {self.tau:g})")
 
-    def reset_if_needed(self, fixed_mask: int, fixed_values: int) -> None:
-        """Drive the cylinder ``(fixed_mask, fixed_values)`` of inputs back to
-        the start component iff one of its rows has drifted from it by more
-        than the phase tolerance."""
-        inside = self._in_cylinder(fixed_mask, fixed_values)
+    def reset_if_needed(self, fixed_mask: int, fixed_values: int,
+                        inside: np.ndarray) -> None:
+        """Drive the cylinder ``(fixed_mask, fixed_values)`` of inputs, whose
+        members are ``inside`` (``_packing_walk``), back to the start
+        component iff one of its rows has drifted from it by more than the
+        phase tolerance."""
         start = self.scheme.dists[0]
         if (_worst_row_tv(self._rows[inside], start)
                 <= self.start_tv + 2.0 * self.tol_step):
             return
         # outputs: concentrate on the start component at start-grade sharpness
         grade = 2.0 * max(self.scheme.sharp_width, 1)
-        self._step("reset", lambda sharp: (make_reset_step(
-            self.k, fixed_mask, fixed_values,
-            self.scheme.start_tilt(sharp / grade), sharp), None, None),
+        self._step("reset", lambda sharp: make_reset_step(
+            self.logp, fixed_mask, fixed_values,
+            self.scheme.tilt(0, sharp / grade), sharp),
             inside, start, self.start_tv + self.tol_step, inside)
 
     def fill_star(self, fill: _StarFill) -> None:
@@ -532,8 +515,8 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
             for star in stars:
-                for fixed_mask, fixed_values in star.resets:
-                    pipe.reset_if_needed(fixed_mask, fixed_values)
+                for reset in star.resets:
+                    pipe.reset_if_needed(*reset)
                 pipe.fill_star(star)
                 pipe.reject_if_doomed(star.tilt.members, star.target, eps,
                                       total_steps, star.name)

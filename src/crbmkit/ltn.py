@@ -99,12 +99,13 @@ def parity_net(k: int) -> ThresholdNet:
 
 def _alpha_for(net: ThresholdNet) -> float:
     """Scale making the hidden argmax ignore the output contribution:
-    alpha * |pre1| must dominate the largest |W| row sum."""
+    alpha * |pre1| must dominate the largest |W| row sum.  A net with no
+    hidden unit has no argmax to protect: its alpha is 0."""
     pre1 = _first_layer(net)
     if np.any(pre1 == 0):
         raise NotGeneric("zero first-layer pre-activation")
-    gap = np.abs(pre1).min()
-    row_norm = float(np.abs(net.W).sum(axis=1).max()) if net.n else 0.0
+    gap = np.abs(pre1).min(initial=np.inf)
+    row_norm = float(np.abs(net.W).sum(axis=1).max(initial=0.0))
     return (1.0 + 2.0 * row_norm) / gap
 
 

@@ -81,6 +81,11 @@ class SimplicialComplex:
 
     @staticmethod
     def from_generators(n: int, generators: list[int]) -> "SimplicialComplex":
+        # before pricing: a negative mask never enumerates down to 0 (n < 1
+        # is the complex's to refuse)
+        for g in generators:
+            if not 0 <= g < 1 << max(n, 1):
+                raise ValueError(f"face {g:b} outside the ground set")
         subsets = sum(1 << g.bit_count() for g in generators)
         check_cells(subsets * FACE_CELLS, f"a complex on {n} units from "
                     f"generators with {subsets} subsets")

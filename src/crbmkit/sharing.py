@@ -14,9 +14,9 @@ outputs; the tilt is applied by broadcasting them, so no table over all
 s_Y, is an ``OutputTilt``: a caller that steps toward the same output
 component at the same sharpness many times builds it once and passes it to
 every step (a compile builds its components' tilts at one sharpness in one
-batch, on the first fill that asks for that sharpness, and a reset's tilt
-toward its start component alone).  A builder hands
-the tables it has made to the step, so each is built once per step.
+batch, on the first step, fill or reset, that asks for that sharpness).  A
+builder hands the tables it has made to the step, so each is built once per
+step.
 
 Every step is realizable as one appended hidden unit, as in the paper: one
 unit multiplies every row p(. | x) by a factor over the inputs times a
@@ -30,22 +30,24 @@ compares it with ``crbm.eval_conditional`` of the grown model.
 
 Each step kind has one builder: build_tilted_step (a star fill, exact
 mixture weights on the star's rows) and make_reset_step (a cylinder reset).
-Both concentrate the inputs on a cylinder the same way.  A fill reads
-everything about its star that the state does not move from a
-``StarTilt``: the members, center first, the free bits their flips set,
-and the cylinder's factors at unit sharpness, which a trial scales to its
-sharpness.  ``star_tilts`` builds the geometry of every star of one free
-mask in one broadcast, from centers that are 0 on their free bits, so no
-flip needs locating.  A fill takes its mixture weights with their
-clamped log-odds (``log_odds``), which a caller that steps one target many
-times computes once.  apply_sharing_log is the one way to apply a step and
+Both concentrate the inputs on a cylinder the same way, by its factors at
+unit sharpness (``_unit_cylinder_factors``) scaled to the trial's, and both
+end in one tilting tail (``_tilted``).  A reset reads k off the rows
+of the state, a fill off its star.  A fill reads everything about its star
+that the state does not move from a ``StarTilt``: the members, center
+first, the free bits their flips set, and the cylinder's unit factors.
+``star_tilts`` builds the geometry of every star of one free mask in one
+broadcast, from centers that are 0 on their free bits, so no flip needs
+locating.  A fill takes its mixture weights with their clamped log-odds
+(``log_odds``), which a caller that steps one target many times computes
+once.  apply_sharing_log is the one way to apply a step and
 hidden_unit_from_log the one way to realize it.  Sequencing, sharpening
 and accepting steps is the compiler's job (compiler._Pipeline).
 
 The tilted state log p + log s and its normalizer log N = logsumexp(log p
 + log s), a reduction over the whole state, are each computed once per step:
-build_tilted_step needs both for lambda and returns them, apply_sharing_log
-takes them (or computes them, for a reset) and returns the normalizer, and
+both builders return them with the step, apply_sharing_log takes them (or
+computes them, for a step made by hand) and returns the normalizer, and
 hidden_unit_from_log takes it for the bias.  A state of mass 1 stays of mass
 1 under a step, so neither the step nor the bias reduces the state again.
 
@@ -158,10 +160,12 @@ class SharingStep:
 
 
 def _tilted(logp: np.ndarray, log_sx: np.ndarray,
-            log_sy: np.ndarray) -> np.ndarray:
+            log_sy: np.ndarray) -> tuple[np.ndarray, float]:
     """log p + log s on the [x, y] state, the tilt broadcast from its input
-    and output tables."""
-    return logp + log_sx[:, None] + log_sy
+    and output tables, and its normalizer logsumexp(log p + log s): the
+    tail of both builders."""
+    tilted = logp + log_sx[:, None] + log_sy
+    return tilted, logsumexp(tilted)
 
 
 def apply_sharing_log(logp: np.ndarray, step: SharingStep,
@@ -173,13 +177,10 @@ def apply_sharing_log(logp: np.ndarray, step: SharingStep,
     Returns the stepped state, again of mass 1 (up to rounding; it is not
     renormalized), and the tilt normalizer log N = logsumexp(logp + log s).
     The tilted state logp + log s and its normalizer are computed here
-    unless the caller passes the ones it already has (build_tilted_step
-    returns both).
+    unless the caller passes both (the builders return them).
     """
     if tilted is None:
-        tilted = _tilted(logp, step.log_sx, step.log_sy)
-    if log_norm is None:
-        log_norm = logsumexp(tilted)
+        tilted, log_norm = _tilted(logp, step.log_sx, step.log_sy)
     if not math.isfinite(log_norm):
         raise DegenerateStep("tilt normalizer vanished")
     lam = step.lam
@@ -250,16 +251,6 @@ def log_odds(betas) -> np.ndarray:
                           LOG_T_CAP)
 
 
-def _sharp_cylinder_factors(width: int, fixed_mask: int, fixed_values: int,
-                            sharp: float) -> np.ndarray:
-    """(width, 2) log factors of the cylinder ``(fixed_mask, fixed_values)``:
-    -sharp on the off value of each fixed bit, the other bits flat."""
-    lf = np.zeros((width, 2))
-    for i in set_bits(fixed_mask):
-        lf[i, 1 - ((fixed_values >> i) & 1)] = -sharp
-    return lf
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -267,9 +258,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _unit_cylinder_factors(width: int, fixed_masks, fixed_values
                            ) -> np.ndarray:
-    """``_sharp_cylinder_factors`` at sharpness 1 of the cylinders
+    """(..., width, 2) log factors at sharpness 1 of the cylinders
     ``(fixed_masks, fixed_values)``, integers or arrays broadcast against
-    each other, stacked: (..., width, 2), read-only."""
+    each other, read-only: -1 on the off value of each fixed bit, the other
+    bits 0.  Times a sharpness they are -sharpness and 0 exactly."""
     bits = np.arange(width)
     fixed = (np.asarray(fixed_masks)[..., None] >> bits) & 1
     on = (np.asarray(fixed_values)[..., None] >> bits) & 1
@@ -359,8 +351,7 @@ def build_tilted_step(
     # whose log T was clamped err only toward the saturated value they
     # asked for.
     log_sx = _log_values_of(lf[:k])
-    tilted = _tilted(logp, log_sx, log_sy)
-    log_norm = logsumexp(tilted)
+    tilted, log_norm = _tilted(logp, log_sx, log_sy)
     a = int(np.minimum(betas, 1.0 - betas).argmax())
     log_m = float(log_sx[star.members[a]] + big_g[a] - big_l[a] - log_norm)
     log_t_a = log_t[a]
@@ -369,17 +360,23 @@ def build_tilted_step(
     return SharingStep(k, lam, lf, log_sx, log_sy), tilted, log_norm
 
 
-def make_reset_step(k: int, fixed_mask: int, fixed_values: int,
-                    out: OutputTilt, tau: float) -> SharingStep:
-    """A step driving all rows whose k inputs lie in the cylinder
-    ``(fixed_mask, fixed_values)`` toward an output component.
+def make_reset_step(logp: np.ndarray, fixed_mask: int, fixed_values: int,
+                    out: OutputTilt, sharpness: float
+                    ) -> tuple[SharingStep, np.ndarray, float]:
+    """A step driving the rows of the state ``logp`` ((2^k, 2^n), indexed
+    [x, y]) whose inputs lie in the cylinder ``(fixed_mask, fixed_values)``
+    toward an output component, with its tilted state and tilt normalizer,
+    as build_tilted_step returns them.
 
     ``out`` (already sharpened) is the component's output tilt, e.g. -tau
-    on the off value of every bit for a point mass.
-    lam is near 0 and the inputs are concentrated with sharpness tau on the
-    cylinder; rows outside it move by at most eps(tau).
+    on the off value of every bit for a point mass.  lam is near 0 and the
+    inputs are concentrated on the cylinder by its unit factors scaled to
+    ``sharpness``; rows outside it move by at most eps(sharpness).
     """
-    lf = np.concatenate((_sharp_cylinder_factors(k, fixed_mask, fixed_values,
-                                                 tau), out.log_factors))
-    lam = float(1.0 / (1.0 + np.exp(min(tau / 2.0, 700.0))))
-    return SharingStep(k, lam, lf, log_sy=out.log_sy)
+    k = len(logp).bit_length() - 1
+    lf = np.concatenate((_unit_cylinder_factors(k, fixed_mask, fixed_values)
+                         * sharpness, out.log_factors))
+    log_sx = _log_values_of(lf[:k])
+    tilted, log_norm = _tilted(logp, log_sx, out.log_sy)
+    lam = float(1.0 / (1.0 + np.exp(min(sharpness / 2.0, 700.0))))
+    return SharingStep(k, lam, lf, log_sx, out.log_sy), tilted, log_norm

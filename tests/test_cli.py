@@ -268,6 +268,9 @@ def test_mrf_stdout_matches_its_golden_hash(k, capsys):
 COMPILE_GOLDEN = {
     ("compile", "--k", "8", "--n", "1", "--r", "3"):
         "fe98605961574a9dd146ceb29d0ca902ade8337df4cc984c85e5e81d6c10d737",
+    # the deepest reset schedule: 99 resets at r = 4
+    ("compile", "--k", "10", "--n", "1", "--r", "4"):
+        "2bfdeb049bafdd67750f74f72ba74937e50cf4aa6533d318c543204bfec1fb0c",
     ("compile", "--mode", "support", "--k", "8", "--n", "2", "--d", "4"):
         "06cee6acb5e1da7bd4e25b0e9bc55c5d355f5a71a9c1a9f7d6b319fa95752c22",
     ("compile", "--mode", "common", "--k", "8", "--n", "2",

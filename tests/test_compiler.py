@@ -500,11 +500,12 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # neither the stepped joint nor an accepted unit's bias nor a tau
     # level's start joint is reduced again.  An accepted trial is kept, so
     # there is one application per trial.  A trial builds one tilted state
-    # and one input table.  The output tilt a fill steps toward is one row
-    # of a batch of every component's tilts, built on the first use of its
-    # sharpness only; a reset's is the start component's table, built alone
-    # on the first reset at its sharpness.  The mixture weights' log-odds
-    # are taken once per compile, not per tau level or star
+    # and one input table, both in its builder, fill or reset alike.  The
+    # output tilt a trial steps toward is one row of a batch of every
+    # component's tilts, built on the first use of its sharpness only, by a
+    # fill or a reset; a reset's is the start component's row, the point
+    # 0's.  The mixture weights' log-odds are taken once per compile, not
+    # per tau level or star
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
@@ -564,32 +565,28 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert calls["inputs"] == trials
     assert calls["other tables"] == 0
     assert calls["log_odds"] == 1
-    # a batch holds the four point components' tables, and each fill's
-    # output table is a row of exactly one batch; each reset's is a
-    # start table, the start component's alone
-    starts = [tables for tables in batches if tables.ndim == 1]
-    batches = [tables for tables in batches if tables.ndim == 2]
+    # a batch holds the four point components' tables, and each trial's
+    # output table is a row of exactly one batch; each reset's is the
+    # batch's first row, the start component's
     assert all(tables.shape == (1 << n, 1 << n) for tables in batches)
-    assert all(tables.shape == (1 << n,) for tables in starts)
     assert len(outputs) == trials
     for kind, out in outputs:
-        fill_rows = sum(np.shares_memory(out.log_sy, tables)
-                        for tables in batches)
-        assert fill_rows == (kind == "fill")
-        assert any(out.log_sy is tables for tables in starts) \
-            == (kind == "reset")
+        rows = [tables for tables in batches
+                if np.shares_memory(out.log_sy, tables)]
+        assert len(rows) == 1
+        assert np.shares_memory(out.log_sy, rows[0][0]) == (kind == "reset")
         if kind == "reset":
             # the point 0's factors: -sharp on the value 1 of each bit
             assert not out.log_factors[:, 0].any()
-    # one batch per sharpness the fills' tilts have, fewer than the fills,
-    # and one start table per sharpness the resets' have (-sharp is the
-    # least log factor of a point component's tilt)
+    # one batch per sharpness the trials' tilts have, fewer than the fills
+    # and fewer than the trials (-sharp is the least log factor of a point
+    # component's tilt)
     def sharps(kind):
         return {float(-out.log_factors.min()) for of, out in outputs
                 if of == kind}
     fills = sum(kind == "fill" for kind, _ in outputs)
-    assert 0 < len(batches) == len(sharps("fill")) < fills
-    assert 0 < len(starts) == len(sharps("reset"))
+    assert 0 < len(sharps("fill")) < fills and len(sharps("reset")) > 0
+    assert len(batches) == len(sharps("fill") | sharps("reset")) < trials
 
 
 def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
@@ -629,7 +626,7 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
-        pipe.reset_if_needed(0, 0)
+        pipe.reset_if_needed(0, 0, np.arange(4))
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
         pipe.fill_star(fill)
     assert pipe.params.m == 1
@@ -930,6 +927,19 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
                     assert pipe.start_tv == _worst_row_tv(rows,
                                                           scheme.dists[0])
 
+
+def _sharp_cylinder_factors(width, fixed_mask, fixed_values, sharp):
+    """Oracle: (width, 2) log factors of the cylinder ``(fixed_mask,
+    fixed_values)``, -sharp on the off value of each fixed bit, the other
+    bits flat, written bit by bit."""
+    from crbmkit.bitspace import set_bits
+
+    lf = np.zeros((width, 2))
+    for i in set_bits(fixed_mask):
+        lf[i, 1 - ((fixed_values >> i) & 1)] = -sharp
+    return lf
+
+
 def _rungs():
     """The sharpness rungs of every tau level of the compile schedule."""
     taus = [compiler.TAU_START * 2.0 ** j
@@ -946,9 +956,9 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
     # and at every rung over the scheme's reset grade 2w, which is no
     # power-of-two multiple of the unit sharpness where w is 3, 5, 6 or 7.
     # The partitions of l = 1..n bits and the points give every grade
-    # 2, 4, ..., 16.  The start component's tilt built alone, the one a
-    # reset steps toward, is the same bytes
-    from crbmkit.sharing import _log_values_of, _sharp_cylinder_factors
+    # 2, 4, ..., 16.  A reset steps toward the start component's tilt of
+    # the batch at its sharpness, so its tilt is checked here too
+    from crbmkit.sharing import _log_values_of
 
     rungs = _rungs()
     for n in range(1, 9):
@@ -967,11 +977,68 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
                             == _log_values_of(lf).tobytes())
                     assert not out.log_factors.flags.writeable
                     assert not out.log_sy.flags.writeable
-                start, out = scheme.start_tilt(sharp), scheme.tilt(0, sharp)
-                assert not np.shares_memory(start.log_sy, out.log_sy)
-                for a, b in zip(start, out):
-                    assert a.tobytes() == b.tobytes()
-                    assert not a.flags.writeable
+
+
+def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
+    # a reset's cylinder inputs are planned with the walk and its step is
+    # built like a fill's: unit input factors scaled to the trial's
+    # sharpness and the scheme's batched start tilt, with its tilted state
+    # and normalizer.  Each must be, bit for bit, the step built from the
+    # cylinder's factors written bit by bit, its tables summed by
+    # SharingStep, and the tilted state and normalizer that
+    # apply_sharing_log computes for it, at every trial of the (8,1) r = 3
+    # compile and the common (8,2) |T| = 3 compile
+    from crbmkit.sharing import SharingStep, _log_values_of
+
+    trials, checked = [], []
+    build, reset = compiler.make_reset_step, _Pipeline.reset_if_needed
+
+    def traced(*args):
+        made = build(*args)
+        trials.append((args, made))
+        return made
+
+    def planned(pipe, fixed_mask, fixed_values, inside):
+        assert inside.tolist() == np.flatnonzero(
+            (np.arange(1 << pipe.k) & fixed_mask) == fixed_values).tolist()
+        checked.append(pipe)
+        return reset(pipe, fixed_mask, fixed_values, inside)
+
+    monkeypatch.setattr(compiler, "make_reset_step", traced)
+    monkeypatch.setattr(_Pipeline, "reset_if_needed", planned)
+    for run, n in (
+            (lambda: compile_universal(dirichlet_table(8, 1, 0), r=3), 1),
+            (lambda: compile_common_support(common_support_table(8, 2, 3, 0)),
+             2)):
+        trials.clear()
+        checked.clear()
+        _, rep = run()
+        assert rep.resets_used > 0 and len(checked) >= rep.resets_used
+        assert len(trials) >= rep.resets_used
+        scheme = checked[0].scheme
+        grade = 2.0 * max(scheme.sharp_width, 1)
+        rungs = {tau * 2.0 ** i for tau in (16.0, 32.0, 64.0)
+                 for i in range(compiler.STEP_RETRIES)}
+        for (logp, mask, values, out, sharp), made in trials:
+            assert sharp in rungs
+            step, tilted, log_norm = made
+            out_lf = _sharp_cylinder_factors(n, scheme.masks[0],
+                                             scheme.values[0], sharp / grade)
+            lf = np.concatenate((_sharp_cylinder_factors(8, mask, values,
+                                                         sharp), out_lf))
+            lam = float(1.0 / (1.0 + np.exp(min(sharp / 2.0, 700.0))))
+            want = SharingStep(8, lam, lf, log_sy=_log_values_of(out_lf))
+            assert (step.k, step.lam) == (want.k, want.lam)
+            for a, b in ((step.log_factors, want.log_factors),
+                         (step.log_sx, want.log_sx),
+                         (step.log_sy, want.log_sy),
+                         (out.log_factors, out_lf),
+                         (tilted, logp + want.log_sx[:, None] + want.log_sy)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            stepped, norm = apply_sharing_log(logp, want)
+            assert log_norm == norm
+            assert apply_sharing_log(logp, step, tilted, log_norm)[0] \
+                .tobytes() == stepped.tobytes()
 
 
 def test_compiler_keeps_no_plan_cache():
@@ -1007,7 +1074,6 @@ def _reference_plan(k, scheme, rows, betas, log_t, center, free_mask):
     steps, target rows), the steps as ``_plan_stars`` records them."""
     from crbmkit.bitspace import (cylinder_members, set_bits, star_cylinder,
                                   star_members)
-    from crbmkit.sharing import _sharp_cylinder_factors
 
     members = star_members(center, free_mask)
     cylinder = star_cylinder(center, free_mask, k)
@@ -1041,17 +1107,19 @@ def test_batched_plans_are_each_stars_own():
     # star's name, resets, geometry, cylinder inputs, steps and target rows
     # must be the ones a star-by-star plan gives, bit for bit: on every
     # packing with k <= 10 and every point walk with k <= 8, toward mixed,
-    # sparse and all-zero weight profiles
+    # sparse and all-zero weight profiles.  A packed star's resets are the
+    # packing's, each cylinder with the inputs it holds, ascending
     from crbmkit.packing import feasible_depths, star_count
 
     rng = np.random.default_rng(0)
-    walks = [(k, star_count(k, r), _packing_walk(k, r))
+    walks = [(k, star_count(k, r), _packing_walk(k, r),
+              build_packing(k, r).resets_at())
              for k in range(1, 11) for r in feasible_depths(k)]
     for k in range(9):
         rows = rng.permutation(1 << k)
         walks.append((k, 1 << k, [(rows, 0, [("row", x) for x in rows],
-                                   [()] * (1 << k))]))
-    for k, stars, walk in walks:
+                                   [()] * (1 << k))], {}))
+    for k, stars, walk, at in walks:
         assert sum(len(group[0]) for group in walk) == stars
         n = int(rng.integers(1, 4))
         scheme = _ComponentScheme.points(n, rng.permutation(1 << n)[
@@ -1068,7 +1136,13 @@ def test_batched_plans_are_each_stars_own():
                     members, free_bits, factors, inside, steps, target = (
                         _reference_plan(k, scheme, rows, betas, log_t,
                                         center, free_mask))
-                    assert (plan.name, plan.resets) == (name, reset)
+                    assert plan.name == name and plan.resets is reset
+                    assert [(mask, values) for mask, values, _ in reset] \
+                        == at.get(name[1], [])
+                    for mask, values, cylinder in reset:
+                        assert cylinder.dtype == np.intp
+                        assert cylinder.tolist() == [
+                            x for x in range(1 << k) if x & mask == values]
                     assert plan.tilt.members.tolist() == members
                     assert plan.tilt.members[0] == center
                     assert plan.tilt.free_bits.tolist() == free_bits

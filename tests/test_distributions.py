@@ -231,3 +231,19 @@ def test_kl_nonnegative_zero_iff_equal(p, q):
     if np.abs(p.probs - q.probs).max() < 1e-15:
         assert d < 1e-12
     assert kl(p, p) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("outputs, error, match", [
+    ([0, 1, 2], ShapeMismatch, r"2\^k = 4 inputs"),
+    ([0, 1, 2, 3, 0], ShapeMismatch, r"2\^k = 4 inputs"),
+    ([], ShapeMismatch, r"2\^k = 4 inputs"),
+    ([[0, 1, 2, 3]], ShapeMismatch, r"2\^k = 4 inputs"),
+    ([0, 1, 2, 4], ValueError, r"outside \[0, 2\^n\) = \[0, 4\)"),
+    ([0, -1, 2, 3], ValueError, r"outside \[0, 2\^n\) = \[0, 4\)"),
+])
+def test_deterministic_refuses_a_wrong_count_or_an_output_out_of_range(
+        outputs, error, match):
+    # one output per input, each an output state: too few or too many
+    # outputs name 2^k, and an output off the cube names [0, 2^n)
+    with pytest.raises(error, match=match):
+        ConditionalTable.deterministic(2, 2, outputs)

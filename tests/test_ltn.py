@@ -190,6 +190,21 @@ def test_embedding_constant_net_small_scale():
     assert np.abs(table.rows[:, 0] - 1.0).max() <= 1e-3
 
 
+def test_a_net_without_hidden_units_embeds_as_a_bias_only_crbm():
+    # m = 0: no first-layer pre-activation to bound and no W row to
+    # dominate, so alpha is 0 and only the output biases are scaled
+    net = ThresholdNet(2, 0, 2, np.zeros((0, 2)), np.zeros(0),
+                       np.zeros((0, 2)), np.array([0.5, -0.3]))
+    params, t_used = embed_ltn_in_crbm(net, eps=1e-3)
+    assert (params.m, t_used) == (0, 32.0)
+    assert params.b.tolist() == [16.0, -9.6]
+    assert tv_row_distance(eval_conditional(params), ltn_table(net)) <= 1e-3
+    params = embed_sigmoid_output(net, eps=1e-3)
+    assert params.m == 0 and params.b.tolist() == [0.5, -0.3]
+    assert tv_row_distance(eval_conditional(params),
+                           sigmoid_output_table(net)) <= 1e-12
+
+
 def test_embed_rejects_non_generic():
     net = ThresholdNet(1, 1, 1, np.zeros((1, 1)), np.zeros(1),
                        np.ones((1, 1)), np.ones(1))

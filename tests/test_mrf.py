@@ -69,6 +69,14 @@ def test_complex_validation():
     assert 0b011 in gen.faces and 0b110 in gen.faces and 0b101 not in gen.faces
 
 
+@pytest.mark.parametrize("generator", [-1, -2, 8, 2 ** 62 - 1, 2 ** 63])
+def test_generators_outside_the_ground_set_are_refused(generator):
+    # a negative mask never enumerates down to 0, and a mask past the
+    # ground set is a face outside it, not a pricing question
+    with pytest.raises(ValueError, match="outside the ground set"):
+        SimplicialComplex.from_generators(3, [0b011, generator])
+
+
 def test_mrf_distribution_examples():
     full = SimplicialComplex.full(3)
     assert np.allclose(mrf_distribution(MrfModel(full, {})).probs, 1 / 8)

@@ -275,23 +275,27 @@ def test_star_fill_error_shrinks_with_sharpness():
 
 def test_make_reset_step_examples():
     rng = np.random.default_rng(10)
-    # full input cube: all rows driven to the target point mass
+    # full input cube: all rows driven to the target point mass; the step
+    # comes with its tilted state and normalizer, which the application takes
     logp = random_state(2, 1, rng)
-    step = make_reset_step(2, 0, 0, point_mass_tilt(0, 1, 30.0), tau=30.0)
-    rows = conditional_rows(apply_sharing_log(logp, step)[0])
+    step, tilted, log_norm = make_reset_step(
+        logp, 0, 0, point_mass_tilt(0, 1, 30.0), 30.0)
+    assert step.k == 2
+    rows = conditional_rows(apply_sharing_log(logp, step, tilted,
+                                              log_norm)[0])
     assert np.abs(rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
-    tiny = make_reset_step(2, 0, 0, point_mass_tilt(0, 1, 1e-9), tau=1e-9)
-    after = apply_sharing_log(logp, tiny)[0]
+    made = make_reset_step(logp, 0, 0, point_mass_tilt(0, 1, 1e-9), 1e-9)
+    after = apply_sharing_log(logp, *made)[0]
     assert np.abs(np.exp(after) - np.exp(logp)).max() < 1e-6
 
     # half-cube reset moves only the constrained rows
     logp = random_state(2, 1, rng)
     before = conditional_rows(logp)
     # the cylinder fixing input bit 0 to 0
-    step = make_reset_step(2, 0b01, 0, point_mass_tilt(0, 1, 30.0), tau=30.0)
-    after = conditional_rows(apply_sharing_log(logp, step)[0])
+    made = make_reset_step(logp, 0b01, 0, point_mass_tilt(0, 1, 30.0), 30.0)
+    after = conditional_rows(apply_sharing_log(logp, *made)[0])
     for x in range(4):
         if x & 0b01 == 0:
             assert np.abs(after[x] - [1.0, 0.0]).sum() <= 1e-3
