@@ -36,7 +36,7 @@ _EXPORTS = {
             "compile_mrf_to_rbm", "conditional_budget", "mrf_distribution"),
     "packing": ("PackingSequence", "build_packing", "s_value", "seq_values",
                 "star_count", "validate_packing"),
-    "sharing": ("SharingStep", "make_reset_step"),
+    "sharing": ("SharingStep", "cylinders", "make_reset_step"),
     "verify": ("verify_all",),
 }
 

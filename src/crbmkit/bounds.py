@@ -157,17 +157,17 @@ def divergence_upper(k: int, n: int, m: int) -> float:
     """Best available divergence bound in bits for given hidden-unit count.
 
     Minimum of: the joint-model bound
-    (n+k) - floor(log2(m+1)) - (m+1)/2^floor(log2(m+1)) when
-    m <= 2^(n+k-1) - 1;  n (uniform rows are always reachable);  and n - l*
-    with l* the largest block width whose partition compiles within m.
+    (n+k) - floor(log2(m'+1)) - (m'+1)/2^floor(log2(m'+1)) at
+    m' = min(m, 2^(n+k-1) - 1), which is 0 from m' = 2^(n+k-1) - 1 on, where
+    the joint RBM is universal;  n (uniform rows are always reachable);  and
+    n - l* with l* the largest block width whose partition compiles within m.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    candidates = [float(n)]
-    if m <= (1 << (n + k - 1)) - 1:
-        fl = math.floor(math.log2(m + 1))
-        candidates.append((n + k) - fl - (m + 1) / (1 << fl))
-    candidates.append(float(n - feasible_block_width(k, n, m)))
+    joint = min(m, (1 << (n + k - 1)) - 1) + 1
+    fl = math.floor(math.log2(joint))
+    candidates = [float(n), (n + k) - fl - joint / (1 << fl),
+                  float(n - feasible_block_width(k, n, m))]
     return max(min(candidates), 0.0)
 
 

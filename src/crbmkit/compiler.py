@@ -71,27 +71,28 @@ pipeline's as they are, and its tilt normalizer goes into the unit's bias.
 The state has mass 1, so a trial makes one full reduction (the
 normalizer), and neither an accepted unit nor a tau level makes another.
 
-Nothing is kept across compiles: each compile plans its walk once, and
-all its tau levels share that plan.  A packed compile's walk is its
-packing (``packing.build_packing``), level by level: every star of a
-level shares one free mask, and its resets are read off the packing's
-arrays, each cylinder with its inputs (``_packing_walk``).  A support
-compile's walk is the point stars (x, 0), in one group.  Each group of
-stars that share a free mask is planned in one batch (``_plan_stars``):
-its geometry (``sharing.star_tilts``: each star's members, center first,
-its free bits and its cylinder factors at unit sharpness), its members'
-mixture weights and their log-odds, from one ``log_odds`` call over the
-target's whole profile, the components each star mixes toward, each
-step's target rows and the inputs of each cylinder.  The component scheme
-(``_ComponentScheme``) builds its output tilts (factors and log s_Y, 2^n)
-for all its components at once, on the first step, fill or reset, that
-asks for a sharpness.  So a tau level only builds, tries and accepts
-steps, fills and resets alike: unit input factors scaled to the trial's
-sharpness and a tilt from the scheme make the step, handed over with its
-tilted state and normalizer.  Each tau level builds its own start state,
-the conditioned broadcast of the start logits (``_Pipeline``), in tens of
-microseconds at the benchmark's sizes, and its accepted units grow the
-model's W, V and c in place (``crbm.append_hidden_unit``).
+Nothing is kept across compiles: each compile plans its walk once, and all
+its tau levels share that plan.  A walk is a list of levels, each a group
+of stars that share a free mask, with the resets run before them.  A packed
+compile's walk is its packing (``packing.build_packing``), whose resets, a
+level's lineages, all sit at a level's first star (``_packing_walk``); a
+support compile's is the point stars (x, 0), in one level with no reset.
+Every cylinder a step concentrates on (a star's inputs, a reset, an output
+component) comes from one builder, ``sharing.cylinders``: one broadcast per
+level's resets, per level's stars and per scheme.  Each level's stars are
+planned in one batch (``_plan_stars``): their geometry
+(``sharing.star_tilts``), their members' mixture weights and log-odds, from
+one ``log_odds`` call over the target's whole profile, and each step's
+target rows.  The component scheme (``_ComponentScheme``) builds its output
+tilts (factors and log s_Y, 2^n) for all its components at once, on the
+first step that asks for a sharpness.  So a tau level only builds, tries
+and accepts steps, fills and resets alike: planned unit input factors
+scaled to the trial's sharpness and a tilt from the scheme make the step,
+handed over with its tilted state and normalizer.  Each tau level builds
+its own start state, the conditioned broadcast of the start logits
+(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and its
+accepted units grow the model's W, V and c in place
+(``crbm.append_hidden_unit``).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitspace import check_cells, cylinder_members, state_bits
+from .bitspace import check_cells, state_bits
 from .crbm import (CrbmParams, append_hidden_unit, eval_cells,
                    eval_conditional)
 from .distributions import (ConditionalTable, _check_eps, kl_conditional,
@@ -115,9 +116,9 @@ from .errors import (
 )
 from .packing import best_depth, build_packing, universal_budget
 from .sharing import OutputTilt, SharingStep, StarTilt, _log_values_of, \
-    _read_only, _unit_cylinder_factors, apply_sharing_log, \
-    build_tilted_step, hidden_unit_from_log, log_odds, make_reset_step, \
-    mixture_weight_profile, star_tilts
+    _read_only, apply_sharing_log, build_tilted_step, cylinders, \
+    hidden_unit_from_log, log_odds, make_reset_step, mixture_weight_profile, \
+    star_tilts
 
 LOG2 = math.log(2.0)
 TAU_START = 16.0
@@ -168,33 +169,28 @@ class _ComponentScheme:
     targets all 2^n points with the most shared support point y0 first.
     """
 
-    def __init__(self, n: int, masks: tuple[int, ...],
-                 values: tuple[int, ...]):
+    def __init__(self, n: int, mask: int, values: tuple[int, ...]):
         self.n = n
-        self.masks = masks
+        self.mask = mask
         self.values = values
-        # one row per component: its member outputs, its uniform
-        # distribution, and its cylinder's (n, 2) output log factors at
-        # sharpness 1 (-1 on the off value of each fixed bit)
-        fixed, on = np.array(masks), np.array(values)
-        self.membership = _read_only(
-            (np.arange(1 << n) & fixed[:, None]) == on[:, None])
-        self.dists = _read_only(
-            self.membership / self.membership.sum(axis=1, keepdims=True))
-        self.unit = _unit_cylinder_factors(n, fixed, on)
+        # one row per component, the cylinder (mask, value): its unit (n, 2)
+        # output log factors, its member outputs and its uniform distribution
+        self.unit, self.members = cylinders(n, mask, values)
+        dists = np.zeros((len(values), 1 << n))
+        np.put_along_axis(dists, self.members, 1.0 / self.members.shape[1], 1)
+        self.dists = _read_only(dists)
         self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
 
     @property
     def count(self) -> int:
-        return len(self.masks)
+        return len(self.values)
 
     @property
     def sharp_width(self) -> int:
-        return max(m.bit_count() for m in self.masks)
+        return self.mask.bit_count()
 
     def masses(self, rows: np.ndarray) -> np.ndarray:
-        return np.stack([rows[:, mem].sum(axis=1) for mem in self.membership],
-                        axis=1)
+        return rows[:, self.members].sum(axis=2)
 
     def project(self, rows: np.ndarray) -> np.ndarray:
         """The divergence projections of ``rows`` onto the rows constant on
@@ -224,52 +220,46 @@ class _ComponentScheme:
     def points(n: int, values) -> "_ComponentScheme":
         """Point components at the output states ``values``, in that order;
         the first is the start component."""
-        values = tuple(values)
-        return _ComponentScheme(n, ((1 << n) - 1,) * len(values), values)
+        return _ComponentScheme(n, (1 << n) - 1, tuple(values))
 
     @staticmethod
     def partition(n: int, l: int) -> "_ComponentScheme":
-        mask = (1 << l) - 1
-        return _ComponentScheme(n, (mask,) * (1 << l), tuple(range(1 << l)))
+        return _ComponentScheme(n, (1 << l) - 1, tuple(range(1 << l)))
 
 
 class _StarFill(NamedTuple):
     """One star of a compile's walk as the compile plans it once for all
     its tau levels: its name in errors, ``(label, index)``, formatted only
-    when the star dooms a level; the resets ``(fixed_mask, fixed_values,
-    inside)`` tried just before it is filled, each a cylinder and its
-    inputs, ascending; its ``sharing.StarTilt``; its steps in order; the
-    inputs of its cylinder (``inside``, ascending), whose rows no drift
-    check reads; and its members' target rows.  A step is ``(t, betas,
-    log_t, target)``: the component t it mixes toward, the members' mixture
+    when the star dooms a level; its ``sharing.StarTilt``, whose cylinder's
+    inputs are the rows no drift check of its steps reads; its steps in
+    order; and its members' target rows.  A step is ``(t, betas, log_t,
+    target)``: the component t it mixes toward, the members' mixture
     weights toward it and their ``log_odds``, and the members' target rows
     after it, the previous step's mixed toward component t."""
 
     name: tuple[str, int]
-    resets: Sequence[tuple[int, int, np.ndarray]]
     tilt: StarTilt
     steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-    inside: np.ndarray
     target: np.ndarray
 
 
 def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
                 betas: np.ndarray, log_t: np.ndarray, centers: np.ndarray,
-                free_mask: int, names: Sequence[tuple[str, int]],
-                resets: Sequence[Sequence[tuple[int, int, np.ndarray]]]
+                free_mask: int, names: Sequence[tuple[str, int]]
                 ) -> list[_StarFill]:
     """The ``_StarFill`` of each star ``(c, free_mask)`` on k inputs, c in
-    ``centers``, in that order, named by ``names`` and reset before by
-    ``resets``: every star of one free mask in one plan.
+    ``centers``, in that order, named by ``names``: every star of one free
+    mask in one plan.
 
     ``rows`` is the target table, ``betas`` its ``mixture_weight_profile``,
     whose weight for a component is positive exactly where that component
     has target mass, and ``log_t`` their ``log_odds``, all indexed by input.
-    A star mixes toward each component 1..M-1 with a positive weight on one
+    A star steps toward each component 1..M-1 with a positive weight on one
     of its members, in order, and its first step's targets mix the start
     component's distribution.  Each component's targets are mixed at once
-    for all the stars it is a step of, by the float operations of a
-    star-by-star plan."""
+    for the stars that step toward it, by the float operations of a
+    star-by-star plan: mixing every star toward every component would cost
+    2^k rows times 2^n components on a support compile's one level."""
     tilts = star_tilts(k, centers, free_mask)
     members = tilts.members
     # component-major: [t - 1] holds every member's weight (log-odds)
@@ -285,34 +275,30 @@ def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
         beta = betas[t - 1][on]
         mixed[on] = target = ((1.0 - beta)[..., None] * mixed[on]
                               + beta[..., None] * scheme.dists[t])
-        for s, b, lt, row in zip(on.tolist(), beta, log_t[t - 1][on],
-                                 target):
-            steps[s].append((t, b, lt, row))
-    inside = members[:, :1] + np.array(
-        cylinder_members(((1 << k) - 1) & ~free_mask, 0, k), dtype=np.intp)
-    return [_StarFill(name, reset, StarTilt(m, tilts.free_bits, factors),
-                      star_steps, star_inside, star_rows)
-            for name, reset, m, factors, star_steps, star_inside, star_rows
-            in zip(names, resets, members, tilts.cylinder_factors, steps,
-                   inside, rows[members])]
+        for s, *step in zip(on.tolist(), beta, log_t[t - 1][on], target):
+            steps[s].append((t, *step))
+    return [_StarFill(name, StarTilt(m, tilts.free_bits, factors, inputs),
+                      star_steps, star_rows)
+            for name, m, factors, inputs, star_steps, star_rows
+            in zip(names, members, tilts.cylinder_factors, tilts.inputs,
+                   steps, rows[members])]
 
 
 def _packing_walk(k: int, r: int) -> list[tuple]:
-    """The depth-r packing of k inputs as ``_plan_stars`` groups
-    ``(centers, free_mask, names, resets)``, one per run of stars that share
-    a free mask (each level of the packing is one), in fill order.  A star
-    is named ``("star", i)`` by its place in the packing, and its resets
-    are read off the packing's arrays, each cylinder with its inputs."""
+    """The depth-r packing of k inputs as its levels ``(resets, centers,
+    free_mask, names)`` in fill order, a star named ``("star", i)`` by its
+    place.  A level's resets, run before its stars, are its lineages,
+    cylinders of one fixed mask, each ``(unit factors, inputs)`` from one
+    ``cylinders`` call: the packing resets only at a level's first star."""
     seq = build_packing(k, r)
-    resets = {pos: [(mask, values, np.array(
-        cylinder_members(mask, values, k), dtype=np.intp))
-        for mask, values in at] for pos, at in seq.resets_at().items()}
     edges = [0, *(np.flatnonzero(np.diff(seq.free_masks)) + 1).tolist(),
              len(seq.centers)]
-    return [(seq.centers[lo:hi], int(seq.free_masks[lo]),
-             [("star", i) for i in range(lo, hi)],
-             [resets.get(i, ()) for i in range(lo, hi)])
-            for lo, hi in zip(edges, edges[1:])]
+    cuts = np.searchsorted(seq.reset_positions, edges).tolist()
+    return [(list(zip(*cylinders(k, int(seq.reset_masks[a]),
+                                 seq.reset_values[a:b]))) if b > a else [],
+             seq.centers[lo:hi], int(seq.free_masks[lo]),
+             [("star", i) for i in range(lo, hi)])
+            for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:])]
 
 
 def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
@@ -452,12 +438,12 @@ class _Pipeline:
         raise BudgetExceeded(f"{kind} sharpness schedule exhausted: {tried} "
                              f"(tau = {self.tau:g})")
 
-    def reset_if_needed(self, fixed_mask: int, fixed_values: int,
+    def reset_if_needed(self, cylinder_factors: np.ndarray,
                         inside: np.ndarray) -> None:
-        """Drive the cylinder ``(fixed_mask, fixed_values)`` of inputs, whose
-        members are ``inside`` (``_packing_walk``), back to the start
-        component iff one of its rows has drifted from it by more than the
-        phase tolerance."""
+        """Drive a cylinder of inputs, its (k, 2) unit log factors and its
+        members ``inside`` as ``_packing_walk`` plans them, back to the
+        start component iff one of its rows has drifted from it by more
+        than the phase tolerance."""
         start = self.scheme.dists[0]
         if (_worst_row_tv(self._rows[inside], start)
                 <= self.start_tv + 2.0 * self.tol_step):
@@ -465,8 +451,8 @@ class _Pipeline:
         # outputs: concentrate on the start component at start-grade sharpness
         grade = 2.0 * max(self.scheme.sharp_width, 1)
         self._step("reset", lambda sharp: make_reset_step(
-            self.logp, fixed_mask, fixed_values,
-            self.scheme.tilt(0, sharp / grade), sharp),
+            self.logp, cylinder_factors, self.scheme.tilt(0, sharp / grade),
+            sharp),
             inside, start, self.start_tv + self.tol_step, inside)
 
     def fill_star(self, fill: _StarFill) -> None:
@@ -483,21 +469,21 @@ class _Pipeline:
             self._step("fill", lambda sharp: build_tilted_step(
                 self.logp, star, betas, log_t, self.scheme.tilt(t, sharp),
                 sharp), star.members, target, self.allowance + self.tol_step,
-                fill.inside)
+                star.inputs)
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
              walk: list[tuple], total_steps: int, eps: float, mode: str,
              budget: int, r: int | None, clamp_error: float = 0.0
              ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
-    """Walk the stars of ``walk``, its ``_plan_stars`` groups in order, at
-    tau = TAU_START, 2 TAU_START, ..., TAU_MAX and return the first level
-    whose evaluated conditional is within eps of ``target``, with that
-    conditional, the certificate's.
+    """Walk ``walk``, levels ``(resets, centers, free_mask, names)``, at
+    tau = TAU_START, 2 TAU_START, ..., TAU_MAX and return the first tau
+    level whose evaluated conditional is within eps of ``target``, with
+    that conditional, the certificate's.
 
-    At each star a level resets the drifted cylinders the star lists, fills
-    the star and rejects itself if the star is doomed.  Each of the
-    ``total_steps`` scheduled steps gets tolerance eps / (2 total_steps).
+    At each level of the walk a tau level resets the drifted cylinders,
+    fills the stars and rejects itself at the first doomed star.  Each of
+    the ``total_steps`` scheduled steps gets tolerance eps / (2 total_steps).
     When no level meets eps, the error names why the last one failed: the
     error it raised, which it chains, or its certificate's TV."""
     # row by row, so each star reads its members' rows of one profile and
@@ -505,21 +491,22 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     # star's fill is planned once, for all levels
     betas = mixture_weight_profile(scheme.masses(target.rows))
     log_t = log_odds(betas)
-    stars = [star for group in walk
-             for star in _plan_stars(target.k, scheme, target.rows, betas,
-                                     log_t, *group)]
+    levels = [(resets, _plan_stars(target.k, scheme, target.rows, betas,
+                                   log_t, *group))
+              for resets, *group in walk]
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for star in stars:
-                for reset in star.resets:
+            for resets, stars in levels:
+                for reset in resets:
                     pipe.reset_if_needed(*reset)
-                pipe.fill_star(star)
-                pipe.reject_if_doomed(star.tilt.members, star.target, eps,
-                                      total_steps, star.name)
+                for star in stars:
+                    pipe.fill_star(star)
+                    pipe.reject_if_doomed(star.tilt.members, star.target,
+                                          eps, total_steps, star.name)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
         else:
@@ -611,8 +598,8 @@ def _partition(target: ConditionalTable, scheme: _ComponentScheme,
                ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
     """``compile_partition`` on the blocks of the partition ``scheme``, with
     the certificate's conditional."""
-    for z, member in enumerate(scheme.membership):
-        block = target.rows[:, member]
+    for z, members in enumerate(scheme.members):
+        block = target.rows[:, members]
         if np.abs(block - block.mean(axis=1, keepdims=True)).max() > 1e-9:
             raise NotBlockConstant(f"rows are not constant on block {z}")
     return _compile_packed(target, scheme, r, eps, "partition")
@@ -651,7 +638,7 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
     rows = np.argsort(extra, kind="stable")
-    walk = [(rows, 0, [("row", x) for x in rows.tolist()], [()] * (1 << k))]
+    walk = [([], rows, 0, [("row", x) for x in rows.tolist()])]
     return _compile(target, scheme, walk, total_steps, eps, "support", budget,
                     None)[:2]
 

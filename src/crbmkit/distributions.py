@@ -83,17 +83,24 @@ class ConditionalTable:
 
     @staticmethod
     def deterministic(k: int, n: int, outputs: list[int]) -> "ConditionalTable":
-        """Point-mass rows: row x is the delta at outputs[x], one output in
-        [0, 2^n) for each of the 2^k inputs."""
+        """Point-mass rows: row x is the delta at outputs[x], one whole number
+        in [0, 2^n) for each of the 2^k inputs (1.0 counts, 1.5 does not)."""
         outputs = np.asarray(outputs)
         if outputs.shape != (1 << k,):
             raise ShapeMismatch(f"need one output for each of the 2^k = "
                                 f"{1 << k} inputs, got shape {outputs.shape}")
+        if outputs.dtype.kind not in "iuf":
+            raise ValueError(f"outputs must be integers, got {outputs.dtype}")
+        off = ~np.isfinite(outputs) | (outputs != np.floor(outputs))
+        if off.any():
+            x = int(np.argmax(off))
+            raise ValueError(f"output {outputs[x].item()!r} of input {x} is "
+                             f"not an integer")
         if ((outputs < 0) | (outputs >= 1 << n)).any():
             raise ValueError(f"an output lies outside [0, 2^n) = "
                              f"[0, {1 << n})")
         rows = np.zeros((1 << k, 1 << n))
-        rows[np.arange(1 << k), outputs] = 1.0
+        rows[np.arange(1 << k), outputs.astype(np.intp)] = 1.0
         return ConditionalTable(k, n, rows)
 
     def support_size(self) -> int:

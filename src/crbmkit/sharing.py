@@ -30,12 +30,12 @@ compares it with ``crbm.eval_conditional`` of the grown model.
 
 Each step kind has one builder: build_tilted_step (a star fill, exact
 mixture weights on the star's rows) and make_reset_step (a cylinder reset).
-Both concentrate the inputs on a cylinder the same way, by its factors at
-unit sharpness (``_unit_cylinder_factors``) scaled to the trial's, and both
-end in one tilting tail (``_tilted``).  A reset reads k off the rows
-of the state, a fill off its star.  A fill reads everything about its star
-that the state does not move from a ``StarTilt``: the members, center
-first, the free bits their flips set, and the cylinder's unit factors.
+Both scale a cylinder's planned unit factors to the trial's sharpness and
+end in one tilting tail (``_tilted``).  The one cylinder builder,
+``cylinders``, gives the unit factors and members of many cylinders of one
+fixed mask in one broadcast.  A fill reads everything about its star that
+the state does not move from a ``StarTilt``: the members, center first,
+the free bits their flips set, and the cylinder's unit factors and inputs.
 ``star_tilts`` builds the geometry of every star of one free mask in one
 broadcast, from centers that are 0 on their free bits, so no flip needs
 locating.  A fill takes its mixture weights with their clamped log-odds
@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitspace import set_bits
+from .bitspace import cylinder_members, set_bits
 from .errors import (
     DegenerateStep,
     InfeasibleProfile,
@@ -256,30 +256,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _unit_cylinder_factors(width: int, fixed_masks, fixed_values
-                           ) -> np.ndarray:
-    """(..., width, 2) log factors at sharpness 1 of the cylinders
-    ``(fixed_masks, fixed_values)``, integers or arrays broadcast against
-    each other, read-only: -1 on the off value of each fixed bit, the other
-    bits 0.  Times a sharpness they are -sharpness and 0 exactly."""
+def cylinders(width: int, fixed_mask: int, values
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The cylinders ``(fixed_mask, v)`` of {0,1}^width, v in ``values``, in
+    one broadcast, both read-only: their (c, width, 2) log factors at
+    sharpness 1, -1 on the off value of each fixed bit and the other bits 0
+    (times a sharpness, -sharpness and 0 exactly), and their (c, 2^free)
+    members, ascending.  A value with a free bit set, or off the cube, is
+    refused (ValueError)."""
+    values = np.asarray(values, dtype=np.intp)
+    free = ((1 << width) - 1) & ~fixed_mask
+    if (values & ~fixed_mask).any():
+        raise ValueError(f"a value has a bit of the free mask {free:#b} set "
+                         f"or lies off [0, 2^{width})")
+    offsets = np.array(cylinder_members(fixed_mask, 0, width), dtype=np.intp)
     bits = np.arange(width)
-    fixed = (np.asarray(fixed_masks)[..., None] >> bits) & 1
-    on = (np.asarray(fixed_values)[..., None] >> bits) & 1
-    return _read_only(np.where(
-        (fixed[..., None] == 1) & (np.arange(2) != on[..., None]), -1.0, 0.0))
+    fixed = ((fixed_mask >> bits) & 1)[:, None] == 1
+    on = (values[:, None] >> bits) & 1
+    factors = np.where(fixed & (np.arange(2) != on[..., None]), -1.0, 0.0)
+    return _read_only(factors), _read_only(values[:, None] + offsets)
 
 
 class StarTilt(NamedTuple):
     """What a fill of one star on k inputs reads that does not depend on
     the state, all arrays read-only: its ``members``, the center and then
     the center plus 2^b for each of its ``free_bits`` b (ascending), on
-    which the center is 0; and ``cylinder_factors``, the (k, 2) log factors
-    at sharpness 1 of its input cylinder, which fixes every other bit to
-    the center's.  ``star_tilts`` builds them, one free mask at a time."""
+    which the center is 0; and the (k, 2) log factors at sharpness 1
+    (``cylinder_factors``) and ``inputs`` of its input cylinder, which fixes
+    every other bit to the center's.  ``star_tilts`` builds them."""
 
     members: np.ndarray
     free_bits: np.ndarray
     cylinder_factors: np.ndarray
+    inputs: np.ndarray
 
 
 def star_tilts(k: int, centers, free_mask: int) -> StarTilt:
@@ -288,18 +297,11 @@ def star_tilts(k: int, centers, free_mask: int) -> StarTilt:
     ``free_bits`` for all).  Every star a compile walks has its center 0 on
     its free bits: a packing's centers are a lineage and a tail with the
     free block clear, and a point star has no free bit.  A center with a
-    free bit set is refused (ValueError)."""
-    centers = np.asarray(centers, dtype=np.intp)
-    if (centers & free_mask).any():
-        raise ValueError(f"a center has a bit of the free mask "
-                         f"{free_mask:#b} set")
-    bits = set_bits(free_mask)
-    members = centers[:, None] + np.array([0] + [1 << b for b in bits],
-                                          dtype=np.intp)
-    return StarTilt(_read_only(members),
-                    _read_only(np.array(bits, dtype=np.intp)),
-                    _unit_cylinder_factors(k, ((1 << k) - 1) & ~free_mask,
-                                           centers))
+    free bit set is refused (ValueError, by ``cylinders``)."""
+    factors, inputs = cylinders(k, ((1 << k) - 1) & ~free_mask, centers)
+    bits = np.array(set_bits(free_mask), dtype=np.intp)
+    members = inputs[:, :1] + np.concatenate(([0], 1 << bits))
+    return StarTilt(_read_only(members), _read_only(bits), factors, inputs)
 
 
 def build_tilted_step(
@@ -360,22 +362,24 @@ def build_tilted_step(
     return SharingStep(k, lam, lf, log_sx, log_sy), tilted, log_norm
 
 
-def make_reset_step(logp: np.ndarray, fixed_mask: int, fixed_values: int,
+def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
                     out: OutputTilt, sharpness: float
                     ) -> tuple[SharingStep, np.ndarray, float]:
     """A step driving the rows of the state ``logp`` ((2^k, 2^n), indexed
-    [x, y]) whose inputs lie in the cylinder ``(fixed_mask, fixed_values)``
-    toward an output component, with its tilted state and tilt normalizer,
-    as build_tilted_step returns them.
+    [x, y]) whose inputs lie in a cylinder, its (k, 2) unit log factors
+    ``cylinder_factors`` (``cylinders``), toward an output component, with
+    its tilted state and tilt normalizer, as build_tilted_step returns them.
 
     ``out`` (already sharpened) is the component's output tilt, e.g. -tau
     on the off value of every bit for a point mass.  lam is near 0 and the
-    inputs are concentrated on the cylinder by its unit factors scaled to
+    inputs are concentrated on the cylinder by its factors scaled to
     ``sharpness``; rows outside it move by at most eps(sharpness).
     """
     k = len(logp).bit_length() - 1
-    lf = np.concatenate((_unit_cylinder_factors(k, fixed_mask, fixed_values)
-                         * sharpness, out.log_factors))
+    if np.shape(cylinder_factors) != (k, 2):
+        raise ShapeMismatch(f"cylinder factors must be ({k}, 2) for a state "
+                            f"of 2^{k} rows, got {np.shape(cylinder_factors)}")
+    lf = np.concatenate((cylinder_factors * sharpness, out.log_factors))
     log_sx = _log_values_of(lf[:k])
     tilted, log_norm = _tilted(logp, log_sx, out.log_sy)
     lam = float(1.0 / (1.0 + np.exp(min(sharpness / 2.0, 700.0))))

@@ -218,7 +218,7 @@ def _crit_bounds(offset: int = 0) -> tuple[bool, str]:
             rep = bounds.universal_m_table(k, n)
             if rep.m_min is not None and rep.m_min > rep.rbm_route:
                 return False, f"({k},{n}): min {rep.m_min} > RBM {rep.rbm_route}"
-    for k in range(1, 5):
+    for k in range(5):
         for n in range(1, 5):
             prev = None
             for m in range(65):

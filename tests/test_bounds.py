@@ -170,12 +170,18 @@ def test_divergence_upper_examples():
     assert divergence_upper(2, 2, 2) == pytest.approx(1.0)
     # (n+k) = 4, m = 3: joint term = 4 - 2 - 4/4 = 1
     assert divergence_upper(2, 2, 3) == pytest.approx(1.0)
+    # k = 0: the joint term stays 0 past the universal m = 2^(n-1) - 1
+    assert [divergence_upper(0, 2, m) for m in range(4)] == [
+        1.0, 0.0, 0.0, 0.0]
+    assert divergence_upper(0, 1, 3) == divergence_upper(0, 2, 5) == 0.0
     assert feasible_block_width(2, 2, 2) == 1
     assert feasible_block_width(1, 2, 1) == 1
 
 
 def test_divergence_upper_monotone_in_m():
-    for k in range(1, 5):
+    # k = 0 too: no packing there, so past the universal RBM size
+    # m = 2^(n-1) - 1 the joint-model bound alone keeps the bound at 0
+    for k in range(5):
         for n in range(1, 5):
             values = [divergence_upper(k, n, m) for m in range(65)]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))

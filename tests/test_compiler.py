@@ -38,7 +38,8 @@ from crbmkit.errors import (
 )
 from crbmkit.packing import build_packing
 from crbmkit.sharing import (StarTilt, apply_sharing_log, build_tilted_step,
-                             log_odds, mixture_weight_profile, star_tilts)
+                             cylinders, log_odds, mixture_weight_profile,
+                             star_tilts)
 
 
 def one_star(k, center, free_mask):
@@ -46,15 +47,15 @@ def one_star(k, center, free_mask):
     inputs."""
     tilts = star_tilts(k, [center], free_mask)
     return StarTilt(tilts.members[0], tilts.free_bits,
-                    tilts.cylinder_factors[0])
+                    tilts.cylinder_factors[0], tilts.inputs[0])
 
 
 def plan_one(k, scheme, rows, center, free_mask):
     """The compile's plan of the one star ``(center, free_mask)`` toward the
-    target ``rows`` (2^k of them), named ("star", 0), with no reset."""
+    target ``rows`` (2^k of them), named ("star", 0)."""
     betas = mixture_weight_profile(scheme.masses(rows))
     return _plan_stars(k, scheme, rows, betas, log_odds(betas), [center],
-                       free_mask, [("star", 0)], [()])[0]
+                       free_mask, [("star", 0)])[0]
 
 
 def test_clamp_table():
@@ -626,7 +627,7 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     assert pipe.params.m == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
-        pipe.reset_if_needed(0, 0, np.arange(4))
+        pipe.reset_if_needed(*(a[0] for a in cylinders(2, 0, [0])))
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
         pipe.fill_star(fill)
     assert pipe.params.m == 1
@@ -940,6 +941,60 @@ def _sharp_cylinder_factors(width, fixed_mask, fixed_values, sharp):
     return lf
 
 
+def test_cylinders_are_the_bit_by_bit_cylinders():
+    # the one cylinder builder, for stars, resets and output components:
+    # on widths 0-10, fixed mask 0, the full mask and random ones, each
+    # cylinder's members are bitspace's enumeration and its unit factors
+    # the bit-by-bit ones, bit for bit, both read-only; a value with a bit
+    # of the free mask set, or off the cube, is refused
+    from crbmkit.bitspace import cylinder_members
+
+    rng = np.random.default_rng(3)
+    for width in range(11):
+        full = (1 << width) - 1
+        for mask in {0, full, *rng.integers(0, full + 1, 8).tolist()}:
+            values = sorted({0, mask} | {
+                v & mask for v in rng.integers(0, full + 1, 16).tolist()})
+            factors, members = cylinders(width, mask, values)
+            assert factors.shape == (len(values), width, 2)
+            assert members.shape == (len(values),
+                                     1 << (width - mask.bit_count()))
+            assert members.dtype == np.intp
+            assert not factors.flags.writeable
+            assert not members.flags.writeable
+            for v, lf, inside in zip(values, factors, members):
+                assert inside.tolist() == cylinder_members(mask, v, width)
+                assert lf.tobytes() == _sharp_cylinder_factors(
+                    width, mask, v, 1.0).tobytes()
+        if width:
+            with pytest.raises(ValueError, match=(
+                    f"^a value has a bit of the free mask 0b1 set or lies "
+                    f"off \\[0, 2\\^{width}\\)$")):
+                cylinders(width, full & ~1, [0, 1])
+        for off in (-1, 1 << width):
+            with pytest.raises(ValueError, match="or lies off"):
+                cylinders(width, full, [0, off])
+
+
+def test_packing_resets_sit_at_level_starts():
+    # the walk runs a level's resets before its stars, one cylinders call
+    # per level, which keeps the packing's schedule only if every reset
+    # sits at a level's first star and one position's resets share one
+    # fixed mask: on every feasible (k, r) with k <= 16 (r = 5 from
+    # k = 15) and on (17, 5).  The walk carries all E(r) resets
+    from crbmkit.packing import e_value, feasible_depths
+
+    for k, r in [(k, r) for k in range(1, 17)
+                 for r in feasible_depths(k)] + [(17, 5)]:
+        seq = build_packing(k, r)
+        starts = {0, *(np.flatnonzero(np.diff(seq.free_masks)) + 1).tolist()}
+        for pos, at in seq.resets_at().items():
+            assert pos in starts
+            assert len({mask for mask, _ in at}) == 1
+        resets = [reset for level in _packing_walk(k, r) for reset in level[0]]
+        assert len(resets) == len(seq.reset_positions) == e_value(r)
+
+
 def _rungs():
     """The sharpness rungs of every tau level of the compile schedule."""
     taus = [compiler.TAU_START * 2.0 ** j
@@ -969,7 +1024,7 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
             grade = 2.0 * max(scheme.sharp_width, 1)
             for sharp in rungs + [sharp / grade for sharp in rungs]:
                 for t in range(scheme.count):
-                    lf = _sharp_cylinder_factors(n, scheme.masks[t],
+                    lf = _sharp_cylinder_factors(n, scheme.mask,
                                                  scheme.values[t], sharp)
                     out = scheme.tilt(t, sharp)
                     assert out.log_factors.tobytes() == lf.tobytes()
@@ -980,30 +1035,44 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
 
 
 def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
-    # a reset's cylinder inputs are planned with the walk and its step is
-    # built like a fill's: unit input factors scaled to the trial's
-    # sharpness and the scheme's batched start tilt, with its tilted state
-    # and normalizer.  Each must be, bit for bit, the step built from the
-    # cylinder's factors written bit by bit, its tables summed by
-    # SharingStep, and the tilted state and normalizer that
+    # a reset's cylinder factors and inputs are planned with the walk and
+    # its step is built like a fill's: unit input factors scaled to the
+    # trial's sharpness and the scheme's batched start tilt, with its
+    # tilted state and normalizer.  A tau level runs the packing's resets
+    # in order, so its i-th reset is the packing's i-th cylinder ``(mask,
+    # values)``: its planned inputs and unit factors must be that
+    # cylinder's, and each trial's step must be, bit for bit, the step
+    # built from the cylinder's factors written bit by bit, its tables
+    # summed by SharingStep, and the tilted state and normalizer that
     # apply_sharing_log computes for it, at every trial of the (8,1) r = 3
     # compile and the common (8,2) |T| = 3 compile
     from crbmkit.sharing import SharingStep, _log_values_of
 
-    trials, checked = [], []
+    trials, checked, packings, current = [], [], [], {}
     build, reset = compiler.make_reset_step, _Pipeline.reset_if_needed
+    pack = compiler.build_packing
+
+    def packed(k, r):
+        packings.append(pack(k, r))
+        return packings[-1]
 
     def traced(*args):
         made = build(*args)
-        trials.append((args, made))
+        trials.append((args, made, current["cylinder"]))
         return made
 
-    def planned(pipe, fixed_mask, fixed_values, inside):
+    def planned(pipe, factors, inside):
+        seq, i = packings[-1], sum(p is pipe for p in checked)
+        mask, values = current["cylinder"] = (int(seq.reset_masks[i]),
+                                              int(seq.reset_values[i]))
         assert inside.tolist() == np.flatnonzero(
-            (np.arange(1 << pipe.k) & fixed_mask) == fixed_values).tolist()
+            (np.arange(1 << pipe.k) & mask) == values).tolist()
+        assert factors.tobytes() == _sharp_cylinder_factors(
+            pipe.k, mask, values, 1.0).tobytes()
         checked.append(pipe)
-        return reset(pipe, fixed_mask, fixed_values, inside)
+        return reset(pipe, factors, inside)
 
+    monkeypatch.setattr(compiler, "build_packing", packed)
     monkeypatch.setattr(compiler, "make_reset_step", traced)
     monkeypatch.setattr(_Pipeline, "reset_if_needed", planned)
     for run, n in (
@@ -1019,10 +1088,10 @@ def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
         grade = 2.0 * max(scheme.sharp_width, 1)
         rungs = {tau * 2.0 ** i for tau in (16.0, 32.0, 64.0)
                  for i in range(compiler.STEP_RETRIES)}
-        for (logp, mask, values, out, sharp), made in trials:
+        for (logp, factors, out, sharp), made, (mask, values) in trials:
             assert sharp in rungs
             step, tilted, log_norm = made
-            out_lf = _sharp_cylinder_factors(n, scheme.masks[0],
+            out_lf = _sharp_cylinder_factors(n, scheme.mask,
                                              scheme.values[0], sharp / grade)
             lf = np.concatenate((_sharp_cylinder_factors(8, mask, values,
                                                          sharp), out_lf))
@@ -1103,12 +1172,13 @@ def _beta_profiles(k, components, rng):
 
 
 def test_batched_plans_are_each_stars_own():
-    # every group of stars sharing a free mask is planned in one batch; each
-    # star's name, resets, geometry, cylinder inputs, steps and target rows
-    # must be the ones a star-by-star plan gives, bit for bit: on every
-    # packing with k <= 10 and every point walk with k <= 8, toward mixed,
-    # sparse and all-zero weight profiles.  A packed star's resets are the
-    # packing's, each cylinder with the inputs it holds, ascending
+    # every level of stars sharing a free mask is planned in one batch; each
+    # star's name, geometry, cylinder inputs, steps and target rows must be
+    # the ones a star-by-star plan gives, bit for bit: on every packing
+    # with k <= 10 and every point walk with k <= 8, toward mixed, sparse
+    # and all-zero weight profiles.  A level's resets are the packing's at
+    # its first star, and it has no other: each cylinder with its unit
+    # factors and the inputs it holds, ascending
     from crbmkit.packing import feasible_depths, star_count
 
     rng = np.random.default_rng(0)
@@ -1117,38 +1187,42 @@ def test_batched_plans_are_each_stars_own():
              for k in range(1, 11) for r in feasible_depths(k)]
     for k in range(9):
         rows = rng.permutation(1 << k)
-        walks.append((k, 1 << k, [(rows, 0, [("row", x) for x in rows],
-                                   [()] * (1 << k))], {}))
+        walks.append((k, 1 << k, [([], rows, 0, [("row", x) for x in rows])],
+                      {}))
     for k, stars, walk, at in walks:
-        assert sum(len(group[0]) for group in walk) == stars
+        assert sum(len(level[1]) for level in walk) == stars
+        for resets, _, _, names in walk:
+            assert not any(at.get(name[1]) for name in names[1:])
+            cylinders_at = at.get(names[0][1], [])
+            assert len(resets) == len(cylinders_at)
+            for (factors, inside), (mask, values) in zip(resets,
+                                                         cylinders_at):
+                assert inside.dtype == np.intp
+                assert inside.tolist() == [
+                    x for x in range(1 << k) if x & mask == values]
+                assert factors.tobytes() == _sharp_cylinder_factors(
+                    k, mask, values, 1.0).tobytes()
         n = int(rng.integers(1, 4))
         scheme = _ComponentScheme.points(n, rng.permutation(1 << n)[
             :int(rng.integers(2, (1 << n) + 1))])
         rows = rng.dirichlet(np.ones(1 << n), size=1 << k)
         for betas in _beta_profiles(k, scheme.count, rng):
             log_t = log_odds(betas)
-            for centers, free_mask, names, resets in walk:
+            for _, centers, free_mask, names in walk:
                 plans = _plan_stars(k, scheme, rows, betas, log_t, centers,
-                                    free_mask, names, resets)
+                                    free_mask, names)
                 assert len(plans) == len(centers)
-                for plan, center, name, reset in zip(plans, centers.tolist(),
-                                                     names, resets):
+                for plan, center, name in zip(plans, centers.tolist(), names):
                     members, free_bits, factors, inside, steps, target = (
                         _reference_plan(k, scheme, rows, betas, log_t,
                                         center, free_mask))
-                    assert plan.name == name and plan.resets is reset
-                    assert [(mask, values) for mask, values, _ in reset] \
-                        == at.get(name[1], [])
-                    for mask, values, cylinder in reset:
-                        assert cylinder.dtype == np.intp
-                        assert cylinder.tolist() == [
-                            x for x in range(1 << k) if x & mask == values]
+                    assert plan.name == name
                     assert plan.tilt.members.tolist() == members
                     assert plan.tilt.members[0] == center
                     assert plan.tilt.free_bits.tolist() == free_bits
                     assert (plan.tilt.cylinder_factors.tobytes()
                             == factors.tobytes())
-                    assert plan.inside.tolist() == inside
+                    assert plan.tilt.inputs.tolist() == inside
                     assert plan.target.tobytes() == target.tobytes()
                     assert [step[0] for step in plan.steps] == [
                         step[0] for step in steps]

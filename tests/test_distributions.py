@@ -191,14 +191,14 @@ def test_partition_project_examples():
 
 def test_partition_project_is_optimal_among_samples():
     rng = np.random.default_rng(7)
-    blocks = _ComponentScheme.partition(3, 1).membership
+    blocks = _ComponentScheme.partition(3, 1).members
     p = random_dist(3, rng)
     _, best = partition_project(p, 1)
     for _ in range(100):
         masses = rng.dirichlet(np.ones(len(blocks)))
         q = np.zeros(8)
         for mass, block in zip(masses, blocks):
-            q[block] = mass / block.sum()
+            q[block] = mass / block.size
         assert best <= kl(p, Dist(3, q)) + 1e-12
 
 
@@ -240,10 +240,25 @@ def test_kl_nonnegative_zero_iff_equal(p, q):
     ([[0, 1, 2, 3]], ShapeMismatch, r"2\^k = 4 inputs"),
     ([0, 1, 2, 4], ValueError, r"outside \[0, 2\^n\) = \[0, 4\)"),
     ([0, -1, 2, 3], ValueError, r"outside \[0, 2\^n\) = \[0, 4\)"),
+    ([0, 1.5, 2, 3], ValueError, r"^output 1\.5 of input 1 is not an "
+                                 r"integer$"),
+    ([0, 1, 2, np.inf], ValueError, r"^output inf of input 3 is not an "
+                                    r"integer$"),
+    ([0, np.nan, 2, 3], ValueError, r"^output nan of input 1 is not an "
+                                    r"integer$"),
+    ([True, False, True, False], ValueError,
+     r"^outputs must be integers, got bool$"),
 ])
 def test_deterministic_refuses_a_wrong_count_or_an_output_out_of_range(
         outputs, error, match):
     # one output per input, each an output state: too few or too many
-    # outputs name 2^k, and an output off the cube names [0, 2^n)
+    # outputs name 2^k, an output off the cube names [0, 2^n), and an
+    # output that is no integer is named
     with pytest.raises(error, match=match):
         ConditionalTable.deterministic(2, 2, outputs)
+
+
+def test_deterministic_takes_whole_floats_as_their_integers():
+    whole = ConditionalTable.deterministic(2, 2, [1.0, 0.0, 2.0, 3.0])
+    exact = ConditionalTable.deterministic(2, 2, [1, 0, 2, 3])
+    assert np.array_equal(whole.rows, exact.rows)

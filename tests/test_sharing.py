@@ -21,6 +21,7 @@ from crbmkit.sharing import (
     _log_values_of,
     apply_sharing_log,
     build_tilted_step,
+    cylinders,
     hidden_unit_from_log,
     log_odds,
     logsumexp,
@@ -92,7 +93,7 @@ def one_star(k: int, center: int, free_mask: int) -> StarTilt:
     inputs."""
     tilts = star_tilts(k, [center], free_mask)
     return StarTilt(tilts.members[0], tilts.free_bits,
-                    tilts.cylinder_factors[0])
+                    tilts.cylinder_factors[0], tilts.inputs[0])
 
 
 def plan_star(pipe: _Pipeline, center: int, free_mask: int,
@@ -105,7 +106,7 @@ def plan_star(pipe: _Pipeline, center: int, free_mask: int,
     profile[one_star(k, center, free_mask).members] = betas
     return _plan_stars(k, pipe.scheme, np.zeros((1 << k, 1 << pipe.n)),
                        profile, log_odds(profile), [center], free_mask,
-                       [("star", 0)], [()])[0]
+                       [("star", 0)])[0]
 
 
 def fill_star(pipe: _Pipeline, center: int, free_mask: int,
@@ -278,15 +279,16 @@ def test_make_reset_step_examples():
     # full input cube: all rows driven to the target point mass; the step
     # comes with its tilted state and normalizer, which the application takes
     logp = random_state(2, 1, rng)
+    full = cylinders(2, 0, [0])[0][0]
     step, tilted, log_norm = make_reset_step(
-        logp, 0, 0, point_mass_tilt(0, 1, 30.0), 30.0)
+        logp, full, point_mass_tilt(0, 1, 30.0), 30.0)
     assert step.k == 2
     rows = conditional_rows(apply_sharing_log(logp, step, tilted,
                                               log_norm)[0])
     assert np.abs(rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
-    made = make_reset_step(logp, 0, 0, point_mass_tilt(0, 1, 1e-9), 1e-9)
+    made = make_reset_step(logp, full, point_mass_tilt(0, 1, 1e-9), 1e-9)
     after = apply_sharing_log(logp, *made)[0]
     assert np.abs(np.exp(after) - np.exp(logp)).max() < 1e-6
 
@@ -294,13 +296,20 @@ def test_make_reset_step_examples():
     logp = random_state(2, 1, rng)
     before = conditional_rows(logp)
     # the cylinder fixing input bit 0 to 0
-    made = make_reset_step(logp, 0b01, 0, point_mass_tilt(0, 1, 30.0), 30.0)
+    made = make_reset_step(logp, cylinders(2, 0b01, [0])[0][0],
+                           point_mass_tilt(0, 1, 30.0), 30.0)
     after = conditional_rows(apply_sharing_log(logp, *made)[0])
     for x in range(4):
         if x & 0b01 == 0:
             assert np.abs(after[x] - [1.0, 0.0]).sum() <= 1e-3
         else:
             assert np.abs(after[x] - before[x]).sum() <= 1e-3
+
+    # factors planned for another input width are refused
+    with pytest.raises(ShapeMismatch, match=r"\(2, 2\) for a state of 2\^2 "
+                                            r"rows, got \(3, 2\)"):
+        make_reset_step(logp, cylinders(3, 0, [0])[0][0],
+                        point_mass_tilt(0, 1, 30.0), 30.0)
 
 
 def test_tilt_profile_proportionality():
