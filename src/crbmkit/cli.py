@@ -273,8 +273,25 @@ def _random_target(args):
                                  masses[:, y & ((1 << l) - 1)] / (1 << (n - l)))
 
 
+def _mode_reads(args, options, **reads) -> None:
+    """Refuse each of the mode-specific ``options`` that was given but is
+    not among the ``reads`` of the mode of ``args`` (a usage error); one it
+    reads and was not given takes its value in ``reads``."""
+    unread = [f"--{name.replace('_', '-')}" for name in options
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise _UsageError(f"{args.mode} mode reads no {', '.join(unread)}")
+    for name, value in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _check_compile_args(args) -> None:
     k, n = args.k, args.n
+    _mode_reads(args, ("r", "d", "support_size", "l"), **{
+        "universal": {"r": None}, "support": {"d": None},
+        "common": {"r": None, "support_size": 2},
+        "partition": {"r": None, "l": max(n - 1, 0)}}[args.mode])
     min_k = 1 if args.mode == "universal" else 0
     if k < min_k or n < 1:
         raise _UsageError(f"--k must be >= {min_k} and --n >= 1 in {args.mode} mode")
@@ -291,8 +308,6 @@ def _check_compile_args(args) -> None:
 
 
 def _cmd_compile(args) -> int:
-    if args.mode == "partition" and args.l is None:
-        args.l = max(args.n - 1, 0)
     _check_compile_args(args)
     _cli.check_cells(1 << (args.k + args.n),
                      f"a table at (k, n) = ({args.k}, {args.n})")
@@ -426,6 +441,8 @@ def _cmd_mrf(args) -> int:
 
 
 def _cmd_ltn(args) -> int:
+    _mode_reads(args, ("m", "n", "seed"),
+                **({} if args.mode == "parity" else {"m": 2, "n": 1, "seed": 0}))
     if args.mode == "parity" and args.k < 1:
         raise _UsageError("--k must be >= 1 in parity mode")
     if args.mode == "embed" and (args.k < 0 or args.m < 1 or args.n < 1):
@@ -520,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "partition"], default="universal")
     p.add_argument("--d", type=int, default=None,
                    help="support budget (support mode)")
-    p.add_argument("--support-size", type=int, default=2,
-                   help="|T| for common mode")
+    p.add_argument("--support-size", type=int, default=None,
+                   help="|T| for common mode (default 2)")
     p.add_argument("--l", type=int, default=None,
                    help="block width (partition mode)")
 
@@ -547,10 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ltn", _cmd_ltn, "embed a threshold network")
     p.add_argument("--mode", choices=["parity", "embed"], required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--m", type=int, default=None, help="embed mode (2)")
+    p.add_argument("--n", type=int, default=None, help="embed mode (1)")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=None, help="embed mode (0)")
 
     p = command("verify-all", _cmd_verify_all, "run the acceptance suite")
     p.add_argument("--seed", type=_seed, default=0,

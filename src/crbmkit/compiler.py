@@ -22,14 +22,13 @@ simulated state.
 
 The state is the conditional: a (2^k, 2^n) array of log p(y | x) - k log 2
 indexed [x, y], the joint with the model's conditional and a uniform input
-marginal.  A CRBM's conditional does not depend on an input marginal, and
-neither does a unit's effect on it, so after every trial the stepped state
-is conditioned on its inputs again.  Without that, a reset (lambda near
-e^(-tau/2)) would drain its cylinder's input mass, and a later fill there
-would start from rows whose tilt normalizer is all dust from outside its
-cylinder.  Every step's tilt is a factor over the inputs times a factor
-over the outputs (``sharing.SharingStep``), broadcast over the rows, so no
-table over all 2^(k+n) states is built.
+marginal.  A trial's step returns the conditional its unit makes
+(``sharing.apply_sharing_log``), conditioned on its inputs again.  Without
+that, a reset (lambda near e^(-tau/2)) would drain its cylinder's input
+mass, and a later fill there would start from rows whose tilt normalizer
+is all dust from outside its cylinder.  Every numeric of a step lives in
+``sharing``; the compiler keeps the schedule: the plan, the rung ladder,
+the checks and the tau loop.
 
 One loop runs every step, fill or reset (``_Pipeline._step``): build the
 step at a sharpness rung tau * 2^i, i < STEP_RETRIES, try it on the state,
@@ -59,16 +58,11 @@ recover no more than that.  The start distribution uses output biases of
 magnitude tau / (2 * component width) so that the sharp steps' off-region
 dust stays exponentially below the start-state dust.
 
-Every log-sum-exp is one max-shift reduction: the max plus the log of the
-sum of exp(entries - max), per row in ``_conditioned`` and over
-the tilted state in ``sharing.logsumexp``.  It needs a finite max, which
-the finite state and finite tilts give.  Each trial builds one input
-table log s_X (2^k), one tilted state log p + log s, which its builder
-hands on to the step's application, and one new (2^k, 2^n) state, and from
-the max, exp and sum of each of its rows both the conditional rows and the
-conditioned state; an accepted trial's state and rows become the
-pipeline's as they are, and its tilt normalizer goes into the unit's bias.
-The state has mass 1, so a trial makes one full reduction (the
+Each trial builds one input table log s_X (2^k), one tilted state log p +
+log s, which its builder hands on to the step's application, and one new
+(2^k, 2^n) state with its rows; an accepted trial's state and rows become
+the pipeline's as they are, and its tilt normalizer goes into the unit's
+bias.  The state has mass 1, so a trial makes one full reduction (the
 normalizer), and neither an accepted unit nor a tau level makes another.
 
 Nothing is kept across compiles: each compile plans its walk once, and all
@@ -97,7 +91,6 @@ accepted units grow the model's W, V and c in place
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -115,19 +108,20 @@ from .errors import (
     SupportTooLarge,
 )
 from .packing import best_depth, build_packing, universal_budget
-from .sharing import OutputTilt, SharingStep, StarTilt, _log_values_of, \
-    _read_only, apply_sharing_log, build_tilted_step, cylinders, \
-    hidden_unit_from_log, log_odds, make_reset_step, mixture_weight_profile, \
+from .sharing import OutputTilt, SharingStep, StarTilt, apply_sharing_log, \
+    build_tilted_step, conditioned, cylinders, hidden_unit_from_log, \
+    log_odds, make_reset_step, mixture_weight_profile, output_tilts, \
     star_tilts
 
-LOG2 = math.log(2.0)
 TAU_START = 16.0
 TAU_MAX = 1024.0
 STEP_RETRIES = 12
 #: slack for the one gap the early rejection cannot bound by step checks:
 #: the simulated state against the certificate, which evaluates the
-#: parameters.  The two agree to a worst-row TV of at most 4.2e-13 at (7,2),
-#: (8,1) and (10,3) on every tau level tried; 1e-9 is 2000 times that.
+#: parameters.  On the certified level of a seed-0 universal compile the two
+#: agree to a worst-row TV of 4.6e-14 at (7,2) r = 3, 3.8e-14 at (8,1)
+#: r = 3, 7.1e-13 at (10,3) and 5.7e-13 at (12,2); 1e-9 is 1400 times the
+#: largest, and a test holds the first three and (6,2) r = 3 to 1e-11.
 REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
@@ -178,7 +172,8 @@ class _ComponentScheme:
         self.unit, self.members = cylinders(n, mask, values)
         dists = np.zeros((len(values), 1 << n))
         np.put_along_axis(dists, self.members, 1.0 / self.members.shape[1], 1)
-        self.dists = _read_only(dists)
+        dists.setflags(write=False)
+        self.dists = dists
         self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
 
     @property
@@ -206,14 +201,10 @@ class _ComponentScheme:
         off value of each of its fixed bits.  The first use of a sharpness,
         by a fill or a reset, builds every component's tilt at it in one
         batch, kept for the scheme's life, so the tau levels, stars and
-        trials of its compile share one.  The factors are the unit ones
-        times ``sharp``, -sharp and 0 exactly, and each table is summed from
-        them: a unit table times ``sharp`` could differ in the last bit."""
+        trials of its compile share one (``sharing.output_tilts``)."""
         tilts = self._tilts.get(sharp)
         if tilts is None:
-            lf = _read_only(self.unit * sharp)
-            tilts = self._tilts[sharp] = tuple(
-                map(OutputTilt, lf, _log_values_of(lf)))
+            tilts = self._tilts[sharp] = output_tilts(self.unit, sharp)
         return tilts[t]
 
     @staticmethod
@@ -306,23 +297,6 @@ def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(rows - ref).sum(axis=1).max(initial=0.0))
 
 
-def _conditioned(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its rows,
-    both indexed [x, y].
-
-    The state is log p(y | x) - k log 2: the joint with the conditional of
-    ``logp`` and a uniform input marginal, every input row of mass 2^-k.
-    Each row's log mass is taken from the max, exp and sum that its
-    conditional row p(. | x) needs; the rows are read-only.
-    """
-    top = logp.max(axis=1, keepdims=True)
-    shifted = np.exp(logp - top)
-    mass = shifted.sum(axis=1, keepdims=True)
-    rows = shifted / mass
-    rows.setflags(write=False)
-    return logp - (top + np.log(mass) + k * LOG2), rows
-
-
 class _Pipeline:
     """Sequential sharing-step executor over an exact log-domain
     conditional, held as a (2^k, 2^n) array indexed [x, y]."""
@@ -343,7 +317,7 @@ class _Pipeline:
         # fastest, and conditioned on the inputs: each row reduction of the
         # state runs over contiguous columns, and every step keeps the layout
         logits = (state_bits(n) * bias[None, :]).sum(axis=1)
-        self.logp, self._rows = _conditioned(np.asfortranarray(
+        self.logp, self._rows = conditioned(np.asfortranarray(
             np.broadcast_to(logits, (1 << k, 1 << n))), k)
         self.start_tv = _worst_row_tv(self._rows, scheme.dists[0])
         self.allowance = self.start_tv
@@ -405,18 +379,17 @@ class _Pipeline:
         also have failed assumes passing is monotone in sharpness, which
         the measured sweep in the module docstring supports but nothing
         checks; a step that passes only below its start rung exhausts its
-        ladder here and rejects the level.  The trial's joint is
-        conditioned on its inputs (``_conditioned``), and an accepted
-        trial's state becomes the pipeline's state as it is.
+        ladder here and rejects the level.  A trial's state and rows are
+        the conditional its unit makes (``sharing.apply_sharing_log``), and
+        an accepted trial's become the pipeline's as they are.
         """
         first = self._rung.get(kind, 0)
         rejected = None
         for i in range(first, STEP_RETRIES):
             sharp = self.tau * 2.0 ** i
             step, tilted, log_norm = build(sharp)
-            logp, log_norm = apply_sharing_log(self.logp, step, tilted,
-                                               log_norm)
-            logp, rows = _conditioned(logp, self.k)
+            logp, rows, log_norm = apply_sharing_log(self.logp, step,
+                                                     tilted, log_norm)
             tv = _worst_row_tv(rows[region], target)
             if not tv <= bound:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
@@ -615,6 +588,8 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     units.
     """
     _check_eps(eps)
+    if d is not None and d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     k = target.k
     total_support = target.support_size()
     if d is None:

@@ -35,10 +35,6 @@ class DegenerateStep(CrbmKitError, ValueError):
     """A sharing step cannot be represented with finite parameters."""
 
 
-class LambdaZero(DegenerateStep):
-    """lambda = 0 is unreachable by a single finite hidden unit."""
-
-
 class InfeasibleProfile(CrbmKitError, ValueError):
     """A mixture-weight profile left [0, 1]; indicates an invalid target."""
 

@@ -1,32 +1,34 @@
 """Sharing-step algebra on the conditional: p -> lam*p + (1-lam)*(p * s).
 
-A step acts on the state of the compile pipeline, a (2^k, 2^n) array of
-log p(y | x) - k log 2 indexed [x, y]: the joint with the conditional p(y|x)
-and a uniform input marginal, of mass 1.  Its tilt is a product over the
-coordinates, s(x, y) = s_X(x) s_Y(y), stored by its per-coordinate *log*
-factor pairs; concentrated steps put -tau on the off-region value of a
-coordinate, so arbitrary sharpness never leaves the log domain.  The factor
-normalization is irrelevant: it cancels in the step's effect and in the
-hidden-unit realization, so factors are kept unnormalized.  A step knows its
-k and holds two tables, log s_X over the 2^k inputs and log s_Y over the 2^n
+A step maps a conditional state to a conditional state.  The state, that
+of the compile pipeline, is a (2^k, 2^n) array of log p(y | x) - k log 2
+indexed [x, y]: the joint with the conditional p(y|x) and a uniform input
+marginal, of mass 1.  Its tilt is a product over the coordinates,
+s(x, y) = s_X(x) s_Y(y), stored by its per-coordinate *log* factor pairs;
+concentrated steps put -tau on the off-region value of a coordinate, so
+arbitrary sharpness never leaves the log domain.  The factor normalization
+is irrelevant: it cancels in the step's effect and in the hidden-unit
+realization, so factors are kept unnormalized.  A step knows its k and
+holds two tables, log s_X over the 2^k inputs and log s_Y over the 2^n
 outputs; the tilt is applied by broadcasting them, so no table over all
 2^(k+n) states is built.  The output half of a tilt, its factors and log
-s_Y, is an ``OutputTilt``: a caller that steps toward the same output
-component at the same sharpness many times builds it once and passes it to
-every step (a compile builds its components' tilts at one sharpness in one
-batch, on the first step, fill or reset, that asks for that sharpness).  A
-builder hands the tables it has made to the step, so each is built once per
-step.
+s_Y, is an ``OutputTilt``; ``output_tilts`` builds those of many output
+cylinders at one sharpness in one batch, which a compile passes to every
+step toward them.
 
-Every step is realizable as one appended hidden unit, as in the paper: one
-unit multiplies every row p(. | x) by a factor over the inputs times a
-factor over the outputs.  With odds w_i = log s_i(1) - log s_i(0) and
+Every step is one appended hidden unit, as in the paper: one unit
+multiplies every row p(. | x) by a factor over the inputs times a factor
+over the outputs.  With odds w_i = log s_i(1) - log s_i(0) and
 S0 = prod_i s_i(0), appending a unit with weights w (inputs first) and bias
 log((1-lam) S0 / (lam N)), N = sum_{x,y} p(x, y) s(x, y), multiplies p(y|x)
 by a positive multiple of lam + (1-lam) s(x, y)/N, which is exactly the
-step.  hidden_unit_from_log verifies nothing by formula; the evaluation
-contract is tested: ``verify`` steps the conditional of a random CRBM and
-compares it with ``crbm.eval_conditional`` of the grown model.
+step.  A unit's effect on the conditional does not depend on an input
+marginal, so apply_sharing_log conditions the stepped joint on its inputs
+again (``conditioned``) and returns the unit's conditional, a state and its
+rows.  Only 0 < lam < 1 has a finite bias, and a ``SharingStep`` holds no
+other lam: fills clamp theirs to [1e-300, 1 - 1e-16], and a reset's is
+1/(1 + e^min(sharp/2, 700)).  ``verify`` tests this contract against
+``crbm.eval_conditional`` of the grown model.
 
 Each step kind has one builder: build_tilted_step (a star fill, exact
 mixture weights on the star's rows) and make_reset_step (a cylinder reset).
@@ -34,28 +36,23 @@ Both scale a cylinder's planned unit factors to the trial's sharpness and
 end in one tilting tail (``_tilted``).  The one cylinder builder,
 ``cylinders``, gives the unit factors and members of many cylinders of one
 fixed mask in one broadcast.  A fill reads everything about its star that
-the state does not move from a ``StarTilt``: the members, center first,
-the free bits their flips set, and the cylinder's unit factors and inputs.
-``star_tilts`` builds the geometry of every star of one free mask in one
-broadcast, from centers that are 0 on their free bits, so no flip needs
-locating.  A fill takes its mixture weights with their clamped log-odds
-(``log_odds``), which a caller that steps one target many times computes
-once.  apply_sharing_log is the one way to apply a step and
-hidden_unit_from_log the one way to realize it.  Sequencing, sharpening
-and accepting steps is the compiler's job (compiler._Pipeline).
+the state does not move from a ``StarTilt`` (``star_tilts``, one broadcast
+per free mask): the members, center first, the free bits their flips set,
+and the cylinder's unit factors and inputs.  A fill takes its mixture
+weights with their clamped log-odds (``log_odds``), which a caller that
+steps one target many times computes once.  apply_sharing_log is the one
+way to apply a step and hidden_unit_from_log the one way to realize it.
+Sequencing, sharpening and accepting steps is the compiler's job.
 
 The tilted state log p + log s and its normalizer log N = logsumexp(log p
 + log s), a reduction over the whole state, are each computed once per step:
 both builders return them with the step, apply_sharing_log takes them (or
 computes them, for a step made by hand) and returns the normalizer, and
-hidden_unit_from_log takes it for the bias.  A state of mass 1 stays of mass
-1 under a step, so neither the step nor the bias reduces the state again.
-
-The log-sum-exp of the step functions is the module's ``logsumexp``: the
-max plus the log of the sum of exp(entries - max), the reduction the
-compiler normalizes its rows with.  It needs a finite max, which finite log
-factors on a finite state give; a non-finite normalizer is refused
-(DegenerateStep).
+hidden_unit_from_log takes it for the bias.  The state has mass 1, so
+neither the bias nor the conditioning reduces the whole state again.  Every
+log-sum-exp is one max-shift reduction, the max plus the log of the sum of
+exp(entries - max), over the tilted state (``logsumexp``) or per row
+(``conditioned``); a non-finite normalizer is refused (DegenerateStep).
 """
 
 from __future__ import annotations
@@ -67,17 +64,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitspace import cylinder_members, set_bits
-from .errors import (
-    DegenerateStep,
-    InfeasibleProfile,
-    LambdaZero,
-    ShapeMismatch,
-)
+from .errors import DegenerateStep, InfeasibleProfile, ShapeMismatch
 
 #: |log T| clamp for degenerate mixture weights (beta -> 0 or 1)
 LOG_T_CAP = 5e4
 #: hidden-unit bias magnitude cap
 BIAS_CAP = 1e7
+LOG2 = math.log(2.0)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):
@@ -121,7 +114,7 @@ class OutputTilt(NamedTuple):
 
 @dataclass(frozen=True)
 class SharingStep:
-    """One sharing step on k inputs: mixture weight lam and product-tilt log
+    """One sharing step on k inputs: weight 0 < lam < 1 and product-tilt log
     factors, the k input coordinates first, then the outputs.
 
     ``log_sx`` (2^k) and ``log_sy`` (2^n) are the tilt's input and output
@@ -144,8 +137,9 @@ class SharingStep:
                 f"got shape {lf.shape}")
         if not np.isfinite(lf).all():
             raise ValueError("non-finite log factors")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
+        if not 0.0 < self.lam < 1.0:
+            raise DegenerateStep(f"lambda {self.lam!r} is outside (0, 1): "
+                                 "no finite hidden unit realizes it")
         lf.setflags(write=False)
         object.__setattr__(self, "log_factors", lf)
         for name, part in (("log_sx", lf[:self.k]), ("log_sy", lf[self.k:])):
@@ -168,30 +162,43 @@ def _tilted(logp: np.ndarray, log_sx: np.ndarray,
     return tilted, logsumexp(tilted)
 
 
+def conditioned(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its rows,
+    both indexed [x, y].
+
+    The state is log p(y | x) - k log 2: the joint with the conditional of
+    ``logp`` and a uniform input marginal, every input row of mass 2^-k.
+    Each row's log mass is taken from the max, exp and sum that its
+    conditional row p(. | x) needs; the rows are read-only.
+    """
+    top = logp.max(axis=1, keepdims=True)
+    shifted = np.exp(logp - top)
+    mass = shifted.sum(axis=1, keepdims=True)
+    rows = shifted / mass
+    rows.setflags(write=False)
+    return logp - (top + np.log(mass) + k * LOG2), rows
+
+
 def apply_sharing_log(logp: np.ndarray, step: SharingStep,
                       tilted: np.ndarray | None = None,
                       log_norm: float | None = None
-                      ) -> tuple[np.ndarray, float]:
-    """Apply a step to a (2^k, 2^n) log state of mass 1, indexed [x, y].
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Apply a step to a (2^k, 2^n) state indexed [x, y] (``conditioned``).
 
-    Returns the stepped state, again of mass 1 (up to rounding; it is not
-    renormalized), and the tilt normalizer log N = logsumexp(logp + log s).
-    The tilted state logp + log s and its normalizer are computed here
-    unless the caller passes both (the builders return them).
+    Returns the conditional the step's hidden unit makes, the stepped joint
+    conditioned on its inputs again, as a state and its read-only rows, and
+    the tilt normalizer log N = logsumexp(logp + log s) that the unit's bias
+    takes.  The tilted state logp + log s and its normalizer are computed
+    here unless the caller passes both (the builders return them).
     """
     if tilted is None:
         tilted, log_norm = _tilted(logp, step.log_sx, step.log_sy)
     if not math.isfinite(log_norm):
         raise DegenerateStep("tilt normalizer vanished")
     lam = step.lam
-    if 0.0 < lam < 1.0:
-        log_lam, log_mix = np.log(lam), np.log1p(-lam)
-    else:
-        # lambda = 1 and lambda = 0 make one term -inf: the state, or the
-        # normalized tilted state, exactly
-        with np.errstate(divide="ignore"):
-            log_lam, log_mix = np.log(lam), np.log1p(-lam)
-    return np.logaddexp(log_lam + logp, log_mix + tilted - log_norm), log_norm
+    stepped = np.logaddexp(np.log(lam) + logp,
+                           np.log1p(-lam) + tilted - log_norm)
+    return *conditioned(stepped, step.k), log_norm
 
 
 def hidden_unit_from_log(step: SharingStep, log_norm: float
@@ -201,20 +208,15 @@ def hidden_unit_from_log(step: SharingStep, log_norm: float
 
     The bias takes the step's tilt normalizer on that state, ``log_norm``,
     as build_tilted_step or apply_sharing_log returned it.  Appending the
-    unit to a CRBM whose conditional is the state's gives the conditional of
-    the stepped state.
+    unit to a CRBM whose conditional is the state's gives the conditional
+    apply_sharing_log returns.
     """
-    lam = step.lam
-    if lam <= 0.0:
-        raise LambdaZero("lambda = 0 needs an infinite bias; use lambda in (0, 1)")
     w = step.log_factors[:, 1] - step.log_factors[:, 0]
     log_s0 = float(step.log_factors[:, 0].sum())
     log_n = float(log_norm)
     if not math.isfinite(log_n):
         raise DegenerateStep("tilt normalizer vanished")
-    if lam >= 1.0:
-        # log1p(-1) is -inf
-        raise DegenerateStep("bias -inf beyond magnitude cap")
+    lam = step.lam
     bias = float(np.log1p(-lam) - np.log(lam) + log_s0 - log_n)
     if not math.isfinite(bias) or abs(bias) > BIAS_CAP:
         raise DegenerateStep(f"bias {bias!r} beyond magnitude cap")
@@ -275,6 +277,17 @@ def cylinders(width: int, fixed_mask: int, values
     on = (values[:, None] >> bits) & 1
     factors = np.where(fixed & (np.arange(2) != on[..., None]), -1.0, 0.0)
     return _read_only(factors), _read_only(values[:, None] + offsets)
+
+
+def output_tilts(unit_factors: np.ndarray, sharp: float
+                 ) -> tuple[OutputTilt, ...]:
+    """The ``OutputTilt`` at sharpness ``sharp`` of each output cylinder,
+    from their (c, n, 2) unit log factors (``cylinders``), in one batch:
+    the factors are the unit ones times ``sharp``, -sharp and 0 exactly,
+    and each table is summed from them, since a unit table times ``sharp``
+    could differ in the last bit."""
+    lf = _read_only(unit_factors * sharp)
+    return tuple(map(OutputTilt, lf, _log_values_of(lf)))
 
 
 class StarTilt(NamedTuple):

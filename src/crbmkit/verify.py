@@ -237,7 +237,7 @@ def _crit_bounds(offset: int = 0) -> tuple[bool, str]:
 
 def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(99 + offset)
-    # sharing step round trip on the conditional: the stepped state's rows
+    # sharing step round trip on the conditional: the rows a step returns
     # are the conditional of the model grown by the step's hidden unit
     for _ in range(100):
         k = int(rng.integers(0, 3))
@@ -246,11 +246,9 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
         state = np.log(eval_conditional(params).rows) - k * np.log(2.0)
         lam = float(rng.uniform(0.05, 1.0 - 1e-9))
         step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
-        stepped, log_norm = apply_sharing_log(state, step)
+        _, rows, log_norm = apply_sharing_log(state, step)
         w, bias = hidden_unit_from_log(step, log_norm)
         grown = eval_conditional(append_hidden_unit(params, w[k:], w[:k], bias))
-        rows = np.exp(stepped)
-        rows /= rows.sum(axis=1, keepdims=True)
         if np.abs(rows - grown.rows).sum(axis=1).max() > 1e-10:
             return False, "sharing round trip"
     # jacobian vs finite differences

@@ -278,6 +278,31 @@ COMPILE_GOLDEN = {
         "306a2dd3d77dc25225bfe6f28e008604763f208751cff45689fe39cc2edff13d",
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "2"):
         "2ac50e3a0aa10cd99ab51a9a31ab50154b25e08a84a500002240e32f0324260c",
+    # (10,3) picks r = 4 (2087 units) and passes at tau = 64: its doomed
+    # tau = 16 and 32 levels must stop at their first stars to keep it a
+    # few seconds
+    ("compile", "--k", "10", "--n", "3"):
+        "3e572ef5fe903bb26c6254582b6e1c7722f8ed8fdcbe5116c5e382a03c7fa64d",
+    # (13,1) picks r = 4 (2371 units): priced on its blocked final
+    # evaluation, 19.4M cells, it fits the cell limit, where the unblocked
+    # (2^14, 2371) activations would not
+    ("compile", "--k", "13", "--n", "1"):
+        "5331c8928aeb86604598317ca1cd8f722805c0372510b8580b3da36e9df9cda6",
+    # a one-component target (the single-block partition) walks no star,
+    # and its start model must meet eps
+    ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "0"):
+        "21581821b5d9affcfbd6235ecaa25b7a50c74c64c9eba80b612bd90175f6342d",
+    # the 2028 point fills clamp lambda to 1e-300 and each passes only at
+    # rung 1024 of the tau = 16 level; a fill's ladder starts at the rung
+    # the last fill passed, so only the first climbs the six rungs below,
+    # which keeps it a few seconds
+    ("compile", "--mode", "support", "--k", "12", "--n", "1", "--d", "8"):
+        "800f2d52d0e0cddfbde0e8f95e72be6a4e9f8d6f1f52334dff7b9ac4a9b46ed7",
+    # a one-component compile is priced at 0 units whatever depth it is
+    # given: at r = 3 it reports budget_bound 0 and uses no unit
+    ("compile", "--mode", "common", "--k", "8", "--n", "2",
+     "--support-size", "1", "--r", "3"):
+        "e3bd6cbd231354326e0d247b95b1fd86c1730e5ced05a5eb083b67cf2d38aa05",
     ("divergence", "--k", "3", "--n", "3", "--m", "10"):
         "a00772e918f199533352d9534e618299662907623dee8932e79e389169a8c32f",
     # a 2^15-cell target and no unit: the payload is nearly all arrays, so
@@ -495,6 +520,25 @@ def test_usage_error_exit_code():
     ["divergence", "--k", "1", "--n", "1", "--m", "1", "--seed", "-1"],
     ["ltn", "--mode", "embed", "--k", "2", "--seed", "-1"],
     ["verify-all", "--seed", "-5000"],
+    # an option the mode does not read is refused, not ignored
+    ["compile", "--mode", "support", "--k", "3", "--n", "2", "--r", "9",
+     "--l", "7", "--seed", "0"],
+    ["compile", "--mode", "support", "--k", "3", "--n", "2", "--r", "2",
+     "--seed", "0"],
+    ["compile", "--k", "3", "--n", "2", "--d", "99", "--support-size", "77",
+     "--seed", "0"],
+    ["compile", "--mode", "common", "--k", "3", "--n", "2", "--d", "2",
+     "--seed", "0"],
+    ["compile", "--mode", "partition", "--k", "3", "--n", "2",
+     "--support-size", "2", "--seed", "0"],
+    ["compile", "--mode", "common", "--k", "3", "--n", "2", "--l", "1",
+     "--seed", "0"],
+    ["compile", "--k", "3", "--n", "2", "--l", "1", "--seed", "0"],
+    ["ltn", "--mode", "parity", "--k", "3", "--m", "9", "--n", "4",
+     "--seed", "5"],
+    ["ltn", "--mode", "parity", "--k", "3", "--m", "2"],
+    ["ltn", "--mode", "parity", "--k", "3", "--n", "1"],
+    ["ltn", "--mode", "parity", "--k", "3", "--seed", "0"],
 ])
 def test_malformed_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from crbmkit import compiler
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
-    _conditioned,
     _Pipeline,
     _packing_walk,
     _plan_stars,
@@ -38,8 +37,8 @@ from crbmkit.errors import (
 )
 from crbmkit.packing import build_packing
 from crbmkit.sharing import (StarTilt, apply_sharing_log, build_tilted_step,
-                             cylinders, log_odds, mixture_weight_profile,
-                             star_tilts)
+                             conditioned, cylinders, log_odds,
+                             mixture_weight_profile, star_tilts)
 
 
 def one_star(k, center, free_mask):
@@ -163,6 +162,20 @@ def test_support_points_rejects_oversized_support():
     # maximal d admits everything
     params, rep = compile_support_points(t, d=2 * 3, eps=1e-2)
     assert rep.achieved_tv <= 1e-2
+
+
+def test_support_points_refuse_a_negative_d_at_entry(monkeypatch):
+    # a negative support budget is the caller's error, named before the
+    # target's support is counted, not blamed on the target
+    calls = []
+    monkeypatch.setattr(compiler, "_compile", lambda *a: calls.append(a))
+    t = ConditionalTable.deterministic(2, 1, [0, 1, 1, 0])
+    for d in (-1, -5):
+        with pytest.raises(ValueError, match=rf"^d must be >= 0, got {d}$") \
+                as exc:
+            compile_support_points(t, d)
+        assert not isinstance(exc.value, SupportTooLarge)
+    assert calls == []
 
 
 def test_common_support_examples():
@@ -469,8 +482,8 @@ def test_golden_compile_outputs(name):
 def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
     # the state is log p(y | x) - k log 2 as (2^k, 2^n) rows [x, y]: after
     # each accepted step every row of it, plus k log 2, log-sums to 0, the
-    # cached rows are its exponent, and it is the conditioned fresh
-    # application of the step
+    # cached rows are its exponent, and it is the fresh application of the
+    # step, which returns the conditional its unit makes
     k, n = 4, 1
     applied = []
     apply_step = _Pipeline._apply
@@ -485,8 +498,9 @@ def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
         rows = self.rows()
         assert not rows.flags.writeable
         assert np.allclose(rows, np.exp(state), rtol=1e-12, atol=0.0)
-        fresh, _ = _conditioned(apply_sharing_log(before, step)[0], k)
+        fresh, fresh_rows, _ = apply_sharing_log(before, step)
         assert np.array_equal(self.logp, fresh)
+        assert np.array_equal(rows, fresh_rows)
         applied.append(step)
 
     monkeypatch.setattr(_Pipeline, "_apply", apply_and_check)
@@ -535,12 +549,12 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
             return True
         return record
 
-    build = compiler._log_values_of
+    build = compiler.output_tilts
 
-    def batch(log_factors):
-        tables = build(log_factors)
-        batches.append(tables)
-        return tables
+    def batch(unit_factors, sharp):
+        tilts = build(unit_factors, sharp)
+        batches.append(tilts)
+        return tilts
 
     spy(sharing, "logsumexp", "full", full_joint)
     spy(sharing, "_tilted")
@@ -548,7 +562,7 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
         lambda log_factors: log_factors.shape == (k, 2))
     spy(sharing, "_log_values_of", "other tables",
         lambda log_factors: log_factors.shape != (k, 2))
-    monkeypatch.setattr(compiler, "_log_values_of", batch)
+    monkeypatch.setattr(compiler, "output_tilts", batch)
     spy(compiler, "build_tilted_step", "trial", output_of("fill"))
     spy(compiler, "make_reset_step", "trial", output_of("reset"))
     spy(compiler, "apply_sharing_log")
@@ -564,18 +578,21 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert calls["full"] == trials
     assert calls["_tilted"] == trials
     assert calls["inputs"] == trials
-    assert calls["other tables"] == 0
+    # every table not over the inputs is one output batch
+    assert calls["other tables"] == len(batches)
     assert calls["log_odds"] == 1
-    # a batch holds the four point components' tables, and each trial's
-    # output table is a row of exactly one batch; each reset's is the
-    # batch's first row, the start component's
-    assert all(tables.shape == (1 << n, 1 << n) for tables in batches)
+    # a batch holds the four point components' tilts, and each trial's
+    # output tilt is one of exactly one batch; each reset's is the batch's
+    # first, the start component's
+    assert all(len(tilts) == 1 << n
+               and all(tilt.log_sy.shape == (1 << n,) for tilt in tilts)
+               for tilts in batches)
     assert len(outputs) == trials
     for kind, out in outputs:
-        rows = [tables for tables in batches
-                if np.shares_memory(out.log_sy, tables)]
+        rows = [tilts for tilts in batches
+                if any(out is tilt for tilt in tilts)]
         assert len(rows) == 1
-        assert np.shares_memory(out.log_sy, rows[0][0]) == (kind == "reset")
+        assert (out is rows[0][0]) == (kind == "reset")
         if kind == "reset":
             # the point 0's factors: -sharp on the value 1 of each bit
             assert not out.log_factors[:, 0].any()
@@ -595,7 +612,6 @@ def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
     # outputs: no log table over the 2^(k+n) joint states is built.  A
     # table's width is its factors' coordinate axis, the one before the
     # (off, on) pair; the output tables are built in batches
-    import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
     k, n = 4, 2
@@ -607,7 +623,6 @@ def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
         return build(log_factors)
 
     monkeypatch.setattr(sharing, "_log_values_of", counted)
-    monkeypatch.setattr(compiler, "_log_values_of", counted)
     _, rep = compile_universal(dirichlet_table(k, n, 0))
     assert rep.hidden_units_used == 19
     assert widths[k] > 0 and widths[n] > 0
@@ -919,7 +934,7 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
                 for tau in (16.0, 128.0, 1024.0):
                     pipe = _Pipeline(k, n, scheme, tau, 1e-3)
                     logits = (state_bits(n) * pipe.params.b).sum(axis=1)
-                    logp, rows = _conditioned(np.asfortranarray(
+                    logp, rows = conditioned(np.asfortranarray(
                         np.broadcast_to(logits, (1 << k, 1 << n))), k)
                     for got, want in ((pipe.logp, logp), (pipe.rows(), rows)):
                         assert got.flags.f_contiguous
@@ -1104,10 +1119,37 @@ def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
                          (out.log_factors, out_lf),
                          (tilted, logp + want.log_sx[:, None] + want.log_sy)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            stepped, norm = apply_sharing_log(logp, want)
+            stepped, _, norm = apply_sharing_log(logp, want)
             assert log_norm == norm
             assert apply_sharing_log(logp, step, tilted, log_norm)[0] \
                 .tobytes() == stepped.tobytes()
+
+
+@pytest.mark.parametrize("k,n,r", [(7, 2, 3), (8, 1, 3), (6, 2, 3),
+                                   (10, 3, None)])
+def test_simulated_rows_meet_the_certificate_far_below_the_margin(
+        monkeypatch, k, n, r):
+    # REJECT_MARGIN covers the one gap no step check bounds: the rows the
+    # pipeline simulates against the certificate's evaluation of the
+    # parameters.  On the certified level, the compile's last, the two must
+    # agree 100 times more closely than the margin
+    pipes, certificates = [], []
+    init, evaluate = _Pipeline.__init__, compiler.eval_conditional
+
+    def recorded(pipe, *args):
+        init(pipe, *args)
+        pipes.append(pipe)
+
+    def certificate(params):
+        certificates.append(evaluate(params))
+        return certificates[-1]
+
+    monkeypatch.setattr(_Pipeline, "__init__", recorded)
+    monkeypatch.setattr(compiler, "eval_conditional", certificate)
+    _, rep = compile_universal(random_conditional(k, n, 0), r)
+    assert rep.tau_final == pipes[-1].tau and certificates
+    gap = _worst_row_tv(pipes[-1].rows(), certificates[-1].rows)
+    assert gap <= compiler.REJECT_MARGIN / 100
 
 
 def test_compiler_keeps_no_plan_cache():

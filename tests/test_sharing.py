@@ -13,7 +13,7 @@ from crbmkit.crbm import (
     random_params,
 )
 from crbmkit.distributions import Dist
-from crbmkit.errors import DegenerateStep, LambdaZero, ShapeMismatch
+from crbmkit.errors import DegenerateStep, ShapeMismatch
 from crbmkit.sharing import (
     OutputTilt,
     SharingStep,
@@ -46,10 +46,12 @@ def tilt_values(step: SharingStep, n: int) -> np.ndarray:
 
 def linear_apply(p: np.ndarray, step: SharingStep) -> np.ndarray:
     """Independent oracle: the defining formula in plain linear arithmetic
-    on a (2^k, 2^n) state ``p`` of mass 1."""
+    on a (2^k, 2^n) state ``p`` of mass 1, conditioned on the inputs again:
+    every row scaled to mass 2^-k."""
     tilt = p * tilt_values(step, p.shape[1].bit_length() - 1)
     tilt /= tilt.sum()
-    return step.lam * p + (1 - step.lam) * tilt
+    stepped = step.lam * p + (1 - step.lam) * tilt
+    return stepped / stepped.sum(axis=1, keepdims=True) / len(p)
 
 
 def random_state(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,11 +126,16 @@ def start_state(k: int, n: int, tau: float) -> np.ndarray:
 
 
 def test_apply_sharing_identity_cases():
+    # lambda = 1 (the identity) and lambda = 0 (the tilted state) are no
+    # hidden unit's step, so no step holds them; a flat tilt leaves the
+    # state in place at any realizable lambda
     rng = np.random.default_rng(0)
     logp = random_state(1, 1, rng)
-    lam1 = SharingStep(1, 1.0, rng.standard_normal((2, 2)))
-    assert np.abs(apply_sharing_log(logp, lam1)[0] - logp).max() < 1e-15
-    uniform_tilt = SharingStep(1, 0.0, np.zeros((2, 2)))
+    for lam in (1.0, 0.0):
+        with pytest.raises(DegenerateStep, match=rf"lambda {lam!r} is "
+                                                 r"outside \(0, 1\)"):
+            SharingStep(1, lam, rng.standard_normal((2, 2)))
+    uniform_tilt = SharingStep(1, 0.3, np.zeros((2, 2)))
     assert np.abs(apply_sharing_log(logp, uniform_tilt)[0] - logp).max() < 1e-12
 
 
@@ -139,15 +146,19 @@ def test_apply_sharing_matches_linear_oracle():
     lf = np.zeros((2, 2))
     lf[:, 1] = np.log(3.0)
     step = SharingStep(1, 0.5, lf)
-    got = np.exp(apply_sharing_log(np.log(p), step)[0])
-    assert np.abs(got - linear_apply(p, step)).max() < 1e-14
+    logq, rows, _ = apply_sharing_log(np.log(p), step)
+    want = linear_apply(p, step)
+    assert np.abs(np.exp(logq) - want).max() < 1e-14
+    assert np.abs(rows - 2 * want).max() < 1e-14
     rng = np.random.default_rng(1)
     for _ in range(50):
         k = int(rng.integers(0, 3))
         logq = random_state(k, 3 - k, rng)
         st = SharingStep(k, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
-        got = np.exp(apply_sharing_log(logq, st)[0])
-        assert np.abs(got - linear_apply(np.exp(logq), st)).max() < 1e-12
+        got, rows, _ = apply_sharing_log(logq, st)
+        want = linear_apply(np.exp(logq), st)
+        assert np.abs(np.exp(got) - want).max() < 1e-12
+        assert np.abs(rows - want * (1 << k)).max() < 1e-12
 
 
 def test_apply_sharing_preserves_positivity_and_normalization():
@@ -172,10 +183,10 @@ def test_step_to_hidden_unit_round_trip():
             state = np.log(eval_conditional(params).rows) - k * np.log(2.0)
             lam = float(rng.uniform(0.05, 1.0 - 1e-12))
             step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
-            stepped, log_norm = apply_sharing_log(state, step)
+            _, rows, log_norm = apply_sharing_log(state, step)
             w, bias = hidden_unit_from_log(step, log_norm)
             grown = append_hidden_unit(params, w[k:], w[:k], bias)
-            diff = conditional_rows(stepped) - eval_conditional(grown).rows
+            diff = rows - eval_conditional(grown).rows
             assert np.abs(diff).sum(axis=1).max() <= 1e-12
 
 
@@ -186,7 +197,7 @@ def test_step_to_hidden_unit_on_actual_rbm():
     params = CrbmParams.bias_only(0, 3, rng.standard_normal(3))
     state = np.log(eval_joint_rbm(params).probs)[None, :]
     step = SharingStep(0, 0.4, rng.standard_normal((3, 2)))
-    stepped, log_norm = apply_sharing_log(state, step)
+    stepped, _, log_norm = apply_sharing_log(state, step)
     w, bias = hidden_unit_from_log(step, log_norm)
     grown = append_hidden_unit(params, w, np.zeros(0), bias)
     assert np.abs(eval_joint_rbm(grown).probs - np.exp(stepped[0])).sum() < 1e-12
@@ -197,19 +208,19 @@ def test_step_to_hidden_unit_uniform_tilt_is_zero_unit():
     rng = np.random.default_rng(14)
     logp = random_state(1, 2, rng)
     step = SharingStep(1, 0.5, np.zeros((3, 2)))
-    weights, bias = hidden_unit_from_log(step, apply_sharing_log(logp, step)[1])
+    weights, bias = hidden_unit_from_log(step, apply_sharing_log(logp, step)[2])
     assert np.abs(weights).max() == 0.0
     assert bias == pytest.approx(0.0, abs=1e-12)
 
 
 def test_step_to_hidden_unit_degenerate_lambdas():
+    # lambda = 0 needs an infinite bias and lambda = 1 a bias of -inf: no
+    # such step is built, nor one off [0, 1] or not a number
     rng = np.random.default_rng(4)
-    step = SharingStep(1, 0.0, rng.standard_normal((2, 2)))
-    with pytest.raises(LambdaZero):
-        hidden_unit_from_log(step, 0.0)
-    step = SharingStep(1, 1.0, rng.standard_normal((2, 2)))
-    with pytest.raises(DegenerateStep):
-        hidden_unit_from_log(step, 0.0)
+    for lam in (0.0, 1.0, -0.5, 1.5, np.nan):
+        with pytest.raises(DegenerateStep, match=rf"lambda {lam!r} is "
+                                                 r"outside \(0, 1\)"):
+            SharingStep(1, lam, rng.standard_normal((2, 2)))
     with pytest.raises(DegenerateStep):
         hidden_unit_from_log(SharingStep(1, 0.5, np.zeros((2, 2))), -np.inf)
 
@@ -283,8 +294,7 @@ def test_make_reset_step_examples():
     step, tilted, log_norm = make_reset_step(
         logp, full, point_mass_tilt(0, 1, 30.0), 30.0)
     assert step.k == 2
-    rows = conditional_rows(apply_sharing_log(logp, step, tilted,
-                                              log_norm)[0])
+    rows = apply_sharing_log(logp, step, tilted, log_norm)[1]
     assert np.abs(rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
@@ -298,7 +308,7 @@ def test_make_reset_step_examples():
     # the cylinder fixing input bit 0 to 0
     made = make_reset_step(logp, cylinders(2, 0b01, [0])[0][0],
                            point_mass_tilt(0, 1, 30.0), 30.0)
-    after = conditional_rows(apply_sharing_log(logp, *made)[0])
+    after = apply_sharing_log(logp, *made)[1]
     for x in range(4):
         if x & 0b01 == 0:
             assert np.abs(after[x] - [1.0, 0.0]).sum() <= 1e-3
@@ -330,10 +340,11 @@ def test_tilt_profile_proportionality():
     # application computes when none is passed, and passing them changes
     # nothing
     assert np.array_equal(tilted, logp + step.log_sx[:, None] + step.log_sy)
-    assert log_norm == apply_sharing_log(logp, step)[1]
+    assert log_norm == apply_sharing_log(logp, step)[2]
     assert agrees_with_scipy(log_norm, tilted)
-    assert np.array_equal(apply_sharing_log(logp, step)[0],
-                          apply_sharing_log(logp, step, tilted, log_norm)[0])
+    for fresh, passed in zip(apply_sharing_log(logp, step),
+                             apply_sharing_log(logp, step, tilted, log_norm)):
+        assert np.array_equal(fresh, passed)
     got = np.exp(step.log_sx[members] - step.log_sx[members[0]])
     want = profile / profile[0]
     assert np.abs(got - want).max() < 1e-9
