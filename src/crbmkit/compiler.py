@@ -84,9 +84,10 @@ and accepts steps, fills and resets alike: planned unit input factors
 scaled to the trial's sharpness and a tilt from the scheme make the step,
 handed over with its tilted state and normalizer.  Each tau level builds
 its own start state, the conditioned broadcast of the start logits
-(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and its
-accepted units grow the model's W, V and c in place
-(``crbm.append_hidden_unit``).
+(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and
+collects the weights and bias of each unit it accepts.  A level that walks
+to its end builds its model once, before its certificate: one
+``crbm.append_hidden_unit`` of all its units to its bias-only start model.
 """
 
 from __future__ import annotations
@@ -312,7 +313,9 @@ class _Pipeline:
         # at sharpness tau_b
         lf = scheme.unit[0] * (tau / (2.0 * max(scheme.sharp_width, 1)))
         bias = lf[:, 1] - lf[:, 0]
-        self.params = CrbmParams.bias_only(k, n, bias)
+        self.start = CrbmParams.bias_only(k, n, bias)
+        # (weights, bias) of each accepted step's hidden unit, in order
+        self.units: list[tuple[np.ndarray, float]] = []
         # the start logits broadcast to every input row, column-major, x
         # fastest, and conditioned on the inputs: each row reduction of the
         # state runs over contiguous columns, and every step keeps the layout
@@ -331,13 +334,20 @@ class _Pipeline:
 
     def _apply(self, step: SharingStep, logp: np.ndarray, rows: np.ndarray,
                log_norm: float) -> None:
-        """Adopt an accepted trial: append the step's hidden unit, whose bias
-        takes the trial's tilt normalizer ``log_norm`` (the state has mass
-        1), and make the trial's state ``logp`` and its ``rows`` the current
-        ones."""
-        w, bias = hidden_unit_from_log(step, log_norm)
-        self.params = append_hidden_unit(self.params, w[self.k:], w[: self.k], bias)
+        """Adopt an accepted trial: collect the step's hidden unit, whose
+        bias takes the trial's tilt normalizer ``log_norm`` (the state has
+        mass 1), and make the trial's state ``logp`` and its ``rows`` the
+        current ones."""
+        self.units.append(hidden_unit_from_log(step, log_norm))
         self.logp, self._rows = logp, rows
+
+    def model(self) -> CrbmParams:
+        """The start model with the collected hidden units after it, in the
+        order they were accepted: one append."""
+        k = self.k
+        w = np.array([w for w, _ in self.units]).reshape(-1, k + self.n)
+        return append_hidden_unit(self.start, w[:, k:], w[:, :k],
+                                  [bias for _, bias in self.units])
 
     def reject_if_doomed(self, rows: list[int] | np.ndarray,
                          target_rows: np.ndarray, eps: float,
@@ -483,7 +493,7 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
         else:
-            params = pipe.params
+            params = pipe.model()
             conditional = eval_conditional(params)
             achieved = tv_row_distance(conditional, target)
             if achieved <= eps:

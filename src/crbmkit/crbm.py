@@ -14,13 +14,18 @@ first checks its cost against ``bitspace.MAX_CELLS``: an evaluation costs
 both of ``dimension``'s ranks read one builder of the log-gradient
 differences.
 
+A model's arrays are read-only and fixed when it is made.  Hidden units
+are added by building a new model, ``append_hidden_unit``, whose rows are
+its model's followed by the new units' in one concatenation: a compile
+collects the rows of the units a tau level accepts and builds the level's
+model with one append.
+
 Joint indexing convention: visible state v = x + 2^k * y (inputs on the low
 bits), matching distributions.conditional_of_joint.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,25 +41,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-class _Units:
-    """Row buffers that the hidden units of a chain of appended models
-    share: W, V and c with spare rows, and ``used``, the rows of the newest
-    model, whose arrays view the first ``used`` rows."""
-
-    __slots__ = ("W", "V", "c", "used")
-
-    def __init__(self, p: "CrbmParams", capacity: int):
-        m = p.m
-        self.W = np.empty((capacity, p.n))
-        self.V = np.empty((capacity, p.k))
-        self.c = np.empty(capacity)
-        self.W[:m], self.V[:m], self.c[:m] = p.W, p.V, p.c
-        self.used = m
-
-
 @dataclass(frozen=True)
 class CrbmParams:
-    """Interaction weights and biases (W: m x n, V: m x k, b: n, c: m)."""
+    """Interaction weights and biases (W: m x n, V: m x k, b: n, c: m).
+
+    Arrays of floats are not copied: once they have the right shapes and
+    finite entries, the model holds read-only views of them."""
 
     k: int
     n: int
@@ -63,40 +55,19 @@ class CrbmParams:
     V: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
-    # the row buffers W, V and c view, for a model made by
-    # append_hidden_unit; not a field, and not pickled
-    _units = None
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float).reshape(self.m, self.n)
-        V = np.asarray(self.V, dtype=float).reshape(self.m, self.k)
-        b = np.asarray(self.b, dtype=float).reshape(self.n)
-        c = np.asarray(self.c, dtype=float).reshape(self.m)
-        for name, a in (("W", W), ("V", V), ("b", b), ("c", c)):
+        k, n, m = self.k, self.n, self.m
+        for name, shape in (("W", (m, n)), ("V", (m, k)), ("b", (n,)),
+                            ("c", (m,))):
+            a = np.asarray(getattr(self, name), dtype=float).view()
+            if a.shape != shape:
+                raise ShapeMismatch(f"{name} must have shape {shape}, got "
+                                    f"{a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"non-finite entries in {name}")
             object.__setattr__(self, name, a)
             a.setflags(write=False)
-
-    @classmethod
-    def _checked(cls, k: int, n: int, m: int, W: np.ndarray, V: np.ndarray,
-                 b: np.ndarray, c: np.ndarray,
-                 units: _Units | None = None) -> "CrbmParams":
-        """A model of arrays already of the right shapes, finite and
-        read-only, taken as they are: no copy and no check.  ``units`` are
-        the row buffers W, V and c view, if they are views of any."""
-        p = object.__new__(cls)
-        for name, value in zip("knmWVbc", (k, n, m, W, V, b, c)):
-            object.__setattr__(p, name, value)
-        if units is not None:
-            object.__setattr__(p, "_units", units)
-        return p
-
-    def __getstate__(self):
-        # a pickled model holds its own m rows, not its chain's buffers
-        state = dict(self.__dict__)
-        state.pop("_units", None)
-        return state
 
     @classmethod
     def from_vector(cls, k: int, n: int, m: int, theta) -> "CrbmParams":
@@ -107,7 +78,8 @@ class CrbmParams:
             raise ShapeMismatch(f"theta of shape {theta.shape} for "
                                 f"(k, n, m) = ({k}, {n}, {m})")
         w, v, b = m * n, m * (n + k), m * (n + k) + n
-        return cls(k, n, m, theta[:w], theta[w:v], theta[v:b], theta[b:])
+        return cls(k, n, m, theta[:w].reshape(m, n),
+                   theta[w:v].reshape(m, k), theta[v:b], theta[b:])
 
     def vector(self) -> np.ndarray:
         """theta = (W, V, b, c), W and V row-major."""
@@ -116,15 +88,8 @@ class CrbmParams:
     @staticmethod
     def bias_only(k: int, n: int, b) -> "CrbmParams":
         """The model with output biases ``b`` (copied) and no hidden unit."""
-        b = np.array(b, dtype=float)
-        if b.shape != (n,):
-            raise ShapeMismatch(f"b must have shape ({n},), got {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("non-finite entries in b")
-        W, V, c = np.zeros((0, n)), np.zeros((0, k)), np.zeros(0)
-        for a in (W, V, b, c):
-            a.setflags(write=False)
-        return CrbmParams._checked(k, n, 0, W, V, b, c)
+        return CrbmParams(k, n, 0, np.zeros((0, n)), np.zeros((0, k)),
+                          np.array(b, dtype=float), np.zeros(0))
 
     @property
     def param_count(self) -> int:
@@ -186,42 +151,21 @@ def eval_joint_rbm(p: CrbmParams) -> Dist:
     return Dist(p.n, eval_conditional(p).rows[0])
 
 
-def append_hidden_unit(p: CrbmParams, w_out, w_in, bias: float) -> CrbmParams:
-    """``p`` with one more hidden unit: output weights ``w_out`` (n), input
-    weights ``w_in`` (k) and bias ``bias``.
-
-    Only the new unit is checked: ``p``'s arrays were checked when it was
-    made and are read-only, so its rows are taken as they are.  The new
-    model's W, V and c are read-only views of the first m + 1 rows of row
-    buffers with spare capacity.  When ``p`` is the newest model viewing
-    its buffers and a row is spare, the unit is written into that row and
-    the buffers are shared: an append costs O(n + k), not O(m).  Otherwise
-    (a model not made here, a full buffer, or a model appended to before)
-    the rows are copied into new buffers of twice the rows, so a chain of m
-    appends copies O(m) rows in all.  No append writes a row an existing
-    model views: every model keeps its arrays and their bytes."""
+def append_hidden_unit(p: CrbmParams, w_out, w_in, bias) -> CrbmParams:
+    """``p`` with j more hidden units after its own: output weights
+    ``w_out`` (j, n), input weights ``w_in`` (j, k) and biases ``bias``
+    (j,).  The new model's arrays are new; ``p`` is left as it was."""
     w_out = np.asarray(w_out, dtype=float)
     w_in = np.asarray(w_in, dtype=float)
-    bias = float(bias)
-    if w_out.shape != (p.n,) or w_in.shape != (p.k,):
+    bias = np.asarray(bias, dtype=float)
+    if (bias.ndim != 1 or w_out.shape != (len(bias), p.n)
+            or w_in.shape != (len(bias), p.k)):
         raise ShapeMismatch(
-            f"hidden unit weights must have shapes ({p.n},) and ({p.k},)"
-        )
-    for name, finite in (("W", np.isfinite(w_out).all()),
-                         ("V", np.isfinite(w_in).all()),
-                         ("c", math.isfinite(bias))):
-        if not finite:
-            raise ValueError(f"non-finite entries in {name}")
-    m = p.m
-    units = p._units
-    if units is None or units.used != m or m == len(units.c):
-        units = _Units(p, max(2 * m, 1))
-    units.W[m], units.V[m], units.c[m] = w_out, w_in, bias
-    units.used = m + 1
-    W, V, c = units.W[:m + 1], units.V[:m + 1], units.c[:m + 1]
-    for a in (W, V, c):
-        a.setflags(write=False)
-    return CrbmParams._checked(p.k, p.n, m + 1, W, V, p.b, c, units)
+            f"hidden units must have shapes (j, {p.n}), (j, {p.k}) and (j,), "
+            f"got {w_out.shape}, {w_in.shape} and {bias.shape}")
+    return CrbmParams(p.k, p.n, p.m + len(bias), np.concatenate((p.W, w_out)),
+                      np.concatenate((p.V, w_in)), p.b.copy(),
+                      np.concatenate((p.c, bias)))
 
 
 def _log_grad_diffs(X: np.ndarray, Y: np.ndarray,

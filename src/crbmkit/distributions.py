@@ -28,6 +28,30 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
+def _check_outputs(k: int, n: int, outputs) -> np.ndarray:
+    """The output states of a deterministic table as indices: one whole
+    number in [0, 2^n) for each of the 2^k inputs (1.0 counts, 1.5 does
+    not).  Anything else is refused, naming the first output off the cube
+    and its input."""
+    outputs = np.asarray(outputs)
+    if outputs.shape != (1 << k,):
+        raise ShapeMismatch(f"need one output for each of the 2^k = "
+                            f"{1 << k} inputs, got shape {outputs.shape}")
+    if outputs.dtype.kind not in "iuf":
+        raise ValueError(f"outputs must be integers, got {outputs.dtype}")
+    off = ~np.isfinite(outputs) | (outputs != np.floor(outputs))
+    if off.any():
+        x = int(np.argmax(off))
+        raise ValueError(f"output {outputs[x].item()!r} of input {x} is "
+                         f"not an integer")
+    off = (outputs < 0) | (outputs >= 1 << n)
+    if off.any():
+        x = int(np.argmax(off))
+        raise ValueError(f"output {outputs[x].item()!r} of input {x} lies "
+                         f"outside [0, 2^n) = [0, {1 << n})")
+    return outputs.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class Dist:
     """A probability vector over {0,1}^width, indexed by state."""
@@ -85,22 +109,8 @@ class ConditionalTable:
     def deterministic(k: int, n: int, outputs: list[int]) -> "ConditionalTable":
         """Point-mass rows: row x is the delta at outputs[x], one whole number
         in [0, 2^n) for each of the 2^k inputs (1.0 counts, 1.5 does not)."""
-        outputs = np.asarray(outputs)
-        if outputs.shape != (1 << k,):
-            raise ShapeMismatch(f"need one output for each of the 2^k = "
-                                f"{1 << k} inputs, got shape {outputs.shape}")
-        if outputs.dtype.kind not in "iuf":
-            raise ValueError(f"outputs must be integers, got {outputs.dtype}")
-        off = ~np.isfinite(outputs) | (outputs != np.floor(outputs))
-        if off.any():
-            x = int(np.argmax(off))
-            raise ValueError(f"output {outputs[x].item()!r} of input {x} is "
-                             f"not an integer")
-        if ((outputs < 0) | (outputs >= 1 << n)).any():
-            raise ValueError(f"an output lies outside [0, 2^n) = "
-                             f"[0, {1 << n})")
         rows = np.zeros((1 << k, 1 << n))
-        rows[np.arange(1 << k), outputs.astype(np.intp)] = 1.0
+        rows[np.arange(1 << k), _check_outputs(k, n, outputs)] = 1.0
         return ConditionalTable(k, n, rows)
 
     def support_size(self) -> int:

@@ -23,8 +23,9 @@ import numpy as np
 
 from .bitspace import state_bits
 from .crbm import CrbmParams, eval_conditional, sigmoid
-from .distributions import ConditionalTable, _check_eps, tv_row_distance
-from .errors import NotGeneric, ScaleCapExceeded, ShapeMismatch, TieEncountered
+from .distributions import (ConditionalTable, _check_eps, _check_outputs,
+                            tv_row_distance)
+from .errors import NotGeneric, ScaleCapExceeded, TieEncountered
 
 SCALE_CAP = 2.0 ** 40
 
@@ -171,10 +172,9 @@ def embed_sigmoid_output(net: ThresholdNet, eps: float = 1e-3) -> CrbmParams:
 def check_deter_fixed_point(params: CrbmParams, outputs: list[int]) -> bool:
     """Necessary condition for a deterministic table to be approximable:
     f(x) = hs(W^T hs(W f(x) + V x + c) + b) for every input; any tie makes
-    the condition fail."""
-    if len(outputs) != 1 << params.k:
-        raise ShapeMismatch("need one output state per input state")
-    outputs = np.asarray(outputs)
+    the condition fail.  ``outputs`` are checked as
+    ``ConditionalTable.deterministic`` checks them."""
+    outputs = _check_outputs(params.k, params.n, outputs)
     pre1 = (state_bits(params.n, outputs) @ params.W.T
             + state_bits(params.k) @ params.V.T + params.c)
     if np.any(pre1 == 0):

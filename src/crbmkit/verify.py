@@ -248,7 +248,8 @@ def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
         step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
         _, rows, log_norm = apply_sharing_log(state, step)
         w, bias = hidden_unit_from_log(step, log_norm)
-        grown = eval_conditional(append_hidden_unit(params, w[k:], w[:k], bias))
+        grown = eval_conditional(append_hidden_unit(params, w[None, k:],
+                                                    w[None, :k], [bias]))
         if np.abs(rows - grown.rows).sum(axis=1).max() > 1e-10:
             return False, "sharing round trip"
     # jacobian vs finite differences

@@ -388,8 +388,8 @@ def test_dumps_writes_arrays_as_the_indenting_encoder_does(array):
 
 
 def test_compiled_params_pickle_and_round_trip_through_the_json():
-    # a compiled model's W, V and c view its hidden units' row buffers; it
-    # pickles to its own rows, and its JSON reads back to the same bytes
+    # a compiled model pickles with its report, and both its unpickled
+    # arrays and its JSON read back to the same bytes
     import pickle
 
     from crbmkit import compile_universal, random_conditional
@@ -407,7 +407,8 @@ def test_compiled_params_pickle_and_round_trip_through_the_json():
         assert np.array(read[name], dtype=float).tobytes() == a.tobytes()
     # the unpickled model grows like any other, and leaves the compiled
     # model as it was
-    grown = append_hidden_unit(again[0], np.ones(2), np.ones(3), 0.5)
+    grown = append_hidden_unit(again[0], np.ones((1, 2)), np.ones((1, 3)),
+                               [0.5])
     assert grown.m == params.m + 1
     assert all(getattr(again[0], name).tobytes()
                == getattr(params, name).tobytes() for name in names)

@@ -566,11 +566,11 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     spy(compiler, "build_tilted_step", "trial", output_of("fill"))
     spy(compiler, "make_reset_step", "trial", output_of("reset"))
     spy(compiler, "apply_sharing_log")
-    spy(compiler, "append_hidden_unit")
+    spy(compiler, "hidden_unit_from_log")
     spy(compiler, "log_odds")
     spy(_Pipeline, "__init__", "level")
     _, rep = compile_universal(dirichlet_table(k, n, 0))
-    trials, accepted = calls["trial"], calls["append_hidden_unit"]
+    trials, accepted = calls["trial"], calls["hidden_unit_from_log"]
     assert trials > accepted >= rep.hidden_units_used > 0
     assert rep.resets_used > 0
     assert calls["level"] == 2  # tau = 16 fails, 32 passes
@@ -607,6 +607,55 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert len(batches) == len(sharps("fill") | sharps("reset")) < trials
 
 
+def test_a_compile_appends_once_per_completed_tau_level(monkeypatch):
+    # a tau level collects the rows of the units it accepts; when its walk
+    # ends it builds its model once, before its certificate, with one
+    # append of them all to its bias-only start model, and a level rejected
+    # early builds none.  At (4,2), seed 0, tau = 16 is rejected early; a
+    # miss forced on the tau = 32 certificate makes tau = 64 complete too
+    import crbmkit.compiler as compiler
+
+    events = []
+
+    def spy(attr, event):
+        fn = getattr(compiler, attr)
+
+        def traced(*args):
+            events.append(event(*args))
+            return fn(*args)
+        monkeypatch.setattr(compiler, attr, traced)
+
+    spy("hidden_unit_from_log", lambda *args: ("unit",))
+    spy("append_hidden_unit", lambda p, w_out, w_in, bias: (
+        "append", p.m, len(w_out), len(w_in), len(bias)))
+    spy("_Pipeline", lambda *args: ("level",))
+    evaluate = compiler.eval_conditional
+
+    def certificate(p):
+        events.append(("certificate", p.m))
+        if sum(event[0] == "certificate" for event in events) == 1:
+            point = np.eye(1 << p.n)[[0] * (1 << p.k)]
+            return ConditionalTable(p.k, p.n, point)
+        return evaluate(p)
+
+    monkeypatch.setattr(compiler, "eval_conditional", certificate)
+    _, rep = compile_universal(dirichlet_table(4, 2, 0))
+    assert rep.tau_final == 64.0
+    levels, units = [], None
+    for event, following in zip(events, events[1:] + [None]):
+        if event[0] == "level":
+            levels.append(None)
+            units = 0
+        elif event[0] == "unit":
+            units += 1
+        elif event[0] == "append":
+            assert event == ("append", 0, units, units, units)
+            assert following == ("certificate", units)
+            levels[-1] = units
+    assert levels[0] is None and None not in levels[1:] and len(levels) == 3
+    assert levels[-1] == rep.hidden_units_used > 0
+
+
 def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
     # every tilt is a factor over the k inputs times one over the n
     # outputs: no log table over the 2^(k+n) joint states is built.  A
@@ -631,21 +680,25 @@ def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
 
 def test_step_loop_budget_names_the_step_kind(monkeypatch):
     # fills and resets share one retry loop; with no tries left each path
-    # raises BudgetExceeded naming its own kind and appends no unit
+    # raises BudgetExceeded naming its own kind and accepts no unit
     import crbmkit.compiler as compiler
 
+    accepted = []
+    realize = compiler.hidden_unit_from_log
+    monkeypatch.setattr(compiler, "hidden_unit_from_log",
+                        lambda *args: accepted.append(args) or realize(*args))
     # the star at 0 with both inputs free, on the full 2-cube
     scheme = _ComponentScheme.points(1, [0, 1])
     fill = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0, 0b11)
     pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
     pipe.fill_star(fill)  # moves the rows off the start
-    assert pipe.params.m == 1
+    assert len(accepted) == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
         pipe.reset_if_needed(*(a[0] for a in cylinders(2, 0, [0])))
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
         pipe.fill_star(fill)
-    assert pipe.params.m == 1
+    assert len(accepted) == 1 and pipe.model().m == 1
 
 
 def test_step_ladders_ratchet_within_a_level(monkeypatch):
@@ -668,7 +721,7 @@ def test_step_ladders_ratchet_within_a_level(monkeypatch):
 
     spy(compiler, "build_tilted_step", lambda *args: ("fill", args[-1]))
     spy(compiler, "make_reset_step", lambda *args: ("reset", args[-1]))
-    spy(compiler, "append_hidden_unit", lambda *args: ("accept", None))
+    spy(compiler, "hidden_unit_from_log", lambda *args: ("accept", None))
     spy(_Pipeline, "__init__", lambda self, k, n, scheme, tau, tol: (
         "level", tau))
     _, rep = compile_universal(dirichlet_table(8, 1, 0), r=3)
@@ -726,7 +779,7 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
             log_odds(np.full(3, 0.8)), pipe.scheme.tilt(1, sharp), sharp),
             members,
             pipe.scheme.dists[1], 0.0, np.zeros(4, dtype=bool))
-    assert pipe.params.m == 0
+    assert pipe.units == [] and pipe.model().m == 0
 
 
 def common_support_table(k, n, size, seed):
@@ -933,7 +986,7 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
             for k in (0, 1, 2, 5, 9):
                 for tau in (16.0, 128.0, 1024.0):
                     pipe = _Pipeline(k, n, scheme, tau, 1e-3)
-                    logits = (state_bits(n) * pipe.params.b).sum(axis=1)
+                    logits = (state_bits(n) * pipe.start.b).sum(axis=1)
                     logp, rows = conditioned(np.asfortranarray(
                         np.broadcast_to(logits, (1 << k, 1 << n))), k)
                     for got, want in ((pipe.logp, logp), (pipe.rows(), rows)):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -105,43 +106,47 @@ def test_eval_joint_rbm_requires_k0():
 def test_append_zero_unit_is_invariant():
     rng = np.random.default_rng(2)
     p = random_params(2, 2, 1, rng)
-    q = append_hidden_unit(p, np.zeros(2), np.zeros(2), 0.0)
+    q = append_hidden_unit(p, np.zeros((1, 2)), np.zeros((1, 2)), [0.0])
     assert np.abs(eval_conditional(p).rows - eval_conditional(q).rows).max() < 1e-12
 
 
 def test_append_then_delete_round_trip():
     rng = np.random.default_rng(2)
     p = random_params(1, 2, 2, rng)
-    q = append_hidden_unit(p, [1.0, -1.0], [0.5], 0.2)
+    q = append_hidden_unit(p, [[1.0, -1.0]], [[0.5]], [0.2])
     # deleting the last unit gives the original parameters back
     assert np.array_equal(q.W[:-1], p.W) and np.array_equal(q.V[:-1], p.V)
     assert np.array_equal(q.c[:-1], p.c)
     # the grown model's arrays are read-only, like every model's
     assert not (q.W.flags.writeable or q.V.flags.writeable
                 or q.c.flags.writeable or q.b.flags.writeable)
-    # only the new unit is checked, and a bad one is refused
-    with pytest.raises(ShapeMismatch):
-        append_hidden_unit(p, [1.0], [0.5], 0.0)
-    with pytest.raises(ShapeMismatch):
-        append_hidden_unit(p, [1.0, -1.0], [0.5, 0.5], 0.0)
-    for w_out, w_in, bias, name in (([np.nan, 0.0], [0.5], 0.0, "W"),
-                                    ([1.0, -1.0], [np.inf], 0.0, "V"),
-                                    ([1.0, -1.0], [0.5], -np.inf, "c")):
+    # units are rows: a unit of the wrong width, rows that disagree on
+    # their count, or a bare unit are refused, and so is a non-finite one
+    for w_out, w_in, bias in (([[1.0]], [[0.5]], [0.0]),
+                              ([[1.0, -1.0]], [[0.5, 0.5]], [0.0]),
+                              ([[1.0, -1.0]] * 2, [[0.5]], [0.0]),
+                              ([[1.0, -1.0]], [[0.5]], [0.0, 0.0]),
+                              ([1.0, -1.0], [0.5], 0.0)):
+        with pytest.raises(ShapeMismatch):
+            append_hidden_unit(p, w_out, w_in, bias)
+    for w_out, w_in, bias, name in (([[np.nan, 0.0]], [[0.5]], [0.0], "W"),
+                                    ([[1.0, -1.0]], [[np.inf]], [0.0], "V"),
+                                    ([[1.0, -1.0]], [[0.5]], [-np.inf], "c")):
         with pytest.raises(ValueError, match=f"non-finite entries in {name}"):
             append_hidden_unit(p, w_out, w_in, bias)
 
 
 def test_appends_grow_in_place_and_leave_every_model_as_it_was():
-    # a grown model's W, V and c view row buffers with spare rows: an
-    # append to the newest model of its buffers writes the unit in place,
-    # an append to any other copies, and no append changes an existing
-    # model's bytes or makes its arrays writable
+    # appends no longer write in place: each builds its model's W, V and c
+    # afresh.  What still holds: no append changes an existing model's
+    # bytes or makes its arrays writable, and two appends to one model
+    # give two independent models
     rng = np.random.default_rng(3)
     k, n = 2, 3
 
     def unit():
-        return rng.standard_normal(n), rng.standard_normal(k), \
-            float(rng.standard_normal())
+        return (rng.standard_normal((1, n)), rng.standard_normal((1, k)),
+                rng.standard_normal(1))
 
     def arrays(p):
         return (p.W, p.V, p.b, p.c)
@@ -151,62 +156,81 @@ def test_appends_grow_in_place_and_leave_every_model_as_it_was():
         models.append(append_hidden_unit(models[-1], *unit()))
     base = models[20]
     a, b = (append_hidden_unit(base, *unit()) for _ in range(2))
-    models += [a, b]
+    models += [a, b, append_hidden_unit(a, *unit())]
     bytes_before = [[x.tobytes() for x in arrays(p)] for p in models]
     # appending twice to one model gives two independent models, each
     # with the model's rows and its own unit
     assert a.m == b.m == base.m + 1
-    for x, y in zip((a.W, a.V, a.c), (b.W, b.V, b.c)):
-        assert not np.shares_memory(x, y)
     for x, z in zip((a.W, a.V, a.c, b.W, b.V, b.c),
                     (base.W, base.V, base.c) * 2):
         assert np.array_equal(x[:-1], z)
     assert not np.array_equal(a.W[-1], b.W[-1])
-    # the newest model grows in place; once it is appended to, a second
-    # append to it copies
-    c = append_hidden_unit(a, *unit())
-    assert np.shares_memory(c.W, a.W) and np.shares_memory(c.c, a.c)
-    d = append_hidden_unit(a, *unit())
-    assert not np.shares_memory(d.W, c.W)
-    assert np.array_equal(d.W[:-1], a.W) and not np.array_equal(d.W, c.W)
+    # no two models share memory, the newest and its model included
+    for i, p in enumerate(models):
+        for q in models[i + 1:]:
+            assert not any(np.shares_memory(x, y)
+                           for x in arrays(p) for y in arrays(q))
     for p, before in zip(models, bytes_before):
         assert [x.tobytes() for x in arrays(p)] == before
         assert not any(x.flags.writeable for x in arrays(p))
-    # a refused unit leaves the newest model's buffers as they were
+    # a refused unit leaves the model as it was
     with pytest.raises(ValueError):
-        append_hidden_unit(c, [np.nan] * n, [0.0] * k, 0.0)
-    e = append_hidden_unit(c, *unit())
-    assert np.shares_memory(e.W, c.W) and np.array_equal(e.W[:-1], c.W)
+        append_hidden_unit(a, [[np.nan] * n], [[0.0] * k], [0.0])
+    assert [x.tobytes() for x in arrays(a)] == bytes_before[-3]
 
 
 def test_an_append_chain_allocates_linear_bytes():
-    # 4096 appends to one model: the buffers double when full, so the
-    # chain allocates O(m) rows in all, about twice the final ones, where
-    # re-stacking W, V and c allocated O(m^2).  The peak is the last
-    # doubling's two buffers, 1.5 times the final arrays (re-stacking
-    # held two copies of them, 2 times)
+    # a chain of 4096 units appended in one call, as a compile appends a
+    # level's units: the new model's W, V and c are one concatenation
+    # each, so the peak is about the final arrays (1.6 times them at
+    # most), the new model shares no memory with its model, and its model
+    # keeps its bytes and stays read-only
+    rng = np.random.default_rng(3)
     k, n, m = 3, 2, 4096
-    w_out, w_in = np.ones(n), np.ones(k)
-    p = CrbmParams.bias_only(k, n, np.zeros(n))
-    allocated, buffer = 0, None
-    for _ in range(m):
-        p = append_hidden_unit(p, w_out, w_in, 0.5)
-        owner = p.W if p.W.base is None else p.W.base
-        if owner is not buffer:
-            buffer = owner
-            allocated += len(buffer)
-    assert p.m == m and allocated <= 2 * m
+    p = random_params(k, n, 2, rng)
+    w_out, w_in = rng.standard_normal((m, n)), rng.standard_normal((m, k))
+    bias = rng.standard_normal(m)
 
-    p = CrbmParams.bias_only(k, n, np.zeros(n))
+    def arrays(q):
+        return (q.W, q.V, q.b, q.c)
+
+    before = [a.tobytes() for a in arrays(p)]
     tracemalloc.start()
     try:
-        for _ in range(m):
-            p = append_hidden_unit(p, w_out, w_in, 0.5)
+        q = append_hidden_unit(p, w_out, w_in, bias)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    final = p.W.nbytes + p.V.nbytes + p.c.nbytes
-    assert peak <= 1.6 * final
+    assert q.m == p.m + m
+    assert peak <= 1.6 * (q.W.nbytes + q.V.nbytes + q.c.nbytes)
+    assert not any(np.shares_memory(a, b)
+                   for a in arrays(q) for b in arrays(p))
+    assert [a.tobytes() for a in arrays(p)] == before
+    assert not any(a.flags.writeable for a in arrays(p) + arrays(q))
+    assert np.array_equal(q.W, np.concatenate((p.W, w_out)))
+    assert np.array_equal(q.V, np.concatenate((p.V, w_in)))
+    assert np.array_equal(q.c, np.concatenate((p.c, bias)))
+    assert np.array_equal(q.b, p.b)
+
+
+def test_params_refuse_arrays_of_the_wrong_shape():
+    # each array must have its own shape: a transposed W, or a b of shape
+    # (2, 1), is refused, not reshaped, naming the array and both shapes
+    good = dict(W=np.arange(6.0).reshape(3, 2), V=np.zeros((3, 1)),
+                b=np.zeros(2), c=np.zeros(3))
+    assert CrbmParams(1, 2, 3, **good).W.tolist() == good["W"].tolist()
+    for name, bad, want in (("W", np.arange(6.0).reshape(2, 3), (3, 2)),
+                            ("W", np.arange(6.0), (3, 2)),
+                            ("V", np.zeros((1, 3)), (3, 1)),
+                            ("b", np.zeros((2, 1)), (2,)),
+                            ("c", np.zeros((3, 1)), (3,))):
+        message = f"{name} must have shape {want}, got {bad.shape}"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            CrbmParams(1, 2, 3, **{**good, name: bad})
+    # a model's arrays are views: the caller's array stays writable
+    W = np.zeros((3, 2))
+    CrbmParams(1, 2, 3, W, np.zeros((3, 1)), np.zeros(2), np.zeros(3))
+    assert W.flags.writeable
 
 
 def test_two_readings_of_the_model_agree():
@@ -236,8 +260,8 @@ def test_bias_shift_tilts_all_rows_equally():
 
 
 def test_hidden_bias_shift_unobservable_for_zero_weight_unit():
-    p = append_hidden_unit(zero_params(1, 1, 0), [0.0], [0.0], 0.0)
-    q = append_hidden_unit(zero_params(1, 1, 0), [0.0], [0.0], 5.0)
+    p = append_hidden_unit(zero_params(1, 1, 0), [[0.0]], [[0.0]], [0.0])
+    q = append_hidden_unit(zero_params(1, 1, 0), [[0.0]], [[0.0]], [5.0])
     assert np.abs(eval_conditional(p).rows - eval_conditional(q).rows).max() < 1e-12
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from crbmkit.bitspace import state_bits
 from crbmkit.crbm import CrbmParams, eval_conditional, random_params
-from crbmkit.distributions import tv_row_distance
+from crbmkit.distributions import ConditionalTable, tv_row_distance
 from crbmkit.errors import NotGeneric, TieEncountered
 from crbmkit import ltn
 from crbmkit.ltn import (
@@ -254,6 +254,23 @@ def test_fixed_point_checks():
     p = CrbmParams(2, 1, 2, np.zeros((2, 1)), np.zeros((2, 2)),
                    np.array([-5.0]), np.ones(2))
     assert check_deter_fixed_point(p, [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("outputs, match", [
+    ([0, 3, 1, 0], r"^output 3 of input 1 lies outside \[0, 2\^n\) = \[0, 2\)$"),
+    ([0, 1, 1, 2], r"^output 2 of input 3 lies outside \[0, 2\^n\) = \[0, 2\)$"),
+    ([0, -1, 1, 0], r"^output -1 of input 1 lies outside \[0, 2\^n\) = \[0, 2\)$"),
+    ([0, 1.5, 1, 0], r"^output 1\.5 of input 1 is not an integer$"),
+])
+def test_fixed_point_check_refuses_outputs_off_the_cube(outputs, match):
+    # each output must be an output state, as ConditionalTable.deterministic
+    # requires: one off the cube is refused, naming it and its input
+    p = CrbmParams(2, 1, 2, np.zeros((2, 1)), np.zeros((2, 2)),
+                   np.array([-5.0]), np.ones(2))
+    with pytest.raises(ValueError, match=match):
+        check_deter_fixed_point(p, outputs)
+    with pytest.raises(ValueError, match=match):
+        ConditionalTable.deterministic(2, 1, outputs)
 
 
 def test_parity_budget_within_deterministic_bound():

@@ -185,7 +185,8 @@ def test_step_to_hidden_unit_round_trip():
             step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
             _, rows, log_norm = apply_sharing_log(state, step)
             w, bias = hidden_unit_from_log(step, log_norm)
-            grown = append_hidden_unit(params, w[k:], w[:k], bias)
+            grown = append_hidden_unit(params, w[None, k:], w[None, :k],
+                                       [bias])
             diff = rows - eval_conditional(grown).rows
             assert np.abs(diff).sum(axis=1).max() <= 1e-12
 
@@ -199,7 +200,7 @@ def test_step_to_hidden_unit_on_actual_rbm():
     step = SharingStep(0, 0.4, rng.standard_normal((3, 2)))
     stepped, _, log_norm = apply_sharing_log(state, step)
     w, bias = hidden_unit_from_log(step, log_norm)
-    grown = append_hidden_unit(params, w, np.zeros(0), bias)
+    grown = append_hidden_unit(params, w[None], np.zeros((1, 0)), [bias])
     assert np.abs(eval_joint_rbm(grown).probs - np.exp(stepped[0])).sum() < 1e-12
 
 
