@@ -5,65 +5,74 @@ whose rows sit near the scheme's start component, then walk a sequence of
 stars, realizing every sharing step (star fills and cylinder resets) as
 one appended hidden unit.  Every compile mode hands one entry,
 ``_compile``, a component scheme and a walk of stars, and a star is filled
-through each component 1..M-1 that has target mass on one of its rows
-(``_Pipeline.fill_star``).  Universal, common-support and partition targets
-walk a star packing; a one-component target (common support |T| = 1, the
-single-block partition) walks no star, and its start model, priced at no
-hidden unit, is the whole compile.  A packing of
-depth r spends E(r) resets, what ``packing.build_packing`` emits and
-``packing.universal_budget`` prices; from r = 3 on that is more than the
-paper's R(r), because each fill moves its star's whole input cylinder (see
-``packing``).  Sparse targets walk the point stars (x, free_mask=0) on
-point components and reset nothing: each support point of row x outside
-the start component is one fill.  Everything runs on an
-exact log-domain state in parallel with the parameter build; the final
-certificate is evaluated from the parameters themselves, never from the
-simulated state.
+through each component 1..M-1 that has target mass on one of its rows.
+Universal, common-support and partition targets walk a star packing; a
+one-component target (common support |T| = 1, the single-block partition)
+walks no star, and its start model, priced at no hidden unit, is the whole
+compile.  A packing of depth r spends E(r) resets, what
+``packing.build_packing`` emits and ``packing.universal_budget`` prices;
+from r = 3 on that is more than the paper's R(r), because each fill moves
+its star's whole input cylinder (see ``packing``).  Sparse targets walk the
+point stars (x, free_mask=0) on point components and reset nothing: each
+support point of row x outside the start component is one fill.
+Everything runs on an exact log-domain state in parallel with the
+parameter build; the final certificate is evaluated from the parameters
+themselves, never from the simulated state.
 
 The state is the conditional: a (2^k, 2^n) array of log p(y | x) - k log 2
 indexed [x, y], the joint with the model's conditional and a uniform input
-marginal.  A trial's step returns the conditional its unit makes
-(``sharing.apply_sharing_log``), conditioned on its inputs again.  Without
-that, a reset (lambda near e^(-tau/2)) would drain its cylinder's input
-mass, and a later fill there would start from rows whose tilt normalizer
-is all dust from outside its cylinder.  Every numeric of a step lives in
-``sharing``; the compiler keeps the schedule: the plan, the rung ladder,
-the checks and the tau loop.
+marginal.  A trial's units are applied to it as the model applies them
+(``sharing.apply_sharing_log``): each adds its softplus column to the
+logits of the rows near it, and each moved row is conditioned on its input
+again.  Without that, a reset (lambda near e^(-tau/2)) would drain its
+cylinder's input mass, and its tilt normalizer would read a state that is
+not the model's.  Every numeric of a step lives in ``sharing``; the
+compiler keeps the schedule: the plan, the rung ladder, the checks and the
+tau loop.
 
-One loop runs every step, fill or reset (``_Pipeline._step``): build the
-step at a sharpness rung tau * 2^i, i < STEP_RETRIES, try it on the state,
-and accept it when the worst row TV on its target rows is within the
-step's bound and the rows outside its region move by at most the step's
-tolerance share; otherwise double the sharpness, up to the top rung.  A
-step's ladder starts at the rung its kind's last accepted step passed in
-this tau level, tau for the first: the tolerance share is fixed within a
-level, and the rows outside a step's region move by about e^(-sharp d) at
-input distance d, so the rung a kind needs hardly varies from step to
-step, and the lower rungs a ratcheted step skips would mostly be rejected.
-Every accepted step still passes the same two checks.  If passing is
-monotone in sharpness, only a step that would have passed below its start
-rung changes: it is taken sharper.  Nothing checks that monotonicity: a
-step that passes only below its start rung now exhausts its ladder and
-rejects the level, so tau doubles.  A sweep of 200 compiles (seeds 0-7;
-universal, support, common and partition modes) met no such step: units
-and tau_final were those of a ladder restarting at tau on every step.
-Each scheduled step gets an equal share eps / (2 * steps) of the target
-tolerance.  The outer sharpness knob tau doubles from 16 until the final
-evaluation meets eps (or 1024 is hit, which raises BudgetExceeded).  A
-level is rejected early, at the first finished star whose rows miss their
-target by more than eps + (steps still to come) * tol_step + REJECT_MARGIN:
-the packing keeps every later step's region off a finished star, so each
-later step moves its rows by at most tol_step, and the certificate can
-recover no more than that.  The start distribution uses output biases of
-magnitude tau / (2 * component width) so that the sharp steps' off-region
-dust stays exponentially below the start-state dust.
+The stars of one packing level share a free mask and have disjoint input
+cylinders, and each fill's unit is solved from its own star's rows alone,
+so a level's fills toward component t are one trial: a batch of S units,
+one per star that steps toward t (a support compile's one level holds all
+its point stars).  Resets run one at a time, a batch of one.  One loop runs
+every trial (``_Pipeline._step``): build the units at a sharpness rung
+tau * 2^i, i < STEP_RETRIES, apply them to the state, and accept them when
+three checks hold, each unit allowed the step tolerance tol_step: the worst
+row TV of their stars' rows to their targets is within the allowance plus
+S tol_step (for a reset, the start TV plus tol_step); the cross-star leak,
+the worst row TV between those rows and the rows each star's unit makes
+alone, is within S tol_step; and the rows outside the S cylinders move by
+at most S tol_step.  Otherwise the sharpness doubles, up to the top rung.
+A batch's ladder starts at the rung its kind's last accepted trial passed
+in this tau level, tau for the first: the tolerance share is fixed within a
+level, and the rows outside a unit's cylinder move by about e^(-sharp d)
+at input distance d, so the rung a kind needs hardly varies from trial to
+trial, and the lower rungs a ratcheted trial skips would mostly be
+rejected.  Every accepted trial still passes the same checks.  If passing
+is monotone in sharpness, only a trial that would have passed below its
+start rung changes: it is taken sharper.  Nothing checks that
+monotonicity: a trial that passes only below its start rung now exhausts
+its ladder and rejects the level, so tau doubles.  A sweep of 200 compiles
+(seeds 0-7; universal, support, common and partition modes) met no such
+step: units and tau_final were those of a ladder restarting at tau on
+every step.  Each scheduled step (unit) gets an equal share eps / (2 *
+steps) of the target tolerance.  The outer sharpness knob tau doubles from
+16 until the final evaluation meets eps (or 1024 is hit, which raises
+BudgetExceeded).  A tau level is rejected early, after each packing level,
+naming the level's first star whose rows miss their target by more than
+eps + (steps still to come) * tol_step + REJECT_MARGIN: the packing keeps
+every later step's region off a finished star, so each later unit moves
+its rows by at most tol_step, and the certificate can recover no more than
+that.  The start distribution uses output biases of magnitude tau / (2 *
+component width) so that the sharp steps' off-region dust stays
+exponentially below the start-state dust.
 
-Each trial builds one input table log s_X (2^k), one tilted state log p +
-log s, which its builder hands on to the step's application, and one new
-(2^k, 2^n) state with its rows; an accepted trial's state and rows become
-the pipeline's as they are, and its tilt normalizer goes into the unit's
-bias.  The state has mass 1, so a trial makes one full reduction (the
-normalizer), and neither an accepted unit nor a tau level makes another.
+A fill trial reads its stars' member rows to solve their units and makes
+no reduction over the whole state; a reset trial builds its input table
+log s_X (2^k) and reduces its tilted state once, for the normalizer its
+unit's bias takes.  Each trial builds one new (2^k, 2^n) state with its
+rows, in which only the rows near its units moved; an accepted trial's
+state and rows become the pipeline's as they are, and its units are kept.
 
 Nothing is kept across compiles: each compile plans its walk once, and all
 its tau levels share that plan.  A walk is a list of levels, each a group
@@ -74,20 +83,19 @@ support compile's is the point stars (x, 0), in one level with no reset.
 Every cylinder a step concentrates on (a star's inputs, a reset, an output
 component) comes from one builder, ``sharing.cylinders``: one broadcast per
 level's resets, per level's stars and per scheme.  Each level's stars are
-planned in one batch (``_plan_stars``): their geometry
-(``sharing.star_tilts``), their members' mixture weights and log-odds, from
-one ``log_odds`` call over the target's whole profile, and each step's
-target rows.  The component scheme (``_ComponentScheme``) builds its output
-tilts (factors and log s_Y, 2^n) for all its components at once, on the
-first step that asks for a sharpness.  So a tau level only builds, tries
-and accepts steps, fills and resets alike: planned unit input factors
-scaled to the trial's sharpness and a tilt from the scheme make the step,
-handed over with its tilted state and normalizer.  Each tau level builds
-its own start state, the conditioned broadcast of the start logits
-(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and
-collects the weights and bias of each unit it accepts.  A level that walks
-to its end builds its model once, before its certificate: one
-``crbm.append_hidden_unit`` of all its units to its bias-only start model.
+planned at once (``_plan_stars``): their geometry (``sharing.star_tilts``)
+and, for each component in order, the batch of the stars that step toward
+it, stacked: their members' log-odds, from one ``log_odds`` call over the
+target's whole profile, and their target rows after the fill.  The
+component scheme (``_ComponentScheme``) builds its output tilts (factors
+and log s_Y, 2^n) for all its components at once, on the first trial that
+asks for a sharpness.  So a tau level only builds, tries and accepts
+trials, fills and resets alike.  Each tau level builds its own start
+state, the conditioned broadcast of the start logits (``_Pipeline``), in
+tens of microseconds at the benchmark's sizes, and keeps the units it
+accepts.  A level that walks to its end builds its model once, before its
+certificate: one ``crbm.append_hidden_unit`` of all its units to its
+bias-only start model.
 """
 
 from __future__ import annotations
@@ -109,20 +117,21 @@ from .errors import (
     SupportTooLarge,
 )
 from .packing import best_depth, build_packing, universal_budget
-from .sharing import OutputTilt, SharingStep, StarTilt, apply_sharing_log, \
+from .sharing import OutputTilt, StarTilt, Units, apply_sharing_log, \
     build_tilted_step, conditioned, cylinders, hidden_unit_from_log, \
     log_odds, make_reset_step, mixture_weight_profile, output_tilts, \
-    star_tilts
+    own_unit_rows, star_tilts
 
 TAU_START = 16.0
 TAU_MAX = 1024.0
 STEP_RETRIES = 12
 #: slack for the one gap the early rejection cannot bound by step checks:
-#: the simulated state against the certificate, which evaluates the
-#: parameters.  On the certified level of a seed-0 universal compile the two
-#: agree to a worst-row TV of 4.6e-14 at (7,2) r = 3, 3.8e-14 at (8,1)
-#: r = 3, 7.1e-13 at (10,3) and 5.7e-13 at (12,2); 1e-9 is 1400 times the
-#: largest, and a test holds the first three and (6,2) r = 3 to 1e-11.
+#: the simulated state, which skips the (row, unit) pairs below
+#: -sharing.FAR, against the certificate, which evaluates the parameters.
+#: On the certified level of a seed-0 universal compile the two agree to a
+#: worst-row TV of 2.5e-14 at (7,2) r = 3, 1.7e-14 at (8,1) r = 3, 4.0e-13
+#: at (10,3) and 2.2e-13 at (12,2); 1e-9 is 2500 times the largest, and a
+#: test holds the first two, (6,2) r = 3 and (10,3) to 1e-11.
 REJECT_MARGIN = 1e-9
 #: per-row TV tolerance of the divergence witness's partition compile
 WITNESS_EPS = 1e-4
@@ -219,27 +228,38 @@ class _ComponentScheme:
         return _ComponentScheme(n, (1 << l) - 1, tuple(range(1 << l)))
 
 
-class _StarFill(NamedTuple):
-    """One star of a compile's walk as the compile plans it once for all
-    its tau levels: its name in errors, ``(label, index)``, formatted only
-    when the star dooms a level; its ``sharing.StarTilt``, whose cylinder's
-    inputs are the rows no drift check of its steps reads; its steps in
-    order; and its members' target rows.  A step is ``(t, betas, log_t,
-    target)``: the component t it mixes toward, the members' mixture
-    weights toward it and their ``log_odds``, and the members' target rows
-    after it, the previous step's mixed toward component t."""
+class _Batch(NamedTuple):
+    """The fills of one level's stars toward one component, one trial, as
+    the compile plans them once for all its tau levels: the component
+    ``t``; the S stars' ``sharing.StarTilt``, stacked, whose cylinders'
+    inputs are the rows no drift check of the trial reads; their members'
+    ``log_odds`` toward component t (S, r); their members' target rows
+    after the fill ((S r, 2^n), the previous step's mixed toward component
+    t); and the first star's name in errors, ``(label, index)``."""
 
-    name: tuple[str, int]
+    t: int
     tilt: StarTilt
-    steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    log_t: np.ndarray
     target: np.ndarray
+    name: tuple[str, int]
+
+
+class _Stars(NamedTuple):
+    """One level of a walk as the compile plans it: its fills, one
+    ``_Batch`` per component in order, and what the doomed-star check reads
+    after them: every star's members (S, r), their rows of the target table
+    (S, r, 2^n) and the stars' names."""
+
+    batches: list[_Batch]
+    members: np.ndarray
+    target: np.ndarray
+    names: Sequence[tuple[str, int]]
 
 
 def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
                 betas: np.ndarray, log_t: np.ndarray, centers: np.ndarray,
-                free_mask: int, names: Sequence[tuple[str, int]]
-                ) -> list[_StarFill]:
-    """The ``_StarFill`` of each star ``(c, free_mask)`` on k inputs, c in
+                free_mask: int, names: Sequence[tuple[str, int]]) -> _Stars:
+    """The ``_Stars`` of the stars ``(c, free_mask)`` on k inputs, c in
     ``centers``, in that order, named by ``names``: every star of one free
     mask in one plan.
 
@@ -248,10 +268,10 @@ def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
     has target mass, and ``log_t`` their ``log_odds``, all indexed by input.
     A star steps toward each component 1..M-1 with a positive weight on one
     of its members, in order, and its first step's targets mix the start
-    component's distribution.  Each component's targets are mixed at once
-    for the stars that step toward it, by the float operations of a
-    star-by-star plan: mixing every star toward every component would cost
-    2^k rows times 2^n components on a support compile's one level."""
+    component's distribution.  The stars that step toward component t are
+    one batch, whose targets are mixed at once, by the float operations of
+    a star-by-star plan: mixing every star toward every component would
+    cost 2^k rows times 2^n components on a support compile's one level."""
     tilts = star_tilts(k, centers, free_mask)
     members = tilts.members
     # component-major: [t - 1] holds every member's weight (log-odds)
@@ -259,7 +279,7 @@ def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
     betas = betas[members].transpose(2, 0, 1)
     log_t = log_t[members].transpose(2, 0, 1)
     active = betas.any(axis=2)
-    steps = [[] for _ in range(len(members))]
+    batches = []
     mixed = np.empty(members.shape + scheme.dists.shape[1:])
     mixed[...] = scheme.dists[0]
     for t in (active.any(axis=1).nonzero()[0] + 1).tolist():
@@ -267,13 +287,12 @@ def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
         beta = betas[t - 1][on]
         mixed[on] = target = ((1.0 - beta)[..., None] * mixed[on]
                               + beta[..., None] * scheme.dists[t])
-        for s, *step in zip(on.tolist(), beta, log_t[t - 1][on], target):
-            steps[s].append((t, *step))
-    return [_StarFill(name, StarTilt(m, tilts.free_bits, factors, inputs),
-                      star_steps, star_rows)
-            for name, m, factors, inputs, star_steps, star_rows
-            in zip(names, members, tilts.cylinder_factors, tilts.inputs,
-                   steps, rows[members])]
+        batches.append(_Batch(
+            t, StarTilt(members[on], tilts.free_bits,
+                        tilts.cylinder_factors[on], tilts.inputs[on]),
+            log_t[t - 1][on], target.reshape(-1, target.shape[-1]),
+            names[on[0]]))
+    return _Stars(batches, members, rows[members], names)
 
 
 def _packing_walk(k: int, r: int) -> list[tuple]:
@@ -314,145 +333,154 @@ class _Pipeline:
         lf = scheme.unit[0] * (tau / (2.0 * max(scheme.sharp_width, 1)))
         bias = lf[:, 1] - lf[:, 0]
         self.start = CrbmParams.bias_only(k, n, bias)
-        # (weights, bias) of each accepted step's hidden unit, in order
-        self.units: list[tuple[np.ndarray, float]] = []
+        # the ``sharing.Units`` of each accepted trial, in order
+        self.units: list[Units] = []
         # the start logits broadcast to every input row, column-major, x
-        # fastest, and conditioned on the inputs: each row reduction of the
-        # state runs over contiguous columns, and every step keeps the layout
+        # fastest, and conditioned on the inputs; every step keeps the layout
         logits = (state_bits(n) * bias[None, :]).sum(axis=1)
         self.logp, self._rows = conditioned(np.asfortranarray(
             np.broadcast_to(logits, (1 << k, 1 << n))), k)
         self.start_tv = _worst_row_tv(self._rows, scheme.dists[0])
         self.allowance = self.start_tv
         self.used = {"fill": 0, "reset": 0}
-        # kind -> index i of the rung tau * 2^i its last accepted step passed
+        # kind -> index i of the rung tau * 2^i its last accepted trial passed
         self._rung: dict[str, int] = {}
 
     def rows(self) -> np.ndarray:
         """Read-only conditional rows of the current state."""
         return self._rows
 
-    def _apply(self, step: SharingStep, logp: np.ndarray, rows: np.ndarray,
-               log_norm: float) -> None:
-        """Adopt an accepted trial: collect the step's hidden unit, whose
-        bias takes the trial's tilt normalizer ``log_norm`` (the state has
-        mass 1), and make the trial's state ``logp`` and its ``rows`` the
-        current ones."""
-        self.units.append(hidden_unit_from_log(step, log_norm))
-        self.logp, self._rows = logp, rows
-
     def model(self) -> CrbmParams:
-        """The start model with the collected hidden units after it, in the
+        """The start model with the accepted hidden units after it, in the
         order they were accepted: one append."""
-        k = self.k
-        w = np.array([w for w, _ in self.units]).reshape(-1, k + self.n)
-        return append_hidden_unit(self.start, w[:, k:], w[:, :k],
-                                  [bias for _, bias in self.units])
+        w_in, w_out, bias = (np.concatenate(part) for part in zip(
+            Units(np.zeros((0, self.k)), np.zeros((0, self.n)), np.zeros(0)),
+            *self.units))
+        return append_hidden_unit(self.start, w_out, w_in, bias)
 
-    def reject_if_doomed(self, rows: list[int] | np.ndarray,
-                         target_rows: np.ndarray, eps: float,
-                         total_steps: int, what: tuple[str, int]) -> None:
-        """Raise BudgetExceeded, naming the star ``what`` (``(label,
-        index)``), if the finished ``rows`` already miss ``target_rows`` by
-        more than the level's certificate can recover.
+    def reject_if_doomed(self, stars: _Stars, eps: float,
+                         total_steps: int) -> None:
+        """Raise BudgetExceeded, naming the first star of the finished
+        level ``stars`` (``_plan_stars``) whose rows already miss their
+        target by more than the level's certificate can recover.
 
         No later step has a finished row in its region, so each of the at
         most ``total_steps`` - (accepted steps) still to come moves it by at
-        most tol_step, its own check on the rows outside its region.
+        most tol_step, its own share of its trial's check on the rows
+        outside its region.
         """
         remaining = total_steps - self.used["fill"] - self.used["reset"]
         limit = eps + remaining * self.tol_step + REJECT_MARGIN
-        tv = _worst_row_tv(self._rows[rows], target_rows)
-        if tv > limit:
+        tv = np.abs(self._rows[stars.members] - stars.target).sum(
+            axis=-1).max(axis=-1, initial=0.0)
+        doomed = np.flatnonzero(tv > limit)
+        if doomed.size:
+            label, index = stars.names[doomed[0]]
             raise BudgetExceeded(
-                f"{what[0]} {what[1]}: worst-row TV {tv:.6g} to the target > "
-                f"limit {limit:.6g} (tau = {self.tau:g})")
+                f"{label} {index}: worst-row TV {tv[doomed[0]]:.6g} to the "
+                f"target > limit {limit:.6g} (tau = {self.tau:g})")
 
-    def _step(self, kind: str,
-              build: Callable[[float], tuple[SharingStep, np.ndarray, float]],
-              region: np.ndarray, target: np.ndarray, bound: float,
-              inside: np.ndarray) -> None:
-        """Build, try and accept one sharing step.
+    def _step(self, kind: str, build: Callable[[float], Units],
+              members: np.ndarray, target: np.ndarray, bound: float,
+              inside: np.ndarray, name: tuple[str, int] | None = None
+              ) -> None:
+        """Build, try and accept one trial: S units, one per row of
+        ``members`` ((S, r), each unit's own region rows).
 
-        ``build(sharp)`` makes the step at sharpness ``sharp`` with its
-        tilted state and tilt normalizer, as both step builders return
-        them.  A trial is accepted when its rows at ``region`` are within
-        row TV ``bound`` of ``target`` and its rows outside ``inside`` (the
-        inputs of the step's cylinder, an index array) moved by at most
-        tol_step; otherwise the sharpness doubles.  The rungs are
-        tau * 2^i for i < STEP_RETRIES, and the ladder starts at the rung
-        the last accepted step of the same kind passed in this level (tau
-        for the first): within a level tol_step is fixed and a step's
-        outside drift falls like e^(-sharp d) in the input distance d, so a
-        step seldom passes below the rung its kind last needed, and the
-        ratchet only skips rungs, never adds one.  That a skipped rung would
-        also have failed assumes passing is monotone in sharpness, which
-        the measured sweep in the module docstring supports but nothing
-        checks; a step that passes only below its start rung exhausts its
-        ladder here and rejects the level.  A trial's state and rows are
-        the conditional its unit makes (``sharing.apply_sharing_log``), and
-        an accepted trial's become the pipeline's as they are.
+        ``build(sharp)`` makes the units at sharpness ``sharp``.  A trial is
+        accepted when three checks hold, each unit allowed its tol_step:
+        its rows at ``members`` are within row TV ``bound`` of ``target``;
+        they are within S tol_step of the rows that each unit alone makes
+        on its own members (the cross-star leak, read when S > 1); and the
+        rows outside ``inside`` (the inputs of the units' cylinders, an
+        index array) moved by at most S tol_step.  Otherwise the sharpness
+        doubles.  The rungs are tau * 2^i for i < STEP_RETRIES, and the
+        ladder starts at the rung the last accepted trial of the same kind
+        passed in this level (tau for the first): within a level tol_step
+        is fixed and a unit's outside drift falls like e^(-sharp d) in the
+        input distance d, so a trial seldom passes below the rung its kind
+        last needed, and the ratchet only skips rungs, never adds one.  That
+        a skipped rung would also have failed assumes passing is monotone in
+        sharpness, which the measured sweep in the module docstring
+        supports but nothing checks; a trial that passes only below its
+        start rung exhausts its ladder here and rejects the level.  A
+        trial's state and rows are the conditional its units make
+        (``sharing.apply_sharing_log``), and an accepted trial's become the
+        pipeline's as they are.  An exhausted ladder names its rungs, the
+        check that rejected the last one and ``name``, the first star's.
         """
+        count = len(members)
+        region = members.ravel()
+        limit = count * self.tol_step
+        outside = np.ones(1 << self.k, dtype=bool)
+        outside[inside] = False
         first = self._rung.get(kind, 0)
         rejected = None
         for i in range(first, STEP_RETRIES):
             sharp = self.tau * 2.0 ** i
-            step, tilted, log_norm = build(sharp)
-            logp, rows, log_norm = apply_sharing_log(self.logp, step,
-                                                     tilted, log_norm)
+            units = build(sharp)
+            logp, rows, moved = apply_sharing_log(self.logp, self._rows,
+                                                  units)
             tv = _worst_row_tv(rows[region], target)
             if not tv <= bound:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
                 continue
-            moved = np.abs(rows - self._rows).sum(axis=1)
-            moved[inside] = 0.0  # moves are >= 0: the max outside, or 0
-            drift = float(moved.max(initial=0.0))
-            if not drift <= self.tol_step:
-                rejected = (f"outside drift {drift:.3g} > tol_step "
-                            f"{self.tol_step:.3g}")
+            if count > 1:
+                leak = _worst_row_tv(rows[region], own_unit_rows(
+                    self.logp, units, members))
+                if not leak <= limit:
+                    rejected = f"cross-star leak {leak:.3g} > limit {limit:.3g}"
+                    continue
+            moved = moved[outside[moved]]
+            drift = _worst_row_tv(rows[moved], self._rows[moved])
+            if not drift <= limit:
+                rejected = f"outside drift {drift:.3g} > limit {limit:.3g}"
                 continue
-            self._apply(step, logp, rows, log_norm)
+            self.units.append(units)
+            self.logp, self._rows = logp, rows
             self._rung[kind] = i
-            self.used[kind] += 1
-            self.allowance += self.tol_step
+            self.used[kind] += count
+            self.allowance += limit
             return
         tried = (f"rungs {self.tau * 2.0 ** first:g} to {sharp:g}, at "
                  f"{sharp:g} {rejected}" if rejected else "no rung left")
-        raise BudgetExceeded(f"{kind} sharpness schedule exhausted: {tried} "
-                             f"(tau = {self.tau:g})")
+        at = f" at {name[0]} {name[1]} (batch of {count})" if name else ""
+        raise BudgetExceeded(f"{kind} sharpness schedule exhausted{at}: "
+                             f"{tried} (tau = {self.tau:g})")
 
     def reset_if_needed(self, cylinder_factors: np.ndarray,
                         inside: np.ndarray) -> None:
         """Drive a cylinder of inputs, its (k, 2) unit log factors and its
         members ``inside`` as ``_packing_walk`` plans them, back to the
         start component iff one of its rows has drifted from it by more
-        than the phase tolerance."""
+        than the phase tolerance: one unit, the realization of a fixed-lam
+        step and its tilt normalizer (``sharing.hidden_unit_from_log``)."""
         start = self.scheme.dists[0]
         if (_worst_row_tv(self._rows[inside], start)
                 <= self.start_tv + 2.0 * self.tol_step):
             return
         # outputs: concentrate on the start component at start-grade sharpness
         grade = 2.0 * max(self.scheme.sharp_width, 1)
-        self._step("reset", lambda sharp: make_reset_step(
-            self.logp, cylinder_factors, self.scheme.tilt(0, sharp / grade),
-            sharp),
-            inside, start, self.start_tv + self.tol_step, inside)
+        self._step("reset", lambda sharp: hidden_unit_from_log(
+            *make_reset_step(self.logp, cylinder_factors,
+                             self.scheme.tilt(0, sharp / grade), sharp)),
+            inside[None, :], start, self.start_tv + self.tol_step, inside)
 
-    def fill_star(self, fill: _StarFill) -> None:
-        """Run the planned steps of ``fill`` (``_plan_stars``), each through
-        the step loop, on the rows of its star, its members ascending: all
-        that depends on the target alone was planned once for the compile,
-        so a level only builds and tries steps.
+    def fill(self, batch: _Batch) -> None:
+        """Run the planned fill ``batch`` (``_plan_stars``) through the step
+        loop, on the rows of its stars: all that depends on the target alone
+        was planned once for the compile, so a level only builds and tries
+        units.  Each star's unit is allowed tol_step on the region bound.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
-        a support compile fills each row once."""
-        star = fill.tilt
-        for t, betas, log_t, target in fill.steps:
-            self._step("fill", lambda sharp: build_tilted_step(
-                self.logp, star, betas, log_t, self.scheme.tilt(t, sharp),
-                sharp), star.members, target, self.allowance + self.tol_step,
-                star.inputs)
+        a support compile fills each row once per component."""
+        stars = batch.tilt
+        self._step("fill", lambda sharp: build_tilted_step(
+            self.logp, stars, batch.log_t, self.scheme.tilt(batch.t, sharp),
+            sharp), stars.members, batch.target,
+            self.allowance + len(stars.members) * self.tol_step,
+            stars.inputs.ravel(), batch.name)
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
@@ -486,10 +514,9 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
             for resets, stars in levels:
                 for reset in resets:
                     pipe.reset_if_needed(*reset)
-                for star in stars:
-                    pipe.fill_star(star)
-                    pipe.reject_if_doomed(star.tilt.members, star.target,
-                                          eps, total_steps, star.name)
+                for batch in stars.batches:
+                    pipe.fill(batch)
+                pipe.reject_if_doomed(stars, eps, total_steps)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
         else:

@@ -14,7 +14,7 @@ first checks its cost against ``bitspace.MAX_CELLS``: an evaluation costs
 both of ``dimension``'s ranks read one builder of the log-gradient
 differences.
 
-A model's arrays are read-only and fixed when it is made.  Hidden units
+A model's arrays are read-only copies, fixed when it is made.  Hidden units
 are added by building a new model, ``append_hidden_unit``, whose rows are
 its model's followed by the new units' in one concatenation: a compile
 collects the rows of the units a tau level accepts and builds the level's
@@ -26,7 +26,7 @@ bits), matching distributions.conditional_of_joint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,8 +45,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class CrbmParams:
     """Interaction weights and biases (W: m x n, V: m x k, b: n, c: m).
 
-    Arrays of floats are not copied: once they have the right shapes and
-    finite entries, the model holds read-only views of them."""
+    The model holds read-only copies of the arrays it is given, so a
+    caller's later writes into them do not reach it.  With ``copy=False``
+    the caller hands its float arrays over instead: the model makes them
+    read-only and holds them, and the caller must not write them again
+    (``append_hidden_unit`` and ``from_vector`` hand over the arrays they
+    build)."""
 
     k: int
     n: int
@@ -55,12 +59,14 @@ class CrbmParams:
     V: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         k, n, m = self.k, self.n, self.m
         for name, shape in (("W", (m, n)), ("V", (m, k)), ("b", (n,)),
                             ("c", (m,))):
-            a = np.asarray(getattr(self, name), dtype=float).view()
+            a = np.array(getattr(self, name), dtype=float,
+                         copy=True if copy else None)
             if a.shape != shape:
                 raise ShapeMismatch(f"{name} must have shape {shape}, got "
                                     f"{a.shape}")
@@ -72,14 +78,15 @@ class CrbmParams:
     @classmethod
     def from_vector(cls, k: int, n: int, m: int, theta) -> "CrbmParams":
         """The model of theta = (W, V, b, c), W and V row-major: the order
-        of ``vector`` and of the Jacobian's columns.  theta is copied."""
+        of ``vector`` and of the Jacobian's columns.  theta is copied once,
+        and the model holds views of the copy."""
         theta = np.array(theta, dtype=float)
         if theta.shape != ((k + n + 1) * m + n,):
             raise ShapeMismatch(f"theta of shape {theta.shape} for "
                                 f"(k, n, m) = ({k}, {n}, {m})")
         w, v, b = m * n, m * (n + k), m * (n + k) + n
         return cls(k, n, m, theta[:w].reshape(m, n),
-                   theta[w:v].reshape(m, k), theta[v:b], theta[b:])
+                   theta[w:v].reshape(m, k), theta[v:b], theta[b:], copy=False)
 
     def vector(self) -> np.ndarray:
         """theta = (W, V, b, c), W and V row-major."""
@@ -88,8 +95,8 @@ class CrbmParams:
     @staticmethod
     def bias_only(k: int, n: int, b) -> "CrbmParams":
         """The model with output biases ``b`` (copied) and no hidden unit."""
-        return CrbmParams(k, n, 0, np.zeros((0, n)), np.zeros((0, k)),
-                          np.array(b, dtype=float), np.zeros(0))
+        return CrbmParams(k, n, 0, np.zeros((0, n)), np.zeros((0, k)), b,
+                          np.zeros(0))
 
     @property
     def param_count(self) -> int:
@@ -154,7 +161,9 @@ def eval_joint_rbm(p: CrbmParams) -> Dist:
 def append_hidden_unit(p: CrbmParams, w_out, w_in, bias) -> CrbmParams:
     """``p`` with j more hidden units after its own: output weights
     ``w_out`` (j, n), input weights ``w_in`` (j, k) and biases ``bias``
-    (j,).  The new model's arrays are new; ``p`` is left as it was."""
+    (j,).  The new model's arrays are new, each built by one concatenation
+    and handed over to it, so an append holds each of them once; ``p`` is
+    left as it was."""
     w_out = np.asarray(w_out, dtype=float)
     w_in = np.asarray(w_in, dtype=float)
     bias = np.asarray(bias, dtype=float)
@@ -165,7 +174,7 @@ def append_hidden_unit(p: CrbmParams, w_out, w_in, bias) -> CrbmParams:
             f"got {w_out.shape}, {w_in.shape} and {bias.shape}")
     return CrbmParams(p.k, p.n, p.m + len(bias), np.concatenate((p.W, w_out)),
                       np.concatenate((p.V, w_in)), p.b.copy(),
-                      np.concatenate((p.c, bias)))
+                      np.concatenate((p.c, bias)), copy=False)
 
 
 def _log_grad_diffs(X: np.ndarray, Y: np.ndarray,

@@ -25,14 +25,18 @@ from .bitspace import state_bits
 from .crbm import CrbmParams, eval_conditional, sigmoid
 from .distributions import (ConditionalTable, _check_eps, _check_outputs,
                             tv_row_distance)
-from .errors import NotGeneric, ScaleCapExceeded, TieEncountered
+from .errors import (NotGeneric, ScaleCapExceeded, ShapeMismatch,
+                     TieEncountered)
 
 SCALE_CAP = 2.0 ** 40
 
 
 @dataclass(frozen=True)
 class ThresholdNet:
-    """Two-layer threshold network; generic iff no pre-activation is zero."""
+    """Two-layer threshold network; generic iff no pre-activation is zero.
+
+    V (m x k), c (m), W (m x n) and b (n) must have exactly these shapes
+    (ShapeMismatch otherwise); the net holds read-only copies of them."""
 
     k: int
     m: int
@@ -43,11 +47,13 @@ class ThresholdNet:
     b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=float).reshape(self.m, self.k)
-        c = np.asarray(self.c, dtype=float).reshape(self.m)
-        W = np.asarray(self.W, dtype=float).reshape(self.m, self.n)
-        b = np.asarray(self.b, dtype=float).reshape(self.n)
-        for name, a in (("V", V), ("c", c), ("W", W), ("b", b)):
+        k, m, n = self.k, self.m, self.n
+        for name, shape in (("V", (m, k)), ("c", (m,)), ("W", (m, n)),
+                            ("b", (n,))):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != shape:
+                raise ShapeMismatch(f"{name} must have shape {shape}, got "
+                                    f"{a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"non-finite entries in {name}")
             object.__setattr__(self, name, a)

@@ -1,83 +1,90 @@
-"""Sharing-step algebra on the conditional: p -> lam*p + (1-lam)*(p * s).
+"""Sharing steps on the conditional, each one hidden unit.
 
-A step maps a conditional state to a conditional state.  The state, that
-of the compile pipeline, is a (2^k, 2^n) array of log p(y | x) - k log 2
-indexed [x, y]: the joint with the conditional p(y|x) and a uniform input
-marginal, of mass 1.  Its tilt is a product over the coordinates,
-s(x, y) = s_X(x) s_Y(y), stored by its per-coordinate *log* factor pairs;
-concentrated steps put -tau on the off-region value of a coordinate, so
-arbitrary sharpness never leaves the log domain.  The factor normalization
-is irrelevant: it cancels in the step's effect and in the hidden-unit
-realization, so factors are kept unnormalized.  A step knows its k and
-holds two tables, log s_X over the 2^k inputs and log s_Y over the 2^n
-outputs; the tilt is applied by broadcasting them, so no table over all
-2^(k+n) states is built.  The output half of a tilt, its factors and log
-s_Y, is an ``OutputTilt``; ``output_tilts`` builds those of many output
-cylinders at one sharpness in one batch, which a compile passes to every
-step toward them.
+The state, that of the compile pipeline, is a (2^k, 2^n) array of log
+p(y | x) - k log 2 indexed [x, y]: the joint with the conditional p(y|x)
+and a uniform input marginal, of mass 1.  A step tilts rows toward an
+output component by a product over the coordinates, s(x, y) = s_X(x)
+s_Y(y), stored by its per-coordinate *log* factor pairs; concentrated steps
+put -tau on the off-region value of a coordinate, so arbitrary sharpness
+never leaves the log domain.  The output half of a tilt, its factors and
+log s_Y over the 2^n outputs, is an ``OutputTilt``; ``output_tilts`` builds
+those of many output cylinders at one sharpness in one batch, which a
+compile passes to every step toward them.
 
-Every step is one appended hidden unit, as in the paper: one unit
-multiplies every row p(. | x) by a factor over the inputs times a factor
-over the outputs.  With odds w_i = log s_i(1) - log s_i(0) and
-S0 = prod_i s_i(0), appending a unit with weights w (inputs first) and bias
-log((1-lam) S0 / (lam N)), N = sum_{x,y} p(x, y) s(x, y), multiplies p(y|x)
-by a positive multiple of lam + (1-lam) s(x, y)/N, which is exactly the
-step.  A unit's effect on the conditional does not depend on an input
-marginal, so apply_sharing_log conditions the stepped joint on its inputs
-again (``conditioned``) and returns the unit's conditional, a state and its
-rows.  Only 0 < lam < 1 has a finite bias, and a ``SharingStep`` holds no
-other lam: fills clamp theirs to [1e-300, 1 - 1e-16], and a reset's is
-1/(1 + e^min(sharp/2, 700)).  ``verify`` tests this contract against
-``crbm.eval_conditional`` of the grown model.
+Every step is one appended hidden unit, as in the paper.  With odds
+w_i = log s_i(1) - log s_i(0) and S0 = prod_i s_i(0), a unit with weights w
+(inputs first) and bias c multiplies every row p(. | x) by 1 + e^c s(x, y)
+/ S0: it adds softplus(c + V x + W y) to the logits.  ``Units`` holds S
+such units as the rows ``crbm.append_hidden_unit`` takes, and
+apply_sharing_log is the one way to apply them: it adds their softplus
+columns to the state and conditions the moved rows on their inputs again,
+so it returns the conditional of the grown model.  A (row, unit) pair whose
+pre-activation c + V x plus the unit's largest W y is at most -FAR is
+skipped, since it moves the row's logits by less than e^-FAR; the compile's
+certificate, ``crbm.eval_conditional`` of the parameters, sums every pair.
+``verify`` tests the application against that evaluation.
 
-Each step kind has one builder: build_tilted_step (a star fill, exact
-mixture weights on the star's rows) and make_reset_step (a cylinder reset).
-Both scale a cylinder's planned unit factors to the trial's sharpness and
-end in one tilting tail (``_tilted``).  The one cylinder builder,
-``cylinders``, gives the unit factors and members of many cylinders of one
-fixed mask in one broadcast.  A fill reads everything about its star that
-the state does not move from a ``StarTilt`` (``star_tilts``, one broadcast
-per free mask): the members, center first, the free bits their flips set,
-and the cylinder's unit factors and inputs.  A fill takes its mixture
-weights with their clamped log-odds (``log_odds``), which a caller that
-steps one target many times computes once.  apply_sharing_log is the one
-way to apply a step and hidden_unit_from_log the one way to realize it.
-Sequencing, sharpening and accepting steps is the compiler's job.
+Each step kind has one builder, and both scale a cylinder's planned unit
+factors to the trial's sharpness.  build_tilted_step fills a batch of stars
+toward one output component, one unit per star, each solved from its own
+star's member rows: member x's mixture weight toward the component is
+beta(x), with log-odds log T(x) (``log_odds``, clamped to +-LOG_T_CAP).
+With L(x) and G(x) the log masses of row x untilted and tilted by s_Y, the
+free bit that member x flips gets the odds log T(x) + L(x) - G(x) against
+the center's, and the bias is log T(a) - log s_X(a) - G(a) + L(a) + log S0
+at the center a, where log s_X is 0.  No lambda and no reduction over the
+whole state enter a fill, so the stars of a packing level, whose input
+cylinders are disjoint, are solved together.  make_reset_step builds a
+cylinder reset: the lambda-mixture p -> lam p + (1 - lam) p s / N at a
+fixed lam = 1/(1 + e^min(sharp/2, 700)), a ``SharingStep``, with its tilt
+normalizer log N = logsumexp(log p + log s), the one reduction over the
+whole state; hidden_unit_from_log turns the two into the unit of bias
+log((1 - lam) S0 / (lam N)), which multiplies p(y|x) by a positive multiple
+of lam + (1 - lam) s(x, y) / N.  Only 0 < lam < 1 has a finite bias, and a
+``SharingStep`` holds no other lam.
 
-The tilted state log p + log s and its normalizer log N = logsumexp(log p
-+ log s), a reduction over the whole state, are each computed once per step:
-both builders return them with the step, apply_sharing_log takes them (or
-computes them, for a step made by hand) and returns the normalizer, and
-hidden_unit_from_log takes it for the bias.  The state has mass 1, so
-neither the bias nor the conditioning reduces the whole state again.  Every
-log-sum-exp is one max-shift reduction, the max plus the log of the sum of
-exp(entries - max), over the tilted state (``logsumexp``) or per row
-(``conditioned``); a non-finite normalizer is refused (DegenerateStep).
+The one cylinder builder, ``cylinders``, gives the unit factors and members
+of many cylinders of one fixed mask in one broadcast.  A fill reads
+everything about its stars that the state does not move from a
+``StarTilt`` (``star_tilts``, one broadcast per free mask).  Sequencing,
+sharpening and accepting steps is the compiler's job.  Every log-sum-exp is
+one max-shift reduction, the max plus the log of the sum of exp(entries -
+max), over the whole state (``logsumexp``) or per row (``conditioned``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .bitspace import cylinder_members, set_bits
+from .bitspace import cylinder_members, set_bits, state_bits
 from .errors import DegenerateStep, InfeasibleProfile, ShapeMismatch
 
-#: |log T| clamp for degenerate mixture weights (beta -> 0 or 1)
-LOG_T_CAP = 5e4
+#: |log T| clamp of a mixture weight at 0 or 1 (``log_odds``).  A member
+#: asking for beta = 1 gets 1/(1 + e^-40), one asking for 0 gets
+#: e^-40/(1 + e^-40): either misses by less than e^-40 < 4.3e-18, so its row
+#: misses its target by a row TV (x2) below 8.5e-18, within a compile's
+#: tol_step = eps / (2 steps) whenever eps > 1.7e-17 steps
+LOG_T_CAP = 40.0
 #: hidden-unit bias magnitude cap
 BIAS_CAP = 1e7
+#: a (row, unit) pair with c + V x + max_y W y <= -FAR is not applied:
+#: softplus(a) < e^a, so it would move each logit of the row by < e^-37
+FAR = 37.0
+#: (row, unit, output) cells per block of apply_sharing_log
+_BLOCK_CELLS = 1 << 20
 LOG2 = math.log(2.0)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):
     """log(sum(exp(a))) over ``axis``: all entries for None, giving a float,
-    or each row of a 2-D ``a`` for 1.  The max (per row) plus the log of the
-    sum of exp(a - max), the reduction the pipeline normalizes its rows
-    with; the max must be finite."""
+    or along one axis.  The max (per slice) plus the log of the sum of
+    exp(a - max), the reduction the pipeline normalizes its rows with; the
+    max must be finite."""
     a = np.asarray(a, dtype=float)
     top = a.max(axis=axis, keepdims=True)
     return top.squeeze(axis=axis) + np.log(np.exp(a - top).sum(axis=axis))
@@ -112,10 +119,21 @@ class OutputTilt(NamedTuple):
     log_sy: np.ndarray
 
 
+class Units(NamedTuple):
+    """S hidden units on k inputs and n outputs: input weights ``w_in``
+    (S, k), output weights ``w_out`` (S, n) and biases ``bias`` (S,), the
+    rows ``crbm.append_hidden_unit`` takes."""
+
+    w_in: np.ndarray
+    w_out: np.ndarray
+    bias: np.ndarray
+
+
 @dataclass(frozen=True)
 class SharingStep:
-    """One sharing step on k inputs: weight 0 < lam < 1 and product-tilt log
-    factors, the k input coordinates first, then the outputs.
+    """One lambda-mixture step on k inputs, a reset's: weight 0 < lam < 1
+    and product-tilt log factors, the k input coordinates first, then the
+    outputs.
 
     ``log_sx`` (2^k) and ``log_sy`` (2^n) are the tilt's input and output
     log tables, read-only.  A builder that already holds one passes it in,
@@ -153,18 +171,9 @@ class SharingStep:
             object.__setattr__(self, name, table)
 
 
-def _tilted(logp: np.ndarray, log_sx: np.ndarray,
-            log_sy: np.ndarray) -> tuple[np.ndarray, float]:
-    """log p + log s on the [x, y] state, the tilt broadcast from its input
-    and output tables, and its normalizer logsumexp(log p + log s): the
-    tail of both builders."""
-    tilted = logp + log_sx[:, None] + log_sy
-    return tilted, logsumexp(tilted)
-
-
 def conditioned(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pipeline state of the (2^k, 2^n) log joint ``logp`` and its rows,
-    both indexed [x, y].
+    """The pipeline state of the (rows, 2^n) log joint ``logp`` on k inputs
+    and its rows, both indexed [x, y].
 
     The state is log p(y | x) - k log 2: the joint with the conditional of
     ``logp`` and a uniform input marginal, every input row of mass 2^-k.
@@ -179,37 +188,89 @@ def conditioned(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return logp - (top + np.log(mass) + k * LOG2), rows
 
 
-def apply_sharing_log(logp: np.ndarray, step: SharingStep,
-                      tilted: np.ndarray | None = None,
-                      log_norm: float | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Apply a step to a (2^k, 2^n) state indexed [x, y] (``conditioned``).
+def _softplus(a: np.ndarray) -> np.ndarray:
+    """log(1 + e^a) entrywise, as max(a, 0) + log1p(e^-|a|): 5.4 µs on
+    600 entries, where np.logaddexp(0.0, a) takes 9.1 µs (x86-64)."""
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
-    Returns the conditional the step's hidden unit makes, the stepped joint
-    conditioned on its inputs again, as a state and its read-only rows, and
-    the tilt normalizer log N = logsumexp(logp + log s) that the unit's bias
-    takes.  The tilted state logp + log s and its normalizer are computed
-    here unless the caller passes both (the builders return them).
+
+@lru_cache(maxsize=None)
+def _bits(width: int) -> np.ndarray:
+    """``state_bits(width)``, read-only, built once per width."""
+    table = state_bits(width)
+    table.setflags(write=False)
+    return table
+
+
+def apply_sharing_log(logp: np.ndarray, rows: np.ndarray, units: Units
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append ``units`` to the model whose conditional is the state
+    ``logp`` ((2^k, 2^n), indexed [x, y], ``conditioned``) with ``rows``.
+
+    Returns the grown model's state and read-only rows, new arrays, and the
+    inputs whose rows moved, ascending (the given arrays when none did):
+    each unit adds softplus(c + V x + W y) to row x's logits, and each
+    moved row is conditioned on its input again.  A (row, unit) pair with
+    c + V x + max_y W y <= -FAR is skipped.  The units are applied to
+    blocks of input rows in turn, each block's (row, unit, output) cells
+    at most _BLOCK_CELLS, so a trial holds one block's pairs at a time.
     """
-    if tilted is None:
-        tilted, log_norm = _tilted(logp, step.log_sx, step.log_sy)
-    if not math.isfinite(log_norm):
-        raise DegenerateStep("tilt normalizer vanished")
-    lam = step.lam
-    stepped = np.logaddexp(np.log(lam) + logp,
-                           np.log1p(-lam) + tilted - log_norm)
-    return *conditioned(stepped, step.k), log_norm
+    nx, ny = logp.shape
+    k, n = nx.bit_length() - 1, ny.bit_length() - 1
+    w_in, w_out, bias = units
+    if (np.ndim(bias) != 1 or np.shape(w_in) != (len(bias), k)
+            or np.shape(w_out) != (len(bias), n)):
+        raise ShapeMismatch(
+            f"units must have shapes (S, {k}), (S, {n}) and (S,), got "
+            f"{np.shape(w_in)}, {np.shape(w_out)} and {np.shape(bias)}")
+    out = w_out @ _bits(n).T                          # (S, 2^n): W y
+    floor = -FAR - out.max(axis=1)
+    block = max(_BLOCK_CELLS // (max(len(bias), 1) * ny), 1)
+    moved, delta = [], []
+    for x0 in range(0, nx, block):
+        pre = _bits(k)[x0:x0 + block] @ w_in.T + bias  # (rows, S)
+        x, u = np.nonzero(pre > floor)
+        if len(x):
+            # x ascends: each moved row's pairs start where x changes
+            first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+            moved.append(x[first] + x0)
+            delta.append(np.add.reduceat(
+                _softplus(pre[x, u][:, None] + out[u]), first, axis=0))
+    if not moved:
+        return logp, rows, np.zeros(0, dtype=np.intp)
+    moved, delta = (part[0] if len(part) == 1 else np.concatenate(part)
+                    for part in (moved, delta))
+    grown, grown_rows = conditioned(logp[moved] + delta, k)
+    logp, rows = logp.copy(order="K"), rows.copy(order="K")
+    logp[moved], rows[moved] = grown, grown_rows
+    rows.setflags(write=False)
+    return logp, rows, moved
 
 
-def hidden_unit_from_log(step: SharingStep, log_norm: float
-                         ) -> tuple[np.ndarray, float]:
-    """Weights (k inputs first, then the outputs) and bias of the hidden
-    unit realizing ``step`` on a state of mass 1.
+def own_unit_rows(logp: np.ndarray, units: Units,
+                  members: np.ndarray) -> np.ndarray:
+    """The rows ``members`` ((S, r): unit s's own rows are members[s]) of
+    the state ``logp`` ((2^k, 2^n), indexed [x, y]), each grown by its own
+    unit of ``units`` alone and conditioned: read-only, (S r, 2^n) in the
+    order of ``members``.  A batch's cross-star leak is their distance to
+    the rows with every unit applied."""
+    nx, ny = logp.shape
+    k = nx.bit_length() - 1
+    w_in, w_out, bias = units
+    pre = (_bits(k)[members] @ w_in[:, :, None])[..., 0] + bias[:, None]
+    out = w_out @ _bits(ny.bit_length() - 1).T
+    logits = logp[members] + _softplus(pre[..., None] + out[:, None, :])
+    return conditioned(logits.reshape(-1, ny), k)[1]
+
+
+def hidden_unit_from_log(step: SharingStep, log_norm: float) -> Units:
+    """The hidden unit realizing the lambda-mixture ``step`` on a state of
+    mass 1, as one row of ``Units``.
 
     The bias takes the step's tilt normalizer on that state, ``log_norm``,
-    as build_tilted_step or apply_sharing_log returned it.  Appending the
-    unit to a CRBM whose conditional is the state's gives the conditional
-    apply_sharing_log returns.
+    as make_reset_step returned it: log((1 - lam) S0 / (lam N)).  Applying
+    the unit (apply_sharing_log) gives the conditional of the state after
+    the step, p -> lam p + (1 - lam) p s / N conditioned on its inputs.
     """
     w = step.log_factors[:, 1] - step.log_factors[:, 0]
     log_s0 = float(step.log_factors[:, 0].sum())
@@ -220,7 +281,7 @@ def hidden_unit_from_log(step: SharingStep, log_norm: float
     bias = float(np.log1p(-lam) - np.log(lam) + log_s0 - log_n)
     if not math.isfinite(bias) or abs(bias) > BIAS_CAP:
         raise DegenerateStep(f"bias {bias!r} beyond magnitude cap")
-    return w, bias
+    return Units(w[None, :step.k], w[None, step.k:], np.array([bias]))
 
 
 def mixture_weight_profile(q_masses: np.ndarray) -> np.ndarray:
@@ -317,71 +378,49 @@ def star_tilts(k: int, centers, free_mask: int) -> StarTilt:
     return StarTilt(_read_only(members), _read_only(bits), factors, inputs)
 
 
-def build_tilted_step(
-    logp: np.ndarray,
-    star: StarTilt,
-    betas: np.ndarray,
-    log_t: np.ndarray,
-    out: OutputTilt,
-    sharpness: float,
-) -> tuple[SharingStep, np.ndarray, float]:
-    """Concentrated step hitting exact mixture weights on a star's rows.
+def build_tilted_step(logp: np.ndarray, stars: StarTilt, log_t: np.ndarray,
+                      out: OutputTilt, sharpness: float) -> Units:
+    """The units filling a batch of S stars toward one output component,
+    one per star, in order.
 
-    The star is ``star`` on the k inputs: its input cylinder fixes the bits
-    outside its free mask to the center's.  ``betas`` holds each member's
-    required weight toward the output component whose tilt, already
-    sharpened, is ``out``, and ``log_t`` their ``log_odds``, both in the
-    order of ``star.members``.  The within-star odds are solved against the
-    current state ``logp`` ((2^k, 2^n), indexed [x, y]) so the realized
-    weights are exact; only the component's off-region dust is
-    approximate.  The input factors are the star's cylinder factors scaled
-    to ``sharpness``, with each free bit's on value set to the solved odds
-    of the member that flips it against the center's.
-
-    Returns the step, its tilted state logp + log s and its tilt
-    normalizer logsumexp(logp + log s), which the step's lambda needs; pass
-    both on to apply_sharing_log.
+    ``stars`` are S stars on the k inputs, stacked (``star_tilts``): each
+    one's input cylinder fixes the bits outside its free mask to its
+    center's.  ``log_t`` ((S, r), in the order of ``stars.members``) holds
+    each member's ``log_odds`` toward the component whose tilt, already
+    sharpened, is ``out``.  Each star's unit is solved from its own member
+    rows of the state ``logp`` ((2^k, 2^n), indexed [x, y]), so that the
+    realized weights are exact; only the component's off-region dust is
+    approximate.  Its input weights are its cylinder's odds at
+    ``sharpness``, with each free bit's set to the odds log T(x) + L(x) -
+    G(x) of the member x that flips it against the center's, and its bias
+    is log T(a) - G(a) + L(a) + log S0 at the center a (where log s_X is 0).
     """
-    if np.shape(betas) != star.members.shape \
-            or np.shape(log_t) != star.members.shape:
-        raise ShapeMismatch("betas must cover exactly the star members")
-    k = len(star.cylinder_factors)
-
-    log_sy = out.log_sy
-    # the member rows; L and G are their log masses untilted and tilted
-    # toward the component
-    rows = logp[star.members]
-    big_l, big_g = logsumexp(np.concatenate([rows, rows + log_sy]),
-                             axis=1).reshape(2, -1)
-    # log T(x) + L(x) - G(x): the required log s_X(x) up to a constant
-    excess = log_t + big_l - big_g
-
-    lf = np.concatenate((star.cylinder_factors * sharpness, out.log_factors))
-    lf[star.free_bits, 1] = excess[1:] - excess[0]
-
-    # Solve lambda at an interior anchor row a (its beta farthest from 0/1,
-    # the first such member, where log T is never clamped): the pull of row
-    # a is u = (1-lam) M(a) with log M(a) = log s_X(a) + log<p(.|a), s_Y> -
-    # log N, and beta = u/(lam+u) requires lam T(a) = (1-lam) M(a).  Rows
-    # whose log T was clamped err only toward the saturated value they
-    # asked for.
-    log_sx = _log_values_of(lf[:k])
-    tilted, log_norm = _tilted(logp, log_sx, log_sy)
-    a = int(np.minimum(betas, 1.0 - betas).argmax())
-    log_m = float(log_sx[star.members[a]] + big_g[a] - big_l[a] - log_norm)
-    log_t_a = log_t[a]
-    lam = float(1.0 / (1.0 + np.exp(min(max(log_t_a - log_m, -700.0), 700.0))))
-    lam = min(max(lam, 1e-300), 1.0 - 1e-16)
-    return SharingStep(k, lam, lf, log_sx, log_sy), tilted, log_norm
+    if np.shape(log_t) != stars.members.shape:
+        raise ShapeMismatch("log-odds must cover exactly the star members")
+    # G, the member rows' log masses tilted toward the component; each
+    # row's untilted log mass L is -k log 2, the state's
+    k = len(logp).bit_length() - 1
+    excess = (log_t - k * LOG2
+              - logsumexp(logp[stars.members] + out.log_sy, axis=-1))
+    factors = stars.cylinder_factors * sharpness
+    w_in = factors[..., 1] - factors[..., 0]
+    w_in[:, stars.free_bits] = excess[:, 1:] - excess[:, :1]
+    bias = (excess[:, 0] + factors[..., 0].sum(axis=1)
+            + out.log_factors[:, 0].sum())
+    if not (np.abs(bias) <= BIAS_CAP).all():
+        raise DegenerateStep(f"bias beyond magnitude cap in {bias!r}")
+    w_out = out.log_factors[:, 1] - out.log_factors[:, 0]
+    return Units(w_in, np.repeat(w_out[None], len(bias), axis=0), bias)
 
 
 def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
                     out: OutputTilt, sharpness: float
-                    ) -> tuple[SharingStep, np.ndarray, float]:
+                    ) -> tuple[SharingStep, float]:
     """A step driving the rows of the state ``logp`` ((2^k, 2^n), indexed
     [x, y]) whose inputs lie in a cylinder, its (k, 2) unit log factors
     ``cylinder_factors`` (``cylinders``), toward an output component, with
-    its tilted state and tilt normalizer, as build_tilted_step returns them.
+    its tilt normalizer log N = logsumexp(logp + log s), which
+    hidden_unit_from_log takes.
 
     ``out`` (already sharpened) is the component's output tilt, e.g. -tau
     on the off value of every bit for a point mass.  lam is near 0 and the
@@ -394,6 +433,6 @@ def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
                             f"of 2^{k} rows, got {np.shape(cylinder_factors)}")
     lf = np.concatenate((cylinder_factors * sharpness, out.log_factors))
     log_sx = _log_values_of(lf[:k])
-    tilted, log_norm = _tilted(logp, log_sx, out.log_sy)
+    log_norm = logsumexp(logp + log_sx[:, None] + out.log_sy)
     lam = float(1.0 / (1.0 + np.exp(min(sharpness / 2.0, 700.0))))
-    return SharingStep(k, lam, lf, log_sx, out.log_sy), tilted, log_norm
+    return SharingStep(k, lam, lf, log_sx, out.log_sy), log_norm

@@ -44,7 +44,7 @@ from .mrf import (
     mobius_forward,
     mrf_distribution,
 )
-from .sharing import SharingStep, apply_sharing_log, hidden_unit_from_log
+from .sharing import Units, apply_sharing_log, conditioned
 
 
 @dataclass(frozen=True)
@@ -237,19 +237,19 @@ def _crit_bounds(offset: int = 0) -> tuple[bool, str]:
 
 def _crit_oracles(offset: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(99 + offset)
-    # sharing step round trip on the conditional: the rows a step returns
-    # are the conditional of the model grown by the step's hidden unit
+    # applying units to the conditional: the rows apply_sharing_log returns
+    # are the conditional of the model grown by the units, far pairs skipped
     for _ in range(100):
         k = int(rng.integers(0, 3))
         n = int(rng.integers(1, 3))
         params = random_params(k, n, int(rng.integers(0, 3)), rng)
-        state = np.log(eval_conditional(params).rows) - k * np.log(2.0)
-        lam = float(rng.uniform(0.05, 1.0 - 1e-9))
-        step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
-        _, rows, log_norm = apply_sharing_log(state, step)
-        w, bias = hidden_unit_from_log(step, log_norm)
-        grown = eval_conditional(append_hidden_unit(params, w[None, k:],
-                                                    w[None, :k], [bias]))
+        state, rows = conditioned(np.log(eval_conditional(params).rows), k)
+        j = int(rng.integers(1, 4))
+        units = Units(*(rng.standard_normal(shape) * 20.0
+                        for shape in ((j, k), (j, n), (j,))))
+        rows = apply_sharing_log(state, rows, units)[1]
+        grown = eval_conditional(append_hidden_unit(params, units.w_out,
+                                                    units.w_in, units.bias))
         if np.abs(rows - grown.rows).sum(axis=1).max() > 1e-10:
             return False, "sharing round trip"
     # jacobian vs finite differences

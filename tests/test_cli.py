@@ -267,44 +267,43 @@ def test_mrf_stdout_matches_its_golden_hash(k, capsys):
 #: below it but no unit count or tau
 COMPILE_GOLDEN = {
     ("compile", "--k", "8", "--n", "1", "--r", "3"):
-        "fe98605961574a9dd146ceb29d0ca902ade8337df4cc984c85e5e81d6c10d737",
+        "06e689449e6177a78d17746317d54be49967320b39b8595bad579b590003d65f",
     # the deepest reset schedule: 99 resets at r = 4
     ("compile", "--k", "10", "--n", "1", "--r", "4"):
-        "2bfdeb049bafdd67750f74f72ba74937e50cf4aa6533d318c543204bfec1fb0c",
+        "41bb8799d77370b024502a099513623405ebc0f84c89bb34669f3e9febaa3bd8",
     ("compile", "--mode", "support", "--k", "8", "--n", "2", "--d", "4"):
-        "06cee6acb5e1da7bd4e25b0e9bc55c5d355f5a71a9c1a9f7d6b319fa95752c22",
+        "05ca4d2c98b4d6728617dfa382743a894b27d374a1b267f127567590ea47348f",
     ("compile", "--mode", "common", "--k", "8", "--n", "2",
      "--support-size", "3"):
-        "306a2dd3d77dc25225bfe6f28e008604763f208751cff45689fe39cc2edff13d",
+        "043c07d065c60f2f7a92189bc0ef1fa7f627367d71a9ab05c126a78d404a4491",
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "2"):
-        "2ac50e3a0aa10cd99ab51a9a31ab50154b25e08a84a500002240e32f0324260c",
+        "0f4b61b4a4b6875297a3fdc8d5827fcf7d6c6cb2ebd23566b2515e14f86f1489",
     # (10,3) picks r = 4 (2087 units) and passes at tau = 64: its doomed
-    # tau = 16 and 32 levels must stop at their first stars to keep it a
-    # few seconds
+    # tau = 16 and 32 levels stop at the check after their first packing
+    # level
     ("compile", "--k", "10", "--n", "3"):
-        "3e572ef5fe903bb26c6254582b6e1c7722f8ed8fdcbe5116c5e382a03c7fa64d",
+        "4162db34d86a4915382d8134bbbdf30de467a29fd5a148e364421a2b3e72a69f",
     # (13,1) picks r = 4 (2371 units): priced on its blocked final
     # evaluation, 19.4M cells, it fits the cell limit, where the unblocked
     # (2^14, 2371) activations would not
     ("compile", "--k", "13", "--n", "1"):
-        "5331c8928aeb86604598317ca1cd8f722805c0372510b8580b3da36e9df9cda6",
+        "994fdc016c8374647d7eec85eb3822dbeaabcc6c521cec7591eb1b791a7cf670",
     # a one-component target (the single-block partition) walks no star,
     # and its start model must meet eps
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "0"):
         "21581821b5d9affcfbd6235ecaa25b7a50c74c64c9eba80b612bd90175f6342d",
-    # the 2028 point fills clamp lambda to 1e-300 and each passes only at
-    # rung 1024 of the tau = 16 level; a fill's ladder starts at the rung
-    # the last fill passed, so only the first climbs the six rungs below,
-    # which keeps it a few seconds
+    # the 2028 point fills are one level of point stars toward the one
+    # other component: one batch, whose log-odds are capped at +-40, and it
+    # passes at rung 64 of the tau = 16 level (max |W| 64)
     ("compile", "--mode", "support", "--k", "12", "--n", "1", "--d", "8"):
-        "800f2d52d0e0cddfbde0e8f95e72be6a4e9f8d6f1f52334dff7b9ac4a9b46ed7",
+        "38a6698bd3c37ae668c55e292f4cbcddf0aab5d9dcb663c6bdbf561e401f83ba",
     # a one-component compile is priced at 0 units whatever depth it is
     # given: at r = 3 it reports budget_bound 0 and uses no unit
     ("compile", "--mode", "common", "--k", "8", "--n", "2",
      "--support-size", "1", "--r", "3"):
         "e3bd6cbd231354326e0d247b95b1fd86c1730e5ced05a5eb083b67cf2d38aa05",
     ("divergence", "--k", "3", "--n", "3", "--m", "10"):
-        "a00772e918f199533352d9534e618299662907623dee8932e79e389169a8c32f",
+        "f12fcc632544a465fb0d5dbff02675e51a101459132c3d9244e9f5047f187919",
     # a 2^15-cell target and no unit: the payload is nearly all arrays, so
     # this pins the writer's bytes where its C-encoded arrays matter.
     # Recorded with the pure-Python indenting encoder

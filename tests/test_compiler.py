@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from crbmkit import compiler
 from crbmkit.compiler import (
     CompileReport,
+    _Batch,
     _ComponentScheme,
     _Pipeline,
     _packing_walk,
@@ -51,10 +52,11 @@ def one_star(k, center, free_mask):
 
 def plan_one(k, scheme, rows, center, free_mask):
     """The compile's plan of the one star ``(center, free_mask)`` toward the
-    target ``rows`` (2^k of them), named ("star", 0)."""
+    target ``rows`` (2^k of them), named ("star", 0): one batch per
+    component."""
     betas = mixture_weight_profile(scheme.masses(rows))
     return _plan_stars(k, scheme, rows, betas, log_odds(betas), [center],
-                       free_mask, [("star", 0)])[0]
+                       free_mask, [("star", 0)])
 
 
 def test_clamp_table():
@@ -427,38 +429,42 @@ def test_support_points_compile_sparse(k, n, seed):
 # level, the universal-4-2, partition-4-3-l2 and support-4-2-d2 steps that
 # had passed below that rung were taken at it: their digests and TVs were
 # re-recorded then, their units and tau did not move, and no universal-3-2
-# bit did.
+# bit did.  When a packing level came to fill toward each component in one
+# trial, each star's unit solved from its own rows without lambda, every
+# digest and TV was re-recorded: the units are solved against the level's
+# state, not the previous star's, and the pairs far below the softplus
+# knee are skipped; no units or tau moved.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
-                      10, 32.0, 0.0007966023069756398,
-                      "ff0a7ebf896c16fc7d22ac252e0b9c9e72cd9c2f086b7580510eaed70bed562c"),
+                      10, 32.0, 0.0007966024394189739,
+                      "caaa187cf8e75fcab1be3b74673b07595dc51438c9679ec02a406e846b373919"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
-                      19, 32.0, 0.0007966040887859571,
-                      "f399b56947142d2fa4c777d6e13a92d0bef8b1017afd6a1493b0d73aad6288e0"),
+                      19, 32.0, 0.0007966042230211287,
+                      "ffa45272bcfa105ca57e30d68e9eb342da7273a30327003d093e9849dee9ecc2"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
-                         19, 32.0, 0.0007966040887864637,
-                         "1b9fc277ed37a43bebfed1ecfd7f0426e77795cd55c295bbace96941e6fc3d74"),
+                         19, 32.0, 0.000796604223015876,
+                         "2882483bc9cc12531a97ed81a6322f270fffed5d0a34550a5c3c6949d45b16d9"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
-                       11, 32.0, 0.0013411756024457075,
-                       "eb1a5752fc29a68a523830b14f2e640cd7abc08a6b32ff6ba3a4efc93e4e6652"),
+                       11, 32.0, 0.00134117619541544,
+                       "7ddbcc51f1f347bbefe02ba5795bd0e6b8a994d56d18d0375a3f9870e3b84cc9"),
     # one reset grade 14 (sharp_width 7): its output tilts at sharp / 14
     # are not a power-of-two multiple of the unit ones, so a table scaled
     # from sharpness 1 would move this digest by an ulp
     "universal-3-7": (lambda: compile_universal(dirichlet_table(3, 7, 0)),
-                      382, 16.0, 0.008117515549566396,
-                      "dbb51d3ec96c252353268d1f10c6b4a0e37029b6aa9371cfc4bb04ebac644ce3"),
+                      382, 16.0, 0.008117520567949767,
+                      "239efcdd4c2714835788249160f6a3f83732689729ca3ce579c849a3b9a02a6a"),
     # n = 3 at tau 64, where resets are graded 6: a trial's row sums over
     # the 8 outputs run in another order when their array is not
     # C-contiguous, which moves this digest
     "universal-5-3": (lambda: compile_universal(dirichlet_table(5, 3, 0)),
-                      85, 64.0, 6.0512844045768586e-05,
-                      "ba3b9e13f9aed103af57ca9612869c6769ebf50d67e6955c1c75f07413357784"),
+                      85, 64.0, 6.051284404529501e-05,
+                      "cc67ed2ef126dc26235935190ef10eab62f49132b5700a45c9bb92cd34be31e4"),
     # the size that sets the benchmark's compile tail: r = 3, with resets
     "universal-6-2": (lambda: compile_universal(dirichlet_table(6, 2, 0)),
-                      68, 32.0, 0.0007974598323194082,
-                      "0a83b98e62bbd36ec916e33d82546159d2159b061423fff9476f338f20b5490b"),
+                      68, 32.0, 0.0007974598887532311,
+                      "99941d91c334d48076692fd60da82bb7cf22fd41e0feab679a0b755d9ed2a4b0"),
 }
 
 
@@ -479,18 +485,100 @@ def test_golden_compile_outputs(name):
     assert params_digest(params) == digest
 
 
+#: the benchmark's compile mix (perfbench/mixes.py), drawn here the same
+#: way: universal sizes (k, n), then common (4,2) |T| = 3, partition (4,3)
+#: l = 2, support (3,2) and (4,2) with d = 2, and divergence witnesses
+#: (k, n, m), each from its own numpy generator [seed, 0, slot]
+MIX_UNIVERSAL = [(2, 2), (3, 2), (4, 1), (4, 2), (5, 1), (3, 3), (5, 2),
+                 (6, 1), (6, 2), (8, 1)]
+MIX_WITNESS = [(2, 3, 6), (3, 3, 10), (4, 3, 19)]
+
+
+def compile_mix(seed):
+    """(kind, target rows, call) of each op of the compile mix's round 0
+    at ``seed``."""
+    slots = iter(range(1 << 16))
+
+    def draw():
+        return np.random.default_rng([seed, 0, next(slots)])
+
+    ops = [("universal", draw().dirichlet(np.ones(1 << n), size=1 << k),
+            lambda t: compile_universal(t, eps=1e-2))
+           for k, n in MIX_UNIVERSAL]
+    rng = draw()
+    support = np.sort(rng.choice(4, size=3, replace=False))
+    rows = np.zeros((16, 4))
+    rows[:, support] = rng.dirichlet(np.ones(3), size=16)
+    ops.append(("common", rows, lambda t: compile_common_support(t, eps=1e-2)))
+    rows = draw().dirichlet(np.ones(4), size=16)[:, np.arange(8) & 3] / 2
+    ops.append(("partition", rows, lambda t: compile_partition(t, 2, eps=1e-2)))
+    for k, n in [(3, 2), (4, 2)]:
+        # one random output per row plus 2 extra support points
+        rng = draw()
+        rows = np.zeros((1 << k, 1 << n))
+        for x in range(1 << k):
+            rows[x, rng.integers(0, 1 << n)] = 1.0
+        for e in rng.choice((1 << k) * (1 << n), size=2, replace=False):
+            rows[e >> n, e & ((1 << n) - 1)] += 1.0
+        rows *= rng.uniform(0.5, 1.5, size=rows.shape)
+        ops.append(("support", rows / rows.sum(axis=1, keepdims=True),
+                    lambda t: compile_support_points(t, 2, 1e-2)))
+    ops += [("witness", draw().dirichlet(np.ones(1 << n), size=1 << k),
+             lambda t, m=m: divergence_witness(t, m))
+            for k, n, m in MIX_WITNESS]
+    return ops
+
+
+#: (hidden units, resets, tau) of each compile of the mix's round 0, and
+#: the hidden units of each witness, at seeds 1-3, recorded when every
+#: level ran one trial per star and component
+MIX_UNITS = {
+    1: [(6, 0, 32.0), (10, 1, 32.0), (7, 1, 16.0), (19, 1, 32.0),
+        (13, 1, 16.0), (22, 1, 32.0), (37, 1, 32.0), (25, 1, 16.0),
+        (68, 8, 32.0), (88, 8, 16.0), (13, 1, 32.0), (19, 1, 32.0),
+        (6, 0, 32.0), (5, 0, 32.0), 6, 10, 19],
+    2: [(6, 0, 32.0), (10, 1, 32.0), (7, 1, 16.0), (19, 1, 32.0),
+        (13, 1, 16.0), (22, 1, 32.0), (37, 1, 32.0), (25, 1, 16.0),
+        (68, 8, 32.0), (88, 8, 16.0), (13, 1, 32.0), (19, 1, 32.0),
+        (6, 0, 32.0), (10, 0, 32.0), 6, 10, 19],
+    3: [(6, 0, 32.0), (10, 1, 32.0), (7, 1, 16.0), (19, 1, 32.0),
+        (13, 1, 16.0), (22, 1, 32.0), (37, 1, 32.0), (25, 1, 16.0),
+        (68, 8, 32.0), (88, 8, 16.0), (13, 1, 32.0), (19, 1, 32.0),
+        (5, 0, 32.0), (10, 0, 32.0), 6, 10, 19],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MIX_UNITS))
+def test_compile_mix_keeps_its_units_resets_and_tau(seed):
+    # filling a packing level toward each component in one trial keeps
+    # every compile of the benchmark's mix: its units, resets and tau, and
+    # each witness's units; each compile still meets its tolerance
+    got = []
+    for kind, rows, call in compile_mix(seed):
+        k, n = len(rows).bit_length() - 1, rows.shape[1].bit_length() - 1
+        params, second = call(ConditionalTable(k, n, rows))
+        if kind == "witness":
+            got.append(params.m)
+        else:
+            assert second.achieved_tv <= second.epsilon
+            got.append((second.hidden_units_used, second.resets_used,
+                        second.tau_final))
+    assert got == MIX_UNITS[seed]
+
+
 def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
     # the state is log p(y | x) - k log 2 as (2^k, 2^n) rows [x, y]: after
-    # each accepted step every row of it, plus k log 2, log-sums to 0, the
+    # each accepted trial every row of it, plus k log 2, log-sums to 0, the
     # cached rows are its exponent, and it is the fresh application of the
-    # step, which returns the conditional its unit makes
+    # trial's units, which returns the conditional they make
     k, n = 4, 1
     applied = []
-    apply_step = _Pipeline._apply
+    step = _Pipeline._step
 
-    def apply_and_check(self, step, logp, rows, log_norm):
-        before = self.logp
-        apply_step(self, step, logp, rows, log_norm)
+    def step_and_check(self, *args):
+        before, before_rows, accepted = self.logp, self._rows, len(self.units)
+        step(self, *args)
+        assert len(self.units) == accepted + 1
         assert self.logp.shape == (1 << k, 1 << n)
         assert self.logp.flags.f_contiguous
         state = self.logp + k * np.log(2.0)
@@ -498,29 +586,31 @@ def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
         rows = self.rows()
         assert not rows.flags.writeable
         assert np.allclose(rows, np.exp(state), rtol=1e-12, atol=0.0)
-        fresh, fresh_rows, _ = apply_sharing_log(before, step)
+        fresh, fresh_rows, _ = apply_sharing_log(before, before_rows,
+                                                 self.units[-1])
         assert np.array_equal(self.logp, fresh)
         assert np.array_equal(rows, fresh_rows)
-        applied.append(step)
+        applied.append(self.units[-1])
 
-    monkeypatch.setattr(_Pipeline, "_apply", apply_and_check)
+    monkeypatch.setattr(_Pipeline, "_step", step_and_check)
     _, rep = compile_universal(dirichlet_table(k, n, 0), r=2)
     assert rep.resets_used > 0 and rep.star_steps_used > 0
-    assert len(applied) >= rep.hidden_units_used
+    assert sum(len(units.bias) for units in applied) >= rep.hidden_units_used
 
 
 def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
-    # a trial reduces the full joint once, for its tilt normalizer, which a
-    # fill's builder computes and hands on; the state has mass 1, so
-    # neither the stepped joint nor an accepted unit's bias nor a tau
-    # level's start joint is reduced again.  An accepted trial is kept, so
-    # there is one application per trial.  A trial builds one tilted state
-    # and one input table, both in its builder, fill or reset alike.  The
-    # output tilt a trial steps toward is one row of a batch of every
-    # component's tilts, built on the first use of its sharpness only, by a
-    # fill or a reset; a reset's is the start component's row, the point
-    # 0's.  The mixture weights' log-odds are taken once per compile, not
-    # per tau level or star
+    # a fill trial makes no whole-state logsumexp, since each star's unit
+    # is solved from its own rows; a reset trial makes one, for its tilt
+    # normalizer, which its unit's bias takes (hidden_unit_from_log, once
+    # per reset trial).  The state has mass 1, so neither the stepped state
+    # nor a tau level's start state is reduced again.  An accepted trial is
+    # kept, so there is one application per trial.  A reset trial builds
+    # one input table, in its builder, and a fill trial none.  The output
+    # tilt a trial steps toward is one row of a batch of every component's
+    # tilts, built on the first use of its sharpness only, by a fill or a
+    # reset; a reset's is the start component's row, the point 0's.  The
+    # mixture weights' log-odds are taken once per compile, not per tau
+    # level or star
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
@@ -557,7 +647,6 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
         return tilts
 
     spy(sharing, "logsumexp", "full", full_joint)
-    spy(sharing, "_tilted")
     spy(sharing, "_log_values_of", "inputs",
         lambda log_factors: log_factors.shape == (k, 2))
     spy(sharing, "_log_values_of", "other tables",
@@ -570,14 +659,14 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     spy(compiler, "log_odds")
     spy(_Pipeline, "__init__", "level")
     _, rep = compile_universal(dirichlet_table(k, n, 0))
-    trials, accepted = calls["trial"], calls["hidden_unit_from_log"]
-    assert trials > accepted >= rep.hidden_units_used > 0
-    assert rep.resets_used > 0
+    trials = calls["trial"]
+    resets = sum(kind == "reset" for kind, _ in outputs)
+    assert trials > resets >= rep.resets_used > 0
+    assert rep.hidden_units_used > 0
     assert calls["level"] == 2  # tau = 16 fails, 32 passes
     assert calls["apply_sharing_log"] == trials
-    assert calls["full"] == trials
-    assert calls["_tilted"] == trials
-    assert calls["inputs"] == trials
+    assert calls["full"] == calls["hidden_unit_from_log"] == resets
+    assert calls["inputs"] == resets
     # every table not over the inputs is one output batch
     assert calls["other tables"] == len(batches)
     assert calls["log_odds"] == 1
@@ -625,10 +714,17 @@ def test_a_compile_appends_once_per_completed_tau_level(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(compiler, attr, traced)
 
-    spy("hidden_unit_from_log", lambda *args: ("unit",))
     spy("append_hidden_unit", lambda p, w_out, w_in, bias: (
         "append", p.m, len(w_out), len(w_in), len(bias)))
-    spy("_Pipeline", lambda *args: ("level",))
+    pipes = []
+    make = compiler._Pipeline
+
+    def level(*args):
+        events.append(("level",))
+        pipes.append(make(*args))
+        return pipes[-1]
+
+    monkeypatch.setattr(compiler, "_Pipeline", level)
     evaluate = compiler.eval_conditional
 
     def certificate(p):
@@ -641,13 +737,13 @@ def test_a_compile_appends_once_per_completed_tau_level(monkeypatch):
     monkeypatch.setattr(compiler, "eval_conditional", certificate)
     _, rep = compile_universal(dirichlet_table(4, 2, 0))
     assert rep.tau_final == 64.0
-    levels, units = [], None
+    levels = []
     for event, following in zip(events, events[1:] + [None]):
         if event[0] == "level":
             levels.append(None)
-            units = 0
-        elif event[0] == "unit":
-            units += 1
+            pipe = pipes[len(levels) - 1]
+            units = sum(len(accepted.bias) for accepted in pipe.units)
+            assert units == pipe.used["fill"] + pipe.used["reset"]
         elif event[0] == "append":
             assert event == ("append", 0, units, units, units)
             assert following == ("certificate", units)
@@ -683,30 +779,28 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     # raises BudgetExceeded naming its own kind and accepts no unit
     import crbmkit.compiler as compiler
 
-    accepted = []
-    realize = compiler.hidden_unit_from_log
-    monkeypatch.setattr(compiler, "hidden_unit_from_log",
-                        lambda *args: accepted.append(args) or realize(*args))
     # the star at 0 with both inputs free, on the full 2-cube
     scheme = _ComponentScheme.points(1, [0, 1])
-    fill = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0, 0b11)
+    [fill] = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0,
+                      0b11).batches
     pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
-    pipe.fill_star(fill)  # moves the rows off the start
-    assert len(accepted) == 1
+    pipe.fill(fill)  # moves the rows off the start
+    assert len(pipe.units) == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
         pipe.reset_if_needed(*(a[0] for a in cylinders(2, 0, [0])))
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
-        pipe.fill_star(fill)
-    assert len(accepted) == 1 and pipe.model().m == 1
+        pipe.fill(fill)
+    assert len(pipe.units) == 1 and pipe.model().m == 1
 
 
 def test_step_ladders_ratchet_within_a_level(monkeypatch):
     # every trial's sharpness is a rung tau * 2^i, i < STEP_RETRIES; a
-    # step's ladder starts at the rung the last accepted step of its kind
+    # batch's ladder starts at the rung the last accepted trial of its kind
     # passed in this tau level (tau for the first) and doubles from there.
-    # At (8,1), r = 3, seed 0, that is 92 trials for the 88 units at
-    # tau = 16, where a ladder restarting at tau on every step made 214
+    # At (8,1), r = 3, seed 0, that is 15 trials for the 88 units at
+    # tau = 16, where one trial per star and component made 92, and a
+    # ladder restarting at tau on every step made 214
     import crbmkit.compiler as compiler
 
     events = []
@@ -721,9 +815,15 @@ def test_step_ladders_ratchet_within_a_level(monkeypatch):
 
     spy(compiler, "build_tilted_step", lambda *args: ("fill", args[-1]))
     spy(compiler, "make_reset_step", lambda *args: ("reset", args[-1]))
-    spy(compiler, "hidden_unit_from_log", lambda *args: ("accept", None))
     spy(_Pipeline, "__init__", lambda self, k, n, scheme, tau, tol: (
         "level", tau))
+    step = _Pipeline._step
+
+    def accepted(*args):
+        step(*args)
+        events.append(("accept", None))
+
+    monkeypatch.setattr(_Pipeline, "_step", accepted)
     _, rep = compile_universal(dirichlet_table(8, 1, 0), r=3)
     assert (rep.hidden_units_used, rep.tau_final) == (88, 16.0)
     trials = ratcheted = 0
@@ -743,43 +843,97 @@ def test_step_ladders_ratchet_within_a_level(monkeypatch):
             else:
                 assert (event, sharp) == (trial[0], 2.0 * trial[1])
             trial = (event, sharp)
-    assert trials == 92
+    assert trials == 15
     assert ratcheted > 0
 
 
 def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
         monkeypatch):
-    # an exhausted ladder names its kind, its first and last rung and the
-    # check that rejected the last one, with the value and the limit.  At
-    # (8,1), r = 3 with one rung per step, a fill at rung 16 moves the rows
-    # outside its star by more than tol_step
+    # an exhausted ladder names its kind, its batch's first star and size,
+    # its first and last rung and the check that rejected the last one,
+    # with the value and the limit.  At (8,1), r = 3 with one rung per
+    # trial, the first level's 32 stars at rung 16 miss their region bound
     import crbmkit.compiler as compiler
 
     monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
     monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
-    drift = (r"^fill sharpness schedule exhausted: rungs 16 to 16, at 16 "
-             r"outside drift ([0-9.e-]+) > tol_step ([0-9.e-]+) "
-             r"\(tau = 16\)$")
+    region = (r"^fill sharpness schedule exhausted at star 0 \(batch of 32\): "
+              r"rungs 16 to 16, at 16 region TV ([0-9.e-]+) > bound "
+              r"([0-9.e-]+) \(tau = 16\)$")
     with pytest.raises(BudgetExceeded) as exc:
         compile_universal(dirichlet_table(8, 1, 0), r=3)
-    match = re.match(drift, str(exc.value.__cause__))
+    match = re.match(region, str(exc.value.__cause__))
     assert match is not None
-    assert float(match[1]) > float(match[2]) == pytest.approx(5.68e-5)
+    assert float(match[1]) > float(match[2])
     assert str(exc.value).endswith(str(exc.value.__cause__))
     # a fill that mixes its star to 0.2 / 0.8 misses the point mass at
-    # y = 1 at every rung, so its region's TV rejects the last one
-    pipe = _Pipeline(2, 1, _ComponentScheme.points(1, [0, 1]), 32.0, 1e-3)
-    members = [0, 1, 2]
+    # y = 1 at every rung, so its region's TV rejects the last one; with
+    # no region bound, the star (0, 0b01) at sharpness 1 moves the rows 2
+    # and 3 outside its cylinder by more than tol_step
+    scheme = _ComponentScheme.points(1, [0, 1])
+    pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
+    stars = star_tilts(2, [0], 0b11)
     monkeypatch.setattr(compiler, "STEP_RETRIES", 3)
     with pytest.raises(BudgetExceeded, match=(
-            r"^fill sharpness schedule exhausted: rungs 32 to 128, at 128 "
-            r"region TV [0-9.e-]+ > bound 0 \(tau = 32\)$")):
+            r"^fill sharpness schedule exhausted at star 7 \(batch of 1\): "
+            r"rungs 32 to 128, at 128 region TV [0-9.e-]+ > bound 0 "
+            r"\(tau = 32\)$")):
         pipe._step("fill", lambda sharp: build_tilted_step(
-            pipe.logp, one_star(2, 0, 0b11), np.full(3, 0.8),
-            log_odds(np.full(3, 0.8)), pipe.scheme.tilt(1, sharp), sharp),
-            members,
-            pipe.scheme.dists[1], 0.0, np.zeros(4, dtype=bool))
+            pipe.logp, stars, log_odds(np.full((1, 3), 0.8)),
+            scheme.tilt(1, sharp), sharp), stars.members,
+            scheme.dists[1], 0.0, stars.inputs.ravel(), ("star", 7))
     assert pipe.units == [] and pipe.model().m == 0
+    pipe = _Pipeline(2, 1, scheme, 1.0, 1e-3)
+    stars = star_tilts(2, [0], 0b01)
+    monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
+    with pytest.raises(BudgetExceeded, match=(
+            r"^fill sharpness schedule exhausted at star 0 \(batch of 1\): "
+            r"rungs 1 to 1, at 1 outside drift [0-9.e-]+ > limit 0.001 "
+            r"\(tau = 1\)$")):
+        pipe._step("fill", lambda sharp: build_tilted_step(
+            pipe.logp, stars, log_odds(np.full((1, 2), 0.8)),
+            scheme.tilt(1, sharp), sharp), stars.members,
+            scheme.dists[1], 2.0, stars.inputs.ravel(), ("star", 0))
+    assert pipe.units == []
+
+
+def test_cross_star_leak_rejects_a_batch():
+    # the stars (0, 0b01) and (2, 0b01) on 2 inputs have disjoint
+    # cylinders, {0, 1} and {2, 3}, so they fill toward a component in one
+    # batch.  At rung 8 each star's unit alone passes, but each one moves
+    # the other's rows by more than the batch's two tol_step: the batch is
+    # rejected by the cross-star leak check, named with its value and
+    # limit; a sharper rung passes all three checks
+    import crbmkit.compiler as compiler
+
+    scheme = _ComponentScheme.points(1, [0, 1])
+    rows = np.full((4, 2), 0.5)
+    betas = mixture_weight_profile(scheme.masses(rows))
+    stars = _plan_stars(2, scheme, rows, betas, log_odds(betas),
+                        np.array([0, 2]), 0b01, [("star", 0), ("star", 1)])
+    [batch] = stars.batches
+    tilt = batch.tilt
+    assert tilt.members.tolist() == [[0, 1], [2, 3]]
+    for s in range(2):
+        alone = _Pipeline(2, 1, scheme, 8.0, 1e-3)
+        alone.fill(_Batch(1, StarTilt(tilt.members[s:s + 1], tilt.free_bits,
+                                      tilt.cylinder_factors[s:s + 1],
+                                      tilt.inputs[s:s + 1]),
+                          batch.log_t[s:s + 1], batch.target[2 * s:2 * s + 2],
+                          stars.names[s]))
+        assert alone._rung["fill"] == 0
+    pipe = _Pipeline(2, 1, scheme, 8.0, 1e-3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiler, "STEP_RETRIES", 1)
+        with pytest.raises(BudgetExceeded, match=(
+                r"^fill sharpness schedule exhausted at star 0 \(batch of "
+                r"2\): rungs 8 to 8, at 8 cross-star leak ([0-9.e-]+) > "
+                r"limit 0.002 \(tau = 8\)$")):
+            pipe.fill(batch)
+    assert pipe.units == []
+    pipe.fill(batch)
+    assert pipe._rung["fill"] > 0 and pipe.used["fill"] == 2
+    assert _worst_row_tv(pipe.rows(), rows) <= pipe.allowance
 
 
 def common_support_table(k, n, size, seed):
@@ -843,12 +997,13 @@ def test_early_rejection_keeps_every_output(monkeypatch):
 
 
 def test_finished_rows_move_by_at_most_the_later_steps(monkeypatch):
-    # the premise of the early rejection: once a star (or a support row) is
-    # finished, no later step has its rows in its region, so by the end of
-    # the level they have moved by at most tol_step per later accepted
-    # step.  A reset that touched a filled star would move them back to
-    # the start component.
+    # the premise of the early rejection: once a level's stars (or the
+    # support rows) are finished, no later step has their rows in its
+    # region, so by the end of the walk they have moved by at most tol_step
+    # per later accepted unit.  A reset that touched a filled star would
+    # move them back to the start component.
     records = []
+    levels = defaultdict(list)
     check = _Pipeline.reject_if_doomed
 
     def accepted(pipe):
@@ -860,22 +1015,32 @@ def test_finished_rows_move_by_at_most_the_later_steps(monkeypatch):
                 drift = _worst_row_tv(pipe.rows()[rows], snap)
                 assert drift <= (accepted(pipe) - done) * pipe.tol_step + 1e-12
 
-    def record(self, rows, target_rows, eps, total_steps, what):
-        # checked at each finished star, so a level that fails later on
-        # is checked up to there
+    def record(self, stars, eps, total_steps):
+        # checked at each finished level, so a tau level that fails later
+        # on is checked up to there
         assert_premise(self)
+        rows = stars.members.ravel()
         records.append((self, rows, self.rows()[rows].copy(), accepted(self)))
-        check(self, rows, target_rows, eps, total_steps, what)
+        levels[id(self)].append(len(stars.members))
+        check(self, stars, eps, total_steps)
 
     monkeypatch.setattr(_Pipeline, "reject_if_doomed", record)
+    certified = []
     _, universal = compile_universal(dirichlet_table(7, 1, 0), r=3)
+    certified.append(levels[id(records[-1][0])])
     _, depth2 = compile_universal(dirichlet_table(4, 2, 0), r=2)
+    certified.append(levels[id(records[-1][0])])
     _, support = compile_support_points(sparse_dirichlet_table(4, 2, 2, 0), 2)
+    certified.append(levels[id(records[-1][0])])
     assert universal.resets_used > 0 and depth2.resets_used > 0
     assert support.star_steps_used > 0
-    # every star of the passing levels and every support row was recorded
-    assert len(records) > (len(build_packing(7, 3).centers)
-                           + len(build_packing(4, 2).centers) + 1)
+    # every level of the certified tau levels was recorded, with every
+    # star and every support row
+    assert [len(walk) for walk in certified] == [
+        len(_packing_walk(7, 3)), len(_packing_walk(4, 2)), 1]
+    assert [sum(walk) for walk in certified] == [
+        len(build_packing(7, 3).centers), len(build_packing(4, 2).centers),
+        16]
     for pipe in {id(owner): owner for owner, *_ in records}.values():
         assert_premise(pipe)
 
@@ -906,10 +1071,11 @@ def test_doomed_level_names_its_star_and_the_schedule_its_last_level(
 
 
 def test_doomed_support_level_names_its_row(monkeypatch):
-    # support points run as point stars (x, free_mask=0); at tau = 16 the
-    # start dust on n = 3 outputs dooms the level at its first finished
-    # row.  Rows whose only support point is y0 come first, so such a row
-    # is rejected before any step; otherwise the first filled row is.
+    # support points run as point stars (x, free_mask=0), all in one
+    # level, checked when its fills end; at tau = 16 the start dust on
+    # n = 3 outputs dooms every row, and the error names the first in walk
+    # order.  Rows whose only support point is y0 come first, so such a row
+    # is named when there is one; otherwise the first filled row is.
     import crbmkit.compiler as compiler
 
     applied = Counter()
@@ -930,7 +1096,8 @@ def test_doomed_support_level_names_its_row(monkeypatch):
     rows[1, 1] = rows[2, 4] = 1.0
     with pytest.raises(BudgetExceeded, match=last.format(1)):
         compile_support_points(ConditionalTable(2, 3, rows.copy()))
-    assert applied["calls"] == 0
+    assert applied["calls"] > 0
+    applied.clear()
     rows[1, [1, 5]] = 0.5
     with pytest.raises(BudgetExceeded, match=last.format(0)):
         compile_support_points(ConditionalTable(2, 3, rows.copy()))
@@ -1105,16 +1272,15 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
 def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
     # a reset's cylinder factors and inputs are planned with the walk and
     # its step is built like a fill's: unit input factors scaled to the
-    # trial's sharpness and the scheme's batched start tilt, with its
-    # tilted state and normalizer.  A tau level runs the packing's resets
-    # in order, so its i-th reset is the packing's i-th cylinder ``(mask,
-    # values)``: its planned inputs and unit factors must be that
-    # cylinder's, and each trial's step must be, bit for bit, the step
-    # built from the cylinder's factors written bit by bit, its tables
-    # summed by SharingStep, and the tilted state and normalizer that
-    # apply_sharing_log computes for it, at every trial of the (8,1) r = 3
-    # compile and the common (8,2) |T| = 3 compile
-    from crbmkit.sharing import SharingStep, _log_values_of
+    # trial's sharpness and the scheme's batched start tilt, with its tilt
+    # normalizer.  A tau level runs the packing's resets in order, so its
+    # i-th reset is the packing's i-th cylinder ``(mask, values)``: its
+    # planned inputs and unit factors must be that cylinder's, and each
+    # trial's step must be, bit for bit, the step built from the
+    # cylinder's factors written bit by bit, its tables summed by
+    # SharingStep, and the normalizer of its tilted state, at every trial
+    # of the (8,1) r = 3 compile and the common (8,2) |T| = 3 compile
+    from crbmkit.sharing import SharingStep, _log_values_of, logsumexp
 
     trials, checked, packings, current = [], [], [], {}
     build, reset = compiler.make_reset_step, _Pipeline.reset_if_needed
@@ -1158,7 +1324,7 @@ def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
                  for i in range(compiler.STEP_RETRIES)}
         for (logp, factors, out, sharp), made, (mask, values) in trials:
             assert sharp in rungs
-            step, tilted, log_norm = made
+            step, log_norm = made
             out_lf = _sharp_cylinder_factors(n, scheme.mask,
                                              scheme.values[0], sharp / grade)
             lf = np.concatenate((_sharp_cylinder_factors(8, mask, values,
@@ -1169,13 +1335,10 @@ def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
             for a, b in ((step.log_factors, want.log_factors),
                          (step.log_sx, want.log_sx),
                          (step.log_sy, want.log_sy),
-                         (out.log_factors, out_lf),
-                         (tilted, logp + want.log_sx[:, None] + want.log_sy)):
+                         (out.log_factors, out_lf)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            stepped, _, norm = apply_sharing_log(logp, want)
-            assert log_norm == norm
-            assert apply_sharing_log(logp, step, tilted, log_norm)[0] \
-                .tobytes() == stepped.tobytes()
+            assert log_norm == logsumexp(
+                logp + want.log_sx[:, None] + want.log_sy)
 
 
 @pytest.mark.parametrize("k,n,r", [(7, 2, 3), (8, 1, 3), (6, 2, 3),
@@ -1267,9 +1430,11 @@ def _beta_profiles(k, components, rng):
 
 
 def test_batched_plans_are_each_stars_own():
-    # every level of stars sharing a free mask is planned in one batch; each
-    # star's name, geometry, cylinder inputs, steps and target rows must be
-    # the ones a star-by-star plan gives, bit for bit: on every packing
+    # every level of stars sharing a free mask is planned at once, one
+    # batch per component in order, each holding the stars that step
+    # toward it, in walk order and named by its first; each star's name,
+    # geometry, cylinder inputs, steps and target rows must be the ones a
+    # star-by-star plan gives, bit for bit: on every packing
     # with k <= 10 and every point walk with k <= 8, toward mixed, sparse
     # and all-zero weight profiles.  A level's resets are the packing's at
     # its first star, and it has no other: each cylinder with its unit
@@ -1304,29 +1469,46 @@ def test_batched_plans_are_each_stars_own():
         for betas in _beta_profiles(k, scheme.count, rng):
             log_t = log_odds(betas)
             for _, centers, free_mask, names in walk:
-                plans = _plan_stars(k, scheme, rows, betas, log_t, centers,
-                                    free_mask, names)
-                assert len(plans) == len(centers)
-                for plan, center, name in zip(plans, centers.tolist(), names):
-                    members, free_bits, factors, inside, steps, target = (
+                plan = _plan_stars(k, scheme, rows, betas, log_t, centers,
+                                   free_mask, names)
+                assert list(plan.names) == list(names)
+                assert plan.members.shape[0] == len(centers)
+                # each star's steps, gathered from the batches it is in
+                steps = [[] for _ in names]
+                place = {c: i for i, c in enumerate(centers.tolist())}
+                for batch in plan.batches:
+                    tilt = batch.tilt
+                    stars = [place[c] for c in tilt.members[:, 0].tolist()]
+                    assert stars == sorted(stars)
+                    assert batch.name == names[stars[0]]
+                    targets = batch.target.reshape(len(stars), -1, 1 << n)
+                    for j, i in enumerate(stars):
+                        steps[i].append((batch.t, tilt.members[j],
+                                         tilt.free_bits,
+                                         tilt.cylinder_factors[j],
+                                         tilt.inputs[j], batch.log_t[j],
+                                         targets[j]))
+                assert [batch.t for batch in plan.batches] == sorted(
+                    {batch.t for batch in plan.batches})
+                for i, center in enumerate(centers.tolist()):
+                    members, free_bits, factors, inside, want, target = (
                         _reference_plan(k, scheme, rows, betas, log_t,
                                         center, free_mask))
-                    assert plan.name == name
-                    assert plan.tilt.members.tolist() == members
-                    assert plan.tilt.members[0] == center
-                    assert plan.tilt.free_bits.tolist() == free_bits
-                    assert (plan.tilt.cylinder_factors.tobytes()
-                            == factors.tobytes())
-                    assert plan.tilt.inputs.tolist() == inside
-                    assert plan.target.tobytes() == target.tobytes()
-                    assert [step[0] for step in plan.steps] == [
-                        step[0] for step in steps]
-                    for got, want in zip(plan.steps, steps):
-                        for a, b in zip(got[1:], want[1:]):
+                    assert plan.members[i].tolist() == members
+                    assert plan.members[i][0] == center
+                    assert plan.target[i].tobytes() == target.tobytes()
+                    assert [step[0] for step in steps[i]] == [
+                        step[0] for step in want]
+                    for got, (_, _, want_log_t, want_target) in zip(
+                            steps[i], want):
+                        assert got[1].tolist() == members
+                        assert got[2].tolist() == free_bits
+                        assert got[3].tobytes() == factors.tobytes()
+                        assert got[4].tolist() == inside
+                        for a, b in ((got[5], want_log_t),
+                                     (got[6], want_target)):
                             assert a.shape == b.shape
                             assert a.tobytes() == b.tobytes()
-                    for a in plan.tilt:
-                        assert not a.flags.writeable
 
 
 def test_one_component_packed_compile_walks_no_star(monkeypatch):

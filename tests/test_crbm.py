@@ -227,10 +227,30 @@ def test_params_refuse_arrays_of_the_wrong_shape():
         message = f"{name} must have shape {want}, got {bad.shape}"
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             CrbmParams(1, 2, 3, **{**good, name: bad})
-    # a model's arrays are views: the caller's array stays writable
+    # a model's arrays are copies: the caller's array stays writable
     W = np.zeros((3, 2))
     CrbmParams(1, 2, 3, W, np.zeros((3, 1)), np.zeros(2), np.zeros(3))
     assert W.flags.writeable
+
+
+def test_a_model_does_not_follow_writes_into_the_callers_arrays():
+    # writing into the array a model was made from leaves the model as it
+    # was: with one hidden unit off, the row stays uniform, not the
+    # [0.013, 0.987] a unit of output weight 5 would make.  Only arrays
+    # handed over (copy=False) are held, made read-only
+    W = np.zeros((1, 1))
+    p = CrbmParams(0, 1, 1, W, np.zeros((1, 0)), np.zeros(1), np.zeros(1))
+    W[0, 0] = 5.0
+    assert eval_conditional(p).rows.tolist() == [[0.5, 0.5]]
+    theta = np.zeros(3)
+    q = CrbmParams.from_vector(0, 1, 1, theta)
+    theta[0] = 5.0
+    assert eval_conditional(q).rows.tolist() == [[0.5, 0.5]]
+    c = np.zeros(1)
+    handed = CrbmParams(0, 1, 1, W, np.zeros((1, 0)), np.zeros(1), c,
+                        copy=False)
+    assert handed.c is c and not c.flags.writeable
+    assert not np.shares_memory(handed.c, p.c)
 
 
 def test_two_readings_of_the_model_agree():

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from crbmkit.bitspace import state_bits
 from crbmkit.crbm import CrbmParams, eval_conditional, random_params
 from crbmkit.distributions import ConditionalTable, tv_row_distance
-from crbmkit.errors import NotGeneric, TieEncountered
+from crbmkit.errors import NotGeneric, ShapeMismatch, TieEncountered
 from crbmkit import ltn
 from crbmkit.ltn import (
     ThresholdNet,
@@ -77,6 +79,28 @@ def test_ltn_eval_examples():
     # XOR truth table
     net = parity_net(2)
     assert [ltn_eval(net, x) for x in range(4)] == [0, 1, 1, 0]
+
+
+def test_net_refuses_arrays_of_the_wrong_shape():
+    # each array must have its own shape: a transposed W, which a reshape
+    # would read as [[0, 1, 2], [3, 4, 5]], or a c of shape (2, 1), is
+    # refused, naming the array and both shapes
+    good = dict(V=np.arange(2.0).reshape(2, 1), c=np.zeros(2),
+                W=np.arange(6.0).reshape(2, 3), b=np.zeros(3))
+    assert ThresholdNet(1, 2, 3, **good).W.tolist() == good["W"].tolist()
+    for name, bad, want in (("W", np.arange(6.0).reshape(3, 2), (2, 3)),
+                            ("V", np.arange(2.0).reshape(1, 2), (2, 1)),
+                            ("c", np.zeros((2, 1)), (2,)),
+                            ("b", np.zeros((3, 1)), (3,))):
+        message = f"{name} must have shape {want}, got {bad.shape}"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            ThresholdNet(1, 2, 3, **{**good, name: bad})
+    # the net holds read-only copies: the caller's arrays stay writable,
+    # and writing into them leaves the net as it was
+    net = ThresholdNet(1, 2, 3, **good)
+    good["W"][0, 0] = 9.0
+    assert good["W"].flags.writeable and net.W[0, 0] == 0.0
+    assert not any(a.flags.writeable for a in (net.V, net.c, net.W, net.b))
 
 
 def test_ltn_eval_rejects_ties():

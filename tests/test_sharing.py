@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from crbmkit.compiler import _ComponentScheme, _Pipeline, _plan_stars
+from crbmkit.bitspace import state_bits
 from crbmkit.crbm import (
     CrbmParams,
     append_hidden_unit,
@@ -15,18 +16,22 @@ from crbmkit.crbm import (
 from crbmkit.distributions import Dist
 from crbmkit.errors import DegenerateStep, ShapeMismatch
 from crbmkit.sharing import (
+    FAR,
     OutputTilt,
     SharingStep,
     StarTilt,
+    Units,
     _log_values_of,
     apply_sharing_log,
     build_tilted_step,
+    conditioned,
     cylinders,
     hidden_unit_from_log,
     log_odds,
     logsumexp,
     make_reset_step,
     mixture_weight_profile,
+    own_unit_rows,
     star_tilts,
 )
 
@@ -66,6 +71,19 @@ def conditional_rows(logp: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def tilt_normalizer(logp: np.ndarray, step: SharingStep) -> float:
+    """log N = logsumexp(log p + log s) of ``step`` on the state ``logp``."""
+    return logsumexp(logp + step.log_sx[:, None] + step.log_sy)
+
+
+def apply_step(logp: np.ndarray, step: SharingStep):
+    """The state, rows and moved inputs after the lambda-mixture ``step``:
+    its hidden unit, realized with its tilt normalizer on ``logp``,
+    applied to the state."""
+    unit = hidden_unit_from_log(step, tilt_normalizer(logp, step))
+    return apply_sharing_log(logp, conditioned(logp, step.k)[1], unit)
+
+
 def output_tilt(log_factors) -> OutputTilt:
     """The output tilt of (n, 2) log factors: a read-only copy of them and
     their table, from the one table builder."""
@@ -102,20 +120,21 @@ def plan_star(pipe: _Pipeline, center: int, free_mask: int,
               betas: np.ndarray):
     """The star ``(center, free_mask)``'s fill with its members' mixture
     weights ``betas`` (one row per member, in order), planned by the
-    planner a compile plans its fills with."""
+    planner a compile plans its fills with: one batch per component."""
     k = pipe.k
     profile = np.zeros((1 << k, betas.shape[1]))
     profile[one_star(k, center, free_mask).members] = betas
     return _plan_stars(k, pipe.scheme, np.zeros((1 << k, 1 << pipe.n)),
                        profile, log_odds(profile), [center], free_mask,
-                       [("star", 0)])[0]
+                       [("star", 0)])
 
 
 def fill_star(pipe: _Pipeline, center: int, free_mask: int,
               betas: np.ndarray) -> None:
     """Fill the star ``(center, free_mask)`` with its members' mixture
-    weights ``betas``."""
-    pipe.fill_star(plan_star(pipe, center, free_mask, betas))
+    weights ``betas``, one trial per component."""
+    for batch in plan_star(pipe, center, free_mask, betas).batches:
+        pipe.fill(batch)
 
 
 def start_state(k: int, n: int, tau: float) -> np.ndarray:
@@ -128,7 +147,8 @@ def start_state(k: int, n: int, tau: float) -> np.ndarray:
 def test_apply_sharing_identity_cases():
     # lambda = 1 (the identity) and lambda = 0 (the tilted state) are no
     # hidden unit's step, so no step holds them; a flat tilt leaves the
-    # state in place at any realizable lambda
+    # state in place at any realizable lambda, and so does any unit
+    # without weights; no unit leaves the very arrays in place
     rng = np.random.default_rng(0)
     logp = random_state(1, 1, rng)
     for lam in (1.0, 0.0):
@@ -136,7 +156,16 @@ def test_apply_sharing_identity_cases():
                                                  r"outside \(0, 1\)"):
             SharingStep(1, lam, rng.standard_normal((2, 2)))
     uniform_tilt = SharingStep(1, 0.3, np.zeros((2, 2)))
-    assert np.abs(apply_sharing_log(logp, uniform_tilt)[0] - logp).max() < 1e-12
+    assert np.abs(apply_step(logp, uniform_tilt)[0] - logp).max() < 1e-12
+    rows = conditioned(logp, 1)[1]
+    flat = Units(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.3, -5.0]))
+    got, got_rows, moved = apply_sharing_log(logp, rows, flat)
+    assert np.abs(got - logp).max() < 1e-12
+    assert np.abs(got_rows - rows).max() < 1e-15
+    assert moved.tolist() == [0, 1]
+    none = Units(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
+    got, got_rows, moved = apply_sharing_log(logp, rows, none)
+    assert got is logp and got_rows is rows and moved.size == 0
 
 
 def test_apply_sharing_matches_linear_oracle():
@@ -146,7 +175,7 @@ def test_apply_sharing_matches_linear_oracle():
     lf = np.zeros((2, 2))
     lf[:, 1] = np.log(3.0)
     step = SharingStep(1, 0.5, lf)
-    logq, rows, _ = apply_sharing_log(np.log(p), step)
+    logq, rows, _ = apply_step(np.log(p), step)
     want = linear_apply(p, step)
     assert np.abs(np.exp(logq) - want).max() < 1e-14
     assert np.abs(rows - 2 * want).max() < 1e-14
@@ -155,7 +184,7 @@ def test_apply_sharing_matches_linear_oracle():
         k = int(rng.integers(0, 3))
         logq = random_state(k, 3 - k, rng)
         st = SharingStep(k, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
-        got, rows, _ = apply_sharing_log(logq, st)
+        got, rows, _ = apply_step(logq, st)
         want = linear_apply(np.exp(logq), st)
         assert np.abs(np.exp(got) - want).max() < 1e-12
         assert np.abs(rows - want * (1 << k)).max() < 1e-12
@@ -166,29 +195,74 @@ def test_apply_sharing_preserves_positivity_and_normalization():
     logp = random_state(1, 2, rng)
     for _ in range(20):
         st = SharingStep(1, float(rng.uniform(0, 1)), rng.standard_normal((3, 2)))
-        logp = apply_sharing_log(logp, st)[0]
+        logp = apply_step(logp, st)[0]
         assert logp.shape == (2, 4)
         assert np.all(np.isfinite(logp))
         assert abs(np.exp(logp).sum() - 1.0) < 1e-12
 
 
 def test_step_to_hidden_unit_round_trip():
-    # the stepped state's rows are the conditional of the CRBM grown by the
-    # step's hidden unit, starting from the state of a random CRBM
+    # the rows a step's unit makes are the conditional of the CRBM grown by
+    # that unit, starting from the state of a random CRBM, and so are the
+    # rows any batch of units makes, the (row, unit) pairs beyond -FAR
+    # skipped; each unit alone, on its own rows, gives those rows of the
+    # model grown by it alone
     rng = np.random.default_rng(2)
-    for k in (0, 1, 2):
+    for k in (0, 1, 2, 3):
         for _ in range(30):
             n = int(rng.integers(1, 3))
             params = random_params(k, n, int(rng.integers(0, 3)), rng)
-            state = np.log(eval_conditional(params).rows) - k * np.log(2.0)
+            state, rows = conditioned(np.log(eval_conditional(params).rows),
+                                      k)
             lam = float(rng.uniform(0.05, 1.0 - 1e-12))
             step = SharingStep(k, lam, rng.standard_normal((k + n, 2)))
-            _, rows, log_norm = apply_sharing_log(state, step)
-            w, bias = hidden_unit_from_log(step, log_norm)
-            grown = append_hidden_unit(params, w[None, k:], w[None, :k],
-                                       [bias])
-            diff = rows - eval_conditional(grown).rows
-            assert np.abs(diff).sum(axis=1).max() <= 1e-12
+            for unit in (hidden_unit_from_log(step,
+                                              tilt_normalizer(state, step)),
+                         Units(*(rng.standard_normal(shape) * 30.0 for shape
+                                 in ((3, k), (3, n), (3,))))):
+                got = apply_sharing_log(state, rows, unit)[1]
+                grown = append_hidden_unit(params, unit.w_out, unit.w_in,
+                                           unit.bias)
+                diff = got - eval_conditional(grown).rows
+                assert np.abs(diff).sum(axis=1).max() <= 1e-12
+                members = rng.integers(0, 1 << k, (len(unit.bias), 2))
+                own = own_unit_rows(state, unit, members)
+                for s, rows_s in enumerate(own.reshape(-1, 2, 1 << n)):
+                    alone = eval_conditional(append_hidden_unit(
+                        params, *(a[s:s + 1] for a in
+                                  (unit.w_out, unit.w_in, unit.bias))))
+                    assert np.abs(rows_s - alone.rows[members[s]]).sum(
+                        axis=1).max() <= 1e-12
+
+
+def test_units_apply_one_block_of_pairs_at_a_time():
+    # 2048 units on 2^10 inputs, every (row, unit) pair within reach: the
+    # 2M pairs and their 4M softplus cells are taken a block of about
+    # _BLOCK_CELLS cells at a time, so the peak stays a few blocks (one
+    # pass over all pairs at once would hold about 150 MiB), and the rows
+    # are those of the grown model
+    import tracemalloc
+
+    from crbmkit.sharing import _BLOCK_CELLS
+
+    k, n, units_count = 10, 1, 2048
+    rng = np.random.default_rng(16)
+    state, rows = conditioned(np.zeros((1 << k, 1 << n)), k)
+    units = Units(rng.standard_normal((units_count, k)),
+                  rng.standard_normal((units_count, n)),
+                  rng.standard_normal(units_count))
+    tracemalloc.start()
+    try:
+        got, got_rows, moved = apply_sharing_log(state, rows, units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * _BLOCK_CELLS
+    assert moved.tolist() == list(range(1 << k))
+    grown = append_hidden_unit(CrbmParams.bias_only(k, n, np.zeros(n)),
+                               units.w_out, units.w_in, units.bias)
+    assert np.abs(got_rows - eval_conditional(grown).rows).sum(
+        axis=1).max() <= 1e-12
 
 
 def test_step_to_hidden_unit_on_actual_rbm():
@@ -198,9 +272,10 @@ def test_step_to_hidden_unit_on_actual_rbm():
     params = CrbmParams.bias_only(0, 3, rng.standard_normal(3))
     state = np.log(eval_joint_rbm(params).probs)[None, :]
     step = SharingStep(0, 0.4, rng.standard_normal((3, 2)))
-    stepped, _, log_norm = apply_sharing_log(state, step)
-    w, bias = hidden_unit_from_log(step, log_norm)
-    grown = append_hidden_unit(params, w[None], np.zeros((1, 0)), [bias])
+    stepped = apply_step(state, step)[0]
+    unit = hidden_unit_from_log(step, tilt_normalizer(state, step))
+    assert unit.w_in.shape == (1, 0)
+    grown = append_hidden_unit(params, unit.w_out, unit.w_in, unit.bias)
     assert np.abs(eval_joint_rbm(grown).probs - np.exp(stepped[0])).sum() < 1e-12
 
 
@@ -209,9 +284,10 @@ def test_step_to_hidden_unit_uniform_tilt_is_zero_unit():
     rng = np.random.default_rng(14)
     logp = random_state(1, 2, rng)
     step = SharingStep(1, 0.5, np.zeros((3, 2)))
-    weights, bias = hidden_unit_from_log(step, apply_sharing_log(logp, step)[2])
-    assert np.abs(weights).max() == 0.0
-    assert bias == pytest.approx(0.0, abs=1e-12)
+    unit = hidden_unit_from_log(step, tilt_normalizer(logp, step))
+    assert np.abs(unit.w_in).max() == np.abs(unit.w_out).max() == 0.0
+    assert unit.bias.shape == (1,)
+    assert unit.bias[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_step_to_hidden_unit_degenerate_lambdas():
@@ -289,27 +365,29 @@ def test_star_fill_error_shrinks_with_sharpness():
 def test_make_reset_step_examples():
     rng = np.random.default_rng(10)
     # full input cube: all rows driven to the target point mass; the step
-    # comes with its tilted state and normalizer, which the application takes
+    # comes with its tilt normalizer over the whole state, which its unit's
+    # bias takes
     logp = random_state(2, 1, rng)
     full = cylinders(2, 0, [0])[0][0]
-    step, tilted, log_norm = make_reset_step(
+    step, log_norm = make_reset_step(
         logp, full, point_mass_tilt(0, 1, 30.0), 30.0)
     assert step.k == 2
-    rows = apply_sharing_log(logp, step, tilted, log_norm)[1]
+    assert log_norm == tilt_normalizer(logp, step)
+    rows = apply_step(logp, step)[1]
     assert np.abs(rows[:, 0] - 1.0).max() <= 1e-3
 
     # tau -> 0 keeps everything in place
-    made = make_reset_step(logp, full, point_mass_tilt(0, 1, 1e-9), 1e-9)
-    after = apply_sharing_log(logp, *made)[0]
+    step = make_reset_step(logp, full, point_mass_tilt(0, 1, 1e-9), 1e-9)[0]
+    after = apply_step(logp, step)[0]
     assert np.abs(np.exp(after) - np.exp(logp)).max() < 1e-6
 
     # half-cube reset moves only the constrained rows
     logp = random_state(2, 1, rng)
     before = conditional_rows(logp)
     # the cylinder fixing input bit 0 to 0
-    made = make_reset_step(logp, cylinders(2, 0b01, [0])[0][0],
-                           point_mass_tilt(0, 1, 30.0), 30.0)
-    after = apply_sharing_log(logp, *made)[1]
+    step = make_reset_step(logp, cylinders(2, 0b01, [0])[0][0],
+                           point_mass_tilt(0, 1, 30.0), 30.0)[0]
+    after = apply_step(logp, step)[1]
     for x in range(4):
         if x & 0b01 == 0:
             assert np.abs(after[x] - [1.0, 0.0]).sum() <= 1e-3
@@ -325,52 +403,55 @@ def test_make_reset_step_examples():
 
 def test_tilt_profile_proportionality():
     # the product tilt restricted to a star can match any positive profile:
-    # with flat output factors, s_X(x) on the star is proportional to the
-    # odds beta_x / (1 - beta_x) asked for
+    # with flat output factors, the unit's input factor e^(c + V x) on the
+    # star is the odds beta_x / (1 - beta_x) asked for, solved from the
+    # star's own rows: a batch of stars gives each star the unit it gets
+    # alone
     rng = np.random.default_rng(11)
     members = [0b0100, 0b0101, 0b0110, 0b1100]
     profile = rng.uniform(0.1, 5.0, size=len(members))
     betas = np.array([q / (1.0 + q) for q in profile])
     logp = random_state(4, 1, rng)
-    step, tilted, log_norm = build_tilted_step(
-        logp, one_star(4, 0b0100, 0b1011), betas, log_odds(betas),
-        output_tilt(np.zeros((1, 2))), 40.0)
-    assert step.log_sx.shape == (16,) and step.log_sy.shape == (2,)
-    assert not step.log_sy.any()
-    # the returned tilted state and normalizer are the ones the step's
-    # application computes when none is passed, and passing them changes
-    # nothing
-    assert np.array_equal(tilted, logp + step.log_sx[:, None] + step.log_sy)
-    assert log_norm == apply_sharing_log(logp, step)[2]
-    assert agrees_with_scipy(log_norm, tilted)
-    for fresh, passed in zip(apply_sharing_log(logp, step),
-                             apply_sharing_log(logp, step, tilted, log_norm)):
-        assert np.array_equal(fresh, passed)
-    got = np.exp(step.log_sx[members] - step.log_sx[members[0]])
-    want = profile / profile[0]
-    assert np.abs(got - want).max() < 1e-9
+    star = one_star(4, 0b0100, 0b1011)
+    unit = build_tilted_step(logp, star_tilts(4, [0b0100], 0b1011),
+                             log_odds(betas)[None], output_tilt(
+                                 np.zeros((1, 2))), 40.0)
+    assert [a.shape for a in unit] == [(1, 4), (1, 1), (1,)]
+    assert not unit.w_out.any()
+    pre = state_bits(4)[members] @ unit.w_in[0] + unit.bias[0]
+    assert np.abs(np.exp(pre) - profile).max() < 1e-9
     # off the cylinder (bit 2 = 0) the tilt is down by the sharpness
-    assert step.log_sx[0b0000] - step.log_sx[0b0100] == pytest.approx(-40.0)
+    assert unit.w_in[0, 2] == 40.0
+    other = one_star(4, 0b0000, 0b1011)
+    both = build_tilted_step(
+        logp, star_tilts(4, [0b0100, 0b0000], 0b1011),
+        np.stack([log_odds(betas), log_odds(betas[::-1])]),
+        output_tilt(np.zeros((1, 2))), 40.0)
+    for s, (tilt, odds) in enumerate(((star, betas), (other, betas[::-1]))):
+        alone = build_tilted_step(
+            logp, star_tilts(4, [tilt.members[0]], 0b1011),
+            log_odds(odds)[None], output_tilt(np.zeros((1, 2))), 40.0)
+        for a, b in zip(both, alone):
+            assert a[s].tobytes() == b[0].tobytes()
 
 
 def test_star_fill_rejects_rows_off_the_star():
     pipe = fill_pipeline(1, 1, 16.0)
     betas = mixture_weight_profile(np.array([Dist.uniform(1).probs] * 2))
-    fill = plan_star(pipe, 0, 0b1, betas)
-    # one row of weights for the two members of the star (0, 0b1)
-    t, betas, log_t, target = fill.steps[0]
+    batch = plan_star(pipe, 0, 0b1, betas).batches[0]
+    # one row of log-odds for the two members of the star (0, 0b1)
     with pytest.raises(ShapeMismatch):
-        pipe.fill_star(fill._replace(
-            steps=[(t, betas[:1], log_t[:1], target[:1])]))
+        pipe.fill(batch._replace(log_t=batch.log_t[:, :1]))
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
     # the star at 0 on the full 2-cube has members {0, 1, 2}
     logp = start_state(2, 1, 8.0)
     out = output_tilt(np.array([[-16.0, 0.0]]))
-    for betas in (np.full(2, 0.5), np.full(4, 0.5)):
+    for betas in (np.full((1, 2), 0.5), np.full((1, 4), 0.5),
+                  np.full(3, 0.5)):
         with pytest.raises(ShapeMismatch):
-            build_tilted_step(logp, one_star(2, 0, 0b11), betas,
+            build_tilted_step(logp, star_tilts(2, [0], 0b11),
                               log_odds(betas), out, 16.0)
 
 
@@ -454,13 +535,14 @@ def test_logsumexp_matches_scipy_within_rounding(a):
 
 @pytest.mark.parametrize("bad", [-np.inf, np.nan])
 def test_nonfinite_normalizer_raises_degenerate_step(bad):
-    # finite log factors on a state without a finite max leave the tilt
-    # normalizer non-finite, which the step refuses
+    # finite log factors on a state without a finite max leave a reset's
+    # tilt normalizer non-finite, which its unit refuses
     logp = np.full((2, 4), -np.inf)
     logp[1, 2] = bad
-    step = SharingStep(1, 0.5, np.zeros((3, 2)))
     with np.errstate(invalid="ignore"), pytest.raises(DegenerateStep):
-        apply_sharing_log(logp, step)
+        hidden_unit_from_log(*make_reset_step(
+            logp, cylinders(1, 0, [0])[0][0], point_mass_tilt(0, 2, 1.0),
+            1.0))
 
 
 def test_log_values_is_the_per_state_sum_and_read_only():
