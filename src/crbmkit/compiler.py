@@ -74,28 +74,32 @@ unit's bias takes.  Each trial builds one new (2^k, 2^n) state with its
 rows, in which only the rows near its units moved; an accepted trial's
 state and rows become the pipeline's as they are, and its units are kept.
 
-Nothing is kept across compiles: each compile plans its walk once, and all
-its tau levels share that plan.  A walk is a list of levels, each a group
-of stars that share a free mask, with the resets run before them.  A packed
-compile's walk is its packing (``packing.build_packing``), whose resets, a
-level's lineages, all sit at a level's first star (``_packing_walk``); a
-support compile's is the point stars (x, 0), in one level with no reset.
-Every cylinder a step concentrates on (a star's inputs, a reset, an output
-component) comes from one builder, ``sharing.cylinders``: one broadcast per
-level's resets, per level's stars and per scheme.  Each level's stars are
-planned at once (``_plan_stars``): their geometry (``sharing.star_tilts``)
-and, for each component in order, the batch of the stars that step toward
-it, stacked: their members' log-odds, from one ``log_odds`` call over the
+Nothing is kept across compiles but the read-only state-bit tables of the
+last two widths a trial read (``sharing._bits``): each compile plans each
+level of its walk once, when a tau level first reaches it, and all its tau
+levels share that plan, so a level no tau level reaches is never planned.
+A walk is a list of levels, each a group of stars that share a free mask,
+with the resets run before them.  A packed compile's walk is its packing
+(``packing.build_packing``), whose resets, a level's lineages, all sit at a
+level's first star (``_packing_walk``); a support compile's is the point
+stars (x, 0), in one level with no reset.  Every cylinder a step
+concentrates on (a star's inputs, a reset, an output component) comes from
+one builder, ``sharing.cylinders``: one broadcast per level's resets, per
+level's stars and per scheme.  Each level's stars are planned at once
+(``_plan_stars``): their geometry (``sharing.star_tilts``) and, for each
+component in order, the batch of the stars that step toward it, stacked
+(views of the level's arrays where every star steps): their read-only
+geometry, their members' log-odds, from one ``log_odds`` call over the
 target's whole profile, and their target rows after the fill.  The
 component scheme (``_ComponentScheme``) builds its output tilts (factors
 and log s_Y, 2^n) for all its components at once, on the first trial that
-asks for a sharpness.  So a tau level only builds, tries and accepts
-trials, fills and resets alike.  Each tau level builds its own start
-state, the conditioned broadcast of the start logits (``_Pipeline``), in
-tens of microseconds at the benchmark's sizes, and keeps the units it
-accepts.  A level that walks to its end builds its model once, before its
-certificate: one ``crbm.append_hidden_unit`` of all its units to its
-bias-only start model.
+asks for a sharpness.  So past its first reach of a level, a tau level only
+builds, tries and accepts trials, fills and resets alike.  Each tau level
+builds its own start state, the conditioned broadcast of the start logits
+(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and
+keeps the units it accepts.  A level that walks to its end builds its model
+once, before its certificate: one ``crbm.append_hidden_unit`` of all its
+units to its bias-only start model.
 """
 
 from __future__ import annotations
@@ -284,13 +288,14 @@ def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
     mixed[...] = scheme.dists[0]
     for t in (active.any(axis=1).nonzero()[0] + 1).tolist():
         on = active[t - 1].nonzero()[0]
-        beta = betas[t - 1][on]
-        mixed[on] = target = ((1.0 - beta)[..., None] * mixed[on]
-                              + beta[..., None] * scheme.dists[t])
+        # a slice, so views and no gathers, when every star steps
+        pick = slice(None) if len(on) == len(members) else on
+        beta = betas[t - 1][pick]
+        mixed[pick] = target = ((1.0 - beta)[..., None] * mixed[pick]
+                                + beta[..., None] * scheme.dists[t])
         batches.append(_Batch(
-            t, StarTilt(members[on], tilts.free_bits,
-                        tilts.cylinder_factors[on], tilts.inputs[on]),
-            log_t[t - 1][on], target.reshape(-1, target.shape[-1]),
+            t, tilts.take(pick),
+            log_t[t - 1][pick], target.reshape(-1, target.shape[-1]),
             names[on[0]]))
     return _Stars(batches, members, rows[members], names)
 
@@ -498,20 +503,22 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     When no level meets eps, the error names why the last one failed: the
     error it raised, which it chains, or its certificate's TV."""
     # row by row, so each star reads its members' rows of one profile and
-    # of its log-odds (elementwise, so the floats of each star's own); every
-    # star's fill is planned once, for all levels
+    # of its log-odds (elementwise, so the floats of each star's own); each
+    # level is planned when a tau level first reaches it, once for all
     betas = mixture_weight_profile(scheme.masses(target.rows))
     log_t = log_odds(betas)
-    levels = [(resets, _plan_stars(target.k, scheme, target.rows, betas,
-                                   log_t, *group))
-              for resets, *group in walk]
+    plans: list[_Stars] = []
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
     tau = TAU_START
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for resets, stars in levels:
+            for i, (resets, *group) in enumerate(walk):
+                if i == len(plans):
+                    plans.append(_plan_stars(target.k, scheme, target.rows,
+                                             betas, log_t, *group))
+                stars = plans[i]
                 for reset in resets:
                     pipe.reset_if_needed(*reset)
                 for batch in stars.batches:

@@ -188,15 +188,13 @@ def conditioned(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return logp - (top + np.log(mass) + k * LOG2), rows
 
 
-def _softplus(a: np.ndarray) -> np.ndarray:
-    """log(1 + e^a) entrywise, as max(a, 0) + log1p(e^-|a|): 5.4 µs on
-    600 entries, where np.logaddexp(0.0, a) takes 9.1 µs (x86-64)."""
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _bits(width: int) -> np.ndarray:
-    """``state_bits(width)``, read-only, built once per width."""
+    """``state_bits(width)``, read-only.  Every trial reads the tables of k
+    and n; building them on each one cost the compile mix about 6 % of its
+    throughput (``perfbench`` compile workload, 10 alternated pairs, 2-core
+    x86-64).  Two widths are kept, one compile's k and n, so a compile
+    builds each table once and at most two outlive it."""
     table = state_bits(width)
     table.setflags(write=False)
     return table
@@ -234,8 +232,8 @@ def apply_sharing_log(logp: np.ndarray, rows: np.ndarray, units: Units
             # x ascends: each moved row's pairs start where x changes
             first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
             moved.append(x[first] + x0)
-            delta.append(np.add.reduceat(
-                _softplus(pre[x, u][:, None] + out[u]), first, axis=0))
+            delta.append(np.add.reduceat(np.logaddexp(
+                0.0, pre[x, u][:, None] + out[u]), first, axis=0))
     if not moved:
         return logp, rows, np.zeros(0, dtype=np.intp)
     moved, delta = (part[0] if len(part) == 1 else np.concatenate(part)
@@ -259,7 +257,8 @@ def own_unit_rows(logp: np.ndarray, units: Units,
     w_in, w_out, bias = units
     pre = (_bits(k)[members] @ w_in[:, :, None])[..., 0] + bias[:, None]
     out = w_out @ _bits(ny.bit_length() - 1).T
-    logits = logp[members] + _softplus(pre[..., None] + out[:, None, :])
+    logits = logp[members] + np.logaddexp(0.0, pre[..., None]
+                                         + out[:, None, :])
     return conditioned(logits.reshape(-1, ny), k)[1]
 
 
@@ -363,6 +362,13 @@ class StarTilt(NamedTuple):
     free_bits: np.ndarray
     cylinder_factors: np.ndarray
     inputs: np.ndarray
+
+    def take(self, stars: np.ndarray | slice) -> StarTilt:
+        """The stars ``stars`` (indices or a slice along the star axis) of
+        this stack, read-only."""
+        return StarTilt(_read_only(self.members[stars]), self.free_bits,
+                        _read_only(self.cylinder_factors[stars]),
+                        _read_only(self.inputs[stars]))
 
 
 def star_tilts(k: int, centers, free_mask: int) -> StarTilt:

@@ -287,7 +287,7 @@ COMPILE_GOLDEN = {
     # evaluation, 19.4M cells, it fits the cell limit, where the unblocked
     # (2^14, 2371) activations would not
     ("compile", "--k", "13", "--n", "1"):
-        "994fdc016c8374647d7eec85eb3822dbeaabcc6c521cec7591eb1b791a7cf670",
+        "e115e3cc7070eaa228dae70f75781a52a0789957c98999be28b6d0e4b059af6c",
     # a one-component target (the single-block partition) walks no star,
     # and its start model must meet eps
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "0"):

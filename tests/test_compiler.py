@@ -852,7 +852,8 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
     # an exhausted ladder names its kind, its batch's first star and size,
     # its first and last rung and the check that rejected the last one,
     # with the value and the limit.  At (8,1), r = 3 with one rung per
-    # trial, the first level's 32 stars at rung 16 miss their region bound
+    # trial, the first level's 32 stars at rung 16 miss their region bound:
+    # the start TV plus 32 step tolerances of 5.68e-5
     import crbmkit.compiler as compiler
 
     monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
@@ -864,7 +865,10 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
         compile_universal(dirichlet_table(8, 1, 0), r=3)
     match = re.match(region, str(exc.value.__cause__))
     assert match is not None
-    assert float(match[1]) > float(match[2])
+    start_tv = _Pipeline(8, 1, _ComponentScheme.points(1, [0, 1]), 16.0,
+                         0.0).start_tv
+    assert float(match[1]) > float(match[2]) == pytest.approx(
+        start_tv + 32 * 5.68e-5, rel=2e-3)
     assert str(exc.value).endswith(str(exc.value.__cause__))
     # a fill that mixes its star to 0.2 / 0.8 misses the point mass at
     # y = 1 at every rung, so its region's TV rejects the last one; with
@@ -1375,7 +1379,7 @@ def test_compiler_keeps_no_plan_cache():
 
 def test_each_star_is_planned_once_per_compile(monkeypatch):
     # every tau level walks the plan its compile made once: each star's
-    # geometry is built once though the compile tries two levels or more
+    # geometry is built once though the compile tries two tau levels or more
     calls = Counter()
     build = compiler.star_tilts
 
@@ -1393,6 +1397,15 @@ def test_each_star_is_planned_once_per_compile(monkeypatch):
         _, rep = run()
         assert rep.tau_final >= 32.0
         assert len(calls) == stars and set(calls.values()) == {1}
+    # a level is planned when a tau level first reaches it: with one rung
+    # per trial and tau = 16 alone, (8,1) r = 3 exhausts the ladder of its
+    # first level's batch, so only that level's 32 stars of 80 are planned
+    monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
+    monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
+    calls.clear()
+    with pytest.raises(BudgetExceeded, match=r"at star 0 \(batch of 32\)"):
+        compile_universal(dirichlet_table(8, 1, 0), r=3)
+    assert len(calls) == 32 and set(calls.values()) == {1}
 
 
 def _reference_plan(k, scheme, rows, betas, log_t, center, free_mask):
@@ -1478,6 +1491,8 @@ def test_batched_plans_are_each_stars_own():
                 place = {c: i for i, c in enumerate(centers.tolist())}
                 for batch in plan.batches:
                     tilt = batch.tilt
+                    for a in tilt:
+                        assert not a.flags.writeable
                     stars = [place[c] for c in tilt.members[:, 0].tolist()]
                     assert stars == sorted(stars)
                     assert batch.name == names[stars[0]]
