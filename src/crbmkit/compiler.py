@@ -31,19 +31,39 @@ compiler keeps the schedule: the plan, the rung ladder, the checks and the
 tau loop.
 
 The stars of one packing level share a free mask and have disjoint input
-cylinders, and each fill's unit is solved from its own star's rows alone,
-so a level's fills toward component t are one trial: a batch of S units,
-one per star that steps toward t (a support compile's one level holds all
-its point stars).  Resets run one at a time, a batch of one.  One loop runs
-every trial (``_Pipeline._step``): build the units at a sharpness rung
-tau * 2^i, i < STEP_RETRIES, apply them to the state, and accept them when
-three checks hold, each unit allowed the step tolerance tol_step: the worst
-row TV of their stars' rows to their targets is within the allowance plus
-S tol_step (for a reset, the start TV plus tol_step); the cross-star leak,
-the worst row TV between those rows and the rows each star's unit makes
-alone, is within S tol_step; and the rows outside the S cylinders move by
-at most S tol_step.  Otherwise the sharpness doubles, up to the top rung.
-A batch's ladder starts at the rung its kind's last accepted trial passed
+cylinders, and each star's units are solved from its own rows alone, so a
+packing level costs at most two trials.  Its boundary's resets are one:
+every cylinder with a row drifted from the start component, decided on the
+state before the trial, gets a unit whose bias takes its cylinder's tilt
+normalizer on that state.  Its fills are the other: a unit for each star
+and each component the star steps toward (a support compile's one level
+holds all its point stars), every unit solved from the level's state.
+Applied together to a member row p, a star's units give q_0 p + sum_t q_t
+tilt_t(p), up to cross terms of the components' disjoint tilts below
+e^-sharp: the mixture the fills toward one component at a time build, once
+each unit takes the log-odds log(q_t / q_0) = log T_t + sum_{t' < t}
+log(1 + T_t') where such a fill took log T_t (``sharing.log_mass_ratios``).
+With one component past the start that is log T_1 itself, so such a
+level's units are those of a fill toward one component, bit for bit.
+
+One loop runs every trial (``_Pipeline._step``): build its U units at a
+sharpness rung tau * 2^i, i < STEP_RETRIES, apply them to the state, and
+accept them when three checks hold, each unit allowed the step tolerance
+tol_step: the worst row TV of the stepping stars' rows to their targets is
+within the allowance plus U tol_step (for resets, the start TV plus U
+tol_step); the cross-star leak, the worst row TV between those rows and
+the rows each star's (or cylinder's) units make alone, is within U
+tol_step; and the rows outside the units' cylinders move by at most U
+tol_step.  Each bound sums the shares that trials of one component or one
+reset at a time were allowed: the fills' region bounds grew by S tol_step
+with each accepted batch of S units, the last one ending at the allowance
+plus U tol_step; each reset allowed its rows the start TV plus tol_step;
+and the leaks and drifts they allowed add up to U tol_step.  So a trial
+checked once accepts no more error in all than they did, and the
+allowance, grown by U tol_step per accepted trial, and the doomed-star
+check below, which count units, not trials, are unchanged.  Otherwise the
+sharpness doubles, up to the top rung.
+A trial's ladder starts at the rung its kind's last accepted trial passed
 in this tau level, tau for the first: the tolerance share is fixed within a
 level, and the rows outside a unit's cylinder move by about e^(-sharp d)
 at input distance d, so the rung a kind needs hardly varies from trial to
@@ -55,7 +75,9 @@ monotonicity: a trial that passes only below its start rung now exhausts
 its ladder and rejects the level, so tau doubles.  A sweep of 200 compiles
 (seeds 0-7; universal, support, common and partition modes) met no such
 step: units and tau_final were those of a ladder restarting at tau on
-every step.  Each scheduled step (unit) gets an equal share eps / (2 *
+every step; with a level's fills and a boundary's resets one trial each,
+the 272 compiles of the benchmark's compile mix at seeds 0-7, rounds 0-1,
+met none either.  Each scheduled step (unit) gets an equal share eps / (2 *
 steps) of the target tolerance.  The outer sharpness knob tau doubles from
 16 until the final evaluation meets eps (or 1024 is hit, which raises
 BudgetExceeded).  A tau level is rejected early, after each packing level,
@@ -68,11 +90,12 @@ component width) so that the sharp steps' off-region dust stays
 exponentially below the start-state dust.
 
 A fill trial reads its stars' member rows to solve their units and makes
-no reduction over the whole state; a reset trial builds its input table
-log s_X (2^k) and reduces its tilted state once, for the normalizer its
-unit's bias takes.  Each trial builds one new (2^k, 2^n) state with its
-rows, in which only the rows near its units moved; an accepted trial's
-state and rows become the pipeline's as they are, and its units are kept.
+no reduction over the whole state; a reset trial builds its cylinders'
+input tables log s_X (c, 2^k) and reduces its tilted state once per
+cylinder, in one stacked reduction, for the normalizers its units' biases
+take.  Each trial builds one new (2^k, 2^n) state with its rows, in which
+only the rows near its units moved; an accepted trial's state and rows
+become the pipeline's as they are, and its units are kept.
 
 Nothing is kept across compiles but the read-only state-bit tables of the
 last two widths a trial read (``sharing._bits``): each compile plans each
@@ -86,14 +109,15 @@ stars (x, 0), in one level with no reset.  Every cylinder a step
 concentrates on (a star's inputs, a reset, an output component) comes from
 one builder, ``sharing.cylinders``: one broadcast per level's resets, per
 level's stars and per scheme.  Each level's stars are planned at once
-(``_plan_stars``): their geometry (``sharing.star_tilts``) and, for each
-component in order, the batch of the stars that step toward it, stacked
-(views of the level's arrays where every star steps): their read-only
-geometry, their members' log-odds, from one ``log_odds`` call over the
-target's whole profile, and their target rows after the fill.  The
-component scheme (``_ComponentScheme``) builds its output tilts (factors
-and log s_Y, 2^n) for all its components at once, on the first trial that
-asks for a sharpness.  So past its first reach of a level, a tau level only
+(``_plan_stars``): their geometry (``sharing.star_tilts``) and their one
+fill trial, each unit's star geometry stacked (views of the level's arrays
+where each star has one unit), read-only, with its component and its
+members' log(q_t / q_0), from one ``log_odds`` and one ``log_mass_ratios``
+call over the target's whole profile, and the stepping stars' target rows.
+The component scheme (``_ComponentScheme``) builds its output tilts
+(factors and log s_Y, 2^n) for all its components at once, stacked, on the
+first trial that asks for a sharpness, and a fill trial takes one row of
+them per unit.  So past its first reach of a level, a tau level only
 builds, tries and accepts trials, fills and resets alike.  Each tau level
 builds its own start state, the conditioned broadcast of the start logits
 (``_Pipeline``), in tens of microseconds at the benchmark's sizes, and
@@ -123,8 +147,8 @@ from .errors import (
 from .packing import best_depth, build_packing, universal_budget
 from .sharing import OutputTilt, StarTilt, Units, apply_sharing_log, \
     build_tilted_step, conditioned, cylinders, hidden_unit_from_log, \
-    log_odds, make_reset_step, mixture_weight_profile, output_tilts, \
-    own_unit_rows, star_tilts
+    log_mass_ratios, log_odds, make_reset_step, mixture_weight_profile, \
+    output_tilts, own_unit_rows, star_tilts
 
 TAU_START = 16.0
 TAU_MAX = 1024.0
@@ -188,7 +212,7 @@ class _ComponentScheme:
         np.put_along_axis(dists, self.members, 1.0 / self.members.shape[1], 1)
         dists.setflags(write=False)
         self.dists = dists
-        self._tilts: dict[float, tuple[OutputTilt, ...]] = {}
+        self._tilts: dict[float, OutputTilt] = {}
 
     @property
     def count(self) -> int:
@@ -210,16 +234,17 @@ class _ComponentScheme:
         masses = self.masses(rows)
         return sum(masses[:, t, None] * dist for t, dist in enumerate(self.dists))
 
-    def tilt(self, t: int, sharp: float) -> OutputTilt:
-        """Component t's output tilt at sharpness ``sharp``: -sharp on the
-        off value of each of its fixed bits.  The first use of a sharpness,
-        by a fill or a reset, builds every component's tilt at it in one
-        batch, kept for the scheme's life, so the tau levels, stars and
-        trials of its compile share one (``sharing.output_tilts``)."""
+    def tilt(self, t, sharp: float) -> OutputTilt:
+        """Component t's output tilt at sharpness ``sharp``, -sharp on the
+        off value of each of its fixed bits, or the stack of the tilts of
+        the components ``t`` (an index array).  The first use of a
+        sharpness, by a fill or a reset, builds every component's tilt at it
+        in one batch, kept for the scheme's life, so the tau levels, stars
+        and trials of its compile share one (``sharing.output_tilts``)."""
         tilts = self._tilts.get(sharp)
         if tilts is None:
             tilts = self._tilts[sharp] = output_tilts(self.unit, sharp)
-        return tilts[t]
+        return tilts.take(t)
 
     @staticmethod
     def points(n: int, values) -> "_ComponentScheme":
@@ -232,86 +257,95 @@ class _ComponentScheme:
         return _ComponentScheme(n, (1 << l) - 1, tuple(range(1 << l)))
 
 
-class _Batch(NamedTuple):
-    """The fills of one level's stars toward one component, one trial, as
-    the compile plans them once for all its tau levels: the component
-    ``t``; the S stars' ``sharing.StarTilt``, stacked, whose cylinders'
-    inputs are the rows no drift check of the trial reads; their members'
-    ``log_odds`` toward component t (S, r); their members' target rows
-    after the fill ((S r, 2^n), the previous step's mixed toward component
-    t); and the first star's name in errors, ``(label, index)``."""
+class _Fill(NamedTuple):
+    """The fills of one level's stars, one trial, as the compile plans them
+    once for all its tau levels: U units, star by star in walk order and
+    each star's toward its components in order.  Unit u fills toward
+    component ``t[u]``; ``tilt`` is each unit's star's ``sharing.StarTilt``,
+    stacked (U), and ``log_q`` (U, r) its members' log(q_t / q_0)
+    (``sharing.log_mass_ratios``).  ``members`` (S, r) are the stepping
+    stars' members, unit u's at ``owner[u]`` (U, ascending), ``target``
+    (S r, 2^n) their target rows,
+    ``inside`` their cylinders' inputs, the rows no drift check of the
+    trial reads, and ``name`` the first one's name in errors, ``(label,
+    index)``."""
 
-    t: int
+    t: np.ndarray
     tilt: StarTilt
-    log_t: np.ndarray
+    log_q: np.ndarray
+    members: np.ndarray
+    owner: np.ndarray
     target: np.ndarray
+    inside: np.ndarray
     name: tuple[str, int]
 
 
 class _Stars(NamedTuple):
-    """One level of a walk as the compile plans it: its fills, one
-    ``_Batch`` per component in order, and what the doomed-star check reads
-    after them: every star's members (S, r), their rows of the target table
-    (S, r, 2^n) and the stars' names."""
+    """One level of a walk as the compile plans it: its ``_Fill``, None when
+    no star steps, and what the doomed-star check reads after it: every
+    star's members (S, r), their rows of the target table (S, r, 2^n) and
+    the stars' names."""
 
-    batches: list[_Batch]
+    fill: _Fill | None
     members: np.ndarray
     target: np.ndarray
     names: Sequence[tuple[str, int]]
 
 
-def _plan_stars(k: int, scheme: _ComponentScheme, rows: np.ndarray,
-                betas: np.ndarray, log_t: np.ndarray, centers: np.ndarray,
-                free_mask: int, names: Sequence[tuple[str, int]]) -> _Stars:
+def _plan_stars(k: int, rows: np.ndarray, betas: np.ndarray,
+                log_q: np.ndarray, centers: np.ndarray, free_mask: int,
+                names: Sequence[tuple[str, int]]) -> _Stars:
     """The ``_Stars`` of the stars ``(c, free_mask)`` on k inputs, c in
     ``centers``, in that order, named by ``names``: every star of one free
     mask in one plan.
 
     ``rows`` is the target table, ``betas`` its ``mixture_weight_profile``,
     whose weight for a component is positive exactly where that component
-    has target mass, and ``log_t`` their ``log_odds``, all indexed by input.
-    A star steps toward each component 1..M-1 with a positive weight on one
-    of its members, in order, and its first step's targets mix the start
-    component's distribution.  The stars that step toward component t are
-    one batch, whose targets are mixed at once, by the float operations of
-    a star-by-star plan: mixing every star toward every component would
-    cost 2^k rows times 2^n components on a support compile's one level."""
+    has target mass, and ``log_q`` their ``sharing.log_mass_ratios``, all
+    indexed by input.  A star steps toward each component 1..M-1 with a
+    positive weight on one of its members, one unit each, and every unit of
+    the level is one trial.  Its members' targets after it are their rows of
+    the target table: every scheme's components are the cylinders the
+    target's rows mix, so the components' distributions mixed by the
+    target's masses give its rows back."""
     tilts = star_tilts(k, centers, free_mask)
     members = tilts.members
-    # component-major: [t - 1] holds every member's weight (log-odds)
-    # toward component t
-    betas = betas[members].transpose(2, 0, 1)
-    log_t = log_t[members].transpose(2, 0, 1)
-    active = betas.any(axis=2)
-    batches = []
-    mixed = np.empty(members.shape + scheme.dists.shape[1:])
-    mixed[...] = scheme.dists[0]
-    for t in (active.any(axis=1).nonzero()[0] + 1).tolist():
-        on = active[t - 1].nonzero()[0]
-        # a slice, so views and no gathers, when every star steps
-        pick = slice(None) if len(on) == len(members) else on
-        beta = betas[t - 1][pick]
-        mixed[pick] = target = ((1.0 - beta)[..., None] * mixed[pick]
-                                + beta[..., None] * scheme.dists[t])
-        batches.append(_Batch(
-            t, tilts.take(pick),
-            log_t[t - 1][pick], target.reshape(-1, target.shape[-1]),
-            names[on[0]]))
-    return _Stars(batches, members, rows[members], names)
+    target = rows[members]
+    # [s, t - 1]: star s steps toward component t
+    steps = (betas[members] > 0).any(axis=1)
+    star, col = steps.nonzero()
+    if not len(star):
+        return _Stars(None, members, target, names)
+    on = steps.any(axis=1)
+    if not on.all():
+        stepping, pick = on.nonzero()[0], star
+        owner = (np.cumsum(on) - 1)[star]
+    elif len(star) > len(on):
+        stepping, owner, pick = slice(None), star, star
+    else:
+        # one unit per star: views, no gathers
+        stepping, owner, pick = slice(None), star, slice(None)
+    return _Stars(_Fill(
+        col + 1, tilts.take(pick), log_q[members[pick], col[:, None]],
+        members[stepping], owner,
+        target[stepping].reshape(-1, target.shape[-1]),
+        tilts.inputs[stepping].ravel(), names[star[0]]),
+        members, target, names)
 
 
 def _packing_walk(k: int, r: int) -> list[tuple]:
     """The depth-r packing of k inputs as its levels ``(resets, centers,
     free_mask, names)`` in fill order, a star named ``("star", i)`` by its
     place.  A level's resets, run before its stars, are its lineages,
-    cylinders of one fixed mask, each ``(unit factors, inputs)`` from one
-    ``cylinders`` call: the packing resets only at a level's first star."""
+    cylinders of one fixed mask, ``(unit factors, inputs)`` stacked from
+    one ``cylinders`` call, None for a level without: the packing resets
+    only at a level's first star."""
     seq = build_packing(k, r)
     edges = [0, *(np.flatnonzero(np.diff(seq.free_masks)) + 1).tolist(),
              len(seq.centers)]
     cuts = np.searchsorted(seq.reset_positions, edges).tolist()
-    return [(list(zip(*cylinders(k, int(seq.reset_masks[a]),
-                                 seq.reset_values[a:b]))) if b > a else [],
+    return [(cylinders(k, int(seq.reset_masks[a]), seq.reset_values[a:b])
+             if b > a else None,
              seq.centers[lo:hi], int(seq.free_masks[lo]),
              [("star", i) for i in range(lo, hi)])
             for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:])]
@@ -386,19 +420,20 @@ class _Pipeline:
                 f"target > limit {limit:.6g} (tau = {self.tau:g})")
 
     def _step(self, kind: str, build: Callable[[float], Units],
-              members: np.ndarray, target: np.ndarray, bound: float,
-              inside: np.ndarray, name: tuple[str, int] | None = None
-              ) -> None:
-        """Build, try and accept one trial: S units, one per row of
-        ``members`` ((S, r), each unit's own region rows).
+              members: np.ndarray, owner: np.ndarray, target: np.ndarray,
+              bound: float, inside: np.ndarray,
+              name: tuple[str, int] | None = None) -> None:
+        """Build, try and accept one trial: U units in G groups, each
+        group's region rows a row of ``members`` (G, r), unit u in group
+        ``owner[u]`` (U, ascending).
 
         ``build(sharp)`` makes the units at sharpness ``sharp``.  A trial is
-        accepted when three checks hold, each unit allowed its tol_step:
-        its rows at ``members`` are within row TV ``bound`` of ``target``;
-        they are within S tol_step of the rows that each unit alone makes
-        on its own members (the cross-star leak, read when S > 1); and the
-        rows outside ``inside`` (the inputs of the units' cylinders, an
-        index array) moved by at most S tol_step.  Otherwise the sharpness
+        accepted when three checks hold, each unit allowed its tol_step: its
+        rows at ``members`` are within row TV ``bound`` of ``target``; they
+        are within U tol_step of the rows that each group's units alone make
+        on its own members (the cross-star leak, read when G > 1); and the
+        rows outside ``inside`` (the inputs of the groups' cylinders, an
+        index array) moved by at most U tol_step.  Otherwise the sharpness
         doubles.  The rungs are tau * 2^i for i < STEP_RETRIES, and the
         ladder starts at the rung the last accepted trial of the same kind
         passed in this level (tau for the first): within a level tol_step
@@ -412,9 +447,9 @@ class _Pipeline:
         trial's state and rows are the conditional its units make
         (``sharing.apply_sharing_log``), and an accepted trial's become the
         pipeline's as they are.  An exhausted ladder names its rungs, the
-        check that rejected the last one and ``name``, the first star's.
+        check that rejected the last one and ``name``, the first group's.
         """
-        count = len(members)
+        count = len(owner)
         region = members.ravel()
         limit = count * self.tol_step
         outside = np.ones(1 << self.k, dtype=bool)
@@ -430,9 +465,9 @@ class _Pipeline:
             if not tv <= bound:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
                 continue
-            if count > 1:
+            if len(members) > 1:
                 leak = _worst_row_tv(rows[region], own_unit_rows(
-                    self.logp, units, members))
+                    self.logp, units, members, owner))
                 if not leak <= limit:
                     rejected = f"cross-star leak {leak:.3g} > limit {limit:.3g}"
                     continue
@@ -453,39 +488,46 @@ class _Pipeline:
         raise BudgetExceeded(f"{kind} sharpness schedule exhausted{at}: "
                              f"{tried} (tau = {self.tau:g})")
 
-    def reset_if_needed(self, cylinder_factors: np.ndarray,
-                        inside: np.ndarray) -> None:
-        """Drive a cylinder of inputs, its (k, 2) unit log factors and its
-        members ``inside`` as ``_packing_walk`` plans them, back to the
-        start component iff one of its rows has drifted from it by more
-        than the phase tolerance: one unit, the realization of a fixed-lam
-        step and its tilt normalizer (``sharing.hidden_unit_from_log``)."""
+    def reset(self, resets: tuple[np.ndarray, np.ndarray]) -> None:
+        """Drive the cylinders of inputs of a level boundary, their (c, k,
+        2) unit log factors and (c, 2^free) members as ``_packing_walk``
+        plans them, back to the start component: every one of them that
+        has a row drifted from it by more than the phase tolerance, on the
+        state before the boundary, in one trial of one unit each.  A unit
+        realizes a fixed-lam step with its tilt normalizer on that state
+        (``sharing.hidden_unit_from_log``); its region is allowed the start
+        TV plus one tol_step per unit, as the trial's other checks are."""
+        factors, inside = resets
         start = self.scheme.dists[0]
-        if (_worst_row_tv(self._rows[inside], start)
-                <= self.start_tv + 2.0 * self.tol_step):
+        tv = np.abs(self._rows[inside] - start).sum(axis=-1).max(axis=-1)
+        drifted = ~(tv <= self.start_tv + 2.0 * self.tol_step)
+        if not drifted.any():
             return
+        if not drifted.all():
+            factors, inside = factors[drifted], inside[drifted]
         # outputs: concentrate on the start component at start-grade sharpness
         grade = 2.0 * max(self.scheme.sharp_width, 1)
         self._step("reset", lambda sharp: hidden_unit_from_log(
-            *make_reset_step(self.logp, cylinder_factors,
+            *make_reset_step(self.logp, factors,
                              self.scheme.tilt(0, sharp / grade), sharp)),
-            inside[None, :], start, self.start_tv + self.tol_step, inside)
+            inside, np.arange(len(inside)), start,
+            self.start_tv + len(inside) * self.tol_step, inside.ravel())
 
-    def fill(self, batch: _Batch) -> None:
-        """Run the planned fill ``batch`` (``_plan_stars``) through the step
-        loop, on the rows of its stars: all that depends on the target alone
-        was planned once for the compile, so a level only builds and tries
-        units.  Each star's unit is allowed tol_step on the region bound.
+    def fill(self, fill: _Fill) -> None:
+        """Run a level's planned fills (``_plan_stars``) through the step
+        loop as one trial, every unit solved from the level's state: all
+        that depends on the target alone was planned once for the compile,
+        so a level only builds and tries units.  Each unit is allowed
+        tol_step on the region bound.
 
         The rows sit at the start component when their star is filled:
         ``validate_packing`` refuses a fill from rows that are not clean, and
-        a support compile fills each row once per component."""
-        stars = batch.tilt
+        a support compile fills each row once."""
         self._step("fill", lambda sharp: build_tilted_step(
-            self.logp, stars, batch.log_t, self.scheme.tilt(batch.t, sharp),
-            sharp), stars.members, batch.target,
-            self.allowance + len(stars.members) * self.tol_step,
-            stars.inputs.ravel(), batch.name)
+            self.logp, fill.tilt, fill.log_q, self.scheme.tilt(fill.t, sharp),
+            sharp), fill.members, fill.owner, fill.target,
+            self.allowance + len(fill.t) * self.tol_step, fill.inside,
+            fill.name)
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
@@ -506,7 +548,7 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     # of its log-odds (elementwise, so the floats of each star's own); each
     # level is planned when a tau level first reaches it, once for all
     betas = mixture_weight_profile(scheme.masses(target.rows))
-    log_t = log_odds(betas)
+    log_q = log_mass_ratios(log_odds(betas))
     plans: list[_Stars] = []
     tol_step = eps / (2.0 * max(total_steps, 1))
     last_error: Exception | None = None
@@ -516,13 +558,13 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
         try:
             for i, (resets, *group) in enumerate(walk):
                 if i == len(plans):
-                    plans.append(_plan_stars(target.k, scheme, target.rows,
-                                             betas, log_t, *group))
+                    plans.append(_plan_stars(target.k, target.rows, betas,
+                                             log_q, *group))
                 stars = plans[i]
-                for reset in resets:
-                    pipe.reset_if_needed(*reset)
-                for batch in stars.batches:
-                    pipe.fill(batch)
+                if resets is not None:
+                    pipe.reset(resets)
+                if stars.fill is not None:
+                    pipe.fill(stars.fill)
                 pipe.reject_if_doomed(stars, eps, total_steps)
         except BudgetExceeded as exc:
             last_error, reason = exc, str(exc)
@@ -657,7 +699,7 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
     rows = np.argsort(extra, kind="stable")
-    walk = [([], rows, 0, [("row", x) for x in rows.tolist()])]
+    walk = [(None, rows, 0, [("row", x) for x in rows.tolist()])]
     return _compile(target, scheme, walk, total_steps, eps, "support", budget,
                     None)[:2]
 

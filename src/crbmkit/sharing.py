@@ -25,29 +25,38 @@ certificate, ``crbm.eval_conditional`` of the parameters, sums every pair.
 ``verify`` tests the application against that evaluation.
 
 Each step kind has one builder, and both scale a cylinder's planned unit
-factors to the trial's sharpness.  build_tilted_step fills a batch of stars
-toward one output component, one unit per star, each solved from its own
-star's member rows: member x's mixture weight toward the component is
-beta(x), with log-odds log T(x) (``log_odds``, clamped to +-LOG_T_CAP).
-With L(x) and G(x) the log masses of row x untilted and tilted by s_Y, the
-free bit that member x flips gets the odds log T(x) + L(x) - G(x) against
-the center's, and the bias is log T(a) - log s_X(a) - G(a) + L(a) + log S0
-at the center a, where log s_X is 0.  No lambda and no reduction over the
+factors to the trial's sharpness.  build_tilted_step fills a batch of stars,
+one unit per star and output component, each solved from its own star's
+member rows: member x's mixture weight toward the component is beta(x),
+with log-odds log T(x) (``log_odds``, clamped to +-LOG_T_CAP).  With L(x)
+and G(x) the log masses of row x untilted and tilted by s_Y, the free bit
+that member x flips gets the odds log T(x) + L(x) - G(x) against the
+center's, and the bias is log T(a) - log s_X(a) - G(a) + L(a) + log S0 at
+the center a, where log s_X is 0.  No lambda and no reduction over the
 whole state enter a fill, so the stars of a packing level, whose input
-cylinders are disjoint, are solved together.  make_reset_step builds a
-cylinder reset: the lambda-mixture p -> lam p + (1 - lam) p s / N at a
-fixed lam = 1/(1 + e^min(sharp/2, 700)), a ``SharingStep``, with its tilt
-normalizer log N = logsumexp(log p + log s), the one reduction over the
-whole state; hidden_unit_from_log turns the two into the unit of bias
-log((1 - lam) S0 / (lam N)), which multiplies p(y|x) by a positive multiple
-of lam + (1 - lam) s(x, y) / N.  Only 0 < lam < 1 has a finite bias, and a
-``SharingStep`` holds no other lam.
+cylinders are disjoint, are solved together.  So are a star's units toward
+all its components: applied together to a member row p, they give q_0 p +
+sum_t q_t tilt_t(p) up to the cross terms of the components' disjoint
+tilts, the row that filling toward one component after another builds,
+when each takes log(q_t / q_0) = log T_t + sum_{t' < t} log(1 + T_t')
+(``log_mass_ratios``) in place of log T_t.  make_reset_step builds
+cylinder resets: the lambda-mixture p -> lam p + (1 - lam) p s / N at a
+fixed lam = 1/(1 + e^min(sharp/2, 700)), a ``SharingStep`` (a stack of
+them, one per cylinder, for the resets of a level boundary), with its tilt
+normalizer log N = logsumexp(log p + log s), a reduction over the whole
+state per cylinder; hidden_unit_from_log turns the two into the unit of
+bias log((1 - lam) S0 / (lam N)), which multiplies p(y|x) by a positive
+multiple of lam + (1 - lam) s(x, y) / N.  Only 0 < lam < 1 has a finite
+bias, and a ``SharingStep`` holds no other lam.
 
 The one cylinder builder, ``cylinders``, gives the unit factors and members
 of many cylinders of one fixed mask in one broadcast.  A fill reads
 everything about its stars that the state does not move from a
 ``StarTilt`` (``star_tilts``, one broadcast per free mask).  Sequencing,
-sharpening and accepting steps is the compiler's job.  Every log-sum-exp is
+sharpening and accepting steps is the compiler's job: it runs a packing
+level's resets as one trial and its fills as another, each checked once
+against the sum of the bounds that trials of one reset or one component
+were held to.  Every log-sum-exp is
 one max-shift reduction, the max plus the log of the sum of exp(entries -
 max), over the whole state (``logsumexp``) or per row (``conditioned``).
 """
@@ -80,11 +89,11 @@ _BLOCK_CELLS = 1 << 20
 LOG2 = math.log(2.0)
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None):
+def logsumexp(a: np.ndarray, axis: int | tuple[int, ...] | None = None):
     """log(sum(exp(a))) over ``axis``: all entries for None, giving a float,
-    or along one axis.  The max (per slice) plus the log of the sum of
-    exp(a - max), the reduction the pipeline normalizes its rows with; the
-    max must be finite."""
+    or along one axis or a tuple of them.  The max (per slice) plus the log
+    of the sum of exp(a - max), the reduction the pipeline normalizes its
+    rows with; the max must be finite."""
     a = np.asarray(a, dtype=float)
     top = a.max(axis=axis, keepdims=True)
     return top.squeeze(axis=axis) + np.log(np.exp(a - top).sum(axis=axis))
@@ -113,10 +122,17 @@ def _log_values_of(log_factors: np.ndarray) -> np.ndarray:
 class OutputTilt(NamedTuple):
     """The output half of a tilt: (n, 2) log factors, log s_i(0) and
     log s_i(1), and their table log s_Y over the 2^n outputs, both
-    read-only."""
+    read-only; or a stack of such tilts along leading axes, (c, n, 2) and
+    (c, 2^n)."""
 
     log_factors: np.ndarray
     log_sy: np.ndarray
+
+    def take(self, t) -> OutputTilt:
+        """Tilt ``t`` of this stack (an index), or the stack of the tilts
+        ``t`` (an index array), read-only."""
+        return OutputTilt(_read_only(self.log_factors[t]),
+                          _read_only(self.log_sy[t]))
 
 
 class Units(NamedTuple):
@@ -131,27 +147,31 @@ class Units(NamedTuple):
 
 @dataclass(frozen=True)
 class SharingStep:
-    """One lambda-mixture step on k inputs, a reset's: weight 0 < lam < 1
-    and product-tilt log factors, the k input coordinates first, then the
-    outputs.
+    """One lambda-mixture step on k inputs, a reset's, or a stack of such
+    steps at one lambda: weight 0 < lam < 1 and product-tilt log factors,
+    (k + n, 2) per step, the k input coordinates first, then the outputs,
+    stacked along leading axes.
 
-    ``log_sx`` (2^k) and ``log_sy`` (2^n) are the tilt's input and output
-    log tables, read-only.  A builder that already holds one passes it in,
-    and it must be the table of the matching factors; a table not passed is
-    built on construction.
+    ``log_sx`` (2^k) and ``log_sy`` (2^n) are the tilts' input and output
+    log tables, read-only, per step.  A builder that already holds one
+    passes it in, and it must be the table of the matching factors, or one
+    table that every step of the stack shares; a table not passed is built
+    on construction.
     """
 
     k: int
     lam: float
-    log_factors: np.ndarray = field(repr=False)  # (k + n, 2): log s_i(0), log s_i(1)
+    # (..., k + n, 2): log s_i(0), log s_i(1)
+    log_factors: np.ndarray = field(repr=False)
     log_sx: np.ndarray | None = field(default=None, repr=False, compare=False)
     log_sy: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         lf = np.asarray(self.log_factors, dtype=float)
-        if lf.ndim != 2 or lf.shape[1] != 2 or not 0 <= self.k <= len(lf):
+        if (lf.ndim < 2 or lf.shape[-1] != 2
+                or not 0 <= self.k <= lf.shape[-2]):
             raise ShapeMismatch(
-                f"log_factors must be (k + n, 2) with k = {self.k}, "
+                f"log_factors must be (..., k + n, 2) with k = {self.k}, "
                 f"got shape {lf.shape}")
         if not np.isfinite(lf).all():
             raise ValueError("non-finite log factors")
@@ -160,13 +180,17 @@ class SharingStep:
                                  "no finite hidden unit realizes it")
         lf.setflags(write=False)
         object.__setattr__(self, "log_factors", lf)
-        for name, part in (("log_sx", lf[:self.k]), ("log_sy", lf[self.k:])):
+        steps = lf.shape[:-2]
+        for name, part in (("log_sx", lf[..., :self.k, :]),
+                           ("log_sy", lf[..., self.k:, :])):
             table = getattr(self, name)
+            size = 1 << part.shape[-2]
             if table is None:
                 table = _log_values_of(part)
-            elif table.shape != (1 << len(part),):
+            elif (table.shape[-1:] != (size,)
+                  or table.shape[:-1] not in (steps, ())):
                 raise ShapeMismatch(
-                    f"{name} must have {1 << len(part)} entries, "
+                    f"{name} must have {size} entries per step, "
                     f"got shape {table.shape}")
             object.__setattr__(self, name, table)
 
@@ -227,13 +251,16 @@ def apply_sharing_log(logp: np.ndarray, rows: np.ndarray, units: Units
     moved, delta = [], []
     for x0 in range(0, nx, block):
         pre = _bits(k)[x0:x0 + block] @ w_in.T + bias  # (rows, S)
-        x, u = np.nonzero(pre > floor)
-        if len(x):
+        # the near pairs, row by row: one flat scan, a quarter of the time
+        # a 2-d nonzero takes on a (4096, 1056) block
+        near = np.flatnonzero(pre > floor)
+        if len(near):
+            x, u = np.divmod(near, len(bias))
             # x ascends: each moved row's pairs start where x changes
             first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
             moved.append(x[first] + x0)
             delta.append(np.add.reduceat(np.logaddexp(
-                0.0, pre[x, u][:, None] + out[u]), first, axis=0))
+                0.0, pre.ravel()[near][:, None] + out[u]), first, axis=0))
     if not moved:
         return logp, rows, np.zeros(0, dtype=np.intp)
     moved, delta = (part[0] if len(part) == 1 else np.concatenate(part)
@@ -245,42 +272,50 @@ def apply_sharing_log(logp: np.ndarray, rows: np.ndarray, units: Units
     return logp, rows, moved
 
 
-def own_unit_rows(logp: np.ndarray, units: Units,
-                  members: np.ndarray) -> np.ndarray:
-    """The rows ``members`` ((S, r): unit s's own rows are members[s]) of
-    the state ``logp`` ((2^k, 2^n), indexed [x, y]), each grown by its own
-    unit of ``units`` alone and conditioned: read-only, (S r, 2^n) in the
-    order of ``members``.  A batch's cross-star leak is their distance to
-    the rows with every unit applied."""
+def own_unit_rows(logp: np.ndarray, units: Units, members: np.ndarray,
+                  owner: np.ndarray) -> np.ndarray:
+    """The rows ``members`` ((G, r), one row of members per group) of the
+    state ``logp`` ((2^k, 2^n), indexed [x, y]), each grown by its own
+    group's units of ``units`` alone and conditioned: read-only, (G r, 2^n)
+    in the order of ``members``.  Unit s is in group ``owner[s]``, owner
+    ascending and every group holding a unit.  A batch's cross-star leak is
+    their distance to the rows with every unit applied."""
     nx, ny = logp.shape
     k = nx.bit_length() - 1
     w_in, w_out, bias = units
-    pre = (_bits(k)[members] @ w_in[:, :, None])[..., 0] + bias[:, None]
+    rows = members[owner]
+    pre = (_bits(k)[rows] @ w_in[:, :, None])[..., 0] + bias[:, None]
     out = w_out @ _bits(ny.bit_length() - 1).T
-    logits = logp[members] + np.logaddexp(0.0, pre[..., None]
-                                         + out[:, None, :])
-    return conditioned(logits.reshape(-1, ny), k)[1]
+    delta = np.logaddexp(0.0, pre[..., None] + out[:, None, :])
+    if len(rows) > len(members):
+        # owner ascends: each group's units start where it changes
+        delta = np.add.reduceat(delta, np.flatnonzero(
+            np.concatenate(([True], owner[1:] != owner[:-1]))), axis=0)
+    return conditioned((logp[members] + delta).reshape(-1, ny), k)[1]
 
 
-def hidden_unit_from_log(step: SharingStep, log_norm: float) -> Units:
+def hidden_unit_from_log(step: SharingStep,
+                         log_norm: float | np.ndarray) -> Units:
     """The hidden unit realizing the lambda-mixture ``step`` on a state of
-    mass 1, as one row of ``Units``.
+    mass 1, as one row of ``Units``; for a stack of steps, one row per
+    step, in the stack's order.
 
-    The bias takes the step's tilt normalizer on that state, ``log_norm``,
-    as make_reset_step returned it: log((1 - lam) S0 / (lam N)).  Applying
-    the unit (apply_sharing_log) gives the conditional of the state after
-    the step, p -> lam p + (1 - lam) p s / N conditioned on its inputs.
+    Each bias takes its step's tilt normalizer on that state, from
+    ``log_norm`` as make_reset_step returned it: log((1 - lam) S0 / (lam
+    N)).  Applying a unit (apply_sharing_log) gives the conditional of the
+    state after its step, p -> lam p + (1 - lam) p s / N conditioned on
+    its inputs.
     """
-    w = step.log_factors[:, 1] - step.log_factors[:, 0]
-    log_s0 = float(step.log_factors[:, 0].sum())
-    log_n = float(log_norm)
-    if not math.isfinite(log_n):
+    lf = step.log_factors
+    w = (lf[..., 1] - lf[..., 0]).reshape(-1, lf.shape[-2])
+    log_n = np.asarray(log_norm, dtype=float)
+    if not np.isfinite(log_n).all():
         raise DegenerateStep("tilt normalizer vanished")
     lam = step.lam
-    bias = float(np.log1p(-lam) - np.log(lam) + log_s0 - log_n)
-    if not math.isfinite(bias) or abs(bias) > BIAS_CAP:
+    bias = np.log1p(-lam) - np.log(lam) + lf[..., 0].sum(axis=-1) - log_n
+    if not (np.abs(bias) <= BIAS_CAP).all():
         raise DegenerateStep(f"bias {bias!r} beyond magnitude cap")
-    return Units(w[None, :step.k], w[None, step.k:], np.array([bias]))
+    return Units(w[:, :step.k], w[:, step.k:], bias.reshape(-1))
 
 
 def mixture_weight_profile(q_masses: np.ndarray) -> np.ndarray:
@@ -313,6 +348,22 @@ def log_odds(betas) -> np.ndarray:
                           LOG_T_CAP)
 
 
+def log_mass_ratios(log_t: np.ndarray) -> np.ndarray:
+    """log(q_t / q_0) of each component t = 1 .. T-1 against the start,
+    from the ``log_odds`` ``log_t`` of the steps' mixture weights, one row
+    per input: log T_t + sum_{t' < t} log(1 + T_t').
+
+    Mixing toward the components one at a time leaves the start component
+    q_0 = prod_t (1 - beta_t) and component t q_t = beta_t prod_{t' > t}
+    (1 - beta_t'), so q_t / q_0 = T_t prod_{t' < t} 1 / (1 - beta_t') =
+    T_t prod_{t' < t} (1 + T_t').  The first column is log T_1 itself, bit
+    for bit."""
+    ratios = np.array(log_t, dtype=float)
+    ratios[..., 1:] += np.cumsum(np.logaddexp(0.0, ratios[..., :-1]),
+                                 axis=-1)
+    return ratios
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -339,15 +390,14 @@ def cylinders(width: int, fixed_mask: int, values
     return _read_only(factors), _read_only(values[:, None] + offsets)
 
 
-def output_tilts(unit_factors: np.ndarray, sharp: float
-                 ) -> tuple[OutputTilt, ...]:
+def output_tilts(unit_factors: np.ndarray, sharp: float) -> OutputTilt:
     """The ``OutputTilt`` at sharpness ``sharp`` of each output cylinder,
-    from their (c, n, 2) unit log factors (``cylinders``), in one batch:
-    the factors are the unit ones times ``sharp``, -sharp and 0 exactly,
-    and each table is summed from them, since a unit table times ``sharp``
-    could differ in the last bit."""
+    from their (c, n, 2) unit log factors (``cylinders``), in one batch,
+    stacked: the factors are the unit ones times ``sharp``, -sharp and 0
+    exactly, and each table is summed from them, since a unit table times
+    ``sharp`` could differ in the last bit."""
     lf = _read_only(unit_factors * sharp)
-    return tuple(map(OutputTilt, lf, _log_values_of(lf)))
+    return OutputTilt(lf, _log_values_of(lf))
 
 
 class StarTilt(NamedTuple):
@@ -386,47 +436,57 @@ def star_tilts(k: int, centers, free_mask: int) -> StarTilt:
 
 def build_tilted_step(logp: np.ndarray, stars: StarTilt, log_t: np.ndarray,
                       out: OutputTilt, sharpness: float) -> Units:
-    """The units filling a batch of S stars toward one output component,
-    one per star, in order.
+    """The units filling S stars, one per star of the stack, in order, each
+    toward its own output component.
 
-    ``stars`` are S stars on the k inputs, stacked (``star_tilts``): each
+    ``stars`` are S stars on the k inputs, stacked (``star_tilts``; a star
+    filled toward several components appears once per component): each
     one's input cylinder fixes the bits outside its free mask to its
-    center's.  ``log_t`` ((S, r), in the order of ``stars.members``) holds
-    each member's ``log_odds`` toward the component whose tilt, already
-    sharpened, is ``out``.  Each star's unit is solved from its own member
-    rows of the state ``logp`` ((2^k, 2^n), indexed [x, y]), so that the
-    realized weights are exact; only the component's off-region dust is
-    approximate.  Its input weights are its cylinder's odds at
-    ``sharpness``, with each free bit's set to the odds log T(x) + L(x) -
-    G(x) of the member x that flips it against the center's, and its bias
-    is log T(a) - G(a) + L(a) + log S0 at the center a (where log s_X is 0).
+    center's.  ``out`` holds the output tilts, already sharpened: one for
+    every unit, or a stack of S, unit s's toward its own component.
+    ``log_t`` ((S, r), in the order of ``stars.members``) holds each
+    member's odds of the mass its unit moves to the component against the
+    mass it leaves: the ``log_odds`` log T of a fill toward one component,
+    or log(q_t / q_0) (``log_mass_ratios``) for a star's units toward all
+    its components at once, which together make q_0 p + sum_t q_t
+    tilt_t(p) of each member row p while the components' tilts stay
+    disjoint.  Each unit is solved from its own member rows of the state
+    ``logp`` ((2^k, 2^n), indexed [x, y]), so that the realized weights
+    are exact; only the component's off-region dust is approximate.  Its
+    input weights are its cylinder's odds at ``sharpness``, with each free
+    bit's set to the odds log T(x) + L(x) - G(x) of the member x that flips
+    it against the center's, and its bias is log T(a) - G(a) + L(a) + log
+    S0 at the center a (where log s_X is 0).
     """
     if np.shape(log_t) != stars.members.shape:
         raise ShapeMismatch("log-odds must cover exactly the star members")
     # G, the member rows' log masses tilted toward the component; each
     # row's untilted log mass L is -k log 2, the state's
     k = len(logp).bit_length() - 1
-    excess = (log_t - k * LOG2
-              - logsumexp(logp[stars.members] + out.log_sy, axis=-1))
+    excess = (log_t - k * LOG2 - logsumexp(
+        logp[stars.members] + out.log_sy[..., None, :], axis=-1))
     factors = stars.cylinder_factors * sharpness
     w_in = factors[..., 1] - factors[..., 0]
     w_in[:, stars.free_bits] = excess[:, 1:] - excess[:, :1]
     bias = (excess[:, 0] + factors[..., 0].sum(axis=1)
-            + out.log_factors[:, 0].sum())
+            + out.log_factors[..., 0].sum(axis=-1))
     if not (np.abs(bias) <= BIAS_CAP).all():
         raise DegenerateStep(f"bias beyond magnitude cap in {bias!r}")
-    w_out = out.log_factors[:, 1] - out.log_factors[:, 0]
-    return Units(w_in, np.repeat(w_out[None], len(bias), axis=0), bias)
+    w_out = out.log_factors[..., 1] - out.log_factors[..., 0]
+    return Units(w_in, np.broadcast_to(w_out, (len(bias), w_out.shape[-1])),
+                 bias)
 
 
 def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
                     out: OutputTilt, sharpness: float
-                    ) -> tuple[SharingStep, float]:
+                    ) -> tuple[SharingStep, float | np.ndarray]:
     """A step driving the rows of the state ``logp`` ((2^k, 2^n), indexed
     [x, y]) whose inputs lie in a cylinder, its (k, 2) unit log factors
     ``cylinder_factors`` (``cylinders``), toward an output component, with
     its tilt normalizer log N = logsumexp(logp + log s), which
-    hidden_unit_from_log takes.
+    hidden_unit_from_log takes.  Stacked factors, (c, k, 2), give the
+    stack of the c cylinders' steps toward the one component, with their
+    c normalizers, each taken on ``logp``.
 
     ``out`` (already sharpened) is the component's output tilt, e.g. -tau
     on the off value of every bit for a point mass.  lam is near 0 and the
@@ -434,11 +494,14 @@ def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
     ``sharpness``; rows outside it move by at most eps(sharpness).
     """
     k = len(logp).bit_length() - 1
-    if np.shape(cylinder_factors) != (k, 2):
-        raise ShapeMismatch(f"cylinder factors must be ({k}, 2) for a state "
-                            f"of 2^{k} rows, got {np.shape(cylinder_factors)}")
-    lf = np.concatenate((cylinder_factors * sharpness, out.log_factors))
-    log_sx = _log_values_of(lf[:k])
-    log_norm = logsumexp(logp + log_sx[:, None] + out.log_sy)
+    shape = np.shape(cylinder_factors)
+    if shape[-2:] != (k, 2) or len(shape) > 3:
+        raise ShapeMismatch(f"cylinder factors must be (c, {k}, 2) or ({k}, "
+                            f"2) for a state of 2^{k} rows, got {shape}")
+    lf = np.concatenate((cylinder_factors * sharpness, np.broadcast_to(
+        out.log_factors, shape[:-2] + out.log_factors.shape)), axis=-2)
+    log_sx = _log_values_of(lf[..., :k, :])
+    log_norm = logsumexp(logp + log_sx[..., None] + out.log_sy,
+                         axis=(-2, -1) if len(shape) == 3 else None)
     lam = float(1.0 / (1.0 + np.exp(min(sharpness / 2.0, 700.0))))
     return SharingStep(k, lam, lf, log_sx, out.log_sy), log_norm

@@ -264,30 +264,34 @@ def test_mrf_stdout_matches_its_golden_hash(k, capsys):
 #: through one tau-schedule entry; the compile hashes were re-recorded when
 #: each step's sharpness ladder began to start at the rung its kind last
 #: passed in the level, which moves the weights of the steps that had passed
-#: below it but no unit count or tau
+#: below it but no unit count or tau.  Every compile hash with more than one
+#: component past the start or more than one reset at a level boundary, and
+#: the divergence hash, were re-recorded when each packing level came to run
+#: its fills as one trial and each boundary its resets as one, every unit
+#: solved from the state before them: no unit count, reset count or tau moved
 COMPILE_GOLDEN = {
     ("compile", "--k", "8", "--n", "1", "--r", "3"):
-        "06e689449e6177a78d17746317d54be49967320b39b8595bad579b590003d65f",
+        "fddbd30f37e1de2e456ffab52ce507d20c3b1514c1e05c9be2d61582e845a4eb",
     # the deepest reset schedule: 99 resets at r = 4
     ("compile", "--k", "10", "--n", "1", "--r", "4"):
-        "41bb8799d77370b024502a099513623405ebc0f84c89bb34669f3e9febaa3bd8",
+        "84af843f65fa71054094e3f42dae6fd83c4ae3dd3e622b04d11155354ce904f5",
     ("compile", "--mode", "support", "--k", "8", "--n", "2", "--d", "4"):
-        "05ca4d2c98b4d6728617dfa382743a894b27d374a1b267f127567590ea47348f",
+        "2d418c5e667a37398d2e29d9afb145e0ebe0090f9b5b81c53dd943cbec67c00b",
     ("compile", "--mode", "common", "--k", "8", "--n", "2",
      "--support-size", "3"):
-        "043c07d065c60f2f7a92189bc0ef1fa7f627367d71a9ab05c126a78d404a4491",
+        "3dff3b43e3f7a5710918a29c13eb150bf891d44accb48a623585ee0cffe11e8d",
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "2"):
-        "0f4b61b4a4b6875297a3fdc8d5827fcf7d6c6cb2ebd23566b2515e14f86f1489",
+        "87ea8461cf7102d9c19f62be19a26e3661e3f4370fb71e6c8f8fa3ebd37fd74e",
     # (10,3) picks r = 4 (2087 units) and passes at tau = 64: its doomed
     # tau = 16 and 32 levels stop at the check after their first packing
     # level
     ("compile", "--k", "10", "--n", "3"):
-        "4162db34d86a4915382d8134bbbdf30de467a29fd5a148e364421a2b3e72a69f",
+        "b2cfd503357ed5d7a68ed6fa76aa6cd92bb90c57580c2ed54786b6818153974f",
     # (13,1) picks r = 4 (2371 units): priced on its blocked final
     # evaluation, 19.4M cells, it fits the cell limit, where the unblocked
     # (2^14, 2371) activations would not
     ("compile", "--k", "13", "--n", "1"):
-        "e115e3cc7070eaa228dae70f75781a52a0789957c98999be28b6d0e4b059af6c",
+        "8a116e86b1ea5ebd64ba3bf545cba5e19bedde443785906819130e4452d14457",
     # a one-component target (the single-block partition) walks no star,
     # and its start model must meet eps
     ("compile", "--mode", "partition", "--k", "8", "--n", "3", "--l", "0"):
@@ -303,7 +307,7 @@ COMPILE_GOLDEN = {
      "--support-size", "1", "--r", "3"):
         "e3bd6cbd231354326e0d247b95b1fd86c1730e5ced05a5eb083b67cf2d38aa05",
     ("divergence", "--k", "3", "--n", "3", "--m", "10"):
-        "f12fcc632544a465fb0d5dbff02675e51a101459132c3d9244e9f5047f187919",
+        "36a103ae3cd9ad8e99d1e4269f5b8b751bf8b5d587a29bcdaa8fece41b1737fb",
     # a 2^15-cell target and no unit: the payload is nearly all arrays, so
     # this pins the writer's bytes where its C-encoded arrays matter.
     # Recorded with the pure-Python indenting encoder

@@ -9,8 +9,8 @@ import pytest
 from crbmkit import compiler
 from crbmkit.compiler import (
     CompileReport,
-    _Batch,
     _ComponentScheme,
+    _Fill,
     _Pipeline,
     _packing_walk,
     _plan_stars,
@@ -38,8 +38,9 @@ from crbmkit.errors import (
 )
 from crbmkit.packing import build_packing
 from crbmkit.sharing import (StarTilt, apply_sharing_log, build_tilted_step,
-                             conditioned, cylinders, log_odds,
-                             mixture_weight_profile, star_tilts)
+                             conditioned, cylinders, log_mass_ratios,
+                             log_odds, mixture_weight_profile, own_unit_rows,
+                             star_tilts)
 
 
 def one_star(k, center, free_mask):
@@ -52,11 +53,11 @@ def one_star(k, center, free_mask):
 
 def plan_one(k, scheme, rows, center, free_mask):
     """The compile's plan of the one star ``(center, free_mask)`` toward the
-    target ``rows`` (2^k of them), named ("star", 0): one batch per
-    component."""
+    target ``rows`` (2^k of them), named ("star", 0): one fill trial, one
+    unit per component the star steps toward."""
     betas = mixture_weight_profile(scheme.masses(rows))
-    return _plan_stars(k, scheme, rows, betas, log_odds(betas), [center],
-                       free_mask, [("star", 0)])
+    return _plan_stars(k, rows, betas, log_mass_ratios(log_odds(betas)),
+                       [center], free_mask, [("star", 0)])
 
 
 def test_clamp_table():
@@ -433,38 +434,44 @@ def test_support_points_compile_sparse(k, n, seed):
 # trial, each star's unit solved from its own rows without lambda, every
 # digest and TV was re-recorded: the units are solved against the level's
 # state, not the previous star's, and the pairs far below the softplus
-# knee are skipped; no units or tau moved.
+# knee are skipped; no units or tau moved.  When each packing level came
+# to run every component's fills as one trial, each unit solved from the
+# level's state toward log(q_t / q_0), and each level boundary's resets as
+# one trial, every digest and TV was re-recorded: the units of a level's
+# later components and of a boundary's later resets are solved from the
+# state before the level, not after the earlier ones.  No units, resets or
+# tau moved.
 GOLDEN = {
     "universal-3-2": (lambda: compile_universal(dirichlet_table(3, 2, 0)),
-                      10, 32.0, 0.0007966024394189739,
-                      "caaa187cf8e75fcab1be3b74673b07595dc51438c9679ec02a406e846b373919"),
+                      10, 32.0, 0.0007966103346532458,
+                      "4cc49eb546f4f9d5a932cf5cf90c2bb80ce9e0ef4e95f4e916cbc406cb174960"),
     "universal-4-2": (lambda: compile_universal(dirichlet_table(4, 2, 0)),
-                      19, 32.0, 0.0007966042230211287,
-                      "ffa45272bcfa105ca57e30d68e9eb342da7273a30327003d093e9849dee9ecc2"),
+                      19, 32.0, 0.0007966121164636256,
+                      "a116a94160eb7d067ce8381fbd152487f4b846b276e9f50c54b3e6fdb0e14a9f"),
     "partition-4-3-l2": (lambda: compile_partition(
                              block_constant_target(4, 3, 2, seed=0), 2),
-                         19, 32.0, 0.000796604223015876,
-                         "2882483bc9cc12531a97ed81a6322f270fffed5d0a34550a5c3c6949d45b16d9"),
+                         19, 32.0, 0.0007966121164636256,
+                         "855ab24ad3b84ee1e4ddfe786ce8d59446c9bd1c617137109d2675d596aa51b3"),
     "support-4-2-d2": (lambda: compile_support_points(
                            sparse_dirichlet_table(4, 2, 2, seed=0), 2),
-                       11, 32.0, 0.00134117619541544,
-                       "7ddbcc51f1f347bbefe02ba5795bd0e6b8a994d56d18d0375a3f9870e3b84cc9"),
+                       11, 32.0, 0.0013411761954154398,
+                       "a55d337bb4204eb2c2d1d018fb81dc2aba7e597360a3469c2cca6ae1764a1d93"),
     # one reset grade 14 (sharp_width 7): its output tilts at sharp / 14
     # are not a power-of-two multiple of the unit ones, so a table scaled
     # from sharpness 1 would move this digest by an ulp
     "universal-3-7": (lambda: compile_universal(dirichlet_table(3, 7, 0)),
-                      382, 16.0, 0.008117520567949767,
-                      "239efcdd4c2714835788249160f6a3f83732689729ca3ce579c849a3b9a02a6a"),
+                      382, 16.0, 0.008117520568171926,
+                      "a54c5fde513b059b5eca1b2c8653fd5da300cafb40ffbea1debd9c2c7a7cfa61"),
     # n = 3 at tau 64, where resets are graded 6: a trial's row sums over
     # the 8 outputs run in another order when their array is not
     # C-contiguous, which moves this digest
     "universal-5-3": (lambda: compile_universal(dirichlet_table(5, 3, 0)),
-                      85, 64.0, 6.051284404529501e-05,
-                      "cc67ed2ef126dc26235935190ef10eab62f49132b5700a45c9bb92cd34be31e4"),
+                      85, 64.0, 6.050668928027445e-05,
+                      "7eb171312fbed527197fc8c49cd0821b3ce212e557801bf2acaaca7388f0dc8f"),
     # the size that sets the benchmark's compile tail: r = 3, with resets
     "universal-6-2": (lambda: compile_universal(dirichlet_table(6, 2, 0)),
-                      68, 32.0, 0.0007974598887532311,
-                      "99941d91c334d48076692fd60da82bb7cf22fd41e0feab679a0b755d9ed2a4b0"),
+                      68, 32.0, 0.0007974677332411167,
+                      "c3994d13cca10305c0fe7923cccdb9a1d05abfe8693bbfb41630a36d1df46c72"),
 }
 
 
@@ -483,6 +490,118 @@ def test_golden_compile_outputs(name):
     assert rep.tau_final == tau
     assert rep.achieved_tv == pytest.approx(tv, rel=2e-12, abs=0.0)
     assert params_digest(params) == digest
+
+
+#: (hidden units, resets, tau, params_digest) of universal compiles with one
+#: component past the start, recorded when every level ran one fill trial
+#: per component and one trial per reset: each of their levels fills one
+#: component and each boundary resets at most one cylinder, so running a
+#: level's fills and a boundary's resets as one trial each must keep every
+#: bit
+ONE_COMPONENT_DIGESTS = {
+    4: (7, 1, 16.0,
+        "f614db3c316ffa4a7ef50cc7d601aec992fa279a4e2ac9c92d9f6a73ffdeaeda"),
+    5: (13, 1, 16.0,
+        "705f2210fae711a861a98fb3eb0110dba1978ed0b8f0310a03a107253fbb50c9"),
+    6: (25, 1, 16.0,
+        "ad0838535192e18e013fe04e39225e835b6370c1db2f2df55bf2540fd1387b56"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(ONE_COMPONENT_DIGESTS))
+def test_one_component_fills_keep_their_bits(k):
+    params, rep = compile_universal(dirichlet_table(k, 1, 0))
+    assert (rep.hidden_units_used, rep.resets_used, rep.tau_final,
+            params_digest(params)) == ONE_COMPONENT_DIGESTS[k]
+
+
+def _trials_per_level(monkeypatch, run):
+    """The trials of each packing level ``run`` walks, in order, as lists of
+    (kind, sharpness) builds, and the ``apply_sharing_log`` calls of each."""
+    levels, applied = [[]], [0]
+
+    def spy(owner, attr, event):
+        fn = getattr(owner, attr)
+
+        def traced(*args, **kwargs):
+            event(*args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, traced)
+
+    def close(*args):
+        levels.append([])
+        applied.append(0)
+
+    spy(compiler, "build_tilted_step",
+        lambda *args: levels[-1].append(("fill", args[-1])))
+    spy(compiler, "make_reset_step",
+        lambda *args: levels[-1].append(("reset", args[-1])))
+    spy(compiler, "apply_sharing_log",
+        lambda *args: applied.__setitem__(-1, applied[-1] + 1))
+    # a level ends at its doomed-star check, or when a tau level starts
+    spy(_Pipeline, "reject_if_doomed", close)
+    spy(_Pipeline, "__init__", lambda *args: levels[-1] and close())
+    run()
+    return levels, applied
+
+
+@pytest.mark.parametrize("k,n,r", [(6, 2, 3), (3, 3, None)])
+def test_a_packing_level_runs_one_reset_and_one_fill_trial(monkeypatch, k, n,
+                                                           r):
+    # each packing level of a tau level costs at most two trials: one for
+    # its boundary's drifted resets and one for all its fills.  So every
+    # build of a level is one rung of one of those two ladders, resets
+    # first, each ladder doubling its sharpness from its first rung, and
+    # each rung tried is applied once
+    levels, applied = _trials_per_level(
+        monkeypatch, lambda: compile_universal(dirichlet_table(k, n, 0), r))
+    walked = 0
+    for builds, calls in zip(levels, applied):
+        assert calls == len(builds)
+        kinds = [kind for kind, _ in builds]
+        assert kinds == sorted(kinds, reverse=True)  # resets, then fills
+        for kind in ("reset", "fill"):
+            sharps = [sharp for of, sharp in builds if of == kind]
+            assert sharps == [sharps[0] * 2.0 ** i
+                              for i in range(len(sharps))]
+        walked += bool(builds)
+    assert walked >= len(_packing_walk(k, r or 1))
+
+
+def test_a_level_trial_makes_each_rows_mixture_of_its_tilts():
+    # a level's units, all solved from the state before it, give each
+    # member row p of a stepping star q_0 p + sum_t q_t tilt_t(p), the
+    # mixture the one-component-at-a-time fills build: at (3,2), seed 0,
+    # at rungs 64 to 256, within U tol_step of that mixture computed
+    # directly from p, the tilts at the trial's sharpness, and the target
+    # masses q
+    seen = []
+    fill = _Pipeline.fill
+
+    def checked(pipe, plan):
+        if not seen:
+            for sharp in (64.0, 128.0, 256.0):
+                units = build_tilted_step(
+                    pipe.logp, plan.tilt, plan.log_q,
+                    pipe.scheme.tilt(plan.t, sharp), sharp)
+                rows = apply_sharing_log(pipe.logp, pipe.rows(), units)[1]
+                p = pipe.rows()[plan.members.ravel()]
+                q = plan.target  # the point components' masses
+                s = np.exp(pipe.scheme.tilt(np.arange(1, 4), sharp).log_sy)
+                tilted = p[:, None, :] * s
+                tilted /= tilted.sum(axis=-1, keepdims=True)
+                want = q[:, :1] * p + (q[:, 1:, None] * tilted).sum(axis=1)
+                seen.append(_worst_row_tv(rows[plan.members.ravel()], want))
+                assert seen[-1] <= len(plan.t) * pipe.tol_step
+                # the units' cross terms, e^-sharp and below, leave
+                # nothing a float shows
+                assert seen[-1] <= 1e-12
+        fill(pipe, plan)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Pipeline, "fill", checked)
+        _, rep = compile_universal(dirichlet_table(3, 2, 0))
+    assert rep.hidden_units_used == 10 and len(seen) == 3
 
 
 #: the benchmark's compile mix (perfbench/mixes.py), drawn here the same
@@ -568,10 +687,12 @@ def test_compile_mix_keeps_its_units_resets_and_tau(seed):
 
 def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
     # the state is log p(y | x) - k log 2 as (2^k, 2^n) rows [x, y]: after
-    # each accepted trial every row of it, plus k log 2, log-sums to 0, the
-    # cached rows are its exponent, and it is the fresh application of the
-    # trial's units, which returns the conditional they make
-    k, n = 4, 1
+    # each accepted trial, a level's fills or a boundary's resets, every
+    # row of it, plus k log 2, log-sums to 0, the cached rows are its
+    # exponent, and it is the fresh application of the trial's units,
+    # which returns the conditional they make; on (4,2) r = 2, where a
+    # trial holds a unit per star and component
+    k, n = 4, 2
     applied = []
     step = _Pipeline._step
 
@@ -596,21 +717,23 @@ def test_pipeline_rows_cache_follows_accepted_steps(monkeypatch):
     _, rep = compile_universal(dirichlet_table(k, n, 0), r=2)
     assert rep.resets_used > 0 and rep.star_steps_used > 0
     assert sum(len(units.bias) for units in applied) >= rep.hidden_units_used
+    assert max(len(units.bias) for units in applied) > 1 << n
 
 
 def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
-    # a fill trial makes no whole-state logsumexp, since each star's unit
-    # is solved from its own rows; a reset trial makes one, for its tilt
-    # normalizer, which its unit's bias takes (hidden_unit_from_log, once
-    # per reset trial).  The state has mass 1, so neither the stepped state
-    # nor a tau level's start state is reduced again.  An accepted trial is
-    # kept, so there is one application per trial.  A reset trial builds
-    # one input table, in its builder, and a fill trial none.  The output
-    # tilt a trial steps toward is one row of a batch of every component's
-    # tilts, built on the first use of its sharpness only, by a fill or a
-    # reset; a reset's is the start component's row, the point 0's.  The
-    # mixture weights' log-odds are taken once per compile, not per tau
-    # level or star
+    # a fill trial makes no whole-state logsumexp, since each star's units
+    # are solved from its own rows; a reset trial makes one, a reduction
+    # per reset of the whole state, for the tilt normalizers its units'
+    # biases take (hidden_unit_from_log, once per reset trial).  The state
+    # has mass 1, so neither the stepped state nor a tau level's start
+    # state is reduced again.  An accepted trial is kept, so there is one
+    # application per trial.  A reset trial builds one stack of input
+    # tables, in its builder, and a fill trial none.  The output tilts a
+    # trial steps toward are rows of one batch of every component's tilts,
+    # built on the first use of its sharpness only, by a fill or a reset; a
+    # reset's is the start component's row, the point 0's, and a fill's one
+    # row per unit.  The mixture weights' log-odds are taken once per
+    # compile, not per tau level or star
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
@@ -618,7 +741,7 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     shape = (1 << k, 1 << n)
     calls = Counter()
     outputs = []
-    batches = []
+    batches = {}
 
     def spy(owner, attr, name=None, counts=lambda *a, **kw: True):
         fn = getattr(owner, attr)
@@ -630,27 +753,29 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
         monkeypatch.setattr(owner, attr, counted)
 
     def full_joint(a, axis=None):
-        return axis is None and np.shape(a) == shape
+        # the whole state, or a stack of it reduced per step
+        return (np.shape(a) == shape and axis is None
+                or np.shape(a)[1:] == shape and axis == (-2, -1))
 
     def output_of(kind):
-        # the output tilt a trial steps toward
+        # the output tilts a trial steps toward, and its sharpness
         def record(*args, **kwargs):
-            outputs.append((kind, args[-2]))
+            outputs.append((kind, args[-2], args[-1]))
             return True
         return record
 
     build = compiler.output_tilts
 
     def batch(unit_factors, sharp):
-        tilts = build(unit_factors, sharp)
-        batches.append(tilts)
-        return tilts
+        assert sharp not in batches
+        batches[sharp] = build(unit_factors, sharp)
+        return batches[sharp]
 
     spy(sharing, "logsumexp", "full", full_joint)
     spy(sharing, "_log_values_of", "inputs",
-        lambda log_factors: log_factors.shape == (k, 2))
+        lambda log_factors: log_factors.shape[-2:] == (k, 2))
     spy(sharing, "_log_values_of", "other tables",
-        lambda log_factors: log_factors.shape != (k, 2))
+        lambda log_factors: log_factors.shape[-2:] != (k, 2))
     monkeypatch.setattr(compiler, "output_tilts", batch)
     spy(compiler, "build_tilted_step", "trial", output_of("fill"))
     spy(compiler, "make_reset_step", "trial", output_of("reset"))
@@ -660,8 +785,8 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     spy(_Pipeline, "__init__", "level")
     _, rep = compile_universal(dirichlet_table(k, n, 0))
     trials = calls["trial"]
-    resets = sum(kind == "reset" for kind, _ in outputs)
-    assert trials > resets >= rep.resets_used > 0
+    resets = sum(kind == "reset" for kind, *_ in outputs)
+    assert trials > resets > 0 and rep.resets_used > 0
     assert rep.hidden_units_used > 0
     assert calls["level"] == 2  # tau = 16 fails, 32 passes
     assert calls["apply_sharing_log"] == trials
@@ -670,30 +795,36 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # every table not over the inputs is one output batch
     assert calls["other tables"] == len(batches)
     assert calls["log_odds"] == 1
-    # a batch holds the four point components' tilts, and each trial's
-    # output tilt is one of exactly one batch; each reset's is the batch's
-    # first, the start component's
-    assert all(len(tilts) == 1 << n
-               and all(tilt.log_sy.shape == (1 << n,) for tilt in tilts)
-               for tilts in batches)
+    # a batch stacks the four point components' tilts, and each trial's
+    # output tilts are rows of the batch of its sharpness; each reset's is
+    # the batch's first, the start component's, which its step takes as it
+    # is
+    assert all(tilts.log_factors.shape == (1 << n, n, 2)
+               and tilts.log_sy.shape == (1 << n, 1 << n)
+               for tilts in batches.values())
     assert len(outputs) == trials
-    for kind, out in outputs:
-        rows = [tilts for tilts in batches
-                if any(out is tilt for tilt in tilts)]
-        assert len(rows) == 1
-        assert (out is rows[0][0]) == (kind == "reset")
+    grade = 2.0 * n
+    for kind, out, sharp in outputs:
+        assert not out.log_factors.flags.writeable
+        assert not out.log_sy.flags.writeable
         if kind == "reset":
+            rows = batches[sharp / grade]
+            assert out.log_factors.base is rows.log_factors
+            assert out.log_factors.tobytes() == rows.log_factors[0].tobytes()
             # the point 0's factors: -sharp on the value 1 of each bit
             assert not out.log_factors[:, 0].any()
-    # one batch per sharpness the trials' tilts have, fewer than the fills
-    # and fewer than the trials (-sharp is the least log factor of a point
-    # component's tilt)
-    def sharps(kind):
-        return {float(-out.log_factors.min()) for of, out in outputs
-                if of == kind}
-    fills = sum(kind == "fill" for kind, _ in outputs)
-    assert 0 < len(sharps("fill")) < fills and len(sharps("reset")) > 0
-    assert len(batches) == len(sharps("fill") | sharps("reset")) < trials
+        else:
+            rows = batches[sharp]
+            for lf, sy in zip(out.log_factors, out.log_sy):
+                t = [j for j in range(1, 1 << n)
+                     if rows.log_factors[j].tobytes() == lf.tobytes()]
+                assert len(t) == 1
+                assert sy.tobytes() == rows.log_sy[t[0]].tobytes()
+    # one batch per sharpness the trials' tilts have, fewer than the
+    # trials
+    sharps = {sharp / grade if kind == "reset" else sharp
+              for kind, _, sharp in outputs}
+    assert sorted(batches) == sorted(sharps) and len(batches) < trials
 
 
 def test_a_compile_appends_once_per_completed_tau_level(monkeypatch):
@@ -781,14 +912,13 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
 
     # the star at 0 with both inputs free, on the full 2-cube
     scheme = _ComponentScheme.points(1, [0, 1])
-    [fill] = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0,
-                      0b11).batches
+    fill = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0, 0b11).fill
     pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
     pipe.fill(fill)  # moves the rows off the start
     assert len(pipe.units) == 1
     monkeypatch.setattr(compiler, "STEP_RETRIES", 0)
     with pytest.raises(BudgetExceeded, match="^reset sharpness"):
-        pipe.reset_if_needed(*(a[0] for a in cylinders(2, 0, [0])))
+        pipe.reset(cylinders(2, 0, [0]))
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
         pipe.fill(fill)
     assert len(pipe.units) == 1 and pipe.model().m == 1
@@ -798,9 +928,11 @@ def test_step_ladders_ratchet_within_a_level(monkeypatch):
     # every trial's sharpness is a rung tau * 2^i, i < STEP_RETRIES; a
     # batch's ladder starts at the rung the last accepted trial of its kind
     # passed in this tau level (tau for the first) and doubles from there.
-    # At (8,1), r = 3, seed 0, that is 15 trials for the 88 units at
-    # tau = 16, where one trial per star and component made 92, and a
-    # ladder restarting at tau on every step made 214
+    # At (8,1), r = 3, seed 0, that is 9 trials for the 88 units at
+    # tau = 16: each of the 3 packing levels runs one fill trial and each
+    # of its 2 reset boundaries one reset trial.  One trial per level and
+    # component and one per reset made 15, one trial per star and
+    # component 92, and a ladder restarting at tau on every step 214
     import crbmkit.compiler as compiler
 
     events = []
@@ -843,17 +975,18 @@ def test_step_ladders_ratchet_within_a_level(monkeypatch):
             else:
                 assert (event, sharp) == (trial[0], 2.0 * trial[1])
             trial = (event, sharp)
-    assert trials == 15
+    assert trials == 9
     assert ratcheted > 0
 
 
 def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
         monkeypatch):
-    # an exhausted ladder names its kind, its batch's first star and size,
-    # its first and last rung and the check that rejected the last one,
-    # with the value and the limit.  At (8,1), r = 3 with one rung per
-    # trial, the first level's 32 stars at rung 16 miss their region bound:
-    # the start TV plus 32 step tolerances of 5.68e-5
+    # an exhausted ladder names its kind, its batch's first star and size
+    # in units, its first and last rung and the check that rejected the
+    # last one, with the value and the limit.  At (8,1), r = 3 with one
+    # rung per trial, the first level's fill trial, one unit for each of
+    # its 32 stars, misses its region bound at rung 16: the start TV plus
+    # 32 step tolerances of 5.68e-5
     import crbmkit.compiler as compiler
 
     monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
@@ -884,7 +1017,7 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
             r"\(tau = 32\)$")):
         pipe._step("fill", lambda sharp: build_tilted_step(
             pipe.logp, stars, log_odds(np.full((1, 3), 0.8)),
-            scheme.tilt(1, sharp), sharp), stars.members,
+            scheme.tilt(1, sharp), sharp), stars.members, np.arange(1),
             scheme.dists[1], 0.0, stars.inputs.ravel(), ("star", 7))
     assert pipe.units == [] and pipe.model().m == 0
     pipe = _Pipeline(2, 1, scheme, 1.0, 1e-3)
@@ -896,15 +1029,15 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
             r"\(tau = 1\)$")):
         pipe._step("fill", lambda sharp: build_tilted_step(
             pipe.logp, stars, log_odds(np.full((1, 2), 0.8)),
-            scheme.tilt(1, sharp), sharp), stars.members,
+            scheme.tilt(1, sharp), sharp), stars.members, np.arange(1),
             scheme.dists[1], 2.0, stars.inputs.ravel(), ("star", 0))
     assert pipe.units == []
 
 
 def test_cross_star_leak_rejects_a_batch():
     # the stars (0, 0b01) and (2, 0b01) on 2 inputs have disjoint
-    # cylinders, {0, 1} and {2, 3}, so they fill toward a component in one
-    # batch.  At rung 8 each star's unit alone passes, but each one moves
+    # cylinders, {0, 1} and {2, 3}, so their level fills them in one
+    # trial.  At rung 8 each star's unit alone passes, but each one moves
     # the other's rows by more than the batch's two tol_step: the batch is
     # rejected by the cross-star leak check, named with its value and
     # limit; a sharper rung passes all three checks
@@ -913,18 +1046,19 @@ def test_cross_star_leak_rejects_a_batch():
     scheme = _ComponentScheme.points(1, [0, 1])
     rows = np.full((4, 2), 0.5)
     betas = mixture_weight_profile(scheme.masses(rows))
-    stars = _plan_stars(2, scheme, rows, betas, log_odds(betas),
+    stars = _plan_stars(2, rows, betas, log_mass_ratios(log_odds(betas)),
                         np.array([0, 2]), 0b01, [("star", 0), ("star", 1)])
-    [batch] = stars.batches
-    tilt = batch.tilt
+    fill = stars.fill
+    tilt = fill.tilt
     assert tilt.members.tolist() == [[0, 1], [2, 3]]
+    assert fill.owner.tolist() == [0, 1]
     for s in range(2):
         alone = _Pipeline(2, 1, scheme, 8.0, 1e-3)
-        alone.fill(_Batch(1, StarTilt(tilt.members[s:s + 1], tilt.free_bits,
-                                      tilt.cylinder_factors[s:s + 1],
-                                      tilt.inputs[s:s + 1]),
-                          batch.log_t[s:s + 1], batch.target[2 * s:2 * s + 2],
-                          stars.names[s]))
+        one = slice(s, s + 1)
+        alone.fill(_Fill(fill.t[one], tilt.take(one), fill.log_q[one],
+                         fill.members[one], np.zeros(1, dtype=np.intp),
+                         fill.target[2 * s:2 * s + 2], tilt.inputs[s],
+                         stars.names[s]))
         assert alone._rung["fill"] == 0
     pipe = _Pipeline(2, 1, scheme, 8.0, 1e-3)
     with pytest.MonkeyPatch.context() as patch:
@@ -933,11 +1067,43 @@ def test_cross_star_leak_rejects_a_batch():
                 r"^fill sharpness schedule exhausted at star 0 \(batch of "
                 r"2\): rungs 8 to 8, at 8 cross-star leak ([0-9.e-]+) > "
                 r"limit 0.002 \(tau = 8\)$")):
-            pipe.fill(batch)
+            pipe.fill(fill)
     assert pipe.units == []
-    pipe.fill(batch)
+    pipe.fill(fill)
     assert pipe._rung["fill"] > 0 and pipe.used["fill"] == 2
     assert _worst_row_tv(pipe.rows(), rows) <= pipe.allowance
+
+
+def test_cross_star_leak_reads_each_stars_units_together():
+    # two stars of one level on 3 inputs, (0, 0b001) and (4, 0b001), each
+    # filled toward three point components of n = 2 outputs in one trial:
+    # six units, three per star.  A star's own rows are those its three
+    # units make together, which is what the leak check compares against:
+    # at a rung where the trial passes, the leak it reads is within its
+    # six tol_step, and a star's units toward components 1..3 alone
+    # would leave its rows near the start component, far from their target
+    scheme = _ComponentScheme.points(2, range(4))
+    rng = np.random.default_rng(12)
+    rows = rng.dirichlet(np.ones(4), size=8)
+    betas = mixture_weight_profile(scheme.masses(rows))
+    stars = _plan_stars(3, rows, betas, log_mass_ratios(log_odds(betas)),
+                        np.array([0, 4]), 0b001, [("star", 0), ("star", 1)])
+    fill = stars.fill
+    assert fill.t.tolist() == [1, 2, 3, 1, 2, 3]
+    assert fill.owner.tolist() == [0, 0, 0, 1, 1, 1]
+    pipe = _Pipeline(3, 2, scheme, 32.0, 1e-3)
+    before = pipe.logp
+    pipe.fill(fill)
+    assert len(pipe.units) == 1 and pipe.used["fill"] == 6
+    units = pipe.units[0]
+    own = own_unit_rows(before, units, fill.members, fill.owner)
+    region = fill.members.ravel()
+    assert _worst_row_tv(pipe.rows()[region], own) <= 6 * pipe.tol_step
+    assert _worst_row_tv(own, fill.target) <= pipe.allowance
+    single = own_unit_rows(before, units, np.repeat(fill.members, 3, axis=0),
+                           np.arange(6))
+    assert _worst_row_tv(single, np.repeat(
+        fill.target.reshape(2, -1, 4), 3, axis=0).reshape(-1, 4)) > 0.1
 
 
 def common_support_table(k, n, size, seed):
@@ -1217,10 +1383,11 @@ def test_cylinders_are_the_bit_by_bit_cylinders():
 
 def test_packing_resets_sit_at_level_starts():
     # the walk runs a level's resets before its stars, one cylinders call
-    # per level, which keeps the packing's schedule only if every reset
-    # sits at a level's first star and one position's resets share one
-    # fixed mask: on every feasible (k, r) with k <= 16 (r = 5 from
-    # k = 15) and on (17, 5).  The walk carries all E(r) resets
+    # and one reset trial per level, which keeps the packing's schedule
+    # only if every reset sits at a level's first star and one position's
+    # resets share one fixed mask: on every feasible (k, r) with k <= 16
+    # (r = 5 from k = 15) and on (17, 5).  The walk carries all E(r)
+    # resets, stacked per level
     from crbmkit.packing import e_value, feasible_depths
 
     for k, r in [(k, r) for k in range(1, 17)
@@ -1230,8 +1397,9 @@ def test_packing_resets_sit_at_level_starts():
         for pos, at in seq.resets_at().items():
             assert pos in starts
             assert len({mask for mask, _ in at}) == 1
-        resets = [reset for level in _packing_walk(k, r) for reset in level[0]]
-        assert len(resets) == len(seq.reset_positions) == e_value(r)
+        resets = [len(level[0][1]) for level in _packing_walk(k, r)
+                  if level[0] is not None]
+        assert sum(resets) == len(seq.reset_positions) == e_value(r)
 
 
 def _rungs():
@@ -1274,20 +1442,23 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
 
 
 def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
-    # a reset's cylinder factors and inputs are planned with the walk and
-    # its step is built like a fill's: unit input factors scaled to the
-    # trial's sharpness and the scheme's batched start tilt, with its tilt
-    # normalizer.  A tau level runs the packing's resets in order, so its
-    # i-th reset is the packing's i-th cylinder ``(mask, values)``: its
-    # planned inputs and unit factors must be that cylinder's, and each
-    # trial's step must be, bit for bit, the step built from the
-    # cylinder's factors written bit by bit, its tables summed by
-    # SharingStep, and the normalizer of its tilted state, at every trial
-    # of the (8,1) r = 3 compile and the common (8,2) |T| = 3 compile
+    # a level boundary's resets are planned with the walk, stacked, and
+    # run as one trial: every cylinder with a row drifted from the start
+    # component, decided on the state before the trial, gets one unit, its
+    # step built like a fill's: unit input factors scaled to the trial's
+    # sharpness and the scheme's batched start tilt, with its tilt
+    # normalizer on that state.  A tau level runs the packing's resets in
+    # order, so its boundaries' cylinders are the packing's ``(mask,
+    # values)`` in order: their planned inputs and unit factors must be
+    # those cylinders', and each trial's steps must be, bit for bit, the
+    # steps built one cylinder at a time from its factors written bit by
+    # bit, their tables summed by SharingStep, each with the normalizer of
+    # its tilted state, at every trial of the (8,1) r = 3 compile and the
+    # common (8,2) |T| = 3 compile
     from crbmkit.sharing import SharingStep, _log_values_of, logsumexp
 
-    trials, checked, packings, current = [], [], [], {}
-    build, reset = compiler.make_reset_step, _Pipeline.reset_if_needed
+    trials, boundaries, packings = [], [], []
+    build, reset = compiler.make_reset_step, _Pipeline.reset
     pack = compiler.build_packing
 
     def packed(k, r):
@@ -1296,53 +1467,71 @@ def test_planned_reset_steps_are_the_bit_by_bit_cylinder_steps(monkeypatch):
 
     def traced(*args):
         made = build(*args)
-        trials.append((args, made, current["cylinder"]))
+        trials[-1].append((args, made))
         return made
 
-    def planned(pipe, factors, inside):
-        seq, i = packings[-1], sum(p is pipe for p in checked)
-        mask, values = current["cylinder"] = (int(seq.reset_masks[i]),
-                                              int(seq.reset_values[i]))
-        assert inside.tolist() == np.flatnonzero(
-            (np.arange(1 << pipe.k) & mask) == values).tolist()
-        assert factors.tobytes() == _sharp_cylinder_factors(
-            pipe.k, mask, values, 1.0).tobytes()
-        checked.append(pipe)
-        return reset(pipe, factors, inside)
+    def planned(pipe, resets):
+        seq = packings[-1]
+        i = sum(len(inside) for owner, inside, *_ in boundaries
+                if owner is pipe)
+        factors, inside = resets
+        cylinders_at = [(int(seq.reset_masks[j]), int(seq.reset_values[j]))
+                        for j in range(i, i + len(inside))]
+        for (mask, values), f, members in zip(cylinders_at, factors, inside):
+            assert members.tolist() == np.flatnonzero(
+                (np.arange(1 << pipe.k) & mask) == values).tolist()
+            assert f.tobytes() == _sharp_cylinder_factors(
+                pipe.k, mask, values, 1.0).tobytes()
+        start = pipe.scheme.dists[0]
+        drifted = [c for c, members in zip(cylinders_at, inside)
+                   if _worst_row_tv(pipe.rows()[members], start)
+                   > pipe.start_tv + 2.0 * pipe.tol_step]
+        boundaries.append((pipe, inside, drifted))
+        trials.append([])
+        reset(pipe, resets)
 
     monkeypatch.setattr(compiler, "build_packing", packed)
     monkeypatch.setattr(compiler, "make_reset_step", traced)
-    monkeypatch.setattr(_Pipeline, "reset_if_needed", planned)
+    monkeypatch.setattr(_Pipeline, "reset", planned)
     for run, n in (
             (lambda: compile_universal(dirichlet_table(8, 1, 0), r=3), 1),
             (lambda: compile_common_support(common_support_table(8, 2, 3, 0)),
              2)):
         trials.clear()
-        checked.clear()
+        boundaries.clear()
         _, rep = run()
-        assert rep.resets_used > 0 and len(checked) >= rep.resets_used
-        assert len(trials) >= rep.resets_used
-        scheme = checked[0].scheme
+        assert rep.resets_used > 0
+        assert sum(map(len, trials)) >= sum(bool(b[2]) for b in boundaries)
+        scheme = boundaries[0][0].scheme
         grade = 2.0 * max(scheme.sharp_width, 1)
         rungs = {tau * 2.0 ** i for tau in (16.0, 32.0, 64.0)
                  for i in range(compiler.STEP_RETRIES)}
-        for (logp, factors, out, sharp), made, (mask, values) in trials:
-            assert sharp in rungs
-            step, log_norm = made
-            out_lf = _sharp_cylinder_factors(n, scheme.mask,
-                                             scheme.values[0], sharp / grade)
-            lf = np.concatenate((_sharp_cylinder_factors(8, mask, values,
-                                                         sharp), out_lf))
-            lam = float(1.0 / (1.0 + np.exp(min(sharp / 2.0, 700.0))))
-            want = SharingStep(8, lam, lf, log_sy=_log_values_of(out_lf))
-            assert (step.k, step.lam) == (want.k, want.lam)
-            for a, b in ((step.log_factors, want.log_factors),
-                         (step.log_sx, want.log_sx),
-                         (step.log_sy, want.log_sy),
-                         (out.log_factors, out_lf)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert log_norm == logsumexp(
-                logp + want.log_sx[:, None] + want.log_sy)
+        for (pipe, _, drifted), boundary in zip(boundaries, trials):
+            # one trial per boundary with a drifted cylinder: its ladder
+            assert bool(boundary) == bool(drifted)
+            sharps = [args[-1] for args, _ in boundary]
+            assert sharps == sorted(set(sharps))
+            for (logp, factors, out, sharp), (step, log_norm) in boundary:
+                assert sharp in rungs
+                assert factors.shape == (len(drifted), 8, 2)
+                out_lf = _sharp_cylinder_factors(
+                    n, scheme.mask, scheme.values[0], sharp / grade)
+                assert out.log_factors.tobytes() == out_lf.tobytes()
+                lam = float(1.0 / (1.0 + np.exp(min(sharp / 2.0, 700.0))))
+                assert (step.k, step.lam) == (8, lam)
+                assert step.log_sy.tobytes() == _log_values_of(
+                    out_lf).tobytes()
+                assert log_norm.shape == (len(drifted),)
+                for c, (mask, values) in enumerate(drifted):
+                    want = SharingStep(8, lam, np.concatenate((
+                        _sharp_cylinder_factors(8, mask, values, sharp),
+                        out_lf)), log_sy=_log_values_of(out_lf))
+                    for a, b in ((step.log_factors[c], want.log_factors),
+                                 (step.log_sx[c], want.log_sx)):
+                        assert a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
+                    assert log_norm[c] == logsumexp(
+                        logp + want.log_sx[:, None] + want.log_sy)
 
 
 @pytest.mark.parametrize("k,n,r", [(7, 2, 3), (8, 1, 3), (6, 2, 3),
@@ -1399,7 +1588,8 @@ def test_each_star_is_planned_once_per_compile(monkeypatch):
         assert len(calls) == stars and set(calls.values()) == {1}
     # a level is planned when a tau level first reaches it: with one rung
     # per trial and tau = 16 alone, (8,1) r = 3 exhausts the ladder of its
-    # first level's batch, so only that level's 32 stars of 80 are planned
+    # first level's fill trial, so only that level's 32 stars of 80 are
+    # planned
     monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
     monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
     calls.clear()
@@ -1408,24 +1598,21 @@ def test_each_star_is_planned_once_per_compile(monkeypatch):
     assert len(calls) == 32 and set(calls.values()) == {1}
 
 
-def _reference_plan(k, scheme, rows, betas, log_t, center, free_mask):
+def _reference_plan(k, scheme, rows, betas, log_q, center, free_mask):
     """One star's geometry and fill plan, star by star from the bit
     enumerations: (members, free bits, cylinder factors, cylinder inputs,
-    steps, target rows), the steps as ``_plan_stars`` records them."""
+    units, target rows), a unit ``(t, log_q)`` for each component t the
+    star steps toward, in order."""
     from crbmkit.bitspace import (cylinder_members, set_bits, star_cylinder,
                                   star_members)
 
     members = star_members(center, free_mask)
     cylinder = star_cylinder(center, free_mask, k)
-    steps, target = [], scheme.dists[0]
-    for t in range(1, scheme.count):
-        beta = betas[members, t - 1, None]
-        if beta.any():
-            target = (1.0 - beta) * target + beta * scheme.dists[t]
-            steps.append((t, beta[:, 0], log_t[members, t - 1], target))
+    units = [(t, log_q[members, t - 1]) for t in range(1, scheme.count)
+             if betas[members, t - 1].any()]
     return (members, set_bits(free_mask),
             _sharp_cylinder_factors(k, *cylinder, 1.0),
-            cylinder_members(*cylinder, k), steps, rows[members])
+            cylinder_members(*cylinder, k), units, rows[members])
 
 
 def _beta_profiles(k, components, rng):
@@ -1443,15 +1630,16 @@ def _beta_profiles(k, components, rng):
 
 
 def test_batched_plans_are_each_stars_own():
-    # every level of stars sharing a free mask is planned at once, one
-    # batch per component in order, each holding the stars that step
-    # toward it, in walk order and named by its first; each star's name,
-    # geometry, cylinder inputs, steps and target rows must be the ones a
-    # star-by-star plan gives, bit for bit: on every packing
-    # with k <= 10 and every point walk with k <= 8, toward mixed, sparse
-    # and all-zero weight profiles.  A level's resets are the packing's at
-    # its first star, and it has no other: each cylinder with its unit
-    # factors and the inputs it holds, ascending
+    # every level of stars sharing a free mask is planned at once, one fill
+    # trial for the level: a unit for each star and component it steps
+    # toward, star by star in walk order, each star's in component order,
+    # named by the first stepping star; each unit's geometry, cylinder
+    # inputs and log(q_t / q_0), and each stepping star's members and
+    # target rows, must be the ones a star-by-star plan gives, bit for bit:
+    # on every packing with k <= 10 and every point walk with k <= 8,
+    # toward mixed, sparse and all-zero weight profiles.  A level's resets
+    # are the packing's at its first star, and it has no other: each
+    # cylinder with its unit factors and the inputs it holds, ascending
     from crbmkit.packing import feasible_depths, star_count
 
     rng = np.random.default_rng(0)
@@ -1460,70 +1648,70 @@ def test_batched_plans_are_each_stars_own():
              for k in range(1, 11) for r in feasible_depths(k)]
     for k in range(9):
         rows = rng.permutation(1 << k)
-        walks.append((k, 1 << k, [([], rows, 0, [("row", x) for x in rows])],
-                      {}))
+        walks.append((k, 1 << k,
+                      [(None, rows, 0, [("row", x) for x in rows])], {}))
     for k, stars, walk, at in walks:
         assert sum(len(level[1]) for level in walk) == stars
         for resets, _, _, names in walk:
             assert not any(at.get(name[1]) for name in names[1:])
             cylinders_at = at.get(names[0][1], [])
-            assert len(resets) == len(cylinders_at)
-            for (factors, inside), (mask, values) in zip(resets,
-                                                         cylinders_at):
-                assert inside.dtype == np.intp
+            assert (resets is None) == (not cylinders_at)
+            if resets is None:
+                continue
+            factors, inputs = resets
+            assert len(factors) == len(inputs) == len(cylinders_at)
+            assert inputs.dtype == np.intp
+            for lf, inside, (mask, values) in zip(factors, inputs,
+                                                  cylinders_at):
                 assert inside.tolist() == [
                     x for x in range(1 << k) if x & mask == values]
-                assert factors.tobytes() == _sharp_cylinder_factors(
+                assert lf.tobytes() == _sharp_cylinder_factors(
                     k, mask, values, 1.0).tobytes()
         n = int(rng.integers(1, 4))
         scheme = _ComponentScheme.points(n, rng.permutation(1 << n)[
             :int(rng.integers(2, (1 << n) + 1))])
         rows = rng.dirichlet(np.ones(1 << n), size=1 << k)
         for betas in _beta_profiles(k, scheme.count, rng):
-            log_t = log_odds(betas)
+            log_q = log_mass_ratios(log_odds(betas))
             for _, centers, free_mask, names in walk:
-                plan = _plan_stars(k, scheme, rows, betas, log_t, centers,
+                plan = _plan_stars(k, rows, betas, log_q, centers,
                                    free_mask, names)
                 assert list(plan.names) == list(names)
-                assert plan.members.shape[0] == len(centers)
-                # each star's steps, gathered from the batches it is in
-                steps = [[] for _ in names]
-                place = {c: i for i, c in enumerate(centers.tolist())}
-                for batch in plan.batches:
-                    tilt = batch.tilt
-                    for a in tilt:
-                        assert not a.flags.writeable
-                    stars = [place[c] for c in tilt.members[:, 0].tolist()]
-                    assert stars == sorted(stars)
-                    assert batch.name == names[stars[0]]
-                    targets = batch.target.reshape(len(stars), -1, 1 << n)
-                    for j, i in enumerate(stars):
-                        steps[i].append((batch.t, tilt.members[j],
-                                         tilt.free_bits,
-                                         tilt.cylinder_factors[j],
-                                         tilt.inputs[j], batch.log_t[j],
-                                         targets[j]))
-                assert [batch.t for batch in plan.batches] == sorted(
-                    {batch.t for batch in plan.batches})
+                want = [_reference_plan(k, scheme, rows, betas, log_q,
+                                        center, free_mask)
+                        for center in centers.tolist()]
                 for i, center in enumerate(centers.tolist()):
-                    members, free_bits, factors, inside, want, target = (
-                        _reference_plan(k, scheme, rows, betas, log_t,
-                                        center, free_mask))
-                    assert plan.members[i].tolist() == members
+                    assert plan.members[i].tolist() == want[i][0]
                     assert plan.members[i][0] == center
-                    assert plan.target[i].tobytes() == target.tobytes()
-                    assert [step[0] for step in steps[i]] == [
-                        step[0] for step in want]
-                    for got, (_, _, want_log_t, want_target) in zip(
-                            steps[i], want):
-                        assert got[1].tolist() == members
-                        assert got[2].tolist() == free_bits
-                        assert got[3].tobytes() == factors.tobytes()
-                        assert got[4].tolist() == inside
-                        for a, b in ((got[5], want_log_t),
-                                     (got[6], want_target)):
-                            assert a.shape == b.shape
-                            assert a.tobytes() == b.tobytes()
+                    assert plan.target[i].tobytes() == want[i][5].tobytes()
+                stepping = [i for i, star in enumerate(want) if star[4]]
+                fill = plan.fill
+                assert (fill is None) == (not stepping)
+                if fill is None:
+                    continue
+                assert fill.name == names[stepping[0]]
+                units = [(i, t, q) for i in stepping for t, q in want[i][4]]
+                tilt = fill.tilt
+                for a in tilt:
+                    assert not a.flags.writeable
+                assert len(fill.t) == len(tilt.members) == len(units)
+                assert fill.t.tolist() == [t for _, t, _ in units]
+                assert fill.owner.tolist() == [stepping.index(i)
+                                               for i, _, _ in units]
+                for u, (i, _, q) in enumerate(units):
+                    members, free_bits, factors, inside = want[i][:4]
+                    assert tilt.members[u].tolist() == members
+                    assert tilt.free_bits.tolist() == free_bits
+                    assert (tilt.cylinder_factors[u].tobytes()
+                            == factors.tobytes())
+                    assert tilt.inputs[u].tolist() == inside
+                    assert fill.log_q[u].shape == q.shape
+                    assert fill.log_q[u].tobytes() == q.tobytes()
+                assert fill.members.tolist() == [want[i][0] for i in stepping]
+                assert fill.target.tobytes() == np.concatenate(
+                    [want[i][5] for i in stepping]).tobytes()
+                assert fill.inside.tolist() == [
+                    x for i in stepping for x in want[i][3]]
 
 
 def test_one_component_packed_compile_walks_no_star(monkeypatch):

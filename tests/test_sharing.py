@@ -27,6 +27,7 @@ from crbmkit.sharing import (
     conditioned,
     cylinders,
     hidden_unit_from_log,
+    log_mass_ratios,
     log_odds,
     logsumexp,
     make_reset_step,
@@ -117,24 +118,27 @@ def one_star(k: int, center: int, free_mask: int) -> StarTilt:
 
 
 def plan_star(pipe: _Pipeline, center: int, free_mask: int,
-              betas: np.ndarray):
-    """The star ``(center, free_mask)``'s fill with its members' mixture
-    weights ``betas`` (one row per member, in order), planned by the
-    planner a compile plans its fills with: one batch per component."""
+              targets: np.ndarray):
+    """The star ``(center, free_mask)``'s fill toward its members' target
+    rows ``targets`` (one row per member, in order), planned by the
+    planner a compile plans its fills with: one trial, one unit per
+    component the star steps toward."""
     k = pipe.k
-    profile = np.zeros((1 << k, betas.shape[1]))
-    profile[one_star(k, center, free_mask).members] = betas
-    return _plan_stars(k, pipe.scheme, np.zeros((1 << k, 1 << pipe.n)),
-                       profile, log_odds(profile), [center], free_mask,
-                       [("star", 0)])
+    rows = np.zeros((1 << k, 1 << pipe.n))
+    rows[one_star(k, center, free_mask).members] = targets
+    betas = mixture_weight_profile(pipe.scheme.masses(rows))
+    return _plan_stars(k, rows, betas, log_mass_ratios(log_odds(betas)),
+                       [center], free_mask, [("star", 0)]).fill
 
 
 def fill_star(pipe: _Pipeline, center: int, free_mask: int,
-              betas: np.ndarray) -> None:
-    """Fill the star ``(center, free_mask)`` with its members' mixture
-    weights ``betas``, one trial per component."""
-    for batch in plan_star(pipe, center, free_mask, betas).batches:
-        pipe.fill(batch)
+              targets: np.ndarray) -> None:
+    """Fill the star ``(center, free_mask)`` toward its members' target
+    rows ``targets``, in one trial; none when every target row sits on the
+    start component."""
+    fill = plan_star(pipe, center, free_mask, targets)
+    if fill is not None:
+        pipe.fill(fill)
 
 
 def start_state(k: int, n: int, tau: float) -> np.ndarray:
@@ -206,7 +210,8 @@ def test_step_to_hidden_unit_round_trip():
     # that unit, starting from the state of a random CRBM, and so are the
     # rows any batch of units makes, the (row, unit) pairs beyond -FAR
     # skipped; each unit alone, on its own rows, gives those rows of the
-    # model grown by it alone
+    # model grown by it alone, and each group of units those of the model
+    # grown by the group
     rng = np.random.default_rng(2)
     for k in (0, 1, 2, 3):
         for _ in range(30):
@@ -226,12 +231,26 @@ def test_step_to_hidden_unit_round_trip():
                 diff = got - eval_conditional(grown).rows
                 assert np.abs(diff).sum(axis=1).max() <= 1e-12
                 members = rng.integers(0, 1 << k, (len(unit.bias), 2))
-                own = own_unit_rows(state, unit, members)
+                own = own_unit_rows(state, unit, members,
+                                    np.arange(len(members)))
                 for s, rows_s in enumerate(own.reshape(-1, 2, 1 << n)):
                     alone = eval_conditional(append_hidden_unit(
                         params, *(a[s:s + 1] for a in
                                   (unit.w_out, unit.w_in, unit.bias))))
                     assert np.abs(rows_s - alone.rows[members[s]]).sum(
+                        axis=1).max() <= 1e-12
+                # the units in groups, ascending: each group's units
+                # together, on the group's own rows
+                size = len(unit.bias)
+                owner = np.sort(rng.integers(0, size, size))
+                groups = np.unique(owner)
+                own = own_unit_rows(state, unit, members[groups],
+                                    np.searchsorted(groups, owner))
+                for g, rows_g in zip(groups, own.reshape(-1, 2, 1 << n)):
+                    alone = eval_conditional(append_hidden_unit(
+                        params, *(a[owner == g] for a in
+                                  (unit.w_out, unit.w_in, unit.bias))))
+                    assert np.abs(rows_g - alone.rows[members[g]]).sum(
                         axis=1).max() <= 1e-12
 
 
@@ -326,7 +345,7 @@ def test_star_fill_reaches_targets():
     pipe = fill_pipeline(2, 1, tau=30.0)
     rng = np.random.default_rng(7)
     targets = np.array([rng.dirichlet(np.ones(2)) for _ in (0, 1, 2)])
-    fill_star(pipe, 0, 0b11, mixture_weight_profile(targets))
+    fill_star(pipe, 0, 0b11, targets)
     assert pipe.used["fill"] == 1
     for x in (0, 1, 2):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
@@ -334,18 +353,20 @@ def test_star_fill_reaches_targets():
 
 def test_star_fill_n2_and_noop_targets():
     # the star at 0 with its one input free
-    # targets equal to the start state: all steps are no-ops
+    # targets equal to the start state: no component past the start has
+    # target mass, so the star plans no unit and the rows stay
     pipe = fill_pipeline(1, 2, tau=32.0)
     deltas = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)  # the point mass at y = 0
-    fill_star(pipe, 0, 0b1, mixture_weight_profile(deltas))
+    assert plan_star(pipe, 0, 0b1, deltas) is None
     for x in (0, 1):
         assert abs(pipe.rows()[x, 0] - 1.0) < 1e-3
-    # random strictly positive targets
+    # random strictly positive targets: one unit toward each of the three
+    # other components, all solved from the start rows and tried at once
     rng = np.random.default_rng(8)
     targets = np.array([rng.dirichlet(np.ones(4)) for _ in (0, 1)])
     pipe = fill_pipeline(1, 2, tau=32.0)
-    fill_star(pipe, 0, 0b1, mixture_weight_profile(targets))
-    assert pipe.used["fill"] == 3
+    fill_star(pipe, 0, 0b1, targets)
+    assert pipe.used["fill"] == 3 and len(pipe.units) == 1
     for x in (0, 1):
         assert np.abs(pipe.rows()[x] - targets[x]).sum() <= 1e-3
 
@@ -357,7 +378,7 @@ def test_star_fill_error_shrinks_with_sharpness():
     for tau in (10.0, 20.0, 40.0, 80.0):
         # tol_step 2 (the largest row TV) accepts the first try at sharpness tau
         pipe = fill_pipeline(2, 1, tau, tol_step=2.0)
-        fill_star(pipe, 0, 0b11, mixture_weight_profile(targets))
+        fill_star(pipe, 0, 0b11, targets)
         errors.append(np.abs(pipe.rows()[[0, 1, 2]] - targets).sum(axis=1).max())
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -401,6 +422,40 @@ def test_make_reset_step_examples():
                         point_mass_tilt(0, 1, 30.0), 30.0)
 
 
+def test_stacked_reset_steps_are_each_cylinders_own():
+    # a level boundary resets its cylinders in one trial: make_reset_step
+    # of their stacked unit factors gives the steps and tilt normalizers
+    # that one call per cylinder gives, bit for bit, each normalizer taken
+    # on the one state, and hidden_unit_from_log of the stack their units,
+    # in order
+    rng = np.random.default_rng(17)
+    for k, n in ((2, 1), (4, 2), (5, 3)):
+        for logp in (random_state(k, n, rng),
+                     np.asfortranarray(random_state(k, n, rng))):
+            factors = cylinders(k, 0b11, [0, 1, 2, 3])[0]
+            out = point_mass_tilt(0, n, 8.0)
+            step, log_norm = make_reset_step(logp, factors, out, 16.0)
+            units = hidden_unit_from_log(step, log_norm)
+            assert step.log_factors.shape == (4, k + n, 2)
+            assert step.log_sx.shape == (4, 1 << k)
+            assert log_norm.shape == (4,) and units.bias.shape == (4,)
+            for c in range(4):
+                one, one_norm = make_reset_step(logp, factors[c], out, 16.0)
+                assert one.lam == step.lam
+                assert (step.log_factors[c].tobytes()
+                        == one.log_factors.tobytes())
+                assert step.log_sx[c].tobytes() == one.log_sx.tobytes()
+                assert log_norm[c] == one_norm
+                for a, b in zip(units, hidden_unit_from_log(one, one_norm)):
+                    assert a[c].tobytes() == b[0].tobytes()
+    # a stack's tables must be one per step or one for all
+    with pytest.raises(ShapeMismatch, match="per step"):
+        SharingStep(1, 0.3, np.zeros((2, 3, 2)), log_sx=np.zeros((3, 2)))
+    with pytest.raises(ShapeMismatch, match="must be"):
+        make_reset_step(np.zeros((4, 2)), np.zeros((1, 1, 2, 2)),
+                        point_mass_tilt(0, 1, 8.0), 16.0)
+
+
 def test_tilt_profile_proportionality():
     # the product tilt restricted to a star can match any positive profile:
     # with flat output factors, the unit's input factor e^(c + V x) on the
@@ -437,11 +492,10 @@ def test_tilt_profile_proportionality():
 
 def test_star_fill_rejects_rows_off_the_star():
     pipe = fill_pipeline(1, 1, 16.0)
-    betas = mixture_weight_profile(np.array([Dist.uniform(1).probs] * 2))
-    batch = plan_star(pipe, 0, 0b1, betas).batches[0]
+    fill = plan_star(pipe, 0, 0b1, np.array([Dist.uniform(1).probs] * 2))
     # one row of log-odds for the two members of the star (0, 0b1)
     with pytest.raises(ShapeMismatch):
-        pipe.fill(batch._replace(log_t=batch.log_t[:, :1]))
+        pipe.fill(fill._replace(log_q=fill.log_q[:, :1]))
 
 
 def test_build_tilted_step_rejects_betas_off_the_star():
@@ -486,6 +540,23 @@ def test_log_odds_is_the_clamped_log_odds_of_each_weight():
     got = log_odds(betas.reshape(-1, 2))
     assert got.shape == (len(betas) // 2, 2)
     assert got.ravel().tolist() == [one(b) for b in betas.tolist()]
+
+
+@given(arrays(float, st.tuples(st.integers(1, 4), st.integers(2, 9)),
+              elements=st.floats(1e-6, 1.0)))
+def test_log_mass_ratios_are_the_log_ratios_to_the_start(masses):
+    # a star's units toward all its components at once take log(q_t / q_0)
+    # where one-at-a-time fills took log T_t: log T_t plus the softplus of
+    # every earlier log T_t', from the clamped log-odds of the mixture
+    # weights, must be the log of the masses' ratio, for any profile whose
+    # start component has mass.  The first column is log T_1, bit for bit
+    q = masses / masses.sum(axis=1, keepdims=True)
+    log_t = log_odds(mixture_weight_profile(q))
+    ratios = log_mass_ratios(log_t)
+    assert ratios.shape == log_t.shape
+    assert ratios[:, 0].tobytes() == log_t[:, 0].tobytes()
+    want = np.log(q[:, 1:]) - np.log(q[:, :1])
+    assert np.abs(ratios - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 def test_mixture_profile_rejects_negative_mass():
