@@ -50,19 +50,26 @@ One loop runs every trial (``_Pipeline._step``): build its U units at a
 sharpness rung tau * 2^i, i < STEP_RETRIES, apply them to the state, and
 accept them when three checks hold, each unit allowed the step tolerance
 tol_step: the worst row TV of the stepping stars' rows to their targets is
-within the allowance plus U tol_step (for resets, the start TV plus U
+within the allowance plus U tol_step (for resets, the start TV plus
 tol_step); the cross-star leak, the worst row TV between those rows and
 the rows each star's (or cylinder's) units make alone, is within U
 tol_step; and the rows outside the units' cylinders move by at most U
-tol_step.  Each bound sums the shares that trials of one component or one
-reset at a time were allowed: the fills' region bounds grew by S tol_step
-with each accepted batch of S units, the last one ending at the allowance
-plus U tol_step; each reset allowed its rows the start TV plus tol_step;
-and the leaks and drifts they allowed add up to U tol_step.  So a trial
-checked once accepts no more error in all than they did, and the
-allowance, grown by U tol_step per accepted trial, and the doomed-star
-check below, which count units, not trials, are unchanged.  Otherwise the
-sharpness doubles, up to the top rung.
+tol_step.  The fills' region bound and the leak and drift bounds sum the
+shares that trials of one component or one reset at a time were allowed:
+the fills' region bounds grew by S tol_step with each accepted batch of S
+units, the last one ending at the allowance plus U tol_step, and the leaks
+and drifts they allowed add up to U tol_step.  A reset's region bound is
+not summed: each reset row lies in one cylinder, and a trial of one reset
+held its rows to the start TV plus tol_step, so a reset trial holds each
+row to that, and the leak check bounds what the other cylinders' units do
+to it.  So a trial checked once accepts no more error in all than they
+did, and the allowance, grown by U tol_step per accepted trial, and the
+doomed-star check below, which count units, not trials, are unchanged.  A
+rung of several stars or cylinders whose rows, each grown by its own
+group's units alone, miss their target by more than the region bound plus
+U tol_step is rejected before it is applied: by the triangle inequality
+its region or its leak check would fail.  Otherwise the sharpness doubles,
+up to the top rung.
 A trial's ladder starts at the rung its kind's last accepted trial passed
 in this tau level, tau for the first: the tolerance share is fixed within a
 level, and the rows outside a unit's cylinder move by about e^(-sharp d)
@@ -92,10 +99,11 @@ exponentially below the start-state dust.
 A fill trial reads its stars' member rows to solve their units and makes
 no reduction over the whole state; a reset trial builds its cylinders'
 input tables log s_X (c, 2^k) and reduces its tilted state once per
-cylinder, in one stacked reduction, for the normalizers its units' biases
-take.  Each trial builds one new (2^k, 2^n) state with its rows, in which
-only the rows near its units moved; an accepted trial's state and rows
-become the pipeline's as they are, and its units are kept.
+cylinder, in stacked reductions of a chunk of cylinders at a time, for the
+normalizers its units' biases take.  Each trial builds one new (2^k, 2^n)
+state with its rows, in which only the rows near its units moved; an
+accepted trial's state and rows become the pipeline's as they are, and its
+units are kept.
 
 Nothing is kept across compiles but the read-only state-bit tables of the
 last two widths a trial read (``sharing._bits``): each compile plans each
@@ -110,10 +118,10 @@ concentrates on (a star's inputs, a reset, an output component) comes from
 one builder, ``sharing.cylinders``: one broadcast per level's resets, per
 level's stars and per scheme.  Each level's stars are planned at once
 (``_plan_stars``): their geometry (``sharing.star_tilts``) and their one
-fill trial, each unit's star geometry stacked (views of the level's arrays
-where each star has one unit), read-only, with its component and its
-members' log(q_t / q_0), from one ``log_odds`` and one ``log_mass_ratios``
-call over the target's whole profile, and the stepping stars' target rows.
+fill trial, each unit's star geometry stacked, read-only, with its
+component and its members' log(q_t / q_0), from one ``log_odds`` and one
+``log_mass_ratios`` call over the target's whole profile, and the stepping
+stars' target rows.
 The component scheme (``_ComponentScheme``) builds its output tilts
 (factors and log s_Y, 2^n) for all its components at once, stacked, on the
 first trial that asks for a sharpness, and a fill trial takes one row of
@@ -317,16 +325,12 @@ def _plan_stars(k: int, rows: np.ndarray, betas: np.ndarray,
     if not len(star):
         return _Stars(None, members, target, names)
     on = steps.any(axis=1)
-    if not on.all():
-        stepping, pick = on.nonzero()[0], star
-        owner = (np.cumsum(on) - 1)[star]
-    elif len(star) > len(on):
-        stepping, owner, pick = slice(None), star, star
+    if on.all():
+        stepping, owner = slice(None), star
     else:
-        # one unit per star: views, no gathers
-        stepping, owner, pick = slice(None), star, slice(None)
+        stepping, owner = on.nonzero()[0], (np.cumsum(on) - 1)[star]
     return _Stars(_Fill(
-        col + 1, tilts.take(pick), log_q[members[pick], col[:, None]],
+        col + 1, tilts.take(star), log_q[members[star], col[:, None]],
         members[stepping], owner,
         target[stepping].reshape(-1, target.shape[-1]),
         tilts.inputs[stepping].ravel(), names[star[0]]),
@@ -433,13 +437,17 @@ class _Pipeline:
         are within U tol_step of the rows that each group's units alone make
         on its own members (the cross-star leak, read when G > 1); and the
         rows outside ``inside`` (the inputs of the groups' cylinders, an
-        index array) moved by at most U tol_step.  Otherwise the sharpness
-        doubles.  The rungs are tau * 2^i for i < STEP_RETRIES, and the
-        ladder starts at the rung the last accepted trial of the same kind
-        passed in this level (tau for the first): within a level tol_step
-        is fixed and a unit's outside drift falls like e^(-sharp d) in the
-        input distance d, so a trial seldom passes below the rung its kind
-        last needed, and the ratchet only skips rungs, never adds one.  That
+        index array) moved by at most U tol_step.  When G > 1 the rows each
+        group's units make alone are taken first, and a rung that puts them
+        farther than ``bound`` plus U tol_step from ``target`` is rejected
+        without applying it to the whole state: its region or its leak
+        check would fail.  Otherwise the sharpness doubles.  The rungs are
+        tau * 2^i for i < STEP_RETRIES, and the ladder starts at the rung
+        the last accepted trial of the same kind passed in this level (tau
+        for the first): within a level tol_step is fixed and a unit's
+        outside drift falls like e^(-sharp d) in the input distance d, so a
+        trial seldom passes below the rung its kind last needed, and the
+        ratchet only skips rungs, never adds one.  That
         a skipped rung would also have failed assumes passing is monotone in
         sharpness, which the measured sweep in the module docstring
         supports but nothing checks; a trial that passes only below its
@@ -459,6 +467,15 @@ class _Pipeline:
         for i in range(first, STEP_RETRIES):
             sharp = self.tau * 2.0 ** i
             units = build(sharp)
+            if len(members) > 1:
+                own = own_unit_rows(self.logp, units, members, owner)
+                # region TV <= bound and leak <= limit would put the rows
+                # each group's units make alone within bound + limit
+                tv = _worst_row_tv(own, target)
+                if not tv <= bound + limit:
+                    rejected = (f"own-group TV {tv:.3g} > bound + limit "
+                                f"{bound + limit:.3g}")
+                    continue
             logp, rows, moved = apply_sharing_log(self.logp, self._rows,
                                                   units)
             tv = _worst_row_tv(rows[region], target)
@@ -466,8 +483,7 @@ class _Pipeline:
                 rejected = f"region TV {tv:.3g} > bound {bound:.3g}"
                 continue
             if len(members) > 1:
-                leak = _worst_row_tv(rows[region], own_unit_rows(
-                    self.logp, units, members, owner))
+                leak = _worst_row_tv(rows[region], own)
                 if not leak <= limit:
                     rejected = f"cross-star leak {leak:.3g} > limit {limit:.3g}"
                     continue
@@ -495,8 +511,10 @@ class _Pipeline:
         has a row drifted from it by more than the phase tolerance, on the
         state before the boundary, in one trial of one unit each.  A unit
         realizes a fixed-lam step with its tilt normalizer on that state
-        (``sharing.hidden_unit_from_log``); its region is allowed the start
-        TV plus one tol_step per unit, as the trial's other checks are."""
+        (``sharing.hidden_unit_from_log``).  Each row lies in one cylinder,
+        so each is held to the start TV plus one tol_step, what a trial of
+        its cylinder's reset alone allowed; the leak and drift checks allow
+        one tol_step per unit."""
         factors, inside = resets
         start = self.scheme.dists[0]
         tv = np.abs(self._rows[inside] - start).sum(axis=-1).max(axis=-1)
@@ -511,7 +529,7 @@ class _Pipeline:
             *make_reset_step(self.logp, factors,
                              self.scheme.tilt(0, sharp / grade), sharp)),
             inside, np.arange(len(inside)), start,
-            self.start_tv + len(inside) * self.tol_step, inside.ravel())
+            self.start_tv + self.tol_step, inside.ravel())
 
     def fill(self, fill: _Fill) -> None:
         """Run a level's planned fills (``_plan_stars``) through the step

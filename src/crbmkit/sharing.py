@@ -56,9 +56,10 @@ everything about its stars that the state does not move from a
 sharpening and accepting steps is the compiler's job: it runs a packing
 level's resets as one trial and its fills as another, each checked once
 against the sum of the bounds that trials of one reset or one component
-were held to.  Every log-sum-exp is
-one max-shift reduction, the max plus the log of the sum of exp(entries -
-max), over the whole state (``logsumexp``) or per row (``conditioned``).
+were held to, but for a reset row's own bound, which is one reset's: the
+row lies in one cylinder.  Every log-sum-exp is one max-shift reduction,
+the max plus the log of the sum of exp(entries - max), over the whole
+state (``logsumexp``) or per row (``conditioned``).
 """
 
 from __future__ import annotations
@@ -486,7 +487,10 @@ def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
     its tilt normalizer log N = logsumexp(logp + log s), which
     hidden_unit_from_log takes.  Stacked factors, (c, k, 2), give the
     stack of the c cylinders' steps toward the one component, with their
-    c normalizers, each taken on ``logp``.
+    c normalizers, each taken on ``logp``: reduced a chunk of cylinders at
+    a time, each chunk's tilted states at most max(2^k 2^n, _BLOCK_CELLS)
+    cells, so a boundary of many cylinders holds no more than one state's
+    worth, or one block, at once.
 
     ``out`` (already sharpened) is the component's output tilt, e.g. -tau
     on the off value of every bit for a point mass.  lam is near 0 and the
@@ -501,7 +505,14 @@ def make_reset_step(logp: np.ndarray, cylinder_factors: np.ndarray,
     lf = np.concatenate((cylinder_factors * sharpness, np.broadcast_to(
         out.log_factors, shape[:-2] + out.log_factors.shape)), axis=-2)
     log_sx = _log_values_of(lf[..., :k, :])
-    log_norm = logsumexp(logp + log_sx[..., None] + out.log_sy,
-                         axis=(-2, -1) if len(shape) == 3 else None)
+    if len(shape) == 3:
+        # a chunk of cylinders at a time, its tilted states at most one
+        # state's cells or _BLOCK_CELLS, whichever is more
+        chunk = max(_BLOCK_CELLS // logp.size, 1)
+        log_norm = np.concatenate([logsumexp(
+            logp + log_sx[c:c + chunk, :, None] + out.log_sy, axis=(-2, -1))
+            for c in range(0, shape[0], chunk)])
+    else:
+        log_norm = logsumexp(logp + log_sx[:, None] + out.log_sy)
     lam = float(1.0 / (1.0 + np.exp(min(sharpness / 2.0, 700.0))))
     return SharingStep(k, lam, lf, log_sx, out.log_sy), log_norm

@@ -552,12 +552,13 @@ def test_a_packing_level_runs_one_reset_and_one_fill_trial(monkeypatch, k, n,
     # its boundary's drifted resets and one for all its fills.  So every
     # build of a level is one rung of one of those two ladders, resets
     # first, each ladder doubling its sharpness from its first rung, and
-    # each rung tried is applied once
+    # each rung tried is applied at most once: a rung of several stars
+    # whose own rows already miss their bound is rejected unapplied
     levels, applied = _trials_per_level(
         monkeypatch, lambda: compile_universal(dirichlet_table(k, n, 0), r))
     walked = 0
     for builds, calls in zip(levels, applied):
-        assert calls == len(builds)
+        assert calls <= len(builds)
         kinds = [kind for kind, _ in builds]
         assert kinds == sorted(kinds, reverse=True)  # resets, then fills
         for kind in ("reset", "fill"):
@@ -726,8 +727,8 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # per reset of the whole state, for the tilt normalizers its units'
     # biases take (hidden_unit_from_log, once per reset trial).  The state
     # has mass 1, so neither the stepped state nor a tau level's start
-    # state is reduced again.  An accepted trial is kept, so there is one
-    # application per trial.  A reset trial builds one stack of input
+    # state is reduced again.  An accepted trial is kept, so there is at
+    # most one application per trial.  A reset trial builds one stack of input
     # tables, in its builder, and a fill trial none.  The output tilts a
     # trial steps toward are rows of one batch of every component's tilts,
     # built on the first use of its sharpness only, by a fill or a reset; a
@@ -789,7 +790,9 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     assert trials > resets > 0 and rep.resets_used > 0
     assert rep.hidden_units_used > 0
     assert calls["level"] == 2  # tau = 16 fails, 32 passes
-    assert calls["apply_sharing_log"] == trials
+    # a rung of several stars whose own rows miss their bound is rejected
+    # unapplied
+    assert 0 < calls["apply_sharing_log"] <= trials
     assert calls["full"] == calls["hidden_unit_from_log"] == resets
     assert calls["inputs"] == resets
     # every table not over the inputs is one output batch
@@ -922,6 +925,28 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     with pytest.raises(BudgetExceeded, match="^fill sharpness"):
         pipe.fill(fill)
     assert len(pipe.units) == 1 and pipe.model().m == 1
+
+
+def test_a_reset_trial_holds_each_row_to_one_resets_bound(monkeypatch):
+    # each reset row lies in one cylinder, so a reset trial of c cylinders
+    # holds every row to the start TV plus one tol_step, as a trial of its
+    # cylinder's reset alone did; its leak and drift checks allow c
+    # tol_step.  At (6,2), r = 3, seed 0, the boundaries reset 4 cylinders
+    # at once
+    bounds = []
+    step = _Pipeline._step
+
+    def spied(pipe, kind, build, members, owner, target, bound, *args):
+        if kind == "reset":
+            bounds.append((len(owner), bound - pipe.start_tv,
+                           pipe.tol_step))
+        return step(pipe, kind, build, members, owner, target, bound, *args)
+
+    monkeypatch.setattr(_Pipeline, "_step", spied)
+    compile_universal(dirichlet_table(6, 2, 0), r=3)
+    assert max(count for count, _, _ in bounds) == 4
+    for _, slack, tol_step in bounds:
+        assert slack == pytest.approx(tol_step, rel=1e-9)
 
 
 def test_step_ladders_ratchet_within_a_level(monkeypatch):
@@ -1072,6 +1097,43 @@ def test_cross_star_leak_rejects_a_batch():
     pipe.fill(fill)
     assert pipe._rung["fill"] > 0 and pipe.used["fill"] == 2
     assert _worst_row_tv(pipe.rows(), rows) <= pipe.allowance
+
+
+def test_a_rung_whose_own_rows_miss_is_rejected_unapplied(monkeypatch):
+    # a trial of several stars first grows each star's member rows by its
+    # own units alone; a rung that leaves them farther than the region
+    # bound plus U tol_step from the target is rejected without applying it
+    # to the whole state, named by that check.  Two stars mixed to 0.5 /
+    # 0.5, held to the point mass at y = 1 with no region bound, miss at
+    # every rung; applied, each such rung fails the region check too
+    scheme = _ComponentScheme.points(1, [0, 1])
+    rows = np.full((4, 2), 0.5)
+    betas = mixture_weight_profile(scheme.masses(rows))
+    fill = _plan_stars(2, rows, betas, log_mass_ratios(log_odds(betas)),
+                       np.array([0, 2]), 0b01,
+                       [("star", 0), ("star", 1)]).fill
+    pipe = _Pipeline(2, 1, scheme, 8.0, 1e-3)
+    target = np.tile(scheme.dists[1], (4, 1))
+
+    def build(sharp):
+        return build_tilted_step(pipe.logp, fill.tilt, fill.log_q,
+                                 scheme.tilt(fill.t, sharp), sharp)
+
+    applied = []
+    monkeypatch.setattr(compiler, "apply_sharing_log",
+                        lambda *args: applied.append(args))
+    monkeypatch.setattr(compiler, "STEP_RETRIES", 3)
+    with pytest.raises(BudgetExceeded, match=(
+            r"^fill sharpness schedule exhausted at star 0 \(batch of 2\): "
+            r"rungs 8 to 32, at 32 own-group TV [0-9.e-]+ > bound \+ limit "
+            r"0.002 \(tau = 8\)$")):
+        pipe._step("fill", build, fill.members, fill.owner, target, 0.0,
+                   fill.inside, ("star", 0))
+    assert applied == [] and pipe.units == []
+    for sharp in (8.0, 16.0, 32.0):
+        units = build(sharp)
+        grown = apply_sharing_log(pipe.logp, pipe.rows(), units)[1]
+        assert _worst_row_tv(grown[fill.members.ravel()], target) > 0.0
 
 
 def test_cross_star_leak_reads_each_stars_units_together():

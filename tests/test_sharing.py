@@ -456,6 +456,40 @@ def test_stacked_reset_steps_are_each_cylinders_own():
                         point_mass_tilt(0, 1, 8.0), 16.0)
 
 
+def test_stacked_reset_reduces_a_chunk_of_cylinders_at_a_time(monkeypatch):
+    # a boundary's normalizers are reduced a chunk of cylinders at a time,
+    # each chunk's tilted states at most max(state, _BLOCK_CELLS) cells:
+    # with the block at two states, 16 cylinders take 8 reductions of 2,
+    # the peak stays a few blocks (one reduction of all 16 would hold 48
+    # states' cells), and every normalizer keeps its bits
+    import tracemalloc
+
+    from crbmkit import sharing
+
+    k, n = 6, 6
+    logp = random_state(k, n, np.random.default_rng(18))
+    factors = cylinders(k, 0b1111, range(16))[0]
+    out = point_mass_tilt(0, n, 8.0)
+    whole = make_reset_step(logp, factors, out, 16.0)[1]
+    sizes = []
+
+    def counted(a, axis=None):
+        sizes.append(np.size(a))
+        return logsumexp(a, axis)
+
+    monkeypatch.setattr(sharing, "_BLOCK_CELLS", 2 * logp.size)
+    monkeypatch.setattr(sharing, "logsumexp", counted)
+    tracemalloc.start()
+    try:
+        log_norm = make_reset_step(logp, factors, out, 16.0)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [2 * logp.size] * 8
+    assert peak <= 8 * 4 * sharing._BLOCK_CELLS
+    assert log_norm.tobytes() == whole.tobytes()
+
+
 def test_tilt_profile_proportionality():
     # the product tilt restricted to a star can match any positive profile:
     # with flat output factors, the unit's input factor e^(c + V x) on the
