@@ -8,11 +8,17 @@ bits in ``fixed_mask`` equal ``fixed_values``; a star, the intersection of a
 ball with a cylinder through its center, is ``(center, free_mask)``, whose
 cylinder fixes the other bits to the center's.  The member enumerations
 return plain ascending indices.
+
+The module also holds the sizes a pipeline may build and keep: the one
+enumeration limit ``MAX_CELLS``, checked before any work starts, and
+``Kept``, the priced memo of what a compile keeps for later compiles.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -22,12 +28,64 @@ from .errors import CapExceeded
 #: array a pipeline builds, 2^25 = 256 MiB.
 MAX_CELLS = 2 ** 25
 
+#: What one ``Kept`` memo holds at most: KEEP_ENTRIES tables, and
+#: KEEP_CELLS cells (8 bytes each) in all, 4 MiB, as its builders price
+#: them.  The compile keeps two, its packing sequences and its shapes.
+KEEP_ENTRIES = 32
+KEEP_CELLS = 1 << 19
+#: cells a kept table is charged per Python object it holds, beside its
+#: arrays' entries: an ndarray's header is 112 bytes, and a small tuple,
+#: float or dict slot takes less
+OBJECT_CELLS = 16
+
 
 def check_cells(cells: int, what: str) -> None:
     """Refuse, before any work starts, an enumeration of ``cells`` cells."""
     if cells > MAX_CELLS:
         raise CapExceeded(f"{what} needs {cells} cells, above the limit "
                           f"MAX_CELLS = {MAX_CELLS}")
+
+
+def array_cells(*arrays: np.ndarray) -> int:
+    """The cells a kept table is charged for ``arrays``: each one's entries
+    plus OBJECT_CELLS."""
+    return sum(a.size + OBJECT_CELLS for a in arrays)
+
+
+class Kept:
+    """A memo of read-only tables, the least recently used dropped first,
+    holding at most KEEP_ENTRIES tables and KEEP_CELLS cells in all: the
+    worst case it keeps is KEEP_CELLS cells, 4 MiB.  Each table is charged
+    the cells its builder prices it at, which must bound all it can ever
+    hold, and each entry four objects more for the memo's own; one priced
+    above KEEP_CELLS is handed to its caller and not kept, so it lives as
+    long as the caller's use of it."""
+
+    def __init__(self):
+        self._tables: OrderedDict = OrderedDict()  # key -> (table, cells)
+        self.cells = 0
+
+    def clear(self) -> None:
+        self._tables.clear()
+        self.cells = 0
+
+    def get(self, key: Hashable, build: Callable[[], tuple]):
+        """The table kept under ``key``, or else the table of ``build()``,
+        a ``(table, cells)`` pair, kept under ``key`` when it fits."""
+        hit = self._tables.get(key)
+        if hit is not None:
+            self._tables.move_to_end(key)
+            return hit[0]
+        table, cells = build()
+        # the memo's own objects: the key, its slot and the pair it stores
+        cells += 4 * OBJECT_CELLS
+        if cells <= KEEP_CELLS:
+            while self._tables and (len(self._tables) >= KEEP_ENTRIES
+                                    or self.cells + cells > KEEP_CELLS):
+                self.cells -= self._tables.popitem(last=False)[1][1]
+            self._tables[key] = table, cells
+            self.cells += cells
+        return table
 
 
 def check_width(width: int) -> None:

@@ -105,43 +105,61 @@ state with its rows, in which only the rows near its units moved; an
 accepted trial's state and rows become the pipeline's as they are, and its
 units are kept.
 
-Nothing is kept across compiles but the read-only state-bit tables of the
-last two widths a trial read (``sharing._bits``): each compile plans each
-level of its walk once, when a tau level first reaches it, and all its tau
-levels share that plan, so a level no tau level reaches is never planned.
-A walk is a list of levels, each a group of stars that share a free mask,
-with the resets run before them.  A packed compile's walk is its packing
-(``packing.build_packing``), whose resets, a level's lineages, all sit at a
-level's first star (``_packing_walk``); a support compile's is the point
-stars (x, 0), in one level with no reset.  Every cylinder a step
-concentrates on (a star's inputs, a reset, an output component) comes from
-one builder, ``sharing.cylinders``: one broadcast per level's resets, per
-level's stars and per scheme.  Each level's stars are planned at once
-(``_plan_stars``): their geometry (``sharing.star_tilts``) and their one
-fill trial, each unit's star geometry stacked, read-only, with its
-component and its members' log(q_t / q_0), from one ``log_odds`` and one
-``log_mass_ratios`` call over the target's whole profile, and the stepping
-stars' target rows.
-The component scheme (``_ComponentScheme``) builds its output tilts
-(factors and log s_Y, 2^n) for all its components at once, stacked, on the
-first trial that asks for a sharpness, and a fill trial takes one row of
-them per unit.  So past its first reach of a level, a tau level only
-builds, tries and accepts trials, fills and resets alike.  Each tau level
-builds its own start state, the conditioned broadcast of the start logits
-(``_Pipeline``), in tens of microseconds at the benchmark's sizes, and
-keeps the units it accepts.  A level that walks to its end builds its model
-once, before its certificate: one ``crbm.append_hidden_unit`` of all its
-units to its bias-only start model.
+A compile splits into a target-free half and the rest.  The target-free
+half is its shape's (``_shape``): the component scheme, with its output
+tilts per sharpness and its start state per tau level, and for a packed
+compile the walk of its packing, with every level's resets and star
+geometry.  It depends only on (k, n, the components' cylinders and their
+order, the depth r), so it is built on a shape's first compile and kept,
+read-only, for later compiles of the shape, in one ``bitspace.Kept`` memo
+beside ``packing.build_packing``'s: each holds at most KEEP_ENTRIES = 32
+tables and KEEP_CELLS = 2^19 cells, so the two keep at most 8 MiB in all.
+A shape's price bounds all it can ever hold, a start state for every tau
+level and a tilt batch for every sharpness a trial can ask for included;
+one priced over KEEP_CELLS is built for its compile by the same code and
+not kept.  Every compile still prices itself (``check_cells``) and calls
+``build_packing``, which prices the packing, before it looks a shape up,
+and still builds a bias-only model per tau level.  The rest is the
+target's, planned and run per compile: the mixture weights and log-odds,
+each level's fill plan, the trials and the certificate.  The other tables
+kept across compiles are the read-only state-bit tables of the last two
+widths a trial read (``sharing._bits``).
+
+A walk is a list of levels (``_Level``), each a group of stars that share
+a free mask, with the resets run before them.  A packed compile's walk is
+its packing, whose resets, a level's lineages, all sit at a level's first
+star (``_packing_walk``); a support compile's is the point stars (x, 0) in
+the order of its target's rows, one level with no reset, built per
+compile.  Every cylinder a step concentrates on (a star's inputs, a reset,
+an output component) comes from one builder, ``sharing.cylinders``: one
+broadcast per level's resets, per level's stars and per scheme.  A compile
+plans each level of its walk once, when a tau level first reaches it, and
+all its tau levels share that plan, so a level no tau level reaches is
+never planned.  Each level's stars are planned at once (``_plan_stars``):
+their one fill trial, each unit's star geometry stacked, read-only, with
+its component and its members' log(q_t / q_0), from one ``log_odds`` and
+one ``log_mass_ratios`` call over the target's whole profile, and the
+stepping stars' target rows.  The component scheme (``_ComponentScheme``)
+builds its output tilts (factors and log s_Y, 2^n) for all its components
+at once, stacked, on the first trial that asks for a sharpness, and a fill
+trial takes one row of them per unit; it builds a tau level's start state,
+the conditioned broadcast of the start logits, on that level's first
+``_Pipeline``.  So past its first reach of a level, a tau level only
+builds, tries and accepts trials, fills and resets alike, and keeps the
+units it accepts.  A level that walks to its end builds its model once,
+before its certificate: one ``crbm.append_hidden_unit`` of all its units
+to its bias-only start model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitspace import check_cells, state_bits
+from .bitspace import OBJECT_CELLS, Kept, array_cells, check_cells, state_bits
 from .crbm import (CrbmParams, append_hidden_unit, eval_cells,
                    eval_conditional)
 from .distributions import (ConditionalTable, _check_eps, kl_conditional,
@@ -152,7 +170,8 @@ from .errors import (
     SupportsDiffer,
     SupportTooLarge,
 )
-from .packing import best_depth, build_packing, universal_budget
+from .packing import (PackingSequence, best_depth, build_packing,
+                      universal_budget)
 from .sharing import OutputTilt, StarTilt, Units, apply_sharing_log, \
     build_tilted_step, conditioned, cylinders, hidden_unit_from_log, \
     log_mass_ratios, log_odds, make_reset_step, mixture_weight_profile, \
@@ -200,6 +219,17 @@ def clamp_table(table: ConditionalTable, eps: float) -> tuple[ConditionalTable, 
     return clamped, tv_row_distance(table, clamped)
 
 
+class _Start(NamedTuple):
+    """A tau level's start state on k inputs, read-only: the output biases
+    of its bias-only model, its state and rows (``conditioned``) and the
+    rows' worst TV to the start component."""
+
+    bias: np.ndarray
+    logp: np.ndarray
+    rows: np.ndarray
+    tv: float
+
+
 class _ComponentScheme:
     """Output components mixed by the fill steps.
 
@@ -207,20 +237,22 @@ class _ComponentScheme:
     start component.  Universal targets use all 2^n point components, common
     supports the states of T, partition targets the 2^l blocks, sparse
     targets all 2^n points with the most shared support point y0 first.
+    Every array it holds or hands out is read-only.
     """
 
     def __init__(self, n: int, mask: int, values: tuple[int, ...]):
         self.n = n
         self.mask = mask
-        self.values = values
+        self.values = tuple(values)
         # one row per component, the cylinder (mask, value): its unit (n, 2)
         # output log factors, its member outputs and its uniform distribution
-        self.unit, self.members = cylinders(n, mask, values)
-        dists = np.zeros((len(values), 1 << n))
+        self.unit, self.members = cylinders(n, mask, self.values)
+        dists = np.zeros((len(self.values), 1 << n))
         np.put_along_axis(dists, self.members, 1.0 / self.members.shape[1], 1)
         dists.setflags(write=False)
         self.dists = dists
         self._tilts: dict[float, OutputTilt] = {}
+        self._starts: dict[tuple[int, float], _Start] = {}
 
     @property
     def count(self) -> int:
@@ -247,22 +279,51 @@ class _ComponentScheme:
         off value of each of its fixed bits, or the stack of the tilts of
         the components ``t`` (an index array).  The first use of a
         sharpness, by a fill or a reset, builds every component's tilt at it
-        in one batch, kept for the scheme's life, so the tau levels, stars
-        and trials of its compile share one (``sharing.output_tilts``)."""
+        in one batch, kept for the scheme's life, so the compiles of its
+        shape (``_shape``), their tau levels, stars and trials share one
+        (``sharing.output_tilts``)."""
         tilts = self._tilts.get(sharp)
         if tilts is None:
             tilts = self._tilts[sharp] = output_tilts(self.unit, sharp)
         return tilts.take(t)
 
-    @staticmethod
-    def points(n: int, values) -> "_ComponentScheme":
-        """Point components at the output states ``values``, in that order;
-        the first is the start component."""
-        return _ComponentScheme(n, (1 << n) - 1, tuple(values))
+    def start(self, k: int, tau: float) -> _Start:
+        """The start state of a tau level on k inputs, built on its first
+        use and kept for the scheme's life.  The output biases are +-tau_b
+        toward the start component's fixed bits, tau_b = tau / (2 *
+        sharp_width): the odds of its cylinder factors at sharpness tau_b.
+        The state is the start logits broadcast to every input row,
+        column-major, x fastest, and conditioned on the inputs; every step
+        keeps the layout."""
+        start = self._starts.get((k, tau))
+        if start is None:
+            lf = self.unit[0] * (tau / (2.0 * max(self.sharp_width, 1)))
+            bias = lf[:, 1] - lf[:, 0]
+            logits = (state_bits(self.n) * bias[None, :]).sum(axis=1)
+            logp, rows = conditioned(np.asfortranarray(
+                np.broadcast_to(logits, (1 << k, 1 << self.n))), k)
+            bias.setflags(write=False)
+            logp.setflags(write=False)
+            start = self._starts[k, tau] = _Start(
+                bias, logp, rows, _worst_row_tv(rows, self.dists[0]))
+        return start
 
-    @staticmethod
-    def partition(n: int, l: int) -> "_ComponentScheme":
-        return _ComponentScheme(n, (1 << l) - 1, tuple(range(1 << l)))
+
+class _Level(NamedTuple):
+    """One level of a walk, all that does not depend on the target, arrays
+    read-only: the resets run before its stars, their cylinders' (c, k, 2)
+    unit log factors and (c, 2^free) inputs stacked from one ``cylinders``
+    call, or None; its stars' geometry, stacked (``sharing.star_tilts``,
+    one broadcast per level); and their names, star i's ``(label,
+    index[i])``."""
+
+    resets: tuple[np.ndarray, np.ndarray] | None
+    tilts: StarTilt
+    label: str
+    index: Sequence[int]
+
+    def name(self, i: int) -> tuple[str, int]:
+        return self.label, int(self.index[i])
 
 
 class _Fill(NamedTuple):
@@ -292,20 +353,18 @@ class _Stars(NamedTuple):
     """One level of a walk as the compile plans it: its ``_Fill``, None when
     no star steps, and what the doomed-star check reads after it: every
     star's members (S, r), their rows of the target table (S, r, 2^n) and
-    the stars' names."""
+    the ``_Level``, which names the stars."""
 
     fill: _Fill | None
     members: np.ndarray
     target: np.ndarray
-    names: Sequence[tuple[str, int]]
+    level: _Level
 
 
-def _plan_stars(k: int, rows: np.ndarray, betas: np.ndarray,
-                log_q: np.ndarray, centers: np.ndarray, free_mask: int,
-                names: Sequence[tuple[str, int]]) -> _Stars:
-    """The ``_Stars`` of the stars ``(c, free_mask)`` on k inputs, c in
-    ``centers``, in that order, named by ``names``: every star of one free
-    mask in one plan.
+def _plan_stars(level: _Level, rows: np.ndarray, betas: np.ndarray,
+                log_q: np.ndarray) -> _Stars:
+    """The ``_Stars`` of the stars of ``level``, in their order: every star
+    of one free mask in one plan.
 
     ``rows`` is the target table, ``betas`` its ``mixture_weight_profile``,
     whose weight for a component is positive exactly where that component
@@ -316,14 +375,14 @@ def _plan_stars(k: int, rows: np.ndarray, betas: np.ndarray,
     the target table: every scheme's components are the cylinders the
     target's rows mix, so the components' distributions mixed by the
     target's masses give its rows back."""
-    tilts = star_tilts(k, centers, free_mask)
+    tilts = level.tilts
     members = tilts.members
     target = rows[members]
     # [s, t - 1]: star s steps toward component t
     steps = (betas[members] > 0).any(axis=1)
     star, col = steps.nonzero()
     if not len(star):
-        return _Stars(None, members, target, names)
+        return _Stars(None, members, target, level)
     on = steps.any(axis=1)
     if on.all():
         stepping, owner = slice(None), star
@@ -333,26 +392,65 @@ def _plan_stars(k: int, rows: np.ndarray, betas: np.ndarray,
         col + 1, tilts.take(star), log_q[members[star], col[:, None]],
         members[stepping], owner,
         target[stepping].reshape(-1, target.shape[-1]),
-        tilts.inputs[stepping].ravel(), names[star[0]]),
-        members, target, names)
+        tilts.inputs[stepping].ravel(), level.name(star[0])),
+        members, target, level)
 
 
-def _packing_walk(k: int, r: int) -> list[tuple]:
-    """The depth-r packing of k inputs as its levels ``(resets, centers,
-    free_mask, names)`` in fill order, a star named ``("star", i)`` by its
-    place.  A level's resets, run before its stars, are its lineages,
-    cylinders of one fixed mask, ``(unit factors, inputs)`` stacked from
-    one ``cylinders`` call, None for a level without: the packing resets
-    only at a level's first star."""
-    seq = build_packing(k, r)
+def _packing_walk(seq: PackingSequence) -> list[_Level]:
+    """The packing ``seq`` as its levels in fill order, a star named
+    ``("star", i)`` by its place.  A level's resets, run before its stars,
+    are its lineages, cylinders of one fixed mask: the packing resets only
+    at a level's first star."""
+    k = seq.k
     edges = [0, *(np.flatnonzero(np.diff(seq.free_masks)) + 1).tolist(),
              len(seq.centers)]
     cuts = np.searchsorted(seq.reset_positions, edges).tolist()
-    return [(cylinders(k, int(seq.reset_masks[a]), seq.reset_values[a:b])
-             if b > a else None,
-             seq.centers[lo:hi], int(seq.free_masks[lo]),
-             [("star", i) for i in range(lo, hi)])
+    return [_Level(cylinders(k, int(seq.reset_masks[a]), seq.reset_values[a:b])
+                   if b > a else None,
+                   star_tilts(k, seq.centers[lo:hi], int(seq.free_masks[lo])),
+                   "star", range(lo, hi))
             for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:])]
+
+
+#: the compile shapes kept for later compiles (``_shape``)
+_SHAPES = Kept()
+
+
+def _shape(k: int, n: int, mask: int, values: Sequence[int],
+           seq: PackingSequence | None = None
+           ) -> tuple[_ComponentScheme, list[_Level]]:
+    """The target-free half of a compile on k inputs toward the components
+    ``(mask, values)`` on n outputs: its scheme, whose output tilts and
+    start states grow with use, and the walk of the packing ``seq`` (none
+    without one), built on a shape's first compile and kept for later ones
+    (``bitspace.Kept``) when its price fits.
+
+    The price bounds all the shape can ever hold: its arrays as built, a
+    start state for every tau level and a batch of output tilts for every
+    sharpness a fill or a reset can ask for, each with the objects that
+    hold it, and the scheme's and the levels' own objects."""
+    values = tuple(values)
+
+    def build():
+        scheme = _ComponentScheme(n, mask, values)
+        walk = [] if seq is None else _packing_walk(seq)
+        taus = int(math.log2(TAU_MAX / TAU_START)) + 1
+        sharps = 2 * (taus + STEP_RETRIES - 1)
+        count = len(values)
+        return (scheme, walk), (
+            array_cells(scheme.unit, scheme.members, scheme.dists,
+                        *(a for level in walk
+                          for a in (*level.tilts, *(level.resets or ()))))
+            # a start: its bias, state and rows, its tuple, key and slot
+            + taus * ((2 << (k + n)) + n + 8 * OBJECT_CELLS)
+            # a batch of tilts: its two tables with the views they are
+            # summed through, its tuple, key and slot
+            + sharps * (count * (2 * n + (1 << n)) + 8 * OBJECT_CELLS)
+            # the scheme, its dicts and values, each level's tuples
+            + (32 + 4 * len(walk)) * OBJECT_CELLS + 5 * count)
+
+    return _SHAPES.get((k, n, mask, values, None if seq is None else seq.r),
+                       build)
 
 
 def _worst_row_tv(rows: np.ndarray, ref: np.ndarray) -> float:
@@ -370,21 +468,13 @@ class _Pipeline:
         self.scheme = scheme
         self.tau = tau
         self.tol_step = tol_step
-        # output biases +-tau_b toward the start component's fixed bits,
-        # tau_b = tau / (2 * sharp_width): the odds of its cylinder factors
-        # at sharpness tau_b
-        lf = scheme.unit[0] * (tau / (2.0 * max(scheme.sharp_width, 1)))
-        bias = lf[:, 1] - lf[:, 0]
-        self.start = CrbmParams.bias_only(k, n, bias)
+        # the scheme's start state of this tau level, which no step writes
+        start = scheme.start(k, tau)
+        self.start = CrbmParams.bias_only(k, n, start.bias)
         # the ``sharing.Units`` of each accepted trial, in order
         self.units: list[Units] = []
-        # the start logits broadcast to every input row, column-major, x
-        # fastest, and conditioned on the inputs; every step keeps the layout
-        logits = (state_bits(n) * bias[None, :]).sum(axis=1)
-        self.logp, self._rows = conditioned(np.asfortranarray(
-            np.broadcast_to(logits, (1 << k, 1 << n))), k)
-        self.start_tv = _worst_row_tv(self._rows, scheme.dists[0])
-        self.allowance = self.start_tv
+        self.logp, self._rows = start.logp, start.rows
+        self.start_tv = self.allowance = start.tv
         self.used = {"fill": 0, "reset": 0}
         # kind -> index i of the rung tau * 2^i its last accepted trial passed
         self._rung: dict[str, int] = {}
@@ -418,7 +508,7 @@ class _Pipeline:
             axis=-1).max(axis=-1, initial=0.0)
         doomed = np.flatnonzero(tv > limit)
         if doomed.size:
-            label, index = stars.names[doomed[0]]
+            label, index = stars.level.name(doomed[0])
             raise BudgetExceeded(
                 f"{label} {index}: worst-row TV {tv[doomed[0]]:.6g} to the "
                 f"target > limit {limit:.6g} (tau = {self.tau:g})")
@@ -549,13 +639,12 @@ class _Pipeline:
 
 
 def _compile(target: ConditionalTable, scheme: _ComponentScheme,
-             walk: list[tuple], total_steps: int, eps: float, mode: str,
+             walk: list[_Level], total_steps: int, eps: float, mode: str,
              budget: int, r: int | None, clamp_error: float = 0.0
              ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
-    """Walk ``walk``, levels ``(resets, centers, free_mask, names)``, at
-    tau = TAU_START, 2 TAU_START, ..., TAU_MAX and return the first tau
-    level whose evaluated conditional is within eps of ``target``, with
-    that conditional, the certificate's.
+    """Walk the levels ``walk`` at tau = TAU_START, 2 TAU_START, ...,
+    TAU_MAX and return the first tau level whose evaluated conditional is
+    within eps of ``target``, with that conditional, the certificate's.
 
     At each level of the walk a tau level resets the drifted cylinders,
     fills the stars and rejects itself at the first doomed star.  Each of
@@ -574,13 +663,13 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
     while tau <= TAU_MAX:
         pipe = _Pipeline(target.k, target.n, scheme, tau, tol_step)
         try:
-            for i, (resets, *group) in enumerate(walk):
+            for i, level in enumerate(walk):
                 if i == len(plans):
-                    plans.append(_plan_stars(target.k, target.rows, betas,
-                                             log_q, *group))
+                    plans.append(_plan_stars(level, target.rows, betas,
+                                             log_q))
                 stars = plans[i]
-                if resets is not None:
-                    pipe.reset(resets)
+                if level.resets is not None:
+                    pipe.reset(level.resets)
                 if stars.fill is not None:
                     pipe.fill(stars.fill)
                 pipe.reject_if_doomed(stars, eps, total_steps)
@@ -606,32 +695,33 @@ def _compile(target: ConditionalTable, scheme: _ComponentScheme,
         f"{reason}") from last_error
 
 
-def _compile_packed(target: ConditionalTable, scheme: _ComponentScheme,
-                    r: int | None, eps: float, mode: str,
-                    clamp_error: float = 0.0
-                    ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
-    """Walk the packing of the best or given depth r, every star scheduled
-    through every component and every reset it lists.  One component
-    leaves nothing to fill: the start model is the whole compile, no star
-    is walked, the budget is 0 and r is reported as given."""
-    k = target.k
-    if scheme.count == 1:
+def _packed_shape(k: int, n: int, mask: int, values: Sequence[int],
+                  r: int | None, mode: str
+                  ) -> tuple[_ComponentScheme, list[_Level], int, int | None]:
+    """Price the packed compile on k inputs toward the components ``(mask,
+    values)`` on n outputs at the best or given depth r, every star
+    scheduled through every component and every reset the packing lists,
+    and then give its scheme, walk, budget and depth (``_shape``).  One
+    component leaves nothing to fill: the start model is the whole compile,
+    no star is walked, the budget is 0 and r is reported as given."""
+    count = len(values)
+    if count == 1:
         if r is not None:
             universal_budget(k, r, 1)  # refuses a depth k cannot hold
         budget = 0
     else:
         if r is None:
-            r = best_depth(k, scheme.count)
-        budget = universal_budget(k, r, scheme.count)
-    # priced on the final certificate, before the packing is built
-    check_cells(eval_cells(k, target.n, budget),
-                f"{mode} compile at (k, n) = ({k}, {target.n}) "
+            r = best_depth(k, count)
+        budget = universal_budget(k, r, count)
+    # priced on the final certificate, before the packing is built and
+    # before any shape is looked up
+    check_cells(eval_cells(k, n, budget),
+                f"{mode} compile at (k, n) = ({k}, {n}) "
                 f"with {budget} hidden units")
     # the budget counts every scheduled step: one per star and component
     # past the start, one per reset
-    walk = _packing_walk(k, r) if scheme.count > 1 else []
-    return _compile(target, scheme, walk, budget, eps, mode, budget, r,
-                    clamp_error)
+    seq = build_packing(k, r) if count > 1 else None
+    return (*_shape(k, n, mask, values, seq), budget, r)
 
 
 def compile_universal(target: ConditionalTable, r: int | None = None,
@@ -644,9 +734,11 @@ def compile_universal(target: ConditionalTable, r: int | None = None,
     """
     _check_eps(eps)
     clamped, clamp_err = clamp_table(target, eps)
-    scheme = _ComponentScheme.points(target.n, range(1 << target.n))
-    return _compile_packed(clamped, scheme, r, eps, "universal",
-                           clamp_err)[:2]
+    n = target.n
+    scheme, walk, budget, r = _packed_shape(
+        target.k, n, (1 << n) - 1, range(1 << n), r, "universal")
+    return _compile(clamped, scheme, walk, budget, eps, "universal", budget,
+                    r, clamp_err)[:2]
 
 
 def compile_common_support(target: ConditionalTable, r: int | None = None,
@@ -656,8 +748,12 @@ def compile_common_support(target: ConditionalTable, r: int | None = None,
     on = target.rows > 0
     if not (on == on[0]).all():
         raise SupportsDiffer("rows do not share a common support")
-    scheme = _ComponentScheme.points(target.n, np.flatnonzero(on[0]).tolist())
-    return _compile_packed(target, scheme, r, eps, "common")[:2]
+    n = target.n
+    scheme, walk, budget, r = _packed_shape(
+        target.k, n, (1 << n) - 1, np.flatnonzero(on[0]).tolist(), r,
+        "common")
+    return _compile(target, scheme, walk, budget, eps, "common", budget,
+                    r)[:2]
 
 
 def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
@@ -666,20 +762,22 @@ def compile_partition(target: ConditionalTable, l: int, r: int | None = None,
     _check_eps(eps)
     if not 0 <= l <= target.n:
         raise ValueError(f"l must be in [0, {target.n}]")
-    return _partition(target, _ComponentScheme.partition(target.n, l), r,
-                      eps)[:2]
+    _check_blocks(target, l)
+    scheme, walk, budget, r = _packed_shape(
+        target.k, target.n, (1 << l) - 1, range(1 << l), r, "partition")
+    return _compile(target, scheme, walk, budget, eps, "partition", budget,
+                    r)[:2]
 
 
-def _partition(target: ConditionalTable, scheme: _ComponentScheme,
-               r: int | None, eps: float
-               ) -> tuple[CrbmParams, CompileReport, ConditionalTable]:
-    """``compile_partition`` on the blocks of the partition ``scheme``, with
-    the certificate's conditional."""
-    for z, members in enumerate(scheme.members):
-        block = target.rows[:, members]
-        if np.abs(block - block.mean(axis=1, keepdims=True)).max() > 1e-9:
-            raise NotBlockConstant(f"rows are not constant on block {z}")
-    return _compile_packed(target, scheme, r, eps, "partition")
+def _check_blocks(target: ConditionalTable, l: int) -> None:
+    """Refuse a target not constant on each block of the partition of its
+    first l output bits: block z holds the outputs y with y mod 2^l = z."""
+    blocks = target.rows.reshape(len(target.rows), -1, 1 << l)
+    spread = np.abs(blocks - blocks.mean(axis=1, keepdims=True)).max(
+        axis=(0, 1))
+    off = np.flatnonzero(spread > 1e-9)
+    if off.size:
+        raise NotBlockConstant(f"rows are not constant on block {off[0]}")
 
 
 def compile_support_points(target: ConditionalTable, d: int | None = None,
@@ -709,15 +807,16 @@ def compile_support_points(target: ConditionalTable, d: int | None = None,
     support = target.rows > 0
     counts = support.sum(axis=0)
     y0 = int(np.argmax(counts))  # ties resolve to the smallest index
-    scheme = _ComponentScheme.points(
-        target.n, [y0] + [y for y in range(1 << target.n) if y != y0])
+    scheme, _ = _shape(k, target.n, (1 << target.n) - 1,
+                       [y0] + [y for y in range(1 << target.n) if y != y0])
     # each support point y != y0 of row x is one fill of the point star
     # (x, free_mask=0), named ("row", x), and no cylinder is reset; rows
-    # without such a point come first, so they are checked before any step
+    # without such a point come first, so they are checked before any step.
+    # The order is the target's, so the walk is built per compile
     total_steps = int(counts.sum() - counts[y0])
     extra = support.sum(axis=1) > support[:, y0]
     rows = np.argsort(extra, kind="stable")
-    walk = [(None, rows, 0, [("row", x) for x in rows.tolist()])]
+    walk = [_Level(None, star_tilts(k, rows, 0), "row", rows)]
     return _compile(target, scheme, walk, total_steps, eps, "support", budget,
                     None)[:2]
 
@@ -738,10 +837,15 @@ def divergence_witness(target: ConditionalTable,
         raise ValueError(f"m_budget must be >= 0, got {m_budget}")
     k, n = target.k, target.n
     l = feasible_block_width(k, n, m_budget)
-    scheme = _ComponentScheme.partition(n, l)
-    # clamp within blocks (preserves block-constancy), then compile tightly
-    # at the cheapest depth, whose budget is within m_budget by the choice of l
+    # priced and its shape looked up first, since the projection reads the
+    # scheme's blocks; clamp within blocks (preserves block-constancy), then
+    # compile tightly at the cheapest depth, whose budget is within m_budget
+    # by the choice of l
+    scheme, walk, budget, r = _packed_shape(k, n, (1 << l) - 1, range(1 << l),
+                                            None, "partition")
     table, _ = clamp_table(
         ConditionalTable(k, n, scheme.project(target.rows)), 0.016)
-    params, _, conditional = _partition(table, scheme, None, WITNESS_EPS)
+    _check_blocks(table, l)
+    params, _, conditional = _compile(table, scheme, walk, budget,
+                                      WITNESS_EPS, "partition", budget, r)
     return params, kl_conditional(target, conditional)

@@ -40,6 +40,11 @@ carries both counts.
 ``build_packing`` is priced before any star is built: its star count times
 STAR_CELLS, the measured cost of one star, against ``bitspace.MAX_CELLS``;
 ``validate_packing`` is priced on its 2^k cube states at STATE_CELLS each.
+The price runs on every call, but a sequence is built once per (k, r): its
+arrays read-only, it is kept for later calls in a ``bitspace.Kept`` memo,
+at most KEEP_ENTRIES = 32 sequences and KEEP_CELLS = 2^19 cells (4 MiB) in
+all, and one priced above that is built per call and not kept.  A compile
+of one shape thus shares its packing with the compiles before it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import (
+    OBJECT_CELLS,
+    Kept,
+    array_cells,
     check_cells,
     cylinder_members,
     star_cylinder,
@@ -217,12 +225,24 @@ def _bad_patterns(width: int) -> np.ndarray:
                     dtype=np.int64)
 
 
+#: the packing sequences kept for later builds of their (k, r)
+_SEQUENCES = Kept()
+
+
 def build_packing(k: int, r: int) -> PackingSequence:
-    """The recursive star packing sequence with 2^(k-S(r)) F(r) stars."""
+    """The recursive star packing sequence with 2^(k-S(r)) F(r) stars,
+    read-only.  Priced on every call; a sequence is built once per (k, r)
+    and kept (``bitspace.Kept``) while it fits."""
     total = star_count(k, r)
     check_cells(total * STAR_CELLS,
                 f"build_packing at (k, r) = ({k}, {r}) with {total} stars")
+    return _SEQUENCES.get((k, r), lambda: _build_packing(k, r, total))
 
+
+def _build_packing(k: int, r: int, total: int
+                   ) -> tuple[PackingSequence, int]:
+    """The sequence ``build_packing`` returns, with its arrays read-only,
+    and the cells it holds."""
     centers = np.empty(total, dtype=np.int64)
     free_masks = np.empty(total, dtype=np.int64)
     resets = [np.zeros((3, 0), dtype=np.int64)]  # position, mask, values
@@ -252,8 +272,13 @@ def build_packing(k: int, r: int) -> PackingSequence:
                     | (_bad_patterns(width) << start)[None, :]).ravel()
         start = rest
 
-    positions, masks, values = np.concatenate(resets, axis=1)
-    return PackingSequence(k, r, centers, free_masks, positions, masks, values)
+    block = np.concatenate(resets, axis=1)
+    arrays = (centers, free_masks, *block)
+    for a in arrays:
+        a.setflags(write=False)
+    # the five arrays, the reset rows' block and the sequence with its dict
+    return (PackingSequence(k, r, *arrays),
+            array_cells(*arrays) + 4 * OBJECT_CELLS)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import re
 from collections import Counter, defaultdict
@@ -6,11 +7,12 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from crbmkit import compiler
+from crbmkit import compiler, packing
 from crbmkit.compiler import (
     CompileReport,
     _ComponentScheme,
     _Fill,
+    _Level,
     _Pipeline,
     _packing_walk,
     _plan_stars,
@@ -51,13 +53,21 @@ def one_star(k, center, free_mask):
                     tilts.cylinder_factors[0], tilts.inputs[0])
 
 
+def star_level(k, centers, free_mask):
+    """The walk level of the stars ``(c, free_mask)`` on k inputs, c in
+    ``centers``, named ("star", 0), ("star", 1), ... in order, with no
+    reset."""
+    return _Level(None, star_tilts(k, centers, free_mask), "star",
+                  range(len(centers)))
+
+
 def plan_one(k, scheme, rows, center, free_mask):
     """The compile's plan of the one star ``(center, free_mask)`` toward the
     target ``rows`` (2^k of them), named ("star", 0): one fill trial, one
     unit per component the star steps toward."""
     betas = mixture_weight_profile(scheme.masses(rows))
-    return _plan_stars(k, rows, betas, log_mass_ratios(log_odds(betas)),
-                       [center], free_mask, [("star", 0)])
+    return _plan_stars(star_level(k, [center], free_mask), rows, betas,
+                       log_mass_ratios(log_odds(betas)))
 
 
 def test_clamp_table():
@@ -566,7 +576,7 @@ def test_a_packing_level_runs_one_reset_and_one_fill_trial(monkeypatch, k, n,
             assert sharps == [sharps[0] * 2.0 ** i
                               for i in range(len(sharps))]
         walked += bool(builds)
-    assert walked >= len(_packing_walk(k, r or 1))
+    assert walked >= len(_packing_walk(build_packing(k, r or 1)))
 
 
 def test_a_level_trial_makes_each_rows_mixture_of_its_tilts():
@@ -734,7 +744,8 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
     # built on the first use of its sharpness only, by a fill or a reset; a
     # reset's is the start component's row, the point 0's, and a fill's one
     # row per unit.  The mixture weights' log-odds are taken once per
-    # compile, not per tau level or star
+    # compile, not per tau level or star.  The output tilts are the
+    # shape's: a later compile of the shape builds none it kept
     import crbmkit.compiler as compiler
     import crbmkit.sharing as sharing
 
@@ -807,6 +818,34 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
                for tilts in batches.values())
     assert len(outputs) == trials
     grade = 2.0 * n
+    check_outputs(outputs, batches, grade)
+    # one batch per sharpness the trials' tilts have, fewer than the
+    # trials
+    sharps = {sharp / grade if kind == "reset" else sharp
+              for kind, _, sharp in outputs}
+    assert sorted(batches) == sorted(sharps) and len(batches) < trials
+    # a later compile of the shape, another target's, keeps every count
+    # per trial and tau level; its tilts are rows of the batches the shape
+    # kept, built once per sharpness for the shape (``batch`` refuses a
+    # second), and its tables are its reset trials' input tables only
+    calls.clear()
+    outputs.clear()
+    _, rep = compile_universal(dirichlet_table(k, n, 1))
+    trials = calls["trial"]
+    resets = sum(kind == "reset" for kind, *_ in outputs)
+    assert trials > resets > 0 and rep.resets_used > 0
+    assert calls["level"] == 2
+    assert 0 < calls["apply_sharing_log"] <= trials
+    assert calls["full"] == calls["hidden_unit_from_log"] == resets
+    assert calls["inputs"] == resets and calls["other tables"] == 0
+    assert calls["log_odds"] == 1
+    check_outputs(outputs, batches, grade)
+
+
+def check_outputs(outputs, batches, grade):
+    """Each trial's output tilts, read-only, are rows of the batch of its
+    sharpness: a reset's the batch's first, the start component's, as it
+    is, and a fill's one row per unit."""
     for kind, out, sharp in outputs:
         assert not out.log_factors.flags.writeable
         assert not out.log_sy.flags.writeable
@@ -819,15 +858,10 @@ def test_compile_reduces_the_joint_once_per_trial(monkeypatch):
         else:
             rows = batches[sharp]
             for lf, sy in zip(out.log_factors, out.log_sy):
-                t = [j for j in range(1, 1 << n)
+                t = [j for j in range(1, len(rows.log_factors))
                      if rows.log_factors[j].tobytes() == lf.tobytes()]
                 assert len(t) == 1
                 assert sy.tobytes() == rows.log_sy[t[0]].tobytes()
-    # one batch per sharpness the trials' tilts have, fewer than the
-    # trials
-    sharps = {sharp / grade if kind == "reset" else sharp
-              for kind, _, sharp in outputs}
-    assert sorted(batches) == sorted(sharps) and len(batches) < trials
 
 
 def test_a_compile_appends_once_per_completed_tau_level(monkeypatch):
@@ -890,7 +924,9 @@ def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
     # every tilt is a factor over the k inputs times one over the n
     # outputs: no log table over the 2^(k+n) joint states is built.  A
     # table's width is its factors' coordinate axis, the one before the
-    # (off, on) pair; the output tables are built in batches
+    # (off, on) pair; the output tables are built in batches, on a shape's
+    # first compile, and kept with it: a later compile of the shape builds
+    # only its reset trials' input tables
     import crbmkit.sharing as sharing
 
     k, n = 4, 2
@@ -906,6 +942,9 @@ def test_compile_builds_no_table_wider_than_inputs_or_outputs(monkeypatch):
     assert rep.hidden_units_used == 19
     assert widths[k] > 0 and widths[n] > 0
     assert max(widths) == max(k, n)
+    widths.clear()
+    _, rep = compile_universal(dirichlet_table(k, n, 1))
+    assert rep.resets_used > 0 and set(widths) == {k}
 
 
 def test_step_loop_budget_names_the_step_kind(monkeypatch):
@@ -914,7 +953,7 @@ def test_step_loop_budget_names_the_step_kind(monkeypatch):
     import crbmkit.compiler as compiler
 
     # the star at 0 with both inputs free, on the full 2-cube
-    scheme = _ComponentScheme.points(1, [0, 1])
+    scheme = _ComponentScheme(1, 1, [0, 1])
     fill = plan_one(2, scheme, np.array([[0.2, 0.8]] * 4), 0, 0b11).fill
     pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
     pipe.fill(fill)  # moves the rows off the start
@@ -1023,7 +1062,7 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
         compile_universal(dirichlet_table(8, 1, 0), r=3)
     match = re.match(region, str(exc.value.__cause__))
     assert match is not None
-    start_tv = _Pipeline(8, 1, _ComponentScheme.points(1, [0, 1]), 16.0,
+    start_tv = _Pipeline(8, 1, _ComponentScheme(1, 1, [0, 1]), 16.0,
                          0.0).start_tv
     assert float(match[1]) > float(match[2]) == pytest.approx(
         start_tv + 32 * 5.68e-5, rel=2e-3)
@@ -1032,7 +1071,7 @@ def test_exhausted_ladder_names_its_rungs_and_the_rejecting_check(
     # y = 1 at every rung, so its region's TV rejects the last one; with
     # no region bound, the star (0, 0b01) at sharpness 1 moves the rows 2
     # and 3 outside its cylinder by more than tol_step
-    scheme = _ComponentScheme.points(1, [0, 1])
+    scheme = _ComponentScheme(1, 1, [0, 1])
     pipe = _Pipeline(2, 1, scheme, 32.0, 1e-3)
     stars = star_tilts(2, [0], 0b11)
     monkeypatch.setattr(compiler, "STEP_RETRIES", 3)
@@ -1068,11 +1107,11 @@ def test_cross_star_leak_rejects_a_batch():
     # limit; a sharper rung passes all three checks
     import crbmkit.compiler as compiler
 
-    scheme = _ComponentScheme.points(1, [0, 1])
+    scheme = _ComponentScheme(1, 1, [0, 1])
     rows = np.full((4, 2), 0.5)
     betas = mixture_weight_profile(scheme.masses(rows))
-    stars = _plan_stars(2, rows, betas, log_mass_ratios(log_odds(betas)),
-                        np.array([0, 2]), 0b01, [("star", 0), ("star", 1)])
+    stars = _plan_stars(star_level(2, np.array([0, 2]), 0b01), rows, betas,
+                        log_mass_ratios(log_odds(betas)))
     fill = stars.fill
     tilt = fill.tilt
     assert tilt.members.tolist() == [[0, 1], [2, 3]]
@@ -1083,7 +1122,7 @@ def test_cross_star_leak_rejects_a_batch():
         alone.fill(_Fill(fill.t[one], tilt.take(one), fill.log_q[one],
                          fill.members[one], np.zeros(1, dtype=np.intp),
                          fill.target[2 * s:2 * s + 2], tilt.inputs[s],
-                         stars.names[s]))
+                         stars.level.name(s)))
         assert alone._rung["fill"] == 0
     pipe = _Pipeline(2, 1, scheme, 8.0, 1e-3)
     with pytest.MonkeyPatch.context() as patch:
@@ -1106,12 +1145,11 @@ def test_a_rung_whose_own_rows_miss_is_rejected_unapplied(monkeypatch):
     # to the whole state, named by that check.  Two stars mixed to 0.5 /
     # 0.5, held to the point mass at y = 1 with no region bound, miss at
     # every rung; applied, each such rung fails the region check too
-    scheme = _ComponentScheme.points(1, [0, 1])
+    scheme = _ComponentScheme(1, 1, [0, 1])
     rows = np.full((4, 2), 0.5)
     betas = mixture_weight_profile(scheme.masses(rows))
-    fill = _plan_stars(2, rows, betas, log_mass_ratios(log_odds(betas)),
-                       np.array([0, 2]), 0b01,
-                       [("star", 0), ("star", 1)]).fill
+    fill = _plan_stars(star_level(2, np.array([0, 2]), 0b01), rows, betas,
+                       log_mass_ratios(log_odds(betas))).fill
     pipe = _Pipeline(2, 1, scheme, 8.0, 1e-3)
     target = np.tile(scheme.dists[1], (4, 1))
 
@@ -1144,12 +1182,12 @@ def test_cross_star_leak_reads_each_stars_units_together():
     # at a rung where the trial passes, the leak it reads is within its
     # six tol_step, and a star's units toward components 1..3 alone
     # would leave its rows near the start component, far from their target
-    scheme = _ComponentScheme.points(2, range(4))
+    scheme = _ComponentScheme(2, 3, range(4))
     rng = np.random.default_rng(12)
     rows = rng.dirichlet(np.ones(4), size=8)
     betas = mixture_weight_profile(scheme.masses(rows))
-    stars = _plan_stars(3, rows, betas, log_mass_ratios(log_odds(betas)),
-                        np.array([0, 4]), 0b001, [("star", 0), ("star", 1)])
+    stars = _plan_stars(star_level(3, np.array([0, 4]), 0b001), rows, betas,
+                        log_mass_ratios(log_odds(betas)))
     fill = stars.fill
     assert fill.t.tolist() == [1, 2, 3, 1, 2, 3]
     assert fill.owner.tolist() == [0, 0, 0, 1, 1, 1]
@@ -1269,7 +1307,8 @@ def test_finished_rows_move_by_at_most_the_later_steps(monkeypatch):
     # every level of the certified tau levels was recorded, with every
     # star and every support row
     assert [len(walk) for walk in certified] == [
-        len(_packing_walk(7, 3)), len(_packing_walk(4, 2)), 1]
+        len(_packing_walk(build_packing(7, 3))),
+        len(_packing_walk(build_packing(4, 2))), 1]
     assert [sum(walk) for walk in certified] == [
         len(build_packing(7, 3).centers), len(build_packing(4, 2).centers),
         16]
@@ -1336,10 +1375,32 @@ def test_doomed_support_level_names_its_row(monkeypatch):
     assert applied["calls"] > 0
 
 
-# Each compile plans its own walk, and nothing is kept across compiles.  A
-# case compiled first in a sequence must give the same bits after the other
-# cases, which walk the same shapes, and after a compile of another target
-# of its own shape.
+def reversed_outputs(table):
+    """``table`` with its outputs reversed, y -> 2^n - 1 - y: a sparse
+    target whose most shared output y0 is another one, where it is
+    unique."""
+    return ConditionalTable(table.k, table.n, table.rows[:, ::-1].copy())
+
+
+def first_outputs_table(k, n, size, seed):
+    """Dirichlet rows on the outputs 0 .. size - 1: the common support of
+    the components a partition of 2^l = size blocks has, on other
+    cylinders."""
+    rows = np.zeros((1 << k, 1 << n))
+    rows[:, :size] = np.random.default_rng(seed).dirichlet(
+        np.ones(size), size=1 << k)
+    return ConditionalTable(k, n, rows)
+
+
+# A compile keeps the target-free half of its shape (``compiler._shape``)
+# for later compiles.  A case compiled first in a sequence must give the
+# same bits after the other cases, which walk the same shapes or shapes a
+# key missing a part would mix up with its own, and after a compile of
+# another target of its own shape: two support compiles at (4,2) whose
+# start outputs y0 differ (the scheme's value order), common |T| = 3 and
+# |T| = 4 compiles and a partition l = 2 compile at n = 3, the last two on
+# the same component values but not the same cylinders, and divergence
+# witnesses of two block widths at (3,3).
 PLAN_CASES = {
     "universal-8-1-r3": lambda s: compile_universal(dirichlet_table(8, 1, s),
                                                     r=3),
@@ -1347,29 +1408,68 @@ PLAN_CASES = {
     "universal-3-3": lambda s: compile_universal(dirichlet_table(3, 3, s)),
     "common-4-2": lambda s: compile_common_support(
         common_support_table(4, 2, 3, s)),
+    "common-4-3": lambda s: compile_common_support(
+        common_support_table(4, 3, 3, s)),
+    "common-4-3-first-four": lambda s: compile_common_support(
+        first_outputs_table(4, 3, 4, s)),
     "partition-4-3-l2": lambda s: compile_partition(
         block_constant_target(4, 3, 2, s), 2),
     "support-4-2-d2": lambda s: compile_support_points(
         sparse_dirichlet_table(4, 2, 2, s), 2),
+    "support-4-2-d2-reversed": lambda s: compile_support_points(
+        reversed_outputs(sparse_dirichlet_table(4, 2, 2, s)), 2),
     "witness-3-3-m10": lambda s: divergence_witness(dirichlet_table(3, 3, s),
                                                     10),
+    "witness-3-3-m4": lambda s: divergence_witness(dirichlet_table(3, 3, s),
+                                                   4),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PLAN_CASES))
-def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name):
-    def output(run, seed):
-        params, second = run(seed)
-        return params_digest(params), repr(second)
+def _shape_output(run, seed):
+    params, second = run(seed)
+    return params_digest(params), repr(second)
 
+
+@functools.cache
+def _fresh_output(name, seed):
+    """The bits of PLAN_CASES[name] at ``seed`` compiled with nothing
+    kept."""
+    compiler._SHAPES.clear()
+    packing._SEQUENCES.clear()
+    return _shape_output(PLAN_CASES[name], seed)
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_CASES))
+def test_repeated_compiles_of_a_shape_give_the_fresh_bits(name, monkeypatch):
+    from crbmkit import bitspace
+    from crbmkit.bounds import feasible_block_width
+    from crbmkit.errors import CapExceeded
+
+    # the support cases start at outputs 2 and 1, the witnesses compile
+    # the partitions of l = 2 and l = 1
+    assert [int(np.argmax((t.rows > 0).sum(axis=0))) for t in (
+        sparse_dirichlet_table(4, 2, 2, 0),
+        reversed_outputs(sparse_dirichlet_table(4, 2, 2, 0)))] == [2, 1]
+    assert [feasible_block_width(3, 3, m) for m in (10, 4)] == [2, 1]
+    fresh = {(case, seed): _fresh_output(case, seed)
+             for case in PLAN_CASES for seed in (0, 1)}
+    compiler._SHAPES.clear()
+    packing._SEQUENCES.clear()
     run = PLAN_CASES[name]
-    fresh = output(run, 0)
+    assert _shape_output(run, 0) == fresh[name, 0]
+    assert len(compiler._SHAPES._tables) == 1
+    # a kept shape is priced on every compile: a lowered limit refuses it
+    with monkeypatch.context() as patch:
+        patch.setattr(bitspace, "MAX_CELLS", 4)
+        with pytest.raises(CapExceeded):
+            run(0)
+    # every other case, and another target of this case's shape, then this
+    # case again: each gives its bits compiled with nothing kept
     for other, other_run in PLAN_CASES.items():
         if other != name:
-            output(other_run, 0)
-    output(run, 1)
-    assert output(run, 0) == fresh
-
+            assert _shape_output(other_run, 0) == fresh[other, 0]
+    assert _shape_output(run, 1) == fresh[name, 1]
+    assert _shape_output(run, 0) == fresh[name, 0]
 
 
 def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
@@ -1379,9 +1479,10 @@ def test_start_state_is_the_conditioned_broadcast_bit_for_bit():
     from crbmkit.bitspace import state_bits
 
     for n in range(1, 7):
-        for scheme in (_ComponentScheme.points(n, range(1 << n)),
-                       _ComponentScheme.points(n, [(1 << n) - 1, 0]),
-                       _ComponentScheme.partition(n, 1)):
+        full = (1 << n) - 1
+        for scheme in (_ComponentScheme(n, full, range(1 << n)),
+                       _ComponentScheme(n, full, [full, 0]),
+                       _ComponentScheme(n, 1, range(2))):
             for k in (0, 1, 2, 5, 9):
                 for tau in (16.0, 128.0, 1024.0):
                     pipe = _Pipeline(k, n, scheme, tau, 1e-3)
@@ -1459,7 +1560,7 @@ def test_packing_resets_sit_at_level_starts():
         for pos, at in seq.resets_at().items():
             assert pos in starts
             assert len({mask for mask, _ in at}) == 1
-        resets = [len(level[0][1]) for level in _packing_walk(k, r)
+        resets = [len(level[0][1]) for level in _packing_walk(seq)
                   if level[0] is not None]
         assert sum(resets) == len(seq.reset_positions) == e_value(r)
 
@@ -1486,9 +1587,10 @@ def test_batched_output_tilts_are_each_components_own_bit_for_bit():
 
     rungs = _rungs()
     for n in range(1, 9):
-        for scheme in ([_ComponentScheme.points(n, range(1 << n)),
-                        _ComponentScheme.points(n, [(1 << n) - 1, 0])]
-                       + [_ComponentScheme.partition(n, l)
+        full = (1 << n) - 1
+        for scheme in ([_ComponentScheme(n, full, range(1 << n)),
+                        _ComponentScheme(n, full, [full, 0])]
+                       + [_ComponentScheme(n, (1 << l) - 1, range(1 << l))
                           for l in range(n + 1)]):
             grade = 2.0 * max(scheme.sharp_width, 1)
             for sharp in rungs + [sharp / grade for sharp in rungs]:
@@ -1623,41 +1725,207 @@ def test_simulated_rows_meet_the_certificate_far_below_the_margin(
     assert gap <= compiler.REJECT_MARGIN / 100
 
 
-def test_compiler_keeps_no_plan_cache():
-    assert not [fn for fn in vars(compiler).values()
-                if callable(getattr(fn, "cache_clear", None))]
+def _kept_arrays(table):
+    """Every array a kept table holds: a packing sequence's, or a compile
+    shape's scheme (its components, output tilts and start states) and
+    walk."""
+    if isinstance(table, packing.PackingSequence):
+        return [getattr(table, field.name)
+                for field in dataclasses.fields(table)
+                if isinstance(getattr(table, field.name), np.ndarray)]
+    scheme, walk = table
+    arrays = [scheme.unit, scheme.members, scheme.dists]
+    for tilts in scheme._tilts.values():
+        arrays += tilts
+    for start in scheme._starts.values():
+        arrays += start[:3]
+    for level in walk:
+        arrays += [*level.tilts, *(level.resets or ())]
+    return arrays
+
+
+def _grow_kept_shapes():
+    """Give every kept shape all it can hold: a start state at every tau
+    level and a batch of output tilts at every sharpness a fill or a reset
+    asks for."""
+    taus = [compiler.TAU_START * 2.0 ** j for j in range(
+        int(np.log2(compiler.TAU_MAX / compiler.TAU_START)) + 1)]
+    for (k, *_), ((scheme, _), _) in compiler._SHAPES._tables.items():
+        grade = 2.0 * max(scheme.sharp_width, 1)
+        for sharp in _rungs():
+            scheme.tilt(0, sharp)
+            scheme.tilt(0, sharp / grade)
+        for tau in taus:
+            scheme.start(k, tau)
+
+
+#: 36 compile shapes, more than KEEP_ENTRIES = 32: universal (k, n),
+#: partitions of l = 1 and 2 outputs at n = 3, the common supports of two
+#: of four outputs and support compiles at each start output y0
+SWEEP = ([lambda k=k, n=n: compile_universal(dirichlet_table(k, n, 0))
+          for k in range(1, 6) for n in (1, 2)]
+         + [lambda k=k, l=l: compile_partition(
+             block_constant_target(k, 3, l, 0), l)
+            for k in range(1, 5) for l in (1, 2)]
+         + [lambda k=k, t=t: compile_common_support(ConditionalTable(
+             k, 2, np.where(np.isin(np.arange(4), t), 0.5, 0.0)[None, :]
+             .repeat(1 << k, axis=0)))
+            for k in (2, 3) for t in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                      (2, 3))]
+         + [lambda y=y: compile_support_points(ConditionalTable(
+             3, 2, np.eye(4)[[y] * 8]), 0) for y in range(4)])
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 14])
+def test_compile_keeps_two_bounded_read_only_memos(cells, monkeypatch):
+    # the compile keeps exactly two memos, bitspace.Kept both: the packing
+    # sequences and the compile shapes, and no other cache.  Every array
+    # they hold is read-only.  A sweep of more shapes than KEEP_ENTRIES,
+    # each kept shape then grown to all it can hold, leaves each memo
+    # within KEEP_ENTRIES tables and KEEP_CELLS cells, and tracemalloc
+    # finds no more kept than the memos' prices, within the stated worst
+    # case of KEEP_CELLS cells each; at the default limit and at one the
+    # sweep's shapes overrun, 2^14 cells
+    import gc
+    import sys
+    import tracemalloc
+
+    from crbmkit import bitspace
+
+    memos = sorted(f"{module}.{name}" for module, mod in sys.modules.items()
+                   if module.startswith("crbmkit")
+                   for name, value in vars(mod).items()
+                   if isinstance(value, bitspace.Kept))
+    assert memos == ["crbmkit.compiler._SHAPES", "crbmkit.packing._SEQUENCES"]
+    for mod in (compiler, packing):
+        assert not [fn for fn in vars(mod).values()
+                    if callable(getattr(fn, "cache_clear", None))]
+    if cells is not None:
+        monkeypatch.setattr(bitspace, "KEEP_CELLS", cells)
+    for run in SWEEP:  # the modules' other tables, built once
+        run()
+    compiler._SHAPES.clear()
+    packing._SEQUENCES.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for run in SWEEP:
+            run()
+        _grow_kept_shapes()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(SWEEP) > bitspace.KEEP_ENTRIES
+    for memo in (compiler._SHAPES, packing._SEQUENCES):
+        assert 0 < len(memo._tables) <= bitspace.KEEP_ENTRIES
+        assert memo.cells <= bitspace.KEEP_CELLS
+        for table, _ in memo._tables.values():
+            for a in _kept_arrays(table):
+                assert not a.flags.writeable
+    # the count binds at the default limit, the cells at the lower one
+    assert (len(compiler._SHAPES._tables) == bitspace.KEEP_ENTRIES) == (cells is None)
+    assert kept <= 8 * (compiler._SHAPES.cells + packing._SEQUENCES.cells)
+    assert kept <= 2 * 8 * bitspace.KEEP_CELLS
+
+
+@pytest.mark.parametrize("run", [
+    lambda: compile_universal(dirichlet_table(8, 1, 0), r=3),
+    lambda: compile_partition(block_constant_target(7, 3, 1, 0), 1),
+    lambda: compile_support_points(sparse_dirichlet_table(6, 2, 2, 0), 2)],
+    ids=["universal-8-1-r3", "partition-7-3-l1", "support-6-2-d2"])
+def test_a_kept_shape_holds_no_more_than_its_price(run):
+    # a shape's price bounds all it can hold: compiled and then grown to a
+    # start state at every tau level and a tilt batch at every sharpness,
+    # what tracemalloc finds kept is within the prices of the shape and of
+    # its packing, and at least half of them: the start states, priced at
+    # every tau level, are most of it
+    import gc
+    import tracemalloc
+
+    run()  # the modules' other tables, built once
+    compiler._SHAPES.clear()
+    packing._SEQUENCES.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        _grow_kept_shapes()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    price = 8 * (compiler._SHAPES.cells + packing._SEQUENCES.cells)
+    assert len(compiler._SHAPES._tables) == 1
+    assert price / 2 <= kept <= price
+
+
+def test_a_shape_over_the_budget_is_compiled_and_not_kept(monkeypatch):
+    # a shape priced above KEEP_CELLS is built for its compile by the same
+    # code and not kept: its bits are those of a kept one
+    from crbmkit import bitspace
+
+    target = dirichlet_table(6, 2, 0)
+    kept = compile_universal(target)
+    assert len(compiler._SHAPES._tables) == 1
+    price = compiler._SHAPES.cells
+    compiler._SHAPES.clear()
+    monkeypatch.setattr(bitspace, "KEEP_CELLS", price - 1)
+    for _ in range(2):
+        params, rep = compile_universal(target)
+        assert len(compiler._SHAPES._tables) == 0
+        assert params_digest(params) == params_digest(kept[0])
+        assert rep == kept[1]
 
 
 def test_each_star_is_planned_once_per_compile(monkeypatch):
-    # every tau level walks the plan its compile made once: each star's
-    # geometry is built once though the compile tries two tau levels or more
+    # every tau level walks the plan its compile made once: each level is
+    # planned once though the compile tries two tau levels or more, and
+    # each star's geometry is built once.  A packing's geometry is the
+    # shape's: a later compile of the shape builds none; a point walk's
+    # order is its target's, so each compile builds its own
     calls = Counter()
-    build = compiler.star_tilts
+    plans = []
+    build, plan = compiler.star_tilts, compiler._plan_stars
 
     def counted(k, centers, free_mask):
         calls.update((k, c, free_mask) for c in np.asarray(centers).tolist())
         return build(k, centers, free_mask)
 
+    def planned(level, *args):
+        plans.append(len(level.tilts.members))
+        return plan(level, *args)
+
     monkeypatch.setattr(compiler, "star_tilts", counted)
-    # the (4,2) r = 2 packing has 6 stars, the k = 4 point walk 16
-    for run, stars in (
-            (lambda: compile_universal(dirichlet_table(4, 2, 0), r=2), 6),
-            (lambda: compile_support_points(
-                sparse_dirichlet_table(4, 3, 2, 0), 2), 1 << 4)):
-        calls.clear()
-        _, rep = run()
-        assert rep.tau_final >= 32.0
-        assert len(calls) == stars and set(calls.values()) == {1}
+    monkeypatch.setattr(compiler, "_plan_stars", planned)
+    # the (4,2) r = 2 packing has 6 stars in 2 levels, the k = 4 point walk
+    # 16 in one
+    for run, stars, levels, again in (
+            (lambda s: compile_universal(dirichlet_table(4, 2, s), r=2), 6,
+             2, 0),
+            (lambda s: compile_support_points(
+                sparse_dirichlet_table(4, 3, 2, s), 2), 1 << 4, 1, 1 << 4)):
+        for seed, built in ((0, stars), (1, again)):
+            calls.clear()
+            plans.clear()
+            _, rep = run(seed)
+            assert rep.tau_final >= 32.0
+            assert len(calls) == built and set(calls.values()) <= {1}
+            assert len(plans) == levels and sum(plans) == stars
     # a level is planned when a tau level first reaches it: with one rung
     # per trial and tau = 16 alone, (8,1) r = 3 exhausts the ladder of its
     # first level's fill trial, so only that level's 32 stars of 80 are
-    # planned
+    # planned, while the shape's geometry holds all 80, each built once
     monkeypatch.setattr(compiler, "STEP_RETRIES", 1)
     monkeypatch.setattr(compiler, "TAU_MAX", 16.0)
     calls.clear()
+    plans.clear()
     with pytest.raises(BudgetExceeded, match=r"at star 0 \(batch of 32\)"):
         compile_universal(dirichlet_table(8, 1, 0), r=3)
-    assert len(calls) == 32 and set(calls.values()) == {1}
+    assert plans == [32]
+    assert len(calls) == 80 and set(calls.values()) == {1}
 
 
 def _reference_plan(k, scheme, rows, betas, log_q, center, free_mask):
@@ -1701,26 +1969,43 @@ def test_batched_plans_are_each_stars_own():
     # on every packing with k <= 10 and every point walk with k <= 8,
     # toward mixed, sparse and all-zero weight profiles.  A level's resets
     # are the packing's at its first star, and it has no other: each
-    # cylinder with its unit factors and the inputs it holds, ascending
+    # cylinder with its unit factors and the inputs it holds, ascending.
+    # A packing's levels are what a compile shape keeps, so every array of
+    # theirs is read-only, and they name their stars by their places
     from crbmkit.packing import feasible_depths, star_count
 
     rng = np.random.default_rng(0)
-    walks = [(k, star_count(k, r), _packing_walk(k, r),
-              build_packing(k, r).resets_at())
-             for k in range(1, 11) for r in feasible_depths(k)]
+    walks = []
+    for k in range(1, 11):
+        for r in feasible_depths(k):
+            seq = build_packing(k, r)
+            walk = _packing_walk(seq)
+            ends = np.cumsum([0] + [len(level.tilts.members)
+                                    for level in walk]).tolist()
+            walks.append((k, star_count(k, r), walk, seq.resets_at(), [
+                (seq.centers[lo:hi], int(seq.free_masks[lo]),
+                 [("star", i) for i in range(lo, hi)])
+                for lo, hi in zip(ends, ends[1:])]))
     for k in range(9):
         rows = rng.permutation(1 << k)
         walks.append((k, 1 << k,
-                      [(None, rows, 0, [("row", x) for x in rows])], {}))
-    for k, stars, walk, at in walks:
-        assert sum(len(level[1]) for level in walk) == stars
-        for resets, _, _, names in walk:
+                      [_Level(None, star_tilts(k, rows, 0), "row", rows)], {},
+                      [(rows, 0, [("row", x) for x in rows.tolist()])]))
+    for k, stars, walk, at, geometry in walks:
+        assert sum(len(level.tilts.members) for level in walk) == stars
+        for level, (centers, free_mask, names) in zip(walk, geometry):
+            assert level.tilts.members[:, 0].tolist() == centers.tolist()
+            assert [level.name(i) for i in range(len(centers))] == names
+            assert all(type(level.name(i)[1]) is int
+                       for i in range(len(centers)))
+            for a in (*level.tilts, *(level.resets or ())):
+                assert not a.flags.writeable
             assert not any(at.get(name[1]) for name in names[1:])
             cylinders_at = at.get(names[0][1], [])
-            assert (resets is None) == (not cylinders_at)
-            if resets is None:
+            assert (level.resets is None) == (not cylinders_at)
+            if level.resets is None:
                 continue
-            factors, inputs = resets
+            factors, inputs = level.resets
             assert len(factors) == len(inputs) == len(cylinders_at)
             assert inputs.dtype == np.intp
             for lf, inside, (mask, values) in zip(factors, inputs,
@@ -1730,15 +2015,14 @@ def test_batched_plans_are_each_stars_own():
                 assert lf.tobytes() == _sharp_cylinder_factors(
                     k, mask, values, 1.0).tobytes()
         n = int(rng.integers(1, 4))
-        scheme = _ComponentScheme.points(n, rng.permutation(1 << n)[
+        scheme = _ComponentScheme(n, (1 << n) - 1, rng.permutation(1 << n)[
             :int(rng.integers(2, (1 << n) + 1))])
         rows = rng.dirichlet(np.ones(1 << n), size=1 << k)
         for betas in _beta_profiles(k, scheme.count, rng):
             log_q = log_mass_ratios(log_odds(betas))
-            for _, centers, free_mask, names in walk:
-                plan = _plan_stars(k, rows, betas, log_q, centers,
-                                   free_mask, names)
-                assert list(plan.names) == list(names)
+            for level, (centers, free_mask, _) in zip(walk, geometry):
+                plan = _plan_stars(level, rows, betas, log_q)
+                assert plan.level is level
                 want = [_reference_plan(k, scheme, rows, betas, log_q,
                                         center, free_mask)
                         for center in centers.tolist()]
@@ -1751,7 +2035,7 @@ def test_batched_plans_are_each_stars_own():
                 assert (fill is None) == (not stepping)
                 if fill is None:
                     continue
-                assert fill.name == names[stepping[0]]
+                assert fill.name == level.name(stepping[0])
                 units = [(i, t, q) for i in stepping for t, q in want[i][4]]
                 tilt = fill.tilt
                 for a in tilt:

@@ -165,7 +165,7 @@ def test_in_support_class():
 def partition_project(p, l):
     """The divergence witness's projection of ``p`` onto the distributions
     constant on the blocks of the first l bits, and its divergence."""
-    scheme = _ComponentScheme.partition(p.width, l)
+    scheme = _ComponentScheme(p.width, (1 << l) - 1, range(1 << l))
     proj = Dist(p.width, scheme.project(p.probs[None, :])[0])
     return proj, kl(p, proj)
 
@@ -191,7 +191,7 @@ def test_partition_project_examples():
 
 def test_partition_project_is_optimal_among_samples():
     rng = np.random.default_rng(7)
-    blocks = _ComponentScheme.partition(3, 1).members
+    blocks = _ComponentScheme(3, 1, range(2)).members
     p = random_dist(3, rng)
     _, best = partition_project(p, 1)
     for _ in range(100):

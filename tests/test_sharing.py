@@ -4,7 +4,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from crbmkit.compiler import _ComponentScheme, _Pipeline, _plan_stars
+from crbmkit.compiler import _ComponentScheme, _Level, _Pipeline, _plan_stars
 from crbmkit.bitspace import state_bits
 from crbmkit.crbm import (
     CrbmParams,
@@ -105,8 +105,8 @@ def fill_pipeline(k: int, n: int, tau: float, tol_step: float = 1e-3
                   ) -> _Pipeline:
     """The compiler's step pipeline on point components, every row starting
     proportional to exp(-tau / (2n) |y|), i.e. near delta_0."""
-    return _Pipeline(k, n, _ComponentScheme.points(n, range(1 << n)), tau,
-                     tol_step)
+    return _Pipeline(k, n, _ComponentScheme(n, (1 << n) - 1, range(1 << n)),
+                     tau, tol_step)
 
 
 def one_star(k: int, center: int, free_mask: int) -> StarTilt:
@@ -127,8 +127,9 @@ def plan_star(pipe: _Pipeline, center: int, free_mask: int,
     rows = np.zeros((1 << k, 1 << pipe.n))
     rows[one_star(k, center, free_mask).members] = targets
     betas = mixture_weight_profile(pipe.scheme.masses(rows))
-    return _plan_stars(k, rows, betas, log_mass_ratios(log_odds(betas)),
-                       [center], free_mask, [("star", 0)]).fill
+    level = _Level(None, star_tilts(k, [center], free_mask), "star", range(1))
+    return _plan_stars(level, rows, betas,
+                       log_mass_ratios(log_odds(betas))).fill
 
 
 def fill_star(pipe: _Pipeline, center: int, free_mask: int,
